@@ -15,15 +15,18 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz smoke of the parsers that consume untrusted bytes — the
-# checkpoint codec round-trip and the scheme-name resolver — plus the engine's
-# event-queue differential (4-ary heap vs container/heap reference). The Go
-# fuzzer allows one target per invocation, hence one run each.
+# checkpoint codec round-trip and the scheme-name resolver — plus the two
+# differentials against retired reference implementations: the engine's event
+# queue (4-ary heap vs container/heap) and the fabric's virtual schedule
+# (event-driven flights vs a courier process per message). The Go fuzzer
+# allows one target per invocation, hence one run each.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDeltaCodecRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bench -run '^$$' -fuzz FuzzVariantParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzFabricSchedule -fuzztime $(FUZZTIME)
 
 vet:
 	$(GO) vet ./...
@@ -49,14 +52,15 @@ PERFFLAGS ?=
 bench-perf:
 	$(GO) run ./cmd/chkperf $(PERFFLAGS)
 
-# Allocation gate: the testing.AllocsPerRun zero-pins for the engine, codec
-# and collective hot paths, plus a microbenchmark smoke of the event queue and
-# payload codecs — all under the race detector. A failure here means a change
-# re-introduced steady-state allocation (or broke the queue/codec) before the
-# perf trajectory would have surfaced it.
+# Allocation gate: the testing.AllocsPerRun pins for the engine, fabric, codec
+# and collective hot paths, plus a microbenchmark smoke of the event queue,
+# the fabric's send path and the payload codecs — all under the race
+# detector. A failure here means a change re-introduced steady-state
+# allocation (or broke the queue/codec) before the perf trajectory would have
+# surfaced it.
 alloc-gate:
-	$(GO) test -race -run 'TestAllocs|TestDecodeF64sIntoMatches' ./internal/sim ./internal/codec ./internal/mp
-	$(GO) test -race -run '^$$' -bench . -benchtime 10x ./internal/sim ./internal/codec
+	$(GO) test -race -run 'TestAllocs|TestDecodeF64sIntoMatches' ./internal/sim ./internal/fabric ./internal/codec ./internal/mp
+	$(GO) test -race -run '^$$' -bench . -benchtime 10x ./internal/sim ./internal/fabric ./internal/codec
 
 # What the GitHub workflow runs (.github/workflows/ci.yml): the full suite
 # under the race detector, plus build, vet, the fuzz smoke, and the

@@ -72,10 +72,13 @@ func scaleWorkload(nodes int) apps.Workload {
 
 // scaleCoordMaxNodes caps the coordinated family's cells. Its marker flood is
 // O(n²) control messages per round — every rank markers every channel, the
-// protocol's real cost — and simulating the million couriers of a 1024-node
-// round costs two orders of magnitude more host time than the autonomous
-// families' O(n) traffic. The family comparison lives at and below this
-// size; past it only the autonomous families run, and the report says so.
+// protocol's real cost. The fabric is event-driven, so a message costs events
+// rather than a process, but one event per hop is still the model: a single
+// 1024-node Coord_NB cell is ≈2.15 M messages × ≈21 hops and measures ≈80 s
+// of host time, and the full grid has three such cells per coordinated
+// scheme — two orders of magnitude more than the autonomous families' O(n)
+// traffic. The family comparison lives at and below this size; past it only
+// the autonomous families run, and the report says so.
 const scaleCoordMaxNodes = 256
 
 // scaleConfig specializes cfg for one grid cell. The explicit nil Topo makes

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/par"
+	"repro/internal/perf"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -72,6 +73,46 @@ func TestShardedStorageReducesContention(t *testing.T) {
 	}
 	if four.Exec >= one.Exec {
 		t.Errorf("execution with 4 servers (%v) not below single server (%v)", four.Exec, one.Exec)
+	}
+}
+
+// TestScaleCoordProcsIndependentOfTraffic pins the event-driven fabric's
+// point: a message in flight owns no simulated process, so the processes a
+// cell spawns are the machine's own — application and checkpointer daemon
+// per node, plus the storage servers — however many messages the O(n²)
+// marker flood sends. A second round adds a marker per channel and must add
+// no process at all.
+func TestScaleCoordProcsIndependentOfTraffic(t *testing.T) {
+	cell := ScaleCell{MeshW: 8, MeshH: 8, Servers: 4}
+	cc := scaleConfig(par.DefaultConfig(), cell)
+	base, err := core.Run(scaleWorkload(cell.Nodes()), core.Config{Machine: cc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(rounds int) (procs int, msgs int64) {
+		pc := perf.NewCollector()
+		res, err := core.Run(scaleWorkload(cell.Nodes()), core.Config{
+			Machine: cc, Scheme: ckpt.CoordNB, Interval: base.Exec / 4, MaxCheckpoints: rounds, Perf: pc,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pc.Samples()[0].Procs, res.NetMsgs
+	}
+	const perNode = 4
+	p1, m1 := run(1)
+	p2, m2 := run(2)
+	t.Logf("1 round: %d procs, %d msgs; 2 rounds: %d procs, %d msgs", p1, m1, p2, m2)
+	for _, p := range []int{p1, p2} {
+		if p > perNode*cell.Nodes() {
+			t.Errorf("%d processes spawned on %d nodes, want at most %d per node", p, cell.Nodes(), perNode)
+		}
+	}
+	if m2-m1 < int64(cell.Nodes()*(cell.Nodes()-1)) {
+		t.Fatalf("second round added %d messages, want at least one marker per channel", m2-m1)
+	}
+	if p2 != p1 {
+		t.Errorf("second round's %d messages added %d processes, want none", m2-m1, p2-p1)
 	}
 }
 

@@ -5,12 +5,17 @@
 // more host links attaching mesh nodes to host endpoints (the stable-storage
 // servers' machines).
 //
-// Every directed link is a FIFO resource with a latency and a bandwidth, so
+// Every directed link is a FIFO server with a latency and a bandwidth, so
 // concurrent traffic queues hop by hop; this is what produces the network
 // contention effects that the checkpointing study measures. Delivery order
 // between a fixed (src, dst) pair is FIFO because all such messages follow
 // the same deterministic path, which the reliable-FIFO message layer above
 // relies on.
+//
+// The fabric is event-driven: a message in flight is a flight record stepped
+// by plain engine events — one per packet per hop, plus one whenever a
+// release hands a contended link to the head of its wait queue — and owns no
+// simulated process. Delivery handlers therefore run in engine context.
 package fabric
 
 import (
@@ -148,17 +153,72 @@ type Envelope struct {
 	Seq      uint64 // global send sequence, for tracing
 }
 
-// Handler receives a delivered envelope. It runs under the simulation's
-// single-runner discipline (from a courier process) and must not block.
+// Handler receives a delivered envelope. It runs in engine context (from the
+// event that ends the message's last packet) and must not block; a panic in
+// a handler propagates out of Engine.Run like any other event callback's.
 type Handler func(*Envelope)
 
+// link is one directed channel: a capacity-1 FIFO server. The flight holding
+// it has one packet on the wire; flights that found it busy wait in arrival
+// order on an intrusive list (a flight waits on at most one link at a time).
 type link struct {
-	res *sim.Resource
-	lat sim.Duration
-	bw  float64
+	to     NodeID
+	toHost bool // mesh→host direction of a host link: queue wait is observed
+	lat    sim.Duration
+	bw     float64
+
+	busy               bool
+	busySince          sim.Time
+	busyTotal          sim.Duration
+	waitHead, waitTail *flight
 
 	bytes int64 // traffic accounting
 	msgs  int64
+}
+
+// acquire grants the idle link to f, or queues f behind the current holder.
+func (l *link) acquire(f *flight, now sim.Time) bool {
+	if !l.busy {
+		l.busy, l.busySince = true, now
+		return true
+	}
+	if l.waitTail == nil {
+		l.waitHead = f
+	} else {
+		l.waitTail.next = f
+	}
+	l.waitTail = f
+	return false
+}
+
+// release ends the holder's packet. It returns the head of the wait queue,
+// which now holds the link, or nil if the link went idle.
+func (l *link) release(now sim.Time) *flight {
+	l.busyTotal += now.Sub(l.busySince)
+	f := l.waitHead
+	if f == nil {
+		l.busy = false
+		return nil
+	}
+	l.waitHead, f.next = f.next, nil
+	if l.waitHead == nil {
+		l.waitTail = nil
+	}
+	l.busySince = now
+	return f
+}
+
+// route is the resolved path of one (src,dst) pair plus the pair's
+// sequencing state, so a Send costs one map lookup.
+type route struct {
+	hops  [][2]NodeID
+	links []*link // links[i] carries hops[i]
+
+	// Packetized messages can overtake each other in flight, so arrivals are
+	// re-ordered before delivery to preserve the FIFO guarantee the message
+	// layer builds on: sent numbers the pair's sends, rcvd counts those
+	// delivered (or dropped) in order.
+	sent, rcvd uint64
 }
 
 // Network is the simulated interconnect.
@@ -172,18 +232,15 @@ type Network struct {
 	deliver  []Handler
 	seq      uint64
 
-	// pathCache memoizes Path: routes are a pure function of the static
-	// topology, and the hot path asks for the same few (src,dst) pairs once
-	// per message. Cached slices are shared — Path callers iterate, never
-	// mutate.
-	pathCache map[[2]NodeID][][2]NodeID
+	// routes memoizes route resolution: paths are a pure function of the
+	// static topology, and the hot path asks for the same few (src,dst) pairs
+	// once per message.
+	routes map[[2]NodeID]*route
 
-	// Per-(src,dst) sequencing: packetized messages can overtake each other
-	// in flight, so arrivals are re-ordered before delivery to preserve the
-	// FIFO guarantee the message layer builds on.
-	sendSeq map[[2]NodeID]uint64
-	nextRcv map[[2]NodeID]uint64
-	held    map[[2]NodeID]map[uint64]arrival
+	// held buffers arrivals that overtook an earlier message of their pair,
+	// keyed by pair sequence number; a pair's sub-map exists only while it
+	// holds something.
+	held map[[2]NodeID]map[uint64]arrival
 
 	// FaultHook, when set, is consulted once per remote Send and returns the
 	// fault verdict for that envelope's traversal: extra delivery delay, and
@@ -206,6 +263,7 @@ type Network struct {
 
 	totalMsgs  int64
 	totalBytes int64
+	arrived    int64 // messages delivered or dropped
 }
 
 // New builds the topology plus host links described by cfg.
@@ -223,13 +281,12 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		nRouters: top.Routers(),
 		links:    make(map[[2]NodeID]*link),
 		deliver:  make([]Handler, top.Nodes()+top.Routers()+nh),
-		sendSeq:  make(map[[2]NodeID]uint64),
-		nextRcv:  make(map[[2]NodeID]uint64),
+		routes:   make(map[[2]NodeID]*route),
 		held:     make(map[[2]NodeID]map[uint64]arrival),
 	}
 	addLink := func(a, b NodeID, lat sim.Duration, bw float64) {
-		n.links[[2]NodeID{a, b}] = &link{res: sim.NewResource(eng, 1), lat: lat, bw: bw}
-		n.links[[2]NodeID{b, a}] = &link{res: sim.NewResource(eng, 1), lat: lat, bw: bw}
+		n.links[[2]NodeID{a, b}] = &link{to: b, toHost: n.isHost(b), lat: lat, bw: bw}
+		n.links[[2]NodeID{b, a}] = &link{to: a, toHost: n.isHost(a), lat: lat, bw: bw}
 	}
 	for _, lk := range top.Links() {
 		mult := lk.Cap
@@ -253,6 +310,12 @@ func (n *Network) isHost(id NodeID) bool { return int(id) >= n.nNodes+n.nRouters
 
 func (n *Network) hostIndex(id NodeID) int { return int(id) - n.nNodes - n.nRouters }
 
+// isEndpoint reports whether id can send and receive: a compute node or a
+// host, not a routing-only switch.
+func (n *Network) isEndpoint(id NodeID) bool {
+	return id >= 0 && int(id) < len(n.deliver) && (int(id) < n.nNodes || n.isHost(id))
+}
+
 // Path returns the sequence of directed hops from src to dst along the
 // topology's deterministic route, traversing a host link first/last as
 // needed. The returned slice is memoized and shared across calls — callers
@@ -261,33 +324,42 @@ func (n *Network) Path(src, dst NodeID) [][2]NodeID {
 	if src == dst {
 		return nil
 	}
+	return n.route(src, dst).hops
+}
+
+// route resolves the path of a remote pair down to its links, once, so the
+// per-packet loop does no map lookup.
+func (n *Network) route(src, dst NodeID) *route {
 	key := [2]NodeID{src, dst}
-	if hops, ok := n.pathCache[key]; ok {
-		return hops
+	if r, ok := n.routes[key]; ok {
+		return r
 	}
-	var hops [][2]NodeID
-	cur := src
+	first, last := src, dst // the route's ends on the topology proper
 	if n.isHost(src) {
-		attach := n.cfg.AttachOf(n.hostIndex(src))
-		hops = append(hops, [2]NodeID{src, attach})
-		cur = attach
-	}
-	meshDst := dst
-	if n.isHost(dst) {
-		meshDst = n.cfg.AttachOf(n.hostIndex(dst))
-	}
-	for _, v := range n.top.Route(int(cur), int(meshDst)) {
-		hops = append(hops, [2]NodeID{cur, NodeID(v)})
-		cur = NodeID(v)
+		first = n.cfg.AttachOf(n.hostIndex(src))
 	}
 	if n.isHost(dst) {
-		hops = append(hops, [2]NodeID{cur, dst})
+		last = n.cfg.AttachOf(n.hostIndex(dst))
 	}
-	if n.pathCache == nil {
-		n.pathCache = make(map[[2]NodeID][][2]NodeID)
+	via := n.top.Route(int(first), int(last))
+	r := &route{hops: make([][2]NodeID, 0, len(via)+2), links: make([]*link, 0, len(via)+2)}
+	cur := src
+	hop := func(to NodeID) {
+		r.hops = append(r.hops, [2]NodeID{cur, to})
+		r.links = append(r.links, n.links[[2]NodeID{cur, to}])
+		cur = to
 	}
-	n.pathCache[key] = hops
-	return hops
+	if first != src {
+		hop(first)
+	}
+	for _, v := range via {
+		hop(NodeID(v))
+	}
+	if last != dst {
+		hop(dst)
+	}
+	n.routes[key] = r
+	return r
 }
 
 // SetDeliver installs the delivery handler for endpoint id.
@@ -295,12 +367,15 @@ func (n *Network) SetDeliver(id NodeID, h Handler) { n.deliver[id] = h }
 
 // Send injects env into the network. If sender is non-nil the configured
 // software send overhead is charged to it (the sender blocks for that time);
-// transport then proceeds asynchronously via a courier process, so Send
-// models a non-blocking (buffered) send. Send panics on an invalid
+// transport then proceeds asynchronously as engine events, so Send models a
+// non-blocking (buffered) send. Send panics on an invalid source or
 // destination (routing-only switches are not endpoints).
 func (n *Network) Send(sender *sim.Proc, env *Envelope) {
-	if d := int(env.Dst); d < 0 || d >= len(n.deliver) || (d >= n.nNodes && !n.isHost(env.Dst)) {
+	if !n.isEndpoint(env.Dst) {
 		panic(fmt.Sprintf("fabric: send to invalid node %d", env.Dst))
+	}
+	if !n.isEndpoint(env.Src) {
+		panic(fmt.Sprintf("fabric: send from invalid node %d", env.Src))
 	}
 	n.seq++
 	env.Seq = n.seq
@@ -313,70 +388,119 @@ func (n *Network) Send(sender *sim.Proc, env *Envelope) {
 		sender.Sleep(n.cfg.SendOverhead)
 	}
 	if env.Src == env.Dst {
-		n.eng.After(n.cfg.LocalLatency, func() { n.handoff(env) })
+		n.eng.After(n.cfg.LocalLatency, func() { n.complete(env, false) })
 		return
 	}
-	pair := [2]NodeID{env.Src, env.Dst}
-	n.sendSeq[pair]++
-	pairSeq := n.sendSeq[pair]
+	r := n.route(env.Src, env.Dst)
+	r.sent++
+	f := &flight{n: n, env: env, route: r, pairSeq: r.sent, remaining: env.Size}
+	f.step = f.advance
 	// The fault verdict is drawn at send time, in deterministic send order,
-	// so the injection stream does not depend on courier interleaving.
-	var faultDelay sim.Duration
-	var dropped bool
+	// so the injection stream does not depend on how flights interleave.
 	if n.FaultHook != nil {
-		faultDelay, dropped = n.FaultHook(env)
+		f.delay, f.dropped = n.FaultHook(env)
 	}
-	path := n.Path(env.Src, env.Dst)
-	// The courier's name is a fixed string: process names are read only by
-	// panic reports and the engine's leak dump, and formatting a unique name
-	// per message was a measurable share of steady-state allocation.
-	n.eng.Spawn("courier", func(p *sim.Proc) {
-		for _, hop := range path {
-			l := n.links[hop]
-			remaining := env.Size
-			// Queue-wait accounting for the host-link hops: the time this
-			// message's packets spend waiting behind competing traffic for
-			// the shared path to stable storage. Observing the clock does not
-			// perturb the acquisition order, so instrumented runs keep the
-			// exact virtual schedule.
-			measure := n.Obs.Enabled() && n.isHost(hop[1])
-			var waited sim.Duration
-			for {
-				chunk := remaining
-				if n.cfg.PacketBytes > 0 && chunk > n.cfg.PacketBytes {
-					chunk = n.cfg.PacketBytes
-				}
-				if measure {
-					t0 := p.Now()
-					l.res.Acquire(p)
-					waited += p.Now().Sub(t0)
-				} else {
-					l.res.Acquire(p)
-				}
-				p.Sleep(l.lat + sim.BytesAt(chunk, l.bw))
-				l.res.Release()
-				remaining -= chunk
-				if remaining <= 0 {
-					break
-				}
-			}
-			if measure {
-				n.Obs.ObserveDur(int(env.Src), "storage.hostlink_queue_wait", waited)
-			}
-			l.bytes += int64(env.Size)
-			l.msgs++
-			if hop[1] != env.Dst && n.TransitHook != nil {
-				n.TransitHook(hop[1], env.Size)
-			}
-		}
-		if faultDelay > 0 {
-			p.Sleep(faultDelay)
-		}
-		n.arrive(pair, pairSeq, env, dropped)
-	})
+	n.eng.After(0, f.step)
 }
 
-// arrival is one courier completion awaiting in-order delivery. Dropped
+// flight is one remote message in transit: a state machine over its route,
+// advanced by engine events. step is advance bound once per message, so
+// scheduling the flight's next event allocates nothing.
+type flight struct {
+	n       *Network
+	env     *Envelope
+	route   *route
+	pairSeq uint64
+	delay   sim.Duration // fault verdict: extra delay before arrival
+	dropped bool         // fault verdict: lost before delivery
+	step    func()
+
+	state     flightState
+	hop       int // index into route.links
+	remaining int // bytes of env still to cross links[hop]
+	chunk     int // bytes of the packet on the wire
+	queuedAt  sim.Time
+	waited    sim.Duration // queue wait accumulated on a host-link hop
+	next      *flight      // link wait-queue linkage
+}
+
+// flightState says what the flight's pending event means.
+type flightState uint8
+
+const (
+	flightReady   flightState = iota // about to contend for links[hop]
+	flightQueued                     // waiting on links[hop]; the event is the grant
+	flightOnWire                     // a packet occupies links[hop]; the event ends it
+	flightDelayed                    // route crossed; the event ends the fault delay
+)
+
+// advance runs one event of the flight. The schedule is exactly the one a
+// process doing Acquire / Sleep / Release per packet would produce, push for
+// push: a release wakes the queue head before the releaser contends again,
+// so a multi-packet message yields the link between packets.
+func (f *flight) advance() {
+	n, now := f.n, f.n.eng.Now()
+	switch f.state {
+	case flightDelayed:
+		n.arrive(f)
+		return
+	case flightQueued:
+		l := f.route.links[f.hop]
+		// Queue-wait accounting for the host-link hop: the time this
+		// message's packets spend waiting behind competing traffic for the
+		// shared path to stable storage.
+		if l.toHost {
+			f.waited += now.Sub(f.queuedAt)
+		}
+		f.transmit(l)
+		return
+	case flightOnWire:
+		l := f.route.links[f.hop]
+		if w := l.release(now); w != nil {
+			n.eng.After(0, w.step)
+		}
+		if f.remaining -= f.chunk; f.remaining > 0 {
+			break
+		}
+		if l.toHost && n.Obs.Enabled() {
+			n.Obs.ObserveDur(int(f.env.Src), "storage.hostlink_queue_wait", f.waited)
+		}
+		l.bytes += int64(f.env.Size)
+		l.msgs++
+		if l.to != f.env.Dst && n.TransitHook != nil {
+			n.TransitHook(l.to, f.env.Size)
+		}
+		f.hop++
+		f.remaining = f.env.Size
+	}
+	if f.hop == len(f.route.links) {
+		if f.delay > 0 {
+			f.state = flightDelayed
+			n.eng.After(f.delay, f.step)
+			return
+		}
+		n.arrive(f)
+		return
+	}
+	l := f.route.links[f.hop]
+	if !l.acquire(f, now) {
+		f.state, f.queuedAt = flightQueued, now
+		return
+	}
+	f.transmit(l)
+}
+
+// transmit puts the flight's next packet on l, which the flight holds.
+func (f *flight) transmit(l *link) {
+	f.chunk = f.remaining
+	if pb := f.n.cfg.PacketBytes; pb > 0 && f.chunk > pb {
+		f.chunk = pb
+	}
+	f.state = flightOnWire
+	f.n.eng.After(l.lat+sim.BytesAt(f.chunk, l.bw), f.step)
+}
+
+// arrival is one completed traversal awaiting in-order delivery. Dropped
 // arrivals advance the sequence without a handoff: the envelope is lost, but
 // later traffic on the pair is not stalled behind it.
 type arrival struct {
@@ -386,36 +510,38 @@ type arrival struct {
 
 // arrive re-sequences packetized arrivals so each (src,dst) pair delivers in
 // send order, then hands envelopes to the destination.
-func (n *Network) arrive(pair [2]NodeID, pairSeq uint64, env *Envelope, dropped bool) {
-	expected := n.nextRcv[pair] + 1
-	if pairSeq != expected {
+func (n *Network) arrive(f *flight) {
+	r, pair := f.route, [2]NodeID{f.env.Src, f.env.Dst}
+	if f.pairSeq != r.rcvd+1 {
 		hm := n.held[pair]
 		if hm == nil {
 			hm = make(map[uint64]arrival)
 			n.held[pair] = hm
 		}
-		hm[pairSeq] = arrival{env: env, dropped: dropped}
+		hm[f.pairSeq] = arrival{env: f.env, dropped: f.dropped}
 		return
 	}
-	if !dropped {
-		n.handoff(env)
+	r.rcvd++
+	n.complete(f.env, f.dropped)
+	hm := n.held[pair]
+	if hm == nil {
+		return
 	}
-	n.nextRcv[pair] = expected
-	for {
-		next, ok := n.held[pair][n.nextRcv[pair]+1]
-		if !ok {
-			return
-		}
-		delete(n.held[pair], n.nextRcv[pair]+1)
-		n.nextRcv[pair]++
-		if !next.dropped {
-			n.handoff(next.env)
-		}
+	for next, ok := hm[r.rcvd+1]; ok; next, ok = hm[r.rcvd+1] {
+		delete(hm, r.rcvd+1)
+		r.rcvd++
+		n.complete(next.env, next.dropped)
+	}
+	if len(hm) == 0 {
+		delete(n.held, pair)
 	}
 }
 
-func (n *Network) handoff(env *Envelope) {
-	if h := n.deliver[env.Dst]; h != nil {
+// complete ends env's transit: it leaves the in-flight count and, unless it
+// was dropped, is handed to its destination.
+func (n *Network) complete(env *Envelope, dropped bool) {
+	n.arrived++
+	if h := n.deliver[env.Dst]; h != nil && !dropped {
 		h(env)
 	}
 }
@@ -433,7 +559,7 @@ type LinkStats struct {
 func (n *Network) HostLinkStatsOf(i int) LinkStats {
 	key := [2]NodeID{n.cfg.AttachOf(i), n.cfg.HostID(i)}
 	l := n.links[key]
-	return LinkStats{From: key[0], To: key[1], Bytes: l.bytes, Msgs: l.msgs, Busy: l.res.BusyTime()}
+	return LinkStats{From: key[0], To: key[1], Bytes: l.bytes, Msgs: l.msgs, Busy: l.busyTotal}
 }
 
 // HostLinkStats returns traffic stats of the mesh→host direction of the
@@ -444,14 +570,18 @@ func (n *Network) HostLinkStats() LinkStats { return n.HostLinkStatsOf(0) }
 // injected since the network was created.
 func (n *Network) TotalTraffic() (msgs, bytes int64) { return n.totalMsgs, n.totalBytes }
 
+// InFlight returns the number of messages sent and not yet delivered or
+// dropped: on links, in a fault delay, or held for re-sequencing. It is zero
+// once a run has drained; a stuck message owns no process, so this count —
+// not a DeadlockError — is where one would show.
+func (n *Network) InFlight() int64 { return n.totalMsgs - n.arrived }
+
 // DebugHeld reports how many envelopes sit in reorder buffers per pair
 // (test/diagnostic helper).
 func DebugHeld(n *Network) map[[2]NodeID]int {
 	out := map[[2]NodeID]int{}
 	for pair, hm := range n.held {
-		if len(hm) > 0 {
-			out[pair] = len(hm)
-		}
+		out[pair] = len(hm)
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func testConfig() Config {
@@ -16,6 +17,22 @@ func testConfig() Config {
 		HostAttach:   0,
 		SendOverhead: 25 * sim.Microsecond,
 		LocalLatency: 5 * sim.Microsecond,
+	}
+}
+
+// runDrained runs the simulation to completion and requires the fabric to
+// be empty afterwards. A message stuck on a link or in a reorder buffer owns
+// no process, so Run alone would not report it.
+func runDrained(t testing.TB, e *sim.Engine, n *Network) {
+	t.Helper()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if in := n.InFlight(); in != 0 {
+		t.Fatalf("%d messages still in flight after the run drained", in)
+	}
+	if held := DebugHeld(n); len(held) != 0 {
+		t.Fatalf("reorder buffers not released after the run drained: %v", held)
 	}
 }
 
@@ -90,9 +107,7 @@ func TestPointToPointLatency(t *testing.T) {
 	e.Spawn("sender", func(p *sim.Proc) {
 		n.Send(p, &Envelope{Src: 0, Dst: 1, Size: 1500})
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runDrained(t, e, n)
 	want := sim.Time(50*sim.Microsecond + sim.BytesAt(1500, 1.5e6))
 	if arrived != want {
 		t.Fatalf("arrived at %v, want %v", arrived, want)
@@ -111,9 +126,7 @@ func TestFIFOPerPair(t *testing.T) {
 			n.Send(p, &Envelope{Src: 0, Dst: 7, Size: size, Payload: i})
 		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runDrained(t, e, n)
 	if len(got) != 20 {
 		t.Fatalf("delivered %d, want 20", len(got))
 	}
@@ -135,9 +148,7 @@ func TestFIFOAcrossPortsSameSource(t *testing.T) {
 		n.Send(p, &Envelope{Src: 0, Dst: 3, Port: 0, Size: 4000, Payload: "app"})
 		n.Send(p, &Envelope{Src: 0, Dst: 3, Port: 1, Size: 10, Payload: "marker"})
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runDrained(t, e, n)
 	if len(got) != 2 || got[0] != "0:app" || got[1] != "1:marker" {
 		t.Fatalf("cross-port order %v: marker overtook app message", got)
 	}
@@ -151,9 +162,7 @@ func TestLocalDelivery(t *testing.T) {
 	e.At(0, func() {
 		n.Send(nil, &Envelope{Src: 2, Dst: 2, Size: 100})
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runDrained(t, e, n)
 	if at != sim.Time(5*sim.Microsecond) {
 		t.Fatalf("local delivery at %v, want 5µs", at)
 	}
@@ -173,9 +182,7 @@ func TestLinkContentionSerializes(t *testing.T) {
 			n.Send(p, &Envelope{Src: 0, Dst: 1, Size: 1_500_000})
 		})
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runDrained(t, e, n)
 	if count != 2 {
 		t.Fatalf("delivered %d", count)
 	}
@@ -200,9 +207,7 @@ func TestHostLinkIsBottleneck(t *testing.T) {
 			n.Send(p, &Envelope{Src: src, Dst: host, Size: 1_000_000})
 		})
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runDrained(t, e, n)
 	if len(arrivals) != 8 {
 		t.Fatalf("delivered %d", len(arrivals))
 	}
@@ -227,22 +232,41 @@ func TestTrafficAccounting(t *testing.T) {
 		n.Send(nil, &Envelope{Src: 0, Dst: 1, Size: 100})
 		n.Send(nil, &Envelope{Src: 0, Dst: 1, Size: 200})
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runDrained(t, e, n)
 	msgs, bytes := n.TotalTraffic()
 	if msgs != 2 || bytes != 300 {
 		t.Fatalf("traffic = %d msgs %d bytes", msgs, bytes)
 	}
 }
 
+// TestInvalidDestinationPanics: Send rejects destinations — and sources —
+// that are not endpoints (out of range, or a routing-only switch) with the
+// fabric's own message, before anything is counted or routed.
 func TestInvalidDestinationPanics(t *testing.T) {
-	e := sim.New()
-	n := New(e, testConfig())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for invalid destination")
-		}
-	}()
-	n.Send(nil, &Envelope{Src: 0, Dst: 99, Size: 1})
+	cfg := testConfig()
+	cfg.Topo = topo.FatTree{Arity: 2, Levels: 2} // nodes 0..3, switches 4..6, host 7
+	n := New(sim.New(), cfg)
+	for _, tc := range []struct {
+		src, dst NodeID
+		want     string
+	}{
+		{0, 99, "fabric: send to invalid node 99"},
+		{0, -1, "fabric: send to invalid node -1"},
+		{0, 5, "fabric: send to invalid node 5"},
+		{99, 0, "fabric: send from invalid node 99"},
+		{-1, 0, "fabric: send from invalid node -1"},
+		{4, 0, "fabric: send from invalid node 4"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("Send %d→%d: panic %v, want %q", tc.src, tc.dst, got, tc.want)
+				}
+			}()
+			n.Send(nil, &Envelope{Src: tc.src, Dst: tc.dst, Size: 1})
+		}()
+	}
+	if msgs, _ := n.TotalTraffic(); msgs != 0 || n.InFlight() != 0 {
+		t.Fatalf("rejected sends were counted: %d msgs, %d in flight", msgs, n.InFlight())
+	}
 }

@@ -25,9 +25,7 @@ func TestPacketizationLetsSmallMessagesInterleave(t *testing.T) {
 		n.Send(p, &Envelope{Src: 0, Dst: 2, Size: 3_000_000})
 		n.Send(p, &Envelope{Src: 0, Dst: 1, Size: 200})
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runDrained(t, e, n)
 	if smallAt > sim.Time(50*sim.Millisecond) {
 		t.Fatalf("small message delivered at %v; packetization not interleaving", smallAt)
 	}
@@ -93,9 +91,7 @@ func TestReorderAcrossInterleavedPairs(t *testing.T) {
 			}
 		})
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runDrained(t, e, n)
 	for src, vals := range perSrc {
 		for i, v := range vals {
 			if v != i {
@@ -118,9 +114,7 @@ func TestTransitHookChargesIntermediateNodes(t *testing.T) {
 	e.Spawn("s", func(p *sim.Proc) {
 		n.Send(p, &Envelope{Src: 0, Dst: 3, Size: 10_000}) // route 0→1→2→3
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runDrained(t, e, n)
 	if charged[1] != 10_000 || charged[2] != 10_000 {
 		t.Fatalf("intermediates charged %v", charged)
 	}

@@ -5,8 +5,8 @@ package sim
 // — seq is unique per engine — so the heap's pop sequence is fully determined
 // by the set of pushed events, and same-time events drain in scheduling (FIFO)
 // order. That total order is the determinism contract every layer above relies
-// on; refQueue is the retired container/heap implementation kept compiled as
-// the differential-testing reference for exactly this property.
+// on; refQueue (refqueue_test.go) is the retired container/heap implementation
+// the tests use as the differential reference for exactly this property.
 //
 // Compared to container/heap the queue is allocation-free in steady state
 // (push appends to a reused slice, no interface boxing of the multi-word

@@ -3,11 +3,11 @@ package sim
 import "container/heap"
 
 // refQueue is the engine's original container/heap event queue, retired from
-// the hot path by eventQueue but kept compiled — no build tag — as the
-// differential-testing reference: TestEventQueueDifferential and
-// FuzzEventQueueOrder drive both implementations with identical schedules and
-// require identical pop sequences. It must not change independently of the
-// (at, seq) ordering contract documented on eventQueue.
+// the build by eventQueue and kept in this test file as the differential-
+// testing reference: TestEventQueueDifferential and FuzzEventQueueOrder drive
+// both implementations with identical schedules and require identical pop
+// sequences. It must not change independently of the (at, seq) ordering
+// contract documented on eventQueue.
 //
 // It is also the record of why it was replaced: heap.Interface's Push/Pop
 // traffic in `any`, boxing the three-word event struct on every schedule and
