@@ -18,14 +18,17 @@ race:
 # checkpoint codec round-trip and the scheme-name resolver — plus the two
 # differentials against retired reference implementations: the engine's event
 # queue (4-ary heap vs container/heap) and the fabric's virtual schedule
-# (event-driven flights vs a courier process per message). The Go fuzzer
-# allows one target per invocation, hence one run each.
+# (event-driven flights vs a courier process per message) — and the engine's
+# ordering contract under generated programs (strict (at, push) order across
+# the heap and the current-instant lane). The Go fuzzer allows one target per
+# invocation, hence one run each.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDeltaCodecRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bench -run '^$$' -fuzz FuzzVariantParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzFabricSchedule -fuzztime $(FUZZTIME)
 
 vet:
@@ -63,11 +66,13 @@ alloc-gate:
 	$(GO) test -race -run '^$$' -bench . -benchtime 10x ./internal/sim ./internal/fabric ./internal/codec
 
 # What the GitHub workflow runs (.github/workflows/ci.yml): the full suite
-# under the race detector, plus build, vet, the fuzz smoke, and the
-# allocation gate.
+# under the race detector, plus build, vet, the nested benchmark module's own
+# tests (./... does not reach it, and it compiles against fabric, topo and sim
+# through their public API), the fuzz smoke, and the allocation gate.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) -C benchmark test ./...
 	$(MAKE) fuzz
 	$(MAKE) alloc-gate

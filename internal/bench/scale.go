@@ -72,12 +72,15 @@ func scaleWorkload(nodes int) apps.Workload {
 
 // scaleCoordMaxNodes caps the coordinated family's cells. Its marker flood is
 // O(n²) control messages per round — every rank markers every channel, the
-// protocol's real cost. The fabric is event-driven, so a message costs events
-// rather than a process, but one event per hop is still the model: a single
-// 1024-node Coord_NB cell is ≈2.15 M messages × ≈21 hops and measures ≈80 s
-// of host time, and the full grid has three such cells per coordinated
-// scheme — two orders of magnitude more than the autonomous families' O(n)
-// traffic. The family comparison lives at and below this size; past it only
+// protocol's real cost. A message costs events rather than a process and
+// leaves no per-pair state behind, but one event per hop is still the model:
+// a single 1024-node Coord_NB cell is 2.15 M messages × ≈21 hops and measures
+// ≈47 s of host time (≈99 s before routing went from a per-pair table to
+// stepping and same-instant events left the heap; same box, same hour). The
+// full grid has three such cells per coordinated scheme, six in all — about
+// five minutes against the ≈7 s all of E14 takes today, and two orders of
+// magnitude more than the autonomous families' O(n) traffic — so the cap
+// stands. The family comparison lives at and below this size; past it only
 // the autonomous families run, and the report says so.
 const scaleCoordMaxNodes = 256
 

@@ -28,7 +28,7 @@ func benchNet(cfg Config, courier bool) (*sim.Engine, transport) {
 
 // benchAllToAll: 64-byte messages from every node of a 16x16 mesh to every
 // 8th other node, all injected at time zero. One iteration is one flood of
-// 8,160 messages.
+// 7,936 messages.
 func benchAllToAll(b *testing.B, courier bool) {
 	cfg := testConfig()
 	cfg.MeshW, cfg.MeshH = 16, 16
@@ -90,9 +90,9 @@ func BenchmarkSendPacketizedCourier(b *testing.B) { benchPacketized(b, true) }
 
 // TestAllocsSendSteadyState pins a remote Send, through every packet of every
 // hop to delivery, at the two objects a message is: its flight record and
-// the flight's bound step callback. Routes are resolved and the event queue
-// is warm, so anything above that is steady-state allocation creeping back
-// into the per-packet path.
+// the flight's bound step callback. The sources' sequencing rows exist and
+// the event queue is warm, so anything above that is steady-state allocation
+// creeping back into the per-packet path.
 func TestAllocsSendSteadyState(t *testing.T) {
 	cfg := testConfig()
 	cfg.PacketBytes = 512
@@ -114,12 +114,60 @@ func TestAllocsSendSteadyState(t *testing.T) {
 			t.Fatalf("Run: %v", err)
 		}
 	}
-	cycle() // resolve the routes, grow the event queue
+	cycle() // allocate the sources' rows, grow the event queue
 	allocs := testing.AllocsPerRun(200, cycle)
 	if want := float64(2 * len(envs)); allocs != want {
 		t.Fatalf("steady-state Send allocates %.1f objects per %d messages, want %.0f", allocs, len(envs), want)
 	}
 	if delivered != 201*len(envs)+len(envs) || n.InFlight() != 0 {
 		t.Fatalf("delivered %d, %d in flight", delivered, n.InFlight())
+	}
+}
+
+// TestAllocsSendColdPairs pins the other half: a pair's first message costs
+// what any message costs. One flood of the all-to-all benchmark's shape on a
+// fresh network — 7,936 messages, every pair used exactly once — allocates
+// the steady state's two objects per message plus one sequencing row per
+// source; the slack covers the event queue growing to hold the flood. A
+// per-pair route record, map entry or path slice would add 7,936 or more
+// (the per-pair route table this replaced: ≈74,000 for the same flood).
+func TestAllocsSendColdPairs(t *testing.T) {
+	cfg := testConfig()
+	cfg.MeshW, cfg.MeshH = 16, 16
+	nodes := cfg.Nodes()
+	var envs []*Envelope
+	for src := 0; src < nodes; src++ {
+		for dst := src % 8; dst < nodes; dst += 8 {
+			if dst != src {
+				envs = append(envs, &Envelope{Src: NodeID(src), Dst: NodeID(dst), Size: 64})
+			}
+		}
+	}
+	// AllocsPerRun calls its function once to warm up and once to measure:
+	// each call floods a network of its own.
+	var engs [2]*sim.Engine
+	var nets [2]*Network
+	delivered := 0
+	for i := range nets {
+		engs[i] = sim.New()
+		nets[i] = New(engs[i], cfg)
+		for id := 0; id < nodes; id++ {
+			nets[i].SetDeliver(NodeID(id), func(*Envelope) { delivered++ })
+		}
+	}
+	call := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		e, n := engs[call], nets[call]
+		call++
+		for _, env := range envs {
+			n.Send(nil, env)
+		}
+		runDrained(t, e, n)
+	})
+	if limit := float64(2*len(envs) + nodes + 64); allocs > limit {
+		t.Fatalf("a flood over %d cold pairs allocates %.0f objects, want at most 2 per message + 1 per source + 64 = %.0f", len(envs), allocs, limit)
+	}
+	if delivered != 2*len(envs) {
+		t.Fatalf("delivered %d of %d", delivered, 2*len(envs))
 	}
 }

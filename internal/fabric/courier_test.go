@@ -54,8 +54,10 @@ func newCourierNet(eng *sim.Engine, cfg Config) *courierNet {
 		nextRcv: make(map[[2]NodeID]uint64),
 		held:    make(map[[2]NodeID]map[uint64]arrival),
 	}
-	for key, l := range paths.links {
-		n.links[key] = &courierLink{res: sim.NewResource(eng, 1), lat: l.lat, bw: l.bw}
+	for from, links := range paths.out {
+		for _, l := range links {
+			n.links[[2]NodeID{NodeID(from), l.to}] = &courierLink{res: sim.NewResource(eng, 1), lat: l.lat, bw: l.bw}
+		}
 	}
 	return n
 }

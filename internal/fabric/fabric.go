@@ -16,6 +16,13 @@
 // by plain engine events — one per packet per hop, plus one whenever a
 // release hands a contended link to the head of its wait queue — and owns no
 // simulated process. Delivery handlers therefore run in engine context.
+//
+// Routing is by stepping, not by table: a flight holds the one link it is
+// crossing and, when the hop completes, asks the topology for the next vertex
+// and picks that link out of the few leaving where it stands. The network's
+// state is therefore O(vertices), plus a pointer-free row of sequence
+// counters per source that has sent; an all-pairs flood leaves nothing per
+// pair for the garbage collector to trace.
 package fabric
 
 import (
@@ -208,16 +215,12 @@ func (l *link) release(now sim.Time) *flight {
 	return f
 }
 
-// route is the resolved path of one (src,dst) pair plus the pair's
-// sequencing state, so a Send costs one map lookup.
-type route struct {
-	hops  [][2]NodeID
-	links []*link // links[i] carries hops[i]
-
-	// Packetized messages can overtake each other in flight, so arrivals are
-	// re-ordered before delivery to preserve the FIFO guarantee the message
-	// layer builds on: sent numbers the pair's sends, rcvd counts those
-	// delivered (or dropped) in order.
+// pairSeq is the sequencing state of one (src,dst) pair. Packetized messages
+// can overtake each other in flight, so arrivals are re-ordered before
+// delivery to preserve the FIFO guarantee the message layer builds on: sent
+// numbers the pair's sends, rcvd counts those delivered (or dropped) in
+// order. It holds no pointer, so a source's row of them is never scanned.
+type pairSeq struct {
 	sent, rcvd uint64
 }
 
@@ -228,19 +231,17 @@ type Network struct {
 	top      topo.Topology
 	nNodes   int
 	nRouters int
-	links    map[[2]NodeID]*link // directed (from,to) including host-link endpoints
+	out      [][]link // out[v]: the directed links leaving vertex v, host links included
 	deliver  []Handler
 	seq      uint64
 
-	// routes memoizes route resolution: paths are a pure function of the
-	// static topology, and the hot path asks for the same few (src,dst) pairs
-	// once per message.
-	routes map[[2]NodeID]*route
+	// pairs[src][dst] sequences the pair's messages; a source's row is
+	// allocated on its first remote send.
+	pairs [][]pairSeq
 
-	// held buffers arrivals that overtook an earlier message of their pair,
-	// keyed by pair sequence number; a pair's sub-map exists only while it
-	// holds something.
-	held map[[2]NodeID]map[uint64]arrival
+	// held buffers arrivals that overtook an earlier message of their pair
+	// until the gap before them closes.
+	held map[heldKey]arrival
 
 	// FaultHook, when set, is consulted once per remote Send and returns the
 	// fault verdict for that envelope's traversal: extra delivery delay, and
@@ -273,20 +274,23 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	}
 	top := cfg.topology()
 	nh := cfg.NumHosts()
+	vertices := top.Nodes() + top.Routers() + nh
 	n := &Network{
 		eng:      eng,
 		cfg:      cfg,
 		top:      top,
 		nNodes:   top.Nodes(),
 		nRouters: top.Routers(),
-		links:    make(map[[2]NodeID]*link),
-		deliver:  make([]Handler, top.Nodes()+top.Routers()+nh),
-		routes:   make(map[[2]NodeID]*route),
-		held:     make(map[[2]NodeID]map[uint64]arrival),
+		out:      make([][]link, vertices),
+		deliver:  make([]Handler, vertices),
+		pairs:    make([][]pairSeq, vertices),
+		held:     make(map[heldKey]arrival),
 	}
+	// Flights point into out's rows, which is safe because no link is added
+	// once New returns.
 	addLink := func(a, b NodeID, lat sim.Duration, bw float64) {
-		n.links[[2]NodeID{a, b}] = &link{to: b, toHost: n.isHost(b), lat: lat, bw: bw}
-		n.links[[2]NodeID{b, a}] = &link{to: a, toHost: n.isHost(a), lat: lat, bw: bw}
+		n.out[a] = append(n.out[a], link{to: b, toHost: n.isHost(b), lat: lat, bw: bw})
+		n.out[b] = append(n.out[b], link{to: a, toHost: n.isHost(a), lat: lat, bw: bw})
 	}
 	for _, lk := range top.Links() {
 		mult := lk.Cap
@@ -316,50 +320,47 @@ func (n *Network) isEndpoint(id NodeID) bool {
 	return id >= 0 && int(id) < len(n.deliver) && (int(id) < n.nNodes || n.isHost(id))
 }
 
-// Path returns the sequence of directed hops from src to dst along the
-// topology's deterministic route, traversing a host link first/last as
-// needed. The returned slice is memoized and shared across calls — callers
-// must treat it as read-only.
+// Path returns the sequence of directed hops a message from src to dst
+// crosses: the topology's deterministic route, with a host link first/last as
+// needed. It walks the route on every call and the result is the caller's.
+// Like Send, it panics unless both ends are endpoints.
 func (n *Network) Path(src, dst NodeID) [][2]NodeID {
-	if src == dst {
-		return nil
+	if !n.isEndpoint(dst) {
+		panic(fmt.Sprintf("fabric: path to invalid node %d", dst))
 	}
-	return n.route(src, dst).hops
+	if !n.isEndpoint(src) {
+		panic(fmt.Sprintf("fabric: path from invalid node %d", src))
+	}
+	var hops [][2]NodeID
+	for cur := src; cur != dst; {
+		to := n.nextLink(cur, dst).to
+		hops = append(hops, [2]NodeID{cur, to})
+		cur = to
+	}
+	return hops
 }
 
-// route resolves the path of a remote pair down to its links, once, so the
-// per-packet loop does no map lookup.
-func (n *Network) route(src, dst NodeID) *route {
-	key := [2]NodeID{src, dst}
-	if r, ok := n.routes[key]; ok {
-		return r
-	}
-	first, last := src, dst // the route's ends on the topology proper
-	if n.isHost(src) {
-		first = n.cfg.AttachOf(n.hostIndex(src))
-	}
+// nextLink resolves one routing step: the link a message bound for endpoint
+// dst leaves vertex cur on, cur != dst. A host is reached only through its
+// attach point, so the step is the host link when cur is a host or is the
+// attach point of host dst, and the topology's own next hop otherwise.
+func (n *Network) nextLink(cur, dst NodeID) *link {
+	to, last := dst, dst // last: where the route leaves the topology proper
 	if n.isHost(dst) {
 		last = n.cfg.AttachOf(n.hostIndex(dst))
 	}
-	via := n.top.Route(int(first), int(last))
-	r := &route{hops: make([][2]NodeID, 0, len(via)+2), links: make([]*link, 0, len(via)+2)}
-	cur := src
-	hop := func(to NodeID) {
-		r.hops = append(r.hops, [2]NodeID{cur, to})
-		r.links = append(r.links, n.links[[2]NodeID{cur, to}])
-		cur = to
+	if n.isHost(cur) {
+		to = n.cfg.AttachOf(n.hostIndex(cur))
+	} else if cur != last {
+		to = NodeID(n.top.Next(int(cur), int(last)))
 	}
-	if first != src {
-		hop(first)
+	out := n.out[cur]
+	for i := range out {
+		if out[i].to == to {
+			return &out[i]
+		}
 	}
-	for _, v := range via {
-		hop(NodeID(v))
-	}
-	if last != dst {
-		hop(dst)
-	}
-	n.routes[key] = r
-	return r
+	panic(fmt.Sprintf("fabric: %s routes %d→%d over the undeclared link %d→%d", n.top.Name(), cur, dst, cur, to))
 }
 
 // SetDeliver installs the delivery handler for endpoint id.
@@ -391,9 +392,16 @@ func (n *Network) Send(sender *sim.Proc, env *Envelope) {
 		n.eng.After(n.cfg.LocalLatency, func() { n.complete(env, false) })
 		return
 	}
-	r := n.route(env.Src, env.Dst)
-	r.sent++
-	f := &flight{n: n, env: env, route: r, pairSeq: r.sent, remaining: env.Size}
+	row := n.pairs[env.Src]
+	if row == nil {
+		row = make([]pairSeq, len(n.pairs))
+		n.pairs[env.Src] = row
+	}
+	row[env.Dst].sent++
+	f := &flight{
+		n: n, env: env, pairSeq: row[env.Dst].sent,
+		link: n.nextLink(env.Src, env.Dst), remaining: env.Size,
+	}
 	f.step = f.advance
 	// The fault verdict is drawn at send time, in deterministic send order,
 	// so the injection stream does not depend on how flights interleave.
@@ -403,22 +411,23 @@ func (n *Network) Send(sender *sim.Proc, env *Envelope) {
 	n.eng.After(0, f.step)
 }
 
-// flight is one remote message in transit: a state machine over its route,
-// advanced by engine events. step is advance bound once per message, so
-// scheduling the flight's next event allocates nothing.
+// flight is one remote message in transit: a state machine walking its route
+// one link at a time, advanced by engine events. It holds no path — link is
+// resolved when the previous hop completes and serves every packet of the
+// hop. step is advance bound once per message, so scheduling the flight's
+// next event allocates nothing.
 type flight struct {
 	n       *Network
 	env     *Envelope
-	route   *route
 	pairSeq uint64
 	delay   sim.Duration // fault verdict: extra delay before arrival
 	dropped bool         // fault verdict: lost before delivery
 	step    func()
 
 	state     flightState
-	hop       int // index into route.links
-	remaining int // bytes of env still to cross links[hop]
-	chunk     int // bytes of the packet on the wire
+	link      *link // the hop being crossed
+	remaining int   // bytes of env still to cross link
+	chunk     int   // bytes of the packet on the wire
 	queuedAt  sim.Time
 	waited    sim.Duration // queue wait accumulated on a host-link hop
 	next      *flight      // link wait-queue linkage
@@ -428,9 +437,9 @@ type flight struct {
 type flightState uint8
 
 const (
-	flightReady   flightState = iota // about to contend for links[hop]
-	flightQueued                     // waiting on links[hop]; the event is the grant
-	flightOnWire                     // a packet occupies links[hop]; the event ends it
+	flightReady   flightState = iota // about to contend for link
+	flightQueued                     // waiting on link; the event is the grant
+	flightOnWire                     // a packet occupies link; the event ends it
 	flightDelayed                    // route crossed; the event ends the fault delay
 )
 
@@ -439,13 +448,12 @@ const (
 // push: a release wakes the queue head before the releaser contends again,
 // so a multi-packet message yields the link between packets.
 func (f *flight) advance() {
-	n, now := f.n, f.n.eng.Now()
+	n, l, now := f.n, f.link, f.n.eng.Now()
 	switch f.state {
 	case flightDelayed:
 		n.arrive(f)
 		return
 	case flightQueued:
-		l := f.route.links[f.hop]
 		// Queue-wait accounting for the host-link hop: the time this
 		// message's packets spend waiting behind competing traffic for the
 		// shared path to stable storage.
@@ -455,7 +463,6 @@ func (f *flight) advance() {
 		f.transmit(l)
 		return
 	case flightOnWire:
-		l := f.route.links[f.hop]
 		if w := l.release(now); w != nil {
 			n.eng.After(0, w.step)
 		}
@@ -470,19 +477,18 @@ func (f *flight) advance() {
 		if l.to != f.env.Dst && n.TransitHook != nil {
 			n.TransitHook(l.to, f.env.Size)
 		}
-		f.hop++
-		f.remaining = f.env.Size
-	}
-	if f.hop == len(f.route.links) {
-		if f.delay > 0 {
-			f.state = flightDelayed
-			n.eng.After(f.delay, f.step)
+		if l.to == f.env.Dst {
+			if f.delay > 0 {
+				f.state = flightDelayed
+				n.eng.After(f.delay, f.step)
+				return
+			}
+			n.arrive(f)
 			return
 		}
-		n.arrive(f)
-		return
+		l = n.nextLink(l.to, f.env.Dst)
+		f.link, f.remaining = l, f.env.Size
 	}
-	l := f.route.links[f.hop]
 	if !l.acquire(f, now) {
 		f.state, f.queuedAt = flightQueued, now
 		return
@@ -500,6 +506,13 @@ func (f *flight) transmit(l *link) {
 	f.n.eng.After(l.lat+sim.BytesAt(f.chunk, l.bw), f.step)
 }
 
+// heldKey names one out-of-order arrival: its pair and its pair sequence
+// number.
+type heldKey struct {
+	src, dst NodeID
+	seq      uint64
+}
+
 // arrival is one completed traversal awaiting in-order delivery. Dropped
 // arrivals advance the sequence without a handoff: the envelope is lost, but
 // later traffic on the pair is not stalled behind it.
@@ -511,29 +524,23 @@ type arrival struct {
 // arrive re-sequences packetized arrivals so each (src,dst) pair delivers in
 // send order, then hands envelopes to the destination.
 func (n *Network) arrive(f *flight) {
-	r, pair := f.route, [2]NodeID{f.env.Src, f.env.Dst}
-	if f.pairSeq != r.rcvd+1 {
-		hm := n.held[pair]
-		if hm == nil {
-			hm = make(map[uint64]arrival)
-			n.held[pair] = hm
-		}
-		hm[f.pairSeq] = arrival{env: f.env, dropped: f.dropped}
+	p := &n.pairs[f.env.Src][f.env.Dst]
+	key := heldKey{f.env.Src, f.env.Dst, f.pairSeq}
+	if f.pairSeq != p.rcvd+1 {
+		n.held[key] = arrival{env: f.env, dropped: f.dropped}
 		return
 	}
-	r.rcvd++
+	p.rcvd++
 	n.complete(f.env, f.dropped)
-	hm := n.held[pair]
-	if hm == nil {
-		return
-	}
-	for next, ok := hm[r.rcvd+1]; ok; next, ok = hm[r.rcvd+1] {
-		delete(hm, r.rcvd+1)
-		r.rcvd++
+	for len(n.held) > 0 {
+		key.seq = p.rcvd + 1
+		next, ok := n.held[key]
+		if !ok {
+			return
+		}
+		delete(n.held, key)
+		p.rcvd++
 		n.complete(next.env, next.dropped)
-	}
-	if len(hm) == 0 {
-		delete(n.held, pair)
 	}
 }
 
@@ -557,9 +564,13 @@ type LinkStats struct {
 // HostLinkStatsOf returns traffic stats of the mesh→host direction of host
 // link i, the principal bottleneck for checkpoint traffic to that server.
 func (n *Network) HostLinkStatsOf(i int) LinkStats {
-	key := [2]NodeID{n.cfg.AttachOf(i), n.cfg.HostID(i)}
-	l := n.links[key]
-	return LinkStats{From: key[0], To: key[1], Bytes: l.bytes, Msgs: l.msgs, Busy: l.busyTotal}
+	from := n.cfg.AttachOf(i)
+	return n.nextLink(from, n.cfg.HostID(i)).stats(from)
+}
+
+// stats reports the traffic l, which leaves vertex from, has carried.
+func (l *link) stats(from NodeID) LinkStats {
+	return LinkStats{From: from, To: l.to, Bytes: l.bytes, Msgs: l.msgs, Busy: l.busyTotal}
 }
 
 // HostLinkStats returns traffic stats of the mesh→host direction of the
@@ -575,13 +586,3 @@ func (n *Network) TotalTraffic() (msgs, bytes int64) { return n.totalMsgs, n.tot
 // once a run has drained; a stuck message owns no process, so this count —
 // not a DeadlockError — is where one would show.
 func (n *Network) InFlight() int64 { return n.totalMsgs - n.arrived }
-
-// DebugHeld reports how many envelopes sit in reorder buffers per pair
-// (test/diagnostic helper).
-func DebugHeld(n *Network) map[[2]NodeID]int {
-	out := map[[2]NodeID]int{}
-	for pair, hm := range n.held {
-		out[pair] = len(hm)
-	}
-	return out
-}

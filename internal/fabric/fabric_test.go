@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -31,7 +32,7 @@ func runDrained(t testing.TB, e *sim.Engine, n *Network) {
 	if in := n.InFlight(); in != 0 {
 		t.Fatalf("%d messages still in flight after the run drained", in)
 	}
-	if held := DebugHeld(n); len(held) != 0 {
+	if held := n.debugHeld(); len(held) != 0 {
 		t.Fatalf("reorder buffers not released after the run drained: %v", held)
 	}
 }
@@ -239,9 +240,9 @@ func TestTrafficAccounting(t *testing.T) {
 	}
 }
 
-// TestInvalidDestinationPanics: Send rejects destinations — and sources —
-// that are not endpoints (out of range, or a routing-only switch) with the
-// fabric's own message, before anything is counted or routed.
+// TestInvalidDestinationPanics: Send and Path reject destinations — and
+// sources — that are not endpoints (out of range, or a routing-only switch)
+// with the fabric's own message, before anything is counted or routed.
 func TestInvalidDestinationPanics(t *testing.T) {
 	cfg := testConfig()
 	cfg.Topo = topo.FatTree{Arity: 2, Levels: 2} // nodes 0..3, switches 4..6, host 7
@@ -257,14 +258,21 @@ func TestInvalidDestinationPanics(t *testing.T) {
 		{-1, 0, "fabric: send from invalid node -1"},
 		{4, 0, "fabric: send from invalid node 4"},
 	} {
-		func() {
-			defer func() {
-				if got := recover(); got != tc.want {
-					t.Errorf("Send %d→%d: panic %v, want %q", tc.src, tc.dst, got, tc.want)
+		for _, op := range []string{"send", "path"} {
+			want := strings.Replace(tc.want, "send", op, 1)
+			func() {
+				defer func() {
+					if got := recover(); got != want {
+						t.Errorf("%s %d→%d: panic %v, want %q", op, tc.src, tc.dst, got, want)
+					}
+				}()
+				if op == "path" {
+					n.Path(tc.src, tc.dst)
+					return
 				}
+				n.Send(nil, &Envelope{Src: tc.src, Dst: tc.dst, Size: 1})
 			}()
-			n.Send(nil, &Envelope{Src: tc.src, Dst: tc.dst, Size: 1})
-		}()
+		}
 	}
 	if msgs, _ := n.TotalTraffic(); msgs != 0 || n.InFlight() != 0 {
 		t.Fatalf("rejected sends were counted: %d msgs, %d in flight", msgs, n.InFlight())

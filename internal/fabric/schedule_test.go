@@ -114,9 +114,20 @@ type transitRec struct {
 // linkStats is Network's counterpart: accumulated traffic of every directed
 // link, host links included.
 func (n *Network) linkStats() map[[2]NodeID]LinkStats {
-	out := make(map[[2]NodeID]LinkStats, len(n.links))
-	for key, l := range n.links {
-		out[key] = LinkStats{From: key[0], To: key[1], Bytes: l.bytes, Msgs: l.msgs, Busy: l.busyTotal}
+	out := make(map[[2]NodeID]LinkStats)
+	for from, links := range n.out {
+		for i := range links {
+			out[[2]NodeID{NodeID(from), links[i].to}] = links[i].stats(NodeID(from))
+		}
+	}
+	return out
+}
+
+// debugHeld reports how many envelopes sit in reorder buffers per pair.
+func (n *Network) debugHeld() map[[2]NodeID]int {
+	out := map[[2]NodeID]int{}
+	for key := range n.held {
+		out[[2]NodeID{key.src, key.dst}]++
 	}
 	return out
 }

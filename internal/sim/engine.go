@@ -22,15 +22,17 @@ type event struct {
 // multiple goroutines except through the process-handoff protocol managed by
 // Proc; see the package comment.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  eventQueue
-	parked  chan struct{}
-	procs   map[int]*Proc
-	nextID  int
-	running *Proc
-	stopReq bool
-	failure error
+	now      Time
+	seq      uint64
+	events   eventQueue // events scheduled for a later instant than they were pushed at
+	lane     []event    // events scheduled for the instant they were pushed at, in push order
+	laneHead int        // lane[laneHead:] are pending
+	parked   chan struct{}
+	procs    map[int]*Proc
+	nextID   int
+	running  *Proc
+	stopReq  bool
+	failure  error
 
 	pops     uint64 // events executed by Run
 	maxDepth int    // high-water mark of the pending-event queue
@@ -42,8 +44,8 @@ type Engine struct {
 // virtual schedule — which is what lets the perf layer sample them without a
 // determinism caveat. Pushes is e.seq (every scheduled event), Pops the
 // events Run actually executed (Stop discards the rest), MaxQueueDepth the
-// high-water mark of the pending-event heap, and ProcsSpawned the number of
-// processes ever created on the engine.
+// high-water mark of pending events (heap plus current-instant lane), and
+// ProcsSpawned the number of processes ever created on the engine.
 type EngineStats struct {
 	Pushes        uint64
 	Pops          uint64
@@ -89,16 +91,50 @@ func (e *Engine) atProc(at Time, p *Proc) {
 
 // schedule assigns the event its sequence number and enqueues it. Scheduling
 // in the past panics: the simulation cannot rewind.
+//
+// An event for the current instant — an After(0) activation, a wake, a spawn
+// — skips the heap for the lane, a FIFO, and Run still pops in strict
+// (at, seq) order. Time advances only once the lane is empty, so the lane
+// holds nothing but events with at == now that were pushed at this instant,
+// in seq order; a heap event with at == now was pushed at an earlier instant
+// and so carries a smaller seq than any of them. Heap events of the current
+// instant first, then the lane, then the next instant is therefore exactly
+// the order one heap would give, event for event, without the sift that the
+// same-instant pushes — nearly half of a marker flood's — would pay.
 func (e *Engine) schedule(ev event) {
 	if ev.at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", ev.at, e.now))
 	}
 	e.seq++
 	ev.seq = e.seq
-	e.events.push(ev)
-	if e.events.len() > e.maxDepth {
-		e.maxDepth = e.events.len()
+	if ev.at == e.now {
+		e.lane = append(e.lane, ev)
+	} else {
+		e.events.push(ev)
 	}
+	if depth := e.events.len() + len(e.lane) - e.laneHead; depth > e.maxDepth {
+		e.maxDepth = depth
+	}
+}
+
+// next removes and returns the minimum pending event; see schedule for why
+// the lane yields to heap events of the current instant and to nothing else.
+func (e *Engine) next() (ev event, ok bool) {
+	inLane := e.laneHead < len(e.lane)
+	if e.events.len() > 0 && (!inLane || e.events.peek().at == e.now) {
+		return e.events.pop(), true
+	}
+	if !inLane {
+		return event{}, false
+	}
+	// Zero the vacated slot, as eventQueue.pop does, so the lane's spare
+	// capacity pins no closure or process; rewind once it drains, so the
+	// backing array is reused instant after instant.
+	ev, e.lane[e.laneHead] = e.lane[e.laneHead], event{}
+	if e.laneHead++; e.laneHead == len(e.lane) {
+		e.lane, e.laneHead = e.lane[:0], 0
+	}
+	return ev, true
 }
 
 // After schedules fn to run in engine context d from now.
@@ -138,8 +174,11 @@ func (d *DeadlockError) Error() string {
 // event queue drains, the process's panic as an error if one panicked, and
 // nil on a clean completion (all processes finished).
 func (e *Engine) Run() error {
-	for e.events.len() > 0 && !e.stopReq {
-		ev := e.events.pop()
+	for !e.stopReq {
+		ev, ok := e.next()
+		if !ok {
+			break
+		}
 		e.pops++
 		e.now = ev.at
 		if ev.proc != nil {

@@ -7,6 +7,9 @@ package sim
 // order. That total order is the determinism contract every layer above relies
 // on; refQueue (refqueue_test.go) is the retired container/heap implementation
 // the tests use as the differential reference for exactly this property.
+// Events scheduled for the instant they are pushed at never enter the heap:
+// Engine.schedule keeps them in a FIFO lane that Run interleaves with the heap
+// in the same total order (the argument is on schedule).
 //
 // Compared to container/heap the queue is allocation-free in steady state
 // (push appends to a reused slice, no interface boxing of the multi-word

@@ -9,10 +9,13 @@
 // forward traffic on direct topologies (meshes, tori), exactly like the
 // transputer software routers of the modelled machine.
 //
-// Routing is a pure function of (src, dst): every implementation returns the
-// same path for the same pair on every call, which is what gives the fabric
-// its per-pair FIFO delivery guarantee and keeps simulations byte-identical
-// across runs.
+// Routing is hop by hop: Next(cur, dst) names the vertex a message at cur
+// forwards to on its way to dst, and is a pure function of that pair — no
+// per-message or per-source state. Every message for dst that reaches cur
+// therefore leaves on the same link, so all messages of one (src, dst) pair
+// follow one path; that is what gives the fabric its per-pair FIFO delivery
+// guarantee and keeps simulations byte-identical across runs. Route walks
+// Next to produce the whole path for the callers that want one.
 package topo
 
 import (
@@ -30,7 +33,7 @@ type Link struct {
 }
 
 // Topology is an interconnect shape: a set of vertices, the links joining
-// them, and a deterministic route between any two vertices.
+// them, and a deterministic routing step toward any compute vertex.
 type Topology interface {
 	// Name returns the canonical spec string, e.g. "mesh:4x2", parseable by
 	// Parse.
@@ -42,13 +45,26 @@ type Topology interface {
 	Routers() int
 	// Links enumerates every undirected link once, in a deterministic order.
 	Links() []Link
-	// Route returns the vertices visited after src, ending with dst; nil when
-	// src == dst. Every consecutive pair (and src to the first element) is a
-	// declared link, and len(Route(s,d)) <= Diameter() for compute pairs.
-	Route(src, dst int) []int
+	// Next returns the vertex a message at cur forwards to on its way to the
+	// compute vertex dst, cur != dst. cur is any vertex such a message can
+	// reach — a compute vertex or, on indirect topologies, a switch — and
+	// cur→Next(cur, dst) is a declared link. Stepping from a compute vertex
+	// reaches dst within Diameter() hops.
+	Next(cur, dst int) int
 	// Diameter returns the maximum hop count between any two compute
 	// vertices.
 	Diameter() int
+}
+
+// Route returns the vertices t's routing visits after src, ending with dst;
+// nil when src == dst.
+func Route(t Topology, src, dst int) []int {
+	var path []int
+	for cur := src; cur != dst; {
+		cur = t.Next(cur, dst)
+		path = append(path, cur)
+	}
+	return path
 }
 
 // maxVertices bounds Parse against absurd allocations (a 1024-node 32x32
@@ -84,22 +100,11 @@ func (t Mesh2D) Links() []Link {
 	return out
 }
 
-func (t Mesh2D) Route(src, dst int) []int {
-	if src == dst {
-		return nil
+func (t Mesh2D) Next(cur, dst int) int {
+	if cx, dx := cur%t.W, dst%t.W; cx != dx {
+		return cur + sign(dx-cx)
 	}
-	cx, cy := src%t.W, src/t.W
-	dx, dy := dst%t.W, dst/t.W
-	var path []int
-	for cx != dx {
-		cx += sign(dx - cx)
-		path = append(path, cy*t.W+cx)
-	}
-	for cy != dy {
-		cy += sign(dy - cy)
-		path = append(path, cy*t.W+cx)
-	}
-	return path
+	return cur + sign(dst-cur)*t.W // same column: ids order by row
 }
 
 func (t Mesh2D) Diameter() int { return t.W - 1 + t.H - 1 }
@@ -137,26 +142,14 @@ func (t Mesh3D) Links() []Link {
 	return out
 }
 
-func (t Mesh3D) Route(src, dst int) []int {
-	if src == dst {
-		return nil
+func (t Mesh3D) Next(cur, dst int) int {
+	if cx, dx := cur%t.X, dst%t.X; cx != dx {
+		return cur + sign(dx-cx)
 	}
-	cx, cy, cz := src%t.X, (src/t.X)%t.Y, src/(t.X*t.Y)
-	dx, dy, dz := dst%t.X, (dst/t.X)%t.Y, dst/(t.X*t.Y)
-	var path []int
-	for cx != dx {
-		cx += sign(dx - cx)
-		path = append(path, t.at(cx, cy, cz))
+	if cy, dy := cur/t.X%t.Y, dst/t.X%t.Y; cy != dy {
+		return cur + sign(dy-cy)*t.X
 	}
-	for cy != dy {
-		cy += sign(dy - cy)
-		path = append(path, t.at(cx, cy, cz))
-	}
-	for cz != dz {
-		cz += sign(dz - cz)
-		path = append(path, t.at(cx, cy, cz))
-	}
-	return path
+	return cur + sign(dst-cur)*t.X*t.Y // same column and row: ids order by plane
 }
 
 func (t Mesh3D) Diameter() int { return t.X - 1 + t.Y - 1 + t.Z - 1 }
@@ -195,39 +188,23 @@ func (t Torus2D) Links() []Link {
 	return out
 }
 
-// ringStep returns the per-hop step (+1 or -1, modulo n) from c toward d
-// along the shorter arc of an n-ring, and the number of hops.
-func ringStep(c, d, n int) (step, hops int) {
-	fwd := ((d - c) % n + n) % n
-	if fwd == 0 {
-		return 0, 0
+// ringNext returns the position after c on the shorter arc of an n-ring
+// toward d, c != d. An exact tie (d opposite c on an even ring) goes the
+// positive way, and every later position on that arc is then strictly closer
+// the positive way too, so stepping never turns round.
+func ringNext(c, d, n int) int {
+	if fwd := (d - c + n) % n; fwd <= n-fwd {
+		return (c + 1) % n
 	}
-	if fwd <= n-fwd {
-		return 1, fwd
-	}
-	return -1, n - fwd
+	return (c - 1 + n) % n
 }
 
-func (t Torus2D) Route(src, dst int) []int {
-	if src == dst {
-		return nil
+func (t Torus2D) Next(cur, dst int) int {
+	cx, cy := cur%t.W, cur/t.W
+	if dx := dst % t.W; cx != dx {
+		return cy*t.W + ringNext(cx, dx, t.W)
 	}
-	cx, cy := src%t.W, src/t.W
-	dx, dy := dst%t.W, dst/t.W
-	var path []int
-	if step, hops := ringStep(cx, dx, t.W); hops > 0 {
-		for i := 0; i < hops; i++ {
-			cx = ((cx+step)%t.W + t.W) % t.W
-			path = append(path, cy*t.W+cx)
-		}
-	}
-	if step, hops := ringStep(cy, dy, t.H); hops > 0 {
-		for i := 0; i < hops; i++ {
-			cy = ((cy+step)%t.H + t.H) % t.H
-			path = append(path, cy*t.W+cx)
-		}
-	}
-	return path
+	return ringNext(cy, dst/t.W, t.H)*t.W + cx
 }
 
 func (t Torus2D) Diameter() int { return t.W/2 + t.H/2 }
@@ -273,24 +250,25 @@ func (t FatTree) Links() []Link {
 	return out
 }
 
-func (t FatTree) Route(src, dst int) []int {
-	if src == dst {
-		return nil
+func (t FatTree) Next(cur, dst int) int {
+	leaves := t.Nodes()
+	if cur < leaves {
+		return t.switchID(t.Levels-1, cur/t.Arity)
 	}
-	// Climb both leaves level by level until their ancestors meet; the climb
-	// sequences are the up-path and (reversed) down-path.
-	var up, down []int
-	si, di, level := src, dst, t.Levels
-	for si != di {
-		si, di, level = si/t.Arity, di/t.Arity, level-1
-		up = append(up, t.switchID(level, si))
-		down = append(down, t.switchID(level, di))
+	// Locate cur among the switches: level l starts at offset first and has
+	// width switches, each above span leaves.
+	off, first, width := cur-leaves, 0, 1
+	for off >= first+width {
+		first, width = first+width, width*t.Arity
 	}
-	path := up // ends at the common ancestor (== down's last element)
-	for i := len(down) - 2; i >= 0; i-- {
-		path = append(path, down[i])
+	idx, span := off-first, leaves/width
+	switch {
+	case dst/span != idx: // dst is not below cur: climb
+		return leaves + first - width/t.Arity + idx/t.Arity
+	case span == t.Arity: // cur is a bottom switch: dst is its child
+		return dst
 	}
-	return append(path, dst)
+	return leaves + first + width + dst/(span/t.Arity)
 }
 
 func (t FatTree) Diameter() int { return 2 * t.Levels }

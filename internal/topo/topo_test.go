@@ -42,7 +42,7 @@ func TestRouteDeliversAllPairs(t *testing.T) {
 		n := top.Nodes()
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				path := top.Route(src, dst)
+				path := Route(top, src, dst)
 				if src == dst {
 					if len(path) != 0 {
 						t.Fatalf("%s: Route(%d,%d) = %v, want empty", top.Name(), src, dst, path)
@@ -64,9 +64,118 @@ func TestRouteDeliversAllPairs(t *testing.T) {
 					}
 					cur = v
 				}
-				if again := top.Route(src, dst); !reflect.DeepEqual(again, path) {
+				if again := Route(top, src, dst); !reflect.DeepEqual(again, path) {
 					t.Fatalf("%s: Route(%d,%d) not deterministic: %v vs %v",
 						top.Name(), src, dst, path, again)
+				}
+			}
+		}
+	}
+}
+
+// referenceRoute is the whole-path routing the topologies implemented before
+// Next became the primitive: one hand-written path builder per family,
+// retired from the build and kept here as the reference TestNextWalksReferenceRoutes
+// holds the stepped routing to. It must not change with topo.go.
+func referenceRoute(top Topology, src, dst int) []int {
+	if src == dst {
+		return nil
+	}
+	var path []int
+	switch t := top.(type) {
+	case Mesh2D:
+		cx, cy := src%t.W, src/t.W
+		dx, dy := dst%t.W, dst/t.W
+		for cx != dx {
+			cx += sign(dx - cx)
+			path = append(path, cy*t.W+cx)
+		}
+		for cy != dy {
+			cy += sign(dy - cy)
+			path = append(path, cy*t.W+cx)
+		}
+	case Mesh3D:
+		cx, cy, cz := src%t.X, (src/t.X)%t.Y, src/(t.X*t.Y)
+		dx, dy, dz := dst%t.X, (dst/t.X)%t.Y, dst/(t.X*t.Y)
+		for cx != dx {
+			cx += sign(dx - cx)
+			path = append(path, t.at(cx, cy, cz))
+		}
+		for cy != dy {
+			cy += sign(dy - cy)
+			path = append(path, t.at(cx, cy, cz))
+		}
+		for cz != dz {
+			cz += sign(dz - cz)
+			path = append(path, t.at(cx, cy, cz))
+		}
+	case Torus2D:
+		cx, cy := src%t.W, src/t.W
+		dx, dy := dst%t.W, dst/t.W
+		step, hops := refRingStep(cx, dx, t.W)
+		for i := 0; i < hops; i++ {
+			cx = ((cx+step)%t.W + t.W) % t.W
+			path = append(path, cy*t.W+cx)
+		}
+		step, hops = refRingStep(cy, dy, t.H)
+		for i := 0; i < hops; i++ {
+			cy = ((cy+step)%t.H + t.H) % t.H
+			path = append(path, cy*t.W+cx)
+		}
+	case FatTree:
+		// Climb both leaves level by level until their ancestors meet; the
+		// climb sequences are the up-path and (reversed) down-path.
+		var down []int
+		si, di, level := src, dst, t.Levels
+		for si != di {
+			si, di, level = si/t.Arity, di/t.Arity, level-1
+			path = append(path, t.switchID(level, si))
+			down = append(down, t.switchID(level, di))
+		}
+		for i := len(down) - 2; i >= 0; i-- {
+			path = append(path, down[i])
+		}
+		path = append(path, dst)
+	}
+	return path
+}
+
+// refRingStep returns the per-hop step (+1 or -1, modulo n) from c toward d
+// along the shorter arc of an n-ring, and the number of hops; the direction
+// is chosen once, at the source, with exact ties going the positive way.
+func refRingStep(c, d, n int) (step, hops int) {
+	fwd := ((d-c)%n + n) % n
+	if fwd <= n-fwd {
+		return 1, fwd
+	}
+	return -1, n - fwd
+}
+
+// TestNextWalksReferenceRoutes is the routing-equivalence test: on every
+// family, walking Next from every compute vertex to every other reproduces
+// the retired whole-path builder's route exactly. The fabric steps messages
+// with Next and its differential reference takes its paths from the same
+// stepping, so this — not the schedule differential — is what pins which
+// links a pair's traffic crosses. The even tori put a destination exactly
+// opposite its source, where the whole-path builder picked the positive
+// direction once and the stepper must pick it again at every intermediate
+// vertex; the fat trees take Next through switches, climbing and descending.
+func TestNextWalksReferenceRoutes(t *testing.T) {
+	for _, spec := range []string{
+		"mesh:4x2", "mesh:5x3", "mesh:16x16", "mesh3d:3x2x4",
+		"torus:2x2", "torus:4x4", "torus:5x6",
+		"fattree:2x3", "fattree:4x2", "fattree:3x3",
+	} {
+		top, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := top.Nodes()
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				want := referenceRoute(top, src, dst)
+				if got := Route(top, src, dst); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: walking Next from %d to %d visits %v, reference route %v", spec, src, dst, got, want)
 				}
 			}
 		}
@@ -81,7 +190,7 @@ func TestDiameterIsTight(t *testing.T) {
 		n := top.Nodes()
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				if h := len(top.Route(src, dst)); h > max {
+				if h := len(Route(top, src, dst)); h > max {
 					max = h
 				}
 			}
@@ -110,7 +219,7 @@ func TestMesh2DGoldenRoutes(t *testing.T) {
 		{5, 2, []int{6, 2}},
 	}
 	for _, c := range cases {
-		if got := m.Route(c.src, c.dst); !reflect.DeepEqual(got, c.want) {
+		if got := Route(m, c.src, c.dst); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("Route(%d,%d) = %v, want %v", c.src, c.dst, got, c.want)
 		}
 	}
@@ -124,10 +233,10 @@ func TestFatTreeShape(t *testing.T) {
 		t.Fatalf("nodes=%d routers=%d, want 4 and 3", ft.Nodes(), ft.Routers())
 	}
 	// Leaves 0..3; root = 4; level-1 switches = 5, 6.
-	if got := ft.Route(0, 3); !reflect.DeepEqual(got, []int{5, 4, 6, 3}) {
+	if got := Route(ft, 0, 3); !reflect.DeepEqual(got, []int{5, 4, 6, 3}) {
 		t.Errorf("Route(0,3) = %v, want [5 4 6 3]", got)
 	}
-	if got := ft.Route(0, 1); !reflect.DeepEqual(got, []int{5, 1}) {
+	if got := Route(ft, 0, 1); !reflect.DeepEqual(got, []int{5, 1}) {
 		t.Errorf("Route(0,1) = %v, want [5 1]", got)
 	}
 	for _, l := range ft.Links() {
