@@ -15,10 +15,11 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz smoke of the parsers that consume untrusted bytes — the
-# checkpoint codec round-trip and the scheme-name resolver — plus the two
+# checkpoint codec round-trip and the scheme-name resolver — plus the three
 # differentials against retired reference implementations: the engine's event
-# queue (4-ary heap vs container/heap) and the fabric's virtual schedule
-# (event-driven flights vs a courier process per message) — and the engine's
+# queue (4-ary heap vs container/heap), the fabric's virtual schedule
+# (event-driven flights vs a courier process per message) and the storage
+# server's files (extent lists vs one flat slice per file) — and the engine's
 # ordering contract under generated programs (strict (at, push) order across
 # the heap and the current-instant lane). The Go fuzzer allows one target per
 # invocation, hence one run each.
@@ -30,6 +31,7 @@ fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzFabricSchedule -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzStorageOps -fuzztime $(FUZZTIME)
 
 vet:
 	$(GO) vet ./...
@@ -56,13 +58,13 @@ bench-perf:
 	$(GO) run ./cmd/chkperf $(PERFFLAGS)
 
 # Allocation gate: the testing.AllocsPerRun pins for the engine, fabric, codec
-# and collective hot paths, plus a microbenchmark smoke of the event queue,
-# the fabric's send path and the payload codecs — all under the race
-# detector. A failure here means a change re-introduced steady-state
-# allocation (or broke the queue/codec) before the perf trajectory would have
-# surfaced it.
+# and collective hot paths and the storage server's bytes allocated per byte
+# appended, plus a microbenchmark smoke of the event queue, the fabric's send
+# path and the payload codecs — all under the race detector. A failure here
+# means a change re-introduced steady-state allocation (or broke the
+# queue/codec) before the perf trajectory would have surfaced it.
 alloc-gate:
-	$(GO) test -race -run 'TestAllocs|TestDecodeF64sIntoMatches' ./internal/sim ./internal/fabric ./internal/codec ./internal/mp
+	$(GO) test -race -run 'TestAllocs|TestDecodeF64sIntoMatches' ./internal/sim ./internal/fabric ./internal/storage ./internal/codec ./internal/mp
 	$(GO) test -race -run '^$$' -bench . -benchtime 10x ./internal/sim ./internal/fabric ./internal/codec
 
 # What the GitHub workflow runs (.github/workflows/ci.yml): the full suite

@@ -259,6 +259,14 @@ func (t *TSP) searchSubtree(prefix [2]int, bound int64) (int64, []int, int) {
 	path = append(path, 0, prefix[0], prefix[1])
 	visited[0], visited[prefix[0]], visited[prefix[1]] = true, true, true
 	cur := t.dist[0][prefix[0]] + t.dist[prefix[0]][prefix[1]]
+	// rest is the cheapest exit summed over the unvisited cities, updated
+	// beside visited so the lower bound below costs O(1) per node, not O(n).
+	var rest int64
+	for j := 1; j < n; j++ {
+		if !visited[j] {
+			rest += t.minOut[j]
+		}
+	}
 	best := bound
 	var bestTour []int
 	explored := 0
@@ -275,13 +283,7 @@ func (t *TSP) searchSubtree(prefix [2]int, bound int64) (int64, []int, int) {
 		}
 		// Lower bound: current length plus the cheapest exit from every
 		// remaining city and from the current one.
-		lb := length + t.minOut[last]
-		for j := 1; j < n; j++ {
-			if !visited[j] {
-				lb += t.minOut[j]
-			}
-		}
-		if lb >= best {
+		if length+t.minOut[last]+rest >= best {
 			return
 		}
 		for j := 1; j < n; j++ {
@@ -289,9 +291,11 @@ func (t *TSP) searchSubtree(prefix [2]int, bound int64) (int64, []int, int) {
 				continue
 			}
 			visited[j] = true
+			rest -= t.minOut[j]
 			path = append(path, j)
 			rec(j, length+t.dist[last][j])
 			path = path[:len(path)-1]
+			rest += t.minOut[j]
 			visited[j] = false
 		}
 	}

@@ -75,13 +75,15 @@ func scaleWorkload(nodes int) apps.Workload {
 // protocol's real cost. A message costs events rather than a process and
 // leaves no per-pair state behind, but one event per hop is still the model:
 // a single 1024-node Coord_NB cell is 2.15 M messages × ≈21 hops and measures
-// ≈47 s of host time (≈99 s before routing went from a per-pair table to
-// stepping and same-instant events left the heap; same box, same hour). The
-// full grid has three such cells per coordinated scheme, six in all — about
-// five minutes against the ≈7 s all of E14 takes today, and two orders of
-// magnitude more than the autonomous families' O(n) traffic — so the cap
-// stands. The family comparison lives at and below this size; past it only
-// the autonomous families run, and the report says so.
+// ≈44 s of host time (≈99 s before routing went from a per-pair table to
+// stepping and same-instant events left the heap, ≈46 s before a process
+// switch became a coroutine switch — a rank's park per marker is a small part
+// of a flood that is mostly hops). The full grid has three such cells per
+// coordinated scheme, six in all — more than four minutes against the ≈6.5 s
+// all of E14 takes today, and two orders of magnitude more than the
+// autonomous families' O(n) traffic — so the cap stands. The family
+// comparison lives at and below this size; past it only the autonomous
+// families run, and the report says so.
 const scaleCoordMaxNodes = 256
 
 // scaleConfig specializes cfg for one grid cell. The explicit nil Topo makes

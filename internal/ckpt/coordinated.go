@@ -321,7 +321,6 @@ type coordNode struct {
 	markersLeft  int
 	quarantine   []*fabric.Envelope
 	chanLog      []*mp.Message
-	stateBuf     []byte
 	chanBytes    int // durable channel-log size of the active round
 
 	stateWritten, chanQueued, chanWritten, acked bool
@@ -506,7 +505,6 @@ func (cn *coordNode) abortLocal() {
 	}
 	cn.quarantine = nil
 	cn.chanLog = nil
-	cn.stateBuf = nil
 	cn.pendingImg = nil // the retry re-diffs against the last committed image
 	cn.round = 0
 	cn.precommitted = false
@@ -530,7 +528,6 @@ func (cn *coordNode) beginRound(round, attempt int) {
 	cn.markersLeft = n - 1
 	cn.quarantine = nil
 	cn.chanLog = nil
-	cn.stateBuf = nil
 	cn.chanBytes = 0
 	cn.stateWritten, cn.chanQueued, cn.chanWritten, cn.acked = false, false, false, false
 	cn.precommitted = false
@@ -622,7 +619,6 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 		blockedSpan.End()
 		return
 	}
-	cn.stateBuf = state
 	cn.snapshotDone = true
 	// Unconsumed messages already delivered are part of the channel state:
 	// they were sent before their senders' markers.

@@ -116,3 +116,24 @@ func TestAllocsDeltaEncodeToClean(t *testing.T) {
 		t.Fatalf("pooled clean-delta encode allocates %.1f objects per run, want 0", allocs)
 	}
 }
+
+// TestAllocsVectorEncode pins the vector encoders' single reservation: a
+// 4,096-element vector into a fresh writer costs one buffer, not a buffer
+// re-grown a dozen times under the element loop. The bound is two because
+// alloc-gate runs under -race, where slices.Grow's make([]byte, n) operand is
+// really allocated; the writer itself does not escape these closures.
+func TestAllocsVectorEncode(t *testing.T) {
+	const n = 4096
+	f64s, ints, u64s := make([]float64, n), make([]int, n), make([]uint64, n)
+	i8s := make([]int8, n)
+	for name, encode := range map[string]func(){
+		"F64s": func() { NewWriter().F64s(f64s) },
+		"Ints": func() { NewWriter().Ints(ints) },
+		"U64s": func() { NewWriter().U64s(u64s) },
+		"I8s":  func() { NewWriter().I8s(i8s) },
+	} {
+		if allocs := testing.AllocsPerRun(50, encode); allocs > 2 {
+			t.Errorf("%s of %d elements into a fresh writer allocates %.1f objects, want <= 2", name, n, allocs)
+		}
+	}
+}

@@ -126,3 +126,57 @@ func TestEncodedSizeIsFootprint(t *testing.T) {
 		t.Fatalf("encoded size = %d, want 8008", got)
 	}
 }
+
+// TestVectorEncodersMatchElementLoop: reserving a vector's room up front must
+// not change a byte of the stream — each vector encoder against the length
+// prefix and element loop it stands for, from empty and nil to a few
+// thousand elements, into a fresh writer and behind earlier content.
+func TestVectorEncodersMatchElementLoop(t *testing.T) {
+	for _, n := range []int{-1, 0, 1, 7, 4096} { // -1: a nil slice
+		var (
+			f64s []float64
+			ints []int
+			u64s []uint64
+			i8s  []int8
+		)
+		if n >= 0 {
+			f64s, ints, u64s = make([]float64, n), make([]int, n), make([]uint64, n)
+			i8s = make([]int8, n)
+		}
+		for i := 0; i < n; i++ {
+			f64s[i], ints[i], u64s[i] = float64(i)*-1.5, i*-7919, uint64(i)<<40|1
+			i8s[i] = int8(i)
+		}
+		for _, lead := range []int{0, 3} {
+			got, want := NewWriter(), NewWriter()
+			for i := 0; i < lead; i++ {
+				got.Bool(true)
+				want.Bool(true)
+			}
+			got.F64s(f64s)
+			want.Int(len(f64s))
+			for _, v := range f64s {
+				want.F64(v)
+			}
+			got.Ints(ints)
+			want.Int(len(ints))
+			for _, v := range ints {
+				want.Int(v)
+			}
+			got.U64s(u64s)
+			want.Int(len(u64s))
+			for _, v := range u64s {
+				want.U64(v)
+			}
+			got.I8s(i8s)
+			want.Int(len(i8s))
+			for _, v := range i8s {
+				want.buf = append(want.buf, byte(v))
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("n=%d behind %d bytes: vector encoders wrote %d bytes, element loops %d, or they differ",
+					n, lead, got.Len(), want.Len())
+			}
+		}
+	}
+}

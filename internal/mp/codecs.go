@@ -70,13 +70,6 @@ func DecodeInts(b []byte) []int {
 func codecWriter() *codec.Writer         { return codec.NewWriter() }
 func codecReader(b []byte) *codec.Reader { return codec.NewReader(b) }
 
-func putU64s(w *codec.Writer, vs []uint64) {
-	w.Int(len(vs))
-	for _, v := range vs {
-		w.U64(v)
-	}
-}
-
 func getU64s(r *codec.Reader) []uint64 {
 	n := r.Int()
 	if n < 0 || r.Err() != nil {

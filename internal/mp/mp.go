@@ -174,8 +174,8 @@ func (w *World) Launch(rank int, prog Program) *Env {
 // par.Snapshotter for the node's Lib slot.
 func (e *Env) Snapshot() []byte {
 	w := codecWriter()
-	putU64s(w, e.ssnOut)
-	putU64s(w, e.ssnIn)
+	w.U64s(e.ssnOut)
+	w.U64s(e.ssnIn)
 	return w.Bytes()
 }
 

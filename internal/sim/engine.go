@@ -19,18 +19,16 @@ type event struct {
 }
 
 // Engine is a discrete-event simulation engine. It is not safe for use from
-// multiple goroutines except through the process-handoff protocol managed by
-// Proc; see the package comment.
+// multiple goroutines except through the coroutine switch managed by Proc; see
+// the package comment.
 type Engine struct {
 	now      Time
 	seq      uint64
 	events   eventQueue // events scheduled for a later instant than they were pushed at
 	lane     []event    // events scheduled for the instant they were pushed at, in push order
 	laneHead int        // lane[laneHead:] are pending
-	parked   chan struct{}
 	procs    map[int]*Proc
 	nextID   int
-	running  *Proc
 	stopReq  bool
 	failure  error
 
@@ -66,10 +64,7 @@ func (e *Engine) Stats() EngineStats {
 
 // New returns an empty engine at virtual time zero.
 func New() *Engine {
-	return &Engine{
-		parked: make(chan struct{}),
-		procs:  make(map[int]*Proc),
-	}
+	return &Engine{procs: make(map[int]*Proc)}
 }
 
 // Now returns the current virtual time.
@@ -225,13 +220,10 @@ func (e *Engine) Shutdown() {
 		if p.done {
 			continue
 		}
-		// Resume the goroutine with the killed flag set: a parked process
+		// Resume the coroutine with the killed flag set: a parked process
 		// unwinds via killedPanic, a never-started one returns before running
-		// its body. Either way the spawn wrapper completes the park handshake.
+		// its body. Either way next returns once its goroutine has exited.
 		p.killed = true
-		e.running = p
-		p.resume <- struct{}{}
-		<-e.parked
+		p.next()
 	}
-	e.running = nil
 }

@@ -1,7 +1,14 @@
+// This file needs package iter. go.mod stays at go 1.22 (the nested benchmark
+// module builds against it and may not be updated here), so the constraint
+// below is what sets this file's language version; there is no !go1.23 twin.
+
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -9,15 +16,16 @@ import (
 // killed while parked; the process wrapper recovers it.
 type killedPanic struct{}
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with the engine under the one-runner-at-a-time discipline. All Proc
-// methods that can block (Sleep, park-based primitives) must be called only
-// from the process's own goroutine.
+// Proc is a simulated process: a coroutine (iter.Pull) whose execution is
+// interleaved with the engine under the one-runner-at-a-time discipline. All
+// Proc methods that can block (Sleep, park-based primitives) must be called
+// only from the process's own goroutine.
 type Proc struct {
 	eng    *Engine
 	id     int
 	name   string
-	resume chan struct{}
+	next   func() (struct{}, bool) // engine side: run the process until it parks or ends
+	yield  func(struct{}) bool     // process side: switch back to the caller of next
 	killed bool
 	done   bool
 	daemon bool
@@ -33,13 +41,15 @@ func (p *Proc) SetDaemon(on bool) *Proc {
 
 // Spawn creates a process named name running fn and schedules it to start at
 // the current virtual time. It may be called before Run or from any process
-// or event.
+// or event. A panic in fn ends the run and is returned by Run as an error;
+// runtime.Goexit in fn (what t.Fatal does) propagates to the goroutine that
+// called Run, as if Run itself had called it.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextID++
-	p := &Proc{eng: e, id: e.nextID, name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, id: e.nextID, name: name}
 	e.procs[p.id] = p
-	go func() {
-		<-p.resume
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killedPanic); !ok {
@@ -48,13 +58,12 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 			}
 			p.done = true
 			delete(e.procs, p.id)
-			e.parked <- struct{}{}
 		}()
 		if p.killed {
 			return // killed before first activation
 		}
 		fn(p)
-	}()
+	})
 	e.atProc(e.now, p)
 	return p
 }
@@ -74,25 +83,20 @@ func (p *Proc) Done() bool { return p.done }
 // Killed reports whether Kill has been called on the process.
 func (p *Proc) Killed() bool { return p.killed }
 
-// transfer hands control to p and blocks until p parks or finishes. It must
-// run in engine context (from an event callback).
+// transfer switches to p's coroutine and returns when p parks or finishes. It
+// must run in engine context (from an event callback).
 func (e *Engine) transfer(p *Proc) {
 	if p.done {
 		return // stale wakeup for a finished process
 	}
-	prev := e.running
-	e.running = p
-	p.resume <- struct{}{}
-	<-e.parked
-	e.running = prev
+	p.next()
 }
 
 // park suspends the calling process until its next scheduled wakeup. Every
 // park must be paired with exactly one future wake (a scheduled transfer);
 // blocking primitives in this package maintain that pairing.
 func (p *Proc) park() {
-	p.eng.parked <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(killedPanic{})
 	}

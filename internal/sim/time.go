@@ -1,12 +1,13 @@
 // Package sim provides a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
-// Simulated processes are goroutines, but the kernel enforces a strict
-// one-runner-at-a-time discipline: at any instant either the engine loop or
-// exactly one process goroutine is executing. Control is handed off through
-// unbuffered channels, so the simulation is fully deterministic — the same
-// program produces the same event trace on every run, independent of
-// GOMAXPROCS or scheduler behaviour.
+// Simulated processes are coroutines (iter.Pull), and the kernel enforces a
+// strict one-runner-at-a-time discipline: at any instant either the engine loop
+// or exactly one process is executing. Control moves by a direct coroutine
+// switch — the engine calls a process's next, the process yields back when it
+// parks — without a visit to the Go scheduler, so the simulation is fully
+// deterministic: the same program produces the same event trace on every run,
+// independent of GOMAXPROCS or scheduler behaviour.
 //
 // The invariant also means processes may freely read and mutate shared
 // simulation state (mailboxes, resources, statistics) without locks, in the

@@ -11,6 +11,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"sort"
 	"strings"
@@ -53,8 +54,8 @@ type Request struct {
 }
 
 // Reply carries the result of a request. Data on a read reply borrows the
-// server's durable blob — callers must treat it as read-only (every stored
-// blob is immutable in [0:len), so the borrow can never go stale).
+// server's durable blob — callers must treat it as read-only (a stored extent
+// is never written after it is installed, so the borrow can never go stale).
 type Reply struct {
 	Err   error
 	Data  []byte
@@ -72,19 +73,43 @@ type Config struct {
 	ReadBandwidth  float64      // bytes/s
 }
 
+// file is one stored blob, held as the extents it arrived in: OpWrite and
+// OpAppend each copy their segment once into an extent of exactly its size,
+// and no request moves or modifies an extent afterwards, so a checkpoint
+// streamed in 64 KiB appends is copied once rather than re-grown at every
+// append, and a read borrow stays valid whatever happens to the file later.
+type file struct {
+	extents [][]byte
+	size    int
+}
+
+// blob returns the whole file as one slice. The first call on a file of
+// several extents joins them and keeps the joined slice as the only extent; a
+// later append starts a new extent behind it rather than growing it in place.
+func (f *file) blob() []byte {
+	if len(f.extents) > 1 {
+		f.extents = [][]byte{bytes.Join(f.extents, nil)}
+	}
+	if len(f.extents) == 0 {
+		return nil
+	}
+	return f.extents[0]
+}
+
 // Server is the stable-storage host process.
 type Server struct {
 	eng   *sim.Engine
 	cfg   Config
 	reqs  *sim.Mailbox[Request]
-	tmp   map[string][]byte
-	files map[string][]byte
+	tmp   map[string]*file
+	files map[string]*file
 
 	// statistics
 	bytesWritten int64
 	bytesRead    int64
 	reqCount     int64
 	busy         sim.Duration
+	occupied     int64 // bytes in the durable area, kept current by occupy
 	peakOccupied int64
 
 	// observability (nil obs disables everything)
@@ -107,8 +132,8 @@ func New(eng *sim.Engine, cfg Config) *Server {
 		eng:   eng,
 		cfg:   cfg,
 		reqs:  sim.NewMailbox[Request](eng),
-		tmp:   make(map[string][]byte),
-		files: make(map[string][]byte),
+		tmp:   make(map[string]*file),
+		files: make(map[string]*file),
 	}
 	eng.Spawn("storage-server", s.serve).SetDaemon(true)
 	return s
@@ -201,41 +226,54 @@ func (s *Server) apply(p *sim.Proc, req Request) Reply {
 		if req.Durable {
 			area = s.files
 		}
-		if _, exists := area[req.Path]; !exists {
+		f := area[req.Path]
+		if f == nil {
 			p.Sleep(s.cfg.CreateOverhead) // directory update for a new file
 		}
 		p.Sleep(sim.BytesAt(len(req.Data), s.cfg.WriteBandwidth))
 		s.bytesWritten += int64(len(req.Data))
-		if req.Op == OpAppend {
-			area[req.Path] = append(area[req.Path], req.Data...)
-		} else {
-			area[req.Path] = append([]byte(nil), req.Data...)
+		// area was read before the sleeps, so a write in service across a
+		// Crash lands in the orphaned tmp map and is lost with it.
+		grown := len(req.Data)
+		if f == nil {
+			f = new(file)
+			area[req.Path] = f
+		} else if req.Op == OpWrite {
+			grown -= f.size
+			*f = file{}
 		}
-		s.notePeak()
-		return Reply{Size: len(area[req.Path])}
+		if len(req.Data) > 0 {
+			f.extents = append(f.extents, bytes.Clone(req.Data))
+			f.size += len(req.Data)
+		}
+		if req.Durable {
+			s.occupy(grown)
+		}
+		return Reply{Size: f.size}
 	case OpCommit:
-		data, ok := s.tmp[req.Path]
+		f, ok := s.tmp[req.Path]
 		if !ok {
 			return Reply{Err: ErrNotFound}
 		}
 		delete(s.tmp, req.Path)
-		s.files[req.Path] = data
-		s.notePeak()
-		return Reply{Size: len(data)}
+		s.occupy(f.size - s.durableSize(req.Path))
+		s.files[req.Path] = f
+		return Reply{Size: f.size}
 	case OpRead:
-		data, ok := s.files[req.Path]
+		f, ok := s.files[req.Path]
 		if !ok {
 			return Reply{Err: ErrNotFound}
 		}
-		p.Sleep(sim.BytesAt(len(data), s.cfg.ReadBandwidth))
-		s.bytesRead += int64(len(data))
-		// The reply borrows the durable blob instead of copying it: stored
-		// bytes are immutable in [0:len) — OpWrite installs a fresh slice,
-		// OpAppend only writes past the old length — so readers holding the
-		// borrow stay consistent no matter what later requests do.
-		return Reply{Data: data, Size: len(data)}
+		p.Sleep(sim.BytesAt(f.size, s.cfg.ReadBandwidth))
+		s.bytesRead += int64(f.size)
+		// The reply borrows the durable blob instead of copying it: OpWrite
+		// installs a fresh extent, OpAppend adds one behind those already
+		// there, and neither touches an extent once stored — so readers
+		// holding the borrow stay consistent no matter what later requests do.
+		return Reply{Data: f.blob(), Size: f.size}
 	case OpDelete:
 		delete(s.tmp, req.Path)
+		s.occupy(-s.durableSize(req.Path))
 		delete(s.files, req.Path)
 		return Reply{}
 	case OpList:
@@ -248,34 +286,38 @@ func (s *Server) apply(p *sim.Proc, req Request) Reply {
 		sort.Strings(paths)
 		return Reply{Paths: paths}
 	case OpStat:
-		data, ok := s.files[req.Path]
+		f, ok := s.files[req.Path]
 		if !ok {
 			return Reply{Err: ErrNotFound}
 		}
-		return Reply{Size: len(data)}
+		return Reply{Size: f.size}
 	}
 	return Reply{Err: errors.New("storage: unknown op")}
 }
 
-func (s *Server) notePeak() {
-	if occ := s.Occupied(); occ > s.peakOccupied {
-		s.peakOccupied = occ
+// durableSize returns the size of durable path, 0 if there is none.
+func (s *Server) durableSize(path string) int {
+	if f := s.files[path]; f != nil {
+		return f.size
+	}
+	return 0
+}
+
+// occupy records that the durable area grew by n bytes (shrank, if negative).
+func (s *Server) occupy(n int) {
+	s.occupied += int64(n)
+	if s.occupied > s.peakOccupied {
+		s.peakOccupied = s.occupied
 	}
 }
 
 // Crash models a failure of the computing system: everything not committed
 // to the durable area is discarded. (The durable area itself is stable
 // storage and survives by definition.)
-func (s *Server) Crash() { s.tmp = make(map[string][]byte) }
+func (s *Server) Crash() { s.tmp = make(map[string]*file) }
 
 // Occupied returns the bytes currently held in the durable area.
-func (s *Server) Occupied() int64 {
-	var n int64
-	for _, d := range s.files {
-		n += int64(len(d))
-	}
-	return n
-}
+func (s *Server) Occupied() int64 { return s.occupied }
 
 // PeakOccupied returns the maximum durable occupancy observed.
 func (s *Server) PeakOccupied() int64 { return s.peakOccupied }
@@ -297,8 +339,11 @@ func (s *Server) NumFiles() int { return len(s.files) }
 // durable area exactly as a post-crash recovery would see it, but must not
 // perturb the schedule of the run being checked.
 func (s *Server) Peek(path string) ([]byte, bool) {
-	data, ok := s.files[path]
-	return data, ok
+	f, ok := s.files[path]
+	if !ok {
+		return nil, false
+	}
+	return f.blob(), true
 }
 
 // DurablePaths returns the sorted paths of the durable area (test and
