@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz vet check bench-perf alloc-gate ci
+.PHONY: build test race fuzz vet check identical bench-perf alloc-gate ci
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,18 @@ vet:
 CHECKFLAGS ?= -quick
 check:
 	$(GO) run ./cmd/chkcheck $(CHECKFLAGS)
+
+# Byte-identity, slow half: regenerate IDENTITY.txt's full section — digests of
+# the full-size `chkbench -table all` and `chkrecover -exp
+# scale|avail|failover|domino` outputs, `chkcheck -quick`'s cell and check
+# totals, and the five benchmark workloads' sim_digest at seed 7 (benchmark/ is
+# built and run, never written) — and diff it against the committed file; a
+# mismatch prints the differing manifest lines. The quick section is a tier-1
+# test (TestIdentity under `go test ./...`). A change that means to move an
+# output reruns with UPDATE=-update and shows the manifest line in its diff.
+UPDATE ?=
+identical:
+	$(GO) test -count=1 -timeout 60m -run '^TestIdentity$$' . -full $(UPDATE)
 
 # Perf-trajectory harness (cmd/chkperf): run the pinned cell matrix with host
 # telemetry armed and write one BENCH_<stamp>.json data point — cells/sec,
