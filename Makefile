@@ -40,9 +40,11 @@ vet:
 # crashed mid-run, recovered through its scheme's own protocol, audited
 # against the consistency invariants, and compared byte-for-byte with a
 # fault-free baseline. The quick sweep is the CI check-matrix job's matrix:
-# 224 cells covering all 7 schemes in every quarter of their runs. Any
+# 460 cells — the 12 explorer schemes in every quarter of their runs (384),
+# plus the sharded-storage (48) and coordinator-kill (28) lattices. Any
 # failure prints the cell name and seed; CHECKFLAGS="-cell 'NAME'" replays
-# it, CHECKFLAGS=-full runs the 1008-cell overnight lattice.
+# it, CHECKFLAGS=-full swaps the 384 for the 1728-cell overnight lattice
+# (check.FullSweep: 3 workloads x 12 schemes x 6 strata x 8 seeds).
 CHECKFLAGS ?= -quick
 check:
 	$(GO) run ./cmd/chkcheck $(CHECKFLAGS)

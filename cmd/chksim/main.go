@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -46,7 +47,7 @@ func run(args []string, out, errw io.Writer) (err error) {
 	fs := flag.NewFlagSet("chksim", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	app := fs.String("app", "SOR-256", "workload, e.g. ISING-512, SOR-256, TSP-16")
-	scheme := fs.String("scheme", "", "checkpointing scheme: B, NB, NBM, NBMS, Indep, Indep_M, Indep_Log, CIC, CIC_M")
+	scheme := fs.String("scheme", "", "checkpointing scheme (case, underscores and the Coord_ prefix optional): "+strings.Join(bench.SchemeNames(), ", "))
 	interval := fs.Duration("interval", 0, "checkpoint interval (virtual time); default exec/4")
 	ckpts := fs.Int("ckpts", 3, "number of checkpoints (0 = unlimited)")
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON of the checkpointed run to this file")

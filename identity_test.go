@@ -11,9 +11,11 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/bench"
 	"repro/internal/check"
 	"repro/internal/ckpt"
@@ -55,7 +57,7 @@ func TestIdentity(t *testing.T) {
 		return
 	}
 	want := sections[section]
-	if slicesEqual(got, want) {
+	if slices.Equal(got, want) {
 		return
 	}
 	wantByKey := map[string]string{}
@@ -86,18 +88,6 @@ func TestIdentity(t *testing.T) {
 func identityKey(line string) string {
 	k, _, _ := strings.Cut(line, "\t")
 	return k
-}
-
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 var identitySections = []string{"quick", "full"}
@@ -228,8 +218,13 @@ func quickIdentity() ([]string, error) {
 		}
 		lines = append(lines, l)
 	}
+	wl := bench.RingWorkload(256, 40, 2e5)
+	normal, err := core.Run(wl, core.Default())
+	if err != nil {
+		return nil, err
+	}
 	for _, name := range bench.SchemeNames() {
-		l, err := schemeLine(name)
+		l, err := schemeLine(name, wl, normal.Exec/4)
 		if err != nil {
 			return nil, err
 		}
@@ -239,20 +234,15 @@ func quickIdentity() ([]string, error) {
 }
 
 // schemeLine runs the oracle's small ring under one scheme for three
-// checkpoints and pins everything exact about it: execution time, every
+// checkpoints (interval: a quarter of the checkpoint-free run) and pins everything exact about it: execution time, every
 // counter, and a digest of the durable area — path, length and content hash
 // of every file, which fixes the record format byte for byte.
-func schemeLine(name string) (string, error) {
+func schemeLine(name string, wl apps.Workload, interval sim.Duration) (string, error) {
 	v, ok := ckpt.ParseVariant(name)
 	if !ok {
 		return "", fmt.Errorf("scheme %q does not parse", name)
 	}
-	wl := bench.RingWorkload(256, 40, 2e5)
-	normal, err := core.Run(wl, core.Default())
-	if err != nil {
-		return "", err
-	}
-	opt := ckpt.Options{Interval: normal.Exec / 4, MaxCheckpoints: 3}
+	opt := ckpt.Options{Interval: interval, MaxCheckpoints: 3}
 	if v.Failover() {
 		opt.Failover = ckpt.DefaultFailoverConfig()
 	}

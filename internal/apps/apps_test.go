@@ -49,7 +49,7 @@ func smallWorkloads() []Workload {
 func TestAllWorkloadsMatchReferences(t *testing.T) {
 	for _, wl := range smallWorkloads() {
 		wl := wl
-		t.Run(wl.Name, func(t *testing.T) { runWorkload(t, wl, 0, 0) })
+		t.Run(wl.Name, func(t *testing.T) { runWorkload(t, wl, ckpt.Variant{}, 0) })
 	}
 }
 

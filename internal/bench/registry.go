@@ -55,7 +55,7 @@ func SchemeByName(name string) (ckpt.Variant, error) {
 			return v, nil
 		}
 	}
-	return 0, fmt.Errorf("bench: unknown scheme %q (want one of %s)", name, strings.Join(SchemeNames(), ", "))
+	return ckpt.Variant{}, fmt.Errorf("bench: unknown scheme %q (want one of %s)", name, strings.Join(SchemeNames(), ", "))
 }
 
 // SchemeNames lists the canonical scheme names, in variant order.

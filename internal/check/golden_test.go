@@ -36,9 +36,7 @@ func instrumentedTableRun(t *testing.T, cfg par.Config, wl apps.Workload, v ckpt
 	a := newAudit(m, h, v)
 	sch := ckpt.New(v, ckpt.Options{Interval: interval, MaxCheckpoints: ckpts})
 	sch.Attach(m)
-	if hooker, ok := sch.(ckpt.CommitHooker); ok {
-		hooker.SetCommitHook(a.onCommit)
-	}
+	sch.SetCommitHook(a.onCommit)
 	w := mp.NewWorld(m)
 	h.Attach(w)
 	for rank := 0; rank < n; rank++ {

@@ -40,11 +40,7 @@ func TestIncrementalReconstructionProperty(t *testing.T) {
 			a := newAudit(m, h, v)
 			sch := ckpt.New(v, ckpt.Options{Interval: interval})
 			sch.Attach(m)
-			hooker, ok := sch.(ckpt.CommitHooker)
-			if !ok {
-				t.Fatalf("%v does not expose a commit hook", v)
-			}
-			hooker.SetCommitHook(a.onCommit)
+			sch.SetCommitHook(a.onCommit)
 			w := mp.NewWorld(m)
 			h.Attach(w)
 			for rank := 0; rank < n; rank++ {
@@ -110,7 +106,7 @@ func TestBrokenChainNamesDeltaRound(t *testing.T) {
 	a := newAudit(m, h, ckpt.IndepInc)
 	sch := ckpt.New(ckpt.IndepInc, ckpt.Options{Interval: 300_000})
 	sch.Attach(m)
-	sch.(ckpt.CommitHooker).SetCommitHook(a.onCommit)
+	sch.SetCommitHook(a.onCommit)
 	w := mp.NewWorld(m)
 	h.Attach(w)
 	for rank := 0; rank < n; rank++ {

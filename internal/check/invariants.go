@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cic"
 	"repro/internal/ckpt"
 	"repro/internal/par"
 	"repro/internal/rdg"
@@ -131,7 +130,7 @@ func (a *audit) coordCommit(recs []ckpt.Record) {
 		byRank[r.Rank] = r
 	}
 
-	meta, ok := a.peekRank(0, ckpt.CoordMetaPath())
+	meta, ok := a.peekRank(0, ckpt.CoordMetaPath)
 	if a.assert(ok, "coord.meta-durable", "round %d committed but no durable commit record", round) {
 		got, err := ckpt.ParseMetaRecord(meta)
 		a.assert(err == nil && got == round, "coord.meta-durable",
@@ -146,19 +145,19 @@ func (a *audit) coordCommit(recs []ckpt.Record) {
 	sentVec := make([][]int, a.n)
 	recvVec := make([][]int, a.n)
 	for rank, rec := range byRank {
-		data, ok := a.peekRank(rank, a.coordStatePath(round, rank))
+		data, ok := a.peekRank(rank, a.v.StatePath(rank, round))
 		if !a.assert(ok, "coord.state-durable", "round %d rank %d: state file missing", round, rank) {
 			return
 		}
 		if a.v.Incremental() {
-			idx, prev, _, payload, _, err := ckpt.DecodeIncCkpt(data)
+			f, err := ckpt.DecodeCkptFile(a.v, data)
 			if a.assert(err == nil, "coord.state-durable", "round %d rank %d: undecodable: %v", round, rank, err) {
-				a.assert(idx == round, "coord.state-durable",
-					"round %d rank %d: slot file holds round %d", round, rank, idx)
-				a.assert(prev == rec.Prev, "coord.state-durable",
-					"round %d rank %d: durable chain pointer %d, record says %d", round, rank, prev, rec.Prev)
-				a.assert(len(payload) == rec.StateBytes, "coord.state-durable",
-					"round %d rank %d: payload is %d bytes, record says %d", round, rank, len(payload), rec.StateBytes)
+				a.assert(f.Index == round, "coord.state-durable",
+					"round %d rank %d: slot file holds round %d", round, rank, f.Index)
+				a.assert(f.Prev == rec.Prev, "coord.state-durable",
+					"round %d rank %d: durable chain pointer %d, record says %d", round, rank, f.Prev, rec.Prev)
+				a.assert(len(f.State) == rec.StateBytes, "coord.state-durable",
+					"round %d rank %d: payload is %d bytes, record says %d", round, rank, len(f.State), rec.StateBytes)
 				a.checkChain(rank, round)
 			}
 		} else if !a.assert(len(data) == rec.StateBytes, "coord.state-durable",
@@ -177,7 +176,7 @@ func (a *audit) coordCommit(recs []ckpt.Record) {
 	logged := make([][][]msgCopy, a.n)
 	for rank, rec := range byRank {
 		logged[rank] = make([][]msgCopy, a.n)
-		data, ok := a.peekRank(rank, a.coordChanPath(round, rank))
+		data, ok := a.peekRank(rank, a.v.ChanPath(rank, round))
 		if rec.ChanBytes == 0 {
 			a.assert(!ok, "coord.chan-durable", "round %d rank %d: empty channel but a durable log of %d bytes", round, rank, len(data))
 			continue
@@ -236,16 +235,20 @@ func (a *audit) coordCommit(recs []ckpt.Record) {
 // is orphan-free and has not moved backwards on any rank (new checkpoints
 // only constrain new intervals).
 func (a *audit) indepCommit(rec ckpt.Record) {
-	path := a.ckptPath(rec.Rank, rec.Index)
+	path := a.v.StatePath(rec.Rank, rec.Index)
 	data, ok := a.peekRank(rec.Rank, path)
 	if a.assert(ok, "indep.durable", "rank %d ckpt %d committed but %s not durable", rec.Rank, rec.Index, path) {
-		idx, deps, state, err := a.decodeCkptEnvelope(data, rec)
+		f, err := ckpt.DecodeCkptFile(a.v, data)
 		if a.assert(err == nil, "indep.durable", "rank %d ckpt %d: undecodable: %v", rec.Rank, rec.Index, err) {
-			a.assert(idx == rec.Index, "indep.durable",
-				"rank %d: file %s holds index %d, record says %d", rec.Rank, path, idx, rec.Index)
-			a.assert(len(state) == rec.StateBytes, "indep.durable",
-				"rank %d ckpt %d: state is %d bytes, record says %d", rec.Rank, rec.Index, len(state), rec.StateBytes)
-			a.assert(sameDeps(deps, rec.Deps), "indep.durable",
+			if a.v.Incremental() {
+				a.assert(f.Prev == rec.Prev, "inc.chain-pointer",
+					"rank %d ckpt %d: durable chain pointer %d, record says %d", rec.Rank, rec.Index, f.Prev, rec.Prev)
+			}
+			a.assert(f.Index == rec.Index, "indep.durable",
+				"rank %d: file %s holds index %d, record says %d", rec.Rank, path, f.Index, rec.Index)
+			a.assert(len(f.State) == rec.StateBytes, "indep.durable",
+				"rank %d ckpt %d: state is %d bytes, record says %d", rec.Rank, rec.Index, len(f.State), rec.StateBytes)
+			a.assert(sameDeps(f.Deps, rec.Deps), "indep.durable",
 				"rank %d ckpt %d: durable dependency edges differ from the record", rec.Rank, rec.Index)
 			_, _, cutOK := a.h.cutAt(rec.Rank, rec.Index)
 			a.assert(cutOK, "indep.durable",
@@ -274,52 +277,19 @@ func (a *audit) indepCommit(rec ckpt.Record) {
 	a.lastLine = line
 }
 
-// decodeCkptEnvelope unpacks a durable uncoordinated checkpoint file into the
-// (index, deps, payload) triple the record audit compares, dispatching on the
-// envelope format. For incremental files it also checks the durable chain
-// pointer against the committed record.
-func (a *audit) decodeCkptEnvelope(data []byte, rec ckpt.Record) (int, []ckpt.Dep, []byte, error) {
-	if a.v.Incremental() {
-		idx, prev, deps, payload, _, err := ckpt.DecodeIncCkpt(data)
-		if err == nil {
-			a.assert(prev == rec.Prev, "inc.chain-pointer",
-				"rank %d ckpt %d: durable chain pointer %d, record says %d", rec.Rank, rec.Index, prev, rec.Prev)
-		}
-		return idx, deps, payload, err
-	}
-	idx, deps, state, _, err := a.decodeCkpt(data)
-	return idx, deps, state, err
-}
-
-// incPath names the durable file of one incremental checkpoint, across all
-// three families.
-func (a *audit) incPath(rank, index int) string {
-	if a.v.Coordinated() {
-		return ckpt.CoordIncStatePath(index, rank)
-	}
-	return a.ckptPath(rank, index)
-}
-
 // checkChain is the incremental schemes' delta-chain invariant: the committed
 // checkpoint's Prev chain must resolve through durable files back to a
 // committed base, and replaying it must reproduce exactly the padded image
 // captured at that index. A violation names the chain link that broke — the
 // delta round a failure report points at.
 func (a *audit) checkChain(rank, index int) {
-	img, err := ckpt.ReconstructState(func(idx int) ([]byte, int, error) {
-		data, ok := a.peekRank(rank, a.incPath(rank, idx))
+	img, _, err := ckpt.ReconstructCkpt(a.v, rank, index, func(path string) ([]byte, error) {
+		data, ok := a.peekRank(rank, path)
 		if !ok {
-			return nil, 0, fmt.Errorf("file %s not durable", a.incPath(rank, idx))
+			return nil, fmt.Errorf("file %s not durable", path)
 		}
-		gotIdx, prev, _, payload, _, err := ckpt.DecodeIncCkpt(data)
-		if err != nil {
-			return nil, 0, err
-		}
-		if gotIdx != idx {
-			return nil, 0, fmt.Errorf("file holds index %d, want %d", gotIdx, idx)
-		}
-		return payload, prev, nil
-	}, index)
+		return data, nil
+	})
 	if !a.assert(err == nil, "inc.chain-resolves", "rank %d: %v", rank, err) {
 		return
 	}
@@ -332,23 +302,6 @@ func (a *audit) checkChain(rank, index int) {
 	a.assert(bytes.Equal(img, want), "inc.chain-equals-snapshot",
 		"rank %d ckpt %d: replayed chain (%d bytes) differs from the captured snapshot (%d bytes)",
 		rank, index, len(img), len(want))
-}
-
-// coordStatePath and coordChanPath pick the durable layout of the coordinated
-// family in use: the incremental variant rotates over BaseEvery+1 slots under
-// its own root.
-func (a *audit) coordStatePath(round, rank int) string {
-	if a.v.Incremental() {
-		return ckpt.CoordIncStatePath(round, rank)
-	}
-	return ckpt.CoordStatePath(round, rank)
-}
-
-func (a *audit) coordChanPath(round, rank int) string {
-	if a.v.Incremental() {
-		return ckpt.CoordIncChanPath(round, rank)
-	}
-	return ckpt.CoordChanPath(round, rank)
 }
 
 // onRecovery rebases the audit on the recovery line the driver restored:
@@ -391,7 +344,7 @@ func (a *audit) finishCoordinated() {
 			maxRound = r.Index
 		}
 	}
-	meta, ok := a.peekRank(0, ckpt.CoordMetaPath())
+	meta, ok := a.peekRank(0, ckpt.CoordMetaPath)
 	if !ok {
 		a.assert(maxRound == 0, "coord.exact", "round %d committed but no durable commit record", maxRound)
 		return
@@ -419,41 +372,41 @@ func (a *audit) finishCoordinated() {
 	// the committed round's chain members and possibly a tentative round —
 	// recovery never trusts them blindly because the commit record is
 	// authoritative and the chain walk validates every link's index.)
-	slotPrefix := slotOf(a.coordStatePath(round, 0))
-	want := map[string]int{ckpt.CoordMetaPath(): -1}
-	wantShard := map[string]int{ckpt.CoordMetaPath(): a.m.ShardOf(0)}
+	slotPrefix := slotOf(a.v.StatePath(0, round))
+	want := map[string]int{ckpt.CoordMetaPath: -1}
+	wantShard := map[string]int{ckpt.CoordMetaPath: a.m.ShardOf(0)}
 	if phantom {
 		// No records to audit sizes against: require a complete state set
 		// whose captures left cuts in the sidecar, and accept whatever channel
 		// logs the round wrote.
 		for rank := 0; rank < a.n; rank++ {
-			want[a.coordStatePath(round, rank)] = -1
-			_, ok := a.peekRank(rank, a.coordStatePath(round, rank))
+			want[a.v.StatePath(rank, round)] = -1
+			_, ok := a.peekRank(rank, a.v.StatePath(rank, round))
 			if a.assert(ok, "coord.exact", "commit record names round %d but rank %d's state is missing", round, rank) {
 				_, _, cutOK := a.h.cutAt(rank, round)
 				a.assert(cutOK, "coord.exact", "round %d rank %d: no ledger cut recorded at capture", round, rank)
 			}
-			want[a.coordChanPath(round, rank)] = -1
-			wantShard[a.coordStatePath(round, rank)] = a.m.ShardOf(rank)
-			wantShard[a.coordChanPath(round, rank)] = a.m.ShardOf(rank)
+			want[a.v.ChanPath(rank, round)] = -1
+			wantShard[a.v.StatePath(rank, round)] = a.m.ShardOf(rank)
+			wantShard[a.v.ChanPath(rank, round)] = a.m.ShardOf(rank)
 		}
 	} else {
 		for _, r := range a.committed {
 			if r.Index != round {
 				continue
 			}
-			sp := a.coordStatePath(round, r.Rank)
+			sp := a.v.StatePath(r.Rank, round)
 			if a.v.Incremental() {
 				// The durable file is a chain envelope: its raw size is not
 				// the recorded payload size, so audit it by decoding instead.
 				want[sp] = -1
 				if data, ok := a.peekRank(r.Rank, sp); a.assert(ok, "coord.exact",
 					"committed file %s missing from durable storage", sp) {
-					idx, prev, _, payload, _, err := ckpt.DecodeIncCkpt(data)
+					f, err := ckpt.DecodeCkptFile(a.v, data)
 					if a.assert(err == nil, "coord.exact", "%s undecodable: %v", sp, err) {
-						a.assert(idx == round && prev == r.Prev && len(payload) == r.StateBytes, "coord.exact",
+						a.assert(f.Index == round && f.Prev == r.Prev && len(f.State) == r.StateBytes, "coord.exact",
 							"%s holds round %d prev %d payload %d bytes, record says %d/%d/%d",
-							sp, idx, prev, len(payload), round, r.Prev, r.StateBytes)
+							sp, f.Index, f.Prev, len(f.State), round, r.Prev, r.StateBytes)
 					}
 				}
 			} else {
@@ -461,15 +414,15 @@ func (a *audit) finishCoordinated() {
 			}
 			wantShard[sp] = a.m.ShardOf(r.Rank)
 			if r.ChanBytes > 0 {
-				want[a.coordChanPath(round, r.Rank)] = r.ChanBytes
-				wantShard[a.coordChanPath(round, r.Rank)] = a.m.ShardOf(r.Rank)
+				want[a.v.ChanPath(r.Rank, round)] = r.ChanBytes
+				wantShard[a.v.ChanPath(r.Rank, round)] = a.m.ShardOf(r.Rank)
 			}
 		}
 	}
 	for si, st := range a.m.Stores {
 		for _, path := range st.DurablePaths() {
 			inSlot := strings.HasPrefix(path, slotPrefix)
-			if !inSlot && path != ckpt.CoordMetaPath() {
+			if !inSlot && path != ckpt.CoordMetaPath {
 				continue
 			}
 			size, listed := want[path]
@@ -488,7 +441,7 @@ func (a *audit) finishCoordinated() {
 		}
 	}
 	for path := range want {
-		if size := want[path]; size < 0 && strings.Contains(path, "/c") && path != ckpt.CoordMetaPath() {
+		if size := want[path]; size < 0 && strings.Contains(path, "/c") && path != ckpt.CoordMetaPath {
 			continue // phantom round: channel logs are optional
 		}
 		a.violatef("coord.exact", "committed file %s missing from durable storage", path)
@@ -499,9 +452,9 @@ func (a *audit) finishCoordinated() {
 func (a *audit) finishUncoordinated() {
 	want := make(map[string]struct{}, len(a.committed))
 	for _, r := range a.committed {
-		want[a.ckptPath(r.Rank, r.Index)] = struct{}{}
+		want[a.v.StatePath(r.Rank, r.Index)] = struct{}{}
 	}
-	root := a.familyRoot()
+	root := a.v.StorageRoot()
 	for si, st := range a.m.Stores {
 		for _, path := range st.DurablePaths() {
 			if !strings.HasPrefix(path, root) {
@@ -528,28 +481,6 @@ func (a *audit) finishUncoordinated() {
 		a.assert(g.ZeroRollback(), "cic.zero-rollback",
 			"latest checkpoints %v, maximal consistent line %v", g.Latest(), g.RecoveryLine())
 	}
-}
-
-// ckptPath, decodeCkpt and familyRoot dispatch on the uncoordinated family.
-func (a *audit) ckptPath(rank, index int) string {
-	if a.v.CommunicationInduced() {
-		return cic.CheckpointPath(rank, index)
-	}
-	return ckpt.IndepCheckpointPath(rank, index)
-}
-
-func (a *audit) decodeCkpt(b []byte) (int, []ckpt.Dep, []byte, []byte, error) {
-	if a.v.CommunicationInduced() {
-		return cic.DecodeCheckpoint(b)
-	}
-	return ckpt.DecodeIndepCkpt(b)
-}
-
-func (a *audit) familyRoot() string {
-	if a.v.CommunicationInduced() {
-		return "cic/"
-	}
-	return "indep/"
 }
 
 func hasKey(m map[string]struct{}, k string) bool { _, ok := m[k]; return ok }

@@ -217,9 +217,7 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 
 	sch := ckpt.New(spec.Scheme, opt)
 	sch.Attach(m)
-	if hooker, ok := sch.(ckpt.CommitHooker); ok {
-		hooker.SetCommitHook(a.onCommit)
-	}
+	sch.SetCommitHook(a.onCommit)
 	w := mp.NewWorld(m)
 	h.Attach(w)
 	for rank := 0; rank < n; rank++ {

@@ -17,7 +17,7 @@ import (
 // the new incarnation. Returns the recovered round.
 func (o *Oracle) recoverCoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.Options, h *Harness, a *audit, factory func(int) mp.Program) int {
 	round := 0
-	if meta, ok := m.StoreFor(0).Peek(ckpt.CoordMetaPath()); ok {
+	if meta, ok := m.StoreFor(0).Peek(ckpt.CoordMetaPath); ok {
 		if r, err := ckpt.ParseMetaRecord(meta); err == nil {
 			round = r
 		}
@@ -37,9 +37,7 @@ func (o *Oracle) recoverCoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.Opt
 	// last one opens the gate — before any checkpoint request.
 	m.Eng.Spawn("check-arm", func(p *sim.Proc) {
 		rep.Done.Wait(p)
-		if hooker, ok := rep.Scheme.(ckpt.CommitHooker); ok {
-			hooker.SetCommitHook(a.onCommit)
-		}
+		rep.Scheme.SetCommitHook(a.onCommit)
 	})
 	return round
 }
@@ -80,11 +78,9 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 	opt.StartIndices = line
 	sch := ckpt.New(v, opt)
 	sch.Attach(m)
-	if hooker, ok := sch.(ckpt.CommitHooker); ok {
-		hooker.SetCommitHook(a.onCommit)
-	}
+	sch.SetCommitHook(a.onCommit)
 
-	root := a.familyRoot()
+	root := v.StorageRoot()
 	m.Eng.Spawn("check-recover", func(p *sim.Proc) {
 		node0 := m.Nodes[0]
 		// 1. Reclaim durable checkpoints above the line, on every shard.
@@ -114,39 +110,25 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 				continue
 			}
 			if v.Incremental() {
-				var lib []byte
-				img, err := ckpt.ReconstructState(func(idx int) ([]byte, int, error) {
-					reply := m.Nodes[rank].StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: a.ckptPath(rank, idx)})
-					if reply.Err != nil {
-						return nil, 0, reply.Err
-					}
-					gotIdx, prev, _, payload, l, err := ckpt.DecodeIncCkpt(reply.Data)
-					if err != nil {
-						return nil, 0, err
-					}
-					if gotIdx != idx {
-						return nil, 0, fmt.Errorf("file holds index %d, want %d", gotIdx, idx)
-					}
-					if idx == line[rank] {
-						lib = l
-					}
-					return payload, prev, nil
-				}, line[rank])
+				img, head, err := ckpt.ReconstructCkpt(v, rank, line[rank], func(path string) ([]byte, error) {
+					reply := m.Nodes[rank].StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
+					return reply.Data, reply.Err
+				})
 				if err != nil {
 					panic(fmt.Sprintf("check: recovery: rank %d: %v", rank, err))
 				}
-				states[rank], libs[rank] = img, lib
+				states[rank], libs[rank] = img, head.Lib
 				continue
 			}
-			reply := m.Nodes[rank].StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: a.ckptPath(rank, line[rank])})
+			reply := m.Nodes[rank].StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: v.StatePath(rank, line[rank])})
 			if reply.Err != nil {
 				panic(fmt.Sprintf("check: recovery: cannot read checkpoint %d of rank %d: %v", line[rank], rank, reply.Err))
 			}
-			idx, _, state, lib, err := a.decodeCkpt(reply.Data)
-			if err != nil || idx != line[rank] {
-				panic(fmt.Sprintf("check: recovery: corrupt checkpoint of rank %d: index %d, err %v", rank, idx, err))
+			f, err := ckpt.DecodeCkptFile(v, reply.Data)
+			if err != nil || f.Index != line[rank] {
+				panic(fmt.Sprintf("check: recovery: corrupt checkpoint of rank %d: index %d, err %v", rank, f.Index, err))
 			}
-			states[rank], libs[rank] = state, lib
+			states[rank], libs[rank] = f.State, f.Lib
 		}
 		// 3. Rebuild every rank; the indexed restore rewinds both the
 		// application state and the rank's ledger rows to the line

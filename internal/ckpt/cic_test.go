@@ -1,4 +1,4 @@
-package cic
+package ckpt_test
 
 import (
 	"testing"
@@ -9,6 +9,10 @@ import (
 	"repro/internal/rdg"
 	"repro/internal/sim"
 )
+
+// The communication-induced family's behaviour tests. They live in the
+// external test package because they hold the records against package rdg,
+// which imports ckpt.
 
 // ringProg is a minimal message-intensive program: each rank alternates
 // compute with a ring exchange, so piggybacked indices spread quickly and
@@ -33,10 +37,10 @@ func (r *ringProg) Run(e *mp.Env) {
 
 // runRing attaches a CIC scheme to the default machine, runs the ring
 // workload, and returns the scheme and the machine.
-func runRing(t *testing.T, v ckpt.Variant, opt ckpt.Options, iters, stateBytes int) (*scheme, *par.Machine) {
+func runRing(t *testing.T, v ckpt.Variant, opt ckpt.Options, iters, stateBytes int) (ckpt.Scheme, *par.Machine) {
 	t.Helper()
 	m := par.NewMachine(par.DefaultConfig())
-	s := New(v, opt).(*scheme)
+	s := ckpt.New(v, opt)
 	s.Attach(m)
 	w := mp.NewWorld(m)
 	for rank := 0; rank < m.NumNodes(); rank++ {
@@ -140,29 +144,6 @@ func TestDeterministicRuns(t *testing.T) {
 		}
 		if a, b := run(), run(); a != b {
 			t.Fatalf("%v nondeterministic: %v vs %v", v, a, b)
-		}
-	}
-}
-
-func TestCkptCodecRoundTrip(t *testing.T) {
-	deps := []ckpt.Dep{{SrcRank: 3, SrcIndex: 7}, {SrcRank: 0, SrcIndex: 1}}
-	idx, gotDeps, state, lib, err := decodeCkpt(encodeCkpt(9, deps, []byte("state"), []byte("lib")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx != 9 || len(gotDeps) != 2 || gotDeps[0] != deps[0] || string(state) != "state" || string(lib) != "lib" {
-		t.Fatalf("round trip: %d %+v %q %q", idx, gotDeps, state, lib)
-	}
-	if _, _, _, _, err := decodeCkpt([]byte{1, 2}); err == nil {
-		t.Fatal("corrupt checkpoint accepted")
-	}
-}
-
-func TestRegisteredWithCkptNew(t *testing.T) {
-	for _, v := range []ckpt.Variant{ckpt.CIC, ckpt.CICM} {
-		s := ckpt.New(v, testOpt)
-		if s.Variant() != v || s.Name() != v.String() {
-			t.Fatalf("ckpt.New(%v) built %v (%s)", v, s.Variant(), s.Name())
 		}
 	}
 }

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -408,56 +407,112 @@ func TestSchemeDeterminism(t *testing.T) {
 	}
 }
 
+// refVariant is the flat enum Variant replaced, with its five hand-maintained
+// predicates kept verbatim: the reference the axis reads are held against.
+type refVariant int
+
+const (
+	refCoordB refVariant = iota
+	refCoordNB
+	refCoordNBM
+	refCoordNBMS
+	refIndep
+	refIndepM
+	refIndepLog
+	refCIC
+	refCICM
+	refCoordNBInc
+	refIndepInc
+	refCICInc
+	refCoordNBFT
+	refCoordNBFTInc
+)
+
+func (v refVariant) Coordinated() bool {
+	return v <= refCoordNBMS || v == refCoordNBInc || v == refCoordNBFT || v == refCoordNBFTInc
+}
+func (v refVariant) Failover() bool { return v == refCoordNBFT || v == refCoordNBFTInc }
+func (v refVariant) MemBuffered() bool {
+	return v == refCoordNBM || v == refCoordNBMS || v == refIndepM || v == refCICM
+}
+func (v refVariant) CommunicationInduced() bool {
+	return v == refCIC || v == refCICM || v == refCICInc
+}
+func (v refVariant) Incremental() bool {
+	return v == refCoordNBInc || v == refIndepInc || v == refCICInc || v == refCoordNBFTInc
+}
+
 func TestVariantStringAndPredicates(t *testing.T) {
+	// The 14 opened points in the order VariantNames has always listed them
+	// (the refVariant enum order).
 	cases := []struct {
-		v          Variant
-		name       string
-		coord, mem bool
+		v    Variant
+		name string
 	}{
-		{CoordB, "Coord_B", true, false},
-		{CoordNB, "Coord_NB", true, false},
-		{CoordNBM, "Coord_NBM", true, true},
-		{CoordNBMS, "Coord_NBMS", true, true},
-		{Indep, "Indep", false, false},
-		{IndepM, "Indep_M", false, true},
-		{IndepLog, "Indep_Log", false, false},
-		{CIC, "CIC", false, false},
-		{CICM, "CIC_M", false, true},
-		{CoordNBInc, "Coord_NB_INC", true, false},
-		{IndepInc, "Indep_INC", false, false},
-		{CICInc, "CIC_INC", false, false},
-		{CoordNBFT, "Coord_NB_FT", true, false},
-		{CoordNBFTInc, "Coord_NB_FT_INC", true, false},
+		{CoordB, "Coord_B"},
+		{CoordNB, "Coord_NB"},
+		{CoordNBM, "Coord_NBM"},
+		{CoordNBMS, "Coord_NBMS"},
+		{Indep, "Indep"},
+		{IndepM, "Indep_M"},
+		{IndepLog, "Indep_Log"},
+		{CIC, "CIC"},
+		{CICM, "CIC_M"},
+		{CoordNBInc, "Coord_NB_INC"},
+		{IndepInc, "Indep_INC"},
+		{CICInc, "CIC_INC"},
+		{CoordNBFT, "Coord_NB_FT"},
+		{CoordNBFTInc, "Coord_NB_FT_INC"},
 	}
-	for _, c := range cases {
-		if c.v.String() != c.name {
-			t.Errorf("String() = %q, want %q", c.v.String(), c.name)
-		}
-		if c.v.Coordinated() != c.coord || c.v.MemBuffered() != c.mem {
-			t.Errorf("%v predicates wrong", c.v)
-		}
-		if inc := c.v.Incremental(); inc != strings.HasSuffix(c.name, "_INC") {
-			t.Errorf("%v Incremental() = %v", c.v, inc)
-		}
-		if fo := c.v.Failover(); fo != strings.Contains(c.name, "_FT") {
-			t.Errorf("%v Failover() = %v", c.v, fo)
-		}
-	}
-	// String and ParseVariant are derived from one table; every name must
-	// round-trip, and VariantNames must enumerate all of them in order.
 	names := VariantNames()
 	if len(names) != len(cases) {
 		t.Fatalf("VariantNames() = %v, want %d entries", names, len(cases))
 	}
-	for i, name := range names {
-		v, ok := ParseVariant(name)
-		if !ok || v != Variant(i) {
-			t.Errorf("ParseVariant(%q) = %v, %v; want %v", name, v, ok, Variant(i))
+	seen := map[Variant]string{}
+	for i, c := range cases {
+		ref := refVariant(i)
+		if c.v.String() != c.name || names[i] != c.name {
+			t.Errorf("entry %d: String() = %q, VariantNames()[%d] = %q, want %q", i, c.v.String(), i, names[i], c.name)
 		}
+		if v, ok := ParseVariant(c.v.String()); !ok || v != c.v {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", c.v.String(), v, ok, c.v)
+		}
+		if prev, dup := seen[c.v]; dup {
+			t.Errorf("%s and %s are the same point on the axes", prev, c.name)
+		}
+		seen[c.v] = c.name
+		for _, p := range []struct {
+			pred      string
+			got, want bool
+		}{
+			{"Coordinated", c.v.Coordinated(), ref.Coordinated()},
+			{"Failover", c.v.Failover(), ref.Failover()},
+			{"MemBuffered", c.v.MemBuffered(), ref.MemBuffered()},
+			{"CommunicationInduced", c.v.CommunicationInduced(), ref.CommunicationInduced()},
+			{"Incremental", c.v.Incremental(), ref.Incremental()},
+		} {
+			if p.got != p.want {
+				t.Errorf("%s.%s() = %v, the enum's predicate says %v", c.name, p.pred, p.got, p.want)
+			}
+		}
+	}
+	if (Variant{}) != CoordB {
+		t.Error("the zero Variant is no longer Coord_B")
 	}
 	if _, ok := ParseVariant("NoSuchScheme"); ok {
 		t.Error("ParseVariant accepted an unknown name")
 	}
+	// A legal point nobody has opened has no name, and New refuses it.
+	unopened := Variant{Driver: DriverRounds, Capture: CaptureIncremental, Write: WriteMemStagger}
+	if _, ok := ParseVariant(unopened.String()); ok {
+		t.Errorf("unopened point prints as an accepted name %q", unopened)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted an unopened point")
+		}
+	}()
+	New(unopened, Options{Interval: sim.Second})
 }
 
 func TestChanLogCodecRoundTrip(t *testing.T) {
@@ -465,7 +520,7 @@ func TestChanLogCodecRoundTrip(t *testing.T) {
 		{Src: 1, Tag: 5, Meta: par.Piggyback{9, 2}, Data: []byte("abc")},
 		{Src: 2, Tag: 0, Data: nil},
 	}
-	got, err := decodeChanLog(encodeChanLog(msgs))
+	got, err := DecodeChanLog(encodeChanLog(msgs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,22 +528,63 @@ func TestChanLogCodecRoundTrip(t *testing.T) {
 		string(got[0].Data) != "abc" || got[1].Src != 2 {
 		t.Fatalf("round trip: %+v", got)
 	}
-	if _, err := decodeChanLog([]byte{1, 2, 3}); err == nil {
+	if _, err := DecodeChanLog([]byte{1, 2, 3}); err == nil {
 		t.Fatal("corrupt log accepted")
 	}
 }
 
 func TestIndepCkptCodecRoundTrip(t *testing.T) {
 	deps := []Dep{{SrcRank: 3, SrcIndex: 7}, {SrcRank: 0, SrcIndex: 1}}
-	idx, gotDeps, state, lib, err := decodeIndepCkpt(encodeIndepCkpt(4, deps, []byte("state"), []byte("lib")))
+	f, err := DecodeCkptFile(Indep, encodeCkptFile(Indep, CkptFile{Index: 4, Deps: deps, State: []byte("state"), Lib: []byte("lib")}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx != 4 || len(gotDeps) != 2 || gotDeps[0] != deps[0] || string(state) != "state" || string(lib) != "lib" {
-		t.Fatalf("round trip: %d %+v %q", idx, gotDeps, state)
+	if f.Index != 4 || len(f.Deps) != 2 || f.Deps[0] != deps[0] || string(f.State) != "state" || string(f.Lib) != "lib" {
+		t.Fatalf("round trip: %+v", f)
 	}
-	if _, _, _, _, err := decodeIndepCkpt([]byte{9}); err == nil {
+	if _, err := DecodeCkptFile(Indep, []byte{9}); err == nil {
 		t.Fatal("corrupt checkpoint accepted")
+	}
+}
+
+// TestCkptCodecRoundTrip round-trips one record through the single codec as
+// each family writes it, and pins the bytes: the literals are what the three
+// encoders this codec replaced (independent, CIC, incremental) produced for
+// the same record.
+func TestCkptCodecRoundTrip(t *testing.T) {
+	const (
+		full = "09000000000000000200000000000000030000000000000007000000000000000000000000000000" +
+			"01000000000000000500000000000000737461746503000000000000006c6962"
+		inc = "090000000000000008000000000000000200000000000000030000000000000007000000000000000000000000000000" +
+			"01000000000000000500000000000000737461746503000000000000006c6962"
+	)
+	deps := []Dep{{SrcRank: 3, SrcIndex: 7}, {SrcRank: 0, SrcIndex: 1}}
+	for _, c := range []struct {
+		v    Variant
+		prev int
+		want string
+	}{
+		{Indep, 0, full},
+		{CIC, 0, full},
+		{IndepInc, 8, inc},
+		{CICInc, 8, inc},
+		{CoordNBInc, 8, inc},
+	} {
+		in := CkptFile{Index: 9, Prev: c.prev, Deps: deps, State: []byte("state"), Lib: []byte("lib")}
+		data := encodeCkptFile(c.v, in)
+		if got := fmt.Sprintf("%x", data); got != c.want {
+			t.Errorf("%v: encoded\n  %s, want\n  %s", c.v, got, c.want)
+		}
+		f, err := DecodeCkptFile(c.v, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Index != 9 || f.Prev != c.prev || len(f.Deps) != 2 || f.Deps[0] != deps[0] || string(f.State) != "state" || string(f.Lib) != "lib" {
+			t.Errorf("%v round trip: %+v", c.v, f)
+		}
+		if _, err := DecodeCkptFile(c.v, []byte{1, 2}); err == nil {
+			t.Errorf("%v: corrupt checkpoint accepted", c.v)
+		}
 	}
 }
 

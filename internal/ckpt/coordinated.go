@@ -3,7 +3,6 @@ package ckpt
 import (
 	"fmt"
 
-	"repro/internal/codec"
 	"repro/internal/fabric"
 	"repro/internal/mp"
 	"repro/internal/obs"
@@ -106,7 +105,7 @@ func (s *coordinated) Attach(m *par.Machine) {
 		cn.jobs = sim.NewMailbox[func(p *sim.Proc)](m.Eng)
 		s.nodes[i] = cn
 		n.DeliverHook = cn.hook
-		m.StartDaemon(i, fmt.Sprintf("ckptd%d", i), cn.daemonLoop)
+		m.StartDaemon(i, fmt.Sprintf("ckptd%d", i), daemonLoop(cn.jobs))
 	}
 	m.OnAllAppsDone(s.Stop)
 	m.OnAppExit(func(nodeID int) {
@@ -125,8 +124,6 @@ func (s *coordinated) Attach(m *par.Machine) {
 	m.Eng.After(s.opt.firstAt(), s.startRound)
 }
 
-// EnqueueJob schedules work on a node's checkpointer daemon (used by the
-// recovery manager to perform stable-storage reads).
 func (s *coordinated) EnqueueJob(rank int, job func(p *sim.Proc)) {
 	s.nodes[rank].jobs.Put(job)
 }
@@ -221,23 +218,6 @@ func (s *coordinated) proto(n int) {
 	s.stats.ProtoBytes += int64(n * sizeCtl)
 }
 
-// statePath and chanPath pick the variant's slot layout: the full-image
-// schemes double-buffer two slots, the incremental scheme rotates over
-// BaseEvery+1 so a committed round's whole delta chain stays on storage.
-func (s *coordinated) statePath(round, rank int) string {
-	if s.v.Incremental() {
-		return coordIncStatePath(round, rank)
-	}
-	return coordStatePath(round, rank)
-}
-
-func (s *coordinated) chanPath(round, rank int) string {
-	if s.v.Incremental() {
-		return coordIncChanPath(round, rank)
-	}
-	return coordChanPath(round, rank)
-}
-
 // onAck runs at the coordinator when a node's ack arrives.
 func (s *coordinated) onAck(ackRound, ackAttempt, from int) {
 	if ackRound != s.round || ackAttempt != s.attempt || s.acks[from] {
@@ -265,7 +245,7 @@ func (s *coordinated) onAck(ackRound, ackAttempt, from int) {
 	s.nodes[0].jobs.Put(func(p *sim.Proc) {
 		w := newMetaRecord(round)
 		reply := s.nodes[0].n.StorageCallRetry(p, storage.Request{
-			Op: storage.OpWrite, Path: coordMetaPath, Data: w, Durable: true,
+			Op: storage.OpWrite, Path: CoordMetaPath, Data: w, Durable: true,
 		})
 		if attempt != s.attempt || s.round == s.committedRound {
 			return // the attempt aborted while the meta write was in flight
@@ -349,13 +329,6 @@ type coordNode struct {
 	syncSpan obs.Span // "ckpt.sync": round begin until the local safe point
 
 	jobs *sim.Mailbox[func(p *sim.Proc)]
-}
-
-func (cn *coordNode) daemonLoop(p *sim.Proc) {
-	for {
-		job := cn.jobs.GetAny(p)
-		job(p)
-	}
 }
 
 // hook intercepts every envelope delivered to the node; it runs in engine
@@ -483,7 +456,7 @@ func (cn *coordNode) finishRound() {
 	}
 	cn.round = 0
 	cn.precommitted = false
-	if cn.s.v == CoordB && cn.appGate != nil {
+	if cn.s.v.Write == WriteToCommit && cn.appGate != nil {
 		cn.appGate.Open()
 	}
 }
@@ -534,7 +507,7 @@ func (cn *coordNode) beginRound(round, attempt int) {
 	cn.appGate = sim.NewGate(cn.n.M.Eng)
 	cn.tokenGate = sim.NewGate(cn.n.M.Eng)
 	cn.syncSpan = cn.s.m.Obs.Start(cn.n.ID, obs.TidProto, "ckpt.sync").WithArg("round", int64(round))
-	if cn.s.v == CoordNBMS && cn.n.ID == 0 {
+	if cn.s.v.Write == WriteMemStagger && cn.n.ID == 0 {
 		cn.tokenGate.Open() // the ring starts at the coordinator's node
 	}
 	if cn.n.Snap != nil && (cn.n.AppProc == nil || cn.n.AppProc.Done()) {
@@ -590,19 +563,13 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 		start = p.Now()
 		blockedSpan = s.m.Obs.Start(n.ID, obs.TidApp, "ckpt.blocked").WithArg("round", int64(round))
 	}
-	state := padImage(par.SnapshotAt(n.Snap, round), n.M.Cfg.CkptImageBytes)
-	stateBytes, prev := len(state), 0
+	state, prev, img, scratch := captureImage(n, s.v, &cn.inc, round)
+	stateBytes := len(state)
 	if s.v.Incremental() {
-		if cn.inc == nil {
-			cn.inc = NewIncCapture(par.StatePageSizeOf(n.Snap))
-		}
-		img := state
-		scratch := codec.GetWriter()
-		var payload []byte
-		payload, prev = cn.inc.EncodeTo(scratch, img)
+		// The slot file is a record carrying the chain pointer; the round's
+		// image becomes the diff baseline only at commit (pendingImg).
 		cn.pendingImg, cn.pendingPrev = img, prev
-		state = encodeIncCkpt(round, prev, nil, payload, nil)
-		stateBytes = len(payload)
+		state = encodeCkptFile(s.v, CkptFile{Index: round, Prev: prev, State: state})
 		scratch.Free() // payload embedded (copied) into state above
 	}
 	if s.v.MemBuffered() && p != nil {
@@ -646,9 +613,8 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 	if p == nil {
 		return
 	}
-	switch s.v {
-	case CoordB, CoordNB, CoordNBInc, CoordNBFT, CoordNBFTInc:
-		cn.appGate.Wait(p) // opened on write completion (NB family) or commit (B)
+	if !s.v.MemBuffered() {
+		cn.appGate.Wait(p) // opened on write completion (WriteToDurable) or commit (WriteToCommit)
 	}
 	blockedSpan.End()
 	s.m.Obs.ObserveDur(n.ID, "ckpt.blocked_time", p.Now().Sub(start))
@@ -664,7 +630,7 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 func (cn *coordNode) writeStateJob(round, attempt int, state []byte, stateBytes, prev int, tokenGate, appGate *sim.Gate) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		s := cn.s
-		if s.v == CoordNBMS {
+		if s.v.Write == WriteMemStagger {
 			tsp := s.m.Obs.Start(cn.n.ID, obs.TidDaemon, "ckpt.token_wait").WithArg("round", int64(round))
 			tokenGate.Wait(p)
 			tsp.End()
@@ -673,13 +639,11 @@ func (cn *coordNode) writeStateJob(round, attempt int, state []byte, stateBytes,
 			return // aborted while queued or waiting for the token
 		}
 		wsp := s.m.Obs.Start(cn.n.ID, obs.TidDaemon, "ckpt.disk_write").WithArg("round", int64(round))
-		err := writeSegmentedChecked(p, cn.n, s.statePath(round, cn.n.ID), state, true)
+		err := writeSegmentedChecked(p, cn.n, s.v.StatePath(cn.n.ID, round), state, true)
 		wsp.End()
 		if err != nil {
 			if cn.round == round && cn.attempt == attempt {
-				s.m.Obs.Add(cn.n.ID, "faults.ckpt_write_failed", 1)
-				s.proto(1)
-				cn.n.Send(p, fabric.NodeID(cn.coordRank), par.PortDaemon, msgNack{Round: round, Attempt: attempt, From: cn.n.ID}, sizeCtl)
+				cn.nack(p, round, attempt)
 			}
 			return
 		}
@@ -696,10 +660,10 @@ func (cn *coordNode) writeStateJob(round, attempt int, state []byte, stateBytes,
 			ChanBytes: cn.chanBytes, Prev: prev,
 		})
 		cn.stateWritten = true
-		if s.v == CoordNB || s.v == CoordNBInc || s.v.Failover() {
+		if s.v.Write == WriteToDurable {
 			appGate.Open()
 		}
-		if s.v == CoordNBMS {
+		if s.v.Write == WriteMemStagger {
 			if next := cn.n.ID + 1; next < len(s.nodes) {
 				s.proto(1)
 				cn.n.Send(p, fabric.NodeID(next), par.PortDaemon, msgToken{Round: round, Attempt: attempt}, sizeCtl)
@@ -727,7 +691,7 @@ func (cn *coordNode) maybeFinishLogging() {
 			if cn.round != round || cn.attempt != attempt {
 				return
 			}
-			reply := cn.n.StorageCallRetry(p, storage.Request{Op: storage.OpDelete, Path: cn.s.chanPath(round, cn.n.ID)})
+			reply := cn.n.StorageCallRetry(p, storage.Request{Op: storage.OpDelete, Path: cn.s.v.ChanPath(cn.n.ID, round)})
 			if cn.round != round || cn.attempt != attempt {
 				return
 			}
@@ -750,7 +714,7 @@ func (cn *coordNode) maybeFinishLogging() {
 		data := encodeChanLog(logCopy)
 		wsp := cn.s.m.Obs.Start(cn.n.ID, obs.TidDaemon, "ckpt.chan_write").WithArg("round", int64(round))
 		reply := cn.n.StorageCallRetry(p, storage.Request{
-			Op: storage.OpWrite, Path: cn.s.chanPath(round, cn.n.ID),
+			Op: storage.OpWrite, Path: cn.s.v.ChanPath(cn.n.ID, round),
 			Data: data, Durable: true,
 		})
 		wsp.End()

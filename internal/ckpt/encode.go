@@ -22,8 +22,10 @@ func encodeChanLog(msgs []*mp.Message) []byte {
 	return w.Bytes()
 }
 
-// decodeChanLog parses a channel log written by encodeChanLog.
-func decodeChanLog(b []byte) ([]*mp.Message, error) {
+// DecodeChanLog parses a channel log written by encodeChanLog. Exported so the
+// correctness oracle (package check) can audit a committed round's logged
+// in-transit messages against its own send/delivery ledger.
+func DecodeChanLog(b []byte) ([]*mp.Message, error) {
 	r := codec.NewReader(b)
 	n := r.Int()
 	if n < 0 || r.Err() != nil {
@@ -51,9 +53,9 @@ func newMetaRecord(round int) []byte {
 	return w.Bytes()
 }
 
-// parseMetaRecord decodes the round record; a missing record means no round
+// ParseMetaRecord decodes the round record; a missing record means no round
 // ever committed (round 0).
-func parseMetaRecord(b []byte) (int, error) {
+func ParseMetaRecord(b []byte) (int, error) {
 	r := codec.NewReader(b)
 	round := r.Int()
 	if r.Err() != nil {
@@ -62,57 +64,61 @@ func parseMetaRecord(b []byte) (int, error) {
 	return round, nil
 }
 
-// DecodeChanLog exposes the channel-log decoder so the correctness oracle
-// (package check) can audit a committed round's logged in-transit messages
-// against its own send/delivery ledger.
-func DecodeChanLog(b []byte) ([]*mp.Message, error) { return decodeChanLog(b) }
+// CkptFile is the content of one durable checkpoint file in the record
+// format: every file of the local-timer families, and the slot files of
+// incremental coordinated rounds (which leave Deps and Lib empty; full-image
+// coordinated rounds write the raw padded image instead).
+type CkptFile struct {
+	Index int // per-node checkpoint index, or the round number
+	// Prev is the chain pointer, on disk exactly when capture is incremental:
+	// 0 for a base image, else the index of the durable checkpoint the delta
+	// in State was encoded against.
+	Prev  int
+	Deps  []Dep  // receive edges of the interval the checkpoint closed
+	State []byte // padded program image, or the base/delta payload
+	Lib   []byte // message-layer state (sequence counters, for log-based recovery)
+}
 
-// ParseMetaRecord exposes the round-record decoder; a missing record means
-// no round ever committed (round 0).
-func ParseMetaRecord(b []byte) (int, error) { return parseMetaRecord(b) }
-
-// encodeIndepCkpt packs an independent checkpoint file: per-interval
-// dependency metadata, the program state, and the message layer's state
-// (sequence counters, needed by log-based recovery).
-func encodeIndepCkpt(index int, deps []Dep, state, lib []byte) []byte {
+// encodeCkptFile packs a checkpoint file for the variant.
+func encodeCkptFile(v Variant, f CkptFile) []byte {
 	w := codec.NewWriter()
-	w.Int(index)
-	w.Int(len(deps))
-	for _, d := range deps {
+	w.Int(f.Index)
+	if v.Incremental() {
+		w.Int(f.Prev)
+	}
+	w.Int(len(f.Deps))
+	for _, d := range f.Deps {
 		w.Int(d.SrcRank)
 		w.U64(d.SrcIndex)
 	}
-	w.Bytes8(state)
-	w.Bytes8(lib)
+	w.Bytes8(f.State)
+	w.Bytes8(f.Lib)
 	return w.Bytes()
 }
 
-// decodeIndepCkpt unpacks an independent checkpoint file.
-func decodeIndepCkpt(b []byte) (index int, deps []Dep, state, lib []byte, err error) {
+// DecodeCkptFile unpacks a checkpoint file written under the variant, for
+// recovery drivers and for the correctness oracle's durable-state audits.
+// State and Lib are borrowed, not copied: files are decoded out of immutable
+// storage blobs and the sections are only ever read (restore paths decode
+// them into fresh structures, chain replay only reads payloads).
+func DecodeCkptFile(v Variant, b []byte) (CkptFile, error) {
 	r := codec.NewReader(b)
-	index = r.Int()
+	f := CkptFile{Index: r.Int()}
+	if v.Incremental() {
+		f.Prev = r.Int()
+	}
 	n := r.Int()
 	if r.Err() != nil || n < 0 {
-		return 0, nil, nil, nil, fmt.Errorf("ckpt: corrupt independent checkpoint header")
+		return CkptFile{}, fmt.Errorf("ckpt: corrupt checkpoint header")
 	}
-	deps = make([]Dep, 0, n)
+	f.Deps = make([]Dep, 0, n)
 	for i := 0; i < n; i++ {
-		deps = append(deps, Dep{SrcRank: r.Int(), SrcIndex: r.U64()})
+		f.Deps = append(f.Deps, Dep{SrcRank: r.Int(), SrcIndex: r.U64()})
 	}
-	// Checkpoint files are decoded out of immutable storage blobs and their
-	// state/lib sections are only ever read (restore paths decode them into
-	// fresh structures), so borrowing instead of copying is safe.
-	state = r.Bytes8Borrow()
-	lib = r.Bytes8Borrow()
+	f.State = r.Bytes8Borrow()
+	f.Lib = r.Bytes8Borrow()
 	if r.Err() != nil {
-		return 0, nil, nil, nil, fmt.Errorf("ckpt: corrupt independent checkpoint: %v", r.Err())
+		return CkptFile{}, fmt.Errorf("ckpt: corrupt checkpoint: %v", r.Err())
 	}
-	return index, deps, state, lib, nil
-}
-
-// DecodeIndepCkpt exposes the independent-checkpoint decoder to the
-// correctness oracle (package check) and to recovery drivers implemented
-// outside this package.
-func DecodeIndepCkpt(b []byte) (index int, deps []Dep, state, lib []byte, err error) {
-	return decodeIndepCkpt(b)
+	return f, nil
 }

@@ -216,7 +216,7 @@ func (s *coordinated) writeMetaJob(coordID, round, attempt int, adopted bool) {
 	cn.jobs.Put(func(p *sim.Proc) {
 		w := newMetaRecord(round)
 		reply := cn.n.StorageCallRetryOn(p, s.m.ShardOf(0), storage.Request{
-			Op: storage.OpWrite, Path: coordMetaPath, Data: w, Durable: true,
+			Op: storage.OpWrite, Path: CoordMetaPath, Data: w, Durable: true,
 		})
 		if attempt != s.attempt || s.round == s.committedRound {
 			return // the attempt aborted while the meta write was in flight

@@ -91,11 +91,11 @@ func runRingCoordKill(t *testing.T, v Variant, phase string) (*par.Machine, Sche
 // metaRoundOn reads the durable round record as recovery would.
 func metaRoundOn(t *testing.T, m *par.Machine) (int, bool) {
 	t.Helper()
-	b, ok := m.StoreFor(0).Peek(CoordMetaPath())
+	b, ok := m.StoreFor(0).Peek(CoordMetaPath)
 	if !ok {
 		return 0, false
 	}
-	round, err := parseMetaRecord(b)
+	round, err := ParseMetaRecord(b)
 	if err != nil {
 		t.Fatal(err)
 	}

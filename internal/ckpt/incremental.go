@@ -13,81 +13,12 @@ import (
 // pointer — but the cadence bounds every chain to K files.
 const BaseEvery = 4
 
-// Coordinated incremental rounds rotate over BaseEvery+1 file slots (the
-// full-image schemes use 2). The widened rotation is what makes overwriting
-// safe without garbage collection: the chain of the latest committed round r
-// reaches back at most to round r-(BaseEvery-1), while writing round r+1
-// overwrites the slot of round r-BaseEvery — strictly below any chain member
-// a recovery could need, even while the tentative round is in flight.
-func coordIncStatePath(round, rank int) string {
-	return fmt.Sprintf("coordinc/slot%d/s%03d", round%(BaseEvery+1), rank)
-}
-func coordIncChanPath(round, rank int) string {
-	return fmt.Sprintf("coordinc/slot%d/c%03d", round%(BaseEvery+1), rank)
-}
-
-// CoordIncStatePath and CoordIncChanPath expose the incremental coordinated
-// scheme's durable layout to the correctness oracle and recovery drivers.
-func CoordIncStatePath(round, rank int) string { return coordIncStatePath(round, rank) }
-func CoordIncChanPath(round, rank int) string  { return coordIncChanPath(round, rank) }
-
-// encodeIncCkpt packs an incremental checkpoint file: the chain pointer and
-// the base/delta payload take the place of the full state image; dependency
-// metadata and the message-layer state ride along exactly as in
-// encodeIndepCkpt (coordinated rounds leave both empty).
-func encodeIncCkpt(index, prev int, deps []Dep, payload, lib []byte) []byte {
-	w := codec.NewWriter()
-	w.Int(index)
-	w.Int(prev)
-	w.Int(len(deps))
-	for _, d := range deps {
-		w.Int(d.SrcRank)
-		w.U64(d.SrcIndex)
-	}
-	w.Bytes8(payload)
-	w.Bytes8(lib)
-	return w.Bytes()
-}
-
-// decodeIncCkpt unpacks an incremental checkpoint file.
-func decodeIncCkpt(b []byte) (index, prev int, deps []Dep, payload, lib []byte, err error) {
-	r := codec.NewReader(b)
-	index = r.Int()
-	prev = r.Int()
-	n := r.Int()
-	if r.Err() != nil || n < 0 {
-		return 0, 0, nil, nil, nil, fmt.Errorf("ckpt: corrupt incremental checkpoint header")
-	}
-	deps = make([]Dep, 0, n)
-	for i := 0; i < n; i++ {
-		deps = append(deps, Dep{SrcRank: r.Int(), SrcIndex: r.U64()})
-	}
-	// Borrowed, not copied: incremental files are decoded out of immutable
-	// storage blobs, and chain replay only reads the payload sections.
-	payload = r.Bytes8Borrow()
-	lib = r.Bytes8Borrow()
-	if r.Err() != nil {
-		return 0, 0, nil, nil, nil, fmt.Errorf("ckpt: corrupt incremental checkpoint: %v", r.Err())
-	}
-	return index, prev, deps, payload, lib, nil
-}
-
-// EncodeIncCkpt and DecodeIncCkpt expose the incremental checkpoint file
-// format to protocol families implemented outside this package (package cic)
-// and to the correctness oracle (package check).
-func EncodeIncCkpt(index, prev int, deps []Dep, payload, lib []byte) []byte {
-	return encodeIncCkpt(index, prev, deps, payload, lib)
-}
-func DecodeIncCkpt(b []byte) (index, prev int, deps []Dep, payload, lib []byte, err error) {
-	return decodeIncCkpt(b)
-}
-
 // IncCapture is the per-node encoder state an incremental scheme carries: a
 // dirty tracker retaining the last durable image and the chain bookkeeping
-// that decides when the next checkpoint must be a base. Schemes call Encode
+// that decides when the next checkpoint must be a base. Schemes call EncodeTo
 // when capturing, then Commit only once the file is durable (for coordinated
 // rounds: committed) — a skipped or aborted checkpoint leaves the capture
-// untouched, so the next Encode re-diffs against the last checkpoint that
+// untouched, so the next EncodeTo re-diffs against the last checkpoint that
 // actually exists and Prev pointers always name durable checkpoints.
 type IncCapture struct {
 	tracker   *par.DirtyTracker
@@ -102,19 +33,11 @@ func NewIncCapture(pageSize int) *IncCapture {
 	return &IncCapture{tracker: par.NewDirtyTracker(pageSize)}
 }
 
-// Encode returns the payload for a checkpoint of img and its chain pointer:
-// a zero-run-compressed base (prev 0) at the start of each chain, a page
-// delta against the previous durable image otherwise.
-func (ic *IncCapture) Encode(img []byte) (payload []byte, prev int) {
-	if ic.tracker.Primed() && ic.sinceBase < BaseEvery-1 {
-		return ic.tracker.Delta(img), ic.prevIndex
-	}
-	return codec.EncodeBaseImage(img), 0
-}
-
-// EncodeTo is Encode writing the payload into a caller-supplied writer. The
+// EncodeTo writes the payload for a checkpoint of img into w and returns it
+// with its chain pointer: a zero-run-compressed base (prev 0) at the start of
+// each chain, a page delta against the previous durable image otherwise. The
 // schemes pass pooled scratch here: the payload only lives until it is
-// embedded (copied) into the enclosing checkpoint file by encodeIncCkpt, so
+// embedded (copied) into the enclosing checkpoint file by encodeCkptFile, so
 // the writer is freed right after the embed and steady-state incremental
 // capture allocates no payload buffers. The returned bytes alias w's buffer.
 func (ic *IncCapture) EncodeTo(w *codec.Writer, img []byte) (payload []byte, prev int) {
@@ -166,4 +89,31 @@ func ReconstructState(read func(index int) (payload []byte, prev int, err error)
 		return nil, fmt.Errorf("ckpt: replaying delta chain for checkpoint %d: %w", index, err)
 	}
 	return img, nil
+}
+
+// ReconstructCkpt replays the chain ending at rank's checkpoint index as the
+// variant laid it out on stable storage: fetch returns one durable file's
+// bytes by path (a storage read, or the oracle's Peek). It returns the full
+// image and the decoded head file, whose Lib a restore also needs.
+func ReconstructCkpt(v Variant, rank, index int, fetch func(path string) ([]byte, error)) ([]byte, CkptFile, error) {
+	var head CkptFile
+	img, err := ReconstructState(func(idx int) ([]byte, int, error) {
+		path := v.StatePath(rank, idx)
+		data, err := fetch(path)
+		if err != nil {
+			return nil, 0, err
+		}
+		f, err := DecodeCkptFile(v, data)
+		if err != nil {
+			return nil, 0, err
+		}
+		if f.Index != idx {
+			return nil, 0, fmt.Errorf("%s holds index %d, want %d", path, f.Index, idx)
+		}
+		if idx == index {
+			head = f
+		}
+		return f.State, f.Prev, nil
+	}, index)
+	return img, head, err
 }

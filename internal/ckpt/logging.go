@@ -3,11 +3,59 @@ package ckpt
 import (
 	"fmt"
 
+	"repro/internal/fabric"
 	"repro/internal/mp"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
+
+// logEntry is one logged outgoing message in a sender's volatile log.
+type logEntry struct {
+	dst int
+	msg *mp.Message
+}
+
+// logSend records an outgoing application message in the volatile log.
+func (tn *timerNode) logSend(dst int, payload any) {
+	msg := payload.(*mp.Message)
+	tn.log = append(tn.log, logEntry{dst: dst, msg: msg})
+	tn.logBytes += int64(len(msg.Data))
+	if tn.logBytes > tn.s.stats.LogBytesPeak {
+		tn.s.stats.LogBytesPeak = tn.logBytes
+	}
+}
+
+// hook handles log-truncation notices from checkpointed receivers.
+func (tn *timerNode) hook(env *fabric.Envelope) bool {
+	tr, ok := env.Payload.(msgLogTrunc)
+	if !ok {
+		return false
+	}
+	kept := tn.log[:0]
+	for _, le := range tn.log {
+		if le.dst == tr.From && le.msg.SSN <= tr.UpTo {
+			tn.logBytes -= int64(len(le.msg.Data))
+			continue
+		}
+		kept = append(kept, le)
+	}
+	tn.log = kept
+	return true
+}
+
+// resend re-transmits all logged messages to a recovering node with
+// sequence numbers beyond what its restored checkpoint had consumed.
+func (tn *timerNode) resend(p *sim.Proc, to int, afterSSN uint64) int {
+	count := 0
+	for _, le := range tn.log {
+		if le.dst == to && le.msg.SSN > afterSSN {
+			tn.n.Send(p, fabric.NodeID(to), par.PortApp, le.msg, len(le.msg.Data))
+			count++
+		}
+	}
+	return count
+}
 
 // NodeRecoveryReport describes one single-node recovery under Indep_Log.
 type NodeRecoveryReport struct {
@@ -34,8 +82,8 @@ type NodeRecoveryReport struct {
 // consume messages from each peer in FIFO order (piecewise determinism),
 // which all the bundled benchmarks do.
 func RecoverNode(m *par.Machine, w *mp.World, sch Scheme, rank int, factory func(int) mp.Program) *NodeRecoveryReport {
-	s, ok := sch.(*independent)
-	if !ok || s.v != IndepLog {
+	s, ok := sch.(*localTimers)
+	if !ok || !s.v.SenderLog {
 		panic("ckpt: RecoverNode requires an Indep_Log scheme")
 	}
 	rep := &NodeRecoveryReport{Rank: rank, StartedAt: m.Eng.Now(), Done: sim.NewGate(m.Eng)}
@@ -61,29 +109,25 @@ func RecoverNode(m *par.Machine, w *mp.World, sch Scheme, rank int, factory func
 	in.index = latest
 
 	in.jobs.Put(func(p *sim.Proc) {
-		var prog mp.Program
-		var consumed []uint64
-		if latest == 0 {
-			prog = factory(rank) // no checkpoint yet: restart from scratch
-			consumed = make([]uint64, m.NumNodes())
-		} else {
-			reply := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: indepPath(rank, latest)})
+		prog := factory(rank)
+		consumed := make([]uint64, m.NumNodes()) // no checkpoint yet: restart from scratch
+		var lib []byte
+		if latest > 0 {
+			reply := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: s.v.StatePath(rank, latest)})
 			if reply.Err != nil {
 				panic(fmt.Sprintf("ckpt: node %d checkpoint %d unreadable: %v", rank, latest, reply.Err))
 			}
-			_, _, state, lib, err := decodeIndepCkpt(reply.Data)
+			f, err := DecodeCkptFile(s.v, reply.Data)
 			if err != nil {
 				panic(err)
 			}
-			rep.StateBytes = len(state)
-			prog = factory(rank)
-			par.RestoreAt(prog, latest, state)
-			consumed = mp.ConsumedFromLibState(lib)
-			env := w.Launch(rank, prog)
-			env.RestoreLibState(lib)
+			rep.StateBytes = len(f.State)
+			par.RestoreAt(prog, latest, f.State)
+			consumed, lib = mp.ConsumedFromLibState(f.Lib), f.Lib
 		}
-		if latest == 0 {
-			w.Launch(rank, prog)
+		env := w.Launch(rank, prog)
+		if latest > 0 {
+			env.RestoreLibState(lib)
 		}
 		// Survivors retransmit everything the restored state has not
 		// consumed; duplicates of what it has are impossible by construction

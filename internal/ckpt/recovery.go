@@ -12,12 +12,6 @@ import (
 	"repro/internal/storage"
 )
 
-// jobEnqueuer is implemented by both scheme types: it runs work on a node's
-// checkpointer daemon, which owns the node's storage-reply mailbox.
-type jobEnqueuer interface {
-	EnqueueJob(rank int, job func(p *sim.Proc))
-}
-
 // RecoveryReport describes one recovery from total failure.
 type RecoveryReport struct {
 	StartedAt   sim.Time
@@ -58,10 +52,10 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 		node0 := m.Nodes[0]
 		round := 0
 		msp := m.Obs.Start(0, obs.TidCoord, "recover.read_meta")
-		reply := node0.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: coordMetaPath})
+		reply := node0.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: CoordMetaPath})
 		msp.End()
 		if reply.Err == nil {
-			r, err := parseMetaRecord(reply.Data)
+			r, err := ParseMetaRecord(reply.Data)
 			if err != nil {
 				panic(err)
 			}
@@ -82,7 +76,7 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 		remaining := m.NumNodes()
 		for rank := range m.Nodes {
 			rank := rank
-			sch.(jobEnqueuer).EnqueueJob(rank, func(p *sim.Proc) {
+			sch.EnqueueJob(rank, func(p *sim.Proc) {
 				rsp := m.Obs.Start(rank, obs.TidDaemon, "recover.restore").WithArg("round", int64(round))
 				prog := factory(rank)
 				node := m.Nodes[rank]
@@ -92,27 +86,17 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 						// Replay the base+delta chain ending at the committed
 						// round: each slot file names the round it was encoded
 						// against, so the walk needs no cadence assumptions.
-						img, err := ReconstructState(func(idx int) ([]byte, int, error) {
-							st := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: coordIncStatePath(idx, rank)})
-							if st.Err != nil {
-								return nil, 0, st.Err
-							}
+						img, _, err := ReconstructCkpt(v, rank, round, func(path string) ([]byte, error) {
+							st := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
 							rep.StateBytes += int64(len(st.Data))
-							gotIdx, prev, _, payload, _, err := decodeIncCkpt(st.Data)
-							if err != nil {
-								return nil, 0, err
-							}
-							if gotIdx != idx {
-								return nil, 0, fmt.Errorf("slot holds round %d, want %d", gotIdx, idx)
-							}
-							return payload, prev, nil
-						}, round)
+							return st.Data, st.Err
+						})
 						if err != nil {
 							panic(fmt.Sprintf("ckpt: recovery: rank %d round %d: %v", rank, round, err))
 						}
 						state = img
 					} else {
-						st := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: coordStatePath(round, rank)})
+						st := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: v.StatePath(rank, round)})
 						if st.Err != nil {
 							panic(fmt.Sprintf("ckpt: recovery: missing state of rank %d round %d: %v", rank, round, st.Err))
 						}
@@ -121,14 +105,10 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 					}
 					par.RestoreAt(prog, round, state)
 					var msgs []*mp.Message
-					chanPath := coordChanPath(round, rank)
-					if v.Incremental() {
-						chanPath = coordIncChanPath(round, rank)
-					}
-					cl := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: chanPath})
+					cl := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: v.ChanPath(rank, round)})
 					if cl.Err == nil {
 						var err error
-						if msgs, err = decodeChanLog(cl.Data); err != nil {
+						if msgs, err = DecodeChanLog(cl.Data); err != nil {
 							panic(err)
 						}
 					}

@@ -1,19 +1,32 @@
-// Package ckpt implements the checkpointing protocols the paper compares:
+// Package ckpt implements the checkpointing schemes the paper compares, and
+// the families added since, as points on five axes (the fields of Variant):
 //
-//   - Coordinated checkpointing (the Silva & Silva global-checkpointing
-//     algorithm: a coordinator-initiated two-phase protocol with channel
-//     markers, a descendant of Chandy-Lamport distributed snapshots), in the
-//     paper's variants: _B (fully blocking baseline), _NB (non-blocking
-//     protocol, application blocked only during its own state save), _NBM
-//     (main-memory checkpointing: blocked only during a memory copy), and
-//     _NBMS (_NBM plus token-ring checkpoint staggering).
+//	Driver      what decides when a node checkpoints: coordinated two-phase
+//	            rounds | local timers | local timers + the communication-
+//	            induced forced-checkpoint rule
+//	Capture     full padded image | incremental base+delta chain
+//	Write       what blocks the application: the whole round to commit | its
+//	            own durable write | a memory copy | a memory copy, with the
+//	            background writes staggered by a token
+//	ThreePhase  pre-commit phase and coordinator election (rounds only)
+//	SenderLog   sender-based message logging (timers only)
 //
-//   - Independent checkpointing: every node checkpoints on a local timer
-//     with no synchronization, in the variants Indep (blocked during the
-//     save) and Indep_M (main-memory copy, background save). Dependencies
-//     between checkpoint intervals are tracked by piggybacking interval
-//     indices on messages and persisted with each checkpoint, enabling
-//     recovery-line computation (package rdg).
+// The 14 opened points, by driver × capture (rows) and write policy (columns):
+//
+//	              to commit  to durable                 mem copy    mem copy + stagger
+//	rounds  full  Coord_B    Coord_NB, Coord_NB_FT      Coord_NBM   Coord_NBMS
+//	rounds  inc   ·          Coord_NB_INC, .._FT_INC    ·           ·
+//	timers  full  -          Indep, Indep_Log           Indep_M     -
+//	timers  inc   -          Indep_INC                  ·           -
+//	induced full  -          CIC                        CIC_M       -
+//	induced inc   -          CIC_INC                    ·           -
+//
+// "-" is not a point (commit and the token ring belong to rounds); "·" is
+// legal but not opened: New refuses it, because overlapping captures under a
+// memory-buffered incremental writer (and 3PC or a sender log off the NB
+// column) need their own soundness argument under the oracle (package check)
+// before a name and a table column. Behaviour everywhere reads the axes,
+// never a scheme's name.
 //
 // Protocol control messages travel on the same simulated network as
 // application messages, and all checkpoint data flows through the host link
@@ -29,148 +42,170 @@ import (
 	"repro/internal/sim"
 )
 
-// Variant selects one of the paper's checkpointing schemes.
-type Variant int
+// Driver is the protocol axis: what decides when a node checkpoints.
+type Driver uint8
 
-// The measured schemes. CoordB is the fully blocking baseline the paper's
-// library also supported; the paper's tables use NB, NBM, NBMS, Indep and
-// IndepM.
 const (
-	CoordB Variant = iota
-	CoordNB
-	CoordNBM
-	CoordNBMS
-	Indep
-	IndepM
-	// IndepLog is Indep extended with sender-based message logging (the
-	// paper's §1 cites message logging as the standard fix for the domino
-	// effect): senders keep volatile logs of outgoing messages, receivers
-	// suppress duplicates by sequence number, and a single failed node can
-	// recover from its own last checkpoint alone — survivors re-transmit
-	// from their logs and nobody else rolls back.
-	IndepLog
-	// CIC and CICM are communication-induced checkpointing (implemented by
-	// package cic, registered via Register): basic checkpoints fire on a
-	// local timer like Indep, but every message piggybacks the sender's
-	// checkpoint index and the receiver takes a *forced* checkpoint before
-	// delivering a message whose index is ahead of its own (the index-based
-	// BCS protocol of Briatico, Ciuffoletti & Simoncini, surveyed by Garcia,
-	// Vieira & Buzato). CIC blocks the application for the durable write;
-	// CICM takes a main-memory copy and saves in the background.
-	CIC
-	CICM
-	// CoordNBInc, IndepInc and CICInc are the incremental variants of the
-	// three families — the modern successor to the paper's memory-copy and
-	// staggering tricks. Every BaseEvery-th checkpoint is a full base image;
-	// the ones between are page-granularity deltas against the previous
-	// durable checkpoint (codec.EncodeDelta over the dirty pages a
-	// par.DirtyTracker reports), and both payload kinds are zero-run
-	// compressed, so the state written per checkpoint shrinks sharply.
-	// Recovery replays the base+delta chain (ReconstructState). The protocol
-	// machinery is unchanged: CoordNBInc runs the non-blocking coordinated
-	// rounds, IndepInc the local timers, CICInc the index-based forced
-	// checkpoints; all three block the application for the durable write
-	// (the delta is small, so buffering it in memory buys little).
-	CoordNBInc
-	IndepInc
-	CICInc
-	// CoordNBFT and CoordNBFTInc are the fault-tolerant coordinated variants:
-	// the two-phase round gains a 3PC-style pre-commit phase (after every ack
-	// the coordinator broadcasts pre-commit and waits for every pre-ack
-	// before durably writing the round record), so a participant that saw
-	// pre-commit proves every rank's files are durable and a successor can
-	// deterministically finish the round, while a round nobody pre-committed
-	// provably has no durable round record and aborts cleanly. Paired with a
-	// heartbeat/timeout coordinator election (Options.Failover; deterministic
-	// rank-order succession, no wall-clock randomness) the variants survive
-	// the one fault the rest of the coordinated family cannot: the
-	// coordinator dying mid-round. CoordNBFT otherwise behaves like CoordNB
-	// (non-blocking, full images, two file slots); CoordNBFTInc like
-	// CoordNBInc (base+delta chains over BaseEvery+1 slots).
-	CoordNBFT
-	CoordNBFTInc
+	// DriverRounds is coordinated checkpointing: the Silva & Silva
+	// coordinator-initiated two-phase protocol with channel markers, a
+	// descendant of Chandy-Lamport distributed snapshots.
+	DriverRounds Driver = iota
+	// DriverTimers is independent checkpointing: each node's local timer, no
+	// synchronization. Dependencies between checkpoint intervals are tracked
+	// by piggybacking interval indices on messages and persisted with each
+	// checkpoint, enabling recovery-line computation (package rdg).
+	DriverTimers
+	// DriverInduced is DriverTimers plus the communication-induced rule: a
+	// node takes a forced checkpoint before delivering a message whose
+	// piggybacked index is ahead of its own (see localTimers).
+	DriverInduced
 )
 
-// variantNames is the single source of truth mapping variants to the paper's
-// scheme names; String and ParseVariant are both derived from it so the two
-// directions cannot drift apart when a variant is added.
-var variantNames = map[Variant]string{
-	CoordB:       "Coord_B",
-	CoordNB:      "Coord_NB",
-	CoordNBM:     "Coord_NBM",
-	CoordNBMS:    "Coord_NBMS",
-	Indep:        "Indep",
-	IndepM:       "Indep_M",
-	IndepLog:     "Indep_Log",
-	CIC:          "CIC",
-	CICM:         "CIC_M",
-	CoordNBInc:   "Coord_NB_INC",
-	IndepInc:     "Indep_INC",
-	CICInc:       "CIC_INC",
-	CoordNBFT:    "Coord_NB_FT",
-	CoordNBFTInc: "Coord_NB_FT_INC",
+// Capture is what a checkpoint writes: the full padded process image, or a
+// base+delta chain (every BaseEvery-th checkpoint a zero-run-compressed
+// base, page deltas against the previous durable checkpoint between).
+type Capture uint8
+
+const (
+	CaptureFull Capture = iota
+	CaptureIncremental
+)
+
+// Write is the write policy: what the application is blocked on.
+type Write uint8
+
+const (
+	// WriteToCommit blocks the application until the whole round commits
+	// (the paper's fully blocking baseline).
+	WriteToCommit Write = iota
+	// WriteToDurable blocks it only until its own state is durable.
+	WriteToDurable
+	// WriteMemCopy blocks it for a main-memory copy; the daemon saves the
+	// copy in the background.
+	WriteMemCopy
+	// WriteMemStagger is WriteMemCopy with the background writes serialized
+	// by a token passed round the ring of nodes.
+	WriteMemStagger
+)
+
+// Variant names one checkpointing scheme as a point on the axes above. It is
+// a comparable value: the zero Variant is CoordB, and the exported scheme
+// values below are the points this repository has opened (see the package
+// comment for the ones it has not).
+type Variant struct {
+	Driver  Driver
+	Capture Capture
+	Write   Write
+	// ThreePhase adds the fault-tolerant coordinated protocol: a pre-commit
+	// phase after every ack, so a participant that saw pre-commit proves
+	// every rank's files are durable and a successor coordinator can
+	// deterministically finish the round, while a round nobody pre-committed
+	// provably has no durable round record and aborts cleanly. Paired with
+	// Options.Failover's heartbeat/timeout election (rank-order succession,
+	// no wall-clock randomness) it survives the coordinator dying mid-round.
+	ThreePhase bool
+	// SenderLog adds sender-based message logging (the paper's §1 fix for
+	// the domino effect): senders keep volatile logs of outgoing messages,
+	// receivers suppress duplicates by sequence number, and a single failed
+	// node recovers from its own last checkpoint alone (RecoverNode).
+	SenderLog bool
 }
 
-// variantByName is the inverse of variantNames, built once at init.
-var variantByName = func() map[string]Variant {
-	m := make(map[string]Variant, len(variantNames))
-	for v, name := range variantNames {
-		m[name] = v
-	}
-	return m
-}()
+// The opened schemes. CoordB is the fully blocking baseline the paper's
+// library also supported; the paper's tables use NB, NBM, NBMS, Indep and
+// IndepM. The CIC family is the index-based BCS protocol, the _INC schemes
+// the incremental captures of the three families, the _FT pair the
+// fault-tolerant coordinated protocol.
+var (
+	CoordB       = Variant{Driver: DriverRounds, Write: WriteToCommit}
+	CoordNB      = Variant{Driver: DriverRounds, Write: WriteToDurable}
+	CoordNBM     = Variant{Driver: DriverRounds, Write: WriteMemCopy}
+	CoordNBMS    = Variant{Driver: DriverRounds, Write: WriteMemStagger}
+	Indep        = Variant{Driver: DriverTimers, Write: WriteToDurable}
+	IndepM       = Variant{Driver: DriverTimers, Write: WriteMemCopy}
+	IndepLog     = Variant{Driver: DriverTimers, Write: WriteToDurable, SenderLog: true}
+	CIC          = Variant{Driver: DriverInduced, Write: WriteToDurable}
+	CICM         = Variant{Driver: DriverInduced, Write: WriteMemCopy}
+	CoordNBInc   = Variant{Driver: DriverRounds, Capture: CaptureIncremental, Write: WriteToDurable}
+	IndepInc     = Variant{Driver: DriverTimers, Capture: CaptureIncremental, Write: WriteToDurable}
+	CICInc       = Variant{Driver: DriverInduced, Capture: CaptureIncremental, Write: WriteToDurable}
+	CoordNBFT    = Variant{Driver: DriverRounds, Write: WriteToDurable, ThreePhase: true}
+	CoordNBFTInc = Variant{Driver: DriverRounds, Capture: CaptureIncremental, Write: WriteToDurable, ThreePhase: true}
+)
 
-// String returns the paper's name for the variant.
+// variants is the single ordered table of the opened points and their names:
+// String, ParseVariant, VariantNames and New's legality check all derive from
+// it, so they cannot drift apart when a point is opened.
+var variants = []struct {
+	v    Variant
+	name string
+}{
+	{CoordB, "Coord_B"},
+	{CoordNB, "Coord_NB"},
+	{CoordNBM, "Coord_NBM"},
+	{CoordNBMS, "Coord_NBMS"},
+	{Indep, "Indep"},
+	{IndepM, "Indep_M"},
+	{IndepLog, "Indep_Log"},
+	{CIC, "CIC"},
+	{CICM, "CIC_M"},
+	{CoordNBInc, "Coord_NB_INC"},
+	{IndepInc, "Indep_INC"},
+	{CICInc, "CIC_INC"},
+	{CoordNBFT, "Coord_NB_FT"},
+	{CoordNBFTInc, "Coord_NB_FT_INC"},
+}
+
+// String returns the paper's name for the variant; a point that is not in
+// the table prints its axes.
 func (v Variant) String() string {
-	if name, ok := variantNames[v]; ok {
-		return name
+	for _, e := range variants {
+		if e.v == v {
+			return e.name
+		}
 	}
-	return fmt.Sprintf("Variant(%d)", int(v))
+	type axes Variant // no String method, so %+v prints the fields
+	return fmt.Sprintf("Variant%+v", axes(v))
 }
 
 // ParseVariant maps a scheme name back to its Variant. It accepts the exact
 // names String produces ("Coord_NBMS", "Indep_M", "CIC", ...).
 func ParseVariant(name string) (Variant, bool) {
-	v, ok := variantByName[name]
-	return v, ok
+	for _, e := range variants {
+		if e.name == name {
+			return e.v, true
+		}
+	}
+	return Variant{}, false
 }
 
-// VariantNames lists every scheme name String can produce, in variant order
+// VariantNames lists every scheme name String can produce, in table order
 // (for CLI discovery output).
 func VariantNames() []string {
-	out := make([]string, 0, len(variantNames))
-	for v := CoordB; ; v++ {
-		name, ok := variantNames[v]
-		if !ok {
-			return out
-		}
-		out = append(out, name)
+	out := make([]string, len(variants))
+	for i, e := range variants {
+		out[i] = e.name
 	}
+	return out
 }
 
 // Coordinated reports whether the variant is a coordinated scheme.
-func (v Variant) Coordinated() bool {
-	return v <= CoordNBMS || v == CoordNBInc || v == CoordNBFT || v == CoordNBFTInc
-}
+func (v Variant) Coordinated() bool { return v.Driver == DriverRounds }
 
 // Failover reports whether the variant runs the fault-tolerant coordinated
 // protocol: a pre-commit phase plus (when Options.Failover is set) heartbeat
 // monitoring and coordinator election.
-func (v Variant) Failover() bool { return v == CoordNBFT || v == CoordNBFTInc }
+func (v Variant) Failover() bool { return v.ThreePhase }
 
 // MemBuffered reports whether the variant uses main-memory checkpointing.
-func (v Variant) MemBuffered() bool {
-	return v == CoordNBM || v == CoordNBMS || v == IndepM || v == CICM
-}
+func (v Variant) MemBuffered() bool { return v.Write == WriteMemCopy || v.Write == WriteMemStagger }
 
 // CommunicationInduced reports whether the variant belongs to the CIC family.
-func (v Variant) CommunicationInduced() bool { return v == CIC || v == CICM || v == CICInc }
+func (v Variant) CommunicationInduced() bool { return v.Driver == DriverInduced }
 
 // Incremental reports whether the variant writes base+delta checkpoint
 // chains instead of full images.
-func (v Variant) Incremental() bool {
-	return v == CoordNBInc || v == IndepInc || v == CICInc || v == CoordNBFTInc
-}
+func (v Variant) Incremental() bool { return v.Capture == CaptureIncremental }
 
 // Options configure a scheme instance.
 type Options struct {
@@ -257,11 +292,6 @@ func (o Options) firstAt() sim.Duration {
 	return o.Interval
 }
 
-// FirstAtOrInterval returns the effective time of the first checkpoint —
-// FirstAt if set, else Interval — for protocol families implemented outside
-// this package.
-func (o Options) FirstAtOrInterval() sim.Duration { return o.firstAt() }
-
 // Dep records that during the checkpoint interval being closed, this node
 // consumed a message sent by SrcRank during its interval SrcIndex.
 type Dep struct {
@@ -340,6 +370,12 @@ type Scheme interface {
 	Stats() Stats
 	// Records lists the durably completed checkpoints, oldest first.
 	Records() []Record
+	// EnqueueJob runs work on a node's checkpointer daemon, which owns the
+	// node's storage-reply mailbox (recovery reads, package rdg's deletes).
+	EnqueueJob(rank int, job func(p *sim.Proc))
+	// SetCommitHook arms the correctness oracle's hook; nil (the default) is
+	// the zero-cost disarmed state.
+	SetCommitHook(CommitHook)
 }
 
 // CommitHook observes checkpoints at the instant they become durably
@@ -352,43 +388,17 @@ type Scheme interface {
 // stable storage against the protocol's claims at every commit point.
 type CommitHook func(committed []Record)
 
-// CommitHooker is the optional interface schemes implement to accept a
-// CommitHook; package check type-asserts for it. A nil hook (the default)
-// is the zero-cost disarmed state.
-type CommitHooker interface {
-	SetCommitHook(CommitHook)
-}
-
-// Constructor builds a Scheme for a variant; external protocol families
-// (package cic) register theirs via Register.
-type Constructor func(v Variant, opt Options) Scheme
-
-// registry holds constructors for variants implemented outside this package.
-var registry = map[Variant]Constructor{}
-
-// Register installs a constructor for a variant implemented in another
-// package (the image/png pattern: the implementing package registers itself
-// from init, and users import it for its side effect). Registering a variant
-// twice panics — it would silently shadow a protocol implementation.
-func Register(v Variant, ctor Constructor) {
-	if _, dup := registry[v]; dup {
-		panic(fmt.Sprintf("ckpt: Register called twice for %v", v))
-	}
-	registry[v] = ctor
-}
-
-// New constructs a scheme for the variant.
+// New constructs a scheme for the variant, which must be one of the opened
+// points: the rest of the grid is legal but has no soundness argument under
+// the oracle yet, so it is refused rather than run unexamined.
 func New(v Variant, opt Options) Scheme {
-	if ctor, ok := registry[v]; ok {
-		return ctor(v, opt)
+	if _, ok := ParseVariant(v.String()); !ok {
+		panic(fmt.Sprintf("ckpt: %v is not an opened scheme (want one of %v)", v, VariantNames()))
 	}
-	switch {
-	case v.Coordinated():
+	if v.Coordinated() {
 		return newCoordinated(v, opt)
-	case v == Indep || v == IndepM || v == IndepLog || v == IndepInc:
-		return newIndependent(v, opt)
 	}
-	panic(fmt.Sprintf("ckpt: no scheme registered for %v (missing blank import of its implementing package, e.g. repro/internal/cic?)", v))
+	return newLocalTimers(v, opt)
 }
 
 // Wire sizes of protocol control messages (bytes, excluding the fabric's
@@ -489,19 +499,61 @@ type (
 	}
 )
 
-// Coordinated checkpoints are double-buffered: rounds alternate between two
-// file slots, so after the first two rounds every write overwrites an
-// existing file (no directory-update cost), and at most two rounds of files
-// ever occupy stable storage — the paper's low storage overhead. The round
-// record names the committed round; the slot follows from its parity.
-func coordStatePath(round, rank int) string { return fmt.Sprintf("coord/slot%d/s%03d", round%2, rank) }
-func coordChanPath(round, rank int) string  { return fmt.Sprintf("coord/slot%d/c%03d", round%2, rank) }
+// Durable layout, keyed by the variant. Coordinated rounds rotate over slot
+// directories so that every write after the first rotation overwrites an
+// existing file (no directory-update cost) and storage holds a bounded number
+// of rounds — the paper's low storage overhead. Full-image rounds
+// double-buffer two slots; the round record names the committed round and
+// the slot follows from its parity. Incremental rounds rotate over
+// BaseEvery+1 slots under their own root, which is what makes overwriting
+// safe without garbage collection: the chain of the latest committed round r
+// reaches back at most to round r-(BaseEvery-1), while writing round r+1
+// overwrites the slot of round r-BaseEvery — strictly below any chain member
+// a recovery could need, even while the tentative round is in flight. The
+// local-timer families keep one append-only file per (node, index); indices
+// can be sparse because skipped and forced checkpoints jump.
+//
+// StorageRoot is the directory prefix every checkpoint file of the variant
+// lives under.
+func (v Variant) StorageRoot() string {
+	switch {
+	case v.Driver == DriverTimers:
+		return "indep/"
+	case v.Driver == DriverInduced:
+		return "cic/"
+	case v.Incremental():
+		return "coordinc/"
+	}
+	return "coord/"
+}
 
-// coordMetaPath is the coordinator's durable round record; writing it is the
+func (v Variant) slots() int {
+	if v.Incremental() {
+		return BaseEvery + 1
+	}
+	return 2
+}
+
+// StatePath is the stable-storage path of rank's checkpoint index (the round
+// number for coordinated variants). The correctness oracle (package check),
+// the recovery drivers and the garbage collector (package rdg) audit, read
+// and reclaim checkpoint files through it.
+func (v Variant) StatePath(rank, index int) string {
+	if v.Coordinated() {
+		return fmt.Sprintf("%sslot%d/s%03d", v.StorageRoot(), index%v.slots(), rank)
+	}
+	return fmt.Sprintf("%sn%03d/k%05d", v.StorageRoot(), rank, index)
+}
+
+// ChanPath is the stable-storage path of rank's channel log of a coordinated
+// round.
+func (v Variant) ChanPath(rank, round int) string {
+	return fmt.Sprintf("%sslot%d/c%03d", v.StorageRoot(), round%v.slots(), rank)
+}
+
+// CoordMetaPath is the coordinator's durable round record; writing it is the
 // commit point of the two-phase protocol.
-const coordMetaPath = "coord/meta"
-
-func indepPath(rank, index int) string { return fmt.Sprintf("indep/n%03d/k%05d", rank, index) }
+const CoordMetaPath = "coord/meta"
 
 // writeSegment is the RPC granularity of checkpoint writes: the checkpointer
 // streams a file to stable storage as a pipeline of append requests (all but
@@ -510,28 +562,23 @@ func indepPath(rank, index int) string { return fmt.Sprintf("indep/n%03d/k%05d",
 // write() loop behaves over a file server.
 const writeSegment = 64 * 1024
 
-// padImage appends the machine's fixed process-image bytes to a serialized
+// PadImage appends the machine's fixed process-image bytes to a serialized
 // application state: a checkpoint saves the process, not just its arrays.
 // Decoders read length-prefixed fields, so the trailing padding is inert on
-// recovery.
-func padImage(state []byte, imageBytes int) []byte {
+// recovery. (Exported so the correctness oracle can rebuild the image a
+// delta chain must replay to.)
+func PadImage(state []byte, imageBytes int) []byte {
 	if imageBytes <= 0 {
 		return state
 	}
 	return append(state, make([]byte, imageBytes)...)
 }
 
-// writeSegmented streams data durably to path from the node's daemon. When
-// reset is true any previous content at path (a reused slot file) is removed
-// first. The final request is synchronous: FIFO request ordering makes its
-// reply a barrier confirming every segment is durable. This is the legacy
-// unchecked entry point; hardened writers use writeSegmentedChecked.
-func writeSegmented(p *sim.Proc, n *par.Node, path string, data []byte, reset bool) {
-	_ = writeSegmentedOnce(p, n, path, data, reset)
-}
-
-// writeSegmentedOnce performs one streaming attempt and verifies the final
-// synchronous reply: error-free and the expected durable size. A fire-and-
+// writeSegmentedOnce streams data durably to path from the node's daemon in
+// one attempt. When reset is true any previous content at path (a reused
+// slot file) is removed first. The final request is synchronous: FIFO
+// request ordering makes its reply a barrier confirming every segment is
+// durable, and it is verified error-free and of the expected durable size. A fire-and-
 // forget segment failed by an injected fault leaves the file short, which
 // the size check surfaces; a lost reply surfaces as a timeout under the
 // machine's retry policy (no timeout under the zero policy — the unarmed
@@ -589,34 +636,3 @@ func writeSegmentedChecked(p *sim.Proc, n *par.Node, path string, data []byte, r
 		p.Sleep(n.M.Backoff(attempt + 1))
 	}
 }
-
-// IndepCheckpointPath exposes the stable-storage path of an independent
-// checkpoint so external services (the garbage collector in package rdg)
-// can reclaim files.
-func IndepCheckpointPath(rank, index int) string { return indepPath(rank, index) }
-
-// CoordStatePath, CoordChanPath and CoordMetaPath expose the coordinated
-// scheme's durable layout so the correctness oracle (package check) can
-// audit stable storage against the committed records: the state and channel
-// slot files of a round and the round record whose durable write is the
-// 2PC commit point.
-func CoordStatePath(round, rank int) string { return coordStatePath(round, rank) }
-func CoordChanPath(round, rank int) string  { return coordChanPath(round, rank) }
-func CoordMetaPath() string                 { return coordMetaPath }
-
-// WriteSegmented exposes the segmented durable-write pipeline to protocol
-// families implemented outside this package (package cic): data is streamed
-// to stable storage as pipelined append segments, the last one synchronous.
-func WriteSegmented(p *sim.Proc, n *par.Node, path string, data []byte, reset bool) {
-	writeSegmented(p, n, path, data, reset)
-}
-
-// WriteSegmentedChecked exposes the hardened pipeline (verified final size,
-// machine retry policy, error on exhaustion) to external protocol families.
-func WriteSegmentedChecked(p *sim.Proc, n *par.Node, path string, data []byte, reset bool) error {
-	return writeSegmentedChecked(p, n, path, data, reset)
-}
-
-// PadImage exposes the process-image padding applied to every checkpointed
-// application state, for protocol families implemented outside this package.
-func PadImage(state []byte, imageBytes int) []byte { return padImage(state, imageBytes) }

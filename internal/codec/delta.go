@@ -2,7 +2,6 @@ package codec
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 )
 
@@ -35,16 +34,6 @@ const minZeroRun = 32
 // maxImageBytes bounds the decoded size of any image or page, so corrupt
 // length fields fail fast instead of allocating gigabytes.
 const maxImageBytes = 1 << 28
-
-// IsBaseImage reports whether payload carries a full base image.
-func IsBaseImage(payload []byte) bool {
-	return len(payload) >= 8 && binary.LittleEndian.Uint64(payload) == baseMagic
-}
-
-// IsDeltaImage reports whether payload carries a page delta.
-func IsDeltaImage(payload []byte) bool {
-	return len(payload) >= 8 && binary.LittleEndian.Uint64(payload) == deltaMagic
-}
 
 // EncodeBaseImage encodes a full image as a zero-run-compressed base payload.
 func EncodeBaseImage(cur []byte) []byte {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/apps"
-	_ "repro/internal/cic" // registers the CIC and CIC_M variants with ckpt.New
 	"repro/internal/ckpt"
 	"repro/internal/faults"
 	"repro/internal/mp"

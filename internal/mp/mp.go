@@ -487,6 +487,3 @@ func (e *Env) Gather(root int, data []byte) [][]byte {
 	e.send(root, tagGather, data)
 	return nil
 }
-
-// DebugOutstanding exposes the flow-control window counters (diagnostics).
-func (w *World) DebugOutstanding() [][]int { return w.outstanding }

@@ -107,7 +107,7 @@ const (
 	PBInterval PiggybackKey = iota
 	// PBCIC is the communication-induced family's checkpoint index — the
 	// BCS-style logical clock that forces checkpoints before delivery
-	// (package cic).
+	// (ckpt.DriverInduced).
 	PBCIC
 
 	// NumPiggyback is the number of piggyback channels.

@@ -8,26 +8,6 @@ import (
 	"repro/internal/storage"
 )
 
-// jobEnqueuer matches the checkpointing schemes' daemon-job interface.
-type jobEnqueuer interface {
-	EnqueueJob(rank int, job func(p *sim.Proc))
-}
-
-// CheckpointPather lets a scheme name the stable-storage file of each of its
-// checkpoints; schemes that don't implement it get the independent family's
-// default layout.
-type CheckpointPather interface {
-	CheckpointPath(rank, index int) string
-}
-
-// checkpointPath resolves a checkpoint's stable-storage path for deletion.
-func checkpointPath(sch ckpt.Scheme, rank, index int) string {
-	if cp, ok := sch.(CheckpointPather); ok {
-		return cp.CheckpointPath(rank, index)
-	}
-	return ckpt.IndepCheckpointPath(rank, index)
-}
-
 // GarbageCollector periodically reclaims obsolete independent checkpoints:
 // it computes the current recovery line from the dependency metadata and
 // deletes every checkpoint that can never appear on any future line
@@ -63,9 +43,6 @@ func AttachGC(m *par.Machine, sch ckpt.Scheme, interval sim.Duration) *GarbageCo
 		// member a retained checkpoint resolves through.
 		panic("rdg: AttachGC cannot reclaim incremental schemes: delta chains make line-based reclamation unsafe")
 	}
-	if _, ok := sch.(jobEnqueuer); !ok {
-		panic("rdg: scheme does not expose daemon jobs")
-	}
 	gc := &GarbageCollector{m: m, sch: sch, ivl: interval, deleted: map[CheckpointID]bool{}}
 	m.OnAllAppsDone(func() { gc.stopped = true })
 	m.Eng.After(interval, gc.scan)
@@ -90,10 +67,10 @@ func (gc *GarbageCollector) scan() {
 		gc.deleted[id] = true
 		id := id
 		size := recordSize(recs, id)
-		gc.sch.(jobEnqueuer).EnqueueJob(id.Rank, func(p *sim.Proc) {
+		gc.sch.EnqueueJob(id.Rank, func(p *sim.Proc) {
 			sp := gc.m.Obs.Start(id.Rank, obs.TidDaemon, "rdg.gc_delete").WithArg("index", int64(id.Index))
 			gc.m.Nodes[id.Rank].StorageCall(p, storage.Request{
-				Op: storage.OpDelete, Path: checkpointPath(gc.sch, id.Rank, id.Index),
+				Op: storage.OpDelete, Path: gc.sch.Variant().StatePath(id.Rank, id.Index),
 			})
 			sp.End()
 			gc.Reclaims++
