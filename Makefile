@@ -15,7 +15,9 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz smoke of the parsers that consume untrusted bytes — the
-# checkpoint codec round-trip and the scheme-name resolver — plus the three
+# checkpoint codec round-trip (the delta half also holds replay into reused
+# scratch to the allocating reference), the decoders of durable checkpoint
+# files and channel logs, and the scheme-name resolver — plus the three
 # differentials against retired reference implementations: the engine's event
 # queue (4-ary heap vs container/heap), the fabric's virtual schedule
 # (event-driven flights vs a courier process per message) and the storage
@@ -27,6 +29,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDeltaCodecRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt -run '^$$' -fuzz FuzzCkptFileDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bench -run '^$$' -fuzz FuzzVariantParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME)
@@ -72,13 +75,14 @@ bench-perf:
 	$(GO) run ./cmd/chkperf $(PERFFLAGS)
 
 # Allocation gate: the testing.AllocsPerRun pins for the engine, fabric, codec
-# and collective hot paths and the storage server's bytes allocated per byte
-# appended, plus a microbenchmark smoke of the event queue, the fabric's send
-# path and the payload codecs — all under the race detector. A failure here
-# means a change re-introduced steady-state allocation (or broke the
-# queue/codec) before the perf trajectory would have surfaced it.
+# and collective hot paths, the bytes allocated per byte the storage server is
+# appended and per byte of checkpoint file a capture builds, and per audited
+# incremental commit, plus a microbenchmark smoke of the event queue, the
+# fabric's send path and the payload codecs — all under the race detector. A
+# failure here means a change re-introduced steady-state allocation (or broke
+# the queue/codec) before the perf trajectory would have surfaced it.
 alloc-gate:
-	$(GO) test -race -run 'TestAllocs|TestDecodeF64sIntoMatches' ./internal/sim ./internal/fabric ./internal/storage ./internal/codec ./internal/mp
+	$(GO) test -race -run 'TestAllocs|TestDecodeF64sIntoMatches' ./internal/sim ./internal/fabric ./internal/storage ./internal/codec ./internal/mp ./internal/ckpt ./internal/check
 	$(GO) test -race -run '^$$' -bench . -benchtime 10x ./internal/sim ./internal/fabric ./internal/codec
 
 # What the GitHub workflow runs (.github/workflows/ci.yml): the full suite

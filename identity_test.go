@@ -272,7 +272,7 @@ func schemeLine(name string, wl apps.Workload, interval sim.Duration) (string, e
 	files := 0
 	for si, store := range m.Stores {
 		for _, path := range store.DurablePaths() {
-			data, _ := store.Peek(path)
+			data, _ := store.Peek(path, nil)
 			fmt.Fprintf(durable, "%d %s %d %x\n", si, path, len(data), sha256.Sum256(data))
 			files++
 		}

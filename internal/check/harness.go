@@ -18,6 +18,7 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/mp"
@@ -39,17 +40,7 @@ func copyMsg(m *mp.Message) msgCopy {
 }
 
 // sameMsg compares two recorded messages for run-to-run equivalence.
-func sameMsg(a, b msgCopy) bool {
-	if a.Tag != b.Tag || len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			return false
-		}
-	}
-	return true
-}
+func sameMsg(a, b msgCopy) bool { return a.Tag == b.Tag && bytes.Equal(a.Data, b.Data) }
 
 // Harness is the per-cell message ledger. It records, per ordered channel,
 // every application-level message (Tag >= 0; collective-internal traffic is
@@ -66,6 +57,7 @@ type Harness struct {
 	sends     [][][]msgCopy // [src][dst], in send order
 	delivered [][][]msgCopy // [rank][src], in consume order
 	cuts      []map[int]cut // [rank][ckpt index]: ledger counters at capture
+	zero      []int         // the initial state's cut, shared and never written
 }
 
 // cut is the rank's ledger position at the instant one checkpoint was
@@ -84,7 +76,7 @@ type cut struct {
 
 func newHarness(n int) *Harness {
 	h := &Harness{n: n, sends: make([][][]msgCopy, n), delivered: make([][][]msgCopy, n),
-		cuts: make([]map[int]cut, n)}
+		cuts: make([]map[int]cut, n), zero: make([]int, n)}
 	for i := 0; i < n; i++ {
 		h.sends[i] = make([][]msgCopy, n)
 		h.delivered[i] = make([][]msgCopy, n)
@@ -137,8 +129,7 @@ func (h *Harness) recordCut(rank, index int, snap []byte) {
 // state: all-zero counters, never explicitly recorded.
 func (h *Harness) cutAt(rank, index int) (sent, recv []int, ok bool) {
 	if index == 0 {
-		zero := make([]int, h.n)
-		return zero, zero, true
+		return h.zero, h.zero, true
 	}
 	c, ok := h.cuts[rank][index]
 	return c.sent, c.recv, ok

@@ -38,6 +38,12 @@ type audit struct {
 	v ckpt.Variant
 	n int
 
+	// Scratch, reused from commit to commit: buf holds the file peekRank last
+	// copied out (what it returned is dead at the next peekRank), replay the
+	// links and image of the chain checkChain last replayed.
+	buf    []byte
+	replay ckpt.Replayer
+
 	committed []ckpt.Record // records currently represented in durable storage
 	lastLine  []int         // uncoordinated: last recovery line, for monotonicity
 	recovered bool          // a crash-recovery happened in this cell
@@ -90,9 +96,12 @@ func (a *audit) err() error {
 // peekRank inspects rank's storage shard for path — every rank's files live
 // on exactly one server, the one its placement assigns, so that is the only
 // server a correct scheme can have written to (and the only one recovery
-// will read from). Peek costs no virtual time.
+// will read from). Peek costs no virtual time; the bytes are borrowed until
+// the next peekRank.
 func (a *audit) peekRank(rank int, path string) ([]byte, bool) {
-	return a.m.StoreFor(rank).Peek(path)
+	var ok bool
+	a.buf, ok = a.m.StoreFor(rank).Peek(path, a.buf)
+	return a.buf, ok
 }
 
 // onCommit is the CommitHook entry point for every scheme family.
@@ -145,11 +154,13 @@ func (a *audit) coordCommit(recs []ckpt.Record) {
 	sentVec := make([][]int, a.n)
 	recvVec := make([][]int, a.n)
 	for rank, rec := range byRank {
-		data, ok := a.peekRank(rank, a.v.StatePath(rank, round))
+		path := a.v.StatePath(rank, round)
+		size, ok := a.m.StoreFor(rank).Size(path)
 		if !a.assert(ok, "coord.state-durable", "round %d rank %d: state file missing", round, rank) {
 			return
 		}
 		if a.v.Incremental() {
+			data, _ := a.peekRank(rank, path)
 			f, err := ckpt.DecodeCkptFile(a.v, data)
 			if a.assert(err == nil, "coord.state-durable", "round %d rank %d: undecodable: %v", round, rank, err) {
 				a.assert(f.Index == round, "coord.state-durable",
@@ -160,8 +171,8 @@ func (a *audit) coordCommit(recs []ckpt.Record) {
 					"round %d rank %d: payload is %d bytes, record says %d", round, rank, len(f.State), rec.StateBytes)
 				a.checkChain(rank, round)
 			}
-		} else if !a.assert(len(data) == rec.StateBytes, "coord.state-durable",
-			"round %d rank %d: state is %d bytes, record says %d", round, rank, len(data), rec.StateBytes) {
+		} else if !a.assert(size == rec.StateBytes, "coord.state-durable",
+			"round %d rank %d: state is %d bytes, record says %d", round, rank, size, rec.StateBytes) {
 			return
 		}
 		sent, recv, ok := a.h.cutAt(rank, round)
@@ -176,15 +187,17 @@ func (a *audit) coordCommit(recs []ckpt.Record) {
 	logged := make([][][]msgCopy, a.n)
 	for rank, rec := range byRank {
 		logged[rank] = make([][]msgCopy, a.n)
-		data, ok := a.peekRank(rank, a.v.ChanPath(rank, round))
+		path := a.v.ChanPath(rank, round)
+		size, ok := a.m.StoreFor(rank).Size(path)
 		if rec.ChanBytes == 0 {
-			a.assert(!ok, "coord.chan-durable", "round %d rank %d: empty channel but a durable log of %d bytes", round, rank, len(data))
+			a.assert(!ok, "coord.chan-durable", "round %d rank %d: empty channel but a durable log of %d bytes", round, rank, size)
 			continue
 		}
-		if !a.assert(ok && len(data) == rec.ChanBytes, "coord.chan-durable",
-			"round %d rank %d: channel log %d bytes durable (present %v), record says %d", round, rank, len(data), ok, rec.ChanBytes) {
+		if !a.assert(ok && size == rec.ChanBytes, "coord.chan-durable",
+			"round %d rank %d: channel log %d bytes durable (present %v), record says %d", round, rank, size, ok, rec.ChanBytes) {
 			continue
 		}
+		data, _ := a.peekRank(rank, path)
 		msgs, err := ckpt.DecodeChanLog(data)
 		if !a.assert(err == nil, "coord.chan-durable", "round %d rank %d: undecodable channel log: %v", round, rank, err) {
 			continue
@@ -283,8 +296,8 @@ func (a *audit) indepCommit(rec ckpt.Record) {
 // captured at that index. A violation names the chain link that broke — the
 // delta round a failure report points at.
 func (a *audit) checkChain(rank, index int) {
-	img, _, err := ckpt.ReconstructCkpt(a.v, rank, index, func(path string) ([]byte, error) {
-		data, ok := a.peekRank(rank, path)
+	img, _, err := a.replay.ReconstructCkpt(a.v, rank, index, func(path string, buf []byte) ([]byte, error) {
+		data, ok := a.m.StoreFor(rank).Peek(path, buf)
 		if !ok {
 			return nil, fmt.Errorf("file %s not durable", path)
 		}
@@ -298,10 +311,19 @@ func (a *audit) checkChain(rank, index int) {
 		"rank %d ckpt %d: no sidecar snapshot recorded at capture", rank, index) {
 		return
 	}
-	want := ckpt.PadImage(snap, a.m.Cfg.CkptImageBytes)
-	a.assert(bytes.Equal(img, want), "inc.chain-equals-snapshot",
+	// The image must be the snapshot followed by the process image's zeros;
+	// compared in place, not against a second materialised image.
+	want := len(snap) + max(a.m.Cfg.CkptImageBytes, 0)
+	a.assert(len(img) == want && bytes.Equal(img[:len(snap)], snap) && allZero(img[len(snap):]),
+		"inc.chain-equals-snapshot",
 		"rank %d ckpt %d: replayed chain (%d bytes) differs from the captured snapshot (%d bytes)",
-		rank, index, len(img), len(want))
+		rank, index, len(img), want)
+}
+
+// allZero reports whether b holds only zero bytes: its first is, and each
+// other equals the one before it (one vectorised compare of b with itself).
+func allZero(b []byte) bool {
+	return len(b) == 0 || b[0] == 0 && bytes.Equal(b[1:], b[:len(b)-1])
 }
 
 // onRecovery rebases the audit on the recovery line the driver restored:
@@ -381,7 +403,7 @@ func (a *audit) finishCoordinated() {
 		// logs the round wrote.
 		for rank := 0; rank < a.n; rank++ {
 			want[a.v.StatePath(rank, round)] = -1
-			_, ok := a.peekRank(rank, a.v.StatePath(rank, round))
+			_, ok := a.m.StoreFor(rank).Size(a.v.StatePath(rank, round))
 			if a.assert(ok, "coord.exact", "commit record names round %d but rank %d's state is missing", round, rank) {
 				_, _, cutOK := a.h.cutAt(rank, round)
 				a.assert(cutOK, "coord.exact", "round %d rank %d: no ledger cut recorded at capture", round, rank)
@@ -434,8 +456,8 @@ func (a *audit) finishCoordinated() {
 					"%s durable on server %d, its rank's placement is server %d", path, si, wantShard[path])
 			}
 			if size >= 0 {
-				data, _ := st.Peek(path)
-				a.assert(len(data) == size, "coord.exact", "%s is %d bytes, committed record says %d", path, len(data), size)
+				got, _ := st.Size(path)
+				a.assert(got == size, "coord.exact", "%s is %d bytes, committed record says %d", path, got, size)
 			}
 			delete(want, path)
 		}

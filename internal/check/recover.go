@@ -17,7 +17,7 @@ import (
 // the new incarnation. Returns the recovered round.
 func (o *Oracle) recoverCoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.Options, h *Harness, a *audit, factory func(int) mp.Program) int {
 	round := 0
-	if meta, ok := m.StoreFor(0).Peek(ckpt.CoordMetaPath); ok {
+	if meta, ok := m.StoreFor(0).Peek(ckpt.CoordMetaPath, nil); ok {
 		if r, err := ckpt.ParseMetaRecord(meta); err == nil {
 			round = r
 		}
@@ -110,7 +110,7 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 				continue
 			}
 			if v.Incremental() {
-				img, head, err := ckpt.ReconstructCkpt(v, rank, line[rank], func(path string) ([]byte, error) {
+				img, head, err := new(ckpt.Replayer).ReconstructCkpt(v, rank, line[rank], func(path string, _ []byte) ([]byte, error) {
 					reply := m.Nodes[rank].StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
 					return reply.Data, reply.Err
 				})
@@ -135,13 +135,12 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 		// (initial-state ranks rewind to zero explicitly — there is no
 		// checkpoint to do it).
 		progs := make([]mp.Program, n)
-		zero := make([]int, n)
 		for rank := 0; rank < n; rank++ {
 			progs[rank] = factory(rank)
 			if line[rank] > 0 {
 				par.RestoreAt(progs[rank], line[rank], states[rank])
 			} else {
-				h.truncateRank(rank, zero, zero)
+				h.truncateRank(rank, h.zero, h.zero)
 			}
 		}
 		// 4. Replay the in-transit window of every ordered channel: messages

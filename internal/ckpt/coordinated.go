@@ -563,14 +563,18 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 		start = p.Now()
 		blockedSpan = s.m.Obs.Start(n.ID, obs.TidApp, "ckpt.blocked").WithArg("round", int64(round))
 	}
-	state, prev, img, scratch := captureImage(n, s.v, &cn.inc, round)
-	stateBytes := len(state)
+	c := ckptCapture{index: round}
+	c.captureImage(n, s.v, &cn.inc)
+	stateBytes, prev := c.stateBytes(), c.prev
+	var state []byte
 	if s.v.Incremental() {
 		// The slot file is a record carrying the chain pointer; the round's
 		// image becomes the diff baseline only at commit (pendingImg).
-		cn.pendingImg, cn.pendingPrev = img, prev
-		state = encodeCkptFile(s.v, CkptFile{Index: round, Prev: prev, State: state})
-		scratch.Free() // payload embedded (copied) into state above
+		cn.pendingImg, cn.pendingPrev = c.img, prev
+		state = encodeCkptFile(s.v, CkptFile{Index: round, Prev: prev, State: c.state}, 0)
+		c.scratch.Free() // payload embedded (copied) into state above
+	} else {
+		state = padImage(c.state, c.pad) // the slot file is the raw padded image
 	}
 	if s.v.MemBuffered() && p != nil {
 		// Main-memory checkpointing: the application pays only for the copy.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/mp"
+	"repro/internal/par"
 )
 
 // encodeChanLog serializes logged in-transit messages for stable storage.
@@ -28,7 +29,10 @@ func encodeChanLog(msgs []*mp.Message) []byte {
 func DecodeChanLog(b []byte) ([]*mp.Message, error) {
 	r := codec.NewReader(b)
 	n := r.Int()
-	if n < 0 || r.Err() != nil {
+	// Every entry holds at least its fixed fields (src, tag, piggyback, data
+	// length): a count the blob cannot hold is damage, and must not size an
+	// allocation.
+	if n < 0 || r.Err() != nil || n > r.Remaining()/(8*(3+len(par.Piggyback{}))) {
 		return nil, fmt.Errorf("ckpt: corrupt channel log header")
 	}
 	msgs := make([]*mp.Message, 0, n)
@@ -79,9 +83,17 @@ type CkptFile struct {
 	Lib   []byte // message-layer state (sequence counters, for log-based recovery)
 }
 
-// encodeCkptFile packs a checkpoint file for the variant.
-func encodeCkptFile(v Variant, f CkptFile) []byte {
-	w := codec.NewWriter()
+// encodeCkptFile packs a checkpoint file for the variant, its state section
+// being f.State followed by pad zero bytes: the local-timer full-image path
+// passes the bare snapshot and the process image's size, so the padded image
+// exists only here, inside the record. The buffer is sized exactly and freshly
+// owned — the blob goes to stable storage (see codec/pool.go).
+func encodeCkptFile(v Variant, f CkptFile, pad int) []byte {
+	n := 8 + 8 + 16*len(f.Deps) + 8 + len(f.State) + pad + 8 + len(f.Lib)
+	if v.Incremental() {
+		n += 8
+	}
+	w := codec.NewWriterSize(n)
 	w.Int(f.Index)
 	if v.Incremental() {
 		w.Int(f.Prev)
@@ -91,7 +103,7 @@ func encodeCkptFile(v Variant, f CkptFile) []byte {
 		w.Int(d.SrcRank)
 		w.U64(d.SrcIndex)
 	}
-	w.Bytes8(f.State)
+	w.Bytes8Pad(f.State, pad)
 	w.Bytes8(f.Lib)
 	return w.Bytes()
 }
@@ -108,7 +120,7 @@ func DecodeCkptFile(v Variant, b []byte) (CkptFile, error) {
 		f.Prev = r.Int()
 	}
 	n := r.Int()
-	if r.Err() != nil || n < 0 {
+	if r.Err() != nil || n < 0 || n > r.Remaining()/16 { // 16 B per dep: see DecodeChanLog
 		return CkptFile{}, fmt.Errorf("ckpt: corrupt checkpoint header")
 	}
 	f.Deps = make([]Dep, 0, n)

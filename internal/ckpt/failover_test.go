@@ -91,7 +91,7 @@ func runRingCoordKill(t *testing.T, v Variant, phase string) (*par.Machine, Sche
 // metaRoundOn reads the durable round record as recovery would.
 func metaRoundOn(t *testing.T, m *par.Machine) (int, bool) {
 	t.Helper()
-	b, ok := m.StoreFor(0).Peek(CoordMetaPath)
+	b, ok := m.StoreFor(0).Peek(CoordMetaPath, nil)
 	if !ok {
 		return 0, false
 	}

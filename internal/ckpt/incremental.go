@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/par"
@@ -24,6 +25,14 @@ type IncCapture struct {
 	tracker   *par.DirtyTracker
 	prevIndex int
 	sinceBase int
+
+	// img is the padded image of the capture in flight, in a buffer reused
+	// from capture to capture: the image is dead once Commit has retained
+	// (copied) it or its attempt aborted, and no incremental scheme captures
+	// again on a node before then. Everything past snapLen, up to the
+	// buffer's capacity, is zero.
+	img     []byte
+	snapLen int
 }
 
 // NewIncCapture returns a capture diffing at the given page size (a node's
@@ -31,6 +40,19 @@ type IncCapture struct {
 // of an incarnation — including the first after a recovery — is a base.
 func NewIncCapture(pageSize int) *IncCapture {
 	return &IncCapture{tracker: par.NewDirtyTracker(pageSize)}
+}
+
+// Image returns snap padded with pad zero bytes — the process image a
+// checkpoint saves — valid until the next Image on this capture.
+func (ic *IncCapture) Image(snap []byte, pad int) []byte {
+	n := len(snap) + pad
+	if cap(ic.img) < n {
+		ic.img = make([]byte, n)
+	} else if ic.img = ic.img[:n]; len(snap) < ic.snapLen {
+		clear(ic.img[len(snap):ic.snapLen]) // a shorter snapshot: re-zero what the last one left in the tail
+	}
+	ic.snapLen = copy(ic.img, snap)
+	return ic.img
 }
 
 // EncodeTo writes the payload for a checkpoint of img into w and returns it
@@ -59,61 +81,58 @@ func (ic *IncCapture) Commit(index int, img []byte, prev int) {
 	ic.prevIndex = index
 }
 
-// ReconstructState replays the base+delta chain ending at index: read
-// resolves an index to its durable payload and chain pointer (decoding the
-// file's envelope), and the returned image is the full checkpoint state.
-// Errors name the chain link that failed to resolve — the delta round a
-// broken chain points at.
-func ReconstructState(read func(index int) (payload []byte, prev int, err error), index int) ([]byte, error) {
-	var chain [][]byte
-	for idx := index; ; {
-		payload, prev, err := read(idx)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: delta chain for checkpoint %d broken at link %d: %w", index, idx, err)
-		}
-		chain = append(chain, payload)
-		if prev == 0 {
-			break
-		}
-		if prev >= idx || len(chain) >= BaseEvery {
-			return nil, fmt.Errorf("ckpt: delta chain for checkpoint %d malformed at link %d (prev %d, length %d)",
-				index, idx, prev, len(chain))
-		}
-		idx = prev
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	img, err := codec.ReconstructImage(chain)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: replaying delta chain for checkpoint %d: %w", index, err)
-	}
-	return img, nil
+// Replayer reconstructs incremental checkpoints from their durable chains
+// into buffers it owns: the image under replay, and one buffer per chain link
+// for fetches that copy (the oracle's Peek). The image it returns is borrowed
+// until its next reconstruction. Recovery, which reconstructs once per rank,
+// uses a fresh zero value.
+type Replayer struct {
+	codec codec.Replayer
+	links [BaseEvery][]byte
 }
 
-// ReconstructCkpt replays the chain ending at rank's checkpoint index as the
-// variant laid it out on stable storage: fetch returns one durable file's
-// bytes by path (a storage read, or the oracle's Peek). It returns the full
-// image and the decoded head file, whose Lib a restore also needs.
-func ReconstructCkpt(v Variant, rank, index int, fetch func(path string) ([]byte, error)) ([]byte, CkptFile, error) {
+// ReconstructCkpt replays the base+delta chain ending at rank's checkpoint
+// index as the variant laid it out on stable storage, following each file's
+// Prev pointer — never assuming the cadence. fetch returns one durable file's
+// bytes by path: a storage read's borrow, or a copy appended to buf[:0], which
+// is then that link's buffer again at the next reconstruction. It returns the
+// full image and the decoded head file, whose Lib a restore also needs.
+// Errors name the chain link that failed to resolve — the delta round a
+// broken chain points at.
+func (rp *Replayer) ReconstructCkpt(v Variant, rank, index int, fetch func(path string, buf []byte) ([]byte, error)) ([]byte, CkptFile, error) {
 	var head CkptFile
-	img, err := ReconstructState(func(idx int) ([]byte, int, error) {
+	chain := make([][]byte, 0, BaseEvery)
+	for idx := index; ; {
 		path := v.StatePath(rank, idx)
-		data, err := fetch(path)
-		if err != nil {
-			return nil, 0, err
+		data, err := fetch(path, rp.links[len(chain)])
+		var f CkptFile
+		if err == nil {
+			rp.links[len(chain)] = data
+			f, err = DecodeCkptFile(v, data)
 		}
-		f, err := DecodeCkptFile(v, data)
-		if err != nil {
-			return nil, 0, err
+		if err == nil && f.Index != idx {
+			err = fmt.Errorf("%s holds index %d, want %d", path, f.Index, idx)
 		}
-		if f.Index != idx {
-			return nil, 0, fmt.Errorf("%s holds index %d, want %d", path, f.Index, idx)
+		if err != nil {
+			return nil, head, fmt.Errorf("ckpt: delta chain for checkpoint %d broken at link %d: %w", index, idx, err)
 		}
 		if idx == index {
 			head = f
 		}
-		return f.State, f.Prev, nil
-	}, index)
-	return img, head, err
+		chain = append(chain, f.State)
+		if f.Prev == 0 {
+			break
+		}
+		if f.Prev >= idx || len(chain) >= BaseEvery {
+			return nil, head, fmt.Errorf("ckpt: delta chain for checkpoint %d malformed at link %d (prev %d, length %d)",
+				index, idx, f.Prev, len(chain))
+		}
+		idx = f.Prev
+	}
+	slices.Reverse(chain)
+	img, err := rp.codec.Replay(chain)
+	if err != nil {
+		return nil, head, fmt.Errorf("ckpt: replaying delta chain for checkpoint %d: %w", index, err)
+	}
+	return img, head, nil
 }

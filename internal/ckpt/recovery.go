@@ -86,7 +86,7 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 						// Replay the base+delta chain ending at the committed
 						// round: each slot file names the round it was encoded
 						// against, so the walk needs no cadence assumptions.
-						img, _, err := ReconstructCkpt(v, rank, round, func(path string) ([]byte, error) {
+						img, _, err := new(Replayer).ReconstructCkpt(v, rank, round, func(path string, _ []byte) ([]byte, error) {
 							st := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
 							rep.StateBytes += int64(len(st.Data))
 							return st.Data, st.Err

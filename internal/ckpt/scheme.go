@@ -562,15 +562,11 @@ const CoordMetaPath = "coord/meta"
 // write() loop behaves over a file server.
 const writeSegment = 64 * 1024
 
-// PadImage appends the machine's fixed process-image bytes to a serialized
+// padImage appends the machine's fixed process-image bytes to a serialized
 // application state: a checkpoint saves the process, not just its arrays.
 // Decoders read length-prefixed fields, so the trailing padding is inert on
-// recovery. (Exported so the correctness oracle can rebuild the image a
-// delta chain must replay to.)
-func PadImage(state []byte, imageBytes int) []byte {
-	if imageBytes <= 0 {
-		return state
-	}
+// recovery.
+func padImage(state []byte, imageBytes int) []byte {
 	return append(state, make([]byte, imageBytes)...)
 }
 

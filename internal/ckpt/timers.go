@@ -302,14 +302,19 @@ const (
 type ckptCapture struct {
 	index int
 	kind  int
-	deps  []Dep  // receive edges of the interval this checkpoint closes
-	state []byte // the record's state section: padded image, or base/delta payload
+	deps  []Dep // receive edges of the interval this checkpoint closes
 	lib   []byte
 	prev  int
 
-	// Incremental capture only: img is the padded image that becomes the
-	// diff baseline once the file is durable; state aliases scratch's pooled
-	// buffer until the daemon has embedded it in the file.
+	// The record's state section is state followed by pad zero bytes. Under
+	// full capture state is the bare snapshot and pad the process image's
+	// size: the padded image is never built on this side of the record
+	// encode. Under incremental capture state is the base/delta payload (pad
+	// 0), aliasing scratch's pooled buffer until it is embedded in the file,
+	// and img the padded image — in the node's IncCapture buffer — that
+	// becomes the diff baseline once the file is durable.
+	state   []byte
+	pad     int
 	img     []byte
 	scratch *codec.Writer
 
@@ -317,24 +322,26 @@ type ckptCapture struct {
 	gate     *sim.Gate // opened on completion when the application is waiting
 }
 
+// stateBytes is the size of the record's state section.
+func (c *ckptCapture) stateBytes() int { return len(c.state) + c.pad }
+
 // captureImage is the step every driver's capture shares: snapshot the
-// program at index, pad it to the machine's process image and — under
-// incremental capture — encode the base or delta payload against the last
-// durable image into pooled scratch (which the caller frees once the payload
-// is embedded in the file). Runs in the application's context, like every
-// state capture in the library.
-func captureImage(n *par.Node, v Variant, inc **IncCapture, index int) (state []byte, prev int, img []byte, scratch *codec.Writer) {
-	state = PadImage(par.SnapshotAt(n.Snap, index), n.M.Cfg.CkptImageBytes)
+// program at c.index and — under incremental capture — pad it to the
+// machine's process image and encode the base or delta payload against the
+// last durable image into pooled scratch (which the caller frees once the
+// payload is embedded in the file). Runs in the application's context, like
+// every state capture in the library.
+func (c *ckptCapture) captureImage(n *par.Node, v Variant, inc **IncCapture) {
+	c.state, c.pad = par.SnapshotAt(n.Snap, c.index), max(n.M.Cfg.CkptImageBytes, 0)
 	if !v.Incremental() {
-		return state, 0, nil, nil // full-image write; nothing to retain for diffing
+		return // nothing to retain for diffing
 	}
 	if *inc == nil {
 		*inc = NewIncCapture(par.StatePageSizeOf(n.Snap))
 	}
-	img = state
-	scratch = codec.GetWriter()
-	state, prev = (*inc).EncodeTo(scratch, img)
-	return state, prev, img, scratch
+	c.img, c.pad = (*inc).Image(c.state, c.pad), 0
+	c.scratch = codec.GetWriter()
+	c.state, c.prev = (*inc).EncodeTo(c.scratch, c.img)
 }
 
 // capture closes the current checkpoint interval at tn.index: its receive
@@ -353,7 +360,7 @@ func (tn *timerNode) capture(kind int) *ckptCapture {
 		return c.deps[i].SrcIndex < c.deps[j].SrcIndex
 	})
 	tn.deps = make(map[Dep]struct{})
-	c.state, c.prev, c.img, c.scratch = captureImage(tn.n, tn.s.v, &tn.inc, tn.index)
+	c.captureImage(tn.n, tn.s.v, &tn.inc)
 	if tn.n.Lib != nil {
 		c.lib = tn.n.Lib.Snapshot()
 		if lc, ok := tn.n.Lib.(interface{ LastConsumedSSN() []uint64 }); ok && tn.s.v.SenderLog {
@@ -370,7 +377,7 @@ func (tn *timerNode) capture(kind int) *ckptCapture {
 func (tn *timerNode) save(p *sim.Proc, c *ckptCapture) {
 	s := tn.s
 	if s.v.MemBuffered() {
-		d := tn.n.M.MemCopyTime(len(c.state))
+		d := tn.n.M.MemCopyTime(c.stateBytes())
 		msp := s.m.Obs.Start(tn.n.ID, obs.TidApp, "ckpt.memcopy")
 		p.Sleep(d)
 		msp.End()
@@ -406,7 +413,7 @@ func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 		defer c.scratch.Free()
 		s := tn.s
 		k := c.index
-		data := encodeCkptFile(s.v, CkptFile{Index: k, Prev: c.prev, Deps: c.deps, State: c.state, Lib: c.lib})
+		data := encodeCkptFile(s.v, CkptFile{Index: k, Prev: c.prev, Deps: c.deps, State: c.state, Lib: c.lib}, c.pad)
 		wsp := s.m.Obs.Start(tn.n.ID, obs.TidDaemon, "ckpt.disk_write").WithArg("index", int64(k))
 		err := writeSegmentedChecked(p, tn.n, s.v.StatePath(tn.n.ID, k), data, false)
 		wsp.End()
@@ -425,9 +432,9 @@ func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 			}
 			return
 		}
-		s.m.Obs.Add(tn.n.ID, "ckpt.state_bytes", int64(len(c.state)))
+		s.m.Obs.Add(tn.n.ID, "ckpt.state_bytes", int64(c.stateBytes()))
 		s.m.Obs.InstantArg(tn.n.ID, obs.TidDaemon, "ckpt.commit", "index", int64(k))
-		s.stats.StateBytes += int64(len(c.state))
+		s.stats.StateBytes += int64(c.stateBytes())
 		if c.kind != kindFinal {
 			// Termination checkpoints complete after the measured execution
 			// and must not inflate the completed-checkpoint normalization.
@@ -435,7 +442,7 @@ func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 		}
 		rec := Record{
 			Rank: tn.n.ID, Index: k, At: p.Now(),
-			StateBytes: len(c.state), Deps: c.deps, Prev: c.prev,
+			StateBytes: c.stateBytes(), Deps: c.deps, Prev: c.prev,
 		}
 		s.records = append(s.records, rec)
 		if s.v.Incremental() {

@@ -22,6 +22,12 @@ type Writer struct {
 // NewWriter returns an empty writer.
 func NewWriter() *Writer { return &Writer{} }
 
+// NewWriterSize returns an empty writer with room for n bytes: a stream of
+// known size is then built in the one buffer it ends up in. The reservation
+// is cleared like any allocation, so it pays only where the stream would
+// otherwise be re-grown (see vector).
+func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
+
 // Reset empties the writer for reuse, retaining its buffer capacity. The
 // next stream is counted toward the perf byte counters independently of the
 // previous one. Slices previously returned by Bytes alias the retained
@@ -73,6 +79,15 @@ func (w *Writer) Bool(v bool) {
 func (w *Writer) Bytes8(b []byte) {
 	w.Int(len(b))
 	w.buf = append(w.buf, b...)
+}
+
+// Bytes8Pad appends b followed by pad zero bytes as one length-prefixed byte
+// slice: what Bytes8 of the padded slice would, without materialising it.
+func (w *Writer) Bytes8Pad(b []byte, pad int) {
+	w.Int(len(b) + pad)
+	w.buf = slices.Grow(append(w.buf, b...), pad)
+	w.buf = w.buf[:len(w.buf)+pad]
+	clear(w.buf[len(w.buf)-pad:])
 }
 
 // String appends a length-prefixed string.

@@ -50,12 +50,15 @@ func EncodeBaseImageTo(w *Writer, cur []byte) []byte {
 }
 
 // DecodeBaseImage decodes a payload produced by EncodeBaseImage.
-func DecodeBaseImage(payload []byte) ([]byte, error) {
+func DecodeBaseImage(payload []byte) ([]byte, error) { return decodeBaseImage(nil, payload) }
+
+// decodeBaseImage decodes a base payload into buf's storage (see readZeroRLE).
+func decodeBaseImage(buf, payload []byte) ([]byte, error) {
 	r := NewReader(payload)
 	if m := r.U64(); r.err == nil && m != baseMagic {
 		return nil, fmt.Errorf("codec: not a base image (magic %#x)", m)
 	}
-	img := readZeroRLE(r)
+	img := readZeroRLE(r, buf)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -138,10 +141,51 @@ func EncodeDeltaTo(w *Writer, prev, cur []byte, pageSize int) []byte {
 	return w.Bytes()
 }
 
+// Replayer replays checkpoint chains into buffers it owns and reuses, so a
+// caller that replays chain after chain (the oracle's auditor) allocates only
+// while they grow. An image it returns is borrowed: valid until the next
+// Replay. The zero value is ready to use and allocates like the one-shot
+// functions below, which are this code on a fresh value.
+type Replayer struct {
+	img  []byte // the image under reconstruction
+	page []byte // one decoded delta page, between its decode and its checks
+}
+
+// Replay replays a full chain — a base payload followed by its deltas in
+// commit order — and returns the final image.
+func (rp *Replayer) Replay(chain [][]byte) ([]byte, error) {
+	if len(chain) == 0 {
+		return nil, fmt.Errorf("codec: empty checkpoint chain")
+	}
+	img, err := decodeBaseImage(rp.img, chain[0])
+	if err != nil {
+		return nil, err
+	}
+	for i, d := range chain[1:] {
+		img, err = rp.applyDelta(img, true, d)
+		if err != nil {
+			return nil, fmt.Errorf("codec: applying chain link %d: %w", i+1, err)
+		}
+	}
+	rp.img = img
+	return img, nil
+}
+
+// ReconstructImage replays a full chain into a fresh image.
+func ReconstructImage(chain [][]byte) ([]byte, error) { return new(Replayer).Replay(chain) }
+
 // ApplyDelta reconstructs the next image in a chain from the previous image
 // and a delta payload. It errors (never panics) on corrupt payloads and on
 // chain mismatches (the delta was not encoded against an image of len(prev)).
+// prev is only read; the result is fresh.
 func ApplyDelta(prev, payload []byte) ([]byte, error) {
+	return new(Replayer).applyDelta(prev, false, payload)
+}
+
+// applyDelta is ApplyDelta; inPlace lets the result reuse prev's storage when
+// its capacity holds the new image (a failed payload then leaves prev partly
+// overwritten, which only a caller that discards it on error may allow).
+func (rp *Replayer) applyDelta(prev []byte, inPlace bool, payload []byte) ([]byte, error) {
 	r := NewReader(payload)
 	if m := r.U64(); r.err == nil && m != deltaMagic {
 		return nil, fmt.Errorf("codec: not a delta image (magic %#x)", m)
@@ -166,15 +210,24 @@ func ApplyDelta(prev, payload []byte) ([]byte, error) {
 	if npages < 0 || npages > maxPages {
 		return nil, fmt.Errorf("codec: delta page count %d out of range (image holds %d pages)", npages, maxPages)
 	}
-	out := make([]byte, total)
-	copy(out, prev)
+	var out []byte
+	if inPlace && cap(prev) >= total {
+		out = prev[:total]
+		if total > len(prev) {
+			clear(out[len(prev):]) // zero-extension; the storage is dirty scratch
+		}
+	} else {
+		out = make([]byte, total)
+		copy(out, prev)
+	}
 	last := -1
 	for i := 0; i < npages; i++ {
 		idx := r.Int()
-		page := readZeroRLE(r)
+		page := readZeroRLE(r, rp.page)
 		if r.err != nil {
 			return nil, r.err
 		}
+		rp.page = page
 		if idx <= last || idx >= maxPages {
 			return nil, fmt.Errorf("codec: delta page index %d out of order or range", idx)
 		}
@@ -193,25 +246,6 @@ func ApplyDelta(prev, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("codec: %d trailing bytes after delta image", r.Remaining())
 	}
 	return out, nil
-}
-
-// ReconstructImage replays a full chain — a base payload followed by its
-// deltas in commit order — and returns the final image.
-func ReconstructImage(chain [][]byte) ([]byte, error) {
-	if len(chain) == 0 {
-		return nil, fmt.Errorf("codec: empty checkpoint chain")
-	}
-	img, err := DecodeBaseImage(chain[0])
-	if err != nil {
-		return nil, err
-	}
-	for i, d := range chain[1:] {
-		img, err = ApplyDelta(img, d)
-		if err != nil {
-			return nil, fmt.Errorf("codec: applying chain link %d: %w", i+1, err)
-		}
-	}
-	return img, nil
 }
 
 // writeZeroRLE appends b as a zero-run-compressed stream: the decoded length,
@@ -245,9 +279,11 @@ func writeZeroRLE(w *Writer, b []byte) {
 	}
 }
 
-// readZeroRLE decodes a stream written by writeZeroRLE, setting the reader's
-// sticky error on any malformed field.
-func readZeroRLE(r *Reader) []byte {
+// readZeroRLE decodes a stream written by writeZeroRLE into buf's storage —
+// reallocated when too small, overwritten from its start otherwise: every
+// literal is copied and every zero run cleared, so dirty scratch is fine —
+// setting the reader's sticky error on any malformed field.
+func readZeroRLE(r *Reader, buf []byte) []byte {
 	n := r.Int()
 	if r.err != nil {
 		return nil
@@ -256,7 +292,10 @@ func readZeroRLE(r *Reader) []byte {
 		r.err = fmt.Errorf("codec: zero-RLE length %d out of range", n)
 		return nil
 	}
-	out := make([]byte, 0, n)
+	out := buf[:0]
+	if cap(out) < n {
+		out = make([]byte, 0, n)
+	}
 	for len(out) < n {
 		lit := r.Int()
 		if r.err != nil {
@@ -276,7 +315,8 @@ func readZeroRLE(r *Reader) []byte {
 			r.err = fmt.Errorf("codec: zero-RLE run length %d out of range", zeros)
 			return nil
 		}
-		out = append(out, make([]byte, zeros)...)
+		out = out[:len(out)+zeros] // within capacity: zeros <= n-len(out)
+		clear(out[len(out)-zeros:])
 	}
 	return out
 }

@@ -182,14 +182,21 @@ func FuzzDeltaCodecRoundTrip(f *testing.F) {
 			t.Fatalf("delta round trip: %v", err)
 		}
 
-		// Hostile payloads error, never panic: the raw inputs, truncations of
-		// a genuine delta, and single-byte corruptions of one.
+		// Replay through poisoned scratch of every size, twice, is the
+		// allocating reference's replay, and ApplyDelta only reads prev.
+		checkReplay(t, [][]byte{EncodeBaseImage(prev), d, EncodeDelta(cur, prev, pageSize)})
+		checkApplyDelta(t, prev, d)
+
+		// Hostile payloads error — as the reference does, to the letter —
+		// never panic: the raw inputs, truncations of a genuine delta, and
+		// single-byte corruptions of one.
 		_, _ = DecodeBaseImage(prev)
-		_, _ = ApplyDelta(cur, prev)
-		_, _ = ReconstructImage([][]byte{prev, cur})
+		checkApplyDelta(t, cur, prev)
+		checkReplay(t, [][]byte{prev, cur})
 		for _, cut := range []int{0, 7, 8, len(d) / 2, len(d) - 1} {
 			if cut >= 0 && cut < len(d) {
-				_, _ = ApplyDelta(prev, d[:cut])
+				checkApplyDelta(t, prev, d[:cut])
+				checkReplay(t, [][]byte{EncodeBaseImage(prev), d[:cut]})
 			}
 		}
 		if len(d) > 8 {
@@ -198,7 +205,7 @@ func FuzzDeltaCodecRoundTrip(f *testing.F) {
 			// may still parse — but it must never panic.
 			bad := append([]byte(nil), d...)
 			bad[8+len(bad)%8] ^= 0xff
-			_, _ = ApplyDelta(prev, bad)
+			checkApplyDelta(t, prev, bad)
 		}
 	})
 }

@@ -10,11 +10,16 @@ import "sync"
 // in flight, a timed-out storage call can leave an abandoned request that
 // the server copies from later, and sender-based logging retains message
 // bodies for replay — none of these have a trackable death point, so their
-// writers are plain NewWriter allocations. But *scratch* streams — an
-// incremental payload that is embedded (copied) into an enclosing checkpoint
-// file and then dead, a vector encoded only to be compared — die at a
-// specific statement, and those call sites bracket the encode with
-// GetWriter/Free so steady-state encoding allocates nothing.
+// writers are plain NewWriter allocations (NewWriterSize for a checkpoint
+// record, whose size is known: fresh every time, built once, in place). But
+// *scratch* streams — an incremental payload that is embedded (copied) into
+// an enclosing checkpoint file and then dead, a vector encoded only to be
+// compared — die at a specific statement, and those call sites bracket the
+// encode with GetWriter/Free so steady-state encoding allocates nothing. A
+// third class needs no list at all: a buffer with one owner that outlives its
+// uses — a Replayer's image and page, an incremental capture's padded image,
+// the scratch handed to storage's Peek — is simply reused by its owner, and
+// what it lends out is valid until the owner's next use.
 //
 // The list is process-global and mutex-guarded because benchmark cells
 // encode concurrently; it is deliberately not a sync.Pool, whose GC-driven

@@ -18,7 +18,8 @@ type store interface {
 	PeakOccupied() int64
 	Stats() (reqs, written, read int64, busy sim.Duration)
 	DurablePaths() []string
-	Peek(path string) ([]byte, bool)
+	Peek(path string, buf []byte) ([]byte, bool)
+	Size(path string) (int, bool)
 }
 
 // diffPaths collide on purpose: few names, one a prefix of two others, so
@@ -76,6 +77,7 @@ func diffRun(t testing.TB, script []byte, mk func(*sim.Engine) store) []observat
 		seen        []observation
 		borrows     []borrow
 		outstanding int
+		peekBuf     []byte
 	)
 	window := func(b []byte) []byte {
 		if exact {
@@ -91,9 +93,16 @@ func diffRun(t testing.TB, script []byte, mk func(*sim.Engine) store) []observat
 		}
 		o.Reqs, o.Written, o.Read, o.Busy = srv.Stats()
 		if peek {
+			// Every peek of the run goes into one scratch buffer, dirty from
+			// the last; Size must agree with what Peek copied out.
 			for _, path := range diffPaths {
-				if data, ok := srv.Peek(path); ok {
-					o.Peeks = append(o.Peeks, "="+string(data))
+				var ok bool
+				peekBuf, ok = srv.Peek(path, peekBuf)
+				if size, sok := srv.Size(path); sok != ok || size != len(peekBuf) {
+					t.Fatalf("step %d: Size(%q) = %d, %v; Peek copied %d bytes, %v", step, path, size, sok, len(peekBuf), ok)
+				}
+				if ok {
+					o.Peeks = append(o.Peeks, "="+string(peekBuf))
 				} else {
 					o.Peeks = append(o.Peeks, "-")
 				}

@@ -138,9 +138,14 @@ func (s *refServer) Stats() (reqs, written, read int64, busy sim.Duration) {
 	return s.reqCount, s.bytesWritten, s.bytesRead, s.busy
 }
 
-func (s *refServer) Peek(path string) ([]byte, bool) {
+func (s *refServer) Peek(path string, buf []byte) ([]byte, bool) {
 	data, ok := s.files[path]
-	return data, ok
+	return append(buf[:0], data...), ok
+}
+
+func (s *refServer) Size(path string) (int, bool) {
+	data, ok := s.files[path]
+	return len(data), ok
 }
 
 func (s *refServer) DurablePaths() []string {

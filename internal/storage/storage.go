@@ -13,6 +13,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 
@@ -256,7 +257,8 @@ func (s *Server) apply(p *sim.Proc, req Request) Reply {
 			return Reply{Err: ErrNotFound}
 		}
 		delete(s.tmp, req.Path)
-		s.occupy(f.size - s.durableSize(req.Path))
+		old, _ := s.Size(req.Path)
+		s.occupy(f.size - old)
 		s.files[req.Path] = f
 		return Reply{Size: f.size}
 	case OpRead:
@@ -273,7 +275,8 @@ func (s *Server) apply(p *sim.Proc, req Request) Reply {
 		return Reply{Data: f.blob(), Size: f.size}
 	case OpDelete:
 		delete(s.tmp, req.Path)
-		s.occupy(-s.durableSize(req.Path))
+		old, _ := s.Size(req.Path)
+		s.occupy(-old)
 		delete(s.files, req.Path)
 		return Reply{}
 	case OpList:
@@ -293,14 +296,6 @@ func (s *Server) apply(p *sim.Proc, req Request) Reply {
 		return Reply{Size: f.size}
 	}
 	return Reply{Err: errors.New("storage: unknown op")}
-}
-
-// durableSize returns the size of durable path, 0 if there is none.
-func (s *Server) durableSize(path string) int {
-	if f := s.files[path]; f != nil {
-		return f.size
-	}
-	return 0
 }
 
 // occupy records that the durable area grew by n bytes (shrank, if negative).
@@ -333,17 +328,33 @@ func (s *Server) QueueLen() int { return s.reqs.Len() }
 // NumFiles returns the number of durable files.
 func (s *Server) NumFiles() int { return len(s.files) }
 
-// Peek returns the durable contents of path without consuming simulated
-// time or passing through the request queue. It exists for the correctness
-// oracle (package check) and tests: invariant checks must inspect the
-// durable area exactly as a post-crash recovery would see it, but must not
-// perturb the schedule of the run being checked.
-func (s *Server) Peek(path string) ([]byte, bool) {
+// Peek appends the durable contents of path to buf[:0] and returns the result,
+// without consuming simulated time or passing through the request queue. It
+// exists for the correctness oracle (package check) and tests: invariant
+// checks must inspect the durable area exactly as a post-crash recovery would
+// see it, but must not perturb the schedule of the run being checked — nor
+// the server: unlike a read, a peek copies the extents out and leaves the file
+// as it found it. The copy is the caller's, valid until it peeks into the same
+// buffer again.
+func (s *Server) Peek(path string, buf []byte) ([]byte, bool) {
 	f, ok := s.files[path]
 	if !ok {
-		return nil, false
+		return buf[:0], false
 	}
-	return f.blob(), true
+	buf = slices.Grow(buf[:0], f.size)
+	for _, e := range f.extents {
+		buf = append(buf, e...)
+	}
+	return buf, true
+}
+
+// Size returns the size of durable path, at Peek's (zero) cost.
+func (s *Server) Size(path string) (int, bool) {
+	f, ok := s.files[path]
+	if !ok {
+		return 0, false
+	}
+	return f.size, true
 }
 
 // DurablePaths returns the sorted paths of the durable area (test and

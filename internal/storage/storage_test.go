@@ -163,3 +163,49 @@ func TestOverwriteReplaces(t *testing.T) {
 		t.Fatalf("read %q", r.Data)
 	}
 }
+
+// TestPeekLeavesFileAsFound: a peek copies a file's extents out and is not an
+// operation on the server — the extent list (same slices, same order), the
+// occupancy and the request count are what they were, whatever the scratch
+// handed in; a read, by contrast, lawfully joins the extents.
+func TestPeekLeavesFileAsFound(t *testing.T) {
+	e := sim.New()
+	defer e.Shutdown()
+	s := New(e, testConfig())
+	want := []byte("onetwothree")
+	for _, seg := range []string{"one", "two", "three"} {
+		do(t, e, s, Request{Op: OpAppend, Path: "f", Data: []byte(seg), Durable: true})
+	}
+	f := s.files["f"]
+	extents := append([][]byte(nil), f.extents...)
+	occupied, reqs := s.Occupied(), s.reqCount
+	for _, buf := range [][]byte{nil, make([]byte, 0, 4), bytes.Repeat([]byte{0xFF}, 64)} {
+		got, ok := s.Peek("f", buf)
+		if size, sok := s.Size("f"); !ok || !sok || size != len(want) || !bytes.Equal(got, want) {
+			t.Fatalf("Peek = %q, %v; Size = %d, %v", got, ok, size, sok)
+		}
+		if len(buf) >= len(want) && &got[0] != &buf[0] {
+			t.Error("Peek allocated although the scratch had room")
+		}
+	}
+	if got, ok := s.Peek("missing", []byte("scratch")); ok || len(got) != 0 {
+		t.Fatalf("Peek of a missing file = %q, %v", got, ok)
+	}
+	if _, ok := s.Size("missing"); ok {
+		t.Fatal("Size reports a missing file")
+	}
+	if len(f.extents) != len(extents) || s.files["f"] != f {
+		t.Fatalf("file has %d extents after peeking, had %d", len(f.extents), len(extents))
+	}
+	for i := range extents {
+		if &f.extents[i][0] != &extents[i][0] || len(f.extents[i]) != len(extents[i]) {
+			t.Fatalf("extent %d replaced by peeking", i)
+		}
+	}
+	if s.Occupied() != occupied || s.reqCount != reqs {
+		t.Fatalf("occupied %d -> %d, requests %d -> %d across peeks", occupied, s.Occupied(), reqs, s.reqCount)
+	}
+	if r := do(t, e, s, Request{Op: OpRead, Path: "f"}); !bytes.Equal(r.Data, want) || len(f.extents) != 1 {
+		t.Fatalf("read after peeks: %q in %d extents", r.Data, len(f.extents))
+	}
+}
