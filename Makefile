@@ -20,8 +20,10 @@ race:
 # files and channel logs, and the scheme-name resolver — plus the three
 # differentials against retired reference implementations: the engine's event
 # queue (4-ary heap vs container/heap), the fabric's virtual schedule
-# (event-driven flights vs a courier process per message) and the storage
-# server's files (extent lists vs one flat slice per file) — and the engine's
+# (event-driven flights vs a courier process per message), the storage
+# server's files (extent lists of the gathered slices it is handed vs one flat,
+# copied slice per file) and the checkpoint writer's requests (gathered from a
+# file's slice list vs the flat loop over one buffer) — and the engine's
 # ordering contract under generated programs (strict (at, push) order across
 # the heap and the current-instant lane). The Go fuzzer allows one target per
 # invocation, hence one run each.
@@ -30,6 +32,7 @@ fuzz:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDeltaCodecRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz FuzzCkptFileDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt -run '^$$' -fuzz FuzzSegmentParts -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bench -run '^$$' -fuzz FuzzVariantParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME)
@@ -75,9 +78,11 @@ bench-perf:
 	$(GO) run ./cmd/chkperf $(PERFFLAGS)
 
 # Allocation gate: the testing.AllocsPerRun pins for the engine, fabric, codec
-# and collective hot paths, the bytes allocated per byte the storage server is
-# appended and per byte of checkpoint file a capture builds, and per audited
-# incremental commit, plus a microbenchmark smoke of the event queue, the
+# and collective hot paths; that the storage server allocates nothing of a
+# segment's size for a file appended to it, and a full-image capture (local
+# timers and coordinated) at most 0.05 bytes per byte of the file it gathers;
+# the per-capture and per-audited-commit pins of the incremental schemes; plus
+# a microbenchmark smoke of the event queue, the
 # fabric's send path and the payload codecs — all under the race detector. A
 # failure here means a change re-introduced steady-state allocation (or broke
 # the queue/codec) before the perf trajectory would have surfaced it.

@@ -50,6 +50,11 @@ func TestIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every checkpoint file of every cell above padded its image with borrows
+	// of one shared page, from as many workers as the runner has.
+	if !ckpt.ZeroPageIntact() {
+		t.Error("the shared zero page was written during the run")
+	}
 	sections := readIdentity(t)
 	if *updateIdentity {
 		sections[section] = got

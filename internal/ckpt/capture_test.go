@@ -2,12 +2,27 @@ package ckpt
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"runtime"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/par"
+	"repro/internal/storage"
 )
+
+// TestMain holds the package to the zero page's contract after every test has
+// run — schemes, recoveries and decoders over machines that all borrowed it:
+// nobody wrote a byte of it.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if !ZeroPageIntact() {
+		fmt.Fprintln(os.Stderr, "FAIL: the shared zero page was written: some holder of checkpoint file bytes is not read-only")
+		code = 1
+	}
+	os.Exit(code)
+}
 
 // refEncodeCkptFile is the record encoder as it was while the padded image was
 // materialised before the encode: f.State is the whole state section.
@@ -27,32 +42,99 @@ func refEncodeCkptFile(v Variant, f CkptFile) []byte {
 	return w.Bytes()
 }
 
-// TestEncodeCkptFilePadsInPlace: writing the pad inside the record encode gives
-// the bytes the old encode gave for the materialised padded state, in a buffer
-// of exactly the record's size, and the result decodes to that padded state.
+// padImage is the padded process image as captures materialised it before
+// files were gathered: the reference the gathered files are held to.
+func padImage(state []byte, imageBytes int) []byte {
+	return append(state, make([]byte, imageBytes)...)
+}
+
+// flatCkptFile is the record as one contiguous buffer, for tests that decode
+// it or compare it whole.
+func flatCkptFile(v Variant, f CkptFile, pad int) []byte {
+	return bytes.Join(encodeCkptFile(v, f, pad), nil)
+}
+
+// sameBytes reports whether a and b are the same memory, not just equal.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// TestEncodeCkptFilePadsInPlace: the gathered record joins to the bytes the
+// old encode gave for the materialised padded state and decodes to that state,
+// and it is gathered, not built — a full-image record lends the snapshot as it
+// is and pads with runs of the shared zero page, an incremental record embeds
+// its payload (which lives in pooled scratch) and is one exactly sized buffer.
 func TestEncodeCkptFilePadsInPlace(t *testing.T) {
 	deps := []Dep{{SrcRank: 3, SrcIndex: 7}, {SrcRank: 0, SrcIndex: 1}}
 	for _, v := range []Variant{Indep, IndepInc} {
-		for _, pad := range []int{0, 1, 65536} {
+		for _, pad := range []int{0, 1, writeSegment, writeSegment + 1, 3 * writeSegment} {
 			for _, stateLen := range []int{-1, 1, 4097} {
 				var state []byte // -1: nil
 				if stateLen >= 0 {
 					state = bytes.Repeat([]byte{0xA5}, stateLen)
 				}
 				f := CkptFile{Index: 9, Prev: 8, Deps: deps, State: state, Lib: []byte("lib")}
-				got := encodeCkptFile(v, f, pad)
+				file := encodeCkptFile(v, f, pad)
+				got := bytes.Join(file, nil)
 				padded := f
 				padded.State = padImage(bytes.Clone(state), pad)
 				if want := refEncodeCkptFile(v, padded); !bytes.Equal(got, want) {
 					t.Fatalf("%v pad %d state %d: %d bytes, the padded state encodes to %d", v, pad, stateLen, len(got), len(want))
 				}
-				if cap(got) != len(got) {
-					t.Errorf("%v pad %d state %d: record of %d bytes in a buffer of %d", v, pad, stateLen, len(got), cap(got))
+				lent, zeros, owned := 0, 0, 0
+				for _, part := range file {
+					switch {
+					case len(state) > 0 && sameBytes(part, state):
+						lent++
+					case len(part) > 0 && sameBytes(part, zeroPage[:len(part)]):
+						zeros += len(part)
+					default:
+						owned += len(part)
+					}
+				}
+				wantLent, ownMax := 0, 8*5+16*len(deps)+len("lib")
+				if v.Incremental() {
+					ownMax += len(state)
+				} else if len(state) > 0 {
+					wantLent = 1
+				}
+				if lent != wantLent || zeros != pad {
+					t.Errorf("%v pad %d state %d: snapshot lent %d times (want %d), %d of %d pad bytes from the zero page",
+						v, pad, stateLen, lent, wantLent, zeros, pad)
+				}
+				if v.Incremental() && pad == 0 && (len(file) != 1 || cap(file[0]) != len(file[0])) {
+					t.Errorf("%v state %d: an incremental record in %d slices, the first %d bytes in a buffer of %d",
+						v, stateLen, len(file), len(file[0]), cap(file[0]))
+				}
+				if owned > ownMax {
+					t.Errorf("%v pad %d state %d: %d bytes of the record are its own, want <= %d", v, pad, stateLen, owned, ownMax)
 				}
 				back, err := DecodeCkptFile(v, got)
 				if err != nil || !bytes.Equal(back.State, padded.State) || string(back.Lib) != "lib" {
 					t.Fatalf("%v pad %d state %d: round trip: %v", v, pad, stateLen, err)
 				}
+			}
+		}
+	}
+}
+
+// TestEncodeRawImage: the coordinated full-image slot file is the snapshot,
+// lent, and the pad, from the zero page — joined, the padded image.
+func TestEncodeRawImage(t *testing.T) {
+	for _, pad := range []int{0, 5, writeSegment, 2*writeSegment + 9} {
+		for _, stateLen := range []int{0, 300, writeSegment} {
+			state := bytes.Repeat([]byte{0x5A}, stateLen)
+			file := encodeRawImage(state, pad)
+			if !sameBytes(file[0], state) {
+				t.Errorf("pad %d state %d: the file does not start with the snapshot as it is", pad, stateLen)
+			}
+			for _, part := range file[1:] {
+				if !sameBytes(part, zeroPage[:len(part)]) {
+					t.Errorf("pad %d state %d: a pad slice of %d bytes is not the zero page's", pad, stateLen, len(part))
+				}
+			}
+			if want := padImage(bytes.Clone(state), pad); !bytes.Equal(bytes.Join(file, nil), want) || fileLen(file) != len(want) {
+				t.Errorf("pad %d state %d: %d bytes, the padded image has %d", pad, stateLen, fileLen(file), len(want))
 			}
 		}
 	}
@@ -103,27 +185,57 @@ func TestIncCaptureImageReuse(t *testing.T) {
 	}
 }
 
-// TestAllocsTimerCapture pins the full-image capture at one buffer per durable
-// file: the snapshot, then the record it is padded into — not a padded image
-// and a record (2.2 bytes per byte of a ring state's file, before).
-func TestAllocsTimerCapture(t *testing.T) {
+// allocsPerFileByte captures rounds full-image checkpoints of a 256 B ring
+// state on a default machine (64 KiB process image), builds each one's file
+// and cuts it into its requests, and returns the bytes the host allocated per
+// byte of file.
+func allocsPerFileByte(t *testing.T, v Variant, build func(k int, c *ckptCapture) [][]byte) float64 {
+	t.Helper()
 	m := par.NewMachine(par.DefaultConfig())
 	defer m.Shutdown()
 	n := m.Nodes[0]
 	n.Snap = &sizedSnap{lens: []int{256}}
-	deps, lib := []Dep{{SrcRank: 1, SrcIndex: 2}}, make([]byte, 64)
 	const rounds = 64
 	written := 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for k := 1; k <= rounds; k++ {
 		c := ckptCapture{index: k}
-		c.captureImage(n, Indep, nil)
-		written += len(encodeCkptFile(Indep, CkptFile{Index: k, Deps: deps, State: c.state, Lib: lib}, c.pad))
+		c.captureImage(n, v, nil)
+		segmentFile("f", build(k, &c), func(req storage.Request, _ bool) { written += req.Len() })
 	}
 	runtime.ReadMemStats(&after)
-	if perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(written); perByte > 1.25 {
-		t.Fatalf("capturing %d full-image checkpoints allocated %.2f bytes per byte of file, want <= 1.25", rounds, perByte)
+	if want := rounds * (256 + m.Cfg.CkptImageBytes); written < want {
+		t.Fatalf("%d captures wrote %d bytes, want at least %d", rounds, written, want)
+	}
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(written)
+	t.Logf("%v: %d bytes allocated per capture, %.4f per byte of file", v, (after.TotalAlloc-before.TotalAlloc)/rounds, perByte)
+	return perByte
+}
+
+// TestAllocsTimerCapture pins the full-image capture at the snapshot and the
+// record's two small ends: the image's pad is borrowed, the snapshot lent and
+// a segment that straddles them gathered, so a ring state's file costs a few
+// hundred bytes — not a buffer of its own size (1.0 bytes per byte of file
+// before, 2.2 before that).
+func TestAllocsTimerCapture(t *testing.T) {
+	deps, lib := []Dep{{SrcRank: 1, SrcIndex: 2}}, make([]byte, 64)
+	perByte := allocsPerFileByte(t, Indep, func(k int, c *ckptCapture) [][]byte {
+		return encodeCkptFile(Indep, CkptFile{Index: k, Deps: deps, State: c.state, Lib: lib}, c.pad)
+	})
+	if perByte > 0.05 {
+		t.Fatalf("capturing a full-image checkpoint allocated %.3f bytes per byte of file, want <= 0.05", perByte)
+	}
+}
+
+// TestAllocsCoordCapture is the coordinated twin: the raw slot file is the
+// snapshot and the zero page, nothing else.
+func TestAllocsCoordCapture(t *testing.T) {
+	perByte := allocsPerFileByte(t, CoordNB, func(_ int, c *ckptCapture) [][]byte {
+		return encodeRawImage(c.state, c.pad)
+	})
+	if perByte > 0.05 {
+		t.Fatalf("capturing a coordinated full-image checkpoint allocated %.3f bytes per byte of file, want <= 0.05", perByte)
 	}
 }
 

@@ -535,7 +535,7 @@ func TestChanLogCodecRoundTrip(t *testing.T) {
 
 func TestIndepCkptCodecRoundTrip(t *testing.T) {
 	deps := []Dep{{SrcRank: 3, SrcIndex: 7}, {SrcRank: 0, SrcIndex: 1}}
-	f, err := DecodeCkptFile(Indep, encodeCkptFile(Indep, CkptFile{Index: 4, Deps: deps, State: []byte("state"), Lib: []byte("lib")}, 0))
+	f, err := DecodeCkptFile(Indep, flatCkptFile(Indep, CkptFile{Index: 4, Deps: deps, State: []byte("state"), Lib: []byte("lib")}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestCkptCodecRoundTrip(t *testing.T) {
 		{CoordNBInc, 8, inc},
 	} {
 		in := CkptFile{Index: 9, Prev: c.prev, Deps: deps, State: []byte("state"), Lib: []byte("lib")}
-		data := encodeCkptFile(c.v, in, 0)
+		data := flatCkptFile(c.v, in, 0)
 		if got := fmt.Sprintf("%x", data); got != c.want {
 			t.Errorf("%v: encoded\n  %s, want\n  %s", c.v, got, c.want)
 		}

@@ -566,19 +566,19 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 	c := ckptCapture{index: round}
 	c.captureImage(n, s.v, &cn.inc)
 	stateBytes, prev := c.stateBytes(), c.prev
-	var state []byte
+	var file [][]byte
 	if s.v.Incremental() {
 		// The slot file is a record carrying the chain pointer; the round's
 		// image becomes the diff baseline only at commit (pendingImg).
 		cn.pendingImg, cn.pendingPrev = c.img, prev
-		state = encodeCkptFile(s.v, CkptFile{Index: round, Prev: prev, State: c.state}, 0)
-		c.scratch.Free() // payload embedded (copied) into state above
+		file = encodeCkptFile(s.v, CkptFile{Index: round, Prev: prev, State: c.state}, 0)
+		c.scratch.Free() // payload embedded (copied) into file above
 	} else {
-		state = padImage(c.state, c.pad) // the slot file is the raw padded image
+		file = encodeRawImage(c.state, c.pad)
 	}
 	if s.v.MemBuffered() && p != nil {
 		// Main-memory checkpointing: the application pays only for the copy.
-		d := n.M.MemCopyTime(len(state))
+		d := n.M.MemCopyTime(fileLen(file))
 		msp := s.m.Obs.Start(n.ID, obs.TidApp, "ckpt.memcopy")
 		p.Sleep(d)
 		msp.End()
@@ -613,7 +613,7 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 		n.Send(p, fabric.NodeID(dst), par.PortDaemon, msgMarker{Round: round, Attempt: attempt, From: n.ID}, sizeCtl)
 	}
 	cn.maybeFinishLogging()
-	cn.jobs.Put(cn.writeStateJob(round, attempt, state, stateBytes, prev, cn.tokenGate, cn.appGate))
+	cn.jobs.Put(cn.writeStateJob(round, attempt, file, stateBytes, prev, cn.tokenGate, cn.appGate))
 	if p == nil {
 		return
 	}
@@ -631,7 +631,7 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 // old ones so a parked job unblocks, notices the attempt changed, and falls
 // through. A write failure that survives the retry budget nacks the
 // coordinator, which aborts the round.
-func (cn *coordNode) writeStateJob(round, attempt int, state []byte, stateBytes, prev int, tokenGate, appGate *sim.Gate) func(p *sim.Proc) {
+func (cn *coordNode) writeStateJob(round, attempt int, file [][]byte, stateBytes, prev int, tokenGate, appGate *sim.Gate) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		s := cn.s
 		if s.v.Write == WriteMemStagger {
@@ -643,7 +643,7 @@ func (cn *coordNode) writeStateJob(round, attempt int, state []byte, stateBytes,
 			return // aborted while queued or waiting for the token
 		}
 		wsp := s.m.Obs.Start(cn.n.ID, obs.TidDaemon, "ckpt.disk_write").WithArg("round", int64(round))
-		err := writeSegmentedChecked(p, cn.n, s.v.StatePath(cn.n.ID, round), state, true)
+		err := writeSegmentedChecked(p, cn.n, s.v.StatePath(cn.n.ID, round), file, true)
 		wsp.End()
 		if err != nil {
 			if cn.round == round && cn.attempt == attempt {

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/mp"
@@ -83,15 +84,54 @@ type CkptFile struct {
 	Lib   []byte // message-layer state (sequence counters, for log-based recovery)
 }
 
-// encodeCkptFile packs a checkpoint file for the variant, its state section
-// being f.State followed by pad zero bytes: the local-timer full-image path
-// passes the bare snapshot and the process image's size, so the padded image
-// exists only here, inside the record. The buffer is sized exactly and freshly
-// owned — the blob goes to stable storage (see codec/pool.go).
-func encodeCkptFile(v Variant, f CkptFile, pad int) []byte {
-	n := 8 + 8 + 16*len(f.Deps) + 8 + len(f.State) + pad + 8 + len(f.Lib)
+// zeroPage is the padding of every process image: one page of writeSegment
+// zero bytes that every checkpoint file's tail borrows, however many files are
+// in flight or stored, on however many machines of the process. It is shared
+// and immutable — nothing in the tree writes it, storage never writes an
+// extent, and readers of stored files treat what they borrow as read-only —
+// and the tests hold it to that after everything has run (ZeroPageIntact).
+var zeroPage = make([]byte, writeSegment)
+
+// ZeroPageIntact reports whether the shared zero page still holds only zeros.
+// A false answer means some holder of a checkpoint file's bytes — a stored
+// extent, a read borrow, a decoded State — was written; test binaries ask once
+// everything has run.
+func ZeroPageIntact() bool {
+	return !slices.ContainsFunc(zeroPage, func(b byte) bool { return b != 0 })
+}
+
+// appendZeros appends n zero bytes to file as borrows of zeroPage.
+func appendZeros(file [][]byte, n int) [][]byte {
+	for ; n > 0; n -= min(n, len(zeroPage)) {
+		file = append(file, zeroPage[:min(n, len(zeroPage))])
+	}
+	return file
+}
+
+// fileLen is the size of a checkpoint file held as the slices it is the
+// concatenation of.
+func fileLen(file [][]byte) int {
+	n := 0
+	for _, part := range file {
+		n += len(part)
+	}
+	return n
+}
+
+// encodeCkptFile packs a checkpoint file for the variant as the list of slices
+// the segmented writer gathers it from, its state section being f.State
+// followed by pad zero bytes. Under full capture nothing of the image is
+// copied: the file is [header, f.State, zeros…, trailer], f.State being the
+// snapshot as the program returned it (par.Snapshotter: freshly owned, never
+// written again) and the zeros borrows of zeroPage, so the padded image exists
+// nowhere on the host. An incremental payload lives in pooled scratch that
+// dies with the write job, before the stored file does, so it is embedded —
+// its one copy — and the record is a single buffer. Header and trailer are
+// two ends of one exactly sized, freshly owned buffer (see codec/pool.go).
+func encodeCkptFile(v Variant, f CkptFile, pad int) [][]byte {
+	n := 8 + 8 + 16*len(f.Deps) + 8 + 8 + len(f.Lib)
 	if v.Incremental() {
-		n += 8
+		n += 8 + len(f.State)
 	}
 	w := codec.NewWriterSize(n)
 	w.Int(f.Index)
@@ -103,9 +143,31 @@ func encodeCkptFile(v Variant, f CkptFile, pad int) []byte {
 		w.Int(d.SrcRank)
 		w.U64(d.SrcIndex)
 	}
-	w.Bytes8Pad(f.State, pad)
+	w.Int(len(f.State) + pad)
+	file := make([][]byte, 1, 3+(pad+len(zeroPage)-1)/len(zeroPage))
+	if v.Incremental() {
+		w.Raw(f.State)
+	} else if len(f.State) > 0 {
+		file = append(file, f.State)
+	}
+	file = appendZeros(file, pad)
+	split := w.Len()
 	w.Bytes8(f.Lib)
-	return w.Bytes()
+	buf := w.Bytes()
+	if len(file) == 1 {
+		file[0] = buf // nothing borrowed in between: the record is one slice
+		return file
+	}
+	file[0] = buf[:split]
+	return append(file, buf[split:])
+}
+
+// encodeRawImage is the slot file of a full-image coordinated round: the raw
+// padded image — the snapshot, borrowed as encodeCkptFile borrows it, and the
+// process image's zeros. Decoders read length-prefixed fields, so the trailing
+// padding is inert on recovery.
+func encodeRawImage(snapshot []byte, pad int) [][]byte {
+	return appendZeros([][]byte{snapshot}, pad)
 }
 
 // DecodeCkptFile unpacks a checkpoint file written under the variant, for

@@ -8,6 +8,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/mp"
 	"repro/internal/par"
+	"repro/internal/storage"
 )
 
 // ints encodes its arguments as the record formats do, 8 bytes each.
@@ -33,7 +34,7 @@ func TestDecodersRejectHostileCounts(t *testing.T) {
 		}
 	}
 	// The bound is exact: a count the remaining bytes do hold still decodes.
-	file := encodeCkptFile(Indep, CkptFile{Index: 1, Deps: []Dep{{1, 2}, {3, 4}}}, 0)
+	file := flatCkptFile(Indep, CkptFile{Index: 1, Deps: []Dep{{1, 2}, {3, 4}}}, 0)
 	if f, err := DecodeCkptFile(Indep, file); err != nil || len(f.Deps) != 2 {
 		t.Fatalf("two deps and two empty sections: %v", err)
 	}
@@ -51,10 +52,10 @@ func TestDecodersRejectHostileCounts(t *testing.T) {
 func FuzzCkptFileDecode(f *testing.F) {
 	deps := []Dep{{SrcRank: 3, SrcIndex: 7}, {SrcRank: 0, SrcIndex: 1}}
 	real := [][]byte{
-		encodeCkptFile(Indep, CkptFile{Index: 4, Deps: deps, State: []byte("state"), Lib: []byte("lib")}, 70),
-		encodeCkptFile(CIC, CkptFile{Index: 9, State: []byte{1}}, 0),
-		encodeCkptFile(IndepInc, CkptFile{Index: 5, Prev: 4, Deps: deps, State: codec.EncodeDelta(nil, []byte("img"), 2), Lib: []byte("lib")}, 0),
-		encodeCkptFile(CoordNBInc, CkptFile{Index: 2, State: codec.EncodeBaseImage(make([]byte, 300))}, 0),
+		flatCkptFile(Indep, CkptFile{Index: 4, Deps: deps, State: []byte("state"), Lib: []byte("lib")}, 70),
+		flatCkptFile(CIC, CkptFile{Index: 9, State: []byte{1}}, 0),
+		flatCkptFile(IndepInc, CkptFile{Index: 5, Prev: 4, Deps: deps, State: codec.EncodeDelta(nil, []byte("img"), 2), Lib: []byte("lib")}, 0),
+		flatCkptFile(CoordNBInc, CkptFile{Index: 2, State: codec.EncodeBaseImage(make([]byte, 300))}, 0),
 		encodeChanLog([]*mp.Message{{Src: 1, Tag: 5, Meta: par.Piggyback{9, 2}, Data: []byte("abc")}, {Src: 2}}),
 		newMetaRecord(3),
 		ints(1, 1<<40),
@@ -70,7 +71,7 @@ func FuzzCkptFileDecode(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if again := encodeCkptFile(v, file, 0); !bytes.HasPrefix(data, again) {
+			if again := flatCkptFile(v, file, 0); !bytes.HasPrefix(data, again) {
 				t.Fatalf("%v: decoded %+v, which encodes to other bytes than were read", v, file)
 			}
 		}
@@ -78,5 +79,104 @@ func FuzzCkptFileDecode(f *testing.F) {
 			t.Fatalf("decoded a channel log of %d messages that encodes to other bytes than were read", len(msgs))
 		}
 		_, _ = ParseMetaRecord(data)
+	})
+}
+
+// refSegments is writeSegmentedOnce's loop as it was while a checkpoint file
+// was one contiguous buffer: the requests segmentFile must reproduce.
+func refSegments(path string, data []byte, send func(req storage.Request, last bool)) {
+	if len(data) == 0 {
+		send(storage.Request{Op: storage.OpWrite, Path: path, Durable: true}, true)
+		return
+	}
+	for off := 0; off < len(data); off += writeSegment {
+		end := min(off+writeSegment, len(data))
+		send(storage.Request{Op: storage.OpAppend, Path: path, Data: data[off:end], Durable: true}, end == len(data))
+	}
+}
+
+// segmentParts turns fuzz input into a part-length list, two bytes a part: the
+// first picks the kind of length — empty, a few bytes, whatever reaches the
+// next segment boundary exactly, whole segments, a segment and a bit — and the
+// second scales it.
+func segmentParts(shape []byte) [][]byte {
+	var file [][]byte
+	total := 0
+	for i := 0; i+1 < len(shape) && len(file) < 24; i += 2 {
+		n, k := 0, int(shape[i+1])
+		switch shape[i] % 6 {
+		case 0: // empty
+		case 1:
+			n = k
+		case 2:
+			n = k * 257
+		case 3:
+			n = (writeSegment - total%writeSegment) % writeSegment
+		case 4:
+			n = (1 + k%3) * writeSegment
+		case 5:
+			n = writeSegment + k - 128
+		}
+		part := make([]byte, n)
+		for j := range part {
+			part[j] = byte(total + j + len(file)*13)
+		}
+		file = append(file, part)
+		total += n
+	}
+	return file
+}
+
+// FuzzSegmentParts: for any list of slices — empty ones, none at all, totals
+// that are whole segments, slice boundaries on segment boundaries — the
+// gathered requests are the flat loop's requests over the joined bytes: as
+// many, each as long, the same ones synchronous, and each one's Data and More
+// joining to the flat request's Data, with nothing copied and no empty slice
+// sent along.
+func FuzzSegmentParts(f *testing.F) {
+	f.Add([]byte{})                                 // no part
+	f.Add([]byte{0, 0, 0, 0})                       // empty parts only
+	f.Add([]byte{1, 40, 0, 0, 1, 0, 1, 9})          // a small file with empty parts inside
+	f.Add([]byte{4, 0})                             // exactly one segment
+	f.Add([]byte{4, 2, 0, 0})                       // exactly three, then an empty part
+	f.Add([]byte{1, 40, 3, 0, 4, 1, 1, 7})          // a part boundary exactly on a segment boundary
+	f.Add([]byte{1, 40, 2, 200, 4, 0, 5, 0, 1, 67}) // header, snapshot, zero pages, trailer
+	f.Add([]byte{5, 127, 5, 129, 5, 128, 3, 0})     // a byte short of, past, and on the boundary
+	f.Fuzz(func(t *testing.T, shape []byte) {
+		file := segmentParts(shape)
+		type sent struct {
+			req  storage.Request
+			last bool
+		}
+		var want, got []sent
+		refSegments("f", bytes.Join(file, nil), func(req storage.Request, last bool) { want = append(want, sent{req, last}) })
+		segmentFile("f", file, func(req storage.Request, last bool) { got = append(got, sent{req, last}) })
+		if len(got) != len(want) {
+			t.Fatalf("%d requests, the flat loop sends %d", len(got), len(want))
+		}
+		part, off := 0, 0 // where in file the next gathered slice must start
+		for i, w := range want {
+			g := got[i]
+			if g.req.Op != w.req.Op || g.req.Path != w.req.Path || g.req.Durable != w.req.Durable || g.last != w.last || g.req.Len() != w.req.Len() {
+				t.Fatalf("request %d: op %v, %d bytes, last %v; the flat loop sends op %v, %d bytes, last %v",
+					i, g.req.Op, g.req.Len(), g.last, w.req.Op, w.req.Len(), w.last)
+			}
+			pieces := append([][]byte{g.req.Data}, g.req.More...)
+			if !bytes.Equal(bytes.Join(pieces, nil), w.req.Data) {
+				t.Fatalf("request %d: gathered bytes differ from the flat segment", i)
+			}
+			if w.req.Len() == 0 {
+				continue // the empty file's one empty write
+			}
+			for _, piece := range pieces {
+				for off == len(file[part]) {
+					part, off = part+1, 0
+				}
+				if len(piece) == 0 || !sameBytes(piece, file[part][off:min(off+len(piece), len(file[part]))]) {
+					t.Fatalf("request %d: a gathered slice of %d bytes is empty or not part %d's own memory at %d", i, len(piece), part, off)
+				}
+				off += len(piece)
+			}
+		}
 	})
 }

@@ -562,15 +562,43 @@ const CoordMetaPath = "coord/meta"
 // write() loop behaves over a file server.
 const writeSegment = 64 * 1024
 
-// padImage appends the machine's fixed process-image bytes to a serialized
-// application state: a checkpoint saves the process, not just its arrays.
-// Decoders read length-prefixed fields, so the trailing padding is inert on
-// recovery.
-func padImage(state []byte, imageBytes int) []byte {
-	return append(state, make([]byte, imageBytes)...)
+// segmentFile cuts file — a checkpoint file as the list of slices whose
+// concatenation it is — into the requests that stream it to path, and hands
+// each to send in order, last marking the final one: one durable append per
+// writeSegment bytes of the concatenation, wherever the slice boundaries
+// fall. A segment that straddles slices is gathered into the request (Data,
+// then More), not joined; the slices are lent to the requests, never written.
+// An empty file is one empty write, which is what creates it.
+func segmentFile(path string, file [][]byte, send func(req storage.Request, last bool)) {
+	size := fileLen(file)
+	if size == 0 {
+		send(storage.Request{Op: storage.OpWrite, Path: path, Durable: true}, true)
+		return
+	}
+	part, off := 0, 0 // the next unsent byte is file[part][off]
+	for sent := 0; sent < size; {
+		req := storage.Request{Op: storage.OpAppend, Path: path, Durable: true}
+		need := min(writeSegment, size-sent)
+		sent += need
+		for need > 0 {
+			if off == len(file[part]) {
+				part, off = part+1, 0
+				continue
+			}
+			piece := file[part][off:min(off+need, len(file[part]))]
+			if req.Data == nil {
+				req.Data = piece
+			} else {
+				req.More = append(req.More, piece)
+			}
+			off += len(piece)
+			need -= len(piece)
+		}
+		send(req, sent == size)
+	}
 }
 
-// writeSegmentedOnce streams data durably to path from the node's daemon in
+// writeSegmentedOnce streams file durably to path from the node's daemon in
 // one attempt. When reset is true any previous content at path (a reused
 // slot file) is removed first. The final request is synchronous: FIFO
 // request ordering makes its reply a barrier confirming every segment is
@@ -579,35 +607,24 @@ func padImage(state []byte, imageBytes int) []byte {
 // the size check surfaces; a lost reply surfaces as a timeout under the
 // machine's retry policy (no timeout under the zero policy — the unarmed
 // path is byte-identical to the original pipeline).
-func writeSegmentedOnce(p *sim.Proc, n *par.Node, path string, data []byte, reset bool) error {
+func writeSegmentedOnce(p *sim.Proc, n *par.Node, path string, file [][]byte, reset bool) error {
 	if reset {
 		n.StorageSend(p, storage.Request{Op: storage.OpDelete, Path: path})
 	}
-	timeout := n.M.Retry.Timeout
-	if len(data) == 0 {
-		reply, _ := n.StorageCallTimeout(p, storage.Request{Op: storage.OpWrite, Path: path, Durable: true}, timeout)
-		return reply.Err
-	}
-	for off := 0; off < len(data); off += writeSegment {
-		end := off + writeSegment
-		if end > len(data) {
-			end = len(data)
-		}
-		req := storage.Request{Op: storage.OpAppend, Path: path, Data: data[off:end], Durable: true}
-		if end < len(data) {
+	var err error
+	segmentFile(path, file, func(req storage.Request, last bool) {
+		if !last {
 			n.StorageSend(p, req)
-			continue
+			return
 		}
-		reply, _ := n.StorageCallTimeout(p, req, timeout)
-		if reply.Err != nil {
-			return reply.Err
+		reply, _ := n.StorageCallTimeout(p, req, n.M.Retry.Timeout)
+		err = reply.Err
+		if size := fileLen(file); err == nil && reply.Size != size {
+			err = fmt.Errorf("%w: short write of %s: %d of %d bytes durable",
+				storage.ErrUnavailable, path, reply.Size, size)
 		}
-		if reply.Size != len(data) {
-			return fmt.Errorf("%w: short write of %s: %d of %d bytes durable",
-				storage.ErrUnavailable, path, reply.Size, len(data))
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 // writeSegmentedChecked is the hardened write pipeline: each verified
@@ -615,13 +632,13 @@ func writeSegmentedOnce(p *sim.Proc, n *par.Node, path string, data []byte, rese
 // content cannot survive) with capped, jittered backoff under the machine's
 // retry policy. It returns the last error once attempts are exhausted; under
 // the zero policy a single attempt is made.
-func writeSegmentedChecked(p *sim.Proc, n *par.Node, path string, data []byte, reset bool) error {
+func writeSegmentedChecked(p *sim.Proc, n *par.Node, path string, file [][]byte, reset bool) error {
 	attempts := n.M.Retry.Attempts
 	if attempts < 1 {
 		attempts = 1
 	}
 	for attempt := 0; ; attempt++ {
-		err := writeSegmentedOnce(p, n, path, data, reset || attempt > 0)
+		err := writeSegmentedOnce(p, n, path, file, reset || attempt > 0)
 		if err == nil {
 			return nil
 		}

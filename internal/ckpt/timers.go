@@ -308,11 +308,12 @@ type ckptCapture struct {
 
 	// The record's state section is state followed by pad zero bytes. Under
 	// full capture state is the bare snapshot and pad the process image's
-	// size: the padded image is never built on this side of the record
-	// encode. Under incremental capture state is the base/delta payload (pad
-	// 0), aliasing scratch's pooled buffer until it is embedded in the file,
-	// and img the padded image — in the node's IncCapture buffer — that
-	// becomes the diff baseline once the file is durable.
+	// size: the padded image is never built, the file is gathered from the
+	// snapshot and the shared zero page. Under incremental capture state is
+	// the base/delta payload (pad 0), aliasing scratch's pooled buffer until
+	// it is embedded in the file, and img the padded image — in the node's
+	// IncCapture buffer — that becomes the diff baseline once the file is
+	// durable.
 	state   []byte
 	pad     int
 	img     []byte
@@ -406,16 +407,17 @@ func (tn *timerNode) save(p *sim.Proc, c *ckptCapture) {
 // failure; the skip counter surfaces how often it happened.
 func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
-		// c.state may alias the pooled scratch; it is embedded (copied) into
-		// data below and only its length is read after that, so the scratch
-		// is recycled when the job ends — even by a crash unwinding it
-		// mid-write.
+		// An incremental c.state aliases the pooled scratch; it is embedded
+		// (copied) into file below and only its length is read after that, so
+		// the scratch is recycled when the job ends — even by a crash
+		// unwinding it mid-write. A full-image c.state is the snapshot itself,
+		// which file lends to stable storage and nobody writes again.
 		defer c.scratch.Free()
 		s := tn.s
 		k := c.index
-		data := encodeCkptFile(s.v, CkptFile{Index: k, Prev: c.prev, Deps: c.deps, State: c.state, Lib: c.lib}, c.pad)
+		file := encodeCkptFile(s.v, CkptFile{Index: k, Prev: c.prev, Deps: c.deps, State: c.state, Lib: c.lib}, c.pad)
 		wsp := s.m.Obs.Start(tn.n.ID, obs.TidDaemon, "ckpt.disk_write").WithArg("index", int64(k))
-		err := writeSegmentedChecked(p, tn.n, s.v.StatePath(tn.n.ID, k), data, false)
+		err := writeSegmentedChecked(p, tn.n, s.v.StatePath(tn.n.ID, k), file, false)
 		wsp.End()
 		if err != nil {
 			s.stats.SkippedCkpts++

@@ -15,7 +15,7 @@ import (
 // the dirty-page diff both do representative work.
 
 // benchImage builds a size-byte image with non-zero bytes on a sparse stride,
-// the shape padImage produces for real app states.
+// the shape a padded process image has for real app states.
 func benchImage(size, stride int) []byte {
 	img := make([]byte, size)
 	for i := 0; i < size; i += stride {

@@ -81,14 +81,9 @@ func (w *Writer) Bytes8(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// Bytes8Pad appends b followed by pad zero bytes as one length-prefixed byte
-// slice: what Bytes8 of the padded slice would, without materialising it.
-func (w *Writer) Bytes8Pad(b []byte, pad int) {
-	w.Int(len(b) + pad)
-	w.buf = slices.Grow(append(w.buf, b...), pad)
-	w.buf = w.buf[:len(w.buf)+pad]
-	clear(w.buf[len(w.buf)-pad:])
-}
+// Raw appends b as it is, with no length prefix: the body of a section whose
+// prefix the caller wrote itself because more than b belongs to it.
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) { w.Bytes8([]byte(s)) }

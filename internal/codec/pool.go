@@ -4,14 +4,17 @@ import "sync"
 
 // Writer free list.
 //
-// Encoded streams in this system fall into two ownership classes. Blobs
-// handed to the fabric or to stable storage (checkpoint files, message
-// bodies) must be freshly owned: an envelope keeps its payload alive while
-// in flight, a timed-out storage call can leave an abandoned request that
-// the server copies from later, and sender-based logging retains message
-// bodies for replay — none of these have a trackable death point, so their
-// writers are plain NewWriter allocations (NewWriterSize for a checkpoint
-// record, whose size is known: fresh every time, built once, in place). But
+// Encoded streams in this system fall into ownership classes. Blobs handed
+// to the fabric or to stable storage (checkpoint files, message bodies) must
+// be freshly owned and are never written again: an envelope keeps its payload
+// alive while in flight, the storage server keeps the very slices it is
+// handed as the file's extents (and a timed-out storage call can leave an
+// abandoned request it serves later), and sender-based logging retains
+// message bodies for replay — none of these have a trackable death point, so
+// their writers are plain NewWriter allocations (NewWriterSize for the two
+// ends of a checkpoint record, whose size is known). An application's
+// Snapshot is in this class by contract (par.Snapshotter), which is what lets
+// a full-image checkpoint file lend it to storage instead of copying it. But
 // *scratch* streams — an incremental payload that is embedded (copied) into
 // an enclosing checkpoint file and then dead, a vector encoded only to be
 // compared — die at a specific statement, and those call sites bracket the
@@ -19,7 +22,10 @@ import "sync"
 // third class needs no list at all: a buffer with one owner that outlives its
 // uses — a Replayer's image and page, an incremental capture's padded image,
 // the scratch handed to storage's Peek — is simply reused by its owner, and
-// what it lends out is valid until the owner's next use.
+// what it lends out is valid until the owner's next use. The fourth is shared
+// and immutable: ckpt's zero page, the padding of every process image, which
+// any number of files, requests and stored extents borrow at once because
+// nobody, ever, writes it.
 //
 // The list is process-global and mutex-guarded because benchmark cells
 // encode concurrently; it is deliberately not a sync.Pool, whose GC-driven

@@ -365,16 +365,6 @@ func (o *Observer) Spans() []SpanEvent {
 	return append([]SpanEvent(nil), o.spans...)
 }
 
-// Instants returns a copy of all instant events in recording order.
-func (o *Observer) Instants() []InstantEvent {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]InstantEvent(nil), o.instants...)
-}
-
 // SpanTotal returns the summed virtual duration of all completed spans with
 // the given name, across all pids and tids.
 func (o *Observer) SpanTotal(name string) sim.Duration {

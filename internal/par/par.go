@@ -121,6 +121,14 @@ type Piggyback [NumPiggyback]uint64
 
 // Snapshotter is implemented by application programs so the checkpointing
 // layer can capture and restore their state.
+//
+// Snapshot returns freshly owned bytes the program never writes again: the
+// checkpointer may hand them to stable storage as they are, and a full-image
+// checkpoint does — the slice becomes part of the durable file, not a copy of
+// it. A program that snapshots into a buffer it reuses rewrites its own
+// checkpoints (the oracle reports it: check.TestDroppedCopyStillBites).
+// Restore is lent data — it may come straight out of a stored file — and
+// copies out whatever it keeps and later changes.
 type Snapshotter interface {
 	Snapshot() []byte
 	Restore(data []byte)
@@ -711,7 +719,7 @@ func (n *Node) StorageCallTimeoutOn(p *sim.Proc, shard int, req storage.Request,
 			Payload: storageReply{id: id, reply: r},
 		})
 	}
-	n.Send(p, host, PortDaemon, req, len(req.Data))
+	n.Send(p, host, PortDaemon, req, req.Len())
 	settled := new(bool)
 	if timeout > 0 {
 		n.M.Eng.After(timeout, func() {
@@ -791,7 +799,7 @@ func (n *Node) StorageCallRetryOn(p *sim.Proc, shard int, req storage.Request) s
 // are delivered and serviced in FIFO order, so a subsequent StorageCall acts
 // as a barrier for all preceding StorageSends.
 func (n *Node) StorageSend(sender *sim.Proc, req storage.Request) {
-	n.Send(sender, n.M.Cfg.Fabric.HostID(n.Shard()), PortDaemon, req, len(req.Data))
+	n.Send(sender, n.M.Cfg.Fabric.HostID(n.Shard()), PortDaemon, req, req.Len())
 }
 
 // MemCopyTime returns the time to copy n bytes within node memory

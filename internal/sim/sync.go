@@ -71,15 +71,6 @@ func (r *Resource) Acquire(p *Proc) {
 	// Woken by Release, which already performed the grant accounting.
 }
 
-// TryAcquire obtains a unit if one is free, without blocking.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap {
-		r.grant()
-		return true
-	}
-	return false
-}
-
 func (r *Resource) grant() {
 	if r.inUse == 0 {
 		r.busySince = r.eng.now
@@ -185,15 +176,9 @@ func (m *Mailbox[T]) GetAny(p *Proc) T {
 	return m.Get(p, func(T) bool { return true })
 }
 
-// Items returns a copy of the queued items in FIFO order, without removing
-// them (used to capture in-transit messages as channel state).
-func (m *Mailbox[T]) Items() []T {
-	return append([]T(nil), m.items...)
-}
-
-// ForEach visits the queued items in FIFO order without copying the queue.
-// fn must not Put, take, or park — the zero-copy variant of Items for
-// observers that only read.
+// ForEach visits the queued items in FIFO order without copying the queue
+// (coordinated checkpointing captures in-transit messages as channel state
+// through it). fn must not Put, take, or park.
 func (m *Mailbox[T]) ForEach(fn func(T)) {
 	for _, v := range m.items {
 		fn(v)

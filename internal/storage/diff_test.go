@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -61,12 +62,57 @@ type borrow struct {
 	data, snap []byte
 }
 
+// handed is one buffer a payload was cut from — the payload, then spare
+// capacity behind it — and what all of it held when it was submitted.
+type handed struct {
+	step      int
+	buf, snap []byte
+}
+
+// diffPayload makes step's payload of n bytes at the front of a buffer with
+// spare capacity behind it, every byte of both non-zero.
+func diffPayload(step, n int) []byte {
+	buf := make([]byte, n+1+step%7)
+	for i := range buf {
+		buf[i] = byte(step*31+i)%251 + 1
+	}
+	return buf[:n]
+}
+
+// gather cuts payload into a request's Data and More as shape (four bits)
+// says: up to three cuts at places drawn from the payload's length, Data left
+// empty, an empty slice in the middle of More. Joined, the request is payload.
+func gather(req *Request, payload []byte, shape byte) {
+	cuts := []int{0}
+	for i := 1; i <= int(shape&3); i++ {
+		cuts = append(cuts, (len(payload)*i*37/100+i*i)%(len(payload)+1))
+	}
+	slices.Sort(cuts)
+	cuts = append(cuts, len(payload))
+	var parts [][]byte
+	for i := 1; i < len(cuts); i++ {
+		parts = append(parts, payload[cuts[i-1]:cuts[i]])
+	}
+	if shape&8 != 0 {
+		parts = slices.Insert(parts, len(parts)/2+1, payload[:0])
+	}
+	if shape&4 != 0 {
+		req.More = parts
+	} else {
+		req.Data, req.More = parts[0], parts[1:]
+	}
+}
+
 // diffRun plays script against srv on its own engine and returns what it saw.
 // Four bytes make a step: an operation, then path, durability, whether to let
-// the queue drain before the next step, and how late a crash fires, then two
-// bytes of data length. A *Server is additionally held to the extent contract:
-// a borrowed slice's spare capacity is never written either (the flat
-// reference appends in place there, lawfully), and audit passes.
+// the queue drain before the next step, and how late a crash fires — or how a
+// payload is cut up — then two bytes of data length, the top bit of the first
+// saying that the previous payload's buffer is handed over again instead of a
+// new one. A *Server gets its payloads gathered, the flat reference joined,
+// and a *Server is additionally held to the ownership contract: it keeps what
+// it is handed and writes none of it — not the payload, not the spare
+// capacity behind it, not what a read lent out (the flat reference copies in,
+// and appends in place behind a borrow, lawfully) — and audit passes.
 func diffRun(t testing.TB, script []byte, mk func(*sim.Engine) store) []observation {
 	t.Helper()
 	eng := sim.New()
@@ -76,6 +122,8 @@ func diffRun(t testing.TB, script []byte, mk func(*sim.Engine) store) []observat
 	var (
 		seen        []observation
 		borrows     []borrow
+		submitted   []handed
+		last        []byte
 		outstanding int
 		peekBuf     []byte
 	)
@@ -158,20 +206,22 @@ func diffRun(t testing.TB, script []byte, mk func(*sim.Engine) store) []observat
 				continue
 			}
 			if req.Op == OpWrite || req.Op == OpAppend {
-				if n := int(s[2])<<8 | int(s[3]); n%5 != 0 { // a fifth are zero-length
-					req.Data = make([]byte, n%5000)
-					for i := range req.Data {
-						req.Data[i] = byte(step*31 + i + 1)
+				if n := int(s[2]&0x7F)<<8 | int(s[3]); n%5 != 0 { // a fifth are zero-length
+					if s[2]&0x80 == 0 || last == nil {
+						last = diffPayload(step, n%5000)
+						full := last[:cap(last)]
+						submitted = append(submitted, handed{step, full, bytes.Clone(full)})
+					}
+					if exact {
+						gather(&req, last, s[1]>>4)
+					} else {
+						req.Data = last
 					}
 				}
 			}
-			step, peek, data := step, s[0] >= 230, req.Data
+			step, peek := step, s[0] >= 230
 			req.Done = func(r Reply) {
 				outstanding--
-				// Submit's contract: the server has copied Data by now.
-				for i := range data {
-					data[i] = 0xEE
-				}
 				observe(step, peek, r)
 			}
 			outstanding++
@@ -186,11 +236,17 @@ func diffRun(t testing.TB, script []byte, mk func(*sim.Engine) store) []observat
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+	for _, h := range submitted {
+		if !bytes.Equal(h.buf, h.snap) {
+			t.Fatalf("the server wrote into the buffer it was handed at step %d (payload or the capacity behind it)", h.step)
+		}
+	}
 	return seen
 }
 
-// audit recomputes what the server keeps as running totals: each file's size
-// from its extents, the durable occupancy from the files.
+// audit recomputes what the server keeps as running totals — each file's size
+// from its extents, the durable occupancy from the files — and holds every
+// extent to the cap: exactly as long as what it stores.
 func (s *Server) audit() error {
 	var occupied int64
 	for _, area := range []map[string]*file{s.tmp, s.files} {
@@ -198,6 +254,11 @@ func (s *Server) audit() error {
 			n := 0
 			for _, x := range f.extents {
 				n += len(x)
+				if len(x) == 0 || cap(x) != len(x) {
+					// Spare capacity would let a later append land in memory
+					// the file does not own; an empty extent is dead weight.
+					return fmt.Errorf("%q: an extent of %d bytes with capacity %d", path, len(x), cap(x))
+				}
 			}
 			if n != f.size {
 				return fmt.Errorf("%q: size %d, extents hold %d", path, f.size, n)

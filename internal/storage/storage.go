@@ -46,12 +46,32 @@ var ErrUnavailable = errors.New("storage: server unavailable")
 
 // Request is one stable-storage operation. Done, if non-nil, is invoked in
 // server-process context when the operation completes.
+//
+// The payload of a write or append is Data followed by the slices of More: a
+// submitter whose bytes live in several buffers (a snapshot, a run of the
+// shared zero page, a header) hands them over as they are instead of joining
+// them first. The server keeps what it is handed — the slices themselves
+// become the file's extents — so from Submit on a submitter never writes
+// those bytes again, whether or not it waits for the reply: a timed-out call
+// leaves a request the server still serves later. Reading them, and handing
+// the same bytes to other requests, stays lawful for everyone.
 type Request struct {
 	Op      Op
 	Path    string
 	Data    []byte
-	Durable bool // for OpWrite/OpAppend: bypass the tmp area
+	More    [][]byte // the rest of a gathered payload, after Data
+	Durable bool     // for OpWrite/OpAppend: bypass the tmp area
 	Done    func(Reply)
+}
+
+// Len is the payload's size, Data and More together: what the request weighs
+// on the fabric and what the server charges for and stores.
+func (r Request) Len() int {
+	n := len(r.Data)
+	for _, part := range r.More {
+		n += len(part)
+	}
+	return n
 }
 
 // Reply carries the result of a request. Data on a read reply borrows the
@@ -75,13 +95,22 @@ type Config struct {
 }
 
 // file is one stored blob, held as the extents it arrived in: OpWrite and
-// OpAppend each copy their segment once into an extent of exactly its size,
-// and no request moves or modifies an extent afterwards, so a checkpoint
-// streamed in 64 KiB appends is copied once rather than re-grown at every
-// append, and a read borrow stays valid whatever happens to the file later.
+// OpAppend install each non-empty slice of their payload as an extent, capped
+// at its length, and no request moves or modifies an extent afterwards — so a
+// checkpoint streamed in 64 KiB appends is not copied at all on its way in,
+// and a read borrow stays valid whatever happens to the file later.
 type file struct {
 	extents [][]byte
 	size    int
+}
+
+// keep installs part as the file's next extent, capped at its length: whatever
+// spare capacity the submitter's buffer has is out of the file's reach.
+func (f *file) keep(part []byte) {
+	if len(part) > 0 {
+		f.extents = append(f.extents, part[:len(part):len(part)])
+		f.size += len(part)
+	}
 }
 
 // blob returns the whole file as one slice. The first call on a file of
@@ -147,7 +176,8 @@ func (s *Server) SetObserver(o *obs.Observer, pid int) {
 	s.obsPid = pid
 }
 
-// Submit enqueues a request; it never blocks the caller.
+// Submit enqueues a request; it never blocks the caller. The payload's bytes
+// are the server's from here on (see Request).
 func (s *Server) Submit(req Request) {
 	if s.obs.Enabled() {
 		s.queued = append(s.queued, s.eng.Now())
@@ -173,7 +203,7 @@ func (s *Server) serve(p *sim.Proc) {
 		if s.obs.Enabled() {
 			switch req.Op {
 			case OpWrite, OpAppend:
-				s.obs.Add(s.obsPid, "storage.bytes_written", int64(len(req.Data)))
+				s.obs.Add(s.obsPid, "storage.bytes_written", int64(req.Len()))
 			case OpRead:
 				s.obs.Add(s.obsPid, "storage.bytes_read", int64(len(reply.Data)))
 			}
@@ -231,11 +261,12 @@ func (s *Server) apply(p *sim.Proc, req Request) Reply {
 		if f == nil {
 			p.Sleep(s.cfg.CreateOverhead) // directory update for a new file
 		}
-		p.Sleep(sim.BytesAt(len(req.Data), s.cfg.WriteBandwidth))
-		s.bytesWritten += int64(len(req.Data))
+		size := req.Len()
+		p.Sleep(sim.BytesAt(size, s.cfg.WriteBandwidth))
+		s.bytesWritten += int64(size)
 		// area was read before the sleeps, so a write in service across a
 		// Crash lands in the orphaned tmp map and is lost with it.
-		grown := len(req.Data)
+		grown := size
 		if f == nil {
 			f = new(file)
 			area[req.Path] = f
@@ -243,9 +274,9 @@ func (s *Server) apply(p *sim.Proc, req Request) Reply {
 			grown -= f.size
 			*f = file{}
 		}
-		if len(req.Data) > 0 {
-			f.extents = append(f.extents, bytes.Clone(req.Data))
-			f.size += len(req.Data)
+		f.keep(req.Data)
+		for _, part := range req.More {
+			f.keep(part)
 		}
 		if req.Durable {
 			s.occupy(grown)
@@ -269,8 +300,8 @@ func (s *Server) apply(p *sim.Proc, req Request) Reply {
 		p.Sleep(sim.BytesAt(f.size, s.cfg.ReadBandwidth))
 		s.bytesRead += int64(f.size)
 		// The reply borrows the durable blob instead of copying it: OpWrite
-		// installs a fresh extent, OpAppend adds one behind those already
-		// there, and neither touches an extent once stored — so readers
+		// starts a fresh extent list, OpAppend adds extents behind those
+		// already there, and neither touches an extent once stored — so readers
 		// holding the borrow stay consistent no matter what later requests do.
 		return Reply{Data: f.blob(), Size: f.size}
 	case OpDelete:
