@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz vet check identical bench-perf alloc-gate ci
+.PHONY: build test race fuzz vet check identical bench-perf alloc-gate loc ci
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,18 @@ bench-perf:
 alloc-gate:
 	$(GO) test -race -run 'TestAllocs|TestDecodeF64sIntoMatches' ./internal/sim ./internal/fabric ./internal/storage ./internal/codec ./internal/mp ./internal/ckpt ./internal/check
 	$(GO) test -race -run '^$$' -bench . -benchtime 10x ./internal/sim ./internal/fabric ./internal/codec
+
+# Lines of code, counted one way: non-blank lines that are not // comments,
+# per package directory, non-test files and _test.go files apart. This is the
+# number behind "net-negative line counts" (ROADMAP aim 2); CI prints it in the
+# test job's log.
+loc:
+	@count() { cat /dev/null "$$@" | grep -v '^\s*$$' | grep -vc '^\s*//'; }; \
+	code=0; tests=0; printf '%-24s %7s %7s\n' package code tests; \
+	for d in $$(find . -name '*.go' -not -path './.bench_build/*' -exec dirname {} \; | sort -u); do \
+		c=$$(count $$(ls $$d/*.go | grep -v _test.go)); t=$$(count $$(ls $$d/*_test.go 2>/dev/null)); \
+		code=$$((code + c)); tests=$$((tests + t)); printf '%-24s %7d %7d\n' "$${d#./}" $$c $$t; \
+	done; printf '%-24s %7d %7d\n' total $$code $$tests
 
 # What the GitHub workflow runs (.github/workflows/ci.yml): the full suite
 # under the race detector, plus build, vet, the nested benchmark module's own

@@ -5,6 +5,7 @@
 package repro_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -16,9 +17,14 @@ import (
 	"repro/internal/sim"
 )
 
-// benchWorkloads is a compact slice through all seven applications.
-func benchWorkloads() []apps.Workload {
-	return bench.QuickWorkloads()
+// measureRows measures the compact slice through all seven applications
+// under the given schemes, three checkpoints each.
+func measureRows(b *testing.B, schemes []ckpt.Variant) []bench.Row {
+	rows, err := bench.NewRunner(0, nil).MeasureRows(context.Background(), par.DefaultConfig(), bench.QuickWorkloads(), schemes, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows
 }
 
 // BenchmarkTable1OverheadPerCheckpoint regenerates Table 1 (overhead per
@@ -27,10 +33,7 @@ func benchWorkloads() []apps.Workload {
 // milliseconds.
 func BenchmarkTable1OverheadPerCheckpoint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.MeasureRows(par.DefaultConfig(), benchWorkloads(), bench.Table1Schemes, 3, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := measureRows(b, bench.Table1Schemes)
 		var nb sim.Duration
 		for _, r := range rows {
 			nb += r.PerCkpt(ckpt.CoordNB)
@@ -44,10 +47,7 @@ func BenchmarkTable1OverheadPerCheckpoint(b *testing.B) {
 // checkpoints) and reports the mean relative overhead of Coord_NBMS.
 func BenchmarkTable2ExecutionTimes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.MeasureRows(par.DefaultConfig(), benchWorkloads(), bench.Table2Schemes, 3, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := measureRows(b, bench.Table2Schemes)
 		var pct float64
 		for _, r := range rows {
 			pct += r.Percent(ckpt.CoordNBMS)
@@ -61,10 +61,7 @@ func BenchmarkTable2ExecutionTimes(b *testing.B) {
 // and NB→NBMS reduction factors) and reports the mean NB/NBMS factor.
 func BenchmarkTable3PercentOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.MeasureRows(par.DefaultConfig(), benchWorkloads(), bench.Table2Schemes, 3, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := measureRows(b, bench.Table2Schemes)
 		factor, n := 0.0, 0
 		for _, r := range rows {
 			if nbms := r.Percent(ckpt.CoordNBMS); nbms > 0 {
@@ -79,63 +76,17 @@ func BenchmarkTable3PercentOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkSyncCost regenerates E4 (the synchronization-cost decomposition
-// backing the paper's "sync cost is negligible" conclusion).
-func BenchmarkSyncCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := bench.SyncCostExperiment(io.Discard, par.DefaultConfig(), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStorageOverhead regenerates E5 (stable-storage footprint:
-// coordinated keeps one round, independent keeps everything).
-func BenchmarkStorageOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := bench.StorageOverheadExperiment(io.Discard, par.DefaultConfig(), true, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStaggerAblation regenerates E8 (the B → NB → NBM → NBMS
-// optimization ladder).
-func BenchmarkStaggerAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := bench.StaggerAblation(io.Discard, par.DefaultConfig(), true, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIntervalSweep regenerates E9 (overhead vs checkpoint interval
-// against Young's first-order model).
-func BenchmarkIntervalSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := bench.IntervalSweep(io.Discard, par.DefaultConfig(), true, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScaling regenerates E10 (overhead per checkpoint vs machine
-// size).
-func BenchmarkScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := bench.ScalingExperiment(io.Discard, par.DefaultConfig(), true, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDomino regenerates E6 (recovery lines and the domino effect under
-// independent checkpointing).
-func BenchmarkDomino(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := bench.DominoExperiment(io.Discard, par.DefaultConfig(), true, nil); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiment regenerates every extension experiment of the
+// catalogue on its quick grid, one sub-benchmark per -exp name.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range bench.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(context.Background(), io.Discard, par.DefaultConfig(), true, bench.NewRunner(0, nil)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

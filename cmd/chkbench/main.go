@@ -9,13 +9,8 @@
 //	chkbench -table all      # everything (Tables 2 and 3 share runs)
 //	chkbench -quick          # reduced workload sizes (fast smoke run)
 //	chkbench -list           # enumerate known applications and schemes
-//	chkbench -exp sync       # E4: synchronization-cost decomposition
-//	chkbench -exp storage    # E5: stable-storage overhead comparison
-//	chkbench -exp stagger    # E8: staggering ablation
-//	chkbench -exp interval   # E9: overhead vs checkpoint interval
-//	chkbench -exp scaling    # E10: overhead vs machine size
-//	chkbench -exp avail      # E12: availability under injected faults
-//	chkbench -exp failover   # E15: coordinator failover (pre-commit + election)
+//	chkbench -exp NAME       # an extension experiment; -h lists the catalogue
+//	                         # (bench.Experiments: sync, storage, ..., scale)
 //
 // Concurrency: the (workload, scheme) matrix fans out over a worker pool.
 // Results are byte-identical at every parallelism level — each cell's
@@ -86,7 +81,7 @@ func run(args []string, out, errw io.Writer) (err error) {
 	fs := flag.NewFlagSet("chkbench", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	table := fs.String("table", "", "table to regenerate: 1, 2, 3 or all")
-	exp := fs.String("exp", "", "extension experiment: sync, storage, stagger, interval, scaling, domino, avail, failover")
+	exp := fs.String("exp", "", "extension experiment:"+bench.ExperimentHelp())
 	quick := fs.Bool("quick", false, "use reduced workload sizes")
 	verbose := fs.Bool("v", false, "log every run")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the benchmark matrix (0 = GOMAXPROCS)")
@@ -203,7 +198,7 @@ func run(args []string, out, errw io.Writer) (err error) {
 		jsonRows = append(jsonRows, bench.Report(cfg, rows, bench.Table2Schemes).Rows...)
 	}
 	if *exp != "" {
-		if err := bench.RunExperiment(out, *exp, cfg, *quick, r); err != nil {
+		if err := bench.RunExperiment(ctx, out, *exp, cfg, *quick, r); err != nil {
 			return err
 		}
 	}

@@ -5,20 +5,38 @@ import (
 	"flag"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // TestHelpListsProfilingFlags guards against flag-help drift: -h must list
-// the host-profiling flags shared by every command (internal/perf), and the
-// help request itself must surface as flag.ErrHelp (main exits 2).
+// the host-profiling flags shared by every command (internal/perf) and every
+// experiment of the catalogue, and the help request itself must surface as
+// flag.ErrHelp (main exits 2).
 func TestHelpListsProfilingFlags(t *testing.T) {
 	var out, errw strings.Builder
 	err := run([]string{"-h"}, &out, &errw)
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("err = %v, want flag.ErrHelp", err)
 	}
-	for _, want := range []string{"-cpuprofile", "-memprofile", "-pprof"} {
+	for _, want := range append([]string{"-cpuprofile", "-memprofile", "-pprof"}, bench.ExperimentNames()...) {
 		if !strings.Contains(errw.String(), want) {
 			t.Fatalf("-h output missing %q:\n%s", want, errw.String())
+		}
+	}
+}
+
+// TestRunUnknownExperimentListsCatalogue: the -exp error names every
+// experiment the catalogue holds, so the message is its own usage line.
+func TestRunUnknownExperimentListsCatalogue(t *testing.T) {
+	var out, errw strings.Builder
+	err := run([]string{"-exp", "bogus"}, &out, &errw)
+	if err == nil {
+		t.Fatal("run(-exp bogus) = nil, want error")
+	}
+	for _, name := range bench.ExperimentNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
 		}
 	}
 }

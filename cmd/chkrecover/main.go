@@ -1,19 +1,16 @@
 // Command chkrecover runs the failure/recovery experiments:
 //
 //	chkrecover -exp coord    # E7: total failure + coordinated rollback-recovery
-//	chkrecover -exp domino   # E6: recovery lines and the domino effect under
-//	                         #     independent checkpointing
 //	chkrecover -exp logging  # E11: single-node failure + sender-based
 //	                         #      message-logging recovery
-//	chkrecover -exp avail    # E12: availability under injected faults and
-//	                         #      Poisson failures
-//	chkrecover -exp scale    # E14: checkpoint overhead and storage contention
-//	                         #      on meshes up to 1024 nodes with stable
-//	                         #      storage sharded over up to 16 servers
-//	chkrecover -exp failover # E15: coordinator killed inside each protocol
-//	                         #      window; election + three-phase commit vs
-//	                         #      the plain coordinated baseline
+//	chkrecover -exp NAME     # any entry of the experiment catalogue
+//	                         # (bench.Experiments; -h lists it) — among them
+//	                         # domino (E6), avail (E12), scale (E14) and
+//	                         # failover (E15)
+//	chkrecover -exp avail -seed 7              # force every cell's fault-plan seed
 //	chkrecover -exp failover -killphase meta   # restrict E15 to one window
+//
+// Ctrl-C cancels the run after the in-flight cells finish.
 //
 // Any failing experiment cell aborts the run with a non-zero exit status and
 // a message naming the cell and its replay seed.
@@ -23,11 +20,13 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"time"
 
 	"repro/internal/bench"
@@ -59,13 +58,13 @@ func main() {
 func run(args []string, out, errw io.Writer) (err error) {
 	fs := flag.NewFlagSet("chkrecover", flag.ContinueOnError)
 	fs.SetOutput(errw)
-	exp := fs.String("exp", "coord", "experiment: coord, domino, logging, avail, scale or failover")
+	exp := fs.String("exp", "coord", "experiment: coord (E7), logging (E11), or one of the catalogue:"+bench.ExperimentHelp())
 	killphase := fs.String("killphase", "", "restrict -exp failover to one kill window: round, acks, precommit, meta or commit (default: all)")
 	scheme := fs.String("scheme", "NBMS", "coordinated scheme for -exp coord")
 	interval := fs.Duration("interval", 3*time.Second, "checkpoint interval (virtual)")
 	crashAt := fs.Duration("crash", 15*time.Second, "failure time (virtual)")
 	quick := fs.Bool("quick", false, "reduced workload sizes")
-	parallel := fs.Int("parallel", 0, "worker goroutines for -exp domino/avail/scale cells (0 = GOMAXPROCS)")
+	parallel := fs.Int("parallel", 0, "worker goroutines for the catalogue experiments' cells (0 = GOMAXPROCS)")
 	seed := fs.Uint64("seed", 0, "override every -exp avail cell's fault-plan seed (0 = per-cell seeds)")
 	topoSpec := fs.String("topo", "", "interconnect topology spec, e.g. mesh:4x2, torus:8x8, fattree:4x3 (default: the paper's 4x2 mesh)")
 	servers := fs.Int("servers", 1, "stable-storage servers, each at a distinct host-attach node")
@@ -93,6 +92,10 @@ func run(args []string, out, errw io.Writer) (err error) {
 	if err := bench.ConfigureFabric(&cfg, *topoSpec, *servers, *placement); err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
+	r := bench.NewRunner(*parallel, prog)
+	// Ctrl-C stops dispatching new cells; in-flight simulations finish first.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	switch *exp {
 	case "coord":
 		v, err := bench.SchemeByName(*scheme)
@@ -103,25 +106,22 @@ func run(args []string, out, errw io.Writer) (err error) {
 			sim.Duration(*interval/time.Nanosecond),
 			sim.Duration(*crashAt/time.Nanosecond),
 			500*sim.Millisecond)
-	case "domino":
-		return bench.DominoExperiment(out, cfg, *quick, bench.NewRunner(*parallel, prog))
 	case "logging":
 		return bench.LoggingRecoveryDemo(out, cfg, 3,
 			sim.Duration(*crashAt/time.Nanosecond), 300*sim.Millisecond)
-	case "avail":
-		return bench.AvailabilityExperimentSeeded(out, cfg, *quick,
-			bench.NewRunner(*parallel, prog), *seed)
-	case "scale":
-		return bench.ScaleExperiment(out, cfg, *quick, bench.NewRunner(*parallel, prog))
-	case "failover":
+	case "avail": // the catalogue entry, with -seed
+		return bench.AvailabilityExperimentSeeded(ctx, out, cfg, *quick, r, *seed)
+	case "failover": // the catalogue entry, with -killphase
 		if *killphase != "" {
 			if err := bench.ValidKillPhase(*killphase); err != nil {
 				return fmt.Errorf("%w: -killphase: %v", errUsage, err)
 			}
 		}
-		return bench.FailoverExperimentPhase(out, cfg, *quick,
-			bench.NewRunner(*parallel, prog), *killphase)
-	default:
-		return fmt.Errorf("%w: unknown experiment %q: want coord, domino, logging, avail, scale or failover", errUsage, *exp)
+		return bench.FailoverExperimentPhase(ctx, out, cfg, *quick, r, *killphase)
 	}
+	err = bench.RunExperiment(ctx, out, *exp, cfg, *quick, r)
+	if errors.Is(err, bench.ErrUnknownExperiment) {
+		return fmt.Errorf("%w: %v, coord or logging", errUsage, err)
+	}
+	return err
 }

@@ -5,18 +5,21 @@ import (
 	"flag"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // TestHelpListsProfilingFlags guards against flag-help drift: -h must list
-// the host-profiling flags shared by every command (internal/perf), and the
-// help request itself must surface as flag.ErrHelp (main exits 2).
+// the host-profiling flags shared by every command (internal/perf), the two
+// demos and every experiment of the catalogue, and the help request itself
+// must surface as flag.ErrHelp (main exits 2).
 func TestHelpListsProfilingFlags(t *testing.T) {
 	var out, errw strings.Builder
 	err := run([]string{"-h"}, &out, &errw)
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("err = %v, want flag.ErrHelp", err)
 	}
-	for _, want := range []string{"-cpuprofile", "-memprofile", "-pprof"} {
+	for _, want := range append([]string{"-cpuprofile", "-memprofile", "-pprof", "coord", "logging"}, bench.ExperimentNames()...) {
 		if !strings.Contains(errw.String(), want) {
 			t.Fatalf("-h output missing %q:\n%s", want, errw.String())
 		}
@@ -24,15 +27,18 @@ func TestHelpListsProfilingFlags(t *testing.T) {
 }
 
 // TestRunUnknownExperimentIsUsage pins the distinct exit paths: misuse is
-// errUsage (exit 2), a failing experiment is a plain error (exit 1).
+// errUsage (exit 2), a failing experiment is a plain error (exit 1). The
+// message lists every name -exp accepts.
 func TestRunUnknownExperimentIsUsage(t *testing.T) {
 	var out, errw strings.Builder
 	err := run([]string{"-exp", "bogus"}, &out, &errw)
 	if !errors.Is(err, errUsage) {
 		t.Fatalf("err = %v, want errUsage", err)
 	}
-	if !strings.Contains(err.Error(), `"bogus"`) {
-		t.Fatalf("err = %v, want it to name the experiment", err)
+	for _, want := range append([]string{`"bogus"`, "coord", "logging"}, bench.ExperimentNames()...) {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want it to mention %s", err, want)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/rdg"
 	"repro/internal/sim"
@@ -24,14 +25,16 @@ func main() {
 	// The spread staggers the nodes' basic-checkpoint timers, so messages
 	// constantly cross checkpoint intervals — the domino construction for
 	// Indep, and the forced-checkpoint case for CIC.
-	opt := ckpt.Options{Interval: 2 * sim.Second, Spread: 250 * sim.Millisecond}
+	run := core.Config{Machine: cfg, Interval: 2 * sim.Second, Spread: 250 * sim.Millisecond}
 
 	for _, v := range []ckpt.Variant{ckpt.Indep, ckpt.CIC} {
-		n, recs, stats, err := bench.RunSchemeForStats(wl, cfg, v, opt)
+		run.Scheme = v
+		res, err := core.Run(wl, run)
 		if err != nil {
 			log.Fatal(err)
 		}
-		g := rdg.FromRecords(n, recs)
+		recs, stats := res.Records, res.Ckpt
+		g := rdg.FromRecords(cfg.Fabric.Nodes(), recs)
 		line := g.RecoveryLine()
 		latest := g.Latest()
 

@@ -20,7 +20,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/mp"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -190,11 +189,10 @@ func quickIdentity() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	// chkrecover serves domino, avail, scale and failover through the same
-	// functions, so one line covers both commands.
-	for _, exp := range []string{"sync", "storage", "stagger", "interval", "scaling", "domino", "avail", "failover", "scale"} {
-		l, err := outputLine("chkbench -quick -exp "+exp, func(w io.Writer) error {
-			return bench.RunExperiment(w, exp, cfg, true, r)
+	// chkrecover serves the same catalogue, so one line covers both commands.
+	for _, e := range bench.Experiments {
+		l, err := outputLine("chkbench -quick -exp "+e.Name, func(w io.Writer) error {
+			return e.Run(context.Background(), w, cfg, true, r)
 		})
 		if err != nil {
 			return nil, err
@@ -247,42 +245,27 @@ func schemeLine(name string, wl apps.Workload, interval sim.Duration) (string, e
 	if !ok {
 		return "", fmt.Errorf("scheme %q does not parse", name)
 	}
-	opt := ckpt.Options{Interval: interval, MaxCheckpoints: 3}
-	if v.Failover() {
-		opt.Failover = ckpt.DefaultFailoverConfig()
-	}
-	m := par.NewMachine(par.DefaultConfig())
-	defer m.Shutdown()
-	sch := ckpt.New(v, opt)
-	sch.Attach(m)
-	world := mp.NewWorld(m)
-	progs := make([]mp.Program, m.NumNodes())
-	for rank := range progs {
-		progs[rank] = wl.Make(rank, m.NumNodes())
-		world.Launch(rank, progs[rank])
-	}
-	if err := m.Run(); err != nil {
-		return "", fmt.Errorf("%s: %w", name, err)
-	}
-	if err := wl.Check(progs); err != nil {
+	run := core.Start(wl, core.Default().WithScheme(v, interval, 3))
+	res, err := run.Finish()
+	if err != nil {
 		return "", fmt.Errorf("%s: %w", name, err)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "scheme %s\texec_ns=%d", name, int64(m.AppsFinished))
-	st := reflect.ValueOf(sch.Stats())
+	fmt.Fprintf(&b, "scheme %s\texec_ns=%d", name, int64(res.Exec))
+	st := reflect.ValueOf(res.Ckpt)
 	for i := 0; i < st.NumField(); i++ {
 		fmt.Fprintf(&b, " %s=%d", st.Type().Field(i).Name, st.Field(i).Interface())
 	}
 	durable := sha256.New()
 	files := 0
-	for si, store := range m.Stores {
+	for si, store := range run.M.Stores {
 		for _, path := range store.DurablePaths() {
 			data, _ := store.Peek(path, nil)
 			fmt.Fprintf(durable, "%d %s %d %x\n", si, path, len(data), sha256.Sum256(data))
 			files++
 		}
 	}
-	fmt.Fprintf(&b, " records=%d files=%d durable=%x", len(sch.Records()), files, durable.Sum(nil))
+	fmt.Fprintf(&b, " records=%d files=%d durable=%x", len(res.Records), files, durable.Sum(nil))
 	return b.String(), nil
 }
 
@@ -296,9 +279,11 @@ func fullSectionIdentity() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The four catalogue entries whose full grids differ in kind from their
+	// quick ones (1024-node cells, the 480 s MTTF column, every kill window).
 	for _, exp := range []string{"scale", "avail", "failover", "domino"} {
 		l, err := outputLine("chkrecover -exp "+exp, func(w io.Writer) error {
-			return bench.RunExperiment(w, exp, cfg, false, r)
+			return bench.RunExperiment(context.Background(), w, exp, cfg, false, r)
 		})
 		if err != nil {
 			return nil, err

@@ -33,12 +33,6 @@ type Workload struct {
 	Name  string
 	Make  Factory
 	Check func(progs []mp.Program) error
-
-	// Reseed, when non-nil, returns a copy of the workload re-parameterized
-	// with the given RNG seed (benchmark repetitions derive one seed per
-	// matrix cell). Workloads whose computation is seed-free leave it nil:
-	// every repetition then runs the identical simulation.
-	Reseed func(seed uint64) Workload
 }
 
 // blockRange splits n items into size contiguous blocks and returns rank's

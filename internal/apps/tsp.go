@@ -120,11 +120,6 @@ func TSPWorkload(cfg TSPConfig) Workload {
 			}
 			return nil
 		},
-		Reseed: func(seed uint64) Workload {
-			c := cfg
-			c.Seed = seed
-			return TSPWorkload(c)
-		},
 	}
 }
 

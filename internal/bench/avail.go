@@ -16,7 +16,7 @@ import (
 	"repro/internal/trace"
 )
 
-// AvailabilityExperiment (E12) measures what checkpointing buys when things
+// AvailabilityExperimentSeeded (E12) measures what checkpointing buys when things
 // actually fail. Every cell runs the workload live through the
 // fault-injection subsystem — transient storage errors, short server
 // outages, and a lossy interconnect — which exercises the hardened paths
@@ -32,15 +32,10 @@ import (
 // rollback proceeds failure-free at original speed, repair takes a fixed
 // delay, and no failures strike during repair. Checkpoint timestamps stand
 // in for the state they captured.
-func AvailabilityExperiment(w io.Writer, cfg par.Config, quick bool, r *Runner) error {
-	return AvailabilityExperimentSeeded(w, cfg, quick, r, 0)
-}
-
-// AvailabilityExperimentSeeded is AvailabilityExperiment with every cell's
-// fault plan forced to the given seed; seed 0 keeps the per-cell seeds
-// (Cell.Seed), which is what the experiment dispatcher uses.
-func AvailabilityExperimentSeeded(w io.Writer, cfg par.Config, quick bool, r *Runner, seed uint64) error {
-	r = r.orDefault()
+//
+// A non-zero seed forces every cell's fault plan to that seed; the catalogue
+// entry passes 0, which keeps the per-cell seeds (Cell.Seed).
+func AvailabilityExperimentSeeded(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner, seed uint64) error {
 	wl := apps.SORWorkload(apps.DefaultSOR(pick(quick, 128, 512), pick(quick, 40, 100)))
 	schemes := []ckpt.Variant{
 		ckpt.CoordNB, ckpt.CoordNBInc,
@@ -55,16 +50,7 @@ func AvailabilityExperimentSeeded(w io.Writer, cfg par.Config, quick bool, r *Ru
 
 	// The failure-free baseline fixes the checkpoint intervals, as in every
 	// other experiment.
-	var baseExec sim.Duration
-	baseCell := []Cell{{App: wl.Name, Scheme: "normal"}}
-	err := r.ForEach(context.Background(), baseCell, func(ctx context.Context, i int, c Cell) error {
-		base, err := core.Run(wl, core.Config{Machine: cfg})
-		if err != nil {
-			return err
-		}
-		baseExec = base.Exec
-		return nil
-	})
+	baseExec, err := r.normal(ctx, cfg, wl)
 	if err != nil {
 		return err
 	}
@@ -73,7 +59,6 @@ func AvailabilityExperimentSeeded(w io.Writer, cfg par.Config, quick bool, r *Ru
 		scheme   ckpt.Variant
 		interval sim.Duration
 		mttf     sim.Duration
-		rep      availReport
 	}
 	rows := make([]availRow, 0, len(schemes)*len(divs)*len(mttfs))
 	cells := make([]Cell, 0, cap(rows))
@@ -85,7 +70,7 @@ func AvailabilityExperimentSeeded(w io.Writer, cfg par.Config, quick bool, r *Ru
 			}
 		}
 	}
-	err = r.ForEach(context.Background(), cells, func(ctx context.Context, i int, c Cell) error {
+	reps, err := Cells(ctx, r, cells, func(_ context.Context, i int, c Cell) (availReport, error) {
 		cellSeed := seed
 		if cellSeed == 0 {
 			cellSeed = c.Seed()
@@ -94,14 +79,13 @@ func AvailabilityExperimentSeeded(w io.Writer, cfg par.Config, quick bool, r *Ru
 		if err != nil {
 			if seed != 0 {
 				// The override replaced the cell seed ForEach will report.
-				return fmt.Errorf("fault seed %#x: %w", cellSeed, err)
+				return rep, fmt.Errorf("fault seed %#x: %w", cellSeed, err)
 			}
-			return err
+			return rep, err
 		}
-		rows[i].rep = rep
 		r.Prog.logf("%-24s MTTF %4.0fs: %d failures, completion %.1fs", c.Name(),
 			rows[i].mttf.Seconds(), rep.Failures, rep.Completion.Seconds())
-		return nil
+		return rep, nil
 	})
 	if err != nil {
 		return err
@@ -110,8 +94,8 @@ func AvailabilityExperimentSeeded(w io.Writer, cfg par.Config, quick bool, r *Ru
 	t := trace.NewTable(fmt.Sprintf("E12: availability under faults (%s, repair %.0fs)", wl.Name, repair.Seconds()),
 		"Scheme", "Interval", "MTTF", "Ckpts", "Abort/Skip", "Retries", "Retrans", "Failures", "Work lost", "Completion").
 		Align(1, 2, 3, 4, 5, 6, 7, 8, 9)
-	for _, row := range rows {
-		rep := row.rep
+	for i, row := range rows {
+		rep := reps[i]
 		t.Rowf(row.scheme.String(),
 			fmt.Sprintf("%.1fs", row.interval.Seconds()),
 			fmt.Sprintf("%.0fs", row.mttf.Seconds()),

@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/rdg"
 	"repro/internal/sim"
@@ -57,7 +59,8 @@ func TestSchemeByName(t *testing.T) {
 
 func TestMeasureRowsProducesOverheads(t *testing.T) {
 	wl := syntheticWorkload(50_000)
-	rows, err := MeasureRows(par.DefaultConfig(), []apps.Workload{wl}, []ckpt.Variant{ckpt.CoordNB, ckpt.Indep}, 2, nil)
+	rows, err := NewRunner(0, nil).MeasureRows(context.Background(), par.DefaultConfig(),
+		[]apps.Workload{wl}, []ckpt.Variant{ckpt.CoordNB, ckpt.Indep}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +103,13 @@ func TestTableWritersRender(t *testing.T) {
 }
 
 func TestSyntheticWorkloadChecksOut(t *testing.T) {
-	if _, err := coreRunNormal(syntheticWorkload(10_000), par.DefaultConfig()); err != nil {
+	if _, err := core.Run(syntheticWorkload(10_000), core.Default()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAsyncWorkloadChecksOut(t *testing.T) {
-	if _, err := coreRunNormal(AsyncWorkload(100, 5_000), par.DefaultConfig()); err != nil {
+	if _, err := core.Run(AsyncWorkload(100, 5_000), core.Default()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -125,24 +128,17 @@ func TestRecoveryDemoRejectsIndependent(t *testing.T) {
 	}
 }
 
-func TestDominoExperimentRuns(t *testing.T) {
-	var sb strings.Builder
-	if err := DominoExperiment(&sb, par.DefaultConfig(), true, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "rollback") {
-		t.Fatalf("output:\n%s", sb.String())
-	}
-}
-
+// TestExperimentDispatch: an unknown name is rejected with the catalogue's
+// names in the error (the entries themselves run under
+// TestExperimentsParallelDeterminism).
 func TestExperimentDispatch(t *testing.T) {
-	if err := RunExperiment(io.Discard, "nope", par.DefaultConfig(), true, nil); err == nil {
+	err := RunExperiment(context.Background(), io.Discard, "nope", par.DefaultConfig(), true, NewRunner(0, nil))
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	// The cheap ones run end to end.
-	for _, name := range []string{"stagger", "storage"} {
-		if err := RunExperiment(io.Discard, name, par.DefaultConfig(), true, nil); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, name := range ExperimentNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
 		}
 	}
 }
@@ -150,16 +146,7 @@ func TestExperimentDispatch(t *testing.T) {
 func TestRecoveryLineOnRealRunIsConsistent(t *testing.T) {
 	// End-to-end integration: run the async workload under Indep, then the
 	// rdg invariants must hold on the records a real run produced.
-	cfg := par.DefaultConfig()
-	wl := AsyncWorkload(300, 20_000)
-	base, err := coreRunNormal(wl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, recs, err := runSchemeForRecords(wl, cfg, ckpt.Indep, base/6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, recs, _ := asyncRecords(t, ckpt.Indep)
 	if len(recs) == 0 {
 		t.Fatal("no checkpoints taken")
 	}

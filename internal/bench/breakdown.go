@@ -38,29 +38,21 @@ type Breakdown struct {
 
 // MeasureBreakdown runs wl normally and then under each scheme with `ckpts`
 // checkpoints at interval normal/(ckpts+1), collecting the phase breakdown of
-// every checkpointed run through a fresh Observer. It returns the normal
-// execution time and one Breakdown per scheme, at default parallelism.
-func MeasureBreakdown(cfg par.Config, wl apps.Workload, schemes []ckpt.Variant, ckpts int, prog Progress) (sim.Duration, []Breakdown, error) {
-	return NewRunner(0, prog).MeasureBreakdown(context.Background(), cfg, wl, schemes, ckpts)
-}
-
-// MeasureBreakdown is the concurrent form of the package-level function:
-// every checkpointed run owns a fresh Observer, so the scheme cells fan out
-// over the pool and assemble in scheme order.
+// every checkpointed run through a fresh Observer of its own — so the scheme
+// cells fan out over the pool and assemble in scheme order. It returns the
+// normal execution time and one Breakdown per scheme.
 func (r *Runner) MeasureBreakdown(ctx context.Context, cfg par.Config, wl apps.Workload, schemes []ckpt.Variant, ckpts int) (sim.Duration, []Breakdown, error) {
-	r = r.orDefault()
-	base, err := core.Run(wl, core.Config{Machine: cfg, Perf: r.Perf})
+	base, err := r.normal(ctx, cfg, wl)
 	if err != nil {
 		return 0, nil, err
 	}
-	interval := base.Exec / sim.Duration(ckpts+1)
-	r.Prog.logf("%-12s normal %8.2fs  (interval %.0fs)", wl.Name, base.Exec.Seconds(), interval.Seconds())
-	out := make([]Breakdown, len(schemes))
+	interval := base / sim.Duration(ckpts+1)
+	r.Prog.logf("%-12s normal %8.2fs  (interval %.0fs)", wl.Name, base.Seconds(), interval.Seconds())
 	cells := make([]Cell, len(schemes))
 	for i, v := range schemes {
 		cells[i] = Cell{App: wl.Name, Scheme: v.String()}
 	}
-	err = r.ForEach(ctx, cells, func(ctx context.Context, i int, c Cell) error {
+	out, err := Cells(ctx, r, cells, func(_ context.Context, i int, c Cell) (Breakdown, error) {
 		v := schemes[i]
 		o := obs.New()
 		res, err := core.Run(wl, core.Config{
@@ -72,13 +64,13 @@ func (r *Runner) MeasureBreakdown(ctx context.Context, cfg par.Config, wl apps.W
 			Perf:           r.Perf,
 		})
 		if err != nil {
-			return fmt.Errorf("bench: %s under %v: %w", wl.Name, v, err)
+			return Breakdown{}, err
 		}
 		r.Prog.logf("%-24s %8.2fs", c.Name(), res.Exec.Seconds())
-		out[i] = Breakdown{
+		return Breakdown{
 			Scheme:      v.String(),
 			Exec:        res.Exec,
-			OverheadPct: 100 * float64(res.Exec-base.Exec) / float64(base.Exec),
+			OverheadPct: 100 * float64(res.Exec-base) / float64(base),
 			Blocked:     res.Ckpt.AppBlocked,
 			Forced:      o.SpanTotal("cic.forced"),
 			Sync:        o.SpanTotal("ckpt.sync"),
@@ -88,13 +80,12 @@ func (r *Runner) MeasureBreakdown(ctx context.Context, cfg par.Config, wl apps.W
 			TokenWait:   o.SpanTotal("ckpt.token_wait"),
 			HostWait:    sim.Seconds(o.HistTotal("storage.hostlink_queue_wait")),
 			Obs:         o,
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return 0, nil, err
 	}
-	return base.Exec, out, nil
+	return base, out, nil
 }
 
 // WriteBreakdown renders the per-scheme overhead breakdown table.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/ckpt"
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/mp"
 	"repro/internal/par"
 	"repro/internal/rdg"
@@ -95,7 +96,7 @@ func AsyncWorkload(iters, stateBytes int) apps.Workload {
 	}
 }
 
-// DominoExperiment (E6) quantifies the recovery weakness of independent
+// dominoExperiment (E6) quantifies the recovery weakness of independent
 // checkpointing that the paper argues qualitatively, and puts the
 // communication-induced family next to it: for a range of checkpoint
 // intervals, run the asynchronous workload under Indep and CIC, evaluate the
@@ -104,11 +105,10 @@ func AsyncWorkload(iters, stateBytes int) apps.Workload {
 // and (for CIC) the price paid in forced checkpoints. The coordinated
 // comparison line is always "roll back to the last committed round" (bounded
 // by one interval plus the round latency).
-func DominoExperiment(w io.Writer, cfg par.Config, quick bool, r *Runner) error {
-	r = r.orDefault()
+func dominoExperiment(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
 	iters := pick(quick, 400, 1500)
 	wl := AsyncWorkload(iters, 60_000)
-	base, err := coreRunNormal(wl, cfg)
+	base, err := r.normal(ctx, cfg, wl)
 	if err != nil {
 		return err
 	}
@@ -126,24 +126,25 @@ func DominoExperiment(w io.Writer, cfg par.Config, quick bool, r *Runner) error 
 		forced        string
 	}
 	const samples = 40
-	outs := make([]dominoRow, len(divs)*len(schemes))
-	cells := make([]Cell, 0, len(outs))
+	cells := make([]Cell, 0, len(divs)*len(schemes))
 	for _, div := range divs {
 		for _, v := range schemes {
 			cells = append(cells, Cell{App: wl.Name, Scheme: v.String(), Rep: div})
 		}
 	}
-	err = r.ForEach(context.Background(), cells, func(ctx context.Context, i int, c Cell) error {
+	outs, err := Cells(ctx, r, cells, func(_ context.Context, i int, c Cell) (dominoRow, error) {
 		div, v := divs[i/len(schemes)], schemes[i%len(schemes)]
 		interval := base / sim.Duration(div+1)
-		n, recs, st, total, err := runSchemeForAnalysis(wl, cfg, v, ckpt.Options{Interval: interval})
+		res, err := core.Run(wl, core.Config{Machine: cfg, Scheme: v, Interval: interval})
 		if err != nil {
-			return err
+			return dominoRow{}, err
 		}
 		// Evaluate hypothetical failures on a time grid across the run.
-		row := dominoRow{interval: interval, ckpts: len(recs), line: rdgLineSize(n, recs)}
+		n, recs := cfg.Fabric.Nodes(), res.Records
+		final := rdg.FromRecords(n, recs)
+		row := dominoRow{interval: interval, ckpts: len(recs), line: final.Retained(final.RecoveryLine())}
 		for s := 1; s <= samples; s++ {
-			failAt := sim.Time(total * sim.Duration(s) / (samples + 1))
+			failAt := sim.Time(res.Exec * sim.Duration(s) / (samples + 1))
 			g := rdg.FromRecordsAt(n, recs, failAt)
 			line := g.RecoveryLine()
 			if g.Domino(line) {
@@ -158,19 +159,17 @@ func DominoExperiment(w io.Writer, cfg par.Config, quick bool, r *Runner) error 
 		}
 		row.forced = "-"
 		if v.CommunicationInduced() {
-			row.forced = fmt.Sprintf("%d", st.ForcedCkpts)
+			row.forced = fmt.Sprintf("%d", res.Ckpt.ForcedCkpts)
 		}
-		outs[i] = row
 		r.Prog.logf("%s interval %v: %d ckpts, mean rollback %v", c.Name(), interval, len(recs), row.meanRb)
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return err
 	}
 	t := trace.NewTable("E6: recovery line vs checkpoint interval (asynchronous workload)",
 		"Scheme", "Interval", "Ckpts taken", "Ckpts on line", "Mean rollback", "Max rollback", "Domino runs", "Forced").Align(2, 3, 4, 5, 6, 7)
-	for i := range outs {
-		o := outs[i]
+	for i, o := range outs {
 		t.Rowf(schemes[i%len(schemes)].String(), fmt.Sprintf("%.1fs", o.interval.Seconds()),
 			o.ckpts, o.line,
 			fmt.Sprintf("%.2fs", o.meanRb.Seconds()),
@@ -186,73 +185,4 @@ func DominoExperiment(w io.Writer, cfg par.Config, quick bool, r *Runner) error 
 	fmt.Fprintln(w, "Communication-induced checkpointing buys its bounded rollback (and a")
 	fmt.Fprintln(w, "domino-free end state) with the forced checkpoints in the last column.")
 	return nil
-}
-
-// rdgLineSize computes the final recovery line's total retained checkpoints.
-func rdgLineSize(n int, recs []ckpt.Record) int {
-	g := rdg.FromRecords(n, recs)
-	return g.Retained(g.RecoveryLine())
-}
-
-// runSchemeForRecords runs wl under a scheme and returns the machine size
-// and the committed checkpoint records (used by the recovery-line analyses).
-func runSchemeForRecords(wl apps.Workload, cfg par.Config, v ckpt.Variant, interval sim.Duration) (int, []ckpt.Record, error) {
-	return RunSchemeForRecords(wl, cfg, v, ckpt.Options{Interval: interval})
-}
-
-// RunSchemeForRecords runs wl under a scheme and returns the machine size
-// and the committed checkpoint records, for recovery-line analyses outside
-// this package (the rdg guarantee tests).
-func RunSchemeForRecords(wl apps.Workload, cfg par.Config, v ckpt.Variant, opt ckpt.Options) (int, []ckpt.Record, error) {
-	n, recs, _, err := RunSchemeForStats(wl, cfg, v, opt)
-	return n, recs, err
-}
-
-// RunSchemeForStats is RunSchemeForRecords plus the scheme's counters, for
-// analyses that also need the forced/basic checkpoint split.
-func RunSchemeForStats(wl apps.Workload, cfg par.Config, v ckpt.Variant, opt ckpt.Options) (int, []ckpt.Record, ckpt.Stats, error) {
-	n, recs, st, _, err := runSchemeForAnalysis(wl, cfg, v, opt)
-	return n, recs, st, err
-}
-
-// runSchemeForAnalysis is the full checkpointed run behind the recovery-line
-// analyses: machine size, committed records, scheme counters, and the
-// application completion time (the failure-grid extent).
-func runSchemeForAnalysis(wl apps.Workload, cfg par.Config, v ckpt.Variant, opt ckpt.Options) (int, []ckpt.Record, ckpt.Stats, sim.Duration, error) {
-	m := par.NewMachine(cfg)
-	defer m.Shutdown()
-	sch := ckpt.New(v, opt)
-	sch.Attach(m)
-	world := mp.NewWorld(m)
-	progs := make([]mp.Program, m.NumNodes())
-	for rank := range progs {
-		progs[rank] = wl.Make(rank, m.NumNodes())
-		world.Launch(rank, progs[rank])
-	}
-	if err := m.Run(); err != nil {
-		return 0, nil, ckpt.Stats{}, 0, err
-	}
-	if err := wl.Check(progs); err != nil {
-		return 0, nil, ckpt.Stats{}, 0, err
-	}
-	return m.NumNodes(), sch.Records(), sch.Stats(), sim.Duration(m.AppsFinished), nil
-}
-
-// coreRunNormal measures the failure-free execution time of wl.
-func coreRunNormal(wl apps.Workload, cfg par.Config) (sim.Duration, error) {
-	m := par.NewMachine(cfg)
-	defer m.Shutdown()
-	w := mp.NewWorld(m)
-	progs := make([]mp.Program, m.NumNodes())
-	for rank := range progs {
-		progs[rank] = wl.Make(rank, m.NumNodes())
-		w.Launch(rank, progs[rank])
-	}
-	if err := m.Run(); err != nil {
-		return 0, err
-	}
-	if err := wl.Check(progs); err != nil {
-		return 0, err
-	}
-	return sim.Duration(m.AppsFinished), nil
 }

@@ -2,92 +2,109 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/mp"
 	"repro/internal/par"
 	"repro/internal/rdg"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// orDefault returns r, or a fresh default-parallelism silent runner when r is
-// nil, so experiment entry points accept a nil *Runner.
-func (r *Runner) orDefault() *Runner {
-	if r == nil {
-		return NewRunner(0, nil)
-	}
-	return r
+// Experiment is one entry of the extension-experiment catalogue: what -exp
+// NAME runs on both commands. Each entry renders its own report; the
+// catalogue only says what exists, under which name, and how to launch it.
+type Experiment struct {
+	Name  string // the -exp name
+	ID    string // "E4" … "E15": the EXPERIMENTS.md heading
+	Title string // one line, for help texts
+	Run   func(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error
 }
 
-// RunExperiment dispatches the extension experiments by name, fanning each
-// experiment's independent cells out over r's worker pool (nil r means
-// default parallelism, silent progress).
-func RunExperiment(w io.Writer, name string, cfg par.Config, quick bool, r *Runner) error {
-	switch name {
-	case "sync":
-		return SyncCostExperiment(w, cfg, r)
-	case "storage":
-		return StorageOverheadExperiment(w, cfg, quick, r)
-	case "stagger":
-		return StaggerAblation(w, cfg, quick, r)
-	case "interval":
-		return IntervalSweep(w, cfg, quick, r)
-	case "scaling":
-		return ScalingExperiment(w, cfg, quick, r)
-	case "domino":
-		return DominoExperiment(w, cfg, quick, r)
-	case "avail":
-		return AvailabilityExperiment(w, cfg, quick, r)
-	case "failover":
-		return FailoverExperiment(w, cfg, quick, r)
-	case "scale":
-		return ScaleExperiment(w, cfg, quick, r)
-	default:
-		return fmt.Errorf("bench: unknown experiment %q", name)
-	}
+// Experiments is the catalogue, in IDENTITY.txt's manifest order. The help
+// texts, the dispatcher, the identity manifest, the determinism test and the
+// benchmarks all range over it.
+var Experiments = []Experiment{
+	{"sync", "E4", "synchronization-cost decomposition", syncCostExperiment},
+	{"storage", "E5", "stable-storage overhead comparison", storageOverheadExperiment},
+	{"stagger", "E8", "staggering ablation", staggerAblation},
+	{"interval", "E9", "overhead vs checkpoint interval", intervalSweep},
+	{"scaling", "E10", "overhead vs machine size", scalingExperiment},
+	{"domino", "E6", "recovery lines and the domino effect", dominoExperiment},
+	{"avail", "E12", "availability under injected faults and Poisson failures",
+		func(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
+			return AvailabilityExperimentSeeded(ctx, w, cfg, quick, r, 0)
+		}},
+	{"failover", "E15", "coordinator failover (pre-commit + election)",
+		func(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
+			return FailoverExperimentPhase(ctx, w, cfg, quick, r, "")
+		}},
+	{"scale", "E14", "scaling to 1024 nodes with sharded stable storage",
+		func(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
+			return ScaleExperimentGrid(ctx, w, cfg, ScaleGrid(quick), ScaleSchemes, r)
+		}},
 }
 
-// SyncCostExperiment (E4) isolates the synchronization cost of coordinated
+// ExperimentNames lists the catalogue's -exp names, in catalogue order.
+func ExperimentNames() []string {
+	names := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		names[i] = e.Name
+	}
+	return names
+}
+
+// ExperimentHelp renders the catalogue for a flag's help text, one
+// "NAME  ID  title" line per entry.
+func ExperimentHelp() string {
+	var b strings.Builder
+	for _, e := range Experiments {
+		fmt.Fprintf(&b, "\n  %-9s %-4s %s", e.Name, e.ID, e.Title)
+	}
+	return b.String()
+}
+
+// ErrUnknownExperiment is what RunExperiment's error wraps when no catalogue
+// entry has the name: command-line misuse, as opposed to a failing cell.
+var ErrUnknownExperiment = errors.New("unknown experiment")
+
+// RunExperiment runs the catalogue entry called name, fanning its independent
+// cells out over r's worker pool. Cancelling ctx stops the experiment after
+// its in-flight cells; no partial report is written.
+func RunExperiment(ctx context.Context, w io.Writer, name string, cfg par.Config, quick bool, r *Runner) error {
+	for _, e := range Experiments {
+		if e.Name == name {
+			return e.Run(ctx, w, cfg, quick, r)
+		}
+	}
+	return fmt.Errorf("bench: %w %q: want one of %s", ErrUnknownExperiment, name, strings.Join(ExperimentNames(), ", "))
+}
+
+// syncCostExperiment (E4) isolates the synchronization cost of coordinated
 // checkpointing by sweeping the checkpoint state size down to zero: the
 // overhead at size zero is pure protocol (request, markers, acks, commit).
 // The paper's central claim is that this cost is negligible against the
 // state-writing cost.
-func SyncCostExperiment(w io.Writer, cfg par.Config, r *Runner) error {
-	r = r.orDefault()
+func syncCostExperiment(ctx context.Context, w io.Writer, cfg par.Config, _ bool, r *Runner) error {
 	// Zero the process-image constant so the first row isolates the pure
 	// protocol cost (request, markers, acks, commit, one empty write).
 	cfg.CkptImageBytes = 0
 	sizes := []int{0, 10_000, 100_000, 500_000, 1_000_000}
-	type out struct {
-		over sim.Duration
-		msgs float64
-	}
-	outs := make([]out, len(sizes))
 	cells := make([]Cell, len(sizes))
 	for i, stateBytes := range sizes {
 		cells[i] = Cell{App: fmt.Sprintf("RING-%dB", stateBytes), Scheme: "E4"}
 	}
-	err := r.ForEach(context.Background(), cells, func(ctx context.Context, i int, c Cell) error {
-		wl := syntheticWorkload(sizes[i])
-		rows, err := r.MeasureRows(ctx, cfg, []apps.Workload{wl}, []ckpt.Variant{ckpt.CoordNB}, 3)
+	rows, err := Cells(ctx, r, cells, func(ctx context.Context, i int, _ Cell) (Row, error) {
+		rows, err := r.MeasureRows(ctx, cfg, []apps.Workload{syntheticWorkload(sizes[i])}, []ckpt.Variant{ckpt.CoordNB}, 3)
 		if err != nil {
-			return err
+			return Row{}, err
 		}
-		res, err := core.Run(wl, core.Config{Machine: cfg, Scheme: ckpt.CoordNB,
-			Interval: rows[0].Interval, MaxCheckpoints: 3})
-		if err != nil {
-			return err
-		}
-		outs[i] = out{
-			over: rows[0].PerCkpt(ckpt.CoordNB),
-			msgs: float64(res.Ckpt.ProtoMsgs) / float64(res.Ckpt.Rounds),
-		}
-		return nil
+		return rows[0], nil
 	})
 	if err != nil {
 		return err
@@ -95,89 +112,61 @@ func SyncCostExperiment(w io.Writer, cfg par.Config, r *Runner) error {
 	t := trace.NewTable("E4: coordinated checkpoint cost decomposition (Coord_NB, synthetic ring workload)",
 		"State/node", "Overhead/ckpt", "Protocol msgs/ckpt", "Sync share").Align(1, 2, 3)
 	for i, stateBytes := range sizes {
+		over, st := rows[i].PerCkpt(ckpt.CoordNB), rows[i].Stats[ckpt.CoordNB]
 		share := "-"
 		if stateBytes > 0 {
 			// Compare against the zero-state run printed in the first row.
-			share = fmt.Sprintf("see row 1 vs %.3fs", outs[i].over.Seconds())
+			share = fmt.Sprintf("see row 1 vs %.3fs", over.Seconds())
 		}
-		t.Rowf(fmt.Sprintf("%d B", stateBytes), fmt.Sprintf("%.3fs", outs[i].over.Seconds()),
-			fmt.Sprintf("%.0f", outs[i].msgs), share)
+		t.Rowf(fmt.Sprintf("%d B", stateBytes), fmt.Sprintf("%.3fs", over.Seconds()),
+			fmt.Sprintf("%.0f", float64(st.ProtoMsgs)/float64(st.Rounds)), share)
 	}
 	t.Write(w)
 	fmt.Fprintln(w, "\nThe zero-state row is the pure synchronization cost; the paper found it negligible.")
 	return nil
 }
 
-// StorageOverheadExperiment (E5) compares the stable-storage footprint of
+// storageOverheadExperiment (E5) compares the stable-storage footprint of
 // coordinated vs independent checkpointing: coordinated garbage-collects all
 // but the last committed round, independent retains every checkpoint unless
 // a reclamation algorithm runs.
-func StorageOverheadExperiment(w io.Writer, cfg par.Config, quick bool, r *Runner) error {
-	r = r.orDefault()
+func storageOverheadExperiment(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
 	wl := apps.SORWorkload(apps.DefaultSOR(pick(quick, 128, 512), pick(quick, 40, 100)))
 	interval := sim.Duration(pick(quick, 2, 20)) * sim.Second
 
-	plain := []ckpt.Variant{ckpt.CoordNB, ckpt.CoordNBMS, ckpt.Indep, ckpt.IndepM, ckpt.CIC}
-	plainRes := make([]core.Result, len(plain))
-	cells := make([]Cell, len(plain))
-	for i, v := range plain {
-		cells[i] = Cell{App: wl.Name, Scheme: v.String()}
+	// The uncoordinated schemes run a second time with active garbage
+	// collection (Wang et al.): the dependency analysis reclaims checkpoints
+	// behind the recovery line. CIC's recovery line sits at the latest
+	// checkpoints, so its collector reclaims everything older, whereas
+	// Indep's line can lag arbitrarily.
+	rows := []struct {
+		v  ckpt.Variant
+		gc bool
+	}{
+		{ckpt.CoordNB, false}, {ckpt.CoordNBMS, false}, {ckpt.Indep, false}, {ckpt.IndepM, false}, {ckpt.CIC, false},
+		{ckpt.Indep, true}, {ckpt.CIC, true},
 	}
-	err := r.ForEach(context.Background(), cells, func(ctx context.Context, i int, c Cell) error {
-		res, err := core.Run(wl, core.Config{Machine: cfg, Scheme: plain[i], Interval: interval})
-		if err != nil {
-			return err
+	cells := make([]Cell, len(rows))
+	for i, row := range rows {
+		cells[i] = Cell{App: wl.Name, Scheme: row.v.String()}
+		if row.gc {
+			cells[i].Scheme += "+GC"
 		}
-		plainRes[i] = res
-		r.Prog.logf("%s: peak %d bytes", c.Name(), res.StoragePeak)
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-
-	// Uncoordinated schemes with active garbage collection (Wang et al.):
-	// the dependency analysis reclaims checkpoints behind the recovery line.
-	// CIC's recovery line sits at the latest checkpoints, so its collector
-	// reclaims everything older, whereas Indep's line can lag arbitrarily.
-	gcVars := []ckpt.Variant{ckpt.Indep, ckpt.CIC}
-	type gcOut struct {
-		ckpts, files int
-		peak         int64
-		reclaims     int
-		freedMB      float64
+	type out struct {
+		res core.Result
+		gc  *rdg.GarbageCollector // nil on the rows without one
 	}
-	gcRes := make([]gcOut, len(gcVars))
-	gcCells := make([]Cell, len(gcVars))
-	for i, v := range gcVars {
-		gcCells[i] = Cell{App: wl.Name, Scheme: v.String() + "+GC"}
-	}
-	err = r.ForEach(context.Background(), gcCells, func(ctx context.Context, i int, c Cell) error {
-		m := par.NewMachine(cfg)
-		defer m.Shutdown()
-		sch := ckpt.New(gcVars[i], ckpt.Options{Interval: interval})
-		sch.Attach(m)
-		gc := rdg.AttachGC(m, sch, interval)
-		world := mp.NewWorld(m)
-		progs := make([]mp.Program, m.NumNodes())
-		for rank := range progs {
-			progs[rank] = wl.Make(rank, m.NumNodes())
-			world.Launch(rank, progs[rank])
+	outs, err := Cells(ctx, r, cells, func(_ context.Context, i int, c Cell) (o out, err error) {
+		run := core.Start(wl, core.Config{Machine: cfg, Scheme: rows[i].v, Interval: interval})
+		if rows[i].gc {
+			o.gc = rdg.AttachGC(run.M, run.Scheme, interval)
 		}
-		if err := m.Run(); err != nil {
-			return err
+		if o.res, err = run.Finish(); err != nil {
+			return o, err
 		}
-		if err := wl.Check(progs); err != nil {
-			return err
-		}
-		gcRes[i] = gcOut{
-			ckpts:    sch.Stats().Checkpoints,
-			files:    m.Store.NumFiles(),
-			peak:     m.Store.PeakOccupied(),
-			reclaims: gc.Reclaims,
-			freedMB:  float64(gc.Freed) / 1e6,
-		}
-		return nil
+		r.Prog.logf("%s: peak %d bytes", c.Name(), o.res.StoragePeak)
+		return o, nil
 	})
 	if err != nil {
 		return err
@@ -185,12 +174,12 @@ func StorageOverheadExperiment(w io.Writer, cfg par.Config, quick bool, r *Runne
 
 	t := trace.NewTable("E5: stable-storage overhead (SOR, checkpoint every interval)",
 		"Scheme", "Ckpts taken", "Peak bytes", "Files at end", "GC reclaims").Align(1, 2, 3, 4)
-	for i, v := range plain {
-		t.Rowf(v.String(), plainRes[i].Ckpt.Checkpoints, plainRes[i].StoragePeak, plainRes[i].FilesAtEnd, "-")
-	}
-	for i, v := range gcVars {
-		t.Rowf(v.String()+"+GC", gcRes[i].ckpts, gcRes[i].peak, gcRes[i].files,
-			fmt.Sprintf("%d (%.1f MB)", gcRes[i].reclaims, gcRes[i].freedMB))
+	for i, o := range outs {
+		reclaims := "-"
+		if o.gc != nil {
+			reclaims = fmt.Sprintf("%d (%.1f MB)", o.gc.Reclaims, float64(o.gc.Freed)/1e6)
+		}
+		t.Rowf(cells[i].Scheme, o.res.Ckpt.Checkpoints, o.res.StoragePeak, o.res.FilesAtEnd, reclaims)
 	}
 	t.Write(w)
 	fmt.Fprintln(w, "\nCoordinated checkpointing double-buffers two rounds regardless of run")
@@ -202,12 +191,11 @@ func StorageOverheadExperiment(w io.Writer, cfg par.Config, quick bool, r *Runne
 	return nil
 }
 
-// StaggerAblation (E8) separates the two optimizations the paper combines in
+// staggerAblation (E8) separates the two optimizations the paper combines in
 // NBMS: staggering only helps together with main-memory checkpointing.
-func StaggerAblation(w io.Writer, cfg par.Config, quick bool, r *Runner) error {
-	r = r.orDefault()
+func staggerAblation(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
 	wl := apps.SORWorkload(apps.DefaultSOR(pick(quick, 128, 512), pick(quick, 40, 100)))
-	rows, err := r.MeasureRows(context.Background(), cfg, []apps.Workload{wl},
+	rows, err := r.MeasureRows(ctx, cfg, []apps.Workload{wl},
 		[]ckpt.Variant{ckpt.CoordNB, ckpt.CoordNBM, ckpt.CoordNBMS, ckpt.CoordB}, 3)
 	if err != nil {
 		return err
@@ -223,30 +211,22 @@ func StaggerAblation(w io.Writer, cfg par.Config, quick bool, r *Runner) error {
 	return nil
 }
 
-// IntervalSweep (E9) measures overhead as a function of the checkpoint
+// intervalSweep (E9) measures overhead as a function of the checkpoint
 // interval and compares with Young's first-order model
 // (overhead ≈ C/I where C is the cost of one checkpoint).
-func IntervalSweep(w io.Writer, cfg par.Config, quick bool, r *Runner) error {
-	r = r.orDefault()
+func intervalSweep(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
 	wl := apps.SORWorkload(apps.DefaultSOR(pick(quick, 128, 384), pick(quick, 60, 150)))
-	base, err := core.Run(wl, core.Config{Machine: cfg})
+	base, err := r.normal(ctx, cfg, wl)
 	if err != nil {
 		return err
 	}
 	divs := []int{16, 8, 4, 2}
-	results := make([]core.Result, len(divs))
 	cells := make([]Cell, len(divs))
 	for i, div := range divs {
 		cells[i] = Cell{App: wl.Name, Scheme: "Coord_NBMS", Rep: div}
 	}
-	err = r.ForEach(context.Background(), cells, func(ctx context.Context, i int, c Cell) error {
-		interval := base.Exec / sim.Duration(divs[i]+1)
-		res, err := core.Run(wl, core.Config{Machine: cfg, Scheme: ckpt.CoordNBMS, Interval: interval})
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
+	results, err := Cells(ctx, r, cells, func(_ context.Context, i int, _ Cell) (core.Result, error) {
+		return core.Run(wl, core.Config{Machine: cfg, Scheme: ckpt.CoordNBMS, Interval: base / sim.Duration(divs[i]+1)})
 	})
 	if err != nil {
 		return err
@@ -255,11 +235,11 @@ func IntervalSweep(w io.Writer, cfg par.Config, quick bool, r *Runner) error {
 		"Interval", "Ckpts", "Overhead %", "Young C/I %").Align(1, 2, 3)
 	var costPerCkpt float64 // estimated from the densest run
 	for i, div := range divs {
-		interval := base.Exec / sim.Duration(div+1)
+		interval := base / sim.Duration(div+1)
 		res := results[i]
-		over := float64(res.Exec-base.Exec) / float64(base.Exec) * 100
+		over := float64(res.Exec-base) / float64(base) * 100
 		if i == 0 && res.Ckpt.Rounds > 0 {
-			costPerCkpt = float64(res.Exec-base.Exec) / float64(res.Ckpt.Rounds)
+			costPerCkpt = float64(res.Exec-base) / float64(res.Ckpt.Rounds)
 		}
 		model := costPerCkpt / float64(interval) * 100
 		t.Rowf(fmt.Sprintf("%.0fs", interval.Seconds()), res.Ckpt.Rounds, over, model)
@@ -269,43 +249,38 @@ func IntervalSweep(w io.Writer, cfg par.Config, quick bool, r *Runner) error {
 	return nil
 }
 
-// ScalingExperiment (E10) holds per-node state constant and grows the mesh:
+// scalingExperiment (E10) holds per-node state constant and grows the mesh:
 // the stable-storage bottleneck makes coordinated non-staggered overhead
 // grow with machine size while NBMS stays flat per node.
-func ScalingExperiment(w io.Writer, cfg par.Config, quick bool, r *Runner) error {
-	r = r.orDefault()
+func scalingExperiment(ctx context.Context, w io.Writer, cfg par.Config, _ bool, r *Runner) error {
 	dims := [][2]int{{2, 1}, {2, 2}, {4, 2}, {4, 4}, {8, 4}}
-	meshRows := make([]Row, len(dims))
-	nodes := make([]int, len(dims))
 	cells := make([]Cell, len(dims))
 	for i, d := range dims {
 		cells[i] = Cell{App: fmt.Sprintf("RING-%dx%d", d[0], d[1]), Scheme: "E10"}
 	}
-	err := r.ForEach(context.Background(), cells, func(ctx context.Context, i int, c Cell) error {
+	meshRows, err := Cells(ctx, r, cells, func(ctx context.Context, i int, _ Cell) (Row, error) {
 		cc := cfg
 		// E10 is defined over meshes: a parsed -topo override must not
 		// survive into the grid cells, or the dimensions set here would be
 		// silently ignored.
 		cc.Fabric.Topo = nil
 		cc.Fabric.MeshW, cc.Fabric.MeshH = dims[i][0], dims[i][1]
-		nodes[i] = cc.Fabric.Nodes()
-		wl := syntheticWorkloadN(128_000, nodes[i])
+		wl := syntheticWorkloadN(128_000, cc.Fabric.Nodes())
 		rows, err := r.MeasureRows(ctx, cc, []apps.Workload{wl},
 			[]ckpt.Variant{ckpt.CoordNB, ckpt.Indep, ckpt.CoordNBMS}, 2)
 		if err != nil {
-			return err
+			return Row{}, err
 		}
-		meshRows[i] = rows[0]
-		return nil
+		return rows[0], nil
 	})
 	if err != nil {
 		return err
 	}
 	t := trace.NewTable("E10: overhead per checkpoint vs machine size (synthetic ring, 128 KB/node)",
 		"Nodes", "NB", "Indep", "NBMS").Align(1, 2, 3)
-	for i := range dims {
+	for i, d := range dims {
 		rr := meshRows[i]
-		t.Rowf(nodes[i],
+		t.Rowf(d[0]*d[1],
 			fmt.Sprintf("%.2fs", rr.PerCkpt(ckpt.CoordNB).Seconds()),
 			fmt.Sprintf("%.2fs", rr.PerCkpt(ckpt.Indep).Seconds()),
 			fmt.Sprintf("%.2fs", rr.PerCkpt(ckpt.CoordNBMS).Seconds()))

@@ -10,7 +10,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/mp"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -36,7 +35,7 @@ func ValidKillPhase(phase string) error {
 		phase, strings.Join(KillPhases, ", "))
 }
 
-// FailoverExperiment (E15) measures what the three-phase commit and the
+// FailoverExperimentPhase (E15) measures what the three-phase commit and the
 // coordinator election buy when the coordinator itself dies. Each cell kills
 // rank 0 inside one window of the checkpoint round — while the round is
 // announced, after all acks, after the pre-commit barrier, after the commit
@@ -52,20 +51,15 @@ func ValidKillPhase(phase string) error {
 // steady-state availability at a range of coordinator MTTFs, in the paper's
 // first-order style: failures arrive at rate 1/MTTF and each costs the mean
 // measured crash-to-recovery overhead.
-func FailoverExperiment(w io.Writer, cfg par.Config, quick bool, r *Runner) error {
-	return FailoverExperimentPhase(w, cfg, quick, r, "")
-}
-
-// FailoverExperimentPhase is FailoverExperiment restricted to a single kill
-// window; phase "" sweeps every window, which is what the experiment
-// dispatcher runs.
-func FailoverExperimentPhase(w io.Writer, cfg par.Config, quick bool, r *Runner, phase string) error {
+//
+// A non-empty phase restricts the sweep to that one kill window; the
+// catalogue entry passes "" and sweeps them all.
+func FailoverExperimentPhase(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner, phase string) error {
 	if phase != "" {
 		if err := ValidKillPhase(phase); err != nil {
 			return err
 		}
 	}
-	r = r.orDefault()
 	wl := syntheticWorkload(pick(quick, 100_000, 200_000))
 	schemes := []ckpt.Variant{ckpt.CoordNB, ckpt.CoordNBFT, ckpt.CoordNBFTInc}
 	phases := KillPhases
@@ -74,16 +68,7 @@ func FailoverExperimentPhase(w io.Writer, cfg par.Config, quick bool, r *Runner,
 	}
 
 	// The no-checkpointing baseline fixes the interval, as everywhere else.
-	var baseExec sim.Duration
-	baseCell := []Cell{{App: wl.Name, Scheme: "normal"}}
-	err := r.ForEach(context.Background(), baseCell, func(ctx context.Context, i int, c Cell) error {
-		base, err := core.Run(wl, core.Config{Machine: cfg})
-		if err != nil {
-			return err
-		}
-		baseExec = base.Exec
-		return nil
-	})
+	baseExec, err := r.normal(ctx, cfg, wl)
 	if err != nil {
 		return err
 	}
@@ -92,18 +77,13 @@ func FailoverExperimentPhase(w io.Writer, cfg par.Config, quick bool, r *Runner,
 	// Fault-free runs of each scheme anchor the per-crash cost: the kill
 	// cells are compared against the same scheme running undisturbed, so the
 	// overhead column isolates the crash, not the checkpointing.
-	ffExec := make([]sim.Duration, len(schemes))
 	ffCells := make([]Cell, len(schemes))
 	for i, v := range schemes {
 		ffCells[i] = Cell{App: wl.Name, Scheme: v.String()}
 	}
-	err = r.ForEach(context.Background(), ffCells, func(ctx context.Context, i int, c Cell) error {
+	ffExec, err := Cells(ctx, r, ffCells, func(_ context.Context, i int, _ Cell) (sim.Duration, error) {
 		res, err := core.Run(wl, core.Config{Machine: cfg, Scheme: schemes[i], Interval: interval})
-		if err != nil {
-			return err
-		}
-		ffExec[i] = res.Exec
-		return nil
+		return res.Exec, err
 	})
 	if err != nil {
 		return err
@@ -113,7 +93,6 @@ func FailoverExperimentPhase(w io.Writer, cfg par.Config, quick bool, r *Runner,
 		scheme ckpt.Variant
 		si     int // index into schemes/ffExec
 		phase  string
-		rep    failoverReport
 	}
 	rows := make([]failoverRow, 0, len(schemes)*len(phases))
 	cells := make([]Cell, 0, cap(rows))
@@ -126,15 +105,14 @@ func FailoverExperimentPhase(w io.Writer, cfg par.Config, quick bool, r *Runner,
 			cells = append(cells, Cell{App: wl.Name, Scheme: v.String(), Rep: pi})
 		}
 	}
-	err = r.ForEach(context.Background(), cells, func(ctx context.Context, i int, c Cell) error {
+	reps, err := Cells(ctx, r, cells, func(_ context.Context, i int, c Cell) (failoverReport, error) {
 		rep, err := runFailover(wl, cfg, rows[i].scheme, interval, rows[i].phase, c.Seed())
 		if err != nil {
-			return err
+			return rep, err
 		}
-		rows[i].rep = rep
 		r.Prog.logf("%-24s kill@%-9s %8.2fs -> %s, round %d", c.Name(), rows[i].phase,
 			rep.CrashAt.Seconds(), rep.Resolution, rep.Round)
-		return nil
+		return rep, nil
 	})
 	if err != nil {
 		return err
@@ -145,8 +123,8 @@ func FailoverExperimentPhase(w io.Writer, cfg par.Config, quick bool, r *Runner,
 		Align(2, 4, 5, 6, 7, 8)
 	cost := make([]sim.Duration, len(schemes))
 	nkill := make([]int, len(schemes))
-	for _, row := range rows {
-		rep := row.rep
+	for i, row := range rows {
+		rep := reps[i]
 		over := rep.Exec - ffExec[row.si]
 		cost[row.si] += over
 		nkill[row.si]++
@@ -208,19 +186,8 @@ type failoverReport struct {
 // the machine from stable storage, and verify the final results against the
 // workload's oracle.
 func runFailover(wl apps.Workload, cfg par.Config, v ckpt.Variant, interval sim.Duration, phase string, seed uint64) (failoverReport, error) {
-	m := par.NewMachine(cfg)
-	defer m.Shutdown()
-	opt := ckpt.Options{Interval: interval}
-	if v.Failover() {
-		opt.Failover = ckpt.DefaultFailoverConfig()
-	}
-	sch := ckpt.New(v, opt)
-	sch.Attach(m)
-	world := mp.NewWorld(m)
-	factory := func(rank int) mp.Program { return wl.Make(rank, m.NumNodes()) }
-	for rank := 0; rank < m.NumNodes(); rank++ {
-		world.Launch(rank, factory(rank))
-	}
+	run := core.Start(wl, core.Config{Machine: cfg, Scheme: v, Interval: interval})
+	m, sch := run.M, run.Scheme
 
 	// The settle window gives the failure detector time to suspect, elect and
 	// resolve before the survivors are crashed for the full recovery; plain
@@ -230,7 +197,6 @@ func runFailover(wl apps.Workload, cfg par.Config, v ckpt.Variant, interval sim.
 	const repair = 500 * sim.Millisecond
 	var out failoverReport
 	var rep *ckpt.RecoveryReport
-	var w2 *mp.World
 	plan := faults.Plan{
 		Seed:    seed,
 		Targets: []faults.TargetedCrash{{Rank: 0, Phase: phase}},
@@ -253,13 +219,14 @@ func runFailover(wl apps.Workload, cfg par.Config, v ckpt.Variant, interval sim.
 				}
 				m.CrashAll()
 				m.Eng.After(repair, func() {
-					w2, rep = ckpt.Recover(m, v, opt, factory)
+					_, rep = ckpt.Recover(m, v, run.Options, run.Program)
 				})
 			})
 		},
 	}
 	plan.Arm(m)
-	if err := m.Run(); err != nil {
+	res, err := run.Finish()
+	if err != nil {
 		return out, err
 	}
 	if out.CrashAt == 0 {
@@ -268,14 +235,7 @@ func runFailover(wl apps.Workload, cfg par.Config, v ckpt.Variant, interval sim.
 	if rep == nil || !rep.Done.Opened() {
 		return out, fmt.Errorf("bench: recovery did not complete after kill at %q under %s", phase, v)
 	}
-	progs := make([]mp.Program, m.NumNodes())
-	for rank := range progs {
-		progs[rank] = w2.Envs[rank].Node().Snap.(mp.Program)
-	}
-	if err := wl.Check(progs); err != nil {
-		return out, fmt.Errorf("bench: results diverged after failover recovery: %w", err)
-	}
 	out.Round = rep.Round
-	out.Exec = sim.Duration(m.AppsFinished)
+	out.Exec = res.Exec
 	return out, nil
 }

@@ -77,12 +77,11 @@ func PerfMatrixName(quick bool) string {
 // callers wanting exact per-cell numbers pass parallel == 1 (the chkperf
 // default), callers wanting throughput saturate the pool.
 func RunPerf(ctx context.Context, cfg par.Config, quick bool, r *Runner, stamp string) (*perf.Report, error) {
-	r = r.orDefault()
 	if r.Perf == nil {
 		r.Perf = perf.NewCollector()
 	}
 	start := time.Now()
-	_, err := r.RunMatrix(ctx, cfg, perfWorkloads(quick), perfSchemes(quick), 1, 3)
+	_, err := r.MeasureRows(ctx, cfg, perfWorkloads(quick), perfSchemes(quick), 3)
 	if err != nil {
 		return nil, err
 	}
@@ -93,8 +92,8 @@ func RunPerf(ctx context.Context, cfg par.Config, quick bool, r *Runner, stamp s
 		// telemetry. The full matrix predates the subsystem and is pinned, so
 		// it stays unchanged.
 		cell := ScaleCell{MeshW: 8, MeshH: 8, Servers: 4}
-		_, err = r.RunMatrix(ctx, scaleConfig(cfg, cell),
-			[]apps.Workload{scaleWorkload(cell.Nodes())}, []ckpt.Variant{ckpt.CoordNB}, 1, 2)
+		_, err = r.MeasureRows(ctx, scaleConfig(cfg, cell),
+			[]apps.Workload{scaleWorkload(cell.Nodes())}, []ckpt.Variant{ckpt.CoordNB}, 2)
 		if err != nil {
 			return nil, err
 		}

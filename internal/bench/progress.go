@@ -19,18 +19,6 @@ func (p Progress) logf(format string, args ...any) {
 	}
 }
 
-// Prefixed returns a Progress that prepends "[name] " to every message, so
-// interleaved logs from concurrently running benchmark cells remain
-// attributable. The nil (silent) Progress stays nil.
-func (p Progress) Prefixed(name string) Progress {
-	if p == nil {
-		return nil
-	}
-	return func(format string, args ...any) {
-		p("[%s] "+format, append([]any{name}, args...)...)
-	}
-}
-
 // NewLineProgress returns a Progress that writes each message to w as one
 // atomic line: a mutex serializes concurrent calls and a trailing newline is
 // appended when missing, so logs from parallel cells never interleave within

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/apps"
 	"repro/internal/ckpt"
-	"repro/internal/mp"
+	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -22,66 +21,42 @@ func RecoveryDemo(w io.Writer, cfg par.Config, v ckpt.Variant, interval, crashAt
 	}
 	wl := syntheticWorkload(200_000)
 
-	// Failure-free baseline for the oracle and the lost-work accounting.
-	m0 := par.NewMachine(cfg)
-	defer m0.Shutdown()
-	w0 := mp.NewWorld(m0)
-	progs0 := make([]mp.Program, m0.NumNodes())
-	for rank := range progs0 {
-		progs0[rank] = wl.Make(rank, m0.NumNodes())
-		w0.Launch(rank, progs0[rank])
-	}
-	if err := m0.Run(); err != nil {
+	// Failure-free baseline for the lost-work accounting.
+	normal, err := core.Run(wl, core.Config{Machine: cfg})
+	if err != nil {
 		return err
 	}
-	base := sim.Duration(m0.AppsFinished)
 
-	m := par.NewMachine(cfg)
-	defer m.Shutdown()
-	opt := ckpt.Options{Interval: interval}
-	sch := ckpt.New(v, opt)
-	sch.Attach(m)
-	world := mp.NewWorld(m)
-	factory := func(rank int) mp.Program { return wl.Make(rank, m.NumNodes()) }
-	for rank := 0; rank < m.NumNodes(); rank++ {
-		world.Launch(rank, factory(rank))
-	}
+	run := core.Start(wl, core.Config{Machine: cfg, Scheme: v, Interval: interval})
+	m := run.M
 	var rep *ckpt.RecoveryReport
-	var w2 *mp.World
 	m.Eng.At(sim.Time(crashAt), func() {
 		m.CrashAll()
 		m.Eng.After(repair, func() {
-			w2, rep = ckpt.Recover(m, v, opt, factory)
+			_, rep = ckpt.Recover(m, v, run.Options, run.Program)
 		})
 	})
-	if err := m.Run(); err != nil {
+	res, err := run.Finish()
+	if err != nil {
 		return err
 	}
 	if rep == nil || !rep.Done.Opened() {
 		return fmt.Errorf("bench: recovery did not complete")
 	}
-	progs := make([]mp.Program, m.NumNodes())
-	for rank := range progs {
-		progs[rank] = w2.Envs[rank].Node().Snap.(mp.Program)
-	}
-	if err := wl.Check(progs); err != nil {
-		return fmt.Errorf("bench: results diverged after recovery: %w", err)
-	}
 
-	total := sim.Duration(m.AppsFinished)
+	total := res.Exec
 	fmt.Fprintf(w, "E7: total-failure recovery under %s (synthetic ring, %s checkpoint interval)\n\n", v, interval)
-	fmt.Fprintf(w, "  failure-free execution      %10.2fs\n", base.Seconds())
+	fmt.Fprintf(w, "  failure-free execution      %10.2fs\n", normal.Exec.Seconds())
 	fmt.Fprintf(w, "  crash injected at           %10.2fs\n", crashAt.Seconds())
 	fmt.Fprintf(w, "  recovered round             %10d\n", rep.Round)
 	fmt.Fprintf(w, "  state+logs read back        %10.2f MB, %d in-transit messages restored\n",
 		float64(rep.StateBytes)/1e6, rep.ChanMsgs)
 	fmt.Fprintf(w, "  restart completed in        %10.3fs after repair\n",
 		rep.CompletedAt.Sub(rep.StartedAt).Seconds())
-	fmt.Fprintf(w, "  execution with crash        %10.2fs (vs %0.2fs crash-free)\n", total.Seconds(), base.Seconds())
+	fmt.Fprintf(w, "  execution with crash        %10.2fs (vs %0.2fs crash-free)\n", total.Seconds(), normal.Exec.Seconds())
 	fmt.Fprintf(w, "  results verified against the failure-free oracle: OK\n")
 	fmt.Fprintf(w, "\nCoordinated rollback is 'simple and quite predictable': every process\n")
 	fmt.Fprintf(w, "returns to the last committed global checkpoint (round %d).\n", rep.Round)
-	_ = apps.Workload{}
 	return nil
 }
 
@@ -90,43 +65,30 @@ func RecoveryDemo(w io.Writer, cfg par.Config, v ckpt.Variant, interval, crashAt
 // and a recovery in which only the failed process rolls back.
 func LoggingRecoveryDemo(w io.Writer, cfg par.Config, victim int, crashAt, repair sim.Duration) error {
 	wl := syntheticWorkload(200_000)
-	m := par.NewMachine(cfg)
-	defer m.Shutdown()
-	sch := ckpt.New(ckpt.IndepLog, ckpt.Options{Interval: 5 * sim.Second})
-	sch.Attach(m)
-	world := mp.NewWorld(m)
-	factory := func(rank int) mp.Program { return wl.Make(rank, m.NumNodes()) }
-	for rank := 0; rank < m.NumNodes(); rank++ {
-		world.Launch(rank, factory(rank))
-	}
+	run := core.Start(wl, core.Config{Machine: cfg, Scheme: ckpt.IndepLog, Interval: 5 * sim.Second})
+	m := run.M
 	var rep *ckpt.NodeRecoveryReport
 	m.Eng.At(sim.Time(crashAt), func() {
 		m.CrashNode(victim)
 		m.Eng.After(repair, func() {
-			rep = ckpt.RecoverNode(m, world, sch, victim, factory)
+			rep = ckpt.RecoverNode(m, run.World, run.Scheme, victim, run.Program)
 		})
 	})
-	if err := m.Run(); err != nil {
+	res, err := run.Finish()
+	if err != nil {
 		return err
 	}
 	if rep == nil || !rep.Done.Opened() {
 		return fmt.Errorf("bench: node recovery did not complete")
 	}
-	progs := make([]mp.Program, m.NumNodes())
-	for rank := range progs {
-		progs[rank] = world.Envs[rank].Node().Snap.(mp.Program)
-	}
-	if err := wl.Check(progs); err != nil {
-		return fmt.Errorf("bench: results diverged after node recovery: %w", err)
-	}
-	st := sch.Stats()
+	st := res.Ckpt
 	fmt.Fprintf(w, "E11: single-node failure under Indep_Log (sender-based message logging)\n\n")
 	fmt.Fprintf(w, "  node %d crashed at           %8.2fs\n", victim, crashAt.Seconds())
 	fmt.Fprintf(w, "  restored its own checkpoint  %8d (no other process rolled back)\n", rep.Index)
 	fmt.Fprintf(w, "  state read back              %8.1f KB\n", float64(rep.StateBytes)/1e3)
 	fmt.Fprintf(w, "  messages retransmitted       %8d from survivors' volatile logs\n", rep.Resent)
 	fmt.Fprintf(w, "  peak volatile log size       %8.1f KB across all senders\n", float64(st.LogBytesPeak)/1e3)
-	fmt.Fprintf(w, "  execution finished at        %8.2fs, results verified: OK\n", m.AppsFinished.Seconds())
+	fmt.Fprintf(w, "  execution finished at        %8.2fs, results verified: OK\n", res.Exec.Seconds())
 	fmt.Fprintf(w, "\nMessage logging removes both the domino effect and the need for any\n")
 	fmt.Fprintf(w, "other process to roll back — at the cost of log memory and sequence\n")
 	fmt.Fprintf(w, "headers (the trade the paper's §1 describes).\n")

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/rdg"
 	"repro/internal/sim"
@@ -16,18 +18,18 @@ func asyncRecords(t *testing.T, v ckpt.Variant) (int, []ckpt.Record, sim.Duratio
 	t.Helper()
 	cfg := par.DefaultConfig()
 	wl := AsyncWorkload(300, 20_000)
-	base, err := coreRunNormal(wl, cfg)
+	base, err := core.Run(wl, core.Config{Machine: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, recs, _, total, err := runSchemeForAnalysis(wl, cfg, v, ckpt.Options{Interval: base / 6})
+	res, err := core.Run(wl, core.Config{Machine: cfg, Scheme: v, Interval: base.Exec / 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 {
+	if len(res.Records) == 0 {
 		t.Fatalf("%v took no checkpoints", v)
 	}
-	return n, recs, total
+	return cfg.Fabric.Nodes(), res.Records, res.Exec
 }
 
 // TestCoordinatedSchemesGiveZeroRollbackLine is the E6/E7 guarantee at the
@@ -114,7 +116,7 @@ func TestLoggingRecoveryDemoVerifies(t *testing.T) {
 // forced checkpoints, and the table carries both schemes at every interval.
 func TestDominoExperimentContrasts(t *testing.T) {
 	var sb strings.Builder
-	if err := DominoExperiment(&sb, par.DefaultConfig(), true, NewRunner(4, t.Logf)); err != nil {
+	if err := dominoExperiment(context.Background(), &sb, par.DefaultConfig(), true, NewRunner(4, t.Logf)); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -21,18 +21,20 @@ import (
 )
 
 // Cell identifies one simulation of the benchmark matrix: a workload run
-// under a scheme (or "normal" for the failure-free baseline), repetition
-// Rep. Cells are pure coordinates — everything derived from them, including
-// the RNG seed, is a function of the coordinates alone, never of the order
-// in which a worker pool happens to execute them.
+// under a scheme (or "normal" for the failure-free baseline), plus a free
+// third coordinate Rep that experiments use for whatever else they sweep (an
+// interval divisor, an MTTF index, a kill window). Cells are pure
+// coordinates — everything derived from them, including the RNG seed, is a
+// function of the coordinates alone, never of the order in which a worker
+// pool happens to execute them.
 type Cell struct {
 	App    string
 	Scheme string
 	Rep    int
 }
 
-// Name returns the cell's display name, e.g. "SOR-256/Coord_NB" or
-// "TSP-16/Indep#2" for repetitions past the first.
+// Name returns the cell's display name, e.g. "SOR-256/Coord_NB", or
+// "TSP-16/Indep#2" when Rep is non-zero.
 func (c Cell) Name() string {
 	if c.Rep > 0 {
 		return fmt.Sprintf("%s/%s#%d", c.App, c.Scheme, c.Rep)
@@ -88,7 +90,7 @@ type Runner struct {
 	Obs *obs.Observer
 
 	// Perf, when non-nil, arms host-side telemetry on every cell the runner
-	// measures (MeasureRows, RunMatrix, MeasureBreakdown): each core.Run
+	// measures (MeasureRows, MeasureBreakdown): each core.Run
 	// records one perf.RunSample into the collector. Per-cell MemStats and
 	// codec attribution is exact only at Parallel == 1; matrix totals hold
 	// at any parallelism. nil (the default) costs nothing.
@@ -223,23 +225,54 @@ feed:
 	return ctx.Err()
 }
 
-// MeasureRows is the concurrent form of the package-level MeasureRows: it
-// fans the (workload, scheme) matrix out over the pool in two phases — all
-// failure-free baselines first (they define each workload's checkpoint
-// interval), then every scheme cell — and assembles rows in workload order.
-// Identical seeds produce byte-identical tables and JSON at any parallelism.
+// Cells runs fn once per cell on r's pool and returns the results in cell
+// order: element i is fn's value for cells[i], whatever order the cells
+// finished in. Errors and cancellation are ForEach's.
+func Cells[T any](ctx context.Context, r *Runner, cells []Cell, fn func(ctx context.Context, i int, c Cell) (T, error)) ([]T, error) {
+	out := make([]T, len(cells))
+	err := r.ForEach(ctx, cells, func(ctx context.Context, i int, c Cell) (err error) {
+		out[i], err = fn(ctx, i, c)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// normal measures wl's failure-free execution time as one cell: the baseline
+// every experiment derives its checkpoint interval from.
+func (r *Runner) normal(ctx context.Context, cfg par.Config, wl apps.Workload) (sim.Duration, error) {
+	base, err := Cells(ctx, r, []Cell{{App: wl.Name, Scheme: "normal"}},
+		func(context.Context, int, Cell) (core.Result, error) {
+			return core.Run(wl, core.Config{Machine: cfg, Perf: r.Perf})
+		})
+	if err != nil {
+		return 0, err
+	}
+	return base[0].Exec, nil
+}
+
+// MeasureRows runs every workload normally and under each scheme with `ckpts`
+// checkpoints at interval normal/(ckpts+1), and returns one Row per workload.
+// This is the measurement procedure behind all three tables: the paper ran
+// each application unchanged, then under each checkpointing scheme, with 3
+// checkpoints spread over the execution. The matrix fans out over the pool in
+// two phases — all failure-free baselines first (they define each workload's
+// checkpoint interval), then every scheme cell — and rows assemble in
+// workload order, so identical seeds produce byte-identical tables and JSON
+// at any parallelism.
 func (r *Runner) MeasureRows(ctx context.Context, cfg par.Config, wls []apps.Workload, schemes []ckpt.Variant, ckpts int) ([]Row, error) {
-	rows := make([]Row, len(wls))
 	baseCells := make([]Cell, len(wls))
 	for i, wl := range wls {
 		baseCells[i] = Cell{App: wl.Name, Scheme: "normal"}
 	}
-	err := r.ForEach(ctx, baseCells, func(ctx context.Context, i int, c Cell) error {
+	rows, err := Cells(ctx, r, baseCells, func(_ context.Context, i int, _ Cell) (Row, error) {
 		base, err := core.Run(wls[i], core.Config{Machine: cfg, Perf: r.Perf})
 		if err != nil {
-			return err
+			return Row{}, err
 		}
-		rows[i] = Row{
+		row := Row{
 			Workload: wls[i].Name,
 			Normal:   base.Exec,
 			Interval: base.Exec / sim.Duration(ckpts+1),
@@ -249,8 +282,8 @@ func (r *Runner) MeasureRows(ctx context.Context, cfg par.Config, wls []apps.Wor
 			Stats:    map[ckpt.Variant]ckpt.Stats{},
 		}
 		r.Prog.logf("%-12s normal %8.2fs  (interval %.0fs)",
-			wls[i].Name, base.Exec.Seconds(), rows[i].Interval.Seconds())
-		return nil
+			row.Workload, base.Exec.Seconds(), row.Interval.Seconds())
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
@@ -260,25 +293,24 @@ func (r *Runner) MeasureRows(ctx context.Context, cfg par.Config, wls []apps.Wor
 		res core.Result
 		got float64
 	}
-	outs := make([]schemeOut, len(wls)*len(schemes))
-	cells := make([]Cell, 0, len(outs))
+	cells := make([]Cell, 0, len(wls)*len(schemes))
 	for _, wl := range wls {
 		for _, v := range schemes {
 			cells = append(cells, Cell{App: wl.Name, Scheme: v.String()})
 		}
 	}
-	err = r.ForEach(ctx, cells, func(ctx context.Context, i int, c Cell) error {
+	outs, err := Cells(ctx, r, cells, func(_ context.Context, i int, c Cell) (schemeOut, error) {
 		wi, si := i/len(schemes), i%len(schemes)
-		wl, v, row := wls[wi], schemes[si], &rows[wi]
-		res, err := core.Run(wl, core.Config{
+		v := schemes[si]
+		res, err := core.Run(wls[wi], core.Config{
 			Machine:        cfg,
 			Scheme:         v,
-			Interval:       row.Interval,
+			Interval:       rows[wi].Interval,
 			MaxCheckpoints: ckpts,
 			Perf:           r.Perf,
 		})
 		if err != nil {
-			return err // ForEach adds the cell name and seed
+			return schemeOut{}, err // ForEach adds the cell name and seed
 		}
 		got := float64(res.Ckpt.Rounds)
 		if !v.Coordinated() {
@@ -287,8 +319,7 @@ func (r *Runner) MeasureRows(ctx context.Context, cfg par.Config, wls []apps.Wor
 		if got != float64(ckpts) {
 			r.Prog.logf("note: %s completed %.2f/%d checkpoints (overhead normalized)", c.Name(), got, ckpts)
 		}
-		outs[i] = schemeOut{res: res, got: got}
-		return nil
+		return schemeOut{res: res, got: got}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -307,77 +338,6 @@ func (r *Runner) MeasureRows(ctx context.Context, cfg par.Config, wls []apps.Wor
 		}
 	}
 	return rows, nil
-}
-
-// MatrixResult pairs a matrix cell with its measured run.
-type MatrixResult struct {
-	Cell Cell
-	Res  core.Result
-}
-
-// RunMatrix runs the full (workload, scheme, repetition) matrix and returns
-// one result per cell, ordered workload-major, scheme-minor, repetition
-// innermost — the same order at any parallelism. Repetitions past the first
-// re-parameterize workloads that expose a Reseed hook with the cell's seed
-// (seed-free workloads repeat the identical simulation); all repetitions of
-// a cell share the rep-0 baseline's checkpoint interval so their overheads
-// are comparable.
-func (r *Runner) RunMatrix(ctx context.Context, cfg par.Config, wls []apps.Workload, schemes []ckpt.Variant, reps, ckpts int) ([]MatrixResult, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	// Phase 1: baselines fix each workload's interval.
-	intervals := make([]sim.Duration, len(wls))
-	baseCells := make([]Cell, len(wls))
-	for i, wl := range wls {
-		baseCells[i] = Cell{App: wl.Name, Scheme: "normal"}
-	}
-	err := r.ForEach(ctx, baseCells, func(ctx context.Context, i int, c Cell) error {
-		base, err := core.Run(wls[i], core.Config{Machine: cfg, Perf: r.Perf})
-		if err != nil {
-			return err
-		}
-		intervals[i] = base.Exec / sim.Duration(ckpts+1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Phase 2: the full matrix.
-	out := make([]MatrixResult, len(wls)*len(schemes)*reps)
-	cells := make([]Cell, 0, len(out))
-	for _, wl := range wls {
-		for _, v := range schemes {
-			for rep := 0; rep < reps; rep++ {
-				cells = append(cells, Cell{App: wl.Name, Scheme: v.String(), Rep: rep})
-			}
-		}
-	}
-	err = r.ForEach(ctx, cells, func(ctx context.Context, i int, c Cell) error {
-		wi := i / (len(schemes) * reps)
-		si := i / reps % len(schemes)
-		wl := wls[wi]
-		if c.Rep > 0 && wl.Reseed != nil {
-			wl = wl.Reseed(c.Seed())
-		}
-		res, err := core.Run(wl, core.Config{
-			Machine:        cfg,
-			Scheme:         schemes[si],
-			Interval:       intervals[wi],
-			MaxCheckpoints: ckpts,
-			Perf:           r.Perf,
-		})
-		if err != nil {
-			return err // ForEach adds the cell name and seed
-		}
-		out[i] = MatrixResult{Cell: c, Res: res}
-		r.Prog.logf("%-28s %8.2fs", c.Name(), res.Exec.Seconds())
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // WriteCellTimes renders the per-cell wall-clock table, most expensive cells
@@ -401,16 +361,4 @@ func WriteCellTimes(w io.Writer, timings []CellTime) {
 		t.Rowf("p50 / p95 / p99", fmt.Sprintf("%.3fs / %.3fs / %.3fs", p50, p95, p99))
 	}
 	t.Write(w)
-}
-
-// MeasureRows runs every workload normally and under each scheme with
-// `ckpts` checkpoints at interval normal/(ckpts+1), and returns one Row per
-// workload. This is the measurement procedure behind all three tables: the
-// paper ran each application unchanged, then under each checkpointing
-// scheme, with 3 checkpoints spread over the execution.
-//
-// Cells are fanned out over GOMAXPROCS workers; results are bit-identical to
-// a serial run (use a Runner directly to control parallelism).
-func MeasureRows(cfg par.Config, wls []apps.Workload, schemes []ckpt.Variant, ckpts int, prog Progress) ([]Row, error) {
-	return NewRunner(0, prog).MeasureRows(context.Background(), cfg, wls, schemes, ckpts)
 }

@@ -16,13 +16,13 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/par"
 )
 
 // goldenWorkloads is the reduced matrix used by the equality tests: one
-// deterministic seed-free workload and one seeded one, so both the repeat and
-// the reseed paths are covered.
+// regular neighbour-exchange workload and one dynamic master/worker one.
 func goldenWorkloads(t *testing.T) []apps.Workload {
 	t.Helper()
 	var wls []apps.Workload
@@ -108,43 +108,6 @@ func TestSerialParallelGoldenEquality(t *testing.T) {
 	}
 }
 
-// TestRunMatrixDeterministicAcrossParallelism pins the repetition path: the
-// full (workload, scheme, rep) matrix, including reseeded repetitions, is
-// identical at any parallelism and ordered by cell coordinates.
-func TestRunMatrixDeterministicAcrossParallelism(t *testing.T) {
-	cfg := par.DefaultConfig()
-	wl, err := WorkloadByName("TSP-10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemes := []ckpt.Variant{ckpt.CoordNB, ckpt.Indep}
-	run := func(parallel int) []MatrixResult {
-		res, err := NewRunner(parallel, nil).RunMatrix(context.Background(), cfg,
-			[]apps.Workload{wl}, schemes, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial, parallel := run(1), run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("matrix results differ across parallelism:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-	// Cell order is workload-major, scheme-minor, rep innermost.
-	want := []Cell{
-		{App: "TSP-10", Scheme: "Coord_NB"}, {App: "TSP-10", Scheme: "Coord_NB", Rep: 1},
-		{App: "TSP-10", Scheme: "Indep"}, {App: "TSP-10", Scheme: "Indep", Rep: 1},
-	}
-	for i, w := range want {
-		if serial[i].Cell != w {
-			t.Fatalf("cell %d = %+v, want %+v", i, serial[i].Cell, w)
-		}
-		if serial[i].Res.Exec <= 0 {
-			t.Fatalf("cell %d has no measurement: %+v", i, serial[i])
-		}
-	}
-}
-
 // TestCellSeedDerivation pins the per-cell seeding contract: seeds are pure
 // functions of the coordinates, and distinct coordinates get distinct seeds.
 func TestCellSeedDerivation(t *testing.T) {
@@ -187,7 +150,7 @@ func TestForEachCancellation(t *testing.T) {
 	var executed atomic.Int32
 	r := NewRunner(4, nil)
 	err := r.ForEach(ctx, cells, func(ctx context.Context, i int, c Cell) error {
-		if _, err := coreRunNormal(wl, cfg); err != nil {
+		if _, err := core.Run(wl, core.Config{Machine: cfg}); err != nil {
 			return err
 		}
 		if executed.Add(1) >= 3 {
@@ -341,22 +304,20 @@ func (s syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// TestLineProgressAtomicAndPrefixed hammers one NewLineProgress from many
-// goroutines: every emitted line must arrive intact, newline-terminated, and
-// carry its cell prefix.
-func TestLineProgressAtomicAndPrefixed(t *testing.T) {
+// TestLineProgressAtomic hammers one NewLineProgress from many goroutines:
+// every emitted line must arrive intact and newline-terminated.
+func TestLineProgressAtomic(t *testing.T) {
 	var mu sync.Mutex
 	var buf strings.Builder
 	p := NewLineProgress(syncWriter{&mu, &buf})
 	const workers, lines = 16, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		pref := p.Prefixed(fmt.Sprintf("cell-%02d", w))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for l := 0; l < lines; l++ {
-				pref("msg %03d of worker", l)
+				p("[cell-%02d] msg %03d of worker", w, l)
 			}
 		}()
 	}
@@ -372,9 +333,6 @@ func TestLineProgressAtomicAndPrefixed(t *testing.T) {
 		if !strings.HasPrefix(line, "[cell-") || !strings.HasSuffix(line, "of worker") {
 			t.Fatalf("mangled line: %q", line)
 		}
-	}
-	if Progress(nil).Prefixed("x") != nil {
-		t.Fatal("nil progress should stay nil when prefixed")
 	}
 }
 

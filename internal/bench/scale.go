@@ -102,7 +102,7 @@ func scaleConfig(cfg par.Config, c ScaleCell) par.Config {
 	return cc
 }
 
-// ScaleExperiment (E14) grows the machine from the paper's 8-node mesh to
+// ScaleExperimentGrid (E14) grows the machine from the paper's 8-node mesh to
 // 1024 nodes while sharding stable storage over 1, 4 and 16 servers, and
 // measures where the checkpoint traffic bottleneck sits: the busiest single
 // storage server's disk and host link, as a fraction of the run. With one
@@ -110,27 +110,22 @@ func scaleConfig(cfg par.Config, c ScaleCell) par.Config {
 // the single host link as the machine grows; striping ranks over servers at
 // distinct attach points divides both the disk and the link contention by
 // the server count.
-func ScaleExperiment(w io.Writer, cfg par.Config, quick bool, r *Runner) error {
-	return ScaleExperimentGrid(w, cfg, ScaleGrid(quick), ScaleSchemes, r)
-}
-
-// ScaleExperimentGrid is ScaleExperiment over an explicit cell grid and
-// scheme axis; the determinism tests drive single cells through it. The
-// report is byte-deterministic under any runner parallelism: cells land in
-// preallocated slots and the table is rendered only after every cell
+//
+// The cell grid and scheme axis are explicit — the catalogue entry passes
+// ScaleGrid and ScaleSchemes, the determinism test single cells. The report
+// is byte-deterministic under any runner parallelism: cells land in
+// index-ordered slots and the table is rendered only after every cell
 // finished.
-func ScaleExperimentGrid(w io.Writer, cfg par.Config, grid []ScaleCell, schemes []ckpt.Variant, r *Runner) error {
-	r = r.orDefault()
-
+func ScaleExperimentGrid(ctx context.Context, w io.Writer, cfg par.Config, grid []ScaleCell, schemes []ckpt.Variant, r *Runner) error {
 	// Fault-free baselines, one per distinct mesh: no checkpoint traffic
 	// flows, so the server count cannot affect them.
 	type mesh struct{ w, h int }
 	var meshes []mesh
-	baseOf := make(map[mesh]*sim.Duration)
+	baseIdx := make(map[mesh]int)
 	for _, c := range grid {
 		m := mesh{c.MeshW, c.MeshH}
-		if baseOf[m] == nil {
-			baseOf[m] = new(sim.Duration)
+		if _, seen := baseIdx[m]; !seen {
+			baseIdx[m] = len(meshes)
 			meshes = append(meshes, m)
 		}
 	}
@@ -138,25 +133,24 @@ func ScaleExperimentGrid(w io.Writer, cfg par.Config, grid []ScaleCell, schemes 
 	for i, m := range meshes {
 		baseCells[i] = Cell{App: fmt.Sprintf("SCALE-%dx%d", m.w, m.h), Scheme: "normal"}
 	}
-	err := r.ForEach(context.Background(), baseCells, func(ctx context.Context, i int, c Cell) error {
+	bases, err := Cells(ctx, r, baseCells, func(_ context.Context, i int, c Cell) (sim.Duration, error) {
 		m := meshes[i]
 		cc := scaleConfig(cfg, ScaleCell{MeshW: m.w, MeshH: m.h, Servers: 1})
 		res, err := core.Run(scaleWorkload(m.w*m.h), core.Config{Machine: cc})
 		if err != nil {
-			return err
+			return 0, err
 		}
-		*baseOf[m] = res.Exec
 		r.Prog.logf("%-18s baseline %.2fs", c.Name(), res.Exec.Seconds())
-		return nil
+		return res.Exec, nil
 	})
 	if err != nil {
 		return err
 	}
+	baseOf := func(c ScaleCell) sim.Duration { return bases[baseIdx[mesh{c.MeshW, c.MeshH}]] }
 
 	type srow struct {
 		cell   ScaleCell
 		scheme ckpt.Variant
-		res    core.Result
 	}
 	var rows []srow
 	var cells []Cell
@@ -171,10 +165,9 @@ func ScaleExperimentGrid(w io.Writer, cfg par.Config, grid []ScaleCell, schemes 
 			cells = append(cells, Cell{App: fmt.Sprintf("SCALE-%dn-%ds", c.Nodes(), c.Servers), Scheme: v.String()})
 		}
 	}
-	err = r.ForEach(context.Background(), cells, func(ctx context.Context, i int, c Cell) error {
+	results, err := Cells(ctx, r, cells, func(_ context.Context, i int, c Cell) (core.Result, error) {
 		cell := rows[i].cell
-		base := *baseOf[mesh{cell.MeshW, cell.MeshH}]
-		interval := base / 3
+		interval := baseOf(cell) / 3
 		if interval < 1 {
 			interval = 1
 		}
@@ -185,12 +178,11 @@ func ScaleExperimentGrid(w io.Writer, cfg par.Config, grid []ScaleCell, schemes 
 			MaxCheckpoints: 2,
 		})
 		if err != nil {
-			return err
+			return res, err
 		}
-		rows[i].res = res
 		r.Prog.logf("%-24s exec %.2fs, busiest link %4.1f%%, busiest disk %4.1f%%", c.Name(),
 			res.Exec.Seconds(), busyPct(res.MaxHostLinkBusy, res.Exec), busyPct(res.MaxDiskBusy, res.Exec))
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return err
@@ -199,14 +191,14 @@ func ScaleExperimentGrid(w io.Writer, cfg par.Config, grid []ScaleCell, schemes 
 	t := trace.NewTable("E14: checkpoint overhead and storage contention vs machine size and server count",
 		"Nodes", "Servers", "Scheme", "Ckpts", "Exec", "Overhead %", "Hostlink %", "Disk %").
 		Align(0, 1, 3, 4, 5, 6, 7)
-	for _, row := range rows {
-		base := *baseOf[mesh{row.cell.MeshW, row.cell.MeshH}]
+	for i, row := range rows {
+		base, res := baseOf(row.cell), results[i]
 		t.Rowf(row.cell.Nodes(), row.cell.Servers, row.scheme.String(),
-			row.res.Ckpt.Checkpoints,
-			fmt.Sprintf("%.2fs", row.res.Exec.Seconds()),
-			fmt.Sprintf("%.1f", float64(row.res.Exec-base)/float64(base)*100),
-			fmt.Sprintf("%.1f", busyPct(row.res.MaxHostLinkBusy, row.res.Exec)),
-			fmt.Sprintf("%.1f", busyPct(row.res.MaxDiskBusy, row.res.Exec)))
+			res.Ckpt.Checkpoints,
+			fmt.Sprintf("%.2fs", res.Exec.Seconds()),
+			fmt.Sprintf("%.1f", float64(res.Exec-base)/float64(base)*100),
+			fmt.Sprintf("%.1f", busyPct(res.MaxHostLinkBusy, res.Exec)),
+			fmt.Sprintf("%.1f", busyPct(res.MaxDiskBusy, res.Exec)))
 	}
 	t.Write(w)
 	if coordCapped {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -12,34 +11,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
-
-// TestScaleExperimentParallelDeterminism: E14's table must be byte-identical
-// at any worker count, including the largest cell of the full grid — 1024
-// nodes with storage striped over 16 servers. One scheme keeps the test
-// affordable (CIC, which runs at every grid size); the per-cell simulation
-// is the same code under every scheme.
-func TestScaleExperimentParallelDeterminism(t *testing.T) {
-	cfg := par.DefaultConfig()
-	grid := []ScaleCell{
-		{MeshW: 4, MeshH: 2, Servers: 1},
-		{MeshW: 32, MeshH: 32, Servers: 16},
-	}
-	schemes := []ckpt.Variant{ckpt.CIC}
-	var serial, parallel bytes.Buffer
-	if err := ScaleExperimentGrid(&serial, cfg, grid, schemes, NewRunner(1, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ScaleExperimentGrid(&parallel, cfg, grid, schemes, NewRunner(8, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Fatalf("E14 output differs between -parallel 1 and -parallel 8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial.String(), parallel.String())
-	}
-	if serial.Len() == 0 {
-		t.Fatal("E14 produced no output")
-	}
-}
 
 // TestShardedStorageReducesContention is the experiment's headline claim as
 // an assertion: on a 64-node mesh under coordinated checkpointing, striping

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apps"
@@ -38,7 +39,7 @@ func TestTable1HeadlineShape(t *testing.T) {
 		apps.ASPWorkload(apps.DefaultASP(128)),
 		apps.NBodyWorkload(apps.DefaultNBody(256, 5)),
 	}
-	rows, err := MeasureRows(par.DefaultConfig(), wls, Table1Schemes, 3, t.Logf)
+	rows, err := NewRunner(0, t.Logf).MeasureRows(context.Background(), par.DefaultConfig(), wls, Table1Schemes, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

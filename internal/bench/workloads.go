@@ -1,7 +1,7 @@
 // Package bench defines the paper's experiments: the workload sets behind
-// Tables 1-3, the runners that regenerate each table, and the extension
-// experiments (sync-cost decomposition, storage overhead, staggering
-// ablation, interval sweep, scaling).
+// Tables 1-3, the runner that fans their independent cells over a worker
+// pool and regenerates each table, the catalogue of extension experiments
+// (Experiments: what -exp NAME runs), and chkrecover's two recovery demos.
 package bench
 
 import (

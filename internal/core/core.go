@@ -4,9 +4,11 @@
 // verifies the computed results against the workload's oracle, and returns
 // the measurements.
 //
-// Everything the paper's experiments need is reachable from Run; the
-// lower-level packages (sim, fabric, storage, par, mp, ckpt, apps) remain
-// usable directly for custom setups such as fault-injection studies.
+// Everything the paper's experiments need is reachable from Run; Start and
+// Finish are its two halves, for callers that schedule a crash or attach a
+// collector in between. The lower-level packages (sim, fabric, storage, par,
+// mp, ckpt, apps) remain usable directly for custom setups such as
+// fault-injection studies.
 package core
 
 import (
@@ -38,6 +40,10 @@ type Config struct {
 	// election vote window). Nil picks ckpt.DefaultFailoverConfig when the
 	// scheme is a failover variant and is ignored otherwise.
 	Failover *ckpt.FailoverConfig
+
+	// Spread staggers the local-timer schemes' first checkpoints: rank k's
+	// timer first fires at FirstAt + k*Spread (ckpt.Options.Spread).
+	Spread sim.Duration
 
 	// SkipCheck disables result verification against the workload oracle.
 	SkipCheck bool
@@ -110,51 +116,89 @@ func (c Config) CheckpointingOn() bool { return c.Interval > 0 || c.FirstAt > 0 
 
 // Run executes one workload under cfg. The returned error covers simulation
 // failures (deadlock, panics) and oracle mismatches.
-func Run(wl apps.Workload, cfg Config) (Result, error) {
-	// The perf sampler opens before the machine exists and finishes after
-	// Shutdown (defers run LIFO), so the Setup and Shutdown phases cover
-	// machine assembly and goroutine reaping respectively.
-	ps := cfg.Perf.Begin(wl.Name, "none")
-	defer ps.Finish()
+func Run(wl apps.Workload, cfg Config) (Result, error) { return Start(wl, cfg).Finish() }
+
+// Launched is a machine assembled, its scheme attached and every rank
+// launched, but not yet run: the seam where a caller schedules a crash and
+// its recovery, attaches a garbage collector or arms a targeted fault before
+// Finish runs the simulation. Every Launched must be finished; Finish is what
+// reaps the machine's processes.
+type Launched struct {
+	M       *par.Machine
+	Scheme  ckpt.Scheme  // nil when checkpointing is off
+	Options ckpt.Options // what Scheme was built with; a recovery restarts the scheme from it
+	World   *mp.World
+	Program func(rank int) mp.Program // a fresh program for rank, as launched
+
+	wl    apps.Workload
+	cfg   Config
+	ps    *perf.RunSampler
+	armed *faults.Armed
+}
+
+// Start assembles the machine cfg describes, attaches its scheme and fault
+// plan, and launches wl on every rank.
+func Start(wl apps.Workload, cfg Config) *Launched {
+	// The perf sampler opens before the machine exists and Finish closes it
+	// after Shutdown, so the Setup and Shutdown phases cover machine assembly
+	// and goroutine reaping respectively.
+	s := &Launched{wl: wl, cfg: cfg, ps: cfg.Perf.Begin(wl.Name, "none")}
 	m := par.NewMachine(cfg.Machine)
-	defer m.Shutdown()
+	s.M = m
 	m.SetObserver(cfg.Obs)
-	var armed *faults.Armed
 	if cfg.Faults != nil {
-		armed = cfg.Faults.Arm(m)
+		s.armed = cfg.Faults.Arm(m)
 	}
-	var sch ckpt.Scheme
 	if cfg.CheckpointingOn() {
-		fo := cfg.Failover
-		if fo == nil && cfg.Scheme.Failover() {
-			fo = ckpt.DefaultFailoverConfig()
-		}
-		sch = ckpt.New(cfg.Scheme, ckpt.Options{
+		s.Options = ckpt.Options{
 			Interval:       cfg.Interval,
 			FirstAt:        cfg.FirstAt,
 			MaxCheckpoints: cfg.MaxCheckpoints,
-			Failover:       fo,
-		})
-		cfg.Obs.SetScheme(sch.Name())
-		ps.SetScheme(sch.Name())
-		sch.Attach(m)
+			Spread:         cfg.Spread,
+			Failover:       cfg.Failover,
+		}
+		if s.Options.Failover == nil && cfg.Scheme.Failover() {
+			s.Options.Failover = ckpt.DefaultFailoverConfig()
+		}
+		s.Scheme = ckpt.New(cfg.Scheme, s.Options)
+		cfg.Obs.SetScheme(s.Scheme.Name())
+		s.ps.SetScheme(s.Scheme.Name())
+		s.Scheme.Attach(m)
 	}
-	w := mp.NewWorld(m)
-	if armed != nil && armed.Lossy() {
-		w.EnableRetransmit(m.Retry.Base, m.Retry.Cap)
+	s.World = mp.NewWorld(m)
+	if s.armed != nil && s.armed.Lossy() {
+		s.World.EnableRetransmit(m.Retry.Base, m.Retry.Cap)
 	}
-	progs := make([]mp.Program, m.NumNodes())
-	for rank := range progs {
-		progs[rank] = wl.Make(rank, m.NumNodes())
-		w.Launch(rank, progs[rank])
+	s.Program = func(rank int) mp.Program { return wl.Make(rank, m.NumNodes()) }
+	for rank := range m.Nodes {
+		s.World.Launch(rank, s.Program(rank))
 	}
-	ps.EndSetup()
+	s.ps.EndSetup()
+	return s
+}
+
+// Finish runs the simulation to completion, verifies the programs the nodes
+// hold at the end against the workload's oracle — after a crash those are the
+// recovered incarnations, not the ones Start launched — and collects the
+// measurements.
+func (s *Launched) Finish() (Result, error) {
+	m, wl, cfg, ps := s.M, s.wl, s.cfg, s.ps
+	defer ps.Finish()
+	defer m.Shutdown()
 	if err := m.Run(); err != nil {
 		return Result{}, fmt.Errorf("core: %s: %w", wl.Name, err)
 	}
 	m.CollectPerf(ps)
 	ps.EndSim()
 	if !cfg.SkipCheck && wl.Check != nil {
+		progs := make([]mp.Program, m.NumNodes())
+		for rank, n := range m.Nodes {
+			prog, ok := n.Snap.(mp.Program)
+			if !ok {
+				return Result{}, fmt.Errorf("core: %s: rank %d crashed and was never recovered", wl.Name, rank)
+			}
+			progs[rank] = prog
+		}
 		if err := wl.Check(progs); err != nil {
 			return Result{}, fmt.Errorf("core: %s: result verification failed: %w", wl.Name, err)
 		}
@@ -168,10 +212,10 @@ func Run(wl apps.Workload, cfg Config) (Result, error) {
 		StorageServers: m.NumStores(),
 	}
 	res.HostLinkBusy = m.Net.HostLinkStats().Busy
-	for i, s := range m.Stores {
-		res.StoragePeak += s.PeakOccupied()
-		res.FilesAtEnd += s.NumFiles()
-		_, _, _, busy := s.Stats()
+	for i, st := range m.Stores {
+		res.StoragePeak += st.PeakOccupied()
+		res.FilesAtEnd += st.NumFiles()
+		_, _, _, busy := st.Stats()
 		res.DiskBusy += busy
 		if busy > res.MaxDiskBusy {
 			res.MaxDiskBusy = busy
@@ -181,14 +225,14 @@ func Run(wl apps.Workload, cfg Config) (Result, error) {
 		}
 	}
 	res.NetMsgs, res.NetBytes = m.Net.TotalTraffic()
-	if sch != nil {
-		res.Scheme = sch.Name()
-		res.Ckpt = sch.Stats()
-		res.Records = sch.Records()
+	if s.Scheme != nil {
+		res.Scheme = s.Scheme.Name()
+		res.Ckpt = s.Scheme.Stats()
+		res.Records = s.Scheme.Records()
 	}
-	if armed != nil {
-		res.Faults = armed.Report()
-		res.Faults.Retransmits = w.Retransmits()
+	if s.armed != nil {
+		res.Faults = s.armed.Report()
+		res.Faults.Retransmits = s.World.Retransmits()
 	}
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/rdg"
 	"repro/internal/sim"
@@ -23,17 +24,19 @@ func runGuarantee(t *testing.T, v ckpt.Variant) (int, []ckpt.Record, ckpt.Stats)
 	t.Helper()
 	cfg := par.DefaultConfig()
 	wl := bench.AsyncWorkload(300, 20_000)
-	n, recs, stats, err := bench.RunSchemeForStats(wl, cfg, v, ckpt.Options{
+	res, err := core.Run(wl, core.Config{
+		Machine:  cfg,
+		Scheme:   v,
 		Interval: 2 * sim.Second,
 		Spread:   250 * sim.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 {
+	if len(res.Records) == 0 {
 		t.Fatalf("%v took no checkpoints", v)
 	}
-	return n, recs, stats
+	return cfg.Fabric.Nodes(), res.Records, res.Ckpt
 }
 
 func TestCICGuaranteesZeroRollbackOnDominoWorkload(t *testing.T) {
