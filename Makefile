@@ -17,9 +17,11 @@ race:
 # Short fuzz smoke of the parsers that consume untrusted bytes — the
 # checkpoint codec round-trip (the delta half also holds replay into reused
 # scratch to the allocating reference), the decoders of durable checkpoint
-# files and channel logs, and the scheme-name resolver — plus the three
-# differentials against retired reference implementations: the engine's event
-# queue (4-ary heap vs container/heap), the fabric's virtual schedule
+# files and channel logs, and the scheme-name resolver — plus the
+# differentials against retired reference implementations: the incremental
+# payload encoders (a bare snapshot and a pad count, zero runs found a word at
+# a time, vs the padded image materialised and scanned a byte at a time), the
+# engine's event queue (4-ary heap vs container/heap), the fabric's virtual schedule
 # (event-driven flights vs a courier process per message), the storage
 # server's files (extent lists of the gathered slices it is handed vs one flat,
 # copied slice per file) and the checkpoint writer's requests (gathered from a
@@ -31,6 +33,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDeltaCodecRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzPaddedEncode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz FuzzCkptFileDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz FuzzSegmentParts -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bench -run '^$$' -fuzz FuzzVariantParse -fuzztime $(FUZZTIME)
@@ -81,7 +84,8 @@ bench-perf:
 # and collective hot paths; that the storage server allocates nothing of a
 # segment's size for a file appended to it, and a full-image capture (local
 # timers and coordinated) at most 0.05 bytes per byte of the file it gathers;
-# the per-capture and per-audited-commit pins of the incremental schemes; plus
+# an incremental capture and commit of a 1 MiB state at the record it builds
+# plus a few hundred bytes, and the per-audited-commit pin; plus
 # a microbenchmark smoke of the event queue, the
 # fabric's send path and the payload codecs — all under the race detector. A
 # failure here means a change re-introduced steady-state allocation (or broke

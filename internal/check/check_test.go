@@ -84,17 +84,31 @@ func TestSweepSubset(t *testing.T) {
 	}
 }
 
-// recycler is bench's ring exchange with one vice: with recycle set it treats
-// the buffer its last Snapshot returned as its own again and, an iteration
-// later, scribbles over the accumulator in it — what a program that snapshots
-// into a reused buffer does to its previous snapshot. That violates
-// par.Snapshotter's ownership rule, and stable storage used to mask it by
-// copying every byte it was sent; it no longer does. Iteration and phase are
-// left alone, so the recovered run still terminates — with the wrong sum.
+// vice is how a recycler breaks par.Snapshotter's ownership rule — Snapshot
+// returns bytes the program never writes again — if it does.
+type vice int
+
+const (
+	lawful vice = iota
+	// scribble treats the buffer the last Snapshot returned as the program's
+	// own again and, an iteration later, flips the accumulator in it: what a
+	// program that snapshots into a reused buffer does to its previous
+	// snapshot. Stable storage used to mask it by copying every byte it was
+	// sent; it no longer does. Iteration and phase are left alone, so the
+	// recovered run still terminates — with the wrong sum.
+	scribble
+	// reuse encodes every snapshot into the one buffer: the next capture
+	// rewrites the snapshot an incremental scheme holds as its diff baseline,
+	// which then matches every page, and the deltas record no change.
+	reuse
+)
+
+// recycler is bench's ring exchange with a vice.
 type recycler struct {
 	rank, size, iters int
-	recycle           bool
+	vice              vice
 	lent              []byte
+	w                 *codec.Writer // reuse: the one snapshot buffer
 
 	iter, phase int
 	acc         int64
@@ -103,7 +117,7 @@ type recycler struct {
 func (r *recycler) Run(e *mp.Env) {
 	right, left := (r.rank+1)%r.size, (r.rank+r.size-1)%r.size
 	for r.iter < r.iters {
-		if r.lent != nil {
+		if r.vice == scribble && r.lent != nil {
 			r.lent[16] ^= 0xFF // acc's low byte
 			r.lent = nil
 		}
@@ -123,13 +137,18 @@ func (r *recycler) Run(e *mp.Env) {
 
 func (r *recycler) Snapshot() []byte {
 	w := codec.NewWriter()
+	if r.vice == reuse {
+		if r.w == nil {
+			r.w = codec.NewWriter()
+		}
+		w = r.w
+		w.Reset()
+	}
 	w.Int(r.iter)
 	w.Int(r.phase)
 	w.I64(r.acc)
-	if r.recycle {
-		r.lent = w.Bytes()
-	}
-	return w.Bytes()
+	r.lent = w.Bytes()
+	return r.lent
 }
 
 func (r *recycler) Restore(data []byte) {
@@ -139,40 +158,98 @@ func (r *recycler) Restore(data []byte) {
 
 // TestDroppedCopyStillBites: the storage server keeps the snapshot it is
 // handed instead of a copy, so a program that writes a buffer its Snapshot
-// returned rewrites its own durable checkpoint. Dropping the copy did not drop
-// the defence: crashed and recovered from such a checkpoint, the program is
-// reported by the oracle — its final state is not the fault-free run's — while
-// its law-abiding twin passes the same cell.
+// returned rewrites its own durable checkpoint; and an incremental scheme
+// holds the last committed snapshot as its diff baseline instead of a copy, so
+// a program that snapshots into a buffer it reuses rewrites that baseline.
+// Dropping the copies did not drop the defence: crashed and recovered, such a
+// program is reported by the oracle — its final state is not the fault-free
+// run's, or a committed chain does not replay to the snapshot it was taken
+// from — while its law-abiding twin passes the same cell.
 func TestDroppedCopyStillBites(t *testing.T) {
-	workload := func(recycle bool) apps.Workload {
-		return apps.Workload{
-			Name: fmt.Sprintf("RECYCLER-%v", recycle),
-			Make: func(rank, size int) mp.Program {
-				return &recycler{rank: rank, size: size, iters: 40, recycle: recycle}
-			},
-		}
-	}
-	for _, v := range []ckpt.Variant{ckpt.CoordNB, ckpt.CoordNBMS, ckpt.CIC} {
-		t.Run(v.String(), func(t *testing.T) {
-			for _, recycle := range []bool{false, true} {
-				wl := workload(recycle)
-				c := bench.Cell{App: wl.Name, Scheme: v.String(), Rep: 3}
-				res, err := NewOracle(par.DefaultConfig()).RunCell(CellSpec{Workload: wl, Scheme: v, Point: 2, Points: 4, Seed: c.Seed()})
-				if restored := res.Round > 0 || slices.Max(append(res.Line, 0)) > 0; !res.Recovered || !restored {
-					t.Fatalf("recycle=%v: the cell restored no checkpoint: %+v", recycle, res)
+	for _, c := range []struct {
+		v    ckpt.Variant
+		vice vice
+		want []string // the violation is one of these
+	}{
+		{ckpt.CoordNB, scribble, []string{"equiv.final-state"}},
+		{ckpt.CoordNBMS, scribble, []string{"equiv.final-state"}},
+		{ckpt.CIC, scribble, []string{"equiv.final-state"}},
+		{ckpt.CoordNBInc, reuse, []string{"inc.chain-equals-snapshot", "equiv.final-state"}},
+		{ckpt.IndepInc, reuse, []string{"inc.chain-equals-snapshot", "equiv.final-state"}},
+		{ckpt.CICInc, reuse, []string{"inc.chain-equals-snapshot", "equiv.final-state"}},
+	} {
+		t.Run(c.v.String(), func(t *testing.T) {
+			for _, vice := range []vice{lawful, c.vice} {
+				wl := apps.Workload{
+					Name: fmt.Sprintf("RECYCLER-%d", vice),
+					Make: func(rank, size int) mp.Program {
+						return &recycler{rank: rank, size: size, iters: 40, vice: vice}
+					},
+				}
+				cell := bench.Cell{App: wl.Name, Scheme: c.v.String(), Rep: 3}
+				res, err := NewOracle(par.DefaultConfig()).RunCell(CellSpec{Workload: wl, Scheme: c.v, Point: 2, Points: 4, Seed: cell.Seed()})
+				// A rewritten durable file bites only once recovery reads it; a
+				// rewritten baseline bites at the next commit's audit, whatever
+				// recovery restores (under Indep_INC, the ring dominoes to the
+				// start).
+				if restored := res.Round > 0 || slices.Max(append(res.Line, 0)) > 0; !res.Recovered || (c.vice == scribble && !restored) {
+					t.Fatalf("vice %d: the cell restored no checkpoint: %+v", vice, res)
 				}
 				switch {
-				case !recycle && err != nil:
+				case vice == lawful && err != nil:
 					t.Fatalf("the program that leaves its snapshots alone failed its cell: %v", err)
-				case recycle && err == nil:
+				case vice != lawful && err == nil:
 					t.Fatal("a program that wrote the snapshot it had handed over recovered unnoticed")
-				case recycle && !strings.Contains(err.Error(), "equiv.final-state"):
-					t.Fatalf("reported, but not as a final state that differs from the fault-free run's: %v", err)
+				case vice != lawful && !slices.ContainsFunc(c.want, func(inv string) bool { return strings.Contains(err.Error(), inv+":") }):
+					t.Fatalf("reported, but not as %v: %v", c.want, err)
 				}
 			}
 		})
 	}
 	if !ckpt.ZeroPageIntact() {
 		t.Fatal("the shared zero page was written")
+	}
+}
+
+// stuck is the law-abiding ring that, once restored from a checkpoint,
+// computes for ever: a recovery after which the program never finishes.
+type stuck struct {
+	recycler
+	restored bool
+}
+
+func (s *stuck) Restore(data []byte) {
+	s.recycler.Restore(data)
+	s.restored = true
+}
+
+func (s *stuck) Run(e *mp.Env) {
+	for s.restored {
+		e.Compute(1e9)
+	}
+	s.recycler.Run(e)
+}
+
+// TestRunCellHorizon: a recovered program that never finishes fails its cell
+// with a named violation that carries the cell and its seed, where the
+// schemes' timers used to keep the cell simulating until the test binary
+// timed out.
+func TestRunCellHorizon(t *testing.T) {
+	wl := apps.Workload{Name: "STUCK", Make: func(rank, size int) mp.Program {
+		return &stuck{recycler: recycler{rank: rank, size: size, iters: 40}}
+	}}
+	for _, v := range []ckpt.Variant{ckpt.CoordNB, ckpt.CIC} {
+		t.Run(v.String(), func(t *testing.T) {
+			c := bench.Cell{App: wl.Name, Scheme: v.String(), Rep: 3}
+			res, err := NewOracle(par.DefaultConfig()).RunCell(CellSpec{Workload: wl, Scheme: v, Point: 2, Points: 4, Seed: c.Seed()})
+			if !res.Recovered {
+				t.Fatalf("the cell never crashed: %+v", res)
+			}
+			for _, want := range []string{"recover.terminates", "STUCK/" + v.String(), fmt.Sprintf("seed %#x", c.Seed())} {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("the cell's error does not name %q: %v", want, err)
+				}
+			}
+		})
 	}
 }

@@ -160,11 +160,29 @@ func crashPoint(spec CellSpec, exec sim.Duration) sim.Time {
 	return at
 }
 
+// horizonExecs is how many fault-free execution times a cell may run in
+// virtual time before it is reported as never finishing. A crash and its
+// recovery cost far more than a few: the slowest passing cell of the full
+// sweep (RING-60000B-i80 under CIC, its checkpoints outlasting the interval)
+// finishes at 32 of them, a quick ring's coordinator-kill cells at 26.
+const horizonExecs = 100
+
+// name identifies the cell in a report that need not pass through Sweep's
+// runner, which prefixes the bench.Cell name and seed.
+func (spec CellSpec) name() string {
+	where := fmt.Sprintf("stratum %d/%d", spec.Point, spec.Points)
+	if spec.KillPhase != "" {
+		where = "kill " + spec.KillPhase
+	}
+	return fmt.Sprintf("cell %s/%v %s seed %#x", spec.Workload.Name, spec.Scheme, where, spec.Seed)
+}
+
 // RunCell executes one oracle cell: run the workload under the scheme, crash
 // every node at the stratified point, recover from stable storage, run to
 // completion, and hold the outcome against the fault-free baseline while the
 // invariant auditor rides along on every commit. The returned error carries
-// every violated invariant.
+// every violated invariant; a run still going horizonExecs fault-free
+// execution times in is stopped and reported as recover.terminates.
 func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 	var res CellResult
 	b, err := o.baselineFor(spec.Workload)
@@ -267,7 +285,16 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 		})
 	}
 
-	if err := m.Run(); err != nil {
+	// Counted from at least a second, which outlasts the coordinator-kill
+	// cells' fixed settle window whatever the workload.
+	horizon := sim.Time(horizonExecs * max(b.exec, sim.Second))
+	if err := m.Eng.RunUntil(horizon); err == sim.ErrHorizon {
+		// The schemes' timers would keep the engine busy for ever: a recovered
+		// program that never finishes is a violation, not a hang.
+		a.violatef("recover.terminates", "%s: still running at %v, %d fault-free executions in, with %d application(s) live",
+			spec.name(), horizon, horizonExecs, m.AppsLive())
+		return res, fmt.Errorf("crash at %v: %w", res.CrashAt, a.err())
+	} else if err != nil {
 		return res, fmt.Errorf("crash at %v: %w", res.CrashAt, err)
 	}
 	m.CollectPerf(ps)

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/mp"
 	"repro/internal/par"
+	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -154,34 +156,101 @@ func (s *sizedSnap) Snapshot() []byte {
 }
 func (s *sizedSnap) Restore([]byte) {}
 
-// TestIncCaptureImageReuse: one IncCapture's image buffer, reused across
-// captures whose snapshot shrinks and grows, always holds exactly the padded
-// snapshot — the tail the longer snapshot dirtied is zero again.
-func TestIncCaptureImageReuse(t *testing.T) {
-	m := par.NewMachine(par.DefaultConfig())
-	defer m.Shutdown()
-	n := m.Nodes[0]
-	snap := &sizedSnap{lens: []int{300, 100, 500, 500, 0, 70_000, 1}}
-	n.Snap = snap
-	ref := &sizedSnap{lens: snap.lens}
-	var inc *IncCapture
-	for k := 1; k <= 2*len(snap.lens); k++ {
-		c := ckptCapture{index: k}
-		c.captureImage(n, IndepInc, &inc)
-		want := padImage(ref.Snapshot(), m.Cfg.CkptImageBytes)
-		if !bytes.Equal(c.img, want) {
-			t.Fatalf("capture %d: image of %d bytes is not the padded snapshot (%d bytes)", k, len(c.img), len(want))
-		}
-		if c.pad != 0 {
-			t.Fatalf("capture %d: incremental payload carries pad %d", k, c.pad)
-		}
-		c.scratch.Free()
-		if k%2 == 0 { // every other capture becomes durable; the rest re-diff against it
-			inc.Commit(k, c.img, c.prev)
-			if !bytes.Equal(inc.tracker.Prev(), want) {
-				t.Fatalf("capture %d: retained baseline differs from the image", k)
+// lendingRing is rank 0 of the ring, keeping every snapshot it lends by
+// checkpoint index and calling check with the index before it lends the next.
+type lendingRing struct {
+	*ringProg
+	lent  map[int][]byte
+	check func(index int)
+}
+
+func (l *lendingRing) SnapshotAt(index int) []byte {
+	l.check(index)
+	l.lent[index] = l.Snapshot()
+	return l.lent[index]
+}
+func (l *lendingRing) RestoreAt(_ int, b []byte) { l.Restore(b) }
+
+// holds reports whether inc's diff baseline is snap's backing array itself:
+// the two compare equal, and writing a byte of snap changes the baseline.
+func holds(inc *IncCapture, snap []byte) bool {
+	orig := bytes.Clone(snap)
+	if len(inc.tracker.DirtyPages(orig)) != 0 {
+		return false
+	}
+	snap[len(snap)-1] ^= 0xFF
+	defer func() { snap[len(snap)-1] ^= 0xFF }()
+	return len(inc.tracker.DirtyPages(orig)) != 0
+}
+
+// TestIncBaselineIsCommittedSnapshot: once a checkpoint commits, the diff
+// baseline is the snapshot the program lent for it — its backing array, not a
+// copy — and a checkpoint that never commits leaves the previous baseline in
+// place: the timer driver's write that fails through its retry budget is
+// skipped, the coordinated driver's attempt whose write fails is aborted and
+// retried. Every capture of rank 0 checks, before it snapshots, that the
+// baseline is the last committed checkpoint's snapshot.
+func TestIncBaselineIsCommittedSnapshot(t *testing.T) {
+	for _, v := range []Variant{IndepInc, CoordNBInc} {
+		t.Run(v.String(), func(t *testing.T) {
+			m := par.NewMachine(par.DefaultConfig())
+			defer m.Shutdown()
+			sch := New(v, Options{Interval: sim.Second, MaxCheckpoints: 6})
+			sch.Attach(m)
+			var inc func() *IncCapture
+			switch s := sch.(type) {
+			case *localTimers:
+				inc = func() *IncCapture { return s.nodes[0].inc }
+			case *coordinated:
+				inc = func() *IncCapture { return s.nodes[0].inc }
 			}
-		}
+			committed, captures := 0, map[int]int{}
+			sch.SetCommitHook(func(recs []Record) {
+				for _, r := range recs {
+					if r.Rank == 0 {
+						committed = r.Index
+					}
+				}
+			})
+			failed := v.StatePath(0, 2) // the first write of rank 0's second checkpoint fails
+			for _, st := range m.Stores {
+				st.FaultHook = func(op storage.Op, path string) error {
+					if path == failed && captures[2] == 1 {
+						return storage.ErrUnavailable
+					}
+					return nil
+				}
+			}
+			w := mp.NewWorld(m)
+			n := m.NumNodes()
+			rank0 := &lendingRing{ringProg: newRingProg(0, n, 400, 10_000, 2e5), lent: map[int][]byte{}}
+			rank0.check = func(index int) {
+				captures[index]++
+				if committed > 0 && !holds(inc(), rank0.lent[committed]) {
+					t.Errorf("capture %d (#%d): the baseline is not checkpoint %d's snapshot", index, captures[index], committed)
+				}
+			}
+			w.Launch(0, rank0)
+			for rank := 1; rank < n; rank++ {
+				w.Launch(rank, newRingProg(rank, n, 400, 10_000, 2e5))
+			}
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !holds(inc(), rank0.lent[committed]) {
+				t.Errorf("after the run: the baseline is not the last committed checkpoint's (%d) snapshot", committed)
+			}
+			st := sch.Stats()
+			if v.Coordinated() && (st.RoundsAborted != 1 || captures[2] != 2) {
+				t.Fatalf("%d rounds aborted, round 2 captured %d times: want the failed write to abort it once", st.RoundsAborted, captures[2])
+			}
+			if !v.Coordinated() && (st.SkippedCkpts != 1 || captures[3] != 1) {
+				t.Fatalf("%d checkpoints skipped, checkpoint 3 captured %d times: want the failed write skipped and the next taken", st.SkippedCkpts, captures[3])
+			}
+			if committed < 4 {
+				t.Fatalf("rank 0 committed up to checkpoint %d; the history is too short to test anything", committed)
+			}
+		})
 	}
 }
 
@@ -239,32 +308,76 @@ func TestAllocsCoordCapture(t *testing.T) {
 	}
 }
 
-// TestAllocsIncCapture pins the incremental capture's image at one buffer per
-// node: after the first capture, neither padding, encoding nor retaining the
-// image allocates anything of its size.
+// pagedSnaps lends prebuilt 1 MiB paged snapshots in turn: every other page
+// zero, and a tenth of the pages rewritten from one snapshot to the next. The
+// snapshots are built before anything is measured and never written after.
+type pagedSnaps struct {
+	snaps [][]byte
+	next  int
+}
+
+func newPagedSnaps(count int) *pagedSnaps {
+	const size, page = 1 << 20, 4096
+	base := make([]byte, size)
+	for pg := 0; pg < size/page; pg += 2 {
+		for i := pg * page; i < (pg+1)*page; i++ {
+			base[i] = byte(i*7 + pg + 1)
+		}
+	}
+	s := &pagedSnaps{}
+	for k := 0; k < count; k++ {
+		snap := bytes.Clone(base)
+		for j := 0; j < size/page/10; j++ {
+			pg := (k*7 + j*13) % (size / page)
+			snap[pg*page+j] = byte(k + 1)
+		}
+		s.snaps = append(s.snaps, snap)
+	}
+	return s
+}
+
+func (s *pagedSnaps) Snapshot() []byte {
+	b := s.snaps[s.next%len(s.snaps)]
+	s.next++
+	return b
+}
+func (s *pagedSnaps) Restore([]byte)     {}
+func (s *pagedSnaps) StatePageSize() int { return 4096 }
+
+// TestAllocsIncCapture pins a steady-state incremental capture and commit of a
+// 1 MiB paged state at the record it builds plus a few hundred bytes: the
+// payload is encoded from the snapshot where the program returned it into
+// pooled scratch, and the baseline is that snapshot, held — neither the padded
+// image nor a copy of it is built, before or after the encode.
 func TestAllocsIncCapture(t *testing.T) {
 	m := par.NewMachine(par.DefaultConfig())
 	defer m.Shutdown()
 	n := m.Nodes[0]
-	n.Snap = &sizedSnap{lens: []int{256}}
+	n.Snap = newPagedSnaps(2 * BaseEvery)
 	var inc *IncCapture
+	record := 0 // the records' bytes as the heap hands them out: a large object takes whole 8 KiB pages
 	capture := func(k int) {
 		c := ckptCapture{index: k}
 		c.captureImage(n, IndepInc, &inc)
-		_ = encodeCkptFile(IndepInc, CkptFile{Index: k, Prev: c.prev, State: c.state}, c.pad)
+		record += (fileLen(encodeCkptFile(IndepInc, CkptFile{Index: k, Prev: c.prev, State: c.state}, c.pad)) + 8191) &^ 8191
 		c.scratch.Free()
-		inc.Commit(k, c.img, c.prev)
+		inc.Commit(k, c.snap, c.prev)
 	}
-	capture(1)
-	const rounds = 64
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for k := 2; k < 2+rounds; k++ {
+	for k := 1; k <= 2*BaseEvery; k++ { // warm the pooled scratch to a base payload's size
 		capture(k)
 	}
+	const rounds = 4 * BaseEvery
+	record = 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 1; k <= rounds; k++ {
+		capture(2*BaseEvery + k)
+	}
 	runtime.ReadMemStats(&after)
-	perCapture := (after.TotalAlloc - before.TotalAlloc) / rounds
-	if image := uint64(256 + m.Cfg.CkptImageBytes); perCapture > image/8 {
-		t.Fatalf("an incremental capture allocates %d bytes; the image, %d bytes, is being rebuilt", perCapture, image)
+	extra := (int64(after.TotalAlloc-before.TotalAlloc) - int64(record)) / rounds
+	t.Logf("incremental capture + commit of a 1 MiB state: %d record bytes and %d more per capture", record/rounds, extra)
+	if extra > 512 {
+		t.Fatalf("an incremental capture and commit allocate %d bytes besides the record; the image (%d bytes) is being built",
+			extra, 1<<20+m.Cfg.CkptImageBytes)
 	}
 }

@@ -318,12 +318,14 @@ type coordNode struct {
 	appGate   *sim.Gate // blocks the application in B and NB
 	tokenGate *sim.Gate // staggering token (NBMS)
 
-	// Incremental (CoordNBInc) capture state. pendingImg is the padded image
-	// of the in-flight round, promoted to the diff baseline only at commit:
-	// an aborted attempt discards it, so the retry — and every later delta —
-	// diffs against the last round that actually committed.
+	// Incremental (CoordNBInc) capture state. pendingSnap is the snapshot of
+	// the in-flight round (pending: one was taken), promoted to the diff
+	// baseline only at commit: an aborted attempt discards it, so the retry —
+	// and every later delta — diffs against the last round that actually
+	// committed.
 	inc         *IncCapture
-	pendingImg  []byte
+	pending     bool
+	pendingSnap []byte
 	pendingPrev int
 
 	syncSpan obs.Span // "ckpt.sync": round begin until the local safe point
@@ -450,9 +452,9 @@ func (cn *coordNode) hookAppMsg(env *fabric.Envelope, msg *mp.Message) bool {
 // finishRound concludes the node's participation in the active round, on
 // the commit message or on evidence that the commit happened.
 func (cn *coordNode) finishRound() {
-	if cn.s.v.Incremental() && cn.pendingImg != nil {
-		cn.inc.Commit(cn.round, cn.pendingImg, cn.pendingPrev)
-		cn.pendingImg = nil
+	if cn.pending {
+		cn.inc.Commit(cn.round, cn.pendingSnap, cn.pendingPrev)
+		cn.pending, cn.pendingSnap = false, nil
 	}
 	cn.round = 0
 	cn.precommitted = false
@@ -478,7 +480,7 @@ func (cn *coordNode) abortLocal() {
 	}
 	cn.quarantine = nil
 	cn.chanLog = nil
-	cn.pendingImg = nil // the retry re-diffs against the last committed image
+	cn.pending, cn.pendingSnap = false, nil // the retry re-diffs against the last committed image
 	cn.round = 0
 	cn.precommitted = false
 	if cn.appGate != nil {
@@ -569,8 +571,8 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 	var file [][]byte
 	if s.v.Incremental() {
 		// The slot file is a record carrying the chain pointer; the round's
-		// image becomes the diff baseline only at commit (pendingImg).
-		cn.pendingImg, cn.pendingPrev = c.img, prev
+		// snapshot becomes the diff baseline only at commit (pendingSnap).
+		cn.pending, cn.pendingSnap, cn.pendingPrev = true, c.snap, prev
 		file = encodeCkptFile(s.v, CkptFile{Index: round, Prev: prev, State: c.state}, 0)
 		c.scratch.Free() // payload embedded (copied) into file above
 	} else {

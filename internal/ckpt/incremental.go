@@ -15,64 +15,52 @@ import (
 const BaseEvery = 4
 
 // IncCapture is the per-node encoder state an incremental scheme carries: a
-// dirty tracker retaining the last durable image and the chain bookkeeping
-// that decides when the next checkpoint must be a base. Schemes call EncodeTo
+// dirty tracker holding the last durable image and the chain bookkeeping that
+// decides when the next checkpoint must be a base. An image is a snapshot
+// followed by the process image's zero padding, which is never materialised:
+// the snapshot is encoded where the program returned it, and once its
+// checkpoint is durable that very slice is the baseline the next capture
+// diffs against — lent by the program, which never writes it again
+// (par.Snapshotter), and held until the next Commit. Schemes call EncodeTo
 // when capturing, then Commit only once the file is durable (for coordinated
 // rounds: committed) — a skipped or aborted checkpoint leaves the capture
 // untouched, so the next EncodeTo re-diffs against the last checkpoint that
 // actually exists and Prev pointers always name durable checkpoints.
 type IncCapture struct {
 	tracker   *par.DirtyTracker
+	pad       int
 	prevIndex int
 	sinceBase int
-
-	// img is the padded image of the capture in flight, in a buffer reused
-	// from capture to capture: the image is dead once Commit has retained
-	// (copied) it or its attempt aborted, and no incremental scheme captures
-	// again on a node before then. Everything past snapLen, up to the
-	// buffer's capacity, is zero.
-	img     []byte
-	snapLen int
 }
 
 // NewIncCapture returns a capture diffing at the given page size (a node's
-// par.StatePageSizeOf). The capture starts unprimed, so the first checkpoint
-// of an incarnation — including the first after a recovery — is a base.
-func NewIncCapture(pageSize int) *IncCapture {
-	return &IncCapture{tracker: par.NewDirtyTracker(pageSize)}
+// par.StatePageSizeOf) images that are a snapshot followed by pad zero bytes
+// (the machine's process image). The capture starts unprimed, so the first
+// checkpoint of an incarnation — including the first after a recovery — is a
+// base.
+func NewIncCapture(pageSize, pad int) *IncCapture {
+	return &IncCapture{tracker: par.NewDirtyTracker(pageSize), pad: pad}
 }
 
-// Image returns snap padded with pad zero bytes — the process image a
-// checkpoint saves — valid until the next Image on this capture.
-func (ic *IncCapture) Image(snap []byte, pad int) []byte {
-	n := len(snap) + pad
-	if cap(ic.img) < n {
-		ic.img = make([]byte, n)
-	} else if ic.img = ic.img[:n]; len(snap) < ic.snapLen {
-		clear(ic.img[len(snap):ic.snapLen]) // a shorter snapshot: re-zero what the last one left in the tail
-	}
-	ic.snapLen = copy(ic.img, snap)
-	return ic.img
-}
-
-// EncodeTo writes the payload for a checkpoint of img into w and returns it
-// with its chain pointer: a zero-run-compressed base (prev 0) at the start of
-// each chain, a page delta against the previous durable image otherwise. The
-// schemes pass pooled scratch here: the payload only lives until it is
-// embedded (copied) into the enclosing checkpoint file by encodeCkptFile, so
-// the writer is freed right after the embed and steady-state incremental
-// capture allocates no payload buffers. The returned bytes alias w's buffer.
-func (ic *IncCapture) EncodeTo(w *codec.Writer, img []byte) (payload []byte, prev int) {
+// EncodeTo writes the payload for a checkpoint of snap's image into w and
+// returns it with its chain pointer: a zero-run-compressed base (prev 0) at
+// the start of each chain, a page delta against the previous durable image
+// otherwise. The schemes pass pooled scratch here: the payload only lives
+// until it is embedded (copied) into the enclosing checkpoint file by
+// encodeCkptFile, so the writer is freed right after the embed and
+// steady-state incremental capture allocates no payload buffers. The returned
+// bytes alias w's buffer.
+func (ic *IncCapture) EncodeTo(w *codec.Writer, snap []byte) (payload []byte, prev int) {
 	if ic.tracker.Primed() && ic.sinceBase < BaseEvery-1 {
-		return ic.tracker.DeltaTo(w, img), ic.prevIndex
+		return ic.tracker.DeltaTo(w, snap, ic.pad), ic.prevIndex
 	}
-	return codec.EncodeBaseImageTo(w, img), 0
+	return codec.EncodeBaseImageTo(w, snap, ic.pad), 0
 }
 
-// Commit records that the checkpoint of img at index, encoded with chain
-// pointer prev, became durable: img is the new diff baseline.
-func (ic *IncCapture) Commit(index int, img []byte, prev int) {
-	ic.tracker.Retain(img)
+// Commit records that the checkpoint of snap's image at index, encoded with
+// chain pointer prev, became durable: snap itself is the new diff baseline.
+func (ic *IncCapture) Commit(index int, snap []byte, prev int) {
+	ic.tracker.RetainPadded(snap, ic.pad)
 	if prev == 0 {
 		ic.sinceBase = 0
 	} else {

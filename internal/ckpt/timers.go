@@ -311,12 +311,14 @@ type ckptCapture struct {
 	// size: the padded image is never built, the file is gathered from the
 	// snapshot and the shared zero page. Under incremental capture state is
 	// the base/delta payload (pad 0), aliasing scratch's pooled buffer until
-	// it is embedded in the file, and img the padded image — in the node's
-	// IncCapture buffer — that becomes the diff baseline once the file is
-	// durable.
+	// it is embedded in the file, and snap the bare snapshot, encoded where
+	// the program returned it. Its image becomes the diff baseline once the
+	// file is durable: the node's IncCapture then holds snap itself — a new
+	// holder of the lent bytes, until the next commit — so the padded image is
+	// never built here either.
 	state   []byte
 	pad     int
-	img     []byte
+	snap    []byte
 	scratch *codec.Writer
 
 	consumed []uint64  // SenderLog: per-sender consumed SSNs at the capture
@@ -327,22 +329,22 @@ type ckptCapture struct {
 func (c *ckptCapture) stateBytes() int { return len(c.state) + c.pad }
 
 // captureImage is the step every driver's capture shares: snapshot the
-// program at c.index and — under incremental capture — pad it to the
-// machine's process image and encode the base or delta payload against the
-// last durable image into pooled scratch (which the caller frees once the
-// payload is embedded in the file). Runs in the application's context, like
-// every state capture in the library.
+// program at c.index and — under incremental capture — encode the base or
+// delta payload of its process image against the last durable image into
+// pooled scratch (which the caller frees once the payload is embedded in the
+// file). Runs in the application's context, like every state capture in the
+// library.
 func (c *ckptCapture) captureImage(n *par.Node, v Variant, inc **IncCapture) {
 	c.state, c.pad = par.SnapshotAt(n.Snap, c.index), max(n.M.Cfg.CkptImageBytes, 0)
 	if !v.Incremental() {
 		return // nothing to retain for diffing
 	}
 	if *inc == nil {
-		*inc = NewIncCapture(par.StatePageSizeOf(n.Snap))
+		*inc = NewIncCapture(par.StatePageSizeOf(n.Snap), c.pad)
 	}
-	c.img, c.pad = (*inc).Image(c.state, c.pad), 0
+	c.snap, c.pad = c.state, 0
 	c.scratch = codec.GetWriter()
-	c.state, c.prev = (*inc).EncodeTo(c.scratch, c.img)
+	c.state, c.prev = (*inc).EncodeTo(c.scratch, c.snap)
 }
 
 // capture closes the current checkpoint interval at tn.index: its receive
@@ -448,9 +450,10 @@ func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 		}
 		s.records = append(s.records, rec)
 		if s.v.Incremental() {
-			// Only now — with the file durable — does img become the diff
-			// baseline; a skipped checkpoint re-diffs against the old one.
-			tn.inc.Commit(k, c.img, c.prev)
+			// Only now — with the file durable — does the snapshot become the
+			// diff baseline; a skipped checkpoint (the return above) re-diffs
+			// against the old one.
+			tn.inc.Commit(k, c.snap, c.prev)
 		}
 		if s.commitHook != nil {
 			s.commitHook([]Record{rec})

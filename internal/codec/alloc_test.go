@@ -80,11 +80,11 @@ func TestAllocsBaseImageEncodeTo(t *testing.T) {
 	}
 	// Warm a pooled buffer to the encoded size.
 	w := GetWriter()
-	EncodeBaseImageTo(w, img)
+	EncodeBaseImageTo(w, img, 0)
 	w.Free()
 	allocs := testing.AllocsPerRun(100, func() {
 		w := GetWriter()
-		if p := EncodeBaseImageTo(w, img); len(p) == 0 {
+		if p := EncodeBaseImageTo(w, img, 0); len(p) == 0 {
 			t.Fatal("empty base payload")
 		}
 		w.Free()
@@ -103,11 +103,11 @@ func TestAllocsDeltaEncodeToClean(t *testing.T) {
 		img[i] = byte(i >> 3)
 	}
 	w := GetWriter()
-	EncodeDeltaTo(w, img, img, 4096)
+	EncodeDeltaTo(w, img, 0, img, 0, 4096)
 	w.Free()
 	allocs := testing.AllocsPerRun(100, func() {
 		w := GetWriter()
-		if p := EncodeDeltaTo(w, img, img, 4096); len(p) == 0 {
+		if p := EncodeDeltaTo(w, img, 0, img, 0, 4096); len(p) == 0 {
 			t.Fatal("empty delta payload")
 		}
 		w.Free()

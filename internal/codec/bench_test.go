@@ -33,7 +33,7 @@ func BenchmarkBaseImageRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Reset()
-		payload := EncodeBaseImageTo(w, img)
+		payload := EncodeBaseImageTo(w, img, 0)
 		if _, err := DecodeBaseImage(payload); err != nil {
 			b.Fatalf("decode: %v", err)
 		}
@@ -56,7 +56,7 @@ func BenchmarkDeltaRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Reset()
-		payload := EncodeDeltaTo(w, prev, cur, pageSize)
+		payload := EncodeDeltaTo(w, prev, 0, cur, 0, pageSize)
 		if _, err := ApplyDelta(prev, payload); err != nil {
 			b.Fatalf("apply: %v", err)
 		}
@@ -75,7 +75,7 @@ func BenchmarkDeltaEncodeClean(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Reset()
-		EncodeDeltaTo(w, img, img, 4096)
+		EncodeDeltaTo(w, img, 0, img, 0, 4096)
 	}
 }
 

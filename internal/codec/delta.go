@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -37,15 +38,17 @@ const maxImageBytes = 1 << 28
 
 // EncodeBaseImage encodes a full image as a zero-run-compressed base payload.
 func EncodeBaseImage(cur []byte) []byte {
-	return EncodeBaseImageTo(NewWriter(), cur)
+	return EncodeBaseImageTo(NewWriter(), cur, 0)
 }
 
-// EncodeBaseImageTo is EncodeBaseImage writing into a caller-supplied writer
-// (typically pooled scratch: the payload is embedded into an enclosing
-// checkpoint file and the writer freed). The returned bytes alias w's buffer.
-func EncodeBaseImageTo(w *Writer, cur []byte) []byte {
+// EncodeBaseImageTo encodes the image cur followed by pad zero bytes — a
+// snapshot padded to the process image, the padding never materialised —
+// writing into a caller-supplied writer (typically pooled scratch: the payload
+// is embedded into an enclosing checkpoint file and the writer freed). The
+// returned bytes alias w's buffer.
+func EncodeBaseImageTo(w *Writer, cur []byte, pad int) []byte {
 	w.U64(baseMagic)
-	writeZeroRLE(w, cur)
+	writeZeroRLE(w, cur, pad)
 	return w.Bytes()
 }
 
@@ -78,32 +81,35 @@ func DirtyPages(prev, cur []byte, pageSize int) []int {
 	}
 	var dirty []int
 	for off, idx := 0, 0; off < len(cur); off, idx = off+pageSize, idx+1 {
-		end := off + pageSize
-		if end > len(cur) {
-			end = len(cur)
-		}
-		if !pagesEqual(prev, cur[off:end], off) {
+		if pageDiffers(prev, cur, off, min(off+pageSize, len(cur))) {
 			dirty = append(dirty, idx)
 		}
 	}
 	return dirty
 }
 
-// pagesEqual reports whether curPage equals the slice of prev starting at
-// off, with prev treated as zero-extended past its end.
-func pagesEqual(prev []byte, curPage []byte, off int) bool {
-	overlap := len(prev) - off
-	if overlap < 0 {
-		overlap, off = 0, len(prev)
+// pageDiffers reports whether bytes [off, end) of a and b differ, each read
+// as zero past its end.
+func pageDiffers(a, b []byte, off, end int) bool {
+	if len(a) > len(b) {
+		a, b = b, a
 	}
-	if overlap > len(curPage) {
-		overlap = len(curPage)
+	both := min(max(off, len(a)), end) // [off, both) is in a and b, [both, end) only in b, if anywhere
+	if off < both && !bytes.Equal(a[off:both], b[off:both]) {
+		return true
 	}
-	if !bytes.Equal(prev[off:off+overlap], curPage[:overlap]) {
-		return false
+	return both < min(end, len(b)) && !allZero(b[both:min(end, len(b))])
+}
+
+// allZero reports whether b holds only zero bytes, a word at a time.
+func allZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
 	}
-	for _, b := range curPage[overlap:] {
-		if b != 0 {
+	for _, c := range b {
+		if c != 0 {
 			return false
 		}
 	}
@@ -116,28 +122,38 @@ func pagesEqual(prev []byte, curPage []byte, off int) bool {
 // against exactly len(prev) bytes — ApplyDelta enforces the match, which is
 // what makes a broken chain detectable.
 func EncodeDelta(prev, cur []byte, pageSize int) []byte {
-	return EncodeDeltaTo(NewWriter(), prev, cur, pageSize)
+	return EncodeDeltaTo(NewWriter(), prev, 0, cur, 0, pageSize)
 }
 
-// EncodeDeltaTo is EncodeDelta writing into a caller-supplied writer
-// (typically pooled scratch; see EncodeBaseImageTo). The returned bytes
-// alias w's buffer.
-func EncodeDeltaTo(w *Writer, prev, cur []byte, pageSize int) []byte {
-	dirty := DirtyPages(prev, cur, pageSize)
+// EncodeDeltaTo is EncodeDelta of the image cur followed by pad zero bytes
+// against the image prev followed by prevPad zero bytes, writing into a
+// caller-supplied writer (typically pooled scratch; see EncodeBaseImageTo).
+// Neither padding is materialised or read: past both snapshots every page is
+// zero in both images, so only the pages that hold snapshot bytes are
+// compared. The returned bytes alias w's buffer.
+func EncodeDeltaTo(w *Writer, prev []byte, prevPad int, cur []byte, pad int, pageSize int) []byte {
+	if pageSize <= 0 {
+		panic("codec: page size must be positive")
+	}
+	total := len(cur) + pad
 	w.U64(deltaMagic)
-	w.Int(len(cur))
-	w.Int(len(prev))
+	w.Int(total)
+	w.Int(len(prev) + prevPad)
 	w.Int(pageSize)
-	w.Int(len(dirty))
-	for _, idx := range dirty {
-		off := idx * pageSize
-		end := off + pageSize
-		if end > len(cur) {
-			end = len(cur)
+	count := w.Len()
+	w.Int(0) // the dirty-page count, known once the pages are written
+	dirty := 0
+	for off, idx := 0, 0; off < min(total, max(len(prev), len(cur))); off, idx = off+pageSize, idx+1 {
+		end := min(off+pageSize, total)
+		if !pageDiffers(prev, cur, off, end) {
+			continue
 		}
 		w.Int(idx)
-		writeZeroRLE(w, cur[off:end])
+		page := cur[min(off, len(cur)):min(end, len(cur))]
+		writeZeroRLE(w, page, end-off-len(page))
+		dirty++
 	}
+	binary.LittleEndian.PutUint64(w.buf[count:], uint64(dirty))
 	return w.Bytes()
 }
 
@@ -248,36 +264,79 @@ func (rp *Replayer) applyDelta(prev []byte, inPlace bool, payload []byte) ([]byt
 	return out, nil
 }
 
-// writeZeroRLE appends b as a zero-run-compressed stream: the decoded length,
-// then (literal length, literal bytes, zero-run length) records until the
-// length is covered. Only runs of at least minZeroRun zeros become holes, so
-// the stream never grows by more than one record's framing.
-func writeZeroRLE(w *Writer, b []byte) {
-	w.Int(len(b))
-	for i := 0; i < len(b); {
-		// Find the next zero run of at least minZeroRun bytes at or after i.
-		runStart, runEnd := len(b), len(b)
-		for j := i; j < len(b); {
-			if b[j] != 0 {
-				j++
-				continue
-			}
-			k := j + 1
-			for k < len(b) && b[k] == 0 {
-				k++
-			}
-			if k-j >= minZeroRun {
-				runStart, runEnd = j, k
-				break
-			}
-			j = k
-		}
+// writeZeroRLE appends b followed by pad zero bytes as a zero-run-compressed
+// stream: the decoded length, then (literal length, literal bytes, zero-run
+// length) records until the length is covered. Only maximal runs of at least
+// minZeroRun zeros become holes, so the stream never grows by more than one
+// record's framing. The pad extends whatever zero run ends b; only when that
+// run stays shorter than minZeroRun are its zeros written, as the end of the
+// last literal.
+func writeZeroRLE(w *Writer, b []byte, pad int) {
+	total := len(b) + pad
+	w.Int(total)
+	for i := 0; i < total; {
+		runStart, runEnd := nextZeroRun(b, i, total)
 		w.Int(runStart - i)
-		w.buf = append(w.buf, b[i:runStart]...)
+		w.buf = append(w.buf, b[i:min(runStart, len(b))]...)
+		if runStart > len(b) {
+			w.buf = append(w.buf, make([]byte, runStart-len(b))...) // no run: the pad ends the literal
+		}
 		w.Int(runEnd - runStart)
 		i = runEnd
 	}
 }
+
+// nextZeroRun returns the first maximal run of at least minZeroRun zero bytes
+// at or after i in the image b followed by total-len(b) zero bytes, or
+// (total, total) when there is none. It reads b a word at a time, and only one
+// word in three until one is zero: a run of minZeroRun (32) zeros starting at
+// or after j covers three consecutive words of the grid j, j+8, j+16, …, so it
+// covers one of the words j, j+24, j+48, …. A zero word found that way is
+// grown to its maximal run; one shorter than minZeroRun ends at a non-zero
+// byte, and the scan starts a new grid there.
+func nextZeroRun(b []byte, i, total int) (start, end int) {
+	j := i
+	for ; j+8 <= len(b); j += stride {
+		if binary.LittleEndian.Uint64(b[j:]) != 0 {
+			continue
+		}
+		start, end = j, j+8
+		for start > i && b[start-1] == 0 {
+			start--
+		}
+		for end+8 <= len(b) && binary.LittleEndian.Uint64(b[end:]) == 0 {
+			end += 8
+		}
+		for end < len(b) && b[end] == 0 {
+			end++
+		}
+		if end == len(b) {
+			end = total // the pad goes on with the run
+		}
+		if end-start >= minZeroRun {
+			return start, end
+		}
+		if end == total {
+			return total, total
+		}
+		j = end - stride
+	}
+	// A run of minZeroRun zeros inside b would have covered a word of the
+	// grid: only a run that b's last few bytes start and the pad finishes can
+	// remain.
+	start = len(b)
+	for start > i && b[start-1] == 0 {
+		start--
+	}
+	if total-start >= minZeroRun {
+		return start, total
+	}
+	return total, total
+}
+
+// stride is nextZeroRun's step: the grid words a run of minZeroRun zeros must
+// cover one of.
+const stride = (minZeroRun/8 - 1) * 8
 
 // readZeroRLE decodes a stream written by writeZeroRLE into buf's storage —
 // reallocated when too small, overwritten from its start otherwise: every

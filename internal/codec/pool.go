@@ -14,15 +14,16 @@ import "sync"
 // their writers are plain NewWriter allocations (NewWriterSize for the two
 // ends of a checkpoint record, whose size is known). An application's
 // Snapshot is in this class by contract (par.Snapshotter), which is what lets
-// a full-image checkpoint file lend it to storage instead of copying it. But
+// a full-image checkpoint file lend it to storage instead of copying it, and an
+// incremental capture hold it as its diff baseline until the next commit. But
 // *scratch* streams — an incremental payload that is embedded (copied) into
 // an enclosing checkpoint file and then dead, a vector encoded only to be
 // compared — die at a specific statement, and those call sites bracket the
 // encode with GetWriter/Free so steady-state encoding allocates nothing. A
 // third class needs no list at all: a buffer with one owner that outlives its
-// uses — a Replayer's image and page, an incremental capture's padded image,
-// the scratch handed to storage's Peek — is simply reused by its owner, and
-// what it lends out is valid until the owner's next use. The fourth is shared
+// uses — a Replayer's image and page, the scratch handed to storage's Peek —
+// is simply reused by its owner, and what it lends out is valid until the
+// owner's next use. The fourth is shared
 // and immutable: ckpt's zero page, the padding of every process image, which
 // any number of files, requests and stored extents borrow at once because
 // nobody, ever, writes it.

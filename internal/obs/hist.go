@@ -1,9 +1,8 @@
 package obs
 
-// DefaultDurationBounds are the histogram bucket upper bounds, in seconds,
-// used for any histogram whose name has no DefineBuckets override. They span
-// microseconds (protocol latencies) to minutes (blocked checkpoint writes on
-// a congested host link).
+// DefaultDurationBounds are the histogram bucket upper bounds, in seconds, of
+// every histogram the registry keeps. They span microseconds (protocol
+// latencies) to minutes (blocked checkpoint writes on a congested host link).
 var DefaultDurationBounds = []float64{
 	1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100,
 }

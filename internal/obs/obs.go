@@ -117,7 +117,6 @@ type Observer struct {
 	metrics  map[Key]*Metric
 	spans    []SpanEvent
 	instants []InstantEvent
-	bounds   map[string][]float64
 	pidNames map[int]string
 	tidNames map[[2]int]string
 	seq      uint64
@@ -130,7 +129,6 @@ func New() *Observer {
 	return &Observer{
 		scheme:   "none",
 		metrics:  make(map[Key]*Metric),
-		bounds:   make(map[string][]float64),
 		pidNames: make(map[int]string),
 		tidNames: make(map[[2]int]string),
 	}
@@ -203,18 +201,6 @@ func (o *Observer) TidName(pid, tid int, name string) {
 	o.tidNames[[2]int{pid, tid}] = name
 }
 
-// DefineBuckets sets the histogram bucket upper bounds used for metrics with
-// the given name. Must be called before the first Observe of that name;
-// later calls are ignored for already-created histograms.
-func (o *Observer) DefineBuckets(name string, bounds []float64) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.bounds[name] = append([]float64(nil), bounds...)
-}
-
 func (o *Observer) now() sim.Time {
 	if o.clock == nil {
 		return 0
@@ -228,11 +214,7 @@ func (o *Observer) metric(node int, name string, kind Kind) *Metric {
 	if m == nil {
 		m = &Metric{Key: k, Kind: kind}
 		if kind == KindHistogram {
-			b, ok := o.bounds[name]
-			if !ok {
-				b = DefaultDurationBounds
-			}
-			m.Hist = newHistogram(b)
+			m.Hist = newHistogram(DefaultDurationBounds)
 		}
 		o.metrics[k] = m
 	}

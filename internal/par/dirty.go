@@ -26,14 +26,15 @@ func StatePageSizeOf(s Snapshotter) int {
 }
 
 // DirtyTracker records which pages of a node's checkpoint image changed
-// since the last retained checkpoint, by keeping the previous image and
-// diffing at page granularity. It follows the repo's nil-is-free
-// instrumentation contract: a nil tracker is inert — every method is safe to
-// call, nothing is retained, and schemes that don't checkpoint incrementally
-// pay nothing for the seam's presence.
+// since the last retained checkpoint, by holding the previous image and
+// diffing at page granularity. An image is a snapshot followed by zero
+// padding that is never materialised: the tracker holds the snapshot itself —
+// the slice it was handed, not a copy, which its lender must never write again
+// (par.Snapshotter's promise, for a snapshot) — and the padding's length.
 type DirtyTracker struct {
 	pageSize int
-	prev     []byte
+	prev     []byte // the baseline image's bytes, held until the next Retain
+	prevPad  int    // zero bytes that follow prev in the baseline image
 	primed   bool
 }
 
@@ -45,69 +46,34 @@ func NewDirtyTracker(pageSize int) *DirtyTracker {
 	return &DirtyTracker{pageSize: pageSize}
 }
 
-// PageSize returns the tracking granularity.
-func (t *DirtyTracker) PageSize() int {
-	if t == nil {
-		return DefaultStatePageSize
-	}
-	return t.pageSize
-}
-
 // Primed reports whether a previous image is retained — i.e. whether a delta
-// can be encoded. A fresh or Reset tracker is unprimed, which is what forces
-// the first checkpoint after a start or a recovery to be a full base.
-func (t *DirtyTracker) Primed() bool { return t != nil && t.primed }
+// can be encoded. A fresh tracker is unprimed, which is what forces the first
+// checkpoint after a start or a recovery to be a full base.
+func (t *DirtyTracker) Primed() bool { return t.primed }
 
-// Prev returns the retained previous image (nil when unprimed).
-func (t *DirtyTracker) Prev() []byte {
-	if t == nil || !t.primed {
-		return nil
-	}
-	return t.prev
-}
+// Retain makes img the new diff baseline. It holds img, it does not copy it:
+// the caller never writes img again. Schemes call it only once the checkpoint
+// holding img is durable (committed, for coordinated rounds), so the chain's
+// prev pointers always name durable checkpoints.
+func (t *DirtyTracker) Retain(img []byte) { t.RetainPadded(img, 0) }
 
-// Retain stores a copy of img as the new diff baseline. Schemes call it only
-// once the checkpoint holding img is durable (committed, for coordinated
-// rounds), so the chain's prev pointers always name durable checkpoints.
-func (t *DirtyTracker) Retain(img []byte) {
-	if t == nil {
-		return
-	}
-	t.prev = append(t.prev[:0], img...)
-	t.primed = true
-}
-
-// Reset drops the retained image, forcing the next checkpoint to be a base.
-// Recovery paths call it: after a rollback the last durable image on stable
-// storage no longer matches any in-memory baseline.
-func (t *DirtyTracker) Reset() {
-	if t == nil {
-		return
-	}
-	t.prev = t.prev[:0]
-	t.primed = false
+// RetainPadded is Retain of the image snap followed by pad zero bytes.
+func (t *DirtyTracker) RetainPadded(snap []byte, pad int) {
+	t.prev, t.prevPad, t.primed = snap, pad, true
 }
 
 // DirtyPages returns the indices of cur's pages that differ from the
-// retained image (all pages when unprimed).
+// retained image (from zeros when unprimed).
 func (t *DirtyTracker) DirtyPages(cur []byte) []int {
-	return codec.DirtyPages(t.Prev(), cur, t.PageSize())
+	return codec.DirtyPages(t.prev, cur, t.pageSize)
 }
 
-// Delta encodes the dirty pages of cur against the retained image. The
-// tracker must be primed.
-func (t *DirtyTracker) Delta(cur []byte) []byte {
-	if !t.Primed() {
+// DeltaTo encodes into w the pages of the image cur followed by pad zero bytes
+// that differ from the retained image (the returned bytes alias w's buffer).
+// The tracker must be primed.
+func (t *DirtyTracker) DeltaTo(w *codec.Writer, cur []byte, pad int) []byte {
+	if !t.primed {
 		panic("par: Delta on an unprimed DirtyTracker")
 	}
-	return codec.EncodeDelta(t.prev, cur, t.pageSize)
-}
-
-// DeltaTo is Delta writing into a caller-supplied writer (typically pooled
-// scratch; the returned bytes alias the writer's buffer).
-func (t *DirtyTracker) DeltaTo(w *codec.Writer, cur []byte) []byte {
-	if !t.Primed() {
-		panic("par: Delta on an unprimed DirtyTracker")
-	}
-	return codec.EncodeDeltaTo(w, t.prev, cur, t.pageSize)
+	return codec.EncodeDeltaTo(w, t.prev, t.prevPad, cur, pad, t.pageSize)
 }

@@ -125,8 +125,11 @@ type Piggyback [NumPiggyback]uint64
 // Snapshot returns freshly owned bytes the program never writes again: the
 // checkpointer may hand them to stable storage as they are, and a full-image
 // checkpoint does — the slice becomes part of the durable file, not a copy of
-// it. A program that snapshots into a buffer it reuses rewrites its own
-// checkpoints (the oracle reports it: check.TestDroppedCopyStillBites).
+// it. An incremental checkpoint is encoded from the slice where it lies, and
+// once it commits the slice itself is the diff baseline the next one is
+// encoded against, held until the commit after. A program that snapshots into
+// a buffer it reuses rewrites its own checkpoints or that baseline (the oracle
+// reports both: check.TestDroppedCopyStillBites).
 // Restore is lent data — it may come straight out of a stored file — and
 // copies out whatever it keeps and later changes.
 type Snapshotter interface {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -164,15 +166,33 @@ func (d *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock at %v: %d blocked process(es): %v", d.At, len(d.Blocked), d.Blocked)
 }
 
+// ErrHorizon is returned by RunUntil when events remain past its horizon.
+var ErrHorizon = errors.New("sim: events remain past the horizon")
+
 // Run executes events until none remain, Stop is called, or a process
 // panics. It returns a *DeadlockError if processes remain blocked when the
 // event queue drains, the process's panic as an error if one panicked, and
 // nil on a clean completion (all processes finished).
-func (e *Engine) Run() error {
+func (e *Engine) Run() error { return e.RunUntil(math.MaxInt64) }
+
+// RunUntil is Run that executes no event due after horizon: when the next
+// event is, RunUntil leaves it and every later one pending and returns
+// ErrHorizon — a virtual deadline for a simulation that might never end. The
+// horizon may not lie in the past.
+func (e *Engine) RunUntil(horizon Time) error {
+	if horizon < e.now {
+		panic(fmt.Sprintf("sim: horizon %v before now %v", horizon, e.now))
+	}
 	for !e.stopReq {
 		ev, ok := e.next()
 		if !ok {
 			break
+		}
+		if ev.at > horizon {
+			// Due later than now, so it came off the heap; it goes back with
+			// its (at, seq), so exactly where it was.
+			e.events.push(ev)
+			return ErrHorizon
 		}
 		e.pops++
 		e.now = ev.at

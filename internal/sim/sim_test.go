@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -272,6 +273,34 @@ func TestStop(t *testing.T) {
 	}
 	if n != 10 {
 		t.Fatalf("ticks = %d, want 10", n)
+	}
+}
+
+// TestRunUntilHorizon: a simulation that never ends stops at its horizon with
+// the event past it still pending, and a later run resumes exactly where it
+// stopped — the next same-instant pair still in push order.
+func TestRunUntilHorizon(t *testing.T) {
+	e := New()
+	var order []string
+	var tick func()
+	tick = func() {
+		order = append(order, "tick")
+		e.After(Second, tick)
+	}
+	e.After(Second, tick)
+	e.At(Time(3*Second), func() { order = append(order, "after-tick") })
+	if err := e.RunUntil(Time(2*Second + 1)); err != ErrHorizon {
+		t.Fatalf("RunUntil = %v, want ErrHorizon", err)
+	}
+	if len(order) != 2 || e.Now() != Time(2*Second) {
+		t.Fatalf("%d events ran, now %v: want 2, at 2s", len(order), e.Now())
+	}
+	e.At(Time(10*Second+1), e.Stop)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"tick", "tick", "after-tick", "tick"}; !slices.Equal(order[:4], want) || len(order) != 11 {
+		t.Fatalf("order after resuming = %v, want %v then ticks to 10s", order, want)
 	}
 }
 
