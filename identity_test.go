@@ -238,8 +238,9 @@ func quickIdentity() ([]string, error) {
 
 // schemeLine runs the oracle's small ring under one scheme for three
 // checkpoints (interval: a quarter of the checkpoint-free run) and pins everything exact about it: execution time, every
-// counter, and a digest of the durable area — path, length and content hash
-// of every file, which fixes the record format byte for byte.
+// counter, a digest of the durable area — path, length and content hash
+// of every file, which fixes the record format byte for byte — and the
+// engine's event-loop counters.
 func schemeLine(name string, wl apps.Workload, interval sim.Duration) (string, error) {
 	v, ok := ckpt.ParseVariant(name)
 	if !ok {
@@ -266,6 +267,8 @@ func schemeLine(name string, wl apps.Workload, interval sim.Duration) (string, e
 		}
 	}
 	fmt.Fprintf(&b, " records=%d files=%d durable=%x", len(res.Records), files, durable.Sum(nil))
+	es := run.M.Eng.Stats()
+	fmt.Fprintf(&b, " events=%d pushes=%d max_queue_depth=%d procs=%d", es.Pops, es.Pushes, es.MaxQueueDepth, es.ProcsSpawned)
 	return b.String(), nil
 }
 
