@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz vet check identical bench-perf alloc-gate loc ci
+.PHONY: build test race fuzz vet check identical alloc-gate loc ci
 
 build:
 	$(GO) build ./...
@@ -70,16 +70,6 @@ UPDATE ?=
 identical:
 	$(GO) test -count=1 -timeout 60m -run '^TestIdentity$$' . -full $(UPDATE)
 
-# Perf-trajectory harness (cmd/chkperf): run the pinned cell matrix with host
-# telemetry armed and write one BENCH_<stamp>.json data point — cells/sec,
-# events/sec, allocs/cell, per-cell wall-clock quantiles — so the engine's
-# speed is tracked commit over commit. PERFFLAGS=-quick runs the reduced
-# matrix CI gates on; `go run ./cmd/chkperf -compare BENCH_baseline.json
-# BENCH_<stamp>.json -threshold 10` diffs two points.
-PERFFLAGS ?=
-bench-perf:
-	$(GO) run ./cmd/chkperf $(PERFFLAGS)
-
 # Allocation gate: the testing.AllocsPerRun pins for the engine, fabric, codec
 # and collective hot paths; that the storage server allocates nothing of a
 # segment's size for a file appended to it, and a full-image capture (local
@@ -89,7 +79,8 @@ bench-perf:
 # a microbenchmark smoke of the event queue, the
 # fabric's send path and the payload codecs — all under the race detector. A
 # failure here means a change re-introduced steady-state allocation (or broke
-# the queue/codec) before the perf trajectory would have surfaced it.
+# the queue/codec): deterministic, where the benchmark/ harness's wall clock is
+# noisy.
 alloc-gate:
 	$(GO) test -race -run 'TestAllocs|TestDecodeF64sIntoMatches' ./internal/sim ./internal/fabric ./internal/storage ./internal/codec ./internal/mp ./internal/ckpt ./internal/check
 	$(GO) test -race -run '^$$' -bench . -benchtime 10x ./internal/sim ./internal/fabric ./internal/codec

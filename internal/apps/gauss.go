@@ -198,36 +198,3 @@ func (g *Gauss) Restore(data []byte) {
 		panic(r.Err())
 	}
 }
-
-// SequentialGauss solves the same system directly (for cross-checks and the
-// quickstart example).
-func SequentialGauss(cfg GaussConfig) []float64 {
-	N := cfg.N
-	a := make([][]float64, N)
-	for i := range a {
-		row := make([]float64, N+1)
-		for j := 0; j < N; j++ {
-			row[j] = gaussElem(cfg, i, j)
-		}
-		row[N] = gaussRHS(cfg, i)
-		a[i] = row
-	}
-	for k := 0; k < N; k++ {
-		for i := k + 1; i < N; i++ {
-			f := a[i][k] / a[k][k]
-			a[i][k] = 0
-			for j := k + 1; j <= N; j++ {
-				a[i][j] -= f * a[k][j]
-			}
-		}
-	}
-	x := make([]float64, N)
-	for i := N - 1; i >= 0; i-- {
-		sum := a[i][N]
-		for j := i + 1; j < N; j++ {
-			sum -= a[i][j] * x[j]
-		}
-		x[i] = sum / a[i][i]
-	}
-	return x
-}

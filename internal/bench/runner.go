@@ -91,9 +91,10 @@ type Runner struct {
 
 	// Perf, when non-nil, arms host-side telemetry on every cell the runner
 	// measures (MeasureRows, MeasureBreakdown): each core.Run
-	// records one perf.RunSample into the collector. Per-cell MemStats and
-	// codec attribution is exact only at Parallel == 1; matrix totals hold
-	// at any parallelism. nil (the default) costs nothing.
+	// records one perf.RunSample into the collector. A sample's engine
+	// counters and phase times are its own at any parallelism; its MemStats
+	// and codec deltas are process-global, so they belong to that one cell
+	// only at Parallel == 1. nil (the default) costs nothing.
 	Perf *perf.Collector
 
 	mu      sync.Mutex
@@ -361,4 +362,16 @@ func WriteCellTimes(w io.Writer, timings []CellTime) {
 		t.Rowf("p50 / p95 / p99", fmt.Sprintf("%.3fs / %.3fs / %.3fs", p50, p95, p99))
 	}
 	t.Write(w)
+}
+
+// WallQuantiles folds per-cell wall-clock timings through the perf layer's
+// histogram (obs.Histogram over perf.WallBounds) and returns the interpolated
+// p50/p95/p99, in seconds — the tail summary `chkbench -celltime` and the
+// JSON timing section report alongside the raw per-cell listing.
+func WallQuantiles(timings []CellTime) (p50, p95, p99 float64) {
+	h := obs.NewHistogram(perf.WallBounds)
+	for _, ct := range timings {
+		h.Observe(ct.Wall.Seconds())
+	}
+	return h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
 }

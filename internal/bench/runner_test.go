@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/perf"
 )
 
 // goldenWorkloads is the reduced matrix used by the equality tests: one
@@ -240,6 +241,82 @@ func TestForEachStreamsMetricsAndTimings(t *testing.T) {
 	WriteCellTimes(&sb, ts)
 	if !strings.Contains(sb.String(), "TOTAL") || !strings.Contains(sb.String(), "M/x#3") {
 		t.Fatalf("cell-time table:\n%s", sb.String())
+	}
+}
+
+// TestWallQuantiles checks the tail summary added to `chkbench -celltime`:
+// quantiles are ordered and clamped to the observed extremes.
+func TestWallQuantiles(t *testing.T) {
+	timings := []CellTime{
+		{Wall: 10 * time.Millisecond},
+		{Wall: 20 * time.Millisecond},
+		{Wall: 30 * time.Millisecond},
+		{Wall: 40 * time.Millisecond},
+		{Wall: 400 * time.Millisecond},
+	}
+	p50, p95, p99 := WallQuantiles(timings)
+	if !(p50 <= p95 && p95 <= p99) {
+		t.Fatalf("quantiles not ordered: %v %v %v", p50, p95, p99)
+	}
+	if p50 < 0.01 || p99 > 0.4+1e-9 {
+		t.Fatalf("quantiles outside observed range [0.01, 0.4]: %v %v %v", p50, p95, p99)
+	}
+}
+
+// TestRunPerfQuickMatrix runs a small armed matrix — SOR and TSP under the
+// coordinated staggered and fault-tolerant, independent, incremental and CIC
+// schemes, plus one 64-node/4-server sharded-storage cell — through a serial
+// runner whose Perf collector is armed, and checks that every simulation was
+// sampled with live telemetry. It also checks the armed runs leave no
+// goroutines behind: the collector is passive (no background flusher) and
+// every simulated machine's daemons are reaped by Shutdown.
+func TestRunPerfQuickMatrix(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx := context.Background()
+	cfg := par.DefaultConfig()
+
+	r := NewRunner(1, nil)
+	r.Perf = perf.NewCollector()
+	wls := []apps.Workload{
+		apps.SORWorkload(apps.DefaultSOR(64, 30)),
+		apps.TSPWorkload(apps.TSPConfig{Cities: 10, Seed: 0x75b, OpsPerNode: 400}),
+	}
+	schemes := []ckpt.Variant{ckpt.CoordNBMS, ckpt.CoordNBFT, ckpt.Indep, ckpt.IndepInc, ckpt.CICM}
+	if _, err := r.MeasureRows(ctx, cfg, wls, schemes, 3); err != nil {
+		t.Fatal(err)
+	}
+	cell := ScaleCell{MeshW: 8, MeshH: 8, Servers: 4}
+	if _, err := r.MeasureRows(ctx, scaleConfig(cfg, cell),
+		[]apps.Workload{scaleWorkload(cell.Nodes())}, []ckpt.Variant{ckpt.CoordNB}, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	// One sample per simulation: each workload's fault-free baseline plus
+	// every scheme, and the scaling cell's baseline plus its one scheme.
+	samples := r.Perf.Samples()
+	if want := len(wls)*(1+len(schemes)) + 2; len(samples) != want {
+		t.Fatalf("collector recorded %d samples, want %d", len(samples), want)
+	}
+	var enc int64
+	for _, s := range samples {
+		if s.Events == 0 || s.Procs == 0 || s.Wall <= 0 {
+			t.Fatalf("sample %s/%s missing telemetry: %+v", s.Workload, s.Scheme, s)
+		}
+		enc += s.EncBytes
+	}
+	// Serial run: the scheme cells moved checkpoint images through the codec.
+	if enc <= 0 {
+		t.Fatalf("codec encode counter never moved over %d samples", len(samples))
+	}
+
+	// No goroutine may outlive the matrix. Allow the runtime a moment to
+	// retire exiting goroutines.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d before, %d after the perf matrix", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

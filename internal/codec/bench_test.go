@@ -10,7 +10,7 @@ import (
 //
 //	go test ./internal/codec -run '^$' -bench . -count 10 | benchstat -
 //
-// The image shape mirrors the perf matrix's checkpoint states: a sparse
+// The image shape mirrors the table workloads' checkpoint states: a sparse
 // working set over a zero-padded fixed-size image, so the zero-run RLE and
 // the dirty-page diff both do representative work.
 

@@ -21,9 +21,6 @@ var (
 // samplers from flickering each other's counts off.
 func ArmPerfCounters() { perfArmed.Store(true) }
 
-// PerfCountersArmed reports whether the byte counters are recording.
-func PerfCountersArmed() bool { return perfArmed.Load() }
-
 // PerfCounters returns the total bytes encoded and decoded since arming.
 // Callers sample it twice and subtract; the absolute values are meaningless
 // across concurrent runs.

@@ -49,23 +49,6 @@ func DecodeF64sInto(dst []float64, b []byte) []float64 {
 	return vs
 }
 
-// EncodeInts encodes an []int for application messages.
-func EncodeInts(vs []int) []byte {
-	w := codec.NewWriter()
-	w.Ints(vs)
-	return w.Bytes()
-}
-
-// DecodeInts decodes a vector encoded by EncodeInts.
-func DecodeInts(b []byte) []int {
-	r := codec.NewReader(b)
-	vs := r.Ints()
-	if r.Err() != nil {
-		panic("mp: corrupt int vector: " + r.Err().Error())
-	}
-	return vs
-}
-
 // Thin indirections keep the main file free of codec imports.
 func codecWriter() *codec.Writer         { return codec.NewWriter() }
 func codecReader(b []byte) *codec.Reader { return codec.NewReader(b) }

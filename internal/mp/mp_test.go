@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -315,4 +316,21 @@ func TestDeterministicWorldRuns(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
 	}
+}
+
+// EncodeInts encodes an []int for the tests' messages.
+func EncodeInts(vs []int) []byte {
+	w := codec.NewWriter()
+	w.Ints(vs)
+	return w.Bytes()
+}
+
+// DecodeInts decodes a vector encoded by EncodeInts.
+func DecodeInts(b []byte) []int {
+	r := codec.NewReader(b)
+	vs := r.Ints()
+	if r.Err() != nil {
+		panic("mp: corrupt int vector: " + r.Err().Error())
+	}
+	return vs
 }

@@ -1,9 +1,9 @@
 // Package perf is the host-side performance telemetry layer: where package
 // obs measures the *virtual* time of the simulated machine, perf measures
 // what the simulation costs the *host* — wall-clock per engine phase,
-// event-loop throughput, allocations, GC pauses, and codec bytes — so the
-// engine's own hot paths can be profiled, tracked run over run in
-// BENCH_*.json reports, and regression-gated in CI.
+// event-loop counters, allocations, GC pauses, and codec bytes — so the
+// engine's own hot paths can be profiled and attributed per layer (the
+// benchmark/ harness reads its samples).
 //
 // The package mirrors obs's central invariant: a nil *Collector is a valid,
 // zero-cost sink, and every sampler method is a no-op on a nil receiver, so
@@ -17,7 +17,7 @@
 // scheme attach), Sim (the event loop), Check (oracle verification), and
 // Shutdown (process-goroutine reaping). MemStats and codec deltas are
 // process-global, so per-cell attribution is only exact when cells run
-// serially; matrix-level totals are valid at any parallelism.
+// serially.
 package perf
 
 import (
@@ -26,11 +26,10 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// WallBounds are the histogram bucket upper bounds, in seconds, used for
+// WallBounds are the obs.Histogram bucket upper bounds, in seconds, used for
 // per-cell host wall-clock times: log-spaced from 100µs to ~2 minutes, ~12
 // buckets per decade so the interpolated p95/p99 stay within a few percent.
 var WallBounds = wallBounds()
@@ -67,14 +66,6 @@ type RunSample struct {
 	EncBytes, DecBytes int64
 }
 
-// EventsPerSec is the event-loop throughput of the sample's Sim phase.
-func (s RunSample) EventsPerSec() float64 {
-	if s.Sim <= 0 {
-		return 0
-	}
-	return float64(s.Events) / s.Sim.Seconds()
-}
-
 // Collector aggregates RunSamples across a benchmark matrix. It is shared by
 // concurrently running cells, so recording synchronizes internally. The nil
 // collector is the disarmed sink: Begin returns a nil sampler whose methods
@@ -82,14 +73,13 @@ func (s RunSample) EventsPerSec() float64 {
 type Collector struct {
 	mu      sync.Mutex
 	samples []RunSample
-	wall    *obs.Histogram
 }
 
 // NewCollector returns an empty, armed collector and latches the codec byte
 // counters on for the rest of the process.
 func NewCollector() *Collector {
 	codec.ArmPerfCounters()
-	return &Collector{wall: obs.NewHistogram(WallBounds)}
+	return &Collector{}
 }
 
 // Samples returns a copy of every recorded sample in recording order (which
@@ -104,21 +94,10 @@ func (c *Collector) Samples() []RunSample {
 	return append([]RunSample(nil), c.samples...)
 }
 
-// WallHist returns a copy of the per-run wall-clock histogram.
-func (c *Collector) WallHist() *obs.Histogram {
-	if c == nil {
-		return obs.NewHistogram(WallBounds)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wall.Clone()
-}
-
 func (c *Collector) record(s RunSample) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.samples = append(c.samples, s)
-	c.wall.Observe(s.Wall.Seconds())
 }
 
 // Begin opens a sampler for one run: it snapshots MemStats and the codec

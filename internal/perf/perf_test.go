@@ -27,9 +27,6 @@ func TestNilCollectorIsFree(t *testing.T) {
 	if got := c.Samples(); got != nil {
 		t.Fatalf("nil collector holds samples: %v", got)
 	}
-	if h := c.WallHist(); h == nil || h.N != 0 {
-		t.Fatalf("nil collector's histogram not empty: %+v", h)
-	}
 }
 
 // TestSamplerPhases covers the armed path: the phase marks partition the
@@ -37,9 +34,6 @@ func TestNilCollectorIsFree(t *testing.T) {
 // Finish is idempotent (one sample per run, however many deferred exits).
 func TestSamplerPhases(t *testing.T) {
 	c := NewCollector()
-	if !codec.PerfCountersArmed() {
-		t.Fatal("NewCollector did not arm the codec counters")
-	}
 	s := c.Begin("WL", "none")
 	s.SetScheme("NBMS")
 	time.Sleep(time.Millisecond)
@@ -76,12 +70,6 @@ func TestSamplerPhases(t *testing.T) {
 	}
 	if got.EncBytes < int64(encoded) {
 		t.Fatalf("EncBytes = %d, want >= %d (the writer encoded inside the sample)", got.EncBytes, encoded)
-	}
-	if got.EventsPerSec() <= 0 {
-		t.Fatalf("EventsPerSec = %v, want > 0", got.EventsPerSec())
-	}
-	if h := c.WallHist(); h.N != 1 {
-		t.Fatalf("wall histogram count = %d, want 1", h.N)
 	}
 }
 

@@ -37,17 +37,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the Box-Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // ExpFloat64 returns an exponentially distributed float64 with rate 1.
 func (r *RNG) ExpFloat64() float64 {
 	u := r.Float64()

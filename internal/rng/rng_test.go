@@ -85,25 +85,6 @@ func TestUniformity(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(99)
-	const n = 200000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("variance = %v, want ~1", variance)
-	}
-}
-
 func TestExpFloat64Mean(t *testing.T) {
 	r := New(5)
 	const n = 200000

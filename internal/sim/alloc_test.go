@@ -6,7 +6,7 @@ import "testing"
 // event queue was once the simulator's largest allocation site (interface
 // boxing in container/heap plus a closure per Sleep/wake/spawn); these tests
 // pin the replacement at zero steady-state allocations so a regression shows
-// up as a test failure, not as a slow drift in the perf trajectory.
+// up as a test failure, not as a slow drift in the benchmark's wall clock.
 
 // TestAllocsQueueSteadyState pins push/pop on a capacity-warm event queue at
 // zero allocations per cycle.

@@ -134,10 +134,3 @@ func (p *Proc) Kill() {
 	p.killed = true
 	p.wake()
 }
-
-// Yield parks the process and immediately reschedules it at the same virtual
-// time, letting other events at this instant run first.
-func (p *Proc) Yield() {
-	p.wake()
-	p.park()
-}

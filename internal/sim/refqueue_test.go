@@ -12,7 +12,7 @@ import "container/heap"
 // It is also the record of why it was replaced: heap.Interface's Push/Pop
 // traffic in `any`, boxing the three-word event struct on every schedule and
 // every pop, which made the event queue the simulator's single largest
-// allocation site (~46% of heap objects on the pinned perf matrix).
+// allocation site (~46% of heap objects on a pinned 14-cell matrix).
 type refQueue struct {
 	h refHeap
 }

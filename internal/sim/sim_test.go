@@ -532,3 +532,10 @@ func TestKillOtherAtSameInstant(t *testing.T) {
 		t.Fatal("victim not marked done+killed")
 	}
 }
+
+// Yield parks the process and immediately reschedules it at the same virtual
+// time, letting other events at this instant run first.
+func (p *Proc) Yield() {
+	p.wake()
+	p.park()
+}

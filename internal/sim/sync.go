@@ -184,10 +184,3 @@ func (m *Mailbox[T]) ForEach(fn func(T)) {
 		fn(v)
 	}
 }
-
-// Drain removes and returns all queued items.
-func (m *Mailbox[T]) Drain() []T {
-	items := m.items
-	m.items = nil
-	return items
-}

@@ -48,9 +48,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Seconds converts a floating-point number of seconds to a Duration.
 func Seconds(s float64) Duration { return Duration(s * float64(Second)) }
 
-// Scaled returns d scaled by factor f, useful for bandwidth/speed math.
-func Scaled(d Duration, f float64) Duration { return Duration(float64(d) * f) }
-
 // BytesAt returns the time needed to move n bytes at rate bytesPerSec.
 func BytesAt(n int, bytesPerSec float64) Duration {
 	if bytesPerSec <= 0 {

@@ -3,7 +3,6 @@
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -101,54 +100,4 @@ func (t *Table) String() string {
 	var sb strings.Builder
 	t.Write(&sb)
 	return sb.String()
-}
-
-// Markdown renders the table as GitHub-flavored markdown: the title as a
-// bold paragraph, numeric columns right-aligned via the delimiter row, and
-// pipe characters in cells escaped.
-func (t *Table) Markdown() string {
-	var sb strings.Builder
-	if t.Title != "" {
-		sb.WriteString("**" + escapeMD(t.Title) + "**\n\n")
-	}
-	writeRow := func(cells []string) {
-		sb.WriteString("|")
-		for _, c := range cells {
-			sb.WriteString(" " + escapeMD(c) + " |")
-		}
-		sb.WriteString("\n")
-	}
-	writeRow(t.header)
-	sb.WriteString("|")
-	for i := range t.header {
-		if t.numeric[i] {
-			sb.WriteString(" ---: |")
-		} else {
-			sb.WriteString(" --- |")
-		}
-	}
-	sb.WriteString("\n")
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return sb.String()
-}
-
-func escapeMD(s string) string { return strings.ReplaceAll(s, "|", `\|`) }
-
-// CSV writes the table as RFC-4180 CSV: one header record then one record
-// per row. The title is not emitted; quoting and escaping follow
-// encoding/csv.
-func (t *Table) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.header); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -5,49 +5,6 @@ import (
 	"testing"
 )
 
-func TestMarkdownAlignmentAndEscaping(t *testing.T) {
-	tb := NewTable("Costs | per run", "Name", "Cost").Align(1)
-	tb.Row("a|b", "1.50")
-	tb.Row("plain", "12.00")
-	got := tb.Markdown()
-	want := "**Costs \\| per run**\n\n" +
-		"| Name | Cost |\n" +
-		"| --- | ---: |\n" +
-		"| a\\|b | 1.50 |\n" +
-		"| plain | 12.00 |\n"
-	if got != want {
-		t.Fatalf("Markdown() =\n%q\nwant\n%q", got, want)
-	}
-}
-
-func TestMarkdownNoTitle(t *testing.T) {
-	tb := NewTable("", "A")
-	tb.Row("x")
-	if got := tb.Markdown(); strings.HasPrefix(got, "**") {
-		t.Fatalf("empty title rendered: %q", got)
-	}
-}
-
-func TestCSVEscaping(t *testing.T) {
-	tb := NewTable("ignored title", "Name", "Note")
-	tb.Row(`say "hi"`, "a,b")
-	tb.Row("line\nbreak", "plain")
-	var sb strings.Builder
-	if err := tb.CSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	want := "Name,Note\n" +
-		"\"say \"\"hi\"\"\",\"a,b\"\n" +
-		"\"line\nbreak\",plain\n"
-	if got != want {
-		t.Fatalf("CSV =\n%q\nwant\n%q", got, want)
-	}
-	if strings.Contains(got, "ignored title") {
-		t.Fatal("CSV must not include the title")
-	}
-}
-
 func TestTableAlignment(t *testing.T) {
 	tb := NewTable("Title", "Name", "Value").Align(1)
 	tb.Row("alpha", "1.00")
