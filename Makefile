@@ -17,7 +17,9 @@ race:
 # Short fuzz smoke of the parsers that consume untrusted bytes — the
 # checkpoint codec round-trip (the delta half also holds replay into reused
 # scratch to the allocating reference), the decoders of durable checkpoint
-# files and channel logs, and the scheme-name resolver — plus the
+# files and channel logs, the one checkpoint reader under every variant
+# (hostile chain pointers and wrong indexes refused), and the scheme-name
+# resolver — plus the
 # differentials against retired reference implementations: the incremental
 # payload encoders (a bare snapshot and a pad count, zero runs found a word at
 # a time, vs the padded image materialised and scanned a byte at a time), the

@@ -97,8 +97,7 @@ func TestBrokenChainNamesDeltaRound(t *testing.T) {
 	}
 
 	// Durable probe: run a real incremental history, then audit a checkpoint
-	// index that never committed. The violation must name that index as the
-	// failed link.
+	// index that never committed. The violation must name that index.
 	_, a, sch := auditedRing(t, ckpt.IndepInc, ckpt.Options{Interval: 300_000})
 	missing := 0
 	for _, r := range sch.Records() {
@@ -107,14 +106,14 @@ func TestBrokenChainNamesDeltaRound(t *testing.T) {
 		}
 	}
 	missing++
-	a.checkChain(0, missing)
+	a.checkFile("indep.durable", ckpt.Record{Rank: 0, Index: missing}, true)
 	verr := a.err()
 	if verr == nil {
 		t.Fatalf("auditing never-written checkpoint %d produced no violation", missing)
 	}
-	if !strings.Contains(verr.Error(), "inc.chain-resolves") ||
-		!strings.Contains(verr.Error(), fmt.Sprintf("link %d", missing)) {
-		t.Fatalf("violation does not name delta round %d: %v", missing, verr)
+	if !strings.Contains(verr.Error(), "indep.durable") ||
+		!strings.Contains(verr.Error(), fmt.Sprintf("ckpt %d", missing)) {
+		t.Fatalf("violation does not name checkpoint %d: %v", missing, verr)
 	}
 }
 
@@ -166,12 +165,23 @@ func encodeIncFile(f ckpt.CkptFile) []byte {
 // place — prefix against the sidecar snapshot, tail against zero — and
 // replaying into reused scratch must catch everything that comparing against a
 // materialised padded image caught, name the checkpoint or the link, and leave
-// nothing behind that fails the next, clean audit on the same scratch.
+// nothing behind that fails the next, clean audit on the same scratch. The
+// end-of-run audit runs too: a misnamed file beside the head is stray.
 func TestCheaperAuditStillBites(t *testing.T) {
-	for _, v := range []ckpt.Variant{ckpt.IndepInc, ckpt.CoordNBInc} {
+	for _, c := range []struct {
+		v          ckpt.Variant
+		inv, exact string
+	}{{ckpt.IndepInc, "indep.durable", "indep.exact"}, {ckpt.CoordNBInc, "coord.state-durable", "coord.exact"}} {
+		v, inv, exact := c.v, c.inv, c.exact
 		t.Run(v.String(), func(t *testing.T) {
 			m, a, _ := auditedRing(t, v, ckpt.Options{Interval: 300_000, MaxCheckpoints: ckpt.BaseEvery})
 			const rank, head = 0, ckpt.BaseEvery // the delta that ends a full chain
+			var rec ckpt.Record
+			for _, r := range a.committed {
+				if r.Rank == rank && r.Index == head {
+					rec = r
+				}
+			}
 			store := m.StoreFor(rank)
 			fetch := func(path string, _ []byte) ([]byte, error) {
 				data, ok := store.Peek(path, nil)
@@ -208,10 +218,13 @@ func TestCheaperAuditStillBites(t *testing.T) {
 			}
 			snapLen := len(img) - m.Cfg.CkptImageBytes
 
-			// audit runs checkChain on the same audit and returns what it found.
+			// audit audits the committed file again on the same audit, then
+			// the whole durable area as at the end of the run, and returns
+			// what it found.
 			audit := func() string {
 				a.out = nil
-				a.checkChain(rank, head)
+				a.checkFile(inv, rec, true)
+				a.finish()
 				if err := a.err(); err != nil {
 					return err.Error()
 				}
@@ -230,6 +243,7 @@ func TestCheaperAuditStillBites(t *testing.T) {
 			middle := v.StatePath(rank, file.Prev)
 			middleBytes, _ := store.Peek(middle, nil)
 			names := fmt.Sprintf("rank %d ckpt %d", rank, head)
+			misnamed := path[:strings.LastIndex(path, "/")+1] + "s3"
 			for _, c := range []struct {
 				name         string
 				damage, mend storage.Request
@@ -246,7 +260,10 @@ func TestCheaperAuditStillBites(t *testing.T) {
 					[]string{"inc.chain-resolves", fmt.Sprintf("link %d", file.Prev), "not durable"}},
 				{"head link truncated", storage.Request{Op: storage.OpWrite, Path: path, Data: original[:len(original)-9]},
 					storage.Request{Op: storage.OpWrite, Path: path, Data: original},
-					[]string{"inc.chain-resolves", fmt.Sprintf("link %d", head), "corrupt"}},
+					[]string{inv, "undecodable", path, "corrupt"}},
+				{"misnamed file beside the head", storage.Request{Op: storage.OpWrite, Path: misnamed, Data: original},
+					storage.Request{Op: storage.OpDelete, Path: misnamed},
+					[]string{exact, misnamed}},
 			} {
 				put(c.damage)
 				got := audit()

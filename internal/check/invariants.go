@@ -3,7 +3,6 @@ package check
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/ckpt"
@@ -40,7 +39,7 @@ type audit struct {
 
 	// Scratch, reused from commit to commit: buf holds the file peekRank last
 	// copied out (what it returned is dead at the next peekRank), replay the
-	// links and image of the chain checkChain last replayed.
+	// links and image of the checkpoint checkFile last read.
 	buf    []byte
 	replay ckpt.Replayer
 
@@ -148,31 +147,11 @@ func (a *audit) coordCommit(recs []ckpt.Record) {
 
 	// Check every rank's durable state and pick up the ledger cut its capture
 	// recorded in the sidecar; the cut defines the global state this round
-	// represents. Incremental rounds store a chain-pointer envelope rather
-	// than the raw image, so their size check is against the decoded payload,
-	// and the whole base+delta chain must replay to the captured snapshot.
+	// represents.
 	sentVec := make([][]int, a.n)
 	recvVec := make([][]int, a.n)
 	for rank, rec := range byRank {
-		path := a.v.StatePath(rank, round)
-		size, ok := a.m.StoreFor(rank).Size(path)
-		if !a.assert(ok, "coord.state-durable", "round %d rank %d: state file missing", round, rank) {
-			return
-		}
-		if a.v.Incremental() {
-			data, _ := a.peekRank(rank, path)
-			f, err := ckpt.DecodeCkptFile(a.v, data)
-			if a.assert(err == nil, "coord.state-durable", "round %d rank %d: undecodable: %v", round, rank, err) {
-				a.assert(f.Index == round, "coord.state-durable",
-					"round %d rank %d: slot file holds round %d", round, rank, f.Index)
-				a.assert(f.Prev == rec.Prev, "coord.state-durable",
-					"round %d rank %d: durable chain pointer %d, record says %d", round, rank, f.Prev, rec.Prev)
-				a.assert(len(f.State) == rec.StateBytes, "coord.state-durable",
-					"round %d rank %d: payload is %d bytes, record says %d", round, rank, len(f.State), rec.StateBytes)
-				a.checkChain(rank, round)
-			}
-		} else if !a.assert(size == rec.StateBytes, "coord.state-durable",
-			"round %d rank %d: state is %d bytes, record says %d", round, rank, size, rec.StateBytes) {
+		if durable, _ := a.checkFile("coord.state-durable", *rec, true); !durable {
 			return
 		}
 		sent, recv, ok := a.h.cutAt(rank, round)
@@ -248,28 +227,10 @@ func (a *audit) coordCommit(recs []ckpt.Record) {
 // is orphan-free and has not moved backwards on any rank (new checkpoints
 // only constrain new intervals).
 func (a *audit) indepCommit(rec ckpt.Record) {
-	path := a.v.StatePath(rec.Rank, rec.Index)
-	data, ok := a.peekRank(rec.Rank, path)
-	if a.assert(ok, "indep.durable", "rank %d ckpt %d committed but %s not durable", rec.Rank, rec.Index, path) {
-		f, err := ckpt.DecodeCkptFile(a.v, data)
-		if a.assert(err == nil, "indep.durable", "rank %d ckpt %d: undecodable: %v", rec.Rank, rec.Index, err) {
-			if a.v.Incremental() {
-				a.assert(f.Prev == rec.Prev, "inc.chain-pointer",
-					"rank %d ckpt %d: durable chain pointer %d, record says %d", rec.Rank, rec.Index, f.Prev, rec.Prev)
-			}
-			a.assert(f.Index == rec.Index, "indep.durable",
-				"rank %d: file %s holds index %d, record says %d", rec.Rank, path, f.Index, rec.Index)
-			a.assert(len(f.State) == rec.StateBytes, "indep.durable",
-				"rank %d ckpt %d: state is %d bytes, record says %d", rec.Rank, rec.Index, len(f.State), rec.StateBytes)
-			a.assert(sameDeps(f.Deps, rec.Deps), "indep.durable",
-				"rank %d ckpt %d: durable dependency edges differ from the record", rec.Rank, rec.Index)
-			_, _, cutOK := a.h.cutAt(rec.Rank, rec.Index)
-			a.assert(cutOK, "indep.durable",
-				"rank %d ckpt %d: no ledger cut recorded at capture", rec.Rank, rec.Index)
-			if a.v.Incremental() {
-				a.checkChain(rec.Rank, rec.Index)
-			}
-		}
+	if _, decoded := a.checkFile("indep.durable", rec, true); decoded {
+		_, _, cutOK := a.h.cutAt(rec.Rank, rec.Index)
+		a.assert(cutOK, "indep.durable",
+			"rank %d ckpt %d: no ledger cut recorded at capture", rec.Rank, rec.Index)
 	}
 
 	a.committed = append(a.committed, rec)
@@ -290,26 +251,75 @@ func (a *audit) indepCommit(rec ckpt.Record) {
 	a.lastLine = line
 }
 
-// checkChain is the incremental schemes' delta-chain invariant: the committed
-// checkpoint's Prev chain must resolve through durable files back to a
-// committed base, and replaying it must reproduce exactly the padded image
-// captured at that index. A violation names the chain link that broke — the
-// delta round a failure report points at.
-func (a *audit) checkChain(rank, index int) {
-	img, _, err := a.replay.ReconstructCkpt(a.v, rank, index, func(path string, buf []byte) ([]byte, error) {
-		data, ok := a.m.StoreFor(rank).Peek(path, buf)
+// checkFile reads rec's checkpoint back through the one reader
+// (ckpt.Replayer, from Peek: no virtual time) and holds it to the record
+// under invariant inv. Reading is the reader's; what the audit still knows of
+// the layout is which fields a file stores, since each stored field is one
+// assertion: a raw image (ckpt.Variant.RawImage) stores none but its size, so
+// it is held to the recorded size without being read; a record must be
+// durable and decode, and its head carry the record's index, chain pointer
+// (incremental capture only), payload size and dependency edges (local-timer
+// families only). At a commit each field is its own assertion, and an
+// incremental checkpoint's chain must also resolve back to a committed base
+// and replay to exactly the image captured at that index — a violation names
+// the chain link that broke, the delta round a failure report points at. The
+// end-of-run audit (atCommit false) only confirms that a slot still holds its
+// committed file: it reads the head alone, and the fields are one assertion.
+// checkFile reports whether the file is durable (a raw image: of the recorded
+// size) and whether its head decoded.
+func (a *audit) checkFile(inv string, rec ckpt.Record, atCommit bool) (durable, decoded bool) {
+	store := a.m.StoreFor(rec.Rank)
+	path := a.v.StatePath(rec.Rank, rec.Index)
+	size, ok := store.Size(path)
+	if !a.assert(ok, inv, "rank %d ckpt %d committed but %s not durable", rec.Rank, rec.Index, path) {
+		return false, false
+	}
+	if a.v.RawImage() {
+		ok = a.assert(size == rec.StateBytes, inv,
+			"rank %d ckpt %d: %s is %d bytes, record says %d", rec.Rank, rec.Index, path, size, rec.StateBytes)
+		return ok, ok
+	}
+	fetch := func(path string, buf []byte) ([]byte, error) {
+		data, ok := store.Peek(path, buf)
 		if !ok {
 			return nil, fmt.Errorf("file %s not durable", path)
 		}
 		return data, nil
-	})
-	if !a.assert(err == nil, "inc.chain-resolves", "rank %d: %v", rank, err) {
-		return
 	}
-	snap, ok := a.h.snapAt(rank, index)
+	f, err := a.replay.ReadHead(a.v, rec.Rank, rec.Index, fetch)
+	if !a.assert(err == nil, inv, "rank %d ckpt %d: undecodable: %v", rec.Rank, rec.Index, err) {
+		return true, false
+	}
+	prevOK := !a.v.Incremental() || f.Prev == rec.Prev
+	depsOK := a.v.Coordinated() || sameDeps(f.Deps, rec.Deps)
+	if !atCommit {
+		a.assert(f.Index == rec.Index && prevOK && len(f.State) == rec.StateBytes && depsOK, inv,
+			"%s holds index %d prev %d payload %d bytes, record says %d/%d/%d",
+			path, f.Index, f.Prev, len(f.State), rec.Index, rec.Prev, rec.StateBytes)
+		return true, true
+	}
+	a.assert(f.Index == rec.Index, inv,
+		"rank %d: %s holds index %d, record says %d", rec.Rank, path, f.Index, rec.Index)
+	if a.v.Incremental() {
+		a.assert(prevOK, "inc.chain-pointer", "rank %d ckpt %d: durable chain pointer %d, record says %d",
+			rec.Rank, rec.Index, f.Prev, rec.Prev)
+	}
+	a.assert(len(f.State) == rec.StateBytes, inv, "rank %d ckpt %d: payload is %d bytes, record says %d",
+		rec.Rank, rec.Index, len(f.State), rec.StateBytes)
+	if !a.v.Coordinated() {
+		a.assert(depsOK, inv, "rank %d ckpt %d: durable dependency edges differ from the record", rec.Rank, rec.Index)
+	}
+	if !a.v.Incremental() {
+		return true, true
+	}
+	img, _, err := a.replay.ReconstructCkpt(a.v, rec.Rank, rec.Index, fetch)
+	if !a.assert(err == nil, "inc.chain-resolves", "rank %d: %v", rec.Rank, err) {
+		return true, true
+	}
+	snap, ok := a.h.snapAt(rec.Rank, rec.Index)
 	if !a.assert(ok, "inc.chain-equals-snapshot",
-		"rank %d ckpt %d: no sidecar snapshot recorded at capture", rank, index) {
-		return
+		"rank %d ckpt %d: no sidecar snapshot recorded at capture", rec.Rank, rec.Index) {
+		return true, true
 	}
 	// The image must be the snapshot followed by the process image's zeros;
 	// compared in place, not against a second materialised image.
@@ -317,7 +327,8 @@ func (a *audit) checkChain(rank, index int) {
 	a.assert(len(img) == want && bytes.Equal(img[:len(snap)], snap) && allZero(img[len(snap):]),
 		"inc.chain-equals-snapshot",
 		"rank %d ckpt %d: replayed chain (%d bytes) differs from the captured snapshot (%d bytes)",
-		rank, index, len(img), want)
+		rec.Rank, rec.Index, len(img), want)
+	return true, true
 }
 
 // allZero reports whether b holds only zero bytes: its first is, and each
@@ -394,23 +405,24 @@ func (a *audit) finishCoordinated() {
 	// the committed round's chain members and possibly a tentative round —
 	// recovery never trusts them blindly because the commit record is
 	// authoritative and the chain walk validates every link's index.)
-	slotPrefix := slotOf(a.v.StatePath(0, round))
+	slotDir := a.v.SlotDir(round)
 	want := map[string]int{ckpt.CoordMetaPath: -1}
 	wantShard := map[string]int{ckpt.CoordMetaPath: a.m.ShardOf(0)}
+	optional := map[string]struct{}{} // phantom round: its channel logs
 	if phantom {
 		// No records to audit sizes against: require a complete state set
 		// whose captures left cuts in the sidecar, and accept whatever channel
 		// logs the round wrote.
 		for rank := 0; rank < a.n; rank++ {
-			want[a.v.StatePath(rank, round)] = -1
-			_, ok := a.m.StoreFor(rank).Size(a.v.StatePath(rank, round))
+			sp, cp := a.v.StatePath(rank, round), a.v.ChanPath(rank, round)
+			want[sp], want[cp] = -1, -1
+			optional[cp] = struct{}{}
+			_, ok := a.m.StoreFor(rank).Size(sp)
 			if a.assert(ok, "coord.exact", "commit record names round %d but rank %d's state is missing", round, rank) {
 				_, _, cutOK := a.h.cutAt(rank, round)
 				a.assert(cutOK, "coord.exact", "round %d rank %d: no ledger cut recorded at capture", round, rank)
 			}
-			want[a.v.ChanPath(rank, round)] = -1
-			wantShard[a.v.StatePath(rank, round)] = a.m.ShardOf(rank)
-			wantShard[a.v.ChanPath(rank, round)] = a.m.ShardOf(rank)
+			wantShard[sp], wantShard[cp] = a.m.ShardOf(rank), a.m.ShardOf(rank)
 		}
 	} else {
 		for _, r := range a.committed {
@@ -418,21 +430,13 @@ func (a *audit) finishCoordinated() {
 				continue
 			}
 			sp := a.v.StatePath(r.Rank, round)
-			if a.v.Incremental() {
-				// The durable file is a chain envelope: its raw size is not
-				// the recorded payload size, so audit it by decoding instead.
-				want[sp] = -1
-				if data, ok := a.peekRank(r.Rank, sp); a.assert(ok, "coord.exact",
-					"committed file %s missing from durable storage", sp) {
-					f, err := ckpt.DecodeCkptFile(a.v, data)
-					if a.assert(err == nil, "coord.exact", "%s undecodable: %v", sp, err) {
-						a.assert(f.Index == round && f.Prev == r.Prev && len(f.State) == r.StateBytes, "coord.exact",
-							"%s holds round %d prev %d payload %d bytes, record says %d/%d/%d",
-							sp, f.Index, f.Prev, len(f.State), round, r.Prev, r.StateBytes)
-					}
-				}
-			} else {
+			if a.v.RawImage() {
 				want[sp] = r.StateBytes
+			} else {
+				// A record's raw size is not the recorded payload size, so
+				// audit it by reading it instead.
+				want[sp] = -1
+				a.checkFile("coord.exact", r, false)
 			}
 			wantShard[sp] = a.m.ShardOf(r.Rank)
 			if r.ChanBytes > 0 {
@@ -443,8 +447,7 @@ func (a *audit) finishCoordinated() {
 	}
 	for si, st := range a.m.Stores {
 		for _, path := range st.DurablePaths() {
-			inSlot := strings.HasPrefix(path, slotPrefix)
-			if !inSlot && path != ckpt.CoordMetaPath {
+			if !strings.HasPrefix(path, slotDir) && path != ckpt.CoordMetaPath {
 				continue
 			}
 			size, listed := want[path]
@@ -463,8 +466,8 @@ func (a *audit) finishCoordinated() {
 		}
 	}
 	for path := range want {
-		if size := want[path]; size < 0 && strings.Contains(path, "/c") && path != ckpt.CoordMetaPath {
-			continue // phantom round: channel logs are optional
+		if _, ok := optional[path]; ok {
+			continue
 		}
 		a.violatef("coord.exact", "committed file %s missing from durable storage", path)
 		a.checks++
@@ -486,7 +489,7 @@ func (a *audit) finishUncoordinated() {
 				continue
 			}
 			if a.m.NumStores() > 1 {
-				if rank, _, pok := parseUncoordPath(root, path); pok {
+				if rank, _, pok := a.v.ParsePath(path); pok {
 					a.assert(si == a.m.ShardOf(rank), "shard.placement",
 						"%s durable on server %d, rank %d's shard is server %d", path, si, rank, a.m.ShardOf(rank))
 				}
@@ -517,32 +520,4 @@ func sameDeps(a, b []ckpt.Dep) bool {
 		}
 	}
 	return true
-}
-
-// slotOf trims a slot-relative path ("coord/slot1/s003") to its slot
-// directory prefix ("coord/slot1/").
-func slotOf(path string) string {
-	i := strings.LastIndex(path, "/")
-	return path[:i+1]
-}
-
-// parseUncoordPath extracts (rank, index) from an uncoordinated checkpoint
-// path of the form "<root>n%03d/k%05d". Used by the recovery driver to
-// enumerate stale durable files — including completed writes whose commit
-// the crash pre-empted, which appear in no record.
-func parseUncoordPath(root, path string) (rank, index int, ok bool) {
-	rest, found := strings.CutPrefix(path, root)
-	if !found {
-		return 0, 0, false
-	}
-	nPart, kPart, found := strings.Cut(rest, "/")
-	if !found || !strings.HasPrefix(nPart, "n") || !strings.HasPrefix(kPart, "k") {
-		return 0, 0, false
-	}
-	r, err1 := strconv.Atoi(nPart[1:])
-	k, err2 := strconv.Atoi(kPart[1:])
-	if err1 != nil || err2 != nil {
-		return 0, 0, false
-	}
-	return r, k, true
 }

@@ -80,7 +80,6 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 	sch.Attach(m)
 	sch.SetCommitHook(a.onCommit)
 
-	root := v.StorageRoot()
 	m.Eng.Spawn("check-recover", func(p *sim.Proc) {
 		node0 := m.Nodes[0]
 		// 1. Reclaim durable checkpoints above the line, on every shard.
@@ -91,7 +90,7 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 		// ranks' shards address those shards explicitly.
 		for si, st := range m.Stores {
 			for _, path := range st.DurablePaths() {
-				rank, idx, ok := parseUncoordPath(root, path)
+				rank, idx, ok := v.ParsePath(path)
 				if ok && idx > line[rank] {
 					if reply := node0.StorageCallRetryOn(p, si, storage.Request{Op: storage.OpDelete, Path: path}); reply.Err != nil {
 						a.violatef("recover.reclaim", "deleting stale %s: %v", path, reply.Err)
@@ -99,8 +98,8 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 				}
 			}
 		}
-		// 2. Read the line checkpoints back from stable storage. Incremental
-		// checkpoints are base+delta chains; every chain pointer names a
+		// 2. Read the line checkpoints back from stable storage. An incremental
+		// checkpoint is a base+delta chain; every chain pointer names a
 		// strictly smaller index, so the whole chain sits at or below the line
 		// and step 1's reclamation can never have deleted a link of it.
 		states := make([][]byte, n)
@@ -109,26 +108,14 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 			if line[rank] == 0 {
 				continue
 			}
-			if v.Incremental() {
-				img, head, err := new(ckpt.Replayer).ReconstructCkpt(v, rank, line[rank], func(path string, _ []byte) ([]byte, error) {
-					reply := m.Nodes[rank].StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
-					return reply.Data, reply.Err
-				})
-				if err != nil {
-					panic(fmt.Sprintf("check: recovery: rank %d: %v", rank, err))
-				}
-				states[rank], libs[rank] = img, head.Lib
-				continue
+			img, head, err := new(ckpt.Replayer).ReconstructCkpt(v, rank, line[rank], func(path string, _ []byte) ([]byte, error) {
+				reply := m.Nodes[rank].StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
+				return reply.Data, reply.Err
+			})
+			if err != nil {
+				panic(fmt.Sprintf("check: recovery: %v", err))
 			}
-			reply := m.Nodes[rank].StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: v.StatePath(rank, line[rank])})
-			if reply.Err != nil {
-				panic(fmt.Sprintf("check: recovery: cannot read checkpoint %d of rank %d: %v", line[rank], rank, reply.Err))
-			}
-			f, err := ckpt.DecodeCkptFile(v, reply.Data)
-			if err != nil || f.Index != line[rank] {
-				panic(fmt.Sprintf("check: recovery: corrupt checkpoint of rank %d: index %d, err %v", rank, f.Index, err))
-			}
-			states[rank], libs[rank] = f.State, f.Lib
+			states[rank], libs[rank] = img, head.Lib
 		}
 		// 3. Rebuild every rank; the indexed restore rewinds both the
 		// application state and the rank's ledger rows to the line

@@ -111,7 +111,7 @@ func TestEncodeCkptFilePadsInPlace(t *testing.T) {
 				if owned > ownMax {
 					t.Errorf("%v pad %d state %d: %d bytes of the record are its own, want <= %d", v, pad, stateLen, owned, ownMax)
 				}
-				back, err := DecodeCkptFile(v, got)
+				back, err := decodeCkptFile(v, got)
 				if err != nil || !bytes.Equal(back.State, padded.State) || string(back.Lib) != "lib" {
 					t.Fatalf("%v pad %d state %d: round trip: %v", v, pad, stateLen, err)
 				}

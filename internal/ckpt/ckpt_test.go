@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -495,6 +496,34 @@ func TestVariantStringAndPredicates(t *testing.T) {
 				t.Errorf("%s.%s() = %v, the enum's predicate says %v", c.name, p.pred, p.got, p.want)
 			}
 		}
+		// The durable layout: captured files read back through the one
+		// reader, and every path parses back to what built it.
+		const rank, pad = 5, 100
+		snaps := [][]byte{bytes.Repeat([]byte{1}, 300), append(bytes.Repeat([]byte{1}, 200), bytes.Repeat([]byte{2}, 100)...)}
+		files := capturedFiles(c.v, rank, pad, snaps)
+		for index := 1; index <= len(snaps); index++ {
+			img, _, err := new(Replayer).ReconstructCkpt(c.v, rank, index, func(path string, _ []byte) ([]byte, error) {
+				return files[path], nil
+			})
+			if want := append(bytes.Clone(snaps[index-1]), make([]byte, pad)...); err != nil || !bytes.Equal(img, want) {
+				t.Errorf("%s: checkpoint %d reads back as %d bytes (%v), captured %d", c.name, index, len(img), err, len(want))
+			}
+		}
+		paths := map[string]func(int, int) string{"StatePath": c.v.StatePath}
+		if c.v.Coordinated() {
+			paths["ChanPath"] = c.v.ChanPath
+		}
+		for fn, path := range paths {
+			for _, index := range []int{1, 2, 17, 123} {
+				want := index
+				if c.v.Coordinated() {
+					want = index % c.v.slots()
+				}
+				if r, i, ok := c.v.ParsePath(path(rank, index)); !ok || r != rank || i != want {
+					t.Errorf("%s: ParsePath(%s(%d, %d)) = %d, %d, %v", c.name, fn, rank, index, r, i, ok)
+				}
+			}
+		}
 	}
 	if (Variant{}) != CoordB {
 		t.Error("the zero Variant is no longer Coord_B")
@@ -513,6 +542,30 @@ func TestVariantStringAndPredicates(t *testing.T) {
 		}
 	}()
 	New(unopened, Options{Interval: sim.Second})
+}
+
+// capturedFiles is what the drivers leave on stable storage for rank's
+// checkpoints 1, 2, ... of snaps under v, by path: a raw image, a full
+// record, or a base+delta chain.
+func capturedFiles(v Variant, rank, pad int, snaps [][]byte) map[string][]byte {
+	files := map[string][]byte{}
+	inc := NewIncCapture(64, pad)
+	for i, snap := range snaps {
+		index := i + 1
+		var file [][]byte
+		switch {
+		case v.RawImage():
+			file = encodeRawImage(snap, pad)
+		case v.Incremental():
+			payload, prev := inc.EncodeTo(codec.NewWriter(), snap)
+			file = encodeCkptFile(v, CkptFile{Index: index, Prev: prev, State: payload}, 0)
+			inc.Commit(index, snap, prev)
+		default:
+			file = encodeCkptFile(v, CkptFile{Index: index, State: snap}, pad)
+		}
+		files[v.StatePath(rank, index)] = bytes.Join(file, nil)
+	}
+	return files
 }
 
 func TestChanLogCodecRoundTrip(t *testing.T) {
@@ -535,14 +588,14 @@ func TestChanLogCodecRoundTrip(t *testing.T) {
 
 func TestIndepCkptCodecRoundTrip(t *testing.T) {
 	deps := []Dep{{SrcRank: 3, SrcIndex: 7}, {SrcRank: 0, SrcIndex: 1}}
-	f, err := DecodeCkptFile(Indep, flatCkptFile(Indep, CkptFile{Index: 4, Deps: deps, State: []byte("state"), Lib: []byte("lib")}, 0))
+	f, err := decodeCkptFile(Indep, flatCkptFile(Indep, CkptFile{Index: 4, Deps: deps, State: []byte("state"), Lib: []byte("lib")}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Index != 4 || len(f.Deps) != 2 || f.Deps[0] != deps[0] || string(f.State) != "state" || string(f.Lib) != "lib" {
 		t.Fatalf("round trip: %+v", f)
 	}
-	if _, err := DecodeCkptFile(Indep, []byte{9}); err == nil {
+	if _, err := decodeCkptFile(Indep, []byte{9}); err == nil {
 		t.Fatal("corrupt checkpoint accepted")
 	}
 }
@@ -575,14 +628,14 @@ func TestCkptCodecRoundTrip(t *testing.T) {
 		if got := fmt.Sprintf("%x", data); got != c.want {
 			t.Errorf("%v: encoded\n  %s, want\n  %s", c.v, got, c.want)
 		}
-		f, err := DecodeCkptFile(c.v, data)
+		f, err := decodeCkptFile(c.v, data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if f.Index != 9 || f.Prev != c.prev || len(f.Deps) != 2 || f.Deps[0] != deps[0] || string(f.State) != "state" || string(f.Lib) != "lib" {
 			t.Errorf("%v round trip: %+v", c.v, f)
 		}
-		if _, err := DecodeCkptFile(c.v, []byte{1, 2}); err == nil {
+		if _, err := decodeCkptFile(c.v, []byte{1, 2}); err == nil {
 			t.Errorf("%v: corrupt checkpoint accepted", c.v)
 		}
 	}

@@ -242,23 +242,7 @@ func (s *coordinated) onAck(ackRound, ackAttempt, from int) {
 		return
 	}
 	// Phase 2: durably record the round (the commit point), then broadcast.
-	s.nodes[0].jobs.Put(func(p *sim.Proc) {
-		w := newMetaRecord(round)
-		reply := s.nodes[0].n.StorageCallRetry(p, storage.Request{
-			Op: storage.OpWrite, Path: CoordMetaPath, Data: w, Durable: true,
-		})
-		if attempt != s.attempt || s.round == s.committedRound {
-			return // the attempt aborted while the meta write was in flight
-		}
-		if reply.Err != nil {
-			// The commit point itself could not be made durable: the round
-			// never happened. Abort so the participants release their state.
-			s.abortRound()
-			return
-		}
-		s.m.NotePhase("meta", round)
-		s.commitRound(round, attempt)
-	})
+	s.writeMetaJob(0, round, attempt, false)
 }
 
 func (s *coordinated) commitRound(round, attempt int) {

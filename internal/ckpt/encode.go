@@ -170,12 +170,12 @@ func encodeRawImage(snapshot []byte, pad int) [][]byte {
 	return appendZeros([][]byte{snapshot}, pad)
 }
 
-// DecodeCkptFile unpacks a checkpoint file written under the variant, for
-// recovery drivers and for the correctness oracle's durable-state audits.
-// State and Lib are borrowed, not copied: files are decoded out of immutable
-// storage blobs and the sections are only ever read (restore paths decode
-// them into fresh structures, chain replay only reads payloads).
-func DecodeCkptFile(v Variant, b []byte) (CkptFile, error) {
+// decodeCkptFile unpacks a checkpoint record written under the variant; the
+// one reader (Replayer) is its caller. State and Lib are borrowed, not
+// copied: files are decoded out of immutable storage blobs and the sections
+// are only ever read (restore paths decode them into fresh structures, chain
+// replay only reads payloads).
+func decodeCkptFile(v Variant, b []byte) (CkptFile, error) {
 	r := codec.NewReader(b)
 	f := CkptFile{Index: r.Int()}
 	if v.Incremental() {

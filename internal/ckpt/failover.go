@@ -205,7 +205,8 @@ func (s *coordinated) resolveTakeover(rank int) {
 }
 
 // writeMetaJob durably writes the round record — the commit point — from the
-// acting coordinator's daemon and commits the round when it lands. The
+// acting coordinator's daemon and commits the round when it lands; both
+// protocols' coordinators, and a failover successor, write it here. The
 // record always lives on rank 0's shard, so recovery reads it from the same
 // place regardless of which coordinator wrote it; a successor's rewrite of a
 // record the failed coordinator already landed is idempotent. adopted marks
@@ -230,10 +231,12 @@ func (s *coordinated) writeMetaJob(coordID, round, attempt int, adopted bool) {
 			return
 		}
 		s.m.NotePhase("meta", round)
-		if !cn.n.Alive {
+		if !cn.n.Alive && s.v.Failover() {
 			// Crashed between the commit point and the commit broadcast: the
 			// round IS durable, and some participant holds its pre-commit, so
-			// the next election — or the recovery driver — finishes it.
+			// the next election — or the recovery driver — finishes it. The
+			// plain protocol has no election: the durable record is the
+			// commit, booked here even though no commit notice goes out.
 			return
 		}
 		if adopted {

@@ -25,8 +25,8 @@ func ints(vs ...int) []byte {
 // deps ended the process with "out of memory" rather than failing the oracle
 // cell that read it).
 func TestDecodersRejectHostileCounts(t *testing.T) {
-	_, fileErr := DecodeCkptFile(Indep, ints(1, 1<<40))
-	_, incErr := DecodeCkptFile(IndepInc, ints(1, 0, 1<<40))
+	_, fileErr := decodeCkptFile(Indep, ints(1, 1<<40))
+	_, incErr := decodeCkptFile(IndepInc, ints(1, 0, 1<<40))
 	_, logErr := DecodeChanLog(ints(1 << 40))
 	for name, err := range map[string]error{"checkpoint file": fileErr, "incremental file": incErr, "channel log": logErr} {
 		if err == nil || !strings.Contains(err.Error(), "corrupt") {
@@ -35,7 +35,7 @@ func TestDecodersRejectHostileCounts(t *testing.T) {
 	}
 	// The bound is exact: a count the remaining bytes do hold still decodes.
 	file := flatCkptFile(Indep, CkptFile{Index: 1, Deps: []Dep{{1, 2}, {3, 4}}}, 0)
-	if f, err := DecodeCkptFile(Indep, file); err != nil || len(f.Deps) != 2 {
+	if f, err := decodeCkptFile(Indep, file); err != nil || len(f.Deps) != 2 {
 		t.Fatalf("two deps and two empty sections: %v", err)
 	}
 	log := encodeChanLog([]*mp.Message{{Src: 1}, {Src: 2}})
@@ -48,7 +48,11 @@ func TestDecodersRejectHostileCounts(t *testing.T) {
 // schemes make durable — checkpoint files with and without a chain pointer,
 // channel logs — which must fail cleanly or decode to something that encodes
 // back to the very bytes read: never panic, never size an allocation from the
-// input.
+// input. It then drives the one reader under every variant with the bytes as
+// every file on storage: a head read fails exactly when the decoder does; a
+// raw image reads back as it is; a record reads only as the index it names,
+// and, since every link would name that index too, only as a lone base — a
+// hostile Prev or a wrong index is an error, never a panic or a loop.
 func FuzzCkptFileDecode(f *testing.F) {
 	deps := []Dep{{SrcRank: 3, SrcIndex: 7}, {SrcRank: 0, SrcIndex: 1}}
 	real := [][]byte{
@@ -59,6 +63,8 @@ func FuzzCkptFileDecode(f *testing.F) {
 		encodeChanLog([]*mp.Message{{Src: 1, Tag: 5, Meta: par.Piggyback{9, 2}, Data: []byte("abc")}, {Src: 2}}),
 		newMetaRecord(3),
 		ints(1, 1<<40),
+		flatCkptFile(IndepInc, CkptFile{Index: 5, Prev: 5, State: []byte{1}}, 0),
+		flatCkptFile(CoordNBInc, CkptFile{Index: 3, Prev: 9, State: []byte{1}}, 0),
 	}
 	for _, b := range real {
 		f.Add(b)
@@ -67,7 +73,7 @@ func FuzzCkptFileDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, v := range []Variant{Indep, IndepInc} {
-			file, err := DecodeCkptFile(v, data)
+			file, err := decodeCkptFile(v, data)
 			if err != nil {
 				continue
 			}
@@ -79,6 +85,33 @@ func FuzzCkptFileDecode(f *testing.F) {
 			t.Fatalf("decoded a channel log of %d messages that encodes to other bytes than were read", len(msgs))
 		}
 		_, _ = ParseMetaRecord(data)
+
+		fetch := func(string, []byte) ([]byte, error) { return data, nil }
+		var rp Replayer
+		for _, e := range variants {
+			v := e.v
+			named, err := decodeCkptFile(v, data)
+			if _, herr := rp.ReadHead(v, 0, 1, fetch); (herr == nil) != (v.RawImage() || err == nil) {
+				t.Fatalf("%v: the head read (%v) and the decoder (%v) disagree", v, herr, err)
+			}
+			index := max(named.Index, 1)
+			if err != nil || v.RawImage() {
+				index = 1
+			}
+			img, head, err := rp.ReconstructCkpt(v, 0, index, fetch)
+			switch {
+			case v.RawImage():
+				if err != nil || !bytes.Equal(img, data) {
+					t.Fatalf("%v: raw image read back as %d bytes of %d: %v", v, len(img), len(data), err)
+				}
+				continue
+			case err == nil && (head.Index != index || v.Incremental() && head.Prev != 0):
+				t.Fatalf("%v: read checkpoint %d from a file naming %d, prev %d", v, index, head.Index, head.Prev)
+			}
+			if _, _, err := rp.ReconstructCkpt(v, 0, index+1, fetch); err == nil {
+				t.Fatalf("%v: read checkpoint %d from a file naming %d", v, index+1, index)
+			}
+		}
 	})
 }
 

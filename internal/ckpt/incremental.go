@@ -69,40 +69,75 @@ func (ic *IncCapture) Commit(index int, snap []byte, prev int) {
 	ic.prevIndex = index
 }
 
-// Replayer reconstructs incremental checkpoints from their durable chains
-// into buffers it owns: the image under replay, and one buffer per chain link
-// for fetches that copy (the oracle's Peek). The image it returns is borrowed
-// until its next reconstruction. Recovery, which reconstructs once per rank,
-// uses a fresh zero value.
+// Replayer is the one reader of durable checkpoints: it reads rank's
+// checkpoint back from stable storage whatever the variant laid out there,
+// into buffers it owns — the image under replay, and one buffer per chain
+// link for fetches that copy (the oracle's Peek). What it returns is
+// borrowed until its next read. Recovery, which reads once per rank, uses a
+// fresh zero value.
 type Replayer struct {
 	codec codec.Replayer
 	links [BaseEvery][]byte
 }
 
-// ReconstructCkpt replays the base+delta chain ending at rank's checkpoint
-// index as the variant laid it out on stable storage, following each file's
-// Prev pointer — never assuming the cadence. fetch returns one durable file's
-// bytes by path: a storage read's borrow, or a copy appended to buf[:0], which
-// is then that link's buffer again at the next reconstruction. It returns the
-// full image and the decoded head file, whose Lib a restore also needs.
-// Errors name the chain link that failed to resolve — the delta round a
+// ReadHead reads only the head file of rank's checkpoint index — the file its
+// commit wrote — without following a chain or holding the file to index, so
+// that an audit can compare each field with its record. A raw image (a
+// full-image coordinated round's slot file) is its own head: Index is index,
+// State the image. An error means the file could not be fetched or decoded.
+// fetch is as for ReconstructCkpt.
+func (rp *Replayer) ReadHead(v Variant, rank, index int, fetch func(path string, buf []byte) ([]byte, error)) (CkptFile, error) {
+	return rp.readLink(v, rank, index, 0, fetch)
+}
+
+// readLink fetches and decodes the file of rank's checkpoint idx into link
+// buffer i.
+func (rp *Replayer) readLink(v Variant, rank, idx, i int, fetch func(path string, buf []byte) ([]byte, error)) (CkptFile, error) {
+	path := v.StatePath(rank, idx)
+	data, err := fetch(path, rp.links[i])
+	if err != nil {
+		return CkptFile{}, err
+	}
+	rp.links[i] = data
+	if v.RawImage() {
+		return CkptFile{Index: idx, State: data}, nil
+	}
+	f, err := decodeCkptFile(v, data)
+	if err != nil {
+		return CkptFile{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return f, nil
+}
+
+// ReconstructCkpt reads rank's checkpoint index as the variant laid it out on
+// stable storage and returns the image a restore hands the program, and the
+// head file, whose Lib a restore also needs. The three layouts:
+//
+//   - a full-image coordinated round's slot file is the raw padded image,
+//     returned as it is (the commit record, not the file, says which round
+//     the slot holds);
+//   - a full-image local-timer file is one record, whose Index must be index;
+//   - an incremental file heads a base+delta chain, replayed by following each
+//     file's Prev pointer — never assuming the cadence — with every link's
+//     Index verified.
+//
+// fetch returns one durable file's bytes by path: a storage read's borrow, or
+// a copy appended to buf[:0], which is then that link's buffer again at the
+// next read. Errors name the link that failed to resolve — the delta round a
 // broken chain points at.
 func (rp *Replayer) ReconstructCkpt(v Variant, rank, index int, fetch func(path string, buf []byte) ([]byte, error)) ([]byte, CkptFile, error) {
 	var head CkptFile
 	chain := make([][]byte, 0, BaseEvery)
 	for idx := index; ; {
-		path := v.StatePath(rank, idx)
-		data, err := fetch(path, rp.links[len(chain)])
-		var f CkptFile
-		if err == nil {
-			rp.links[len(chain)] = data
-			f, err = DecodeCkptFile(v, data)
-		}
+		f, err := rp.readLink(v, rank, idx, len(chain), fetch)
 		if err == nil && f.Index != idx {
-			err = fmt.Errorf("%s holds index %d, want %d", path, f.Index, idx)
+			err = fmt.Errorf("%s holds index %d, want %d", v.StatePath(rank, idx), f.Index, idx)
 		}
 		if err != nil {
-			return nil, head, fmt.Errorf("ckpt: delta chain for checkpoint %d broken at link %d: %w", index, idx, err)
+			return nil, CkptFile{}, fmt.Errorf("ckpt: rank %d checkpoint %d broken at link %d: %w", rank, index, idx, err)
+		}
+		if !v.Incremental() {
+			return f.State, f, nil
 		}
 		if idx == index {
 			head = f
@@ -112,15 +147,15 @@ func (rp *Replayer) ReconstructCkpt(v Variant, rank, index int, fetch func(path 
 			break
 		}
 		if f.Prev >= idx || len(chain) >= BaseEvery {
-			return nil, head, fmt.Errorf("ckpt: delta chain for checkpoint %d malformed at link %d (prev %d, length %d)",
-				index, idx, f.Prev, len(chain))
+			return nil, CkptFile{}, fmt.Errorf("ckpt: rank %d checkpoint %d: delta chain malformed at link %d (prev %d, length %d)",
+				rank, index, idx, f.Prev, len(chain))
 		}
 		idx = f.Prev
 	}
 	slices.Reverse(chain)
 	img, err := rp.codec.Replay(chain)
 	if err != nil {
-		return nil, head, fmt.Errorf("ckpt: replaying delta chain for checkpoint %d: %w", index, err)
+		return nil, CkptFile{}, fmt.Errorf("ckpt: rank %d checkpoint %d: replaying delta chain: %w", rank, index, err)
 	}
 	return img, head, nil
 }

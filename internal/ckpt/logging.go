@@ -113,16 +113,15 @@ func RecoverNode(m *par.Machine, w *mp.World, sch Scheme, rank int, factory func
 		consumed := make([]uint64, m.NumNodes()) // no checkpoint yet: restart from scratch
 		var lib []byte
 		if latest > 0 {
-			reply := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: s.v.StatePath(rank, latest)})
-			if reply.Err != nil {
-				panic(fmt.Sprintf("ckpt: node %d checkpoint %d unreadable: %v", rank, latest, reply.Err))
-			}
-			f, err := DecodeCkptFile(s.v, reply.Data)
+			state, f, err := new(Replayer).ReconstructCkpt(s.v, rank, latest, func(path string, _ []byte) ([]byte, error) {
+				reply := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
+				return reply.Data, reply.Err
+			})
 			if err != nil {
-				panic(err)
+				panic(fmt.Sprintf("ckpt: single-node recovery: %v", err))
 			}
-			rep.StateBytes = len(f.State)
-			par.RestoreAt(prog, latest, f.State)
+			rep.StateBytes = len(state)
+			par.RestoreAt(prog, latest, state)
 			consumed, lib = mp.ConsumedFromLibState(f.Lib), f.Lib
 		}
 		env := w.Launch(rank, prog)

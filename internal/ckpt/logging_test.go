@@ -1,11 +1,13 @@
 package ckpt
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mp"
 	"repro/internal/par"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // runLoggedRing runs the ring under Indep_Log, crashes one node at crashAt,
@@ -166,4 +168,48 @@ func TestRecoverNodeRejectsWrongScheme(t *testing.T) {
 		}
 	}()
 	RecoverNode(m, w, sch, 0, nil)
+}
+
+// TestRecoverNodeRefusesWrongIndex: the file at the failed node's latest
+// checkpoint path holds an older checkpoint of the same rank — a
+// well-formed file, just not the one the records name. Restoring it would
+// silently roll the node back further than its records say; single-node
+// recovery must refuse it as the line-recovery driver does.
+func TestRecoverNodeRefusesWrongIndex(t *testing.T) {
+	const victim = 3
+	m := par.NewMachine(par.DefaultConfig())
+	sch := New(IndepLog, Options{Interval: 2 * sim.Second})
+	sch.Attach(m)
+	w := mp.NewWorld(m)
+	n := m.NumNodes()
+	factory := func(rank int) mp.Program { return newRingProg(rank, n, 400, 80_000, 2e5) }
+	for rank := 0; rank < n; rank++ {
+		w.Launch(rank, factory(rank))
+	}
+	latest := 0
+	m.Eng.At(sim.Time(7*sim.Second), func() {
+		m.CrashNode(victim)
+		for _, r := range sch.Records() {
+			if r.Rank == victim {
+				latest = max(latest, r.Index)
+			}
+		}
+		if latest < 2 {
+			return // reported below
+		}
+		store := m.StoreFor(victim)
+		older, _ := store.Peek(IndepLog.StatePath(victim, latest-1), nil)
+		store.Submit(storage.Request{Op: storage.OpWrite, Path: IndepLog.StatePath(victim, latest), Data: older, Durable: true})
+		m.Eng.After(300*sim.Millisecond, func() { RecoverNode(m, w, sch, victim, factory) })
+	})
+	// The refusal ends the run at the read; a restore of the wrong file
+	// would run on, so stop shortly after the read either way.
+	defer m.Eng.Shutdown()
+	err := m.Eng.RunUntil(sim.Time(9 * sim.Second))
+	if latest < 2 {
+		t.Fatalf("rank %d had committed checkpoint %d at the crash, want >= 2", victim, latest)
+	}
+	if err == nil || !strings.Contains(err.Error(), "holds index") {
+		t.Fatalf("recovery restored a file holding the wrong checkpoint: run error %v", err)
+	}
 }

@@ -81,33 +81,18 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 				prog := factory(rank)
 				node := m.Nodes[rank]
 				if round > 0 {
-					var state []byte
-					if v.Incremental() {
-						// Replay the base+delta chain ending at the committed
-						// round: each slot file names the round it was encoded
-						// against, so the walk needs no cadence assumptions.
-						img, _, err := new(Replayer).ReconstructCkpt(v, rank, round, func(path string, _ []byte) ([]byte, error) {
-							st := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
-							rep.StateBytes += int64(len(st.Data))
-							return st.Data, st.Err
-						})
-						if err != nil {
-							panic(fmt.Sprintf("ckpt: recovery: rank %d round %d: %v", rank, round, err))
-						}
-						state = img
-					} else {
-						st := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: v.StatePath(rank, round)})
-						if st.Err != nil {
-							panic(fmt.Sprintf("ckpt: recovery: missing state of rank %d round %d: %v", rank, round, st.Err))
-						}
-						state = st.Data
+					state, _, err := new(Replayer).ReconstructCkpt(v, rank, round, func(path string, _ []byte) ([]byte, error) {
+						st := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
 						rep.StateBytes += int64(len(st.Data))
+						return st.Data, st.Err
+					})
+					if err != nil {
+						panic(fmt.Sprintf("ckpt: recovery: %v", err))
 					}
 					par.RestoreAt(prog, round, state)
 					var msgs []*mp.Message
 					cl := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: v.ChanPath(rank, round)})
 					if cl.Err == nil {
-						var err error
 						if msgs, err = DecodeChanLog(cl.Data); err != nil {
 							panic(err)
 						}

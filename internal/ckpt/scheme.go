@@ -36,10 +36,12 @@ package ckpt
 
 import (
 	"fmt"
-	"repro/internal/storage"
+	"strconv"
+	"strings"
 
 	"repro/internal/par"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // Driver is the protocol axis: what decides when a node checkpoints.
@@ -206,6 +208,12 @@ func (v Variant) CommunicationInduced() bool { return v.Driver == DriverInduced 
 // Incremental reports whether the variant writes base+delta checkpoint
 // chains instead of full images.
 func (v Variant) Incremental() bool { return v.Capture == CaptureIncremental }
+
+// RawImage reports whether the variant's checkpoint file is the bare padded
+// image rather than a record: a full-image coordinated round's slot file,
+// whose size is the payload's and which names no index (the commit record
+// says which round a slot holds).
+func (v Variant) RawImage() bool { return v.Coordinated() && !v.Incremental() }
 
 // Options configure a scheme instance.
 type Options struct {
@@ -535,12 +543,13 @@ func (v Variant) slots() int {
 }
 
 // StatePath is the stable-storage path of rank's checkpoint index (the round
-// number for coordinated variants). The correctness oracle (package check),
-// the recovery drivers and the garbage collector (package rdg) audit, read
-// and reclaim checkpoint files through it.
+// number for coordinated variants). The correctness oracle (package check)
+// audits and reclaims checkpoint files through it, SlotDir and ParsePath,
+// and the garbage collector (package rdg) reclaims them; reading one back is
+// the Replayer's.
 func (v Variant) StatePath(rank, index int) string {
 	if v.Coordinated() {
-		return fmt.Sprintf("%sslot%d/s%03d", v.StorageRoot(), index%v.slots(), rank)
+		return fmt.Sprintf("%ss%03d", v.SlotDir(index), rank)
 	}
 	return fmt.Sprintf("%sn%03d/k%05d", v.StorageRoot(), rank, index)
 }
@@ -548,7 +557,33 @@ func (v Variant) StatePath(rank, index int) string {
 // ChanPath is the stable-storage path of rank's channel log of a coordinated
 // round.
 func (v Variant) ChanPath(rank, round int) string {
-	return fmt.Sprintf("%sslot%d/c%03d", v.StorageRoot(), round%v.slots(), rank)
+	return fmt.Sprintf("%sc%03d", v.SlotDir(round), rank)
+}
+
+// SlotDir is the directory, with its trailing slash, of the slot a
+// coordinated round's files are written to: every path under it belongs to
+// the round the slot holds, whatever its name.
+func (v Variant) SlotDir(round int) string {
+	return fmt.Sprintf("%sslot%d/", v.StorageRoot(), round%v.slots())
+}
+
+// ParsePath reads StatePath and ChanPath backwards: the rank and index a path
+// of the variant names. A coordinated round's path holds only its slot — the
+// round modulo the slot count — so for those, state file and channel log
+// alike, index is the slot, which StatePath and ChanPath map back to the same
+// path. ok is false for any other path: the coordinator's round record,
+// another variant's files, anything not spelled exactly as the two spell it.
+func (v Variant) ParsePath(path string) (rank, index int, ok bool) {
+	dir, file, found := strings.Cut(strings.TrimPrefix(path, v.StorageRoot()), "/")
+	d, errD := strconv.Atoi(strings.TrimLeft(dir, "nslot")) // n%03d or slot%d
+	f, errF := strconv.Atoi(strings.TrimLeft(file, "ksc"))  // k%05d, s%03d or c%03d
+	rank, index = d, f
+	if v.Coordinated() {
+		rank, index = f, d
+	}
+	ok = found && errD == nil && errF == nil && rank >= 0 && index >= 0 &&
+		(path == v.StatePath(rank, index) || v.Coordinated() && path == v.ChanPath(rank, index))
+	return rank, index, ok
 }
 
 // CoordMetaPath is the coordinator's durable round record; writing it is the
@@ -617,7 +652,7 @@ func writeSegmentedOnce(p *sim.Proc, n *par.Node, path string, file [][]byte, re
 			n.StorageSend(p, req)
 			return
 		}
-		reply, _ := n.StorageCallTimeout(p, req, n.M.Retry.Timeout)
+		reply, _ := n.StorageCallTimeoutOn(p, n.Shard(), req, n.M.Retry.Timeout)
 		err = reply.Err
 		if size := fileLen(file); err == nil && reply.Size != size {
 			err = fmt.Errorf("%w: short write of %s: %d of %d bytes durable",
@@ -633,19 +668,10 @@ func writeSegmentedOnce(p *sim.Proc, n *par.Node, path string, file [][]byte, re
 // retry policy. It returns the last error once attempts are exhausted; under
 // the zero policy a single attempt is made.
 func writeSegmentedChecked(p *sim.Proc, n *par.Node, path string, file [][]byte, reset bool) error {
-	attempts := n.M.Retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for attempt := 0; ; attempt++ {
-		err := writeSegmentedOnce(p, n, path, file, reset || attempt > 0)
-		if err == nil {
-			return nil
-		}
-		if attempt+1 >= attempts {
-			return err
-		}
-		n.M.NoteRetry(n.ID)
-		p.Sleep(n.M.Backoff(attempt + 1))
-	}
+	var err error
+	n.WithRetry(p, func(attempt int) bool {
+		err = writeSegmentedOnce(p, n, path, file, reset || attempt > 0)
+		return err == nil
+	})
+	return err
 }

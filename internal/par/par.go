@@ -690,21 +690,15 @@ func (n *Node) Shard() int { return n.M.shard[n.ID] }
 // consume unrelated envelopes' queue positions only logically: selective
 // receive leaves other envelopes queued.
 func (n *Node) StorageCall(p *sim.Proc, req storage.Request) storage.Reply {
-	reply, _ := n.StorageCallTimeout(p, req, 0)
+	reply, _ := n.StorageCallTimeoutOn(p, n.Shard(), req, 0)
 	return reply
 }
 
-// StorageCallTimeout is StorageCall with a per-attempt deadline: if the reply
-// does not arrive within timeout (0 = wait forever) the call returns
-// ok=false and an ErrUnavailable reply; the late reply, when it eventually
-// arrives, is discarded by a later storage call on this node.
-func (n *Node) StorageCallTimeout(p *sim.Proc, req storage.Request, timeout sim.Duration) (storage.Reply, bool) {
-	return n.StorageCallTimeoutOn(p, n.Shard(), req, timeout)
-}
-
-// StorageCallTimeoutOn is StorageCallTimeout addressed at an explicit shard
-// instead of the rank's own — recovery drivers use it to reclaim files that
-// other ranks own.
+// StorageCallTimeoutOn is StorageCall addressed at an explicit shard, with a
+// per-attempt deadline: if the reply does not arrive within timeout (0 = wait
+// forever) the call returns ok=false and an ErrUnavailable reply; the late
+// reply, when it eventually arrives, is discarded by a later storage call on
+// this node.
 func (n *Node) StorageCallTimeoutOn(p *sim.Proc, shard int, req storage.Request, timeout sim.Duration) (storage.Reply, bool) {
 	n.drainAbandoned()
 	n.reqSeq++
@@ -778,20 +772,23 @@ func (n *Node) StorageCallRetry(p *sim.Proc, req storage.Request) storage.Reply 
 
 // StorageCallRetryOn is StorageCallRetry addressed at an explicit shard.
 func (n *Node) StorageCallRetryOn(p *sim.Proc, shard int, req storage.Request) storage.Reply {
-	attempts := n.M.Retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	var reply storage.Reply
-	for attempt := 0; ; attempt++ {
+	n.WithRetry(p, func(int) bool {
 		var ok bool
 		reply, ok = n.StorageCallTimeoutOn(p, shard, req, n.M.Retry.Timeout)
-		if ok && !errors.Is(reply.Err, storage.ErrUnavailable) {
-			return reply
-		}
-		if attempt+1 >= attempts {
-			return reply
-		}
+		return ok && !errors.Is(reply.Err, storage.ErrUnavailable)
+	})
+	return reply
+}
+
+// WithRetry is the machine's retry policy around one operation: try makes
+// attempt number attempt (0 first) and reports whether it is final — it
+// succeeded or failed definitively. A non-final attempt is retried after a
+// capped, jittered exponential backoff until the policy's attempts are spent;
+// under the zero policy try runs once.
+func (n *Node) WithRetry(p *sim.Proc, try func(attempt int) bool) {
+	attempts := max(1, n.M.Retry.Attempts)
+	for attempt := 0; !try(attempt) && attempt+1 < attempts; attempt++ {
 		n.M.NoteRetry(n.ID)
 		p.Sleep(n.M.Backoff(attempt + 1))
 	}
