@@ -54,16 +54,17 @@ vet:
 # 460 cells — the 12 explorer schemes in every quarter of their runs (384),
 # plus the sharded-storage (48) and coordinator-kill (28) lattices. Any
 # failure prints the cell name and seed; CHECKFLAGS="-cell 'NAME'" replays
-# it, CHECKFLAGS=-full swaps the 384 for the 1728-cell overnight lattice
-# (check.FullSweep: 3 workloads x 12 schemes x 6 strata x 8 seeds).
+# it, CHECKFLAGS=-full swaps the 384 for the full lattice (check.FullSweep:
+# 3 workloads x 12 schemes x 6 strata x 8 seeds), whose totals `make
+# identical` pins.
 CHECKFLAGS ?= -quick
 check:
 	$(GO) run ./cmd/chkcheck $(CHECKFLAGS)
 
 # Byte-identity, slow half: regenerate IDENTITY.txt's full section — digests of
 # the full-size `chkbench -table all` and `chkrecover -exp
-# scale|avail|failover|domino` outputs, `chkcheck -quick`'s cell and check
-# totals, and the five benchmark workloads' sim_digest at seed 7 (benchmark/ is
+# scale|avail|failover|domino` outputs, `chkcheck -quick`'s and `-full`'s cell
+# and check totals, and the five benchmark workloads' sim_digest at seed 7 (benchmark/ is
 # built and run, never written) — and diff it against the committed file; a
 # mismatch prints the differing manifest lines. The quick section is a tier-1
 # test (TestIdentity under `go test ./...`). A change that means to move an

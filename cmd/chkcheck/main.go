@@ -12,7 +12,7 @@
 //	chkcheck -quick                   # CI sweep: all 12 schemes, plus the
 //	                                  # sharded-storage and coordinator-kill
 //	                                  # lattices
-//	chkcheck -full                    # overnight sweep: more apps/strata/seeds
+//	chkcheck -full                    # full sweep: more apps/strata/seeds
 //	chkcheck -cell 'APP/SCHEME#REP'   # reproduce one cell by its printed name
 //	chkcheck -parallel 8              # worker goroutines (default GOMAXPROCS)
 //	chkcheck -v                       # log every recovered cell
@@ -61,7 +61,7 @@ func run(args []string, out, errw io.Writer) (err error) {
 	fs := flag.NewFlagSet("chkcheck", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	quick := fs.Bool("quick", false, "run the CI sweep: 2 apps x 12 schemes x 4 strata x 4 seeds (the default)")
-	full := fs.Bool("full", false, "run the overnight sweep: 3 apps x 12 schemes x 6 strata x 8 seeds")
+	full := fs.Bool("full", false, "run the full sweep: 3 apps x 12 schemes x 6 strata x 8 seeds")
 	cell := fs.String("cell", "", "reproduce one cell by name, e.g. 'RING-256B-i40/Coord_NBM#5'")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the sweep (0 = GOMAXPROCS)")
 	verbose := fs.Bool("v", false, "log every recovered cell")

@@ -273,7 +273,7 @@ func schemeLine(name string, wl apps.Workload, interval sim.Duration) (string, e
 }
 
 // fullSectionIdentity is the slow half: the full-size tables and recovery
-// experiments, the oracle's quick sweep totals, and the benchmark workloads'
+// experiments, the oracle's quick and full sweep totals, and the benchmark workloads'
 // simulation digests at seed 7.
 func fullSectionIdentity() ([]string, error) {
 	r := bench.NewRunner(0, nil)
@@ -293,17 +293,24 @@ func fullSectionIdentity() ([]string, error) {
 		}
 		lines = append(lines, l)
 	}
-	var rep check.SweepReport
-	for _, sc := range []check.SweepConfig{check.QuickSweep(cfg), check.ShardSweep(cfg), check.FailoverSweep(cfg)} {
-		sr, err := check.Sweep(context.Background(), sc)
-		if err != nil {
-			return nil, err
+	// chkcheck's two modes: their own lattice, then the sharded-storage and
+	// coordinator-kill ones both modes run.
+	for _, mode := range []struct {
+		flag    string
+		lattice check.SweepConfig
+	}{{"-quick", check.QuickSweep(cfg)}, {"-full", check.FullSweep(cfg)}} {
+		var rep check.SweepReport
+		for _, sc := range []check.SweepConfig{mode.lattice, check.ShardSweep(cfg), check.FailoverSweep(cfg)} {
+			sr, err := check.Sweep(context.Background(), sc)
+			if err != nil {
+				return nil, err
+			}
+			rep.Cells += sr.Cells
+			rep.Checks += sr.Checks
+			rep.Recovered += sr.Recovered
 		}
-		rep.Cells += sr.Cells
-		rep.Checks += sr.Checks
-		rep.Recovered += sr.Recovered
+		lines = append(lines, fmt.Sprintf("chkcheck %s\tcells=%d recovered=%d checks=%d", mode.flag, rep.Cells, rep.Recovered, rep.Checks))
 	}
-	lines = append(lines, fmt.Sprintf("chkcheck -quick\tcells=%d recovered=%d checks=%d", rep.Cells, rep.Recovered, rep.Checks))
 	for _, wl := range []string{"paper-tables", "scale-256", "ckpt-bulk", "ckpt-inc", "oracle-recover"} {
 		out, err := exec.Command("bash", "benchmark/run.sh", "--workload", wl, "--seed", "7", "--seconds", "10", "--trace", "0").Output()
 		if err != nil {

@@ -61,7 +61,6 @@ func (r *Runner) MeasureBreakdown(ctx context.Context, cfg par.Config, wl apps.W
 			Interval:       interval,
 			MaxCheckpoints: ckpts,
 			Obs:            o,
-			Perf:           r.Perf,
 		})
 		if err != nil {
 			return Breakdown{}, err

@@ -189,11 +189,6 @@ func runFailover(wl apps.Workload, cfg par.Config, v ckpt.Variant, interval sim.
 	run := core.Start(wl, core.Config{Machine: cfg, Scheme: v, Interval: interval})
 	m, sch := run.M, run.Scheme
 
-	// The settle window gives the failure detector time to suspect, elect and
-	// resolve before the survivors are crashed for the full recovery; plain
-	// Coord_NB just stalls through it, which is the point of the comparison.
-	fo := ckpt.DefaultFailoverConfig()
-	settle := fo.Timeout + fo.ElectWait + 2*sim.Second
 	const repair = 500 * sim.Millisecond
 	var out failoverReport
 	var rep *ckpt.RecoveryReport
@@ -204,7 +199,11 @@ func runFailover(wl apps.Workload, cfg par.Config, v ckpt.Variant, interval sim.
 			out.CrashAt = m.Eng.Now()
 			out.RoundsAtCrash = sch.Stats().Rounds
 			m.CrashNode(node)
-			m.Eng.After(settle, func() {
+			// The settle window gives the failure detector time to suspect,
+			// elect and resolve before the survivors are crashed for the full
+			// recovery; plain Coord_NB just stalls through it, which is the
+			// point of the comparison.
+			m.Eng.After(ckpt.FailoverSettle, func() {
 				st := sch.Stats()
 				out.Elections = st.Elections
 				switch {

@@ -89,14 +89,6 @@ type Runner struct {
 	// recorded as each cell completes. The observer synchronizes internally.
 	Obs *obs.Observer
 
-	// Perf, when non-nil, arms host-side telemetry on every cell the runner
-	// measures (MeasureRows, MeasureBreakdown): each core.Run
-	// records one perf.RunSample into the collector. A sample's engine
-	// counters and phase times are its own at any parallelism; its MemStats
-	// and codec deltas are process-global, so they belong to that one cell
-	// only at Parallel == 1. nil (the default) costs nothing.
-	Perf *perf.Collector
-
 	mu      sync.Mutex
 	timings []CellTime
 }
@@ -246,7 +238,7 @@ func Cells[T any](ctx context.Context, r *Runner, cells []Cell, fn func(ctx cont
 func (r *Runner) normal(ctx context.Context, cfg par.Config, wl apps.Workload) (sim.Duration, error) {
 	base, err := Cells(ctx, r, []Cell{{App: wl.Name, Scheme: "normal"}},
 		func(context.Context, int, Cell) (core.Result, error) {
-			return core.Run(wl, core.Config{Machine: cfg, Perf: r.Perf})
+			return core.Run(wl, core.Config{Machine: cfg})
 		})
 	if err != nil {
 		return 0, err
@@ -269,7 +261,7 @@ func (r *Runner) MeasureRows(ctx context.Context, cfg par.Config, wls []apps.Wor
 		baseCells[i] = Cell{App: wl.Name, Scheme: "normal"}
 	}
 	rows, err := Cells(ctx, r, baseCells, func(_ context.Context, i int, _ Cell) (Row, error) {
-		base, err := core.Run(wls[i], core.Config{Machine: cfg, Perf: r.Perf})
+		base, err := core.Run(wls[i], core.Config{Machine: cfg})
 		if err != nil {
 			return Row{}, err
 		}
@@ -308,7 +300,6 @@ func (r *Runner) MeasureRows(ctx context.Context, cfg par.Config, wls []apps.Wor
 			Scheme:         v,
 			Interval:       rows[wi].Interval,
 			MaxCheckpoints: ckpts,
-			Perf:           r.Perf,
 		})
 		if err != nil {
 			return schemeOut{}, err // ForEach adds the cell name and seed

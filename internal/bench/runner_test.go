@@ -20,6 +20,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/perf"
+	"repro/internal/sim"
 )
 
 // goldenWorkloads is the reduced matrix used by the equality tests: one
@@ -265,35 +266,43 @@ func TestWallQuantiles(t *testing.T) {
 
 // TestRunPerfQuickMatrix runs a small armed matrix — SOR and TSP under the
 // coordinated staggered and fault-tolerant, independent, incremental and CIC
-// schemes, plus one 64-node/4-server sharded-storage cell — through a serial
-// runner whose Perf collector is armed, and checks that every simulation was
+// schemes, plus one 64-node/4-server sharded-storage cell — one simulation at
+// a time with core.Config.Perf armed, and checks that every simulation was
 // sampled with live telemetry. It also checks the armed runs leave no
 // goroutines behind: the collector is passive (no background flusher) and
 // every simulated machine's daemons are reaped by Shutdown.
 func TestRunPerfQuickMatrix(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ctx := context.Background()
+	collector := perf.NewCollector()
+	// measure runs wl failure-free and then under each scheme with ckpts
+	// checkpoints, as MeasureRows does, every run sampled by the collector.
+	measure := func(cfg par.Config, wl apps.Workload, schemes []ckpt.Variant, ckpts int) {
+		base, err := core.Run(wl, core.Config{Machine: cfg, Perf: collector})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range schemes {
+			if _, err := core.Run(wl, core.Config{Machine: cfg, Scheme: v,
+				Interval: base.Exec / sim.Duration(ckpts+1), MaxCheckpoints: ckpts, Perf: collector}); err != nil {
+				t.Fatalf("%s/%v: %v", wl.Name, v, err)
+			}
+		}
+	}
 	cfg := par.DefaultConfig()
-
-	r := NewRunner(1, nil)
-	r.Perf = perf.NewCollector()
 	wls := []apps.Workload{
 		apps.SORWorkload(apps.DefaultSOR(64, 30)),
 		apps.TSPWorkload(apps.TSPConfig{Cities: 10, Seed: 0x75b, OpsPerNode: 400}),
 	}
 	schemes := []ckpt.Variant{ckpt.CoordNBMS, ckpt.CoordNBFT, ckpt.Indep, ckpt.IndepInc, ckpt.CICM}
-	if _, err := r.MeasureRows(ctx, cfg, wls, schemes, 3); err != nil {
-		t.Fatal(err)
+	for _, wl := range wls {
+		measure(cfg, wl, schemes, 3)
 	}
 	cell := ScaleCell{MeshW: 8, MeshH: 8, Servers: 4}
-	if _, err := r.MeasureRows(ctx, scaleConfig(cfg, cell),
-		[]apps.Workload{scaleWorkload(cell.Nodes())}, []ckpt.Variant{ckpt.CoordNB}, 2); err != nil {
-		t.Fatal(err)
-	}
+	measure(scaleConfig(cfg, cell), scaleWorkload(cell.Nodes()), []ckpt.Variant{ckpt.CoordNB}, 2)
 
 	// One sample per simulation: each workload's fault-free baseline plus
 	// every scheme, and the scaling cell's baseline plus its one scheme.
-	samples := r.Perf.Samples()
+	samples := collector.Samples()
 	if want := len(wls)*(1+len(schemes)) + 2; len(samples) != want {
 		t.Fatalf("collector recorded %d samples, want %d", len(samples), want)
 	}
@@ -304,7 +313,7 @@ func TestRunPerfQuickMatrix(t *testing.T) {
 		}
 		enc += s.EncBytes
 	}
-	// Serial run: the scheme cells moved checkpoint images through the codec.
+	// Serial runs: the scheme cells moved checkpoint images through the codec.
 	if enc <= 0 {
 		t.Fatalf("codec encode counter never moved over %d samples", len(samples))
 	}

@@ -96,7 +96,6 @@ func scaleConfig(cfg par.Config, c ScaleCell) par.Config {
 	cc := cfg
 	cc.Fabric.Topo = nil
 	cc.Fabric.MeshW, cc.Fabric.MeshH = c.MeshW, c.MeshH
-	cc.Fabric.HostAttaches = nil
 	cc.StorageServers = c.Servers
 	cc.CkptImageBytes = scaleImageBytes
 	return cc

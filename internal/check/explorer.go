@@ -72,9 +72,9 @@ func QuickSweep(cfg par.Config) SweepConfig {
 	}
 }
 
-// FullSweep is the overnight matrix: more workloads (including a larger
-// state footprint, which shifts checkpoint timing and storage contention),
-// more strata, more seeds — 3 x 12 x 6 x 8 = 1728 cells.
+// FullSweep is the full matrix: more workloads (including a larger state
+// footprint, which shifts checkpoint timing and storage contention), more
+// strata, more seeds — 3 workloads x 12 schemes x 6 strata x 8 seeds.
 func FullSweep(cfg par.Config) SweepConfig {
 	return SweepConfig{
 		Cfg: cfg,

@@ -201,9 +201,6 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 		// dependency-graph invariants.
 		opt.Spread = interval / sim.Duration(2*n)
 	}
-	if spec.Scheme.Failover() {
-		opt.Failover = ckpt.DefaultFailoverConfig()
-	}
 	if spec.KillPhase == "" {
 		res.CrashAt = crashPoint(spec, b.exec)
 	}
@@ -340,8 +337,6 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 // fires, the cell degrades to a fault-free equivalence check.
 func (o *Oracle) armCoordKill(m *par.Machine, spec CellSpec, res *CellResult,
 	interval sim.Duration, recoverAll func()) {
-	fo := ckpt.DefaultFailoverConfig()
-	settle := fo.Timeout + fo.ElectWait + 2*sim.Second
 	var jitter sim.Duration
 	if spec.KillPhase == "round" || spec.KillPhase == "commit" {
 		jitter = interval / 4
@@ -357,7 +352,7 @@ func (o *Oracle) armCoordKill(m *par.Machine, spec CellSpec, res *CellResult,
 			m.Obs.Add(node, "check.crashes", 1)
 			m.CrashNode(node)
 			res.Recovered = true
-			m.Eng.After(settle, func() {
+			m.Eng.After(ckpt.FailoverSettle, func() {
 				m.CrashAll()
 				recoverAll()
 			})

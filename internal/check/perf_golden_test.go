@@ -3,22 +3,24 @@ package check
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/perf"
 )
 
 // TestArmedPerfTelemetryGoldenTables is the determinism guarantee of the
 // host-telemetry layer (the armed counterpart of the disarmed-oracle golden
-// test above): a benchmark matrix measured with a live perf.Collector —
-// phase clocks running, MemStats sampled, codec byte counters latched on for
-// the whole process — renders Tables 1–3 byte-identical to the plain
-// pipeline. The collector only ever reads host clocks and host counters, so
-// it must not move a single virtual-time measurement.
+// test above): the Table 1 matrix run with a live perf.Collector on every
+// simulation — phase clocks running, MemStats sampled, codec byte counters
+// latched on for the whole process, cells fanned over a parallel runner so
+// the collector is shared concurrently — yields results deeply equal to the
+// plain runs, so the tables they render are byte-identical. The collector
+// only ever reads host clocks and host counters, so it must not move a
+// single virtual-time measurement.
 func TestArmedPerfTelemetryGoldenTables(t *testing.T) {
 	cfg := par.DefaultConfig()
 	var wls []apps.Workload
@@ -30,34 +32,53 @@ func TestArmedPerfTelemetryGoldenTables(t *testing.T) {
 		wls = append(wls, wl)
 	}
 	const ckpts = 3
+	schemes := bench.Table1Schemes
 
-	measure := func(collector *perf.Collector) string {
-		r := bench.NewRunner(0, nil)
-		r.Perf = collector
-		rows, err := r.MeasureRows(context.Background(), cfg, wls, bench.Table1Schemes, ckpts)
+	// measure runs every workload failure-free, then under every scheme at
+	// the tables' interval, and returns the results baselines first.
+	measure := func(collector *perf.Collector) []core.Result {
+		ctx, r := context.Background(), bench.NewRunner(0, nil)
+		baseCells := make([]bench.Cell, len(wls))
+		var cells []bench.Cell
+		for i, wl := range wls {
+			baseCells[i] = bench.Cell{App: wl.Name, Scheme: "normal"}
+			for _, v := range schemes {
+				cells = append(cells, bench.Cell{App: wl.Name, Scheme: v.String()})
+			}
+		}
+		base, err := bench.Cells(ctx, r, baseCells, func(_ context.Context, i int, _ bench.Cell) (core.Result, error) {
+			return core.Run(wls[i], core.Config{Machine: cfg, Perf: collector})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sb strings.Builder
-		bench.WriteTable1(&sb, rows)
-		bench.WriteTable2(&sb, rows)
-		bench.WriteTable3(&sb, rows)
-		return sb.String()
+		runs, err := bench.Cells(ctx, r, cells, func(_ context.Context, i int, _ bench.Cell) (core.Result, error) {
+			wi := i / len(schemes)
+			return core.Run(wls[wi], core.Config{Machine: cfg, Scheme: schemes[i%len(schemes)],
+				Interval: base[wi].Exec / (ckpts + 1), MaxCheckpoints: ckpts, Perf: collector})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(base, runs...)
 	}
 
 	plain := measure(nil)
 	armed := perf.NewCollector()
-	instrumented := measure(armed)
-	if plain != instrumented {
-		t.Errorf("Tables 1-3 differ under armed perf telemetry:\n--- plain ---\n%s\n--- armed ---\n%s",
-			plain, instrumented)
+	if instrumented := measure(armed); !reflect.DeepEqual(plain, instrumented) {
+		for i := range plain {
+			if !reflect.DeepEqual(plain[i], instrumented[i]) {
+				t.Errorf("%s under %s differs under armed perf telemetry:\nplain %+v\narmed %+v",
+					plain[i].Workload, plain[i].Scheme, plain[i], instrumented[i])
+			}
+		}
 	}
 
 	// The telemetry must actually have measured the runs it rode along on:
 	// one sample per simulation (baselines included), each with live engine
 	// counters and a positive wall clock.
 	samples := armed.Samples()
-	wantRuns := len(wls) * (1 + len(bench.Table1Schemes)) // baseline + each scheme
+	wantRuns := len(wls) * (1 + len(schemes)) // baseline + each scheme
 	if len(samples) != wantRuns {
 		t.Fatalf("collector recorded %d samples, want %d", len(samples), wantRuns)
 	}

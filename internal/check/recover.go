@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
-	"repro/internal/fabric"
 	"repro/internal/mp"
 	"repro/internal/par"
 	"repro/internal/rdg"
@@ -134,7 +133,7 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 		// the restored sender has sent but the restored receiver has not
 		// consumed. The original piggybacks ride along, so the induced
 		// forcing rule reacts to a replayed message exactly as the original.
-		injected := 0
+		inTransit := make([][]*mp.Message, n) // by receiver, senders in rank order
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
 				sent := len(h.sends[src][dst])
@@ -145,19 +144,17 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 					continue
 				}
 				for _, mc := range h.sends[src][dst][consumed:sent] {
-					m.Nodes[dst].AppBox.Put(&fabric.Envelope{
-						Src: fabric.NodeID(src), Dst: fabric.NodeID(dst),
-						Port: par.PortApp, Inc: m.Epoch,
-						Payload: &mp.Message{Src: src, Tag: mc.Tag, Data: mc.Data, Meta: mc.Meta},
-					})
-					injected++
+					inTransit[dst] = append(inTransit[dst], &mp.Message{Src: src, Tag: mc.Tag, Data: mc.Data, Meta: mc.Meta})
 				}
 			}
 		}
+		injected := 0
+		for dst, msgs := range inTransit {
+			ckpt.RestoreInTransit(m, dst, msgs)
+			injected += len(msgs)
+		}
 		m.Obs.Add(0, "check.replayed_msgs", int64(injected))
-		// 5. Relaunch. Every injection preceded every launch at one virtual
-		// instant, so replayed messages keep their FIFO position ahead of
-		// anything the new incarnation sends.
+		// 5. Relaunch.
 		for rank := 0; rank < n; rank++ {
 			env := w.Launch(rank, progs[rank])
 			if line[rank] > 0 && len(libs[rank]) > 0 {

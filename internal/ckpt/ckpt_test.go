@@ -396,6 +396,110 @@ func TestRecoveryBeforeFirstCommitRestartsFromScratch(t *testing.T) {
 	}
 }
 
+// seqSource streams 0..N-1 to rank 1, much faster than rank 1 consumes, so
+// the flow-control window is always full: every round finds messages in
+// transit on the 0->1 channel.
+type seqSource struct{ N, Sent int }
+
+func (s *seqSource) Run(e *mp.Env) {
+	for s.Sent < s.N {
+		w := codec.NewWriter()
+		w.Int(s.Sent)
+		e.Send(1, 3, w.Bytes())
+		s.Sent++
+		e.Compute(1e4)
+	}
+}
+func (s *seqSource) Snapshot() []byte { w := codec.NewWriter(); w.Int(s.Sent); return w.Bytes() }
+func (s *seqSource) Restore(b []byte) { s.Sent = codec.NewReader(b).Int() }
+
+// seqSink consumes rank 0's stream slowly and counts the messages that did
+// not arrive in send order. Its padding makes its checkpoint by far the
+// largest, so its restore is the last to finish.
+type seqSink struct {
+	N, Got, OutOfOrder int
+	pad                []byte
+}
+
+func (s *seqSink) Run(e *mp.Env) {
+	for s.Got < s.N {
+		if codec.NewReader(e.Recv(0, 3).Data).Int() != s.Got {
+			s.OutOfOrder++
+		}
+		s.Got++
+		e.Compute(2e6)
+	}
+}
+func (s *seqSink) Snapshot() []byte {
+	w := codec.NewWriter()
+	w.Int(s.Got)
+	w.Int(s.OutOfOrder)
+	w.Bytes8(s.pad)
+	return w.Bytes()
+}
+func (s *seqSink) Restore(b []byte) {
+	r := codec.NewReader(b)
+	s.Got, s.OutOfOrder, s.pad = r.Int(), r.Int(), r.Bytes8()
+}
+
+// TestRecoveryRequeuesChannelLogAheadOfNewTraffic: after a coordinated
+// recovery, rank 0 — restored from a tiny checkpoint — is relaunched and
+// sends to rank 1 while rank 1 is still reading its large checkpoint back.
+// The logged in-transit messages rank 1 restores afterwards were sent before
+// that new message, so rank 1 must consume them first: the 0->1 channel is
+// consumed in send order end to end.
+func TestRecoveryRequeuesChannelLogAheadOfNewTraffic(t *testing.T) {
+	const n = 60
+	m := par.NewMachine(par.DefaultConfig())
+	defer m.Shutdown()
+	opt := Options{Interval: 2 * sim.Second}
+	sch := New(CoordNB, opt)
+	sch.Attach(m)
+	w := mp.NewWorld(m)
+	factory := func(rank int) mp.Program {
+		switch rank {
+		case 0:
+			return &seqSource{N: n}
+		case 1:
+			return &seqSink{N: n, pad: make([]byte, 1<<20)}
+		}
+		return idleProg{}
+	}
+	for rank := range m.Nodes {
+		w.Launch(rank, factory(rank))
+	}
+	var w2 *mp.World
+	var rep *RecoveryReport
+	var firstSend sim.Time // the relaunched rank 0's first message to rank 1
+	sch.SetCommitHook(func([]Record) {
+		sch.SetCommitHook(nil)
+		m.Eng.After(sim.Second, func() { // the crash: round 1 is the one restored
+			m.CrashAll()
+			m.Eng.After(100*sim.Millisecond, func() {
+				w2, rep = Recover(m, CoordNB, opt, factory)
+				w2.OnSend = func(src, dst int, _ *mp.Message) {
+					if src == 0 && dst == 1 && firstSend == 0 {
+						firstSend = m.Eng.Now()
+					}
+				}
+			})
+		})
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rep == nil || !rep.Done.Opened() || rep.Round < 1 || rep.ChanMsgs == 0 {
+		t.Fatalf("want a recovery from a committed round with a logged 0->1 channel, got %+v", rep)
+	}
+	if firstSend == 0 || firstSend >= rep.CompletedAt {
+		t.Fatalf("rank 0 first sent at %v, rank 1 relaunched at %v: the race this test needs did not happen", firstSend, rep.CompletedAt)
+	}
+	sink := w2.Envs[1].Node().Snap.(*seqSink)
+	if sink.Got != n || sink.OutOfOrder != 0 {
+		t.Fatalf("rank 1 consumed %d of %d messages, %d out of send order", sink.Got, n, sink.OutOfOrder)
+	}
+}
+
 func TestSchemeDeterminism(t *testing.T) {
 	for _, v := range []Variant{CoordNB, CoordNBMS, Indep, IndepM} {
 		run := func() sim.Time {

@@ -64,7 +64,6 @@ type coordinated struct {
 	// coordID is the acting coordinator's rank: 0 until a takeover, the
 	// elected successor after one. preAcks collects the pre-commit phase's
 	// confirmations; electAcks the survivors' votes during an election.
-	fo        *FailoverConfig
 	coordID   int
 	preAcks   map[int]bool
 	electAcks map[int]msgElectAck
@@ -117,8 +116,7 @@ func (s *coordinated) Attach(m *par.Machine) {
 		}
 		s.nodes[nodeID].onAppExit()
 	})
-	if s.v.Failover() && s.opt.Failover != nil {
-		s.fo = s.opt.Failover
+	if s.v.Failover() {
 		s.armFailover()
 	}
 	m.Eng.After(s.opt.firstAt(), s.startRound)
@@ -164,11 +162,7 @@ func (s *coordinated) initiateRound(round int) {
 	s.pending = nil
 	s.roundSpan = s.m.Obs.Start(0, obs.TidCoord, "ckpt.round").WithArg("round", int64(round))
 	s.m.Obs.Add(0, "ckpt.marker_rounds", 1)
-	coord := s.m.Nodes[s.coordID]
-	for i := range s.nodes {
-		s.proto(1)
-		coord.Send(nil, fabric.NodeID(i), par.PortDaemon, msgCkptReq{Round: round, Attempt: s.attempt}, sizeCtl)
-	}
+	s.broadcast(s.coordID, msgCkptReq{Round: round, Attempt: s.attempt})
 	s.m.NotePhase("round", round)
 }
 
@@ -199,11 +193,7 @@ func (s *coordinated) abortRound() {
 	s.round = s.committedRound
 	s.retryPending = true
 	s.abortStreak++
-	coord := s.m.Nodes[s.coordID]
-	for i := range s.nodes {
-		s.proto(1)
-		coord.Send(nil, fabric.NodeID(i), par.PortDaemon, msgAbort{Round: round, Attempt: attempt}, sizeCtl)
-	}
+	s.broadcast(s.coordID, msgAbort{Round: round, Attempt: attempt})
 	s.m.Eng.After(s.m.Backoff(s.abortStreak), func() {
 		s.retryPending = false
 		if s.stopped {
@@ -216,6 +206,16 @@ func (s *coordinated) abortRound() {
 func (s *coordinated) proto(n int) {
 	s.stats.ProtoMsgs += int64(n)
 	s.stats.ProtoBytes += int64(n * sizeCtl)
+}
+
+// broadcast sends one control message from rank from to every node's daemon,
+// itself included, in rank order.
+func (s *coordinated) broadcast(from int, msg any) {
+	coord := s.m.Nodes[from]
+	for i := range s.nodes {
+		s.proto(1)
+		coord.Send(nil, fabric.NodeID(i), par.PortDaemon, msg, sizeCtl)
+	}
 }
 
 // onAck runs at the coordinator when a node's ack arrives.
@@ -261,11 +261,7 @@ func (s *coordinated) commitRound(round, attempt int) {
 	if s.commitHook != nil {
 		s.commitHook(committed)
 	}
-	coord := s.m.Nodes[s.coordID]
-	for i := range s.nodes {
-		s.proto(1)
-		coord.Send(nil, fabric.NodeID(i), par.PortDaemon, msgCommit{Round: round, Attempt: attempt}, sizeCtl)
-	}
+	s.broadcast(s.coordID, msgCommit{Round: round, Attempt: attempt})
 	s.m.NotePhase("commit", round)
 	if s.pendingStart {
 		s.pendingStart = false

@@ -26,9 +26,9 @@ package ckpt
 //     finds nothing in flight and only installs the successor's heartbeat.
 //
 // Election is deterministic under the repo's seeded-sim discipline: rank r
-// suspects after r*Timeout of heartbeat silence, so the lowest surviving
-// rank always announces first and its announcement resets every higher
-// rank's silence clock. There is no wall-clock randomness anywhere.
+// suspects after r*suspicionTimeout of heartbeat silence, so the lowest
+// surviving rank always announces first and its announcement resets every
+// higher rank's silence clock. There is no wall-clock randomness anywhere.
 //
 // A successor only resolves the interrupted round; it never initiates new
 // ones (see startRound): the failed coordinator's node cannot participate
@@ -42,6 +42,29 @@ import (
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
+
+// Failover timing, in virtual time. Heartbeats come well inside the
+// suspicion bound, so checkpoint-burst queueing cannot fake a death, and the
+// vote window covers several control-message round trips.
+const (
+	heartbeatEvery = 250 * sim.Millisecond // the acting coordinator's heartbeat period
+	// suspicionTimeout is the base heartbeat-silence bound: rank r suspects
+	// the coordinator after r*suspicionTimeout of silence, so suspicion is
+	// staggered in rank order and the lowest surviving rank always wins the
+	// election (its takeover announcement resets every higher rank's clock).
+	suspicionTimeout = 1500 * sim.Millisecond
+	// electWait is how long an elected successor collects election acks
+	// before resolving the in-flight round.
+	electWait = 500 * sim.Millisecond
+)
+
+// FailoverSettle bounds how long the fault-tolerant variants take to resolve
+// a round after the coordinator dies: rank 1's suspicion deadline, the
+// election's vote window, and slack for the successor's round-record write.
+// A driver that kills the coordinator and then restarts the whole machine
+// waits this long in between, so the restart sees whatever the successor
+// decided.
+const FailoverSettle = suspicionTimeout + electWait + 2*sim.Second
 
 // armFailover starts the coordinator-liveness machinery: the rank-0
 // heartbeat and every other rank's silence monitor. All timers are engine
@@ -76,9 +99,9 @@ func (s *coordinated) armHeartbeat(rank int) {
 			s.proto(1)
 			node.Send(nil, fabric.NodeID(i), par.PortDaemon, msgHeartbeat{From: rank}, sizeCtl)
 		}
-		s.m.Eng.After(s.fo.HeartbeatEvery, tick)
+		s.m.Eng.After(heartbeatEvery, tick)
 	}
-	s.m.Eng.After(s.fo.HeartbeatEvery, tick)
+	s.m.Eng.After(heartbeatEvery, tick)
 }
 
 // onHeartbeat records coordinator liveness; a beat from a newer coordinator
@@ -90,11 +113,11 @@ func (cn *coordNode) onHeartbeat(from int) {
 
 // armMonitor measures heartbeat silence at this rank. The next check is
 // always scheduled for the instant silence would reach the rank's deadline,
-// so detection latency is exactly rank*Timeout after the last beat.
+// so detection latency is exactly rank*suspicionTimeout after the last beat.
 func (cn *coordNode) armMonitor() {
 	s := cn.s
 	epoch := s.m.Epoch
-	deadline := s.fo.Timeout * sim.Duration(cn.n.ID)
+	deadline := suspicionTimeout * sim.Duration(cn.n.ID)
 	cn.lastBeat = s.m.Eng.Now()
 	var check func()
 	check = func() {
@@ -112,16 +135,16 @@ func (cn *coordNode) armMonitor() {
 }
 
 // startElection makes this rank the acting coordinator: announce the
-// takeover, collect the survivors' votes for ElectWait, then resolve the
+// takeover, collect the survivors' votes for electWait, then resolve the
 // in-flight round. recheck re-arms the monitor when the suspicion turns out
-// spurious (the coordinator is alive — mistimed config, surfaced as a
+// spurious (the coordinator is alive — mistimed constants, surfaced as a
 // counter so tests can pin it at zero).
 func (cn *coordNode) startElection(recheck func()) {
 	s := cn.s
 	if s.m.Nodes[s.coordID].Alive {
 		s.m.Obs.Add(cn.n.ID, "ckpt.spurious_suspicion", 1)
 		cn.lastBeat = s.m.Eng.Now()
-		s.m.Eng.After(s.fo.Timeout*sim.Duration(cn.n.ID), recheck)
+		s.m.Eng.After(suspicionTimeout*sim.Duration(cn.n.ID), recheck)
 		return
 	}
 	s.stats.Elections++
@@ -144,7 +167,7 @@ func (cn *coordNode) startElection(recheck func()) {
 		cn.n.Send(nil, fabric.NodeID(i), par.PortDaemon, msgElect{From: cn.n.ID}, sizeCtl)
 	}
 	rank := cn.n.ID
-	s.m.Eng.After(s.fo.ElectWait, func() { s.resolveTakeover(rank) })
+	s.m.Eng.After(electWait, func() { s.resolveTakeover(rank) })
 	s.armHeartbeat(rank)
 }
 
@@ -252,11 +275,7 @@ func (s *coordinated) writeMetaJob(coordID, round, attempt int, adopted bool) {
 // confirms; the round record is written only once every confirmation is in.
 func (s *coordinated) preCommitRound(round, attempt int) {
 	s.preAcks = make(map[int]bool)
-	coord := s.m.Nodes[s.coordID]
-	for i := range s.nodes {
-		s.proto(1)
-		coord.Send(nil, fabric.NodeID(i), par.PortDaemon, msgPreCommit{Round: round, Attempt: attempt}, sizeCtl)
-	}
+	s.broadcast(s.coordID, msgPreCommit{Round: round, Attempt: attempt})
 	s.m.NotePhase("precommit", round)
 }
 
@@ -294,9 +313,5 @@ func (s *coordinated) failoverAbort(rank, round, attempt int) {
 	s.commitBusy = false
 	s.preAcks = nil
 	s.round = s.committedRound
-	coord := s.m.Nodes[rank]
-	for i := range s.nodes {
-		s.proto(1)
-		coord.Send(nil, fabric.NodeID(i), par.PortDaemon, msgAbort{Round: round, Attempt: attempt}, sizeCtl)
-	}
+	s.broadcast(rank, msgAbort{Round: round, Attempt: attempt})
 }

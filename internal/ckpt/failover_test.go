@@ -17,7 +17,7 @@ import (
 func TestFailoverVariantsCommitWithoutCrash(t *testing.T) {
 	for _, v := range []Variant{CoordNBFT, CoordNBFTInc} {
 		t.Run(v.String(), func(t *testing.T) {
-			opt := Options{Interval: 2 * sim.Second, Failover: DefaultFailoverConfig()}
+			opt := Options{Interval: 2 * sim.Second}
 			m, _, sch := runRing(t, v, opt, 500, 100_000)
 			st := sch.Stats()
 			if st.Rounds < 2 {
@@ -38,7 +38,7 @@ func TestFailoverVariantsCommitWithoutCrash(t *testing.T) {
 // detector: heartbeats, monitors and the pre-commit phase are pure engine
 // events, so two identical runs finish at the identical virtual instant.
 func TestFailoverDeterminism(t *testing.T) {
-	opt := Options{Interval: 2 * sim.Second, Failover: DefaultFailoverConfig()}
+	opt := Options{Interval: 2 * sim.Second}
 	run := func() sim.Time {
 		m, _, _ := runRing(t, CoordNBFT, opt, 150, 80_000)
 		return m.AppsFinished
@@ -57,8 +57,7 @@ func runRingCoordKill(t *testing.T, v Variant, phase string) (*par.Machine, Sche
 	t.Helper()
 	m := par.NewMachine(par.DefaultConfig())
 	t.Cleanup(m.Shutdown)
-	fo := DefaultFailoverConfig()
-	sch := New(v, Options{Interval: 2 * sim.Second, Failover: fo})
+	sch := New(v, Options{Interval: 2 * sim.Second})
 	sch.Attach(m)
 	fired := false
 	m.PhaseHook = func(ph string, round int) {
@@ -67,8 +66,7 @@ func runRingCoordKill(t *testing.T, v Variant, phase string) (*par.Machine, Sche
 		}
 		fired = true
 		m.CrashNode(0)
-		settle := fo.Timeout + fo.ElectWait + 2*sim.Second
-		m.Eng.After(settle, func() {
+		m.Eng.After(FailoverSettle, func() {
 			if m.AppsLive() > 0 {
 				m.CrashAll()
 			}
@@ -186,8 +184,7 @@ func TestFailoverTimersReapedByShutdown(t *testing.T) {
 	func() {
 		m := par.NewMachine(par.DefaultConfig())
 		defer m.Shutdown()
-		fo := DefaultFailoverConfig()
-		sch := New(CoordNBFT, Options{Interval: 2 * sim.Second, Failover: fo})
+		sch := New(CoordNBFT, Options{Interval: 2 * sim.Second})
 		sch.Attach(m)
 		killed := false
 		m.PhaseHook = func(ph string, round int) {
@@ -196,10 +193,10 @@ func TestFailoverTimersReapedByShutdown(t *testing.T) {
 			}
 			killed = true
 			m.CrashNode(0)
-			// Crash the survivors mid-election, before ElectWait resolves:
+			// Crash the survivors mid-election, before electWait resolves:
 			// the pending resolution and every heartbeat/monitor timer must
 			// still quiesce.
-			m.Eng.After(fo.Timeout+fo.ElectWait/2, func() {
+			m.Eng.After(suspicionTimeout+electWait/2, func() {
 				if m.AppsLive() > 0 {
 					m.CrashAll()
 				}

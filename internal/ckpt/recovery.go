@@ -98,12 +98,7 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 						}
 					}
 					// A missing channel log means the channel was empty.
-					for _, msg := range msgs {
-						node.AppBox.Put(&fabric.Envelope{
-							Src: fabric.NodeID(msg.Src), Dst: fabric.NodeID(rank),
-							Port: par.PortApp, Inc: m.Epoch, Payload: msg,
-						})
-					}
+					RestoreInTransit(m, rank, msgs)
 					rep.ChanMsgs += len(msgs)
 				}
 				rsp.End()
@@ -118,4 +113,23 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 		}
 	})
 	return w, rep
+}
+
+// RestoreInTransit hands rank's logged in-transit messages back to its
+// application in the order given, ahead of anything delivered to the rank
+// since its restart: work in flight at the capture is re-driven before
+// anything new. Both recovery drivers restore channel state through it. The
+// ordering matters because ranks restore concurrently — a peer relaunched
+// from a small checkpoint can reach this rank's mailbox before the rank has
+// read its own log back, and a logged message queued behind that arrival
+// would be consumed out of its channel's order.
+func RestoreInTransit(m *par.Machine, rank int, msgs []*mp.Message) {
+	envs := make([]*fabric.Envelope, len(msgs))
+	for i, msg := range msgs {
+		envs[i] = &fabric.Envelope{
+			Src: fabric.NodeID(msg.Src), Dst: fabric.NodeID(rank),
+			Port: par.PortApp, Inc: m.Epoch, Payload: msg,
+		}
+	}
+	m.Nodes[rank].AppBox.PutFront(envs)
 }

@@ -103,7 +103,7 @@ type Variant struct {
 	// every rank's files are durable and a successor coordinator can
 	// deterministically finish the round, while a round nobody pre-committed
 	// provably has no durable round record and aborts cleanly. Paired with
-	// Options.Failover's heartbeat/timeout election (rank-order succession,
+	// the heartbeat/timeout election it always arms (rank-order succession,
 	// no wall-clock randomness) it survives the coordinator dying mid-round.
 	ThreePhase bool
 	// SenderLog adds sender-based message logging (the paper's §1 fix for
@@ -195,8 +195,8 @@ func VariantNames() []string {
 func (v Variant) Coordinated() bool { return v.Driver == DriverRounds }
 
 // Failover reports whether the variant runs the fault-tolerant coordinated
-// protocol: a pre-commit phase plus (when Options.Failover is set) heartbeat
-// monitoring and coordinator election.
+// protocol: a pre-commit phase plus heartbeat monitoring and coordinator
+// election.
 func (v Variant) Failover() bool { return v.ThreePhase }
 
 // MemBuffered reports whether the variant uses main-memory checkpointing.
@@ -250,47 +250,6 @@ type Options struct {
 	// checkpoint would be a correctness bug even though the path is free
 	// again. Ignored by coordinated schemes (they continue via StartRound).
 	StartIndices []int
-
-	// Failover arms heartbeat monitoring and coordinator election on the
-	// fault-tolerant coordinated variants (Variant.Failover). Nil — the
-	// default — disables the daemon side entirely: the variants still run
-	// their pre-commit phase, but no heartbeat or election timer is ever
-	// scheduled, so a run without coordinator crashes is unperturbed by the
-	// machinery that would survive one. Ignored by every other variant.
-	Failover *FailoverConfig
-}
-
-// FailoverConfig parameterizes the fault-tolerant coordinated variants'
-// coordinator-liveness machinery. All periods are virtual time — succession
-// is deterministic under the repo's seeded-sim discipline, with no
-// wall-clock randomness.
-type FailoverConfig struct {
-	// HeartbeatEvery is the acting coordinator's heartbeat period.
-	HeartbeatEvery sim.Duration
-
-	// Timeout is the base heartbeat-silence bound. Rank r suspects the
-	// coordinator after r*Timeout of silence, so suspicion is staggered in
-	// rank order and the lowest surviving rank always wins the election
-	// (its takeover announcement resets every higher rank's silence clock).
-	Timeout sim.Duration
-
-	// ElectWait is how long an elected successor collects election acks
-	// (each survivor's round/attempt, acked and pre-committed flags) before
-	// resolving the in-flight round: completing it if any participant
-	// pre-committed, aborting it otherwise.
-	ElectWait sim.Duration
-}
-
-// DefaultFailoverConfig returns the failover timing the correctness oracle
-// and the E15 experiment arm: heartbeats comfortably inside the suspicion
-// bound (so checkpoint-burst queueing cannot fake a death), and an election
-// window that covers several control-message round trips.
-func DefaultFailoverConfig() *FailoverConfig {
-	return &FailoverConfig{
-		HeartbeatEvery: 250 * sim.Millisecond,
-		Timeout:        1500 * sim.Millisecond,
-		ElectWait:      500 * sim.Millisecond,
-	}
 }
 
 func (o Options) firstAt() sim.Duration {
@@ -497,7 +456,7 @@ type (
 	// msgElectAck is a survivor's answer to msgElect: its view of the
 	// in-flight round, whether it acked (own files durable) and whether it
 	// saw pre-commit (everyone's files durable). The successor resolves the
-	// round from these votes after FailoverConfig.ElectWait.
+	// round from these votes after electWait.
 	msgElectAck struct {
 		From         int
 		Round        int

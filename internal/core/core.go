@@ -35,18 +35,9 @@ type Config struct {
 	FirstAt        sim.Duration
 	MaxCheckpoints int
 
-	// Failover tunes the fault-tolerant coordinated variants' failure
-	// detector (heartbeat cadence, rank-staggered suspicion timeout,
-	// election vote window). Nil picks ckpt.DefaultFailoverConfig when the
-	// scheme is a failover variant and is ignored otherwise.
-	Failover *ckpt.FailoverConfig
-
 	// Spread staggers the local-timer schemes' first checkpoints: rank k's
 	// timer first fires at FirstAt + k*Spread (ckpt.Options.Spread).
 	Spread sim.Duration
-
-	// SkipCheck disables result verification against the workload oracle.
-	SkipCheck bool
 
 	// Obs, when non-nil, collects metrics, phase spans and trace events for
 	// the run. The default (nil) disables all instrumentation at zero cost
@@ -155,10 +146,6 @@ func Start(wl apps.Workload, cfg Config) *Launched {
 			FirstAt:        cfg.FirstAt,
 			MaxCheckpoints: cfg.MaxCheckpoints,
 			Spread:         cfg.Spread,
-			Failover:       cfg.Failover,
-		}
-		if s.Options.Failover == nil && cfg.Scheme.Failover() {
-			s.Options.Failover = ckpt.DefaultFailoverConfig()
 		}
 		s.Scheme = ckpt.New(cfg.Scheme, s.Options)
 		cfg.Obs.SetScheme(s.Scheme.Name())
@@ -190,7 +177,7 @@ func (s *Launched) Finish() (Result, error) {
 	}
 	m.CollectPerf(ps)
 	ps.EndSim()
-	if !cfg.SkipCheck && wl.Check != nil {
+	if wl.Check != nil {
 		progs := make([]mp.Program, m.NumNodes())
 		for rank, n := range m.Nodes {
 			prog, ok := n.Snap.(mp.Program)

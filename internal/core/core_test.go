@@ -49,12 +49,6 @@ func TestRunSurfacesOracleFailure(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "verification failed") {
 		t.Fatalf("err = %v", err)
 	}
-	// SkipCheck must bypass the failing oracle.
-	cfg := Default()
-	cfg.SkipCheck = true
-	if _, err := Run(wl, cfg); err != nil {
-		t.Fatalf("SkipCheck did not bypass oracle: %v", err)
-	}
 }
 
 func TestCheckpointingOnPredicate(t *testing.T) {

@@ -57,12 +57,9 @@ type Config struct {
 
 	// Hosts is the number of host endpoints — one per storage server when
 	// the storage layer is sharded; 0 or 1 means the single legacy host.
+	// Host 0 attaches at HostAttach, host i > 0 at the evenly spread compute
+	// node i*Nodes()/Hosts.
 	Hosts int
-
-	// HostAttaches optionally pins each host's attach point. Hosts beyond
-	// its length attach at evenly spread compute nodes (i*Nodes()/Hosts),
-	// except host 0 which defaults to HostAttach.
-	HostAttaches []NodeID
 
 	SendOverhead sim.Duration // software overhead charged to the sending process
 	LocalLatency sim.Duration // latency of a node-local (src == dst) delivery
@@ -121,9 +118,6 @@ func (c Config) Host() NodeID { return c.HostID(0) }
 
 // AttachOf returns the compute node host i's link attaches to.
 func (c Config) AttachOf(i int) NodeID {
-	if i < len(c.HostAttaches) {
-		return c.HostAttaches[i]
-	}
 	if i == 0 {
 		return c.HostAttach
 	}

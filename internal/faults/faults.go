@@ -1,9 +1,10 @@
 // Package faults is the deterministic fault-injection subsystem: a
 // seed-driven Plan that any experiment can arm on a par.Machine to subject a
-// run to transient stable-storage faults (per-request errors and server
-// outage windows), flaky fabric links (probabilistic drops and delays, plus
-// scheduled drop bursts on chosen hops), and Poisson-scheduled node crashes
-// with repair delays.
+// run to transient stable-storage faults (per-request errors, plus outage
+// windows — generated over the plan's horizon on every server, or scheduled
+// on one server of a sharded machine), a flaky fabric (probabilistic drops
+// and delays of application messages), and targeted crashes of a chosen rank
+// at a protocol phase announcement.
 //
 // Every random decision is drawn from the repo's splitmix64 rng package, on
 // streams derived from the plan's single seed, so a run replays
@@ -11,12 +12,12 @@
 // failure is reproducible from the seed printed in the error message.
 //
 // The injection points are nil-guarded hooks on the layers below
-// (storage.Server.FaultHook, fabric.Network.FaultHook, par.Node.Transport):
+// (storage.Server.FaultHook, fabric.Network.FaultHook, par.Machine.PhaseHook):
 // an unarmed machine takes the exact same code paths and produces the exact
 // same virtual schedule as before this package existed. Arming also installs
-// the machine's retry policy and deterministic backoff jitter, which the
-// hardened storage client (par.StorageCallRetry) and the checkpoint writers
-// consume.
+// the machine's default retry policy and deterministic backoff jitter, which
+// the hardened storage client (par.StorageCallRetry) and the checkpoint
+// writers consume.
 //
 // Only application data messages are ever dropped (mp.Droppable): checkpoint
 // protocol control, acks and storage traffic stay reliable, so faults
@@ -47,11 +48,11 @@ func (w Window) contains(t sim.Time) bool { return t >= w.At && t < w.At.Add(w.D
 
 // StorageFaults describes transient stable-storage failures: a per-request
 // error probability on data operations (write, append, commit, read) and
-// server outage windows during which every request fails, either scheduled
-// explicitly or generated as a Poisson process over the plan's horizon.
+// server outage windows during which every request fails, either generated
+// as a Poisson process over the plan's horizon on every server, or scheduled
+// on one server.
 type StorageFaults struct {
 	ErrProb    float64      // per data-request probability of a transient error
-	Outages    []Window     // unavailability windows applying to every server
 	OutageMTTF sim.Duration // mean time between generated outages (0 = none)
 	OutageDur  sim.Duration // duration of each generated outage
 
@@ -68,50 +69,29 @@ type ServerOutage struct {
 	Window
 }
 
-// Burst is a scheduled window during which every application message
-// traversing the directed hop From→To is dropped.
-type Burst struct {
-	From, To int
-	Window
-}
-
 // LinkFaults describes a flaky interconnect for application data traffic.
 type LinkFaults struct {
 	DropProb  float64      // per-message drop probability
 	DelayProb float64      // per-message probability of an extra delivery delay
 	DelayMax  sim.Duration // uniform delay bound when a delay hits
-	Bursts    []Burst      // scheduled drop bursts on chosen hops
 }
 
 // Lossy reports whether the link plan can drop messages, in which case the
 // message layer's ack/retransmit transport must be armed.
-func (l LinkFaults) Lossy() bool { return l.DropProb > 0 || len(l.Bursts) > 0 }
+func (l LinkFaults) Lossy() bool { return l.DropProb > 0 }
 
-// Crashes describes Poisson-scheduled node failures.
-type Crashes struct {
-	MTTF         sim.Duration // per-node mean time to failure (0 disables crashes)
-	Repair       sim.Duration // repair delay before OnRepair runs
-	RepairJitter float64      // ± fraction of Repair drawn per crash
-	MaxCrashes   int          // total crash budget across nodes (0 = unlimited)
-	Total        bool         // escalate each crash to a total failure (CrashAll)
-}
-
-// TargetedCrash schedules one surgical crash of a chosen rank, either at a
-// fixed instant (At) or at a protocol phase announcement (Phase, matched
-// against the names schemes pass to par.Machine.NotePhase — e.g. the
-// coordinated family's "round", "acks", "precommit", "meta", "commit").
-// Phase targets fire on the first matching announcement, or only on Round's
-// announcement when Round is nonzero. JitterMax adds a uniform delay drawn
-// from the plan's dedicated target stream, pushing the crash a deterministic
-// distance into the window the phase opens. Unlike the Poisson process a
-// targeted crash fires at most once and schedules no repair; it models the
-// single chosen failure an oracle cell or an E15 grid point studies. The
+// TargetedCrash schedules one surgical crash of a chosen rank at a protocol
+// phase announcement (Phase, matched against the names schemes pass to
+// par.Machine.NotePhase — e.g. the coordinated family's "round", "acks",
+// "precommit", "meta", "commit"). It fires on the first matching
+// announcement; JitterMax adds a uniform delay drawn from the plan's
+// dedicated target stream, pushing the crash a deterministic distance into
+// the window the phase opens. A targeted crash fires at most once: it models
+// the single chosen failure an oracle cell or an E15 grid point studies. The
 // crash action is Machine.CrashNode(Rank), or the plan's OnCrash override.
 type TargetedCrash struct {
 	Rank      int          // node to crash
-	At        sim.Time     // crash instant, when Phase is empty
 	Phase     string       // phase announcement that triggers the crash
-	Round     int          // 0 = first announcement of Phase; else that round only
 	JitterMax sim.Duration // uniform extra delay after the trigger
 }
 
@@ -122,29 +102,19 @@ type Plan struct {
 	// bench cell's seed so each cell replays independently of scheduling.
 	Seed uint64
 
-	// Horizon bounds the generated schedules (Poisson outages and crashes).
-	// Zero defaults to a minute of virtual time.
+	// Horizon bounds the generated outage schedule and is the mean of
+	// CrashTimes' draws. Zero defaults to a minute of virtual time.
 	Horizon sim.Duration
 
 	Storage StorageFaults
 	Links   LinkFaults
-	Crashes Crashes
 
-	// Targets schedules surgical crashes on top of (or instead of) the
-	// Poisson process; they share the crash counters and the OnCrash
-	// override but never repair or reschedule.
+	// Targets schedules surgical crashes; each fires at most once.
 	Targets []TargetedCrash
 
-	// Retry overrides the machine retry policy installed at Arm; the zero
-	// value installs par.DefaultRetryPolicy.
-	Retry par.RetryPolicy
-
-	// OnCrash replaces the default crash action (Machine.CrashNode, or
-	// CrashAll when Crashes.Total is set). OnRepair, if set, runs after the
-	// repair delay — experiments wire their recovery procedure here; without
-	// it the node simply stays down.
-	OnCrash  func(node int)
-	OnRepair func(node int)
+	// OnCrash replaces the default crash action, Machine.CrashNode:
+	// experiments wire their crash-and-recover procedure here.
+	OnCrash func(node int)
 }
 
 // DefaultHorizon bounds generated fault schedules when the plan leaves
@@ -159,11 +129,9 @@ type Armed struct {
 
 	storageRand *rng.RNG
 	linkRand    *rng.RNG
-	crashRand   *rng.RNG
 	retryRand   *rng.RNG
 	targetRand  *rng.RNG
 
-	outages []Window
 	stopped bool
 
 	// Injection counters.
@@ -171,14 +139,15 @@ type Armed struct {
 	OutageHits    int64 // requests failed inside an outage window
 	Drops         int64 // application messages dropped
 	Delays        int64 // application messages delayed
-	CrashCount    int64 // node crashes fired
+	CrashCount    int64 // targeted crashes fired
 }
 
 // Arm attaches the plan to m: it derives the per-subsystem random streams,
-// resolves the outage schedule, installs the storage and fabric fault hooks,
-// schedules the crash process, and installs the retry policy with
-// deterministic backoff jitter. Call before the simulation starts. The
-// caller is responsible for arming the message layer's retransmit transport
+// resolves the outage schedule, installs the storage and fabric fault hooks
+// and the targeted crashes, and installs par.DefaultRetryPolicy with
+// deterministic backoff jitter (a caller that wants another policy sets
+// m.Retry after Arm). Call before the simulation starts. The caller is
+// responsible for arming the message layer's retransmit transport
 // (mp.World.EnableRetransmit) when plan.Links.Lossy() — package core does
 // this automatically.
 func (pl Plan) Arm(m *par.Machine) *Armed {
@@ -188,34 +157,27 @@ func (pl Plan) Arm(m *par.Machine) *Armed {
 		m:           m,
 		storageRand: rng.New(root.Uint64()),
 		linkRand:    rng.New(root.Uint64()),
-		crashRand:   rng.New(root.Uint64()),
-		retryRand:   rng.New(root.Uint64()),
-		// The target stream's seed is drawn unconditionally, after the four
-		// original streams, so plans without targets keep every existing
-		// schedule byte-identical and targeted plans never perturb the
-		// Poisson/storage/link draws.
-		targetRand: rng.New(root.Uint64()),
 	}
+	// The third seed is CrashTimes' stream. Arm draws it and throws it away,
+	// so the retry-jitter and target streams keep their seeds — every armed
+	// schedule a plan produced stays byte-identical.
+	root.Uint64()
+	a.retryRand = rng.New(root.Uint64())
+	a.targetRand = rng.New(root.Uint64())
 	if pl.Horizon <= 0 {
-		pl.Horizon = DefaultHorizon
 		a.plan.Horizon = DefaultHorizon
 	}
 
 	// Retry policy and deterministic backoff jitter for the hardened client.
-	policy := pl.Retry
-	if policy.Attempts <= 0 {
-		policy = par.DefaultRetryPolicy()
-	}
-	m.Retry = policy
+	m.Retry = par.DefaultRetryPolicy()
 	m.Jitter = a.retryRand.Float64
 
 	a.armStorage()
 	a.armLinks()
-	a.armCrashes()
 	a.armTargets()
 
-	// Crash events scheduled beyond the workload's end must not fire into a
-	// finished machine.
+	// A jittered crash falling beyond the workload's end must not fire into
+	// a finished machine.
 	m.OnAllAppsDone(func() { a.stopped = true })
 	return a
 }
@@ -223,7 +185,7 @@ func (pl Plan) Arm(m *par.Machine) *Armed {
 // armStorage resolves the outage schedule and installs the server hook.
 func (a *Armed) armStorage() {
 	sf := a.plan.Storage
-	a.outages = append(a.outages, sf.Outages...)
+	var outages []Window // generated, on every server
 	if sf.OutageMTTF > 0 && sf.OutageDur > 0 {
 		t := sim.Duration(0)
 		for {
@@ -231,11 +193,11 @@ func (a *Armed) armStorage() {
 			if t > a.plan.Horizon {
 				break
 			}
-			a.outages = append(a.outages, Window{At: sim.Time(0).Add(t), Dur: sf.OutageDur})
+			outages = append(outages, Window{At: sim.Time(0).Add(t), Dur: sf.OutageDur})
 			t += sf.OutageDur
 		}
 	}
-	if len(a.outages) == 0 && sf.ErrProb <= 0 && len(sf.ServerOutages) == 0 {
+	if len(outages) == 0 && sf.ErrProb <= 0 && len(sf.ServerOutages) == 0 {
 		return
 	}
 	// Every server gets its own hook: the machine-wide windows plus its own
@@ -244,7 +206,7 @@ func (a *Armed) armStorage() {
 	// keeps deterministic.
 	for si := range a.m.Stores {
 		host := int(a.m.Cfg.Fabric.HostID(si))
-		windows := append([]Window(nil), a.outages...)
+		windows := append([]Window(nil), outages...)
 		for _, so := range sf.ServerOutages {
 			if so.Server == si {
 				windows = append(windows, so.Window)
@@ -305,14 +267,6 @@ func (a *Armed) armLinks() {
 			return 0, false
 		}
 		src := int(env.Src)
-		now := a.m.Eng.Now()
-		for _, b := range lf.Bursts {
-			if b.contains(now) && a.onPath(env, b.From, b.To) {
-				a.Drops++
-				a.m.Obs.Add(src, "faults.dropped_msgs", 1)
-				return 0, true
-			}
-		}
 		if lf.DropProb > 0 && a.linkRand.Float64() < lf.DropProb {
 			a.Drops++
 			a.m.Obs.Add(src, "faults.dropped_msgs", 1)
@@ -330,76 +284,8 @@ func (a *Armed) armLinks() {
 	}
 }
 
-// onPath reports whether the envelope's route traverses the directed hop
-// from→to.
-func (a *Armed) onPath(env *fabric.Envelope, from, to int) bool {
-	for _, hop := range a.m.Net.Path(env.Src, env.Dst) {
-		if int(hop[0]) == from && int(hop[1]) == to {
-			return true
-		}
-	}
-	return false
-}
-
-// armCrashes schedules the per-node Poisson crash processes.
-func (a *Armed) armCrashes() {
-	cf := a.plan.Crashes
-	if cf.MTTF <= 0 {
-		return
-	}
-	for id := range a.m.Nodes {
-		a.scheduleCrash(id, a.nextGap(cf))
-	}
-}
-
-func (a *Armed) nextGap(cf Crashes) sim.Duration {
-	return sim.Duration(a.crashRand.ExpFloat64() * float64(cf.MTTF))
-}
-
-func (a *Armed) scheduleCrash(id int, after sim.Duration) {
-	cf := a.plan.Crashes
-	at := a.m.Eng.Now().Add(after)
-	if at > sim.Time(0).Add(a.plan.Horizon) {
-		return
-	}
-	a.m.Eng.At(at, func() {
-		if a.stopped || a.m.AppsLive() == 0 {
-			return
-		}
-		if cf.MaxCrashes > 0 && a.CrashCount >= int64(cf.MaxCrashes) {
-			return
-		}
-		a.CrashCount++
-		a.m.Obs.Add(id, "faults.crashes", 1)
-		a.m.Obs.InstantArg(id, obs.TidProto, "faults.crash", "node", int64(id))
-		switch {
-		case a.plan.OnCrash != nil:
-			a.plan.OnCrash(id)
-		case cf.Total:
-			a.m.CrashAll()
-		default:
-			a.m.CrashNode(id)
-		}
-		repair := cf.Repair
-		if cf.RepairJitter > 0 && repair > 0 {
-			repair += sim.Duration(float64(repair) * cf.RepairJitter * (2*a.crashRand.Float64() - 1))
-		}
-		a.m.Eng.After(repair, func() {
-			if a.stopped {
-				return
-			}
-			if a.plan.OnRepair != nil {
-				a.m.Obs.InstantArg(id, obs.TidProto, "faults.repair", "node", int64(id))
-				a.plan.OnRepair(id)
-			}
-			a.scheduleCrash(id, a.nextGap(cf))
-		})
-	})
-}
-
-// armTargets schedules the plan's targeted crashes: fixed-instant targets as
-// engine events, phase targets through the machine's protocol phase hook
-// (chained after any hook already installed). Each target fires at most
+// armTargets chains the plan's targeted crashes onto the machine's protocol
+// phase hook (after any hook already installed). Each target fires at most
 // once.
 func (a *Armed) armTargets() {
 	targets := a.plan.Targets
@@ -407,40 +293,22 @@ func (a *Armed) armTargets() {
 		return
 	}
 	fired := make([]bool, len(targets))
-	trigger := func(i int) {
-		if fired[i] {
-			return
-		}
-		fired[i] = true
-		t := targets[i]
-		if t.JitterMax > 0 {
-			d := sim.Duration(a.targetRand.Float64() * float64(t.JitterMax))
-			a.m.Eng.After(d, func() { a.fireTarget(t) })
-			return
-		}
-		a.fireTarget(t)
-	}
-	phased := false
-	for i, t := range targets {
-		if t.Phase != "" {
-			phased = true
-			continue
-		}
-		i := i
-		a.m.Eng.At(t.At, func() { trigger(i) })
-	}
-	if !phased {
-		return
-	}
 	prev := a.m.PhaseHook
 	a.m.PhaseHook = func(phase string, round int) {
 		if prev != nil {
 			prev(phase, round)
 		}
 		for i, t := range targets {
-			if t.Phase == phase && (t.Round == 0 || t.Round == round) {
-				trigger(i)
+			if t.Phase != phase || fired[i] {
+				continue
 			}
+			fired[i] = true
+			if t.JitterMax > 0 {
+				d := sim.Duration(a.targetRand.Float64() * float64(t.JitterMax))
+				a.m.Eng.After(d, func() { a.fireTarget(t) })
+				continue
+			}
+			a.fireTarget(t)
 		}
 	}
 }
@@ -462,25 +330,20 @@ func (a *Armed) fireTarget(t TargetedCrash) {
 	a.m.CrashNode(t.Rank)
 }
 
-// CrashTimes derives the first crash instant Arm would schedule for each of
-// n nodes — same root seed, same per-purpose stream derivation order, same
-// per-node draw order — without arming anything. The correctness oracle
-// uses it to pick crash points "drawn from the seeded faults plan" for
-// machines it crashes itself (it needs the instant before the run starts,
-// to bracket it against the baseline's execution time). Times beyond the
-// plan's horizon are returned unclamped so the caller decides how to fold
-// them into its experiment. A zero Crashes.MTTF falls back to the horizon
-// as the mean, since a plan used only for crash-point sampling has no
-// reason to configure full crash injection.
+// CrashTimes draws n exponentially distributed crash instants, one per node,
+// with the plan's horizon as their mean, from the plan's crash stream — the
+// third seed drawn from the plan's root, the one Arm throws away. The
+// correctness oracle uses it to pick crash points "drawn from the seeded
+// faults plan" for machines it crashes itself (it needs the instant before
+// the run starts, to bracket it against the baseline's execution time).
+// Times beyond the horizon are returned unclamped so the caller decides how
+// to fold them into its experiment.
 func (pl Plan) CrashTimes(n int) []sim.Time {
 	root := rng.New(pl.Seed)
 	root.Uint64() // the storage stream's seed, discarded
 	root.Uint64() // the link stream's seed, discarded
 	crashRand := rng.New(root.Uint64())
-	mttf := pl.Crashes.MTTF
-	if mttf <= 0 {
-		mttf = pl.Horizon
-	}
+	mttf := pl.Horizon
 	if mttf <= 0 {
 		mttf = DefaultHorizon
 	}
@@ -498,7 +361,7 @@ type Report struct {
 	OutageHits     int64 // requests failed inside outage windows
 	Drops          int64 // application messages dropped
 	Delays         int64 // application messages delayed
-	Crashes        int64 // node crashes fired
+	Crashes        int64 // targeted crashes fired
 	StorageRetries int64 // storage operations re-issued by the retry client
 	Retransmits    int64 // data messages re-sent by the mp transport
 }

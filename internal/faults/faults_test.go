@@ -39,7 +39,8 @@ var coordBaseExec = sync.OnceValues(func() (sim.Duration, error) {
 })
 
 // tightRetry exhausts quickly so outage windows reliably force aborts and
-// skips instead of being ridden out by the default backoff budget.
+// skips instead of being ridden out by the default backoff budget. Arm
+// installs the default policy; the tests replace it on the armed machine.
 func tightRetry() par.RetryPolicy {
 	return par.RetryPolicy{Attempts: 2, Timeout: sim.Second, Base: 5 * sim.Millisecond, Cap: 20 * sim.Millisecond}
 }
@@ -69,6 +70,14 @@ func outageWindow(first sim.Time, dur sim.Duration) faults.Window {
 		at = sim.Time(0)
 	}
 	return faults.Window{At: at, Dur: dur}
+}
+
+// outagePlan takes the default machine's one storage server down for w.
+func outagePlan(seed uint64, w faults.Window) *faults.Plan {
+	return &faults.Plan{
+		Seed:    seed,
+		Storage: faults.StorageFaults{ServerOutages: []faults.ServerOutage{{Server: 0, Window: w}}},
+	}
 }
 
 // coordRun is the shared coordinated outage run: a dry run finds where round
@@ -111,11 +120,7 @@ func runCoordOutage() (*coordRun, error) {
 	}
 
 	r := &coordRun{interval: interval, window: outageWindow(firstWriteAt(dry.Records), interval), o: obs.New()}
-	plan := faults.Plan{
-		Seed:    1,
-		Retry:   tightRetry(),
-		Storage: faults.StorageFaults{Outages: []faults.Window{r.window}},
-	}
+	plan := outagePlan(1, r.window)
 
 	// Assembled by hand (mirroring core.Run) so the test can probe stable
 	// storage mid-run and keep the server afterwards.
@@ -124,6 +129,7 @@ func runCoordOutage() (*coordRun, error) {
 	r.store = m.Store
 	m.SetObserver(r.o)
 	plan.Arm(m)
+	m.Retry = tightRetry()
 	sch := ckpt.New(ckpt.CoordNB, ckpt.Options{Interval: interval})
 	sch.Attach(m)
 	w := mp.NewWorld(m)
@@ -289,14 +295,10 @@ func TestIndependentAndCICSkipDuringOutage(t *testing.T) {
 			if len(dry.Records) == 0 {
 				t.Fatalf("dry run took no checkpoint")
 			}
-			cfg.Faults = &faults.Plan{
-				Seed:  2,
-				Retry: tightRetry(),
-				Storage: faults.StorageFaults{
-					Outages: []faults.Window{outageWindow(firstWriteAt(dry.Records), 600*sim.Millisecond)},
-				},
-			}
-			res, err := core.Run(testWorkload(), cfg)
+			cfg.Faults = outagePlan(2, outageWindow(firstWriteAt(dry.Records), 600*sim.Millisecond))
+			run := core.Start(testWorkload(), cfg)
+			run.M.Retry = tightRetry()
+			res, err := run.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,45 +393,5 @@ func TestPlanDeterminismSameSeed(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Records, b.Records) {
 		t.Fatalf("committed records diverged under the same seed")
-	}
-}
-
-// TestCrashScheduleRespectsBudget: the Poisson crash process honors
-// MaxCrashes and pairs every fired crash with a repair while the run lives.
-// The crash action is overridden to a no-op so the workload completes and the
-// schedule itself is what's under test.
-func TestCrashScheduleRespectsBudget(t *testing.T) {
-	exec, err := baseExec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var crashes, repairs int
-	plan := &faults.Plan{
-		Seed:    5,
-		Horizon: 4 * exec,
-		Crashes: faults.Crashes{
-			MTTF:         exec / 2,
-			Repair:       10 * sim.Millisecond,
-			RepairJitter: 0.5,
-			MaxCrashes:   3,
-		},
-		OnCrash:  func(node int) { crashes++ },
-		OnRepair: func(node int) { repairs++ },
-	}
-	res, err := core.Run(testWorkload(), core.Config{Machine: par.DefaultConfig(), Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crashes == 0 {
-		t.Fatalf("no crash fired with MTTF = exec/2 over 8 nodes")
-	}
-	if crashes > 3 {
-		t.Fatalf("crash budget exceeded: %d fired, MaxCrashes 3", crashes)
-	}
-	if res.Faults.Crashes != int64(crashes) {
-		t.Fatalf("report says %d crashes, OnCrash saw %d", res.Faults.Crashes, crashes)
-	}
-	if repairs > crashes {
-		t.Fatalf("more repairs (%d) than crashes (%d)", repairs, crashes)
 	}
 }

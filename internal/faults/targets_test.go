@@ -55,12 +55,13 @@ func TestTargetedCrashSameSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestTargetStreamLeavesPoissonScheduleUnchanged: the target stream is the
-// fifth drawn from the plan's root, after the four original per-purpose
-// streams, so adding targets to a plan must not move a single Poisson crash
-// — the run with a never-firing target is bit-identical to the run without.
-func TestTargetStreamLeavesPoissonScheduleUnchanged(t *testing.T) {
-	exec, err := baseExec()
+// TestTargetStreamLeavesRetryJitterUnchanged: the target stream is the fifth
+// drawn from the plan's root, after the retry-jitter stream, so adding a
+// target to a plan must not move a single backoff draw. A target that fires
+// (its crash overridden to a no-op, its jitter drawn from its own stream)
+// leaves the run bit-identical to the run without it, bar the crash count.
+func TestTargetStreamLeavesRetryJitterUnchanged(t *testing.T) {
+	exec, err := coordBaseExec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,19 +69,13 @@ func TestTargetStreamLeavesPoissonScheduleUnchanged(t *testing.T) {
 		t.Helper()
 		plan := &faults.Plan{
 			Seed:    7,
-			Horizon: 4 * exec,
-			Storage: faults.StorageFaults{ErrProb: 0.02},
-			Crashes: faults.Crashes{
-				MTTF:       exec / 2,
-				Repair:     10 * sim.Millisecond,
-				MaxCrashes: 2,
-			},
+			Storage: faults.StorageFaults{ErrProb: 0.05},
 			Targets: targets,
 			OnCrash: func(node int) {},
 		}
-		res, err := core.Run(testWorkload(), core.Config{
+		res, err := core.Run(coordWorkload(), core.Config{
 			Machine:  par.DefaultConfig(),
-			Scheme:   ckpt.Indep,
+			Scheme:   ckpt.CoordNB,
 			Interval: exec / 4,
 			Faults:   plan,
 		})
@@ -90,12 +85,18 @@ func TestTargetStreamLeavesPoissonScheduleUnchanged(t *testing.T) {
 		return res
 	}
 	plain := run(nil)
-	targeted := run([]faults.TargetedCrash{{Rank: 0, Phase: "no-such-phase"}})
+	targeted := run([]faults.TargetedCrash{{Rank: 0, Phase: "commit", JitterMax: 5 * sim.Millisecond}})
+	if plain.Faults.StorageRetries == 0 {
+		t.Fatalf("no storage request was retried, so no backoff was drawn: %+v", plain.Faults)
+	}
+	if targeted.Faults.Crashes != 1 {
+		t.Fatalf("target fired %d times, want once", targeted.Faults.Crashes)
+	}
+	targeted.Faults.Crashes = 0
 	if plain.Exec != targeted.Exec || plain.Faults != targeted.Faults {
-		t.Fatalf("a never-firing target perturbed the schedule:\n%+v\n%+v",
-			plain, targeted)
+		t.Fatalf("a target perturbed the retry schedule:\n%+v\n%+v", plain, targeted)
 	}
 	if !reflect.DeepEqual(plain.Records, targeted.Records) {
-		t.Fatal("a never-firing target perturbed the committed records")
+		t.Fatal("a target perturbed the committed records")
 	}
 }

@@ -50,11 +50,11 @@ type Config struct {
 	CkptImageBytes int
 
 	// StorageServers shards stable storage across this many servers, each
-	// behind its own host link (attach points from Fabric.HostAttaches, or
-	// an even spread). 0 or 1 reproduces the paper's single SunSparc file
-	// server. Every rank's files live on exactly one server, chosen by the
-	// Placement policy; the storage client addresses that shard for the
-	// rank's saves and recovery reads alike.
+	// behind its own host link (host 0 at Fabric.HostAttach, the others
+	// spread evenly over the nodes). 0 or 1 reproduces the paper's single
+	// SunSparc file server. Every rank's files live on exactly one server,
+	// chosen by the Placement policy; the storage client addresses that
+	// shard for the rank's saves and recovery reads alike.
 	StorageServers int
 
 	// Placement names the rank→server placement policy
@@ -189,7 +189,7 @@ type RetryPolicy struct {
 }
 
 // DefaultRetryPolicy is the policy the fault-injection layer installs when a
-// plan arms a machine without overriding it.
+// plan arms a machine.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		Attempts: 5,

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Gate is a one-shot synchronization point. Processes Wait until some event
 // or process calls Open; waits after Open return immediately. The zero value
 // is unusable; create gates with NewGate.
@@ -125,6 +127,20 @@ func NewMailbox[T any](e *Engine) *Mailbox[T] { return &Mailbox[T]{eng: e} }
 // from engine context or from any process.
 func (m *Mailbox[T]) Put(v T) {
 	m.items = append(m.items, v)
+	if w := m.waiter; w != nil {
+		m.waiter = nil
+		w.wake()
+	}
+}
+
+// PutFront queues vs, in order, ahead of every item already queued, and wakes
+// the waiting consumer, if any. A restore uses it to hand back work that was
+// in flight at a capture ahead of anything that arrived since the restart.
+func (m *Mailbox[T]) PutFront(vs []T) {
+	if len(vs) == 0 {
+		return
+	}
+	m.items = slices.Insert(m.items, 0, vs...)
 	if w := m.waiter; w != nil {
 		m.waiter = nil
 		w.wake()

@@ -23,9 +23,8 @@ type store interface {
 	Size(path string) (int, bool)
 }
 
-// diffPaths collide on purpose: few names, one a prefix of two others, so
-// writes, appends, commits and deletes keep landing on files that exist in one
-// area, both or neither, and OpList has prefixes that match some and not all.
+// diffPaths collide on purpose: few names, so writes, appends, commits and
+// deletes keep landing on files that exist in one area, both or neither.
 var diffPaths = []string{"a", "a/b", "a/c", "d"}
 
 // diffConfig makes every phase of a request long enough for a delayed Crash to
@@ -46,7 +45,6 @@ type observation struct {
 	Step                int
 	At                  sim.Time
 	Err, Data           string
-	Paths               []string
 	Size                int
 	Reqs, Written, Read int64
 	Busy                sim.Duration
@@ -134,7 +132,7 @@ func diffRun(t testing.TB, script []byte, mk func(*sim.Engine) store) []observat
 		return b
 	}
 	observe := func(step int, peek bool, r Reply) {
-		o := observation{Step: step, At: eng.Now(), Data: string(r.Data), Paths: r.Paths, Size: r.Size,
+		o := observation{Step: step, At: eng.Now(), Data: string(r.Data), Size: r.Size,
 			Occupied: srv.Occupied(), Peak: srv.PeakOccupied(), Durable: srv.DurablePaths()}
 		if r.Err != nil {
 			o.Err = r.Err.Error()
@@ -180,7 +178,7 @@ func diffRun(t testing.TB, script []byte, mk func(*sim.Engine) store) []observat
 		for step := 0; (step+1)*4 <= len(script); step++ {
 			s := script[step*4 : step*4+4]
 			req := Request{Path: diffPaths[s[1]&3], Durable: s[1]&4 != 0}
-			switch op := s[0] % 12; op {
+			switch op := s[0] % 10; op {
 			case 0, 1:
 				req.Op = OpWrite
 			case 2, 3, 4:
@@ -191,10 +189,6 @@ func diffRun(t testing.TB, script []byte, mk func(*sim.Engine) store) []observat
 				req.Op = OpRead
 			case 7:
 				req.Op = OpDelete
-			case 8:
-				req.Op = OpList
-			case 9:
-				req.Op = OpStat
 			default:
 				// Crash now — between requests if the queue was drained — or
 				// some way into whatever is submitted next.

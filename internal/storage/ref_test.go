@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"sort"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -97,21 +96,6 @@ func (s *refServer) apply(p *sim.Proc, req Request) Reply {
 		delete(s.tmp, req.Path)
 		delete(s.files, req.Path)
 		return Reply{}
-	case OpList:
-		var paths []string
-		for path := range s.files {
-			if strings.HasPrefix(path, req.Path) {
-				paths = append(paths, path)
-			}
-		}
-		sort.Strings(paths)
-		return Reply{Paths: paths}
-	case OpStat:
-		data, ok := s.files[req.Path]
-		if !ok {
-			return Reply{Err: ErrNotFound}
-		}
-		return Reply{Size: len(data)}
 	}
 	return Reply{Err: errors.New("storage: unknown op")}
 }

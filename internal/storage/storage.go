@@ -6,8 +6,10 @@
 // concurrent checkpoint writes from many nodes queue up — the stable-storage
 // contention at the heart of the paper's results. Files written with
 // Durable=false land in a temporary area and are lost on Crash unless
-// committed; Commit is atomic, which the coordinated checkpointing protocol
-// uses for its two-phase commit of global checkpoints.
+// committed; Commit moves one atomically into the durable area. The
+// checkpointing protocols write durably from the start: the coordinated
+// two-phase commit's commit point is the durable write of its round record,
+// not a Commit.
 package storage
 
 import (
@@ -15,7 +17,6 @@ import (
 	"errors"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -31,11 +32,9 @@ const (
 	OpCommit           // atomically move Path from tmp to durable
 	OpRead             // read durable Path
 	OpDelete           // delete Path from both areas
-	OpList             // list durable paths with prefix Path
-	OpStat             // size of durable Path
 )
 
-// ErrNotFound is returned for reads, commits and stats of missing paths.
+// ErrNotFound is returned for reads and commits of missing paths.
 var ErrNotFound = errors.New("storage: file not found")
 
 // ErrUnavailable is the transient-failure class: the fault-injection layer
@@ -78,17 +77,16 @@ func (r Request) Len() int {
 // server's durable blob — callers must treat it as read-only (a stored extent
 // is never written after it is installed, so the borrow can never go stale).
 type Reply struct {
-	Err   error
-	Data  []byte
-	Paths []string
-	Size  int
+	Err  error
+	Data []byte
+	Size int
 }
 
 // Config sets the cost model of the storage server.
 type Config struct {
 	ReqOverhead    sim.Duration // per data-request fixed cost (seek, protocol)
 	AppendOverhead sim.Duration // per-request cost of sequential appends (no seek)
-	MetaOverhead   sim.Duration // fixed cost of metadata ops (commit, delete, list, stat)
+	MetaOverhead   sim.Duration // fixed cost of metadata ops (commit, delete)
 	CreateOverhead sim.Duration // extra cost of a write that creates a new file (directory update)
 	WriteBandwidth float64      // bytes/s
 	ReadBandwidth  float64      // bytes/s
@@ -229,10 +227,6 @@ func opSpanName(op Op) string {
 		return "storage.commit"
 	case OpDelete:
 		return "storage.delete"
-	case OpList:
-		return "storage.list"
-	case OpStat:
-		return "storage.stat"
 	}
 	return "storage.op"
 }
@@ -310,21 +304,6 @@ func (s *Server) apply(p *sim.Proc, req Request) Reply {
 		s.occupy(-old)
 		delete(s.files, req.Path)
 		return Reply{}
-	case OpList:
-		var paths []string
-		for path := range s.files {
-			if strings.HasPrefix(path, req.Path) {
-				paths = append(paths, path)
-			}
-		}
-		sort.Strings(paths)
-		return Reply{Paths: paths}
-	case OpStat:
-		f, ok := s.files[req.Path]
-		if !ok {
-			return Reply{Err: ErrNotFound}
-		}
-		return Reply{Size: f.size}
 	}
 	return Reply{Err: errors.New("storage: unknown op")}
 }

@@ -74,23 +74,19 @@ func TestAppendAccumulates(t *testing.T) {
 	}
 }
 
-func TestListAndStatAndDelete(t *testing.T) {
+func TestDeleteRemovesOnlyItsFile(t *testing.T) {
 	e := sim.New()
 	s := New(e, testConfig())
 	do(t, e, s, Request{Op: OpWrite, Path: "ckpt/0/1", Data: []byte("111"), Durable: true})
 	do(t, e, s, Request{Op: OpWrite, Path: "ckpt/1/1", Data: []byte("22"), Durable: true})
 	do(t, e, s, Request{Op: OpWrite, Path: "other", Data: []byte("z"), Durable: true})
 
-	r := do(t, e, s, Request{Op: OpList, Path: "ckpt/"})
-	if len(r.Paths) != 2 || r.Paths[0] != "ckpt/0/1" || r.Paths[1] != "ckpt/1/1" {
-		t.Fatalf("list = %v", r.Paths)
-	}
-	if r := do(t, e, s, Request{Op: OpStat, Path: "ckpt/0/1"}); r.Err != nil || r.Size != 3 {
-		t.Fatalf("stat = %+v", r)
-	}
 	do(t, e, s, Request{Op: OpDelete, Path: "ckpt/0/1"})
-	if r := do(t, e, s, Request{Op: OpStat, Path: "ckpt/0/1"}); !errors.Is(r.Err, ErrNotFound) {
+	if r := do(t, e, s, Request{Op: OpRead, Path: "ckpt/0/1"}); !errors.Is(r.Err, ErrNotFound) {
 		t.Fatal("deleted file still present")
+	}
+	if r := do(t, e, s, Request{Op: OpRead, Path: "ckpt/1/1"}); r.Err != nil || string(r.Data) != "22" {
+		t.Fatalf("delete touched a sibling: %+v", r)
 	}
 	if s.NumFiles() != 2 {
 		t.Fatalf("NumFiles = %d", s.NumFiles())

@@ -49,11 +49,8 @@ type Topology interface {
 	// compute vertex dst, cur != dst. cur is any vertex such a message can
 	// reach — a compute vertex or, on indirect topologies, a switch — and
 	// cur→Next(cur, dst) is a declared link. Stepping from a compute vertex
-	// reaches dst within Diameter() hops.
+	// reaches dst without visiting a vertex twice.
 	Next(cur, dst int) int
-	// Diameter returns the maximum hop count between any two compute
-	// vertices.
-	Diameter() int
 }
 
 // Route returns the vertices t's routing visits after src, ending with dst;
@@ -107,8 +104,6 @@ func (t Mesh2D) Next(cur, dst int) int {
 	return cur + sign(dst-cur)*t.W // same column: ids order by row
 }
 
-func (t Mesh2D) Diameter() int { return t.W - 1 + t.H - 1 }
-
 // Mesh3D is an X×Y×Z 3-D mesh with XYZ dimension-ordered routing. Vertex
 // id = (z*Y + y)*X + x.
 type Mesh3D struct {
@@ -151,8 +146,6 @@ func (t Mesh3D) Next(cur, dst int) int {
 	}
 	return cur + sign(dst-cur)*t.X*t.Y // same column and row: ids order by plane
 }
-
-func (t Mesh3D) Diameter() int { return t.X - 1 + t.Y - 1 + t.Z - 1 }
 
 // Torus2D is a W×H 2-D torus: a mesh with wraparound links in both
 // dimensions. Routing is dimension-ordered (x then y), taking the shorter
@@ -206,8 +199,6 @@ func (t Torus2D) Next(cur, dst int) int {
 	}
 	return ringNext(cy, dst/t.W, t.H)*t.W + cx
 }
-
-func (t Torus2D) Diameter() int { return t.W/2 + t.H/2 }
 
 // FatTree is a complete A-ary tree of switches with compute vertices at the
 // leaves: Levels levels of switches above A^Levels leaves. Routing climbs to
@@ -270,8 +261,6 @@ func (t FatTree) Next(cur, dst int) int {
 	}
 	return leaves + first + width + dst/(span/t.Arity)
 }
-
-func (t FatTree) Diameter() int { return 2 * t.Levels }
 
 func sign(d int) int {
 	if d < 0 {
