@@ -29,8 +29,10 @@ race:
 # copied slice per file) and the checkpoint writer's requests (gathered from a
 # file's slice list vs the flat loop over one buffer) — and the engine's
 # ordering contract under generated programs (strict (at, push) order across
-# the heap and the current-instant lane). The Go fuzzer allows one target per
-# invocation, hence one run each.
+# the heap and the current-instant lane), and ISING's guarded Metropolis
+# acceptance (bounds decide, math.Exp only between them) against the plain
+# comparison with math.Exp. The Go fuzzer allows one target per invocation,
+# hence one run each.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME)
@@ -43,6 +45,7 @@ fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzFabricSchedule -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzStorageOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/apps -run '^$$' -fuzz FuzzMetropolisAccept -fuzztime $(FUZZTIME)
 
 vet:
 	$(GO) vet ./...
@@ -78,15 +81,16 @@ identical:
 # segment's size for a file appended to it, and a full-image capture (local
 # timers and coordinated) at most 0.05 bytes per byte of the file it gathers;
 # an incremental capture and commit of a 1 MiB state at the record it builds
-# plus a few hundred bytes, and the per-audited-commit pin; plus
-# a microbenchmark smoke of the event queue, the
-# fabric's send path and the payload codecs — all under the race detector. A
-# failure here means a change re-introduced steady-state allocation (or broke
-# the queue/codec): deterministic, where the benchmark/ harness's wall clock is
-# noisy.
+# plus a few hundred bytes, and the per-audited-commit pin; an ISING half-sweep
+# at zero and a TSP subtree search at its path buffer plus one tour per
+# improvement; plus a microbenchmark smoke of the event queue, the fabric's
+# send path, the payload codecs and those two kernels — all under the race
+# detector. A failure here means a change re-introduced steady-state
+# allocation (or broke the queue/codec): deterministic, where the benchmark/
+# harness's wall clock is noisy.
 alloc-gate:
-	$(GO) test -race -run 'TestAllocs|TestDecodeF64sIntoMatches' ./internal/sim ./internal/fabric ./internal/storage ./internal/codec ./internal/mp ./internal/ckpt ./internal/check
-	$(GO) test -race -run '^$$' -bench . -benchtime 10x ./internal/sim ./internal/fabric ./internal/codec
+	$(GO) test -race -run 'TestAllocs|TestDecodeF64sIntoMatches' ./internal/sim ./internal/fabric ./internal/storage ./internal/codec ./internal/mp ./internal/ckpt ./internal/check ./internal/apps
+	$(GO) test -race -run '^$$' -bench . -benchtime 10x ./internal/sim ./internal/fabric ./internal/codec ./internal/apps
 
 # Lines of code, counted one way: non-blank lines that are not // comments,
 # per package directory, non-test files and _test.go files apart. This is the

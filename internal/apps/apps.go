@@ -56,13 +56,21 @@ func hash01(key uint64) float64 {
 	return float64(z>>11) / float64(1<<53)
 }
 
-// mix packs coordinates into a hash key.
+// mix packs coordinates into a hash key. It is a left fold of mixStep, so
+// mix(a, b, c) == mixStep(mix(a, b), c): a loop over the last coordinate can
+// hash the common prefix once.
 func mix(parts ...uint64) uint64 {
 	var k uint64 = 0x8a5cd789635d2dff
 	for _, p := range parts {
-		k ^= p + 0x9e3779b97f4a7c15 + (k << 6) + (k >> 2)
-		k *= 0xff51afd7ed558ccd
-		k ^= k >> 33
+		k = mixStep(k, p)
 	}
+	return k
+}
+
+// mixStep folds one more coordinate p into the key k.
+func mixStep(k, p uint64) uint64 {
+	k ^= p + 0x9e3779b97f4a7c15 + (k << 6) + (k >> 2)
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
 	return k
 }

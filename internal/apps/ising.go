@@ -195,7 +195,6 @@ func bytesI8(b []byte) []int8 {
 
 // updateColor applies one Metropolis half-sweep to the sites of one colour.
 func (g *Ising) updateColor(sweep, color int, up, down []int8) {
-	L := g.Cfg.L
 	invT := 1 / g.Cfg.Temp
 	for r, row := range g.Rows {
 		gi := g.lo + r
@@ -207,21 +206,83 @@ func (g *Ising) updateColor(sweep, color int, up, down []int8) {
 		if r < len(g.Rows)-1 {
 			rowDown = g.Rows[r+1]
 		}
-		jh := g.JH[r]
-		jvUp := g.JV[r]     // bond to the row above
-		jvDown := g.JV[r+1] // bond to the row below
-		start := (gi + color) % 2
-		for j := start; j < L; j += 2 {
-			left := float64(row[(j+L-1)%L]) * jh[(j+L-1)%L]
-			right := float64(row[(j+1)%L]) * jh[j]
-			vert := float64(rowUp[j])*jvUp[j] + float64(rowDown[j])*jvDown[j]
-			dE := 2 * float64(row[j]) * (left + right + vert)
-			if dE <= 0 ||
-				hash01(mix(g.Cfg.Seed, uint64(sweep), uint64(color), uint64(gi), uint64(j))) < math.Exp(-dE*invT) {
-				row[j] = -row[j]
-			}
-		}
+		k := isingRow{row: row, up: rowUp, down: rowDown,
+			jh: g.JH[r], jvUp: g.JV[r], jvDown: g.JV[r+1], invT: invT}
+		k.update(g.Cfg.Seed, sweep, color, gi)
 	}
+}
+
+// isingRow is one lattice row with its neighbour rows and couplings, as the
+// Metropolis kernel reads them. jh[j] couples (j, j+1 mod L) within the row;
+// jvUp[j] and jvDown[j] couple column j to the rows above and below.
+type isingRow struct {
+	row, up, down    []int8
+	jh, jvUp, jvDown []float64
+	invT             float64
+	pre              uint64 // mix(seed, sweep, colour, gi), set by update
+}
+
+// update applies one colour's Metropolis rule to the row gi in place, in
+// ascending column order, which the sequential reference and every rank
+// share. A site's acceptance draw is hash01(mixStep(pre, j)), the key
+// mix(seed, sweep, colour, gi, j) with its prefix hashed once per row. The
+// periodic ends j = 0 and j = L-1 are peeled so the interior loop reads
+// j-1 and j+1 without a modulo.
+func (k *isingRow) update(seed uint64, sweep, color, gi int) {
+	k.pre = mix(seed, uint64(sweep), uint64(color), uint64(gi))
+	L := len(k.row)
+	j := (gi + color) % 2
+	if j == 0 {
+		k.site(0, L-1, 1%L)
+		j = 2
+	}
+	for ; j < L-1; j += 2 {
+		k.site(j, j-1, j+1)
+	}
+	if j == L-1 {
+		k.site(j, j-1, 0)
+	}
+}
+
+// site applies the Metropolis rule to column j, whose left and right
+// neighbours are columns l and r.
+func (k *isingRow) site(j, l, r int) {
+	left := float64(k.row[l]) * k.jh[l]
+	right := float64(k.row[r]) * k.jh[j]
+	vert := float64(k.up[j])*k.jvUp[j] + float64(k.down[j])*k.jvDown[j]
+	dE := 2 * float64(k.row[j]) * (left + right + vert)
+	if dE <= 0 || accept(hash01(mixStep(k.pre, uint64(j))), dE*k.invT) {
+		k.row[j] = -k.row[j]
+	}
+}
+
+// accept reports u < math.Exp(-x) for u in [0, 1) and x >= 0, +Inf included
+// (Temp = 0), calling math.Exp only where two cheap bounds cannot decide.
+//
+// For x >= 0, lo = 1-x <= e^-x <= hi = 1/(1+x+x²/2); the second holds because
+// e^x is at least its first three Taylor terms. The margin: each bound takes
+// at most four correctly rounded operations, so as computed it is within a
+// relative 2⁻⁵⁰ of its exact value, and math.Exp is within an ulp (2⁻⁵²) of
+// e^-x wherever e^-x is a normal number. Widening each bound by a relative
+// 2⁻⁴⁰ therefore keeps lo <= math.Exp(-x) <= hi for the computed values:
+//   - lo > 0 only for x < 1, where e^-x > 1/e is far from subnormal;
+//   - where math.Exp(-x) is subnormal (708 < x < 746), hi is about
+//     2/x² > 10⁻⁶, far above it; beyond, math.Exp(-x) is 0 and hi >= 0
+//     (hi = 0 once x*x overflows, and for x = +Inf).
+//
+// So u < lo accepts and u >= hi rejects exactly as the comparison with
+// math.Exp would, and between them math.Exp itself decides. u = 0 needs no
+// case of its own: it accepts through lo for x < 1, rejects through hi = 0,
+// and otherwise reaches math.Exp.
+func accept(u, x float64) bool {
+	const widen = 1.0 / (1 << 40)
+	if u < (1-x)*(1-widen) {
+		return true
+	}
+	if u >= (1+widen)/(1+x+x*x/2) {
+		return false
+	}
+	return u < math.Exp(-x)
 }
 
 // Snapshot captures the sweep counter, the local spins and the quenched
@@ -298,20 +359,9 @@ func SequentialIsing(cfg IsingConfig) [][]int8 {
 			// in-place scan in any order matches the distributed version.
 			for gi := 0; gi < L; gi++ {
 				giUp := (gi + L - 1) % L
-				rowUp := grid[giUp]
-				rowDown := grid[(gi+1)%L]
-				row := grid[gi]
-				start := (gi + color) % 2
-				for j := start; j < L; j += 2 {
-					left := float64(row[(j+L-1)%L]) * jh[gi][(j+L-1)%L]
-					right := float64(row[(j+1)%L]) * jh[gi][j]
-					vert := float64(rowUp[j])*jv[giUp][j] + float64(rowDown[j])*jv[gi][j]
-					dE := 2 * float64(row[j]) * (left + right + vert)
-					if dE <= 0 ||
-						hash01(mix(cfg.Seed, uint64(sweep), uint64(color), uint64(gi), uint64(j))) < math.Exp(-dE*invT) {
-						row[j] = -row[j]
-					}
-				}
+				k := isingRow{row: grid[gi], up: grid[giUp], down: grid[(gi+1)%L],
+					jh: jh[gi], jvUp: jv[giUp], jvDown: jv[gi], invT: invT}
+				k.update(cfg.Seed, sweep, color, gi)
 			}
 		}
 	}

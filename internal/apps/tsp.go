@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/codec"
@@ -69,8 +70,15 @@ type TSP struct {
 	tasks  [][2]int
 }
 
+// tspMaxCities is the largest map the search handles: its set of unvisited
+// cities is one uint64 bitmask.
+const tspMaxCities = 64
+
 // NewTSP builds rank's role (rank 0 = master, others workers).
 func NewTSP(rank, size int, cfg TSPConfig) *TSP {
+	if cfg.Cities > tspMaxCities {
+		panic(fmt.Sprintf("apps: TSP with %d cities exceeds the limit of %d", cfg.Cities, tspMaxCities))
+	}
 	t := &TSP{Cfg: cfg, Rank: rank, Size: size, Best: math.MaxInt64}
 	t.dist = tspDist(cfg)
 	n := cfg.Cities
@@ -249,53 +257,69 @@ func (t *TSP) runWorker(e *mp.Env) {
 // if none improves it) plus the number of expanded nodes.
 func (t *TSP) searchSubtree(prefix [2]int, bound int64) (int64, []int, int) {
 	n := t.Cfg.Cities
-	visited := make([]bool, n)
-	path := make([]int, 0, n)
-	path = append(path, 0, prefix[0], prefix[1])
-	visited[0], visited[prefix[0]], visited[prefix[1]] = true, true, true
-	cur := t.dist[0][prefix[0]] + t.dist[prefix[0]][prefix[1]]
-	// rest is the cheapest exit summed over the unvisited cities, updated
-	// beside visited so the lower bound below costs O(1) per node, not O(n).
-	var rest int64
+	s := tspSearch{dist: t.dist, minOut: t.minOut, best: bound, path: make([]int, 0, n)}
+	s.path = append(s.path, 0, prefix[0])
 	for j := 1; j < n; j++ {
-		if !visited[j] {
-			rest += t.minOut[j]
+		if j != prefix[0] {
+			s.unvisited |= 1 << j
+			s.rest += t.minOut[j]
 		}
 	}
-	best := bound
-	var bestTour []int
-	explored := 0
-	var rec func(last int, length int64)
-	rec = func(last int, length int64) {
-		explored++
-		if len(path) == n {
-			total := length + t.dist[last][0]
-			if total < best {
-				best = total
-				bestTour = append([]int(nil), path...)
+	// The subtree's root is prefix[1], tested as the only child of prefix[0].
+	s.expand(prefix[0], t.dist[0][prefix[0]], 1<<prefix[1])
+	return s.best, s.bestTour, s.explored
+}
+
+// tspSearch is one subtree's depth-first branch and bound. A node's leaf test
+// and lower bound are evaluated in its parent's loop, so a pruned node costs
+// no call.
+type tspSearch struct {
+	dist   [][]int64
+	minOut []int64
+
+	path      []int  // cities from 0 to the node being expanded
+	unvisited uint64 // bit j set: city j is not on path (bit 0 never set)
+	rest      int64  // minOut summed over the unvisited cities
+
+	best     int64
+	bestTour []int
+	explored int // nodes tested, pruned and leaf ones included
+}
+
+// expand tests each city in children, in ascending order, as the next stop
+// after last (the end of path, reached at tour length length), and descends
+// into those whose lower bound beats the incumbent.
+func (s *tspSearch) expand(last int, length int64, children uint64) {
+	n := len(s.minOut)
+	leaf := len(s.path)+1 == n
+	d := s.dist[last]
+	for m := children; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		s.explored++
+		nl := length + d[j]
+		if leaf {
+			if total := nl + s.dist[j][0]; total < s.best {
+				s.best = total
+				s.bestTour = make([]int, n)
+				copy(s.bestTour, s.path)
+				s.bestTour[n-1] = j
 			}
-			return
+			continue
 		}
-		// Lower bound: current length plus the cheapest exit from every
-		// remaining city and from the current one.
-		if length+t.minOut[last]+rest >= best {
-			return
+		// Lower bound: the child's length plus the cheapest exit from it and
+		// from every city still unvisited after it, nl + minOut[j] +
+		// (rest - minOut[j]), which is exactly nl + rest in integers.
+		if nl+s.rest >= s.best {
+			continue
 		}
-		for j := 1; j < n; j++ {
-			if visited[j] {
-				continue
-			}
-			visited[j] = true
-			rest -= t.minOut[j]
-			path = append(path, j)
-			rec(j, length+t.dist[last][j])
-			path = path[:len(path)-1]
-			rest += t.minOut[j]
-			visited[j] = false
-		}
+		s.unvisited &^= 1 << j
+		s.rest -= s.minOut[j]
+		s.path = append(s.path, j)
+		s.expand(j, nl, s.unvisited)
+		s.path = s.path[:len(s.path)-1]
+		s.rest += s.minOut[j]
+		s.unvisited |= 1 << j
 	}
-	rec(prefix[1], cur)
-	return best, bestTour, explored
 }
 
 // Snapshot captures the role state (search structures are rebuilt from the
