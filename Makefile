@@ -65,7 +65,7 @@ check:
 	$(GO) run ./cmd/chkcheck $(CHECKFLAGS)
 
 # Byte-identity, slow half: regenerate IDENTITY.txt's full section — digests of
-# the full-size `chkbench -table all` and `chkrecover -exp
+# the full-size `chkbench -table all` and `chkbench -exp
 # scale|avail|failover|domino` outputs, `chkcheck -quick`'s and `-full`'s cell
 # and check totals, and the five benchmark workloads' sim_digest at seed 7 (benchmark/ is
 # built and run, never written) — and diff it against the committed file; a

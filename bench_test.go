@@ -76,8 +76,8 @@ func BenchmarkTable3PercentOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkExperiment regenerates every extension experiment of the
-// catalogue on its quick grid, one sub-benchmark per -exp name.
+// BenchmarkExperiment regenerates every entry of the catalogue on its quick
+// grid, one sub-benchmark per -exp name (E7's recovery demo is -exp coord).
 func BenchmarkExperiment(b *testing.B) {
 	for _, e := range bench.Experiments {
 		b.Run(e.Name, func(b *testing.B) {
@@ -87,18 +87,6 @@ func BenchmarkExperiment(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkRecovery regenerates E7 (total failure plus coordinated
-// rollback-recovery with verified results).
-func BenchmarkRecovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		err := bench.RecoveryDemo(io.Discard, par.DefaultConfig(), ckpt.CoordNBMS,
-			3*sim.Second, 10*sim.Second, 500*sim.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -1,5 +1,5 @@
-// Command chkbench regenerates the paper's tables and the extension
-// experiments on the simulated Parsytec Xplorer testbed.
+// Command chkbench regenerates the paper's tables, the extension experiments
+// and the failure/recovery demos on the simulated Parsytec Xplorer testbed.
 //
 // Usage:
 //
@@ -10,7 +10,10 @@
 //	chkbench -quick          # reduced workload sizes (fast smoke run)
 //	chkbench -list           # enumerate known applications and schemes
 //	chkbench -exp NAME       # an extension experiment; -h lists the catalogue
-//	                         # (bench.Experiments: sync, storage, ..., scale)
+//	                         # (bench.Experiments: sync, storage, ..., logging)
+//	chkbench -exp coord      # E7: total failure + coordinated rollback-recovery
+//	chkbench -exp logging    # E11: single-node failure + sender-based
+//	                         #      message-logging recovery
 //
 // Concurrency: the (workload, scheme) matrix fans out over a worker pool.
 // Results are byte-identical at every parallelism level — each cell's
@@ -41,9 +44,10 @@
 //	chkbench -memprofile mem.out             # heap profile at exit
 //	chkbench -pprof localhost:6060           # live net/http/pprof while running
 //
-// Any failing cell aborts the run with a non-zero exit status and a message
-// naming the cell and its replay seed; partial tables are never printed as if
-// they were complete.
+// Command-line misuse (an unknown -table or -exp, a bad machine shape) exits
+// with status 2. Any failing cell aborts the run with status 1 and a
+// message naming the cell and its replay seed; partial tables are never
+// printed as if they were complete.
 package main
 
 import (
@@ -63,10 +67,17 @@ import (
 	"repro/internal/perf"
 )
 
+// errUsage marks command-line misuse (as opposed to a failing cell); main
+// reports it with exit status 2, the flag package's convention.
+var errUsage = errors.New("usage")
+
 func main() {
 	err := run(os.Args[1:], os.Stdout, os.Stderr)
 	switch {
 	case errors.Is(err, flag.ErrHelp):
+		os.Exit(2)
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, "chkbench:", err)
 		os.Exit(2)
 	case err != nil:
 		fmt.Fprintln(os.Stderr, "chkbench:", err)
@@ -81,7 +92,7 @@ func run(args []string, out, errw io.Writer) (err error) {
 	fs := flag.NewFlagSet("chkbench", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	table := fs.String("table", "", "table to regenerate: 1, 2, 3 or all")
-	exp := fs.String("exp", "", "extension experiment:"+bench.ExperimentHelp())
+	exp := fs.String("exp", "", "extension experiment or recovery demo:"+bench.ExperimentHelp())
 	quick := fs.Bool("quick", false, "use reduced workload sizes")
 	verbose := fs.Bool("v", false, "log every run")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the benchmark matrix (0 = GOMAXPROCS)")
@@ -118,7 +129,7 @@ func run(args []string, out, errw io.Writer) (err error) {
 		fmt.Fprintln(out, "Schemes (-scheme; case-insensitive, Coord_ prefix and underscores optional):")
 		for _, name := range bench.SchemeNames() {
 			line := "  " + name
-			if v, err := bench.SchemeByName(name); err == nil && v.Failover() {
+			if v, err := bench.SchemeByName(name); err == nil && v.ThreePhase {
 				line += "  (failover: survives a coordinator crash via pre-commit + election)"
 			}
 			fmt.Fprintln(out, line)
@@ -144,7 +155,7 @@ func run(args []string, out, errw io.Writer) (err error) {
 	default:
 		// A typo used to fall through every table block silently and exit 0
 		// with no output — success status for work never done.
-		return fmt.Errorf("unknown -table %q: want 1, 2, 3 or all", *table)
+		return fmt.Errorf("%w: unknown -table %q: want 1, 2, 3 or all", errUsage, *table)
 	}
 	var prog bench.Progress
 	if *verbose {
@@ -162,7 +173,7 @@ func run(args []string, out, errw io.Writer) (err error) {
 
 	cfg := par.DefaultConfig()
 	if err := bench.ConfigureFabric(&cfg, *topoSpec, *servers, *placement); err != nil {
-		return fmt.Errorf("%v (see -list for the known topologies and placement policies)", err)
+		return fmt.Errorf("%w: %v (see -list for the known topologies and placement policies)", errUsage, err)
 	}
 	var jsonRows []bench.JSONRow
 	if *table == "1" || *table == "all" {
@@ -198,7 +209,11 @@ func run(args []string, out, errw io.Writer) (err error) {
 		jsonRows = append(jsonRows, bench.Report(cfg, rows, bench.Table2Schemes).Rows...)
 	}
 	if *exp != "" {
-		if err := bench.RunExperiment(ctx, out, *exp, cfg, *quick, r); err != nil {
+		err := bench.RunExperiment(ctx, out, *exp, cfg, *quick, r)
+		if errors.Is(err, bench.ErrUnknownExperiment) {
+			return fmt.Errorf("%w: %w", errUsage, err)
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -189,33 +189,11 @@ func quickIdentity() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	// chkrecover serves the same catalogue, so one line covers both commands.
+	// The catalogue, the two fixed-parameter recovery demos at its end included.
 	for _, e := range bench.Experiments {
 		l, err := outputLine("chkbench -quick -exp "+e.Name, func(w io.Writer) error {
 			return e.Run(context.Background(), w, cfg, true, r)
 		})
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, l)
-	}
-	// chkrecover's two demos, at the command's flag defaults.
-	nbms, err := bench.SchemeByName("NBMS")
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range []struct {
-		name   string
-		render func(io.Writer) error
-	}{
-		{"chkrecover -exp coord", func(w io.Writer) error {
-			return bench.RecoveryDemo(w, cfg, nbms, 3*sim.Second, 15*sim.Second, 500*sim.Millisecond)
-		}},
-		{"chkrecover -exp logging", func(w io.Writer) error {
-			return bench.LoggingRecoveryDemo(w, cfg, 3, 15*sim.Second, 300*sim.Millisecond)
-		}},
-	} {
-		l, err := outputLine(d.name, d.render)
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +263,7 @@ func fullSectionIdentity() ([]string, error) {
 	// The four catalogue entries whose full grids differ in kind from their
 	// quick ones (1024-node cells, the 480 s MTTF column, every kill window).
 	for _, exp := range []string{"scale", "avail", "failover", "domino"} {
-		l, err := outputLine("chkrecover -exp "+exp, func(w io.Writer) error {
+		l, err := outputLine("chkbench -exp "+exp, func(w io.Writer) error {
 			return bench.RunExperiment(context.Background(), w, exp, cfg, false, r)
 		})
 		if err != nil {

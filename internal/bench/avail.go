@@ -16,7 +16,7 @@ import (
 	"repro/internal/trace"
 )
 
-// AvailabilityExperimentSeeded (E12) measures what checkpointing buys when things
+// availabilityExperiment (E12) measures what checkpointing buys when things
 // actually fail. Every cell runs the workload live through the
 // fault-injection subsystem — transient storage errors, short server
 // outages, and a lossy interconnect — which exercises the hardened paths
@@ -31,11 +31,9 @@ import (
 // The replay is first-order in the paper's own style: re-execution after a
 // rollback proceeds failure-free at original speed, repair takes a fixed
 // delay, and no failures strike during repair. Checkpoint timestamps stand
-// in for the state they captured.
-//
-// A non-zero seed forces every cell's fault plan to that seed; the catalogue
-// entry passes 0, which keeps the per-cell seeds (Cell.Seed).
-func AvailabilityExperimentSeeded(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner, seed uint64) error {
+// in for the state they captured. Each cell's fault plan derives from its
+// coordinates (Cell.Seed).
+func availabilityExperiment(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
 	wl := apps.SORWorkload(apps.DefaultSOR(pick(quick, 128, 512), pick(quick, 40, 100)))
 	schemes := []ckpt.Variant{
 		ckpt.CoordNB, ckpt.CoordNBInc,
@@ -71,16 +69,8 @@ func AvailabilityExperimentSeeded(ctx context.Context, w io.Writer, cfg par.Conf
 		}
 	}
 	reps, err := Cells(ctx, r, cells, func(_ context.Context, i int, c Cell) (availReport, error) {
-		cellSeed := seed
-		if cellSeed == 0 {
-			cellSeed = c.Seed()
-		}
-		rep, err := runAvail(wl, cfg, rows[i].scheme, rows[i].interval, rows[i].mttf, repair, cellSeed)
+		rep, err := runAvail(wl, cfg, rows[i].scheme, rows[i].interval, rows[i].mttf, repair, c.Seed())
 		if err != nil {
-			if seed != 0 {
-				// The override replaced the cell seed ForEach will report.
-				return rep, fmt.Errorf("fault seed %#x: %w", cellSeed, err)
-			}
 			return rep, err
 		}
 		r.Prog.logf("%-24s MTTF %4.0fs: %d failures, completion %.1fs", c.Name(),

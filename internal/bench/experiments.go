@@ -16,8 +16,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Experiment is one entry of the extension-experiment catalogue: what -exp
-// NAME runs on both commands. Each entry renders its own report; the
+// Experiment is one entry of the extension-experiment catalogue: what
+// `chkbench -exp NAME` runs. Each entry renders its own report; the
 // catalogue only says what exists, under which name, and how to launch it.
 type Experiment struct {
 	Name  string // the -exp name
@@ -36,18 +36,20 @@ var Experiments = []Experiment{
 	{"interval", "E9", "overhead vs checkpoint interval", intervalSweep},
 	{"scaling", "E10", "overhead vs machine size", scalingExperiment},
 	{"domino", "E6", "recovery lines and the domino effect", dominoExperiment},
-	{"avail", "E12", "availability under injected faults and Poisson failures",
-		func(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
-			return AvailabilityExperimentSeeded(ctx, w, cfg, quick, r, 0)
-		}},
-	{"failover", "E15", "coordinator failover (pre-commit + election)",
-		func(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
-			return FailoverExperimentPhase(ctx, w, cfg, quick, r, "")
-		}},
+	{"avail", "E12", "availability under injected faults and Poisson failures", availabilityExperiment},
+	{"failover", "E15", "coordinator failover (pre-commit + election)", failoverExperiment},
 	{"scale", "E14", "scaling to 1024 nodes with sharded stable storage",
 		func(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
 			return ScaleExperimentGrid(ctx, w, cfg, ScaleGrid(quick), ScaleSchemes, r)
 		}},
+	{"coord", "E7", "total failure + coordinated rollback-recovery",
+		demoEntry(ckpt.CoordNBMS, func(w io.Writer, cfg par.Config) error {
+			return RecoveryDemo(w, cfg, ckpt.CoordNBMS, 3*sim.Second, 15*sim.Second, 500*sim.Millisecond)
+		})},
+	{"logging", "E11", "single-node failure + sender-based message-logging recovery",
+		demoEntry(ckpt.IndepLog, func(w io.Writer, cfg par.Config) error {
+			return LoggingRecoveryDemo(w, cfg, 3, 15*sim.Second, 300*sim.Millisecond)
+		})},
 }
 
 // ExperimentNames lists the catalogue's -exp names, in catalogue order.
@@ -95,17 +97,11 @@ func syncCostExperiment(ctx context.Context, w io.Writer, cfg par.Config, _ bool
 	// protocol cost (request, markers, acks, commit, one empty write).
 	cfg.CkptImageBytes = 0
 	sizes := []int{0, 10_000, 100_000, 500_000, 1_000_000}
-	cells := make([]Cell, len(sizes))
+	wls := make([]apps.Workload, len(sizes))
 	for i, stateBytes := range sizes {
-		cells[i] = Cell{App: fmt.Sprintf("RING-%dB", stateBytes), Scheme: "E4"}
+		wls[i] = syntheticWorkload(stateBytes)
 	}
-	rows, err := Cells(ctx, r, cells, func(ctx context.Context, i int, _ Cell) (Row, error) {
-		rows, err := r.MeasureRows(ctx, cfg, []apps.Workload{syntheticWorkload(sizes[i])}, []ckpt.Variant{ckpt.CoordNB}, 3)
-		if err != nil {
-			return Row{}, err
-		}
-		return rows[0], nil
-	})
+	rows, err := r.MeasureRows(ctx, cfg, wls, []ckpt.Variant{ckpt.CoordNB}, 3)
 	if err != nil {
 		return err
 	}
@@ -265,7 +261,7 @@ func scalingExperiment(ctx context.Context, w io.Writer, cfg par.Config, _ bool,
 		// silently ignored.
 		cc.Fabric.Topo = nil
 		cc.Fabric.MeshW, cc.Fabric.MeshH = dims[i][0], dims[i][1]
-		wl := syntheticWorkloadN(128_000, cc.Fabric.Nodes())
+		wl := syntheticWorkload(128_000)
 		rows, err := r.MeasureRows(ctx, cc, []apps.Workload{wl},
 			[]ckpt.Variant{ckpt.CoordNB, ckpt.Indep, ckpt.CoordNBMS}, 2)
 		if err != nil {

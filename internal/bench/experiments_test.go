@@ -76,11 +76,10 @@ func TestExperimentsHonourCancellation(t *testing.T) {
 }
 
 // TestCatalogueMatchesDocs keeps the prose on the table: every `-exp NAME`
-// the documentation and the two commands' doc comments mention is a catalogue
-// name (or one of chkrecover's two demos), and every catalogue ID has its
-// E<n> heading in EXPERIMENTS.md.
+// the documentation and chkbench's doc comment mention is a catalogue name,
+// and every catalogue ID has its E<n> heading in EXPERIMENTS.md.
 func TestCatalogueMatchesDocs(t *testing.T) {
-	known := map[string]bool{"coord": true, "logging": true, "NAME": true}
+	known := map[string]bool{"NAME": true}
 	for _, e := range Experiments {
 		known[e.Name] = true
 	}
@@ -92,7 +91,7 @@ func TestCatalogueMatchesDocs(t *testing.T) {
 		return string(b)
 	}
 	mention := regexp.MustCompile(`-exp[ =]([A-Za-z]+)`)
-	for _, path := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "cmd/chkbench/main.go", "cmd/chkrecover/main.go"} {
+	for _, path := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "cmd/chkbench/main.go"} {
 		text := read(path)
 		if strings.HasSuffix(path, ".go") {
 			text, _, _ = strings.Cut(text, "\npackage main") // the doc comment

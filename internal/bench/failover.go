@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/ckpt"
@@ -22,20 +21,7 @@ import (
 // consumers drop that phase for them.
 var KillPhases = []string{"round", "acks", "precommit", "meta", "commit"}
 
-// ValidKillPhase reports whether phase names a window of the coordinated
-// round; the error lists the accepted names so a typo on the command line
-// fails loudly instead of sweeping nothing.
-func ValidKillPhase(phase string) error {
-	for _, p := range KillPhases {
-		if p == phase {
-			return nil
-		}
-	}
-	return fmt.Errorf("bench: unknown kill phase %q: want one of %s",
-		phase, strings.Join(KillPhases, ", "))
-}
-
-// FailoverExperimentPhase (E15) measures what the three-phase commit and the
+// failoverExperiment (E15) measures what the three-phase commit and the
 // coordinator election buy when the coordinator itself dies. Each cell kills
 // rank 0 inside one window of the checkpoint round — while the round is
 // announced, after all acks, after the pre-commit barrier, after the commit
@@ -51,21 +37,9 @@ func ValidKillPhase(phase string) error {
 // steady-state availability at a range of coordinator MTTFs, in the paper's
 // first-order style: failures arrive at rate 1/MTTF and each costs the mean
 // measured crash-to-recovery overhead.
-//
-// A non-empty phase restricts the sweep to that one kill window; the
-// catalogue entry passes "" and sweeps them all.
-func FailoverExperimentPhase(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner, phase string) error {
-	if phase != "" {
-		if err := ValidKillPhase(phase); err != nil {
-			return err
-		}
-	}
+func failoverExperiment(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
 	wl := syntheticWorkload(pick(quick, 100_000, 200_000))
 	schemes := []ckpt.Variant{ckpt.CoordNB, ckpt.CoordNBFT, ckpt.CoordNBFTInc}
-	phases := KillPhases
-	if phase != "" {
-		phases = []string{phase}
-	}
 
 	// The no-checkpointing baseline fixes the interval, as everywhere else.
 	baseExec, err := r.normal(ctx, cfg, wl)
@@ -94,11 +68,11 @@ func FailoverExperimentPhase(ctx context.Context, w io.Writer, cfg par.Config, q
 		si     int // index into schemes/ffExec
 		phase  string
 	}
-	rows := make([]failoverRow, 0, len(schemes)*len(phases))
+	rows := make([]failoverRow, 0, len(schemes)*len(KillPhases))
 	cells := make([]Cell, 0, cap(rows))
 	for si, v := range schemes {
-		for pi, ph := range phases {
-			if ph == "precommit" && !v.Failover() {
+		for pi, ph := range KillPhases {
+			if ph == "precommit" && !v.ThreePhase {
 				continue // window the plain variants never announce
 			}
 			rows = append(rows, failoverRow{scheme: v, si: si, phase: ph})
@@ -211,7 +185,7 @@ func runFailover(wl apps.Workload, cfg par.Config, v ckpt.Variant, interval sim.
 					out.Resolution = "adopted"
 				case st.RoundsAborted > 0:
 					out.Resolution = "aborted"
-				case v.Failover():
+				case v.ThreePhase:
 					out.Resolution = "none in flight"
 				default:
 					out.Resolution = "stalled"

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 
@@ -10,6 +12,27 @@ import (
 	"repro/internal/sim"
 )
 
+// demoStateBytes is the per-node state of both recovery demos' ring.
+const demoStateBytes = 200_000
+
+// demoEntry runs a fixed-parameter recovery demo as its catalogue entry's one
+// cell (the demo's ring under scheme). The report is held back until the cell
+// finishes, so a cancelled run writes nothing, as with every other entry; the
+// demos have no reduced size, so -quick changes nothing.
+func demoEntry(scheme ckpt.Variant, demo func(io.Writer, par.Config) error) func(context.Context, io.Writer, par.Config, bool, *Runner) error {
+	return func(ctx context.Context, w io.Writer, cfg par.Config, _ bool, r *Runner) error {
+		var report bytes.Buffer
+		cell := Cell{App: syntheticWorkload(demoStateBytes).Name, Scheme: scheme.String()}
+		if err := r.ForEach(ctx, []Cell{cell}, func(context.Context, int, Cell) error {
+			return demo(&report, cfg)
+		}); err != nil {
+			return err
+		}
+		_, err := report.WriteTo(w)
+		return err
+	}
+}
+
 // RecoveryDemo (E7) runs a recovery-consistent workload under a coordinated
 // scheme, injects a total system failure mid-run, recovers from the last
 // committed global checkpoint, lets the computation finish, and verifies the
@@ -17,9 +40,9 @@ import (
 // distance and the recovery cost.
 func RecoveryDemo(w io.Writer, cfg par.Config, v ckpt.Variant, interval, crashAt, repair sim.Duration) error {
 	if !v.Coordinated() {
-		return fmt.Errorf("bench: recovery demo uses coordinated schemes (independent recovery is analyzed by chkrecover -exp domino)")
+		return fmt.Errorf("bench: recovery demo uses coordinated schemes (independent recovery is analyzed by chkbench -exp domino)")
 	}
-	wl := syntheticWorkload(200_000)
+	wl := syntheticWorkload(demoStateBytes)
 
 	// Failure-free baseline for the lost-work accounting.
 	normal, err := core.Run(wl, core.Config{Machine: cfg})
@@ -64,7 +87,7 @@ func RecoveryDemo(w io.Writer, cfg par.Config, v ckpt.Variant, interval, crashAt
 // checkpointing with sender-based message logging, a single-node failure,
 // and a recovery in which only the failed process rolls back.
 func LoggingRecoveryDemo(w io.Writer, cfg par.Config, victim int, crashAt, repair sim.Duration) error {
-	wl := syntheticWorkload(200_000)
+	wl := syntheticWorkload(demoStateBytes)
 	run := core.Start(wl, core.Config{Machine: cfg, Scheme: ckpt.IndepLog, Interval: 5 * sim.Second})
 	m := run.M
 	var rep *ckpt.NodeRecoveryReport

@@ -59,10 +59,13 @@ func (r *ringState) Restore(data []byte) {
 	}
 }
 
-// syntheticWorkload returns a ring workload with the given per-node state
-// size on the default 8-node machine.
+// syntheticWorkload is the calibration experiments' ring: 600 iterations
+// of 5e5 operations per node, named by its per-node state size alone. The
+// ring verifies however many ranks ran it, so E10 runs it on every mesh.
 func syntheticWorkload(stateBytes int) apps.Workload {
-	return syntheticWorkloadN(stateBytes, 8)
+	wl := RingWorkload(stateBytes, 600, 5e5)
+	wl.Name = fmt.Sprintf("RING-%dB", stateBytes)
+	return wl
 }
 
 // RingWorkload exposes the ring workload with every knob open — state
@@ -96,33 +99,6 @@ func RingWorkloadN(n, stateBytes, iters int, perIterOps float64) apps.Workload {
 			// workload was named for — so the same workload verifies correctly
 			// on any machine (-topo overrides the mesh under every experiment).
 			size := len(progs)
-			for rank, p := range progs {
-				r := p.(*ringState)
-				left := (rank + size - 1) % size
-				var want int64
-				for i := 0; i < iters; i++ {
-					want += int64(left+1) * int64(i+1)
-				}
-				if r.Acc != want {
-					return fmt.Errorf("ring: rank %d acc = %d, want %d", rank, r.Acc, want)
-				}
-			}
-			return nil
-		},
-	}
-}
-
-// syntheticWorkloadN returns a ring workload for an n-node machine.
-func syntheticWorkloadN(stateBytes, n int) apps.Workload {
-	const iters = 600
-	return apps.Workload{
-		Name: fmt.Sprintf("RING-%dB", stateBytes),
-		Make: func(rank, size int) mp.Program {
-			return &ringState{Rank: rank, Size: size, Iters: iters, PerIterOps: 5e5,
-				Pad: make([]byte, stateBytes)}
-		},
-		Check: func(progs []mp.Program) error {
-			size := len(progs) // see RingWorkloadN: verify the machine that ran
 			for rank, p := range progs {
 				r := p.(*ringState)
 				left := (rank + size - 1) % size

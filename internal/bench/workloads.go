@@ -1,7 +1,7 @@
 // Package bench defines the paper's experiments: the workload sets behind
 // Tables 1-3, the runner that fans their independent cells over a worker
-// pool and regenerates each table, the catalogue of extension experiments
-// (Experiments: what -exp NAME runs), and chkrecover's two recovery demos.
+// pool and regenerates each table, and the catalogue of extension experiments
+// and recovery demos (Experiments: what `chkbench -exp NAME` runs).
 package bench
 
 import (

@@ -189,7 +189,7 @@ func (cfg SweepConfig) Cells() ([]bench.Cell, []CellSpec) {
 				// Coordinator-kill lattice: Rep encodes (phase ordinal, seed
 				// ordinal) so a cell name still replays bit-identically.
 				for pi, phase := range cfg.KillPhases {
-					if phase == "precommit" && !v.Failover() {
+					if phase == "precommit" && !v.ThreePhase {
 						continue // window the plain variants never announce
 					}
 					for s := 0; s < cfg.Seeds; s++ {

@@ -158,7 +158,7 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 		for rank := 0; rank < n; rank++ {
 			env := w.Launch(rank, progs[rank])
 			if line[rank] > 0 && len(libs[rank]) > 0 {
-				env.RestoreLibState(libs[rank])
+				env.Restore(libs[rank])
 			}
 		}
 	})

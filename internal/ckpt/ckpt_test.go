@@ -591,13 +591,13 @@ func TestVariantStringAndPredicates(t *testing.T) {
 			got, want bool
 		}{
 			{"Coordinated", c.v.Coordinated(), ref.Coordinated()},
-			{"Failover", c.v.Failover(), ref.Failover()},
+			{"ThreePhase", c.v.ThreePhase, ref.Failover()},
 			{"MemBuffered", c.v.MemBuffered(), ref.MemBuffered()},
 			{"CommunicationInduced", c.v.CommunicationInduced(), ref.CommunicationInduced()},
 			{"Incremental", c.v.Incremental(), ref.Incremental()},
 		} {
 			if p.got != p.want {
-				t.Errorf("%s.%s() = %v, the enum's predicate says %v", c.name, p.pred, p.got, p.want)
+				t.Errorf("%s: %s = %v, the enum's predicate says %v", c.name, p.pred, p.got, p.want)
 			}
 		}
 		// The durable layout: captured files read back through the one

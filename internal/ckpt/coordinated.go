@@ -116,7 +116,7 @@ func (s *coordinated) Attach(m *par.Machine) {
 		}
 		s.nodes[nodeID].onAppExit()
 	})
-	if s.v.Failover() {
+	if s.v.ThreePhase {
 		s.armFailover()
 	}
 	m.Eng.After(s.opt.firstAt(), s.startRound)
@@ -230,7 +230,7 @@ func (s *coordinated) onAck(ackRound, ackAttempt, from int) {
 	s.commitBusy = true
 	round, attempt := s.round, s.attempt
 	s.m.NotePhase("acks", round)
-	if s.v.Failover() {
+	if s.v.ThreePhase {
 		// Phase 2 of the fault-tolerant protocol: broadcast pre-commit and
 		// collect every pre-ack before touching the round record. A targeted
 		// crash fired by the announcement above kills the coordinator right

@@ -254,7 +254,7 @@ func (s *coordinated) writeMetaJob(coordID, round, attempt int, adopted bool) {
 			return
 		}
 		s.m.NotePhase("meta", round)
-		if !cn.n.Alive && s.v.Failover() {
+		if !cn.n.Alive && s.v.ThreePhase {
 			// Crashed between the commit point and the commit broadcast: the
 			// round IS durable, and some participant holds its pre-commit, so
 			// the next election — or the recovery driver — finishes it. The

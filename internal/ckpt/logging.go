@@ -126,7 +126,7 @@ func RecoverNode(m *par.Machine, w *mp.World, sch Scheme, rank int, factory func
 		}
 		env := w.Launch(rank, prog)
 		if latest > 0 {
-			env.RestoreLibState(lib)
+			env.Restore(lib)
 		}
 		// Survivors retransmit everything the restored state has not
 		// consumed; duplicates of what it has are impossible by construction

@@ -194,11 +194,6 @@ func VariantNames() []string {
 // Coordinated reports whether the variant is a coordinated scheme.
 func (v Variant) Coordinated() bool { return v.Driver == DriverRounds }
 
-// Failover reports whether the variant runs the fault-tolerant coordinated
-// protocol: a pre-commit phase plus heartbeat monitoring and coordinator
-// election.
-func (v Variant) Failover() bool { return v.ThreePhase }
-
 // MemBuffered reports whether the variant uses main-memory checkpointing.
 func (v Variant) MemBuffered() bool { return v.Write == WriteMemCopy || v.Write == WriteMemStagger }
 

@@ -152,7 +152,7 @@ func (w *World) Size() int { return len(w.Envs) }
 
 // Launch starts prog as the given rank. The returned Env is also stored in
 // w.Envs. Restored state, if any, must be applied to prog before Launch;
-// restored library state (sequence counters) via Env.RestoreLibState before
+// restored library state (sequence counters) via Env.Restore before
 // the simulation resumes.
 func (w *World) Launch(rank int, prog Program) *Env {
 	node := w.M.Nodes[rank]
@@ -185,9 +185,6 @@ func (e *Env) Restore(data []byte) {
 	e.ssnOut = getU64s(r)
 	e.ssnIn = getU64s(r)
 }
-
-// RestoreLibState is Restore under a name that reads better at call sites.
-func (e *Env) RestoreLibState(data []byte) { e.Restore(data) }
 
 // LastConsumedSSN returns the last sequence number consumed from each rank
 // (used by the recovery manager to ask survivors for retransmissions).

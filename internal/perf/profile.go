@@ -13,7 +13,7 @@ import (
 )
 
 // Profile bundles the host-profiling flags shared by every command
-// (chkbench, chkrecover, chkcheck, chksim), so any run — the
+// (chkbench, chkcheck, chksim), so any run — the
 // 1008-cell `chkcheck -full`, an E12 sweep, a single chksim cell — can be
 // profiled without code changes:
 //
