@@ -58,17 +58,22 @@ type Harness struct {
 	delivered [][][]msgCopy // [rank][src], in consume order
 	cuts      []map[int]cut // [rank][ckpt index]: ledger counters at capture
 	zero      []int         // the initial state's cut, shared and never written
+
+	// keepSnaps makes each cut keep a copy of its capture's snapshot bytes.
+	// Only the incremental audit reads them (snapAt), so the audit sets it
+	// for the incremental schemes alone and the others copy nothing.
+	keepSnaps bool
 }
 
 // cut is the rank's ledger position at the instant one checkpoint was
 // captured: how many messages it had sent to and consumed from every peer,
-// plus the raw snapshot bytes the capture produced (the audit's ground truth
-// for the incremental schemes' delta-chain reconstruction). Cuts live in this
-// host-side sidecar, not in the checkpoint image, so the instrumentation
-// never changes the bytes the simulated system stores — an armed oracle costs
-// zero virtual time. A retried round overwrites its cut, which is exactly
-// right: the surviving attempt's files pair with the surviving attempt's
-// counters.
+// plus, for the incremental schemes, the raw snapshot bytes the capture
+// produced (the audit's ground truth for delta-chain reconstruction). Cuts
+// live in this host-side sidecar, not in the checkpoint image, so the
+// instrumentation never changes the bytes the simulated system stores — an
+// armed oracle costs zero virtual time. A retried round overwrites its cut,
+// which is exactly right: the surviving attempt's files pair with the
+// surviving attempt's counters.
 type cut struct {
 	sent, recv []int
 	snap       []byte
@@ -118,11 +123,15 @@ func (h *Harness) reset() {
 	}
 }
 
-// recordCut stores the rank's current ledger counters and the capture's raw
-// snapshot bytes as checkpoint index's cut.
+// recordCut stores the rank's current ledger counters, and with keepSnaps a
+// copy of the capture's raw snapshot bytes, as checkpoint index's cut.
 func (h *Harness) recordCut(rank, index int, snap []byte) {
 	sent, recv := h.counts(rank)
-	h.cuts[rank][index] = cut{sent: sent, recv: recv, snap: append([]byte(nil), snap...)}
+	c := cut{sent: sent, recv: recv}
+	if h.keepSnaps {
+		c.snap = append([]byte(nil), snap...)
+	}
+	h.cuts[rank][index] = c
 }
 
 // cutAt returns the ledger cut of one checkpoint. Index 0 is the initial
@@ -137,7 +146,7 @@ func (h *Harness) cutAt(rank, index int) (sent, recv []int, ok bool) {
 
 // snapAt returns the raw snapshot bytes recorded when checkpoint index was
 // captured — what the incremental audit compares a replayed delta chain
-// against.
+// against. It finds none unless keepSnaps was set at the capture.
 func (h *Harness) snapAt(rank, index int) ([]byte, bool) {
 	c, ok := h.cuts[rank][index]
 	return c.snap, ok

@@ -6,7 +6,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/mp"
 	"repro/internal/par"
-	"repro/internal/rdg"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -67,9 +66,8 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 	// pre-prune view is what the line was computed from, and what callers
 	// need to audit that computation independently.
 	crashRecords := append([]ckpt.Record(nil), a.committed...)
-	g := rdg.FromRecords(n, a.committed)
-	line := g.RecoveryLine()
-	if orph := g.OrphanEdges(line); len(orph) > 0 {
+	line := a.g.RecoveryLine()
+	if orph := a.g.OrphanEdges(line); len(orph) > 0 {
 		a.violatef("recover.line-consistent", "recovery line %v keeps orphan edges %v", line, orph)
 	}
 	a.onRecovery(line)

@@ -502,23 +502,50 @@ func (v Variant) slots() int {
 // and the garbage collector (package rdg) reclaims them; reading one back is
 // the Replayer's.
 func (v Variant) StatePath(rank, index int) string {
+	var buf [64]byte
 	if v.Coordinated() {
-		return fmt.Sprintf("%ss%03d", v.SlotDir(index), rank)
+		return string(appendPadded(append(v.appendSlotDir(buf[:0], index), 's'), rank, 3))
 	}
-	return fmt.Sprintf("%sn%03d/k%05d", v.StorageRoot(), rank, index)
+	b := appendPadded(append(append(buf[:0], v.StorageRoot()...), 'n'), rank, 3)
+	return string(appendPadded(append(b, "/k"...), index, 5))
 }
 
 // ChanPath is the stable-storage path of rank's channel log of a coordinated
 // round.
 func (v Variant) ChanPath(rank, round int) string {
-	return fmt.Sprintf("%sc%03d", v.SlotDir(round), rank)
+	var buf [64]byte
+	return string(appendPadded(append(v.appendSlotDir(buf[:0], round), 'c'), rank, 3))
 }
 
 // SlotDir is the directory, with its trailing slash, of the slot a
 // coordinated round's files are written to: every path under it belongs to
 // the round the slot holds, whatever its name.
 func (v Variant) SlotDir(round int) string {
-	return fmt.Sprintf("%sslot%d/", v.StorageRoot(), round%v.slots())
+	var buf [64]byte
+	return string(v.appendSlotDir(buf[:0], round))
+}
+
+func (v Variant) appendSlotDir(b []byte, round int) []byte {
+	b = append(append(b, v.StorageRoot()...), "slot"...)
+	return append(strconv.AppendInt(b, int64(round%v.slots()), 10), '/')
+}
+
+// appendPadded appends x in decimal with at least width characters, zeros
+// after the sign: what %0*d prints. The path builders spell names with it
+// instead of fmt, which boxes every argument and parses the format on each
+// of the several path builds per checkpoint.
+func appendPadded(b []byte, x, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(x), 10)
+	if x < 0 {
+		b = append(b, '-')
+		digits = digits[1:]
+		width--
+	}
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // ParsePath reads StatePath and ChanPath backwards: the rank and index a path

@@ -16,7 +16,9 @@
 package rdg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/sim"
@@ -38,13 +40,39 @@ type Edge struct {
 	SentInterval int
 }
 
-// Graph is the rollback-dependency structure of one run.
+// Graph is the rollback-dependency structure of one run. It grows one
+// committed checkpoint at a time (Add), so a caller that audits every commit
+// keeps one graph for the whole run instead of rebuilding it. A Graph is not
+// safe for concurrent use: RecoveryLine remembers its answer to narrow the
+// next one.
 type Graph struct {
 	n      int
-	latest []int // newest durable checkpoint index per rank
-	at     map[CheckpointID]sim.Time
-	exists map[CheckpointID]bool // committed checkpoints; indices can be sparse (CIC jumps)
+	ckpts  [][]stamp // per rank, committed checkpoints by ascending index; indices can be sparse (CIC jumps)
+	latest []int     // newest durable checkpoint index per rank
 	edges  []Edge
+
+	// floor is a line known to be consistent over every edge, and live the
+	// edges a line at or above floor can still orphan: an edge whose send
+	// lies below floor on the sender is inside every such line's state. The
+	// maximal consistent line never falls below a consistent line, so
+	// RecoveryLine and the orphan scans read live alone — the edges of the
+	// run's last few intervals, however long the run. A zero floor keeps
+	// every edge live.
+	floor []int
+	live  []Edge
+}
+
+// stamp is one committed checkpoint of a rank: its index and when it became
+// durable.
+type stamp struct {
+	index int
+	at    sim.Time
+}
+
+// New returns the graph of a run on n ranks before any checkpoint commits:
+// every rank at its initial state, checkpoint 0.
+func New(n int) *Graph {
+	return &Graph{n: n, ckpts: make([][]stamp, n), latest: make([]int, n), floor: make([]int, n)}
 }
 
 // FromRecords builds the graph over all committed checkpoints of an
@@ -56,24 +84,40 @@ func FromRecords(n int, recs []ckpt.Record) *Graph {
 // FromRecordsAt builds the graph visible at a failure at time t: only
 // checkpoints durable strictly before t exist in stable storage.
 func FromRecordsAt(n int, recs []ckpt.Record, t sim.Time) *Graph {
-	g := &Graph{n: n, latest: make([]int, n), at: make(map[CheckpointID]sim.Time), exists: make(map[CheckpointID]bool)}
+	g := New(n)
 	for _, r := range recs {
-		if r.At >= t {
-			continue
-		}
-		if r.Index > g.latest[r.Rank] {
-			g.latest[r.Rank] = r.Index
-		}
-		g.at[CheckpointID{r.Rank, r.Index}] = r.At
-		g.exists[CheckpointID{r.Rank, r.Index}] = true
-		for _, d := range r.Deps {
-			g.edges = append(g.edges, Edge{
-				Receiver: r.Rank, RecvCkpt: r.Index,
-				Sender: d.SrcRank, SentInterval: int(d.SrcIndex),
-			})
+		if r.At < t {
+			g.Add(r)
 		}
 	}
 	return g
+}
+
+// Add records one committed checkpoint and its receive dependencies. A
+// checkpoint committed again under the same index keeps the later time.
+func (g *Graph) Add(r ckpt.Record) {
+	if i, ok := g.find(r.Rank, r.Index); ok {
+		g.ckpts[r.Rank][i].at = r.At
+	} else {
+		g.ckpts[r.Rank] = slices.Insert(g.ckpts[r.Rank], i, stamp{r.Index, r.At})
+	}
+	if r.Index > g.latest[r.Rank] {
+		g.latest[r.Rank] = r.Index
+	}
+	for _, d := range r.Deps {
+		e := Edge{Receiver: r.Rank, RecvCkpt: r.Index, Sender: d.SrcRank, SentInterval: int(d.SrcIndex)}
+		g.edges = append(g.edges, e)
+		switch {
+		case e.orphanedBy(g.floor):
+			// A checkpoint at or below the floor gained a receive whose
+			// send the floor excludes: the floor is no longer consistent,
+			// so every edge is live again until the next RecoveryLine.
+			clear(g.floor)
+			g.live = append(g.live[:0], g.edges...)
+		case e.SentInterval >= g.floor[e.Sender]:
+			g.live = append(g.live, e)
+		}
+	}
 }
 
 // Ranks returns the number of processes.
@@ -88,10 +132,10 @@ func (g *Graph) Edges() []Edge { return append([]Edge(nil), g.edges...) }
 // CheckpointTime returns when a checkpoint became durable (zero time for the
 // initial state, checkpoint 0).
 func (g *Graph) CheckpointTime(id CheckpointID) sim.Time {
-	if id.Index == 0 {
-		return 0
+	if i, ok := g.find(id.Rank, id.Index); ok && id.Index != 0 {
+		return g.ckpts[id.Rank][i].at
 	}
-	return g.at[id]
+	return 0
 }
 
 // RecoveryLine computes the most recent consistent recovery line by rollback
@@ -103,15 +147,25 @@ func (g *Graph) RecoveryLine() []int {
 	line := g.Latest()
 	for changed := true; changed; {
 		changed = false
-		for _, e := range g.edges {
-			// The receive is part of p's restored state iff line[p] >= RecvCkpt.
-			// The send is part of q's restored state iff line[q] > SentInterval.
-			if line[e.Receiver] >= e.RecvCkpt && line[e.Sender] <= e.SentInterval {
+		for _, e := range g.live {
+			if e.orphanedBy(line) {
 				line[e.Receiver] = g.snapDown(e.Receiver, e.RecvCkpt-1)
 				changed = true
 			}
 		}
 	}
+	// Every consistent line, the floor included, lies at or below the maximal
+	// one, so the line clears the edges below the floor as well: it is
+	// consistent over every edge and becomes the floor, and the edges whose
+	// send it now includes stop being live.
+	copy(g.floor, line)
+	live := g.live[:0]
+	for _, e := range g.live {
+		if e.SentInterval >= line[e.Sender] {
+			live = append(live, e)
+		}
+	}
+	g.live = live
 	return line
 }
 
@@ -121,12 +175,16 @@ func (g *Graph) RecoveryLine() []int {
 // checkpoints jump indices, so that index may name a checkpoint the rank
 // never took; the restorable state is the nearest committed one below it.
 func (g *Graph) snapDown(rank, idx int) int {
-	for ; idx > 0; idx-- {
-		if g.exists[CheckpointID{rank, idx}] {
-			return idx
-		}
+	if i, _ := g.find(rank, idx+1); i > 0 {
+		return max(g.ckpts[rank][i-1].index, 0)
 	}
 	return 0
+}
+
+// find returns where checkpoint index of rank sits, or would sit, in its
+// index-sorted checkpoints, and whether it is there.
+func (g *Graph) find(rank, index int) (int, bool) {
+	return slices.BinarySearchFunc(g.ckpts[rank], index, func(c stamp, index int) int { return cmp.Compare(c.index, index) })
 }
 
 // Consistent reports whether a recovery line creates no orphan message: for
@@ -136,8 +194,8 @@ func (g *Graph) snapDown(rank, idx int) int {
 // communication-induced checkpointing keeps the latest-checkpoint line
 // consistent, which independent checkpointing does not.
 func (g *Graph) Consistent(line []int) bool {
-	for _, e := range g.edges {
-		if line[e.Receiver] >= e.RecvCkpt && line[e.Sender] <= e.SentInterval {
+	for _, e := range g.edgesFor(line) {
+		if e.orphanedBy(line) {
 			return false
 		}
 	}
@@ -150,12 +208,31 @@ func (g *Graph) Consistent(line []int) bool {
 // trips, so a violation names the exact orphan messages.
 func (g *Graph) OrphanEdges(line []int) []Edge {
 	var out []Edge
-	for _, e := range g.edges {
-		if line[e.Receiver] >= e.RecvCkpt && line[e.Sender] <= e.SentInterval {
+	for _, e := range g.edgesFor(line) {
+		if e.orphanedBy(line) {
 			out = append(out, e)
 		}
 	}
 	return out
+}
+
+// edgesFor returns the edges that can orphan line: the live ones when line
+// is at or above the floor on every rank, since every other send lies inside
+// its state; else all of them.
+func (g *Graph) edgesFor(line []int) []Edge {
+	for p, l := range line {
+		if l < g.floor[p] {
+			return g.edges
+		}
+	}
+	return g.live
+}
+
+// orphanedBy reports whether line restores the receive but not the send: the
+// receive is part of p's restored state iff line[p] >= RecvCkpt, the send
+// part of q's iff line[q] > SentInterval.
+func (e Edge) orphanedBy(line []int) bool {
+	return line[e.Receiver] >= e.RecvCkpt && line[e.Sender] <= e.SentInterval
 }
 
 // ZeroRollback reports whether the maximal consistent recovery line is the
@@ -211,10 +288,13 @@ func (g *Graph) RollbackTime(line []int, t sim.Time) []sim.Duration {
 // al.'s exact algorithm can reclaim more but never keeps fewer than N(N+1)/2.)
 func (g *Graph) Garbage(line []int) []CheckpointID {
 	var out []CheckpointID
-	for p := 0; p < g.n; p++ {
-		for i := 1; i < line[p]; i++ {
-			if _, ok := g.at[CheckpointID{p, i}]; ok {
-				out = append(out, CheckpointID{p, i})
+	for p, cs := range g.ckpts {
+		for _, c := range cs {
+			if c.index >= line[p] {
+				break
+			}
+			if c.index >= 1 {
+				out = append(out, CheckpointID{p, c.index})
 			}
 		}
 	}
@@ -224,7 +304,11 @@ func (g *Graph) Garbage(line []int) []CheckpointID {
 // Retained returns how many durable checkpoints remain after reclaiming
 // Garbage(line).
 func (g *Graph) Retained(line []int) int {
-	return len(g.at) - len(g.Garbage(line))
+	total := 0
+	for _, cs := range g.ckpts {
+		total += len(cs)
+	}
+	return total - len(g.Garbage(line))
 }
 
 func (e Edge) String() string {
