@@ -23,13 +23,13 @@ race:
 # differentials against retired reference implementations: the incremental
 # payload encoders (a bare snapshot and a pad count, zero runs found a word at
 # a time, vs the padded image materialised and scanned a byte at a time), the
-# engine's event queue (4-ary heap vs container/heap), the fabric's virtual schedule
+# engine's event queue (4-ary heap of same-time runs vs container/heap), the fabric's virtual schedule
 # (event-driven flights vs a courier process per message), the storage
 # server's files (extent lists of the gathered slices it is handed vs one flat,
 # copied slice per file) and the checkpoint writer's requests (gathered from a
 # file's slice list vs the flat loop over one buffer) — and the engine's
 # ordering contract under generated programs (strict (at, push) order across
-# the heap and the current-instant lane), and ISING's guarded Metropolis
+# the heap's runs, the staged run and the current-instant lane), and ISING's guarded Metropolis
 # acceptance (bounds decide, math.Exp only between them) against the plain
 # comparison with math.Exp. The Go fuzzer allows one target per invocation,
 # hence one run each.

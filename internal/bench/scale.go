@@ -77,12 +77,12 @@ func scaleWorkload(nodes int) apps.Workload {
 // O(n²) control messages per round — every rank markers every channel, the
 // protocol's real cost. A message costs events rather than a process and
 // leaves no per-pair state behind, but one event per hop is still the model:
-// a single 1024-node Coord_NB cell is 2.15 M messages × ≈21 hops and measures
-// ≈44 s of host time (≈99 s before routing went from a per-pair table to
-// stepping and same-instant events left the heap, ≈46 s before a process
-// switch became a coroutine switch — a rank's park per marker is a small part
-// of a flood that is mostly hops). The full grid has three such cells per
-// coordinated scheme, six in all — more than four minutes against the ≈6.5 s
+// a single 1024-node Coord_NB cell (one server) is 2,153,665 messages and
+// 83.8 M events, at most 16,910 of them pending at once, and measures ≈21 s
+// of host time on 2 cores (≈35 s before same-time timers shared one heap
+// entry per run; ≈99 s before routing went from a per-pair table to stepping
+// and same-instant events left the heap). The full grid has three such cells
+// per coordinated scheme, six in all — two minutes against the ≈6 s
 // all of E14 takes today, and two orders of magnitude more than the
 // autonomous families' O(n) traffic — so the cap stands. The family
 // comparison lives at and below this size; past it only the autonomous

@@ -33,6 +33,41 @@ func TestAllocsQueueSteadyState(t *testing.T) {
 	}
 }
 
+// TestAllocsQueueBursts pins the queue's runs at zero allocations per
+// steady-state cycle: bursts of 1–16 same-time pushes, several runs per time,
+// spill into overflow slices, drain with pops interleaved, and hand the
+// slices back for the next cycle's runs to reuse.
+func TestAllocsQueueBursts(t *testing.T) {
+	var q eventQueue
+	var seq uint64
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			at := Time(seq % 7)
+			for k := 1 + i%16; k > 0; k-- {
+				seq++
+				q.push(event{at: at, seq: seq})
+			}
+			if i%8 == 7 {
+				for j := 0; j < 20; j++ {
+					q.pop()
+				}
+			}
+		}
+		for q.len() > 0 {
+			q.pop()
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if len(q.spill) == 0 || len(q.free) != len(q.spill) {
+		t.Fatalf("after draining, %d of %d overflow slices are free: want every one, and some", len(q.free), len(q.spill))
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("steady-state burst push/pop allocates %.1f objects per cycle, want 0", allocs)
+	}
+}
+
 // TestAllocsEngineScheduleRun pins the engine's schedule/pop cycle — At with
 // a reused callback, then Run draining the queue — at zero allocations once
 // the queue's slice is warm. This is the engine-context half of the hot path;

@@ -13,7 +13,8 @@ import (
 // and compare against the refQueue variants to see what retiring
 // container/heap bought. The 1e3/1e5 pending-event sizes bracket the queue
 // depths real simulations reach (a quick-matrix cell idles around a few
-// hundred pending events; the E14 scaling matrix peaks past ten thousand).
+// hundred pending events; the E14 scaling matrix peaks at about 3,100, in its
+// 1024-node cells, and the 1024-node Coord_NB cell it leaves out at 16,910).
 
 // benchQueue abstracts the two implementations so the benchmark bodies are
 // shared and any fixed overhead cancels out of the comparison.
@@ -46,12 +47,50 @@ func benchPushPop(b *testing.B, q benchQueue, pending int) {
 	}
 }
 
+// benchBurst is the marker flood's shape: about 1e3 events pending in runs
+// of k for one time each, and a cycle that pops the k smallest and pushes k
+// more for one later time, as packets of one size leaving together land
+// their hop timers together. b.N counts events, so ns/op compares with
+// benchPushPop's, and k = 1 is its distinct-time twin.
+func benchBurst(b *testing.B, q benchQueue, k int) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	times := make([]Time, 4096)
+	for i := range times {
+		times[i] = Time(rng.Intn(1 << 20))
+	}
+	var seq uint64
+	for i := 0; i < 1e3; i += k {
+		for j := 0; j < k; j++ {
+			seq++
+			q.push(event{at: times[i%len(times)], seq: seq})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += k {
+		var e event
+		for j := 0; j < k; j++ {
+			e = q.pop()
+		}
+		at := e.at + 1 + times[i%len(times)]%1024
+		for j := 0; j < k; j++ {
+			seq++
+			q.push(event{at: at, seq: seq})
+		}
+	}
+}
+
 func BenchmarkEventQueuePushPop1e3(b *testing.B) { benchPushPop(b, new(eventQueue), 1e3) }
 func BenchmarkEventQueuePushPop1e5(b *testing.B) { benchPushPop(b, new(eventQueue), 1e5) }
+func BenchmarkEventQueueBurst1(b *testing.B)     { benchBurst(b, new(eventQueue), 1) }
+func BenchmarkEventQueueBurst16(b *testing.B)    { benchBurst(b, new(eventQueue), 16) }
 
 // The container/heap reference, for the before/after delta.
 func BenchmarkRefQueuePushPop1e3(b *testing.B) { benchPushPop(b, new(refQueue), 1e3) }
 func BenchmarkRefQueuePushPop1e5(b *testing.B) { benchPushPop(b, new(refQueue), 1e5) }
+func BenchmarkRefQueueBurst1(b *testing.B)     { benchBurst(b, new(refQueue), 1) }
+func BenchmarkRefQueueBurst16(b *testing.B)    { benchBurst(b, new(refQueue), 16) }
 
 // BenchmarkEngineTimerCascade measures the full engine cycle — schedule
 // through Run's pop-and-dispatch — with the reused-callback form the timer

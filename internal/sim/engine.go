@@ -102,6 +102,9 @@ func (e *Engine) schedule(ev event) {
 	if ev.at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", ev.at, e.now))
 	}
+	if e.seq == maxSeq {
+		panic("sim: more than 2^44 events scheduled on one engine")
+	}
 	e.seq++
 	ev.seq = e.seq
 	if ev.at == e.now {
@@ -114,16 +117,19 @@ func (e *Engine) schedule(ev event) {
 	}
 }
 
-// next removes and returns the minimum pending event; see schedule for why
-// the lane yields to heap events of the current instant and to nothing else.
-func (e *Engine) next() (ev event, ok bool) {
-	inLane := e.laneHead < len(e.lane)
-	if e.events.len() > 0 && (!inLane || e.events.peek().at == e.now) {
-		return e.events.pop(), true
+// queued reports whether the queue's minimum, not the lane's head, is the
+// next pending event, and that event's time if so; see schedule for why the
+// lane yields to queue events of the current instant and to nothing else.
+func (e *Engine) queued() (at Time, ok bool) {
+	if e.events.len() == 0 {
+		return 0, false
 	}
-	if !inLane {
-		return event{}, false
-	}
+	at = e.events.nextAt()
+	return at, at == e.now || e.laneHead == len(e.lane)
+}
+
+// popLane removes and returns the lane's first pending event.
+func (e *Engine) popLane() (ev event) {
 	// Zero the vacated slot, as eventQueue.pop does, so the lane's spare
 	// capacity pins no closure or process; rewind once it drains, so the
 	// backing array is reused instant after instant.
@@ -131,7 +137,7 @@ func (e *Engine) next() (ev event, ok bool) {
 	if e.laneHead++; e.laneHead == len(e.lane) {
 		e.lane, e.laneHead = e.lane[:0], 0
 	}
-	return ev, true
+	return ev
 }
 
 // After schedules fn to run in engine context d from now.
@@ -184,15 +190,19 @@ func (e *Engine) RunUntil(horizon Time) error {
 		panic(fmt.Sprintf("sim: horizon %v before now %v", horizon, e.now))
 	}
 	for !e.stopReq {
-		ev, ok := e.next()
-		if !ok {
+		var ev event
+		if at, ok := e.queued(); ok {
+			// Due after the horizon only when the lane is empty. The event is
+			// left where it is: the queue takes no push of an old seq, so it
+			// could not be popped and put back.
+			if at > horizon {
+				return ErrHorizon
+			}
+			ev = e.events.pop()
+		} else if e.laneHead < len(e.lane) {
+			ev = e.popLane()
+		} else {
 			break
-		}
-		if ev.at > horizon {
-			// Due later than now, so it came off the heap; it goes back with
-			// its (at, seq), so exactly where it was.
-			e.events.push(ev)
-			return ErrHorizon
 		}
 		e.pops++
 		e.now = ev.at

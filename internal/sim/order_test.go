@@ -7,9 +7,10 @@ import (
 
 // order_test.go — the engine's ordering contract, checked through Run: events
 // execute in strictly increasing (at, push index) order, whichever of the
-// heap and the current-instant lane held them. Generated programs of
-// callbacks and processes schedule into both at once — After(0), After(d),
-// At(now), Sleep(0), Sleep(d), Yield, wake, Kill, Spawn, Stop — and every
+// heap, its stage of same-time runs, and the current-instant lane held them.
+// Generated programs of callbacks and processes schedule into all of them at
+// once — After(0), After(d), k × After(d) with one d, At(now), Sleep(0),
+// Sleep(d), Yield, wake, Kill, Spawn, Stop — and every
 // activation reports the event that caused it. On a drained run (Pops ==
 // Pushes) strictly increasing order is the same thing as "always pop the
 // minimum pending event", the heap-only engine's behaviour.
@@ -54,6 +55,7 @@ const (
 	opSpawn
 	opWake
 	opKill
+	opBurst
 	opStop
 	numOrderOps
 )
@@ -86,7 +88,7 @@ type orderRun struct {
 	stopped bool // Stop was called, or a check failed
 	quiet   bool // Shutdown is unwinding processes; no event is executing
 
-	sawMixed, sawKillUnwind bool
+	sawMixed, sawKillUnwind, sawRun bool
 }
 
 // observe checks one activation against the contract: it happens at the time
@@ -106,6 +108,10 @@ func (r *orderRun) observe(at Time, idx uint64) {
 	// The state in which heap-first and lane-first differ.
 	if e.laneHead < len(e.lane) && e.events.len() > 0 && e.events.peek().at == e.now {
 		r.sawMixed = true
+	}
+	// A run that left the stage with overflow, as the lane fills.
+	if e.laneHead < len(e.lane) && len(e.events.heap) > 0 && e.events.heap[0].seq&tagMask != 0 {
+		r.sawRun = true
 	}
 }
 
@@ -134,6 +140,11 @@ func (r *orderRun) act(self *orderProc) (op, arg int) {
 			e.After(d, r.callback(e.now.Add(d)))
 		case opAtNow:
 			e.At(e.now, r.callback(e.now))
+		case opBurst:
+			d := Duration(1 + arg>>2%3)
+			for k := 2 + arg%4; k > 0; k-- {
+				e.After(d, r.callback(e.now.Add(d)))
+			}
 		case opSpawn:
 			r.spawn()
 		case opWake:
@@ -263,12 +274,13 @@ func runOrderProgram(t testing.TB, script []byte) *orderRun {
 }
 
 // TestEngineOrderProperty runs seeded random programs and requires that,
-// between them, they reached the states the lane's ordering argument is
-// about: heap and lane events pending for one instant, processes unwound by
-// a kill, stale wake-ups executed for finished processes, and a Stop that
+// between them, they reached the states the lane's and the runs' ordering
+// arguments are about: heap and lane events pending for one instant, a
+// multi-event run in the heap while the lane fills, processes unwound by a
+// kill, stale wake-ups executed for finished processes, and a Stop that
 // abandons a half-drained instant.
 func TestEngineOrderProperty(t *testing.T) {
-	var sawMixed, sawKillUnwind, sawStale, sawStop bool
+	var sawMixed, sawRun, sawKillUnwind, sawStale, sawStop bool
 	for seed := int64(0); seed < 300 && !t.Failed(); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		script := make([]byte, 32+rng.Intn(480))
@@ -284,13 +296,14 @@ func TestEngineOrderProperty(t *testing.T) {
 		r := runOrderProgram(t, script)
 		st := r.e.Stats()
 		sawMixed = sawMixed || r.sawMixed
+		sawRun = sawRun || r.sawRun
 		sawKillUnwind = sawKillUnwind || r.sawKillUnwind
 		sawStale = sawStale || !r.stopped && uint64(r.seen) < st.Pops
 		sawStop = sawStop || r.stopped && st.Pops < st.Pushes
 	}
-	if !sawMixed || !sawKillUnwind || !sawStale || !sawStop {
-		t.Fatalf("programs too tame: heap+lane at one instant %v, kill unwinds %v, stale wake-ups %v, stop mid-instant %v",
-			sawMixed, sawKillUnwind, sawStale, sawStop)
+	if !sawMixed || !sawRun || !sawKillUnwind || !sawStale || !sawStop {
+		t.Fatalf("programs too tame: heap+lane at one instant %v, heap run beside the lane %v, kill unwinds %v, stale wake-ups %v, stop mid-instant %v",
+			sawMixed, sawRun, sawKillUnwind, sawStale, sawStop)
 	}
 }
 
@@ -304,6 +317,10 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{opSpawn, opPark, opWake, opKill | 0x20, opSleepD | 0x10, opKill, opPark, opAfter0, opWake})
 	f.Add([]byte{opAfterD, opAfterD, opExit, opAfter0, opAfter0, 0xf0 | opStop, opAfter0})
 	f.Add([]byte{opKill | 0x10, opSleepD, opSpawn, opKill | 0x20, opYield, opAtNow, opPark, opWake, opSleep0})
+	// Two runs for t=2 with an event for t=3 between them, then more pushes
+	// for t=2 from t=1, and the lane filling beside the runs at t=2.
+	f.Add([]byte{opBurst | 0x40, opAfterD | 0x20, opBurst | 0x50, opExit, opAfter0, opBurst | 0x20, opAfterD, opExit,
+		opAfter0, opAtNow, opBurst | 0x70, opExit, opAfter0, opAfter0, opExit})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 2048 {
 			script = script[:2048]

@@ -277,18 +277,28 @@ func TestStop(t *testing.T) {
 }
 
 // TestRunUntilHorizon: a simulation that never ends stops at its horizon with
-// the event past it still pending, and a later run resumes exactly where it
-// stopped — the next same-instant pair still in push order.
+// the events past it still pending, and a later run resumes exactly where it
+// stopped — the next instant's events still in push order. At the stop, a
+// run of three same-instant events (plus the tick that joins it) is the
+// queue's stage, and the earlier-pushed event heading the next instant sits in
+// the heap: popping that one and pushing it back would append it behind the
+// run.
 func TestRunUntilHorizon(t *testing.T) {
 	e := New()
 	var order []string
+	mark := func(s string) func() { return func() { order = append(order, s) } }
 	var tick func()
 	tick = func() {
 		order = append(order, "tick")
 		e.After(Second, tick)
 	}
 	e.After(Second, tick)
-	e.At(Time(3*Second), func() { order = append(order, "after-tick") })
+	e.At(Time(3*Second), mark("after-tick"))
+	e.At(Time(2*Second), func() {
+		for _, s := range []string{"x1", "x2", "x3"} {
+			e.At(Time(3*Second), mark(s))
+		}
+	})
 	if err := e.RunUntil(Time(2*Second + 1)); err != ErrHorizon {
 		t.Fatalf("RunUntil = %v, want ErrHorizon", err)
 	}
@@ -299,7 +309,7 @@ func TestRunUntilHorizon(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"tick", "tick", "after-tick", "tick"}; !slices.Equal(order[:4], want) || len(order) != 11 {
+	if want := []string{"tick", "tick", "after-tick", "x1", "x2", "x3", "tick"}; !slices.Equal(order[:7], want) || len(order) != 14 {
 		t.Fatalf("order after resuming = %v, want %v then ticks to 10s", order, want)
 	}
 }
