@@ -66,12 +66,17 @@ check:
 
 # Byte-identity, slow half: regenerate IDENTITY.txt's full section — digests of
 # the full-size `chkbench -table all` and `chkbench -exp
-# scale|avail|failover|domino` outputs, `chkcheck -quick`'s and `-full`'s cell
-# and check totals, and the five benchmark workloads' sim_digest at seed 7 (benchmark/ is
-# built and run, never written) — and diff it against the committed file; a
-# mismatch prints the differing manifest lines. The quick section is a tier-1
-# test (TestIdentity under `go test ./...`). A change that means to move an
-# output reruns with UPDATE=-update and shows the manifest line in its diff.
+# scale|avail|failover|domino|storage|stagger|interval` outputs, `chkcheck
+# -quick`'s and `-full`'s cell and check totals, and the five benchmark
+# workloads' sim_digest at seed 7 (benchmark/ is built and run, never written)
+# — and diff it against the committed file; a mismatch prints the differing
+# manifest lines. The same run checks EXPERIMENTS.md's full-size sample blocks
+# (docs_test.go: each block must be an in-order excerpt of the output its
+# `<!-- chkbench ... -->` marker names; a failure prints the block's first
+# missing line and the command that regenerates it). The quick section and the
+# -quick blocks are a tier-1 test (TestIdentity under `go test ./...`). A
+# change that means to move an output reruns with UPDATE=-update and shows the
+# manifest line in its diff.
 UPDATE ?=
 identical:
 	$(GO) test -count=1 -timeout 60m -run '^TestIdentity$$' . -full $(UPDATE)

@@ -30,7 +30,8 @@ import (
 // check totals, and the benchmark workloads' sim_digest. The quick section is
 // a tier-1 test; the full section runs under `make identical`. A change that
 // means to move an output regenerates the file (-update) and shows the
-// manifest line in its diff.
+// manifest line in its diff. EXPERIMENTS.md's sample blocks are excerpts of
+// the same rendered bytes and are checked against them (docs_test.go).
 var (
 	updateIdentity = flag.Bool("update", false, "rewrite the IDENTITY.txt section the test regenerates")
 	fullIdentity   = flag.Bool("full", false, "check IDENTITY.txt's full section (minutes) instead of the quick one")
@@ -39,13 +40,15 @@ var (
 const identityFile = "IDENTITY.txt"
 
 // TestIdentity regenerates one section of IDENTITY.txt in memory and diffs
-// it against the committed file.
+// it against the committed file, then checks the EXPERIMENTS.md blocks that
+// quote that section's outputs.
 func TestIdentity(t *testing.T) {
 	section, gen := "quick", quickIdentity
 	if *fullIdentity {
 		section, gen = "full", fullSectionIdentity
 	}
-	got, err := gen()
+	outputs := map[string][]byte{}
+	got, err := gen(outputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +58,7 @@ func TestIdentity(t *testing.T) {
 		t.Error("the shared zero page was written during the run")
 	}
 	sections := readIdentity(t)
+	checkDocBlocks(t, outputs, sections)
 	if *updateIdentity {
 		sections[section] = got
 		writeIdentity(t, sections)
@@ -142,18 +146,21 @@ func writeIdentity(t *testing.T, sections map[string][]string) {
 	}
 }
 
-// outputLine digests one rendered table or experiment.
-func outputLine(name string, render func(io.Writer) error) (string, error) {
+// outputLine digests one rendered table or experiment, and keeps its bytes
+// in outputs under the line's name for the EXPERIMENTS.md blocks that quote
+// it.
+func outputLine(outputs map[string][]byte, name string, render func(io.Writer) error) (string, error) {
 	var b bytes.Buffer
 	if err := render(&b); err != nil {
 		return "", fmt.Errorf("%s: %w", name, err)
 	}
+	outputs[name] = b.Bytes()
 	return fmt.Sprintf("%s\tsha256=%x bytes=%d", name, sha256.Sum256(b.Bytes()), b.Len()), nil
 }
 
 // tableLines renders Tables 1-3 the way `chkbench -table` does (Tables 2 and
 // 3 share one matrix of runs), one manifest line per table.
-func tableLines(r *bench.Runner, quick bool, prefix string) ([]string, error) {
+func tableLines(outputs map[string][]byte, r *bench.Runner, quick bool, prefix string) ([]string, error) {
 	ctx := context.Background()
 	cfg := par.DefaultConfig()
 	wl1, wl2 := bench.Table1Workloads(), bench.Table2Workloads()
@@ -174,7 +181,7 @@ func tableLines(r *bench.Runner, quick bool, prefix string) ([]string, error) {
 		write func(io.Writer, []bench.Row)
 		rows  []bench.Row
 	}{{"1", bench.WriteTable1, rows1}, {"2", bench.WriteTable2, rows2}, {"3", bench.WriteTable3, rows2}} {
-		l, _ := outputLine(prefix+" -table "+tb.n, func(w io.Writer) error { tb.write(w, tb.rows); return nil })
+		l, _ := outputLine(outputs, prefix+" -table "+tb.n, func(w io.Writer) error { tb.write(w, tb.rows); return nil })
 		lines = append(lines, l)
 	}
 	return lines, nil
@@ -182,16 +189,16 @@ func tableLines(r *bench.Runner, quick bool, prefix string) ([]string, error) {
 
 // quickIdentity is the tier-1 half: every table and experiment on its -quick
 // grid, then one fixed small run per scheme.
-func quickIdentity() ([]string, error) {
+func quickIdentity(outputs map[string][]byte) ([]string, error) {
 	r := bench.NewRunner(0, nil)
 	cfg := par.DefaultConfig()
-	lines, err := tableLines(r, true, "chkbench -quick")
+	lines, err := tableLines(outputs, r, true, "chkbench -quick")
 	if err != nil {
 		return nil, err
 	}
 	// The catalogue, the two fixed-parameter recovery demos at its end included.
 	for _, e := range bench.Experiments {
-		l, err := outputLine("chkbench -quick -exp "+e.Name, func(w io.Writer) error {
+		l, err := outputLine(outputs, "chkbench -quick -exp "+e.Name, func(w io.Writer) error {
 			return e.Run(context.Background(), w, cfg, true, r)
 		})
 		if err != nil {
@@ -253,17 +260,18 @@ func schemeLine(name string, wl apps.Workload, interval sim.Duration) (string, e
 // fullSectionIdentity is the slow half: the full-size tables and recovery
 // experiments, the oracle's quick and full sweep totals, and the benchmark workloads'
 // simulation digests at seed 7.
-func fullSectionIdentity() ([]string, error) {
+func fullSectionIdentity(outputs map[string][]byte) ([]string, error) {
 	r := bench.NewRunner(0, nil)
 	cfg := par.DefaultConfig()
-	lines, err := tableLines(r, false, "chkbench")
+	lines, err := tableLines(outputs, r, false, "chkbench")
 	if err != nil {
 		return nil, err
 	}
 	// The four catalogue entries whose full grids differ in kind from their
-	// quick ones (1024-node cells, the 480 s MTTF column, every kill window).
-	for _, exp := range []string{"scale", "avail", "failover", "domino"} {
-		l, err := outputLine("chkbench -exp "+exp, func(w io.Writer) error {
+	// quick ones (1024-node cells, the 480 s MTTF column, every kill window),
+	// then the full-size runs EXPERIMENTS.md quotes whose quick ones differ.
+	for _, exp := range []string{"scale", "avail", "failover", "domino", "storage", "stagger", "interval"} {
+		l, err := outputLine(outputs, "chkbench -exp "+exp, func(w io.Writer) error {
 			return bench.RunExperiment(context.Background(), w, exp, cfg, false, r)
 		})
 		if err != nil {

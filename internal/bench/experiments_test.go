@@ -30,7 +30,7 @@ func TestExperimentsParallelDeterminism(t *testing.T) {
 	// What each report must at least say, beyond being reproducible.
 	content := map[string][]string{
 		"domino":   {"rollback"},
-		"failover": {"Coord_NB_FT", "adopted", "aborted", "precommit"},
+		"failover": {"Coord_NB_FT", "adopted", "aborted", ckpt.PhasePreCommit},
 	}
 	for _, e := range cases {
 		t.Run(e.Name, func(t *testing.T) {

@@ -14,13 +14,6 @@ import (
 	"repro/internal/trace"
 )
 
-// KillPhases is the coordinator-kill axis shared by the E15 experiment and
-// the correctness oracle's failover sweep: every window of the coordinated
-// round in announcement order. The plain coordinated variants never announce
-// "precommit" — only the fault-tolerant pair runs the third phase — so both
-// consumers drop that phase for them.
-var KillPhases = []string{"round", "acks", "precommit", "meta", "commit"}
-
 // failoverExperiment (E15) measures what the three-phase commit and the
 // coordinator election buy when the coordinator itself dies. Each cell kills
 // rank 0 inside one window of the checkpoint round — while the round is
@@ -68,12 +61,12 @@ func failoverExperiment(ctx context.Context, w io.Writer, cfg par.Config, quick 
 		si     int // index into schemes/ffExec
 		phase  string
 	}
-	rows := make([]failoverRow, 0, len(schemes)*len(KillPhases))
+	rows := make([]failoverRow, 0, len(schemes)*len(ckpt.CoordPhases))
 	cells := make([]Cell, 0, cap(rows))
 	for si, v := range schemes {
-		for pi, ph := range KillPhases {
-			if ph == "precommit" && !v.ThreePhase {
-				continue // window the plain variants never announce
+		for pi, ph := range ckpt.CoordPhases {
+			if !v.Announces(ph) {
+				continue
 			}
 			rows = append(rows, failoverRow{scheme: v, si: si, phase: ph})
 			cells = append(cells, Cell{App: wl.Name, Scheme: v.String(), Rep: pi})

@@ -48,9 +48,9 @@ type SweepConfig struct {
 	// KillPhases, when non-empty, replaces the crash-stratum axis with a
 	// coordinator-kill axis: each cell kills rank 0 inside one named
 	// protocol window (see CellSpec.KillPhase) instead of crashing every
-	// node at a stratified instant. Phases a scheme never announces are
-	// skipped per scheme — the plain coordinated variants have no
-	// "precommit" window.
+	// node at a stratified instant. Phases a scheme never announces
+	// (ckpt.Variant.Announces) are skipped per scheme; Rep keeps a phase's
+	// ordinal in this list, so cell names do not depend on the scheme.
 	KillPhases []string
 }
 
@@ -137,12 +137,6 @@ func ShardSweep(cfg par.Config) SweepConfig {
 	}
 }
 
-// FailoverPhases is the coordinator-kill axis, shared with the E15
-// experiment: every window of the coordinated round in announcement order.
-// The plain variants never announce "precommit" (only the fault-tolerant
-// pair runs the third phase), so the lattice drops that phase for them.
-var FailoverPhases = bench.KillPhases
-
 // FailoverSweep is the coordinator-crash matrix: the ring workload under the
 // fault-tolerant coordinated pair plus plain Coord_NB as the
 // recovery-through-full-restart baseline, rank 0 killed inside every
@@ -163,7 +157,7 @@ func FailoverSweep(cfg par.Config) SweepConfig {
 		Schemes: []ckpt.Variant{
 			ckpt.CoordNBFT, ckpt.CoordNBFTInc, ckpt.CoordNB,
 		},
-		KillPhases: FailoverPhases,
+		KillPhases: ckpt.CoordPhases,
 		Seeds:      2,
 	}
 }
@@ -189,8 +183,8 @@ func (cfg SweepConfig) Cells() ([]bench.Cell, []CellSpec) {
 				// Coordinator-kill lattice: Rep encodes (phase ordinal, seed
 				// ordinal) so a cell name still replays bit-identically.
 				for pi, phase := range cfg.KillPhases {
-					if phase == "precommit" && !v.ThreePhase {
-						continue // window the plain variants never announce
+					if !v.Announces(phase) {
+						continue
 					}
 					for s := 0; s < cfg.Seeds; s++ {
 						cells = append(cells, bench.Cell{App: wl.Name, Scheme: v.String(), Rep: pi*cfg.Seeds + s})

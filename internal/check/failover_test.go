@@ -44,9 +44,9 @@ func TestFailoverCellResolution(t *testing.T) {
 		phase     string
 		wantRound int
 	}{
-		{"acks", 0},      // nobody pre-committed: round 1 aborted
-		{"precommit", 1}, // a survivor pre-committed: round 1 adopted
-		{"meta", 1},      // record durable, commit unsent: round 1 adopted
+		{ckpt.PhaseAcks, 0},      // nobody pre-committed: round 1 aborted
+		{ckpt.PhasePreCommit, 1}, // a survivor pre-committed: round 1 adopted
+		{ckpt.PhaseMeta, 1},      // record durable, commit unsent: round 1 adopted
 	} {
 		t.Run(tc.phase, func(t *testing.T) {
 			c := bench.Cell{App: wl.Name, Scheme: ckpt.CoordNBFT.String(), Rep: 0}
@@ -72,7 +72,7 @@ func TestFailoverCellResolution(t *testing.T) {
 func TestFailoverCellDeterministic(t *testing.T) {
 	wl := bench.RingWorkload(384, 40, 2e5)
 	c := bench.Cell{App: wl.Name, Scheme: ckpt.CoordNBFTInc.String(), Rep: 3}
-	spec := CellSpec{Workload: wl, Scheme: ckpt.CoordNBFTInc, KillPhase: "precommit", Seed: c.Seed()}
+	spec := CellSpec{Workload: wl, Scheme: ckpt.CoordNBFTInc, KillPhase: ckpt.PhasePreCommit, Seed: c.Seed()}
 	r1, err1 := NewOracle(par.DefaultConfig()).RunCell(spec)
 	r2, err2 := NewOracle(par.DefaultConfig()).RunCell(spec)
 	if err1 != nil || err2 != nil {

@@ -338,7 +338,7 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 func (o *Oracle) armCoordKill(m *par.Machine, spec CellSpec, res *CellResult,
 	interval sim.Duration, recoverAll func()) {
 	var jitter sim.Duration
-	if spec.KillPhase == "round" || spec.KillPhase == "commit" {
+	if spec.KillPhase == ckpt.PhaseRound || spec.KillPhase == ckpt.PhaseCommit {
 		jitter = interval / 4
 	}
 	plan := faults.Plan{

@@ -11,6 +11,26 @@ import (
 	"repro/internal/storage"
 )
 
+// Each window of a round is announced through par.Machine.NotePhase as the
+// round passes into it; the names are the coordinator-kill axis of the E15
+// experiment and the oracle's failover sweep.
+const (
+	PhaseRound     = "round"     // request broadcast; state writes under way
+	PhaseAcks      = "acks"      // every participant acked
+	PhasePreCommit = "precommit" // pre-commit broadcast (ThreePhase only)
+	PhaseMeta      = "meta"      // round record durable, commit not yet sent
+	PhaseCommit    = "commit"    // commit broadcast
+)
+
+// CoordPhases lists the round's windows in announcement order.
+var CoordPhases = []string{PhaseRound, PhaseAcks, PhasePreCommit, PhaseMeta, PhaseCommit}
+
+// Announces reports whether a round under v passes through phase: only the
+// coordinated variants run rounds, and only the ThreePhase ones pre-commit.
+func (v Variant) Announces(phase string) bool {
+	return v.Coordinated() && (phase != PhasePreCommit || v.ThreePhase)
+}
+
 // coordinated implements the Silva & Silva coordinator-driven two-phase
 // global checkpointing protocol with channel markers.
 //
@@ -163,7 +183,7 @@ func (s *coordinated) initiateRound(round int) {
 	s.roundSpan = s.m.Obs.Start(0, obs.TidCoord, "ckpt.round").WithArg("round", int64(round))
 	s.m.Obs.Add(0, "ckpt.marker_rounds", 1)
 	s.broadcast(s.coordID, msgCkptReq{Round: round, Attempt: s.attempt})
-	s.m.NotePhase("round", round)
+	s.m.NotePhase(PhaseRound, round)
 }
 
 // onNack runs at the coordinator when a participant reports that its durable
@@ -229,7 +249,7 @@ func (s *coordinated) onAck(ackRound, ackAttempt, from int) {
 	}
 	s.commitBusy = true
 	round, attempt := s.round, s.attempt
-	s.m.NotePhase("acks", round)
+	s.m.NotePhase(PhaseAcks, round)
 	if s.v.ThreePhase {
 		// Phase 2 of the fault-tolerant protocol: broadcast pre-commit and
 		// collect every pre-ack before touching the round record. A targeted
@@ -262,7 +282,7 @@ func (s *coordinated) commitRound(round, attempt int) {
 		s.commitHook(committed)
 	}
 	s.broadcast(s.coordID, msgCommit{Round: round, Attempt: attempt})
-	s.m.NotePhase("commit", round)
+	s.m.NotePhase(PhaseCommit, round)
 	if s.pendingStart {
 		s.pendingStart = false
 		s.startRound()

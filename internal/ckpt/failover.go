@@ -253,7 +253,7 @@ func (s *coordinated) writeMetaJob(coordID, round, attempt int, adopted bool) {
 			}
 			return
 		}
-		s.m.NotePhase("meta", round)
+		s.m.NotePhase(PhaseMeta, round)
 		if !cn.n.Alive && s.v.ThreePhase {
 			// Crashed between the commit point and the commit broadcast: the
 			// round IS durable, and some participant holds its pre-commit, so
@@ -276,7 +276,7 @@ func (s *coordinated) writeMetaJob(coordID, round, attempt int, adopted bool) {
 func (s *coordinated) preCommitRound(round, attempt int) {
 	s.preAcks = make(map[int]bool)
 	s.broadcast(s.coordID, msgPreCommit{Round: round, Attempt: attempt})
-	s.m.NotePhase("precommit", round)
+	s.m.NotePhase(PhasePreCommit, round)
 }
 
 // onPreAck runs at the acting coordinator as pre-commit confirmations
