@@ -88,7 +88,10 @@ identical:
 # an incremental capture and commit of a 1 MiB state at the record it builds
 # plus a few hundred bytes, and the per-audited-commit pin; an ISING half-sweep
 # at zero and a TSP subtree search at its path buffer plus one tour per
-# improvement; plus a microbenchmark smoke of the event queue, the fabric's
+# improvement; each app's Snapshot at the one buffer it returns
+# (TestAllocsSnapshot), an ISING rank built after the first at its spin rows
+# and no coupling row (TestAllocsIsingRankSharesPlane), and each vector
+# decoder at its result (TestAllocsVectorDecode); plus a microbenchmark smoke of the event queue, the fabric's
 # send path, the payload codecs and those two kernels — all under the race
 # detector. A failure here means a change re-introduced steady-state
 # allocation (or broke the queue/codec): deterministic, where the benchmark/

@@ -16,6 +16,7 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mp"
 )
@@ -44,6 +45,10 @@ func blockRange(n, rank, size int) (lo, hi int) {
 	b := n / size
 	return rank * b, (rank + 1) * b
 }
+
+// resize returns s with length n, reusing its storage when the capacity
+// suffices: scratch whose contents the caller overwrites.
+func resize[S ~[]E, E any](s S, n int) S { return slices.Grow(s[:0], n)[:n] }
 
 // hash01 returns a deterministic pseudo-random float64 in [0,1) from a key,
 // identical regardless of evaluation order, so parallel and sequential runs

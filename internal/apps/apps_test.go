@@ -12,12 +12,14 @@ import (
 )
 
 // runWorkload launches w on a default 8-node machine, optionally under a
-// checkpointing scheme, and verifies the results with the workload's oracle.
-func runWorkload(t *testing.T, wl Workload, v ckpt.Variant, interval sim.Duration) {
+// checkpointing scheme, verifies the results with the workload's oracle, and
+// returns the programs and the scheme's statistics (zero without one).
+func runWorkload(t *testing.T, wl Workload, v ckpt.Variant, interval sim.Duration) ([]mp.Program, ckpt.Stats) {
 	t.Helper()
 	m := par.NewMachine(par.DefaultConfig())
+	var sch ckpt.Scheme
 	if interval > 0 {
-		sch := ckpt.New(v, ckpt.Options{Interval: interval})
+		sch = ckpt.New(v, ckpt.Options{Interval: interval})
 		sch.Attach(m)
 	}
 	w := mp.NewWorld(m)
@@ -32,6 +34,10 @@ func runWorkload(t *testing.T, wl Workload, v ckpt.Variant, interval sim.Duratio
 	if err := wl.Check(progs); err != nil {
 		t.Fatalf("%s: %v", wl.Name, err)
 	}
+	if sch == nil {
+		return progs, ckpt.Stats{}
+	}
+	return progs, sch.Stats()
 }
 
 func smallWorkloads() []Workload {
@@ -72,19 +78,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, wl := range smallWorkloads() {
 		wl := wl
 		t.Run(wl.Name, func(t *testing.T) {
-			m := par.NewMachine(par.DefaultConfig())
-			w := mp.NewWorld(m)
-			progs := make([]mp.Program, m.NumNodes())
-			for rank := range progs {
-				progs[rank] = wl.Make(rank, m.NumNodes())
-				w.Launch(rank, progs[rank])
-			}
-			if err := m.Run(); err != nil {
-				t.Fatal(err)
-			}
+			progs, _ := runWorkload(t, wl, ckpt.Variant{}, 0)
 			for rank, p := range progs {
 				snap := p.Snapshot()
-				fresh := wl.Make(rank, m.NumNodes())
+				fresh := wl.Make(rank, len(progs))
 				fresh.Restore(snap)
 				if again := fresh.Snapshot(); !bytes.Equal(snap, again) {
 					t.Fatalf("rank %d snapshot not idempotent (%d vs %d bytes)", rank, len(snap), len(again))
@@ -319,4 +316,22 @@ func SequentialGauss(cfg GaussConfig) []float64 {
 		x[i] = sum / a[i][i]
 	}
 	return x
+}
+
+// TestAllocsSnapshot: an app's Snapshot is built in the one buffer it
+// returns, sized exactly up front — no writer grown row by row — after the
+// program has run (Gauss's solution and every row in place).
+func TestAllocsSnapshot(t *testing.T) {
+	for _, wl := range smallWorkloads()[:5] { // ISING, SOR, ASP, NBODY, GAUSS
+		progs, _ := runWorkload(t, wl, ckpt.Variant{}, 0)
+		p := progs[1]
+		var snap []byte
+		allocs := testing.AllocsPerRun(20, func() { snap = p.Snapshot() })
+		if allocs != 1 {
+			t.Errorf("%s: Snapshot allocates %.1f objects, want 1", wl.Name, allocs)
+		}
+		if len(snap) != cap(snap) {
+			t.Errorf("%s: Snapshot of %d bytes sized its buffer at %d", wl.Name, len(snap), cap(snap))
+		}
+	}
 }

@@ -113,37 +113,36 @@ func (a *ASP) Run(e *mp.Env) {
 		data := e.Bcast(owner, encodeI64s(pivot))
 		pivot = decodeI64s(data)
 		for _, row := range a.Rows {
-			dik := row[k]
-			if dik >= aspInf {
-				continue
-			}
-			for j, dkj := range pivot {
-				if nd := dik + dkj; nd < row[j] {
-					row[j] = nd
-				}
-			}
+			relaxRow(row, pivot, k)
 		}
 		e.Compute(float64(len(a.Rows)*N) * a.Cfg.OpsPerRel)
 		a.K++
 	}
 }
 
-func encodeI64s(vs []int64) []byte {
-	w := codec.NewWriter()
-	w.Int(len(vs))
-	for _, v := range vs {
-		w.I64(v)
+// relaxRow applies pivot step k of Floyd's algorithm to one distance row:
+// row[j] = min(row[j], row[k] + pivot[j]). A row that cannot reach k is
+// left alone.
+func relaxRow(row, pivot []int64, k int) {
+	dik := row[k]
+	if dik >= aspInf {
+		return
 	}
+	row = row[:len(pivot)]
+	for j, dkj := range pivot {
+		row[j] = min(row[j], dik+dkj)
+	}
+}
+
+func encodeI64s(vs []int64) []byte {
+	w := codec.NewWriterSize(8 + 8*len(vs))
+	w.I64s(vs)
 	return w.Bytes()
 }
 
 func decodeI64s(b []byte) []int64 {
 	r := codec.NewReader(b)
-	n := r.Int()
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = r.I64()
-	}
+	vs := r.I64s()
 	if r.Err() != nil {
 		panic(r.Err())
 	}
@@ -152,14 +151,15 @@ func decodeI64s(b []byte) []int64 {
 
 // Snapshot captures the step counter and local rows.
 func (a *ASP) Snapshot() []byte {
-	w := codec.NewWriter()
+	size := 2 * 8
+	for _, row := range a.Rows {
+		size += 8 + 8*len(row)
+	}
+	w := codec.NewWriterSize(size)
 	w.Int(a.K)
 	w.Int(len(a.Rows))
 	for _, row := range a.Rows {
-		w.Int(len(row))
-		for _, v := range row {
-			w.I64(v)
-		}
+		w.I64s(row)
 	}
 	return w.Bytes()
 }
@@ -180,12 +180,7 @@ func (a *ASP) Restore(data []byte) {
 	n := r.Int()
 	a.Rows = make([][]int64, n)
 	for i := range a.Rows {
-		m := r.Int()
-		row := make([]int64, m)
-		for j := range row {
-			row[j] = r.I64()
-		}
-		a.Rows[i] = row
+		a.Rows[i] = r.I64s()
 	}
 	if r.Err() != nil {
 		panic(r.Err())
@@ -204,17 +199,8 @@ func SequentialASP(cfg ASPConfig) [][]int64 {
 		d[i] = row
 	}
 	for k := 0; k < N; k++ {
-		pivot := d[k]
 		for _, row := range d {
-			dik := row[k]
-			if dik >= aspInf {
-				continue
-			}
-			for j, dkj := range pivot {
-				if nd := dik + dkj; nd < row[j] {
-					row[j] = nd
-				}
-			}
+			relaxRow(row, d[k], k)
 		}
 	}
 	return d

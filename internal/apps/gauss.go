@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/mp"
@@ -48,6 +49,8 @@ type Gauss struct {
 	Rows [][]float64 // augmented local rows (N+1 wide), cyclic: global row = Rank + i*Size
 	X    []float64   // solution after back-substitution
 	Done bool
+
+	pivot []float64 // the broadcast pivot row, reused every step
 }
 
 // NewGauss builds rank's cyclic share of the augmented matrix.
@@ -64,12 +67,31 @@ func NewGauss(rank, size int, cfg GaussConfig) *Gauss {
 	return g
 }
 
-// GaussWorkload adapts the benchmark to the harness registry.
+// GaussWorkload adapts the benchmark to the harness registry. The system
+// the oracle checks solutions against is generated once and cached across
+// the table's scheme runs.
 func GaussWorkload(cfg GaussConfig) Workload {
+	var (
+		once sync.Once
+		a    [][]float64 // the system matrix
+		rhs  []float64
+	)
 	return Workload{
 		Name: fmt.Sprintf("GAUSS-%d", cfg.N),
 		Make: func(rank, size int) mp.Program { return NewGauss(rank, size, cfg) },
 		Check: func(progs []mp.Program) error {
+			// Checks of independent runs may execute concurrently; fill the
+			// system cache under a sync.Once.
+			once.Do(func() {
+				a, rhs = make([][]float64, cfg.N), make([]float64, cfg.N)
+				for i := range a {
+					a[i] = make([]float64, cfg.N)
+					for j := range a[i] {
+						a[i][j] = gaussElem(cfg, i, j)
+					}
+					rhs[i] = gaussRHS(cfg, i)
+				}
+			})
 			for _, p := range progs {
 				g := p.(*Gauss)
 				if !g.Done {
@@ -79,12 +101,12 @@ func GaussWorkload(cfg GaussConfig) Workload {
 					return fmt.Errorf("gauss: rank %d has solution of size %d", g.Rank, len(g.X))
 				}
 				// Verify against the original system: max residual.
-				for i := 0; i < cfg.N; i++ {
+				for i, row := range a {
 					sum := 0.0
-					for j := 0; j < cfg.N; j++ {
-						sum += gaussElem(cfg, i, j) * g.X[j]
+					for j, aij := range row {
+						sum += aij * g.X[j]
 					}
-					if r := math.Abs(sum - gaussRHS(cfg, i)); r > 1e-8 {
+					if r := math.Abs(sum - rhs[i]); r > 1e-8 {
 						return fmt.Errorf("gauss: residual %g at row %d", r, i)
 					}
 				}
@@ -106,7 +128,8 @@ func (g *Gauss) Run(e *mp.Env) {
 		if g.Rank == owner {
 			pivot = g.Rows[k/g.Size]
 		}
-		pivot = mp.DecodeF64s(e.Bcast(owner, mp.EncodeF64s(pivot)))
+		g.pivot = mp.DecodeF64sInto(g.pivot, e.Bcast(owner, mp.EncodeF64s(pivot)))
+		pivot = g.pivot
 		elems := 0
 		for i, row := range g.Rows {
 			gi := g.Rank + i*g.Size
@@ -163,7 +186,11 @@ func (g *Gauss) Run(e *mp.Env) {
 
 // Snapshot captures the elimination progress and local rows.
 func (g *Gauss) Snapshot() []byte {
-	w := codec.NewWriter()
+	size := 8 + 1 + 8 + 8*len(g.X) + 8
+	for _, row := range g.Rows {
+		size += 8 + 8*len(row)
+	}
+	w := codec.NewWriterSize(size)
 	w.Int(g.K)
 	w.Bool(g.Done)
 	w.F64s(g.X)

@@ -44,7 +44,8 @@ type Ising struct {
 	JV    [][]float64 // JV[r][j]: coupling between (r,j) and (r+1,j); r covers lo-1..hi-1
 	Mag   float64     // last global magnetization observed
 
-	lo, hi int // global row range
+	lo, hi           int    // global row range
+	haloUp, haloDown []int8 // received halo rows, reused every half-sweep
 }
 
 // coupling returns the quenched Gaussian coupling of a bond, identical for
@@ -58,9 +59,35 @@ func coupling(cfg IsingConfig, dir, gi, j int) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
+// isingPlane holds every bond's coupling, indexed by direction and global
+// row: [0][gi] the horizontal bonds of row gi, [1][gi] the vertical bonds from
+// row gi to gi+1. Ranks alias its rows, so nothing writes a coupling row.
+type isingPlane [2][][]float64
+
+func newIsingPlane(cfg IsingConfig) *isingPlane {
+	var p isingPlane
+	for dir := range p {
+		p[dir] = make([][]float64, cfg.L)
+		for gi := range p[dir] {
+			row := make([]float64, cfg.L)
+			for j := range row {
+				row[j] = coupling(cfg, dir, gi, j)
+			}
+			p[dir][gi] = row
+		}
+	}
+	return &p
+}
+
 // NewIsing builds rank's share of the lattice, initialized by hashing so all
 // ranks agree with the sequential reference.
 func NewIsing(rank, size int, cfg IsingConfig) *Ising {
+	return newIsing(rank, size, cfg, newIsingPlane(cfg))
+}
+
+// newIsing is NewIsing with the coupling rows aliasing plane's, which
+// IsingWorkload builds once for all its ranks.
+func newIsing(rank, size int, cfg IsingConfig, plane *isingPlane) *Ising {
 	g := &Ising{Cfg: cfg, Rank: rank, Size: size}
 	g.lo, g.hi = blockRange(cfg.L, rank, size)
 	r := g.hi - g.lo
@@ -68,19 +95,11 @@ func NewIsing(rank, size int, cfg IsingConfig) *Ising {
 	g.JH = make([][]float64, r)
 	g.JV = make([][]float64, r+1) // includes the bond row above the block
 	for i := 0; i < r; i++ {
-		gi := g.lo + i
-		g.Rows[i] = initialSpinRow(cfg, gi)
-		g.JH[i] = make([]float64, cfg.L)
-		for j := 0; j < cfg.L; j++ {
-			g.JH[i][j] = coupling(cfg, 0, gi, j)
-		}
+		g.Rows[i] = initialSpinRow(cfg, g.lo+i)
+		g.JH[i] = plane[0][g.lo+i]
 	}
 	for i := 0; i <= r; i++ {
-		gi := (g.lo + i - 1 + cfg.L) % cfg.L
-		g.JV[i] = make([]float64, cfg.L)
-		for j := 0; j < cfg.L; j++ {
-			g.JV[i][j] = coupling(cfg, 1, gi, j)
-		}
+		g.JV[i] = plane[1][(g.lo+i-1+cfg.L)%cfg.L]
 	}
 	return g
 }
@@ -97,16 +116,24 @@ func initialSpinRow(cfg IsingConfig, gi int) []int8 {
 	return row
 }
 
-// IsingWorkload adapts the benchmark to the harness registry. The sequential
-// reference is computed once and cached across the table's scheme runs.
+// IsingWorkload adapts the benchmark to the harness registry. The coupling
+// plane and the sequential reference are each computed once and shared
+// across the table's scheme runs: every rank Make builds aliases the plane's
+// rows. A snapshot still carries a rank's couplings, so checkpoints weigh
+// what they always did, and Restore gives the rank fresh rows of its own.
 func IsingWorkload(cfg IsingConfig) Workload {
 	var (
-		once   sync.Once
-		cached [][]int8
+		once, planeOnce sync.Once
+		cached          [][]int8
+		plane           *isingPlane
 	)
 	return Workload{
 		Name: fmt.Sprintf("ISING-%d", cfg.L),
-		Make: func(rank, size int) mp.Program { return NewIsing(rank, size, cfg) },
+		Make: func(rank, size int) mp.Program {
+			// Make may run concurrently for independent cells.
+			planeOnce.Do(func() { plane = newIsingPlane(cfg) })
+			return newIsing(rank, size, cfg, plane)
+		},
 		Check: func(progs []mp.Program) error {
 			// Checks of independent runs may execute concurrently; fill the
 			// sequential-reference cache under a sync.Once.
@@ -143,13 +170,14 @@ func (g *Ising) Run(e *mp.Env) {
 		}
 		g.Sweep++
 		if g.Cfg.MagEvery > 0 && g.Sweep%g.Cfg.MagEvery == 0 {
-			local := 0.0
+			// An int sum of the ±1 spins is exact, as the float64 sum was.
+			local := 0
 			for _, row := range g.Rows {
 				for _, s := range row {
-					local += float64(s)
+					local += int(s)
 				}
 			}
-			tot := e.AllReduceF64([]float64{local}, func(a, b float64) float64 { return a + b })
+			tot := e.AllReduceF64([]float64{float64(local)}, func(a, b float64) float64 { return a + b })
 			g.Mag = tot[0] / float64(g.Cfg.L*g.Cfg.L)
 		}
 	}
@@ -167,9 +195,9 @@ func (g *Ising) exchangeHalos(e *mp.Env) (up, down []int8) {
 	downRank := (g.Rank + 1) % g.Size
 	e.Send(upRank, tagHaloUp, i8bytes(g.Rows[0]))
 	e.Send(downRank, tagHaloDown, i8bytes(g.Rows[len(g.Rows)-1]))
-	up = bytesI8(e.Recv(upRank, tagHaloDown).Data)
-	down = bytesI8(e.Recv(downRank, tagHaloUp).Data)
-	return up, down
+	g.haloUp = bytesI8(g.haloUp, e.Recv(upRank, tagHaloDown).Data)
+	g.haloDown = bytesI8(g.haloDown, e.Recv(downRank, tagHaloUp).Data)
+	return g.haloUp, g.haloDown
 }
 
 const (
@@ -185,8 +213,10 @@ func i8bytes(row []int8) []byte {
 	return b
 }
 
-func bytesI8(b []byte) []int8 {
-	row := make([]int8, len(b))
+// bytesI8 decodes a halo row into dst's storage, growing it only when the
+// capacity is short.
+func bytesI8(dst []int8, b []byte) []int8 {
+	row := resize(dst, len(b))
 	for i, v := range b {
 		row[i] = int8(v)
 	}
@@ -288,7 +318,17 @@ func accept(u, x float64) bool {
 // Snapshot captures the sweep counter, the local spins and the quenched
 // couplings (the process's full data state).
 func (g *Ising) Snapshot() []byte {
-	w := codec.NewWriter()
+	size := 3 * 8
+	for _, row := range g.Rows {
+		size += 8 + len(row)
+	}
+	for _, row := range g.JH {
+		size += 8 + 8*len(row)
+	}
+	for _, row := range g.JV {
+		size += 8 + 8*len(row)
+	}
+	w := codec.NewWriterSize(size)
 	w.Int(g.Sweep)
 	w.F64(g.Mag)
 	w.Int(len(g.Rows))
@@ -341,17 +381,11 @@ func (g *Ising) Restore(data []byte) {
 func SequentialIsing(cfg IsingConfig) [][]int8 {
 	L := cfg.L
 	grid := make([][]int8, L)
-	jh := make([][]float64, L)
-	jv := make([][]float64, L)
 	for gi := range grid {
 		grid[gi] = initialSpinRow(cfg, gi)
-		jh[gi] = make([]float64, L)
-		jv[gi] = make([]float64, L)
-		for j := 0; j < L; j++ {
-			jh[gi][j] = coupling(cfg, 0, gi, j)
-			jv[gi][j] = coupling(cfg, 1, gi, j)
-		}
 	}
+	plane := newIsingPlane(cfg)
+	jh, jv := plane[0], plane[1]
 	invT := 1 / cfg.Temp
 	for sweep := 0; sweep < cfg.Sweeps; sweep++ {
 		for color := 0; color < 2; color++ {

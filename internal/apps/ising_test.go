@@ -4,6 +4,10 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"repro/internal/ckpt"
+	"repro/internal/par"
+	"repro/internal/sim"
 )
 
 // updateColorRef is updateColor as it was before the row kernel: the full
@@ -203,4 +207,75 @@ func BenchmarkIsingHalfSweep(b *testing.B) {
 		g.updateColor(i/2, i%2, g.Rows[last], g.Rows[0])
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*256*128), "ns/site")
+}
+
+// planeOf assembles the coupling plane that the ranks wl builds for a world
+// of size ranks alias, one rank per block.
+func planeOf(wl Workload, cfg IsingConfig, size int) *isingPlane {
+	var p isingPlane
+	p[0], p[1] = make([][]float64, cfg.L), make([][]float64, cfg.L)
+	for rank := 0; rank < size; rank++ {
+		g := wl.Make(rank, size).(*Ising)
+		for i, row := range g.JH {
+			p[0][g.lo+i] = row
+		}
+		for i, row := range g.JV {
+			p[1][(g.lo+i-1+cfg.L)%cfg.L] = row
+		}
+	}
+	return &p
+}
+
+// TestIsingCouplingPlaneStaysPristine: every rank an IsingWorkload builds
+// aliases one coupling plane, so nothing may write a coupling row. After a
+// table cell under Coord_NB_INC (incremental captures read every snapshot)
+// and a resume through Restore, the plane still equals a freshly built one,
+// and the restored ranks hold rows of their own.
+func TestIsingCouplingPlaneStaysPristine(t *testing.T) {
+	cfg := DefaultIsing(64, 6)
+	wl := IsingWorkload(cfg)
+	size := par.NewMachine(par.DefaultConfig()).NumNodes()
+	shared := planeOf(wl, cfg, size)
+	if again := planeOf(wl, cfg, size); &again[0][5][0] != &shared[0][5][0] || &again[1][9][0] != &shared[1][9][0] {
+		t.Fatal("a second build of the ranks does not alias the first's coupling rows")
+	}
+
+	if _, st := runWorkload(t, wl, ckpt.CoordNBInc, 20*sim.Millisecond); st.Checkpoints == 0 {
+		t.Fatal("the Coord_NB_INC cell took no checkpoint")
+	}
+	half := cfg
+	half.Sweeps = 3
+	got := splitRun(t, IsingWorkload(half).Make, wl.Make)
+	if err := wl.Check(got); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range got {
+		g := p.(*Ising)
+		if &g.JH[0][0] == &shared[0][g.lo][0] {
+			t.Fatalf("rank %d: a restored rank still aliases the shared plane", g.Rank)
+		}
+	}
+
+	fresh := newIsingPlane(cfg)
+	for dir := range fresh {
+		if !slices.EqualFunc(shared[dir], fresh[dir], slices.Equal) {
+			t.Fatalf("direction %d: the shared coupling plane was written", dir)
+		}
+	}
+}
+
+// TestAllocsIsingRankSharesPlane: once a workload has built its plane, a
+// rank allocates its spin rows and the row tables, and no coupling row.
+func TestAllocsIsingRankSharesPlane(t *testing.T) {
+	const size = 4
+	cfg := DefaultIsing(64, 1)
+	wl := IsingWorkload(cfg)
+	wl.Make(0, size)
+	rows := cfg.L / size
+	allocs := testing.AllocsPerRun(20, func() { wl.Make(1, size) })
+	// The Ising value, its three row tables, and one row per spin row.
+	if want := float64(4 + rows); allocs != want {
+		t.Fatalf("an ISING rank after the first allocates %.0f objects, want %.0f (%d spin rows, no coupling row)",
+			allocs, want, rows)
+	}
 }

@@ -51,6 +51,11 @@ type NBody struct {
 	Step   int
 	Bodies []Body // local block
 	lo, hi int
+
+	// Per-step scratch, reused every step: the force sums, and each block's
+	// positions as the ring delivered them, indexed by owner.
+	ax, ay, az []float64
+	blocks     []blockSnapshot
 }
 
 // NewNBody builds rank's block of bodies.
@@ -102,20 +107,18 @@ type blockSnapshot struct {
 	X, Y, Z, Mass []float64
 }
 
-func (b *NBody) positions() blockSnapshot {
+// positions fills s with the local bodies' positions and masses, reusing
+// its storage.
+func (b *NBody) positions(s *blockSnapshot) {
 	n := len(b.Bodies)
-	s := blockSnapshot{
-		X: make([]float64, n), Y: make([]float64, n),
-		Z: make([]float64, n), Mass: make([]float64, n),
-	}
+	s.X, s.Y, s.Z, s.Mass = resize(s.X, n), resize(s.Y, n), resize(s.Z, n), resize(s.Mass, n)
 	for i, body := range b.Bodies {
 		s.X[i], s.Y[i], s.Z[i], s.Mass[i] = body.X, body.Y, body.Z, body.Mass
 	}
-	return s
 }
 
 func encodeBlock(owner int, s blockSnapshot) []byte {
-	w := codec.NewWriter()
+	w := codec.NewWriterSize(8 + 4*8 + 8*(len(s.X)+len(s.Y)+len(s.Z)+len(s.Mass)))
 	w.Int(owner)
 	w.F64s(s.X)
 	w.F64s(s.Y)
@@ -124,38 +127,43 @@ func encodeBlock(owner int, s blockSnapshot) []byte {
 	return w.Bytes()
 }
 
-func decodeBlock(b []byte) (int, blockSnapshot) {
+// decodeBlock decodes a ring message into blocks[owner], reusing that
+// block's storage, and returns the owner.
+func decodeBlock(blocks []blockSnapshot, b []byte) int {
 	r := codec.NewReader(b)
 	owner := r.Int()
-	s := blockSnapshot{X: r.F64s(), Y: r.F64s(), Z: r.F64s(), Mass: r.F64s()}
+	s := &blocks[owner]
+	s.X, s.Y, s.Z, s.Mass = r.F64sInto(s.X), r.F64sInto(s.Y), r.F64sInto(s.Z), r.F64sInto(s.Mass)
 	if r.Err() != nil {
 		panic(r.Err())
 	}
-	return owner, s
+	return owner
 }
 
 const tagRing = 21
 
 // Run executes the remaining steps.
 func (b *NBody) Run(e *mp.Env) {
+	n := len(b.Bodies)
+	b.ax, b.ay, b.az = resize(b.ax, n), resize(b.ay, n), resize(b.az, n)
+	if len(b.blocks) != b.Size {
+		b.blocks = make([]blockSnapshot, b.Size)
+	}
+	ax, ay, az, blocks := b.ax, b.ay, b.az, b.blocks
 	for b.Step < b.Cfg.Steps {
-		n := len(b.Bodies)
-		ax := make([]float64, n)
-		ay := make([]float64, n)
-		az := make([]float64, n)
+		clear(ax)
+		clear(ay)
+		clear(az)
 		// Accumulate over blocks in global block order 0..Size-1 so the sum
 		// order is canonical. The ring rotation supplies block
 		// (Rank - h) mod Size at hop h; buffer them and apply in order.
-		blocks := make([]blockSnapshot, b.Size)
-		blocks[b.Rank] = b.positions()
-		cur := blocks[b.Rank]
+		b.positions(&blocks[b.Rank])
 		curOwner := b.Rank
 		right := (b.Rank + 1) % b.Size
 		left := (b.Rank + b.Size - 1) % b.Size
 		for h := 1; h < b.Size; h++ {
-			e.Send(right, tagRing, encodeBlock(curOwner, cur))
-			curOwner, cur = decodeBlock(e.Recv(left, tagRing).Data)
-			blocks[curOwner] = cur
+			e.Send(right, tagRing, encodeBlock(curOwner, blocks[curOwner]))
+			curOwner = decodeBlock(blocks, e.Recv(left, tagRing).Data)
 		}
 		for blk := 0; blk < b.Size; blk++ {
 			b.accumulate(ax, ay, az, blk, blocks[blk])
@@ -175,32 +183,38 @@ func (b *NBody) Run(e *mp.Env) {
 	}
 }
 
-// accumulate adds the gravitational pull of a block onto the local bodies.
+// accumulate adds the gravitational pull of block blk onto the local bodies.
+// Each body's sums are kept in locals across the block and added in the
+// block's body order, so they round exactly as adding into ax/ay/az would.
 func (b *NBody) accumulate(ax, ay, az []float64, blk int, s blockSnapshot) {
 	const eps = 1e-4
+	m := len(s.X)
+	xs, ys, zs, ms := s.X, s.Y[:m], s.Z[:m], s.Mass[:m]
+	ax, ay, az = ax[:len(b.Bodies)], ay[:len(b.Bodies)], az[:len(b.Bodies)]
 	for i := range b.Bodies {
-		bi := &b.Bodies[i]
-		gi := b.lo + i
-		for j := range s.X {
-			gj := blk*len(s.X) + j
-			if gi == gj {
+		bx, by, bz := b.Bodies[i].X, b.Bodies[i].Y, b.Bodies[i].Z
+		self := b.lo + i - blk*m // the body's own index in the block, if it is there
+		sx, sy, sz := ax[i], ay[i], az[i]
+		for j, x := range xs {
+			if j == self {
 				continue
 			}
-			dx := s.X[j] - bi.X
-			dy := s.Y[j] - bi.Y
-			dz := s.Z[j] - bi.Z
+			dx := x - bx
+			dy := ys[j] - by
+			dz := zs[j] - bz
 			r2 := dx*dx + dy*dy + dz*dz + eps
-			inv := s.Mass[j] / (r2 * math.Sqrt(r2))
-			ax[i] += dx * inv
-			ay[i] += dy * inv
-			az[i] += dz * inv
+			inv := ms[j] / (r2 * math.Sqrt(r2))
+			sx += dx * inv
+			sy += dy * inv
+			sz += dz * inv
 		}
+		ax[i], ay[i], az[i] = sx, sy, sz
 	}
 }
 
 // Snapshot captures the step counter and local bodies.
 func (b *NBody) Snapshot() []byte {
-	w := codec.NewWriter()
+	w := codec.NewWriterSize(2*8 + 7*8*len(b.Bodies))
 	w.Int(b.Step)
 	w.Int(len(b.Bodies))
 	for _, bd := range b.Bodies {

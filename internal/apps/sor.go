@@ -35,6 +35,8 @@ type SOR struct {
 	Rows   [][]float64 // local rows, including any global boundary rows
 	Res    float64     // last residual observed
 	lo, hi int
+
+	haloUp, haloDown []float64 // received halo rows, reused every exchange
 }
 
 // NewSOR builds rank's block of the grid.
@@ -123,10 +125,12 @@ func (s *SOR) exchangeHalos(e *mp.Env) (up, down []float64) {
 		e.Send(s.Rank+1, tagHaloDown, mp.EncodeF64s(s.Rows[len(s.Rows)-1]))
 	}
 	if s.Rank > 0 {
-		up = mp.DecodeF64s(e.Recv(s.Rank-1, tagHaloDown).Data)
+		s.haloUp = mp.DecodeF64sInto(s.haloUp, e.Recv(s.Rank-1, tagHaloDown).Data)
+		up = s.haloUp
 	}
 	if s.Rank < s.Size-1 {
-		down = mp.DecodeF64s(e.Recv(s.Rank+1, tagHaloUp).Data)
+		s.haloDown = mp.DecodeF64sInto(s.haloDown, e.Recv(s.Rank+1, tagHaloUp).Data)
+		down = s.haloDown
 	}
 	return up, down
 }
@@ -187,7 +191,11 @@ func (s *SOR) localResidual(up, down []float64) float64 {
 
 // Snapshot captures the iteration counter and the local rows.
 func (s *SOR) Snapshot() []byte {
-	w := codec.NewWriter()
+	size := 3 * 8
+	for _, row := range s.Rows {
+		size += 8 + 8*len(row)
+	}
+	w := codec.NewWriterSize(size)
 	w.Int(s.Iter)
 	w.F64(s.Res)
 	w.Int(len(s.Rows))

@@ -137,3 +137,35 @@ func TestAllocsVectorEncode(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsVectorDecode pins each vector decoder at one allocation, the
+// result: the bound is checked once and the payload read in place.
+func TestAllocsVectorDecode(t *testing.T) {
+	const n = 4096
+	stream := func(encode func(*Writer)) []byte {
+		w := NewWriter()
+		encode(w)
+		return w.Bytes()
+	}
+	for name, c := range map[string]struct {
+		stream []byte
+		decode func(*Reader) int
+	}{
+		"F64s":   {stream(func(w *Writer) { w.F64s(make([]float64, n)) }), func(r *Reader) int { return len(r.F64s()) }},
+		"Ints":   {stream(func(w *Writer) { w.Ints(make([]int, n)) }), func(r *Reader) int { return len(r.Ints()) }},
+		"I64s":   {stream(func(w *Writer) { w.I64s(make([]int64, n)) }), func(r *Reader) int { return len(r.I64s()) }},
+		"I8s":    {stream(func(w *Writer) { w.I8s(make([]int8, n)) }), func(r *Reader) int { return len(r.I8s()) }},
+		"Bytes8": {stream(func(w *Writer) { w.Bytes8(make([]byte, n)) }), func(r *Reader) int { return len(r.Bytes8()) }},
+	} {
+		var r Reader
+		allocs := testing.AllocsPerRun(50, func() {
+			r.Reset(c.stream)
+			if got := c.decode(&r); got != n || r.Err() != nil {
+				t.Fatalf("%s decoded %d values, err %v", name, got, r.Err())
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s of %d elements allocates %.1f objects, want 1 (the result)", name, n, allocs)
+		}
+	}
+}

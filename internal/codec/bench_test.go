@@ -102,3 +102,44 @@ func BenchmarkScalarStream(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkF64s measures a 64 KiB float vector encoded into and decoded out
+// of a reused buffer, slice at a time against the element-wise references in
+// vector_test.go.
+func BenchmarkF64s(b *testing.B) {
+	vs := make([]float64, 8192)
+	for i := range vs {
+		vs[i] = float64(i) * 0.5
+	}
+	w := GetWriter()
+	defer w.Free()
+	w.F64s(vs)
+	stream := append([]byte(nil), w.Bytes()...)
+	dst := make([]float64, len(vs))
+	for _, c := range []struct {
+		name   string
+		encode func(*Writer)
+		decode func(*Reader) []float64
+	}{
+		{"vector", func(w *Writer) { w.F64s(vs) }, func(r *Reader) []float64 { return r.F64sInto(dst) }},
+		{"elementwise", func(w *Writer) { w.f64sRef(vs) }, func(r *Reader) []float64 { return r.f64sRef() }},
+	} {
+		b.Run("encode/"+c.name, func(b *testing.B) {
+			b.SetBytes(int64(8 * len(vs)))
+			for i := 0; i < b.N; i++ {
+				w.Reset()
+				c.encode(w)
+			}
+		})
+		b.Run("decode/"+c.name, func(b *testing.B) {
+			b.SetBytes(int64(8 * len(vs)))
+			for i := 0; i < b.N; i++ {
+				var r Reader
+				r.Reset(stream)
+				if got := c.decode(&r); len(got) != len(vs) {
+					b.Fatalf("decoded %d values", len(got))
+				}
+			}
+		})
+	}
+}

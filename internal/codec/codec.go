@@ -88,46 +88,58 @@ func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) { w.Bytes8([]byte(s)) }
 
-// vector starts a length-prefixed vector of n elements of size bytes each:
-// it reserves room for prefix and payload in one growth — so the element loop
-// that follows never re-grows the buffer — and appends the prefix. Bytes8 has
-// no element loop to protect: its one append grows at most once as it is, and
-// slices.Grow would clear a megabyte image's room only for it to be
-// overwritten (measured: 1 MiB into a fresh writer ×0.6).
-func (w *Writer) vector(n, size int) {
+// vector starts a length-prefixed vector of n elements of size bytes each and
+// returns its payload window for the caller to fill: prefix and payload are
+// reserved in one growth and the element loop stores at fixed offsets, with no
+// per-element append. Bytes8 has no element loop to protect: its one append
+// grows at most once as it is, and slices.Grow would clear a megabyte image's
+// room only for it to be overwritten (measured: 1 MiB into a fresh writer
+// ×0.6).
+func (w *Writer) vector(n, size int) []byte {
 	w.buf = slices.Grow(w.buf, 8+n*size)
 	w.Int(n)
+	off := len(w.buf)
+	w.buf = w.buf[:off+n*size]
+	return w.buf[off:]
 }
 
 // F64s appends a length-prefixed []float64.
 func (w *Writer) F64s(vs []float64) {
-	w.vector(len(vs), 8)
-	for _, v := range vs {
-		w.F64(v)
+	p := w.vector(len(vs), 8)
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(v))
 	}
 }
 
 // Ints appends a length-prefixed []int.
 func (w *Writer) Ints(vs []int) {
-	w.vector(len(vs), 8)
-	for _, v := range vs {
-		w.Int(v)
+	p := w.vector(len(vs), 8)
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(p[8*i:], uint64(int64(v)))
+	}
+}
+
+// I64s appends a length-prefixed []int64: the wire format of Ints.
+func (w *Writer) I64s(vs []int64) {
+	p := w.vector(len(vs), 8)
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(p[8*i:], uint64(v))
 	}
 }
 
 // U64s appends a length-prefixed []uint64.
 func (w *Writer) U64s(vs []uint64) {
-	w.vector(len(vs), 8)
-	for _, v := range vs {
-		w.U64(v)
+	p := w.vector(len(vs), 8)
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(p[8*i:], v)
 	}
 }
 
 // I8s appends a length-prefixed []int8 (used for spin grids).
 func (w *Writer) I8s(vs []int8) {
-	w.vector(len(vs), 1)
-	for _, v := range vs {
-		w.buf = append(w.buf, byte(v))
+	p := w.vector(len(vs), 1)
+	for i, v := range vs {
+		p[i] = byte(v)
 	}
 }
 
@@ -201,16 +213,31 @@ func (r *Reader) Bool() bool {
 	return v
 }
 
+// vector reads the length prefix of a vector of size-byte elements and
+// returns its payload, advancing past both; ok is false, with the sticky
+// error set, when the prefix is unreadable, negative or longer than the
+// stream. The bound is checked as an element count against the bytes left,
+// so no hostile length can overflow the offset arithmetic.
+func (r *Reader) vector(size int, what string) (p []byte, ok bool) {
+	n := r.Int()
+	if r.err != nil || n < 0 || n > (len(r.buf)-r.off)/size {
+		r.fail(what)
+		return nil, false
+	}
+	end := r.off + n*size
+	p = r.buf[r.off:end:end]
+	r.off = end
+	return p, true
+}
+
 // Bytes8 reads a length-prefixed byte slice.
 func (r *Reader) Bytes8() []byte {
-	n := r.Int()
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail("bytes")
+	p, ok := r.vector(1, "bytes")
+	if !ok {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, r.buf[r.off:])
-	r.off += n
+	b := make([]byte, len(p))
+	copy(b, p)
 	return b
 }
 
@@ -220,77 +247,74 @@ func (r *Reader) Bytes8() []byte {
 // which are never mutated once written); the caller must treat the result as
 // read-only and must not use it to outlive a mutable input buffer.
 func (r *Reader) Bytes8Borrow() []byte {
-	n := r.Int()
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail("bytes")
-		return nil
-	}
-	b := r.buf[r.off : r.off+n : r.off+n]
-	r.off += n
-	return b
+	p, _ := r.vector(1, "bytes")
+	return p
 }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes8()) }
 
-// F64s reads a length-prefixed []float64.
-func (r *Reader) F64s() []float64 {
-	n := r.Int()
-	if r.err != nil || n < 0 || r.off+8*n > len(r.buf) {
-		r.fail("[]float64")
-		return nil
-	}
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = r.F64()
-	}
-	return vs
-}
+// F64s reads a length-prefixed []float64 into a fresh slice.
+func (r *Reader) F64s() []float64 { return r.F64sInto(nil) }
 
 // F64sInto reads a length-prefixed []float64 into dst's storage, growing it
 // only when the capacity is short — the reuse variant for decode paths that
-// drain a stream per iteration (collective fan-ins).
+// drain a stream per iteration (collective fan-ins, halo rows). A nil dst
+// gets a fresh slice, empty but not nil for an empty vector.
 func (r *Reader) F64sInto(dst []float64) []float64 {
-	n := r.Int()
-	if r.err != nil || n < 0 || r.off+8*n > len(r.buf) {
-		r.fail("[]float64")
+	p, ok := r.vector(8, "[]float64")
+	if !ok {
 		return nil
 	}
-	if cap(dst) < n {
+	n := len(p) / 8
+	if dst == nil || cap(dst) < n {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
 	for i := range dst {
-		dst[i] = r.F64()
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p))
+		p = p[8:]
 	}
 	return dst
 }
 
 // Ints reads a length-prefixed []int.
 func (r *Reader) Ints() []int {
-	n := r.Int()
-	if r.err != nil || n < 0 || r.off+8*n > len(r.buf) {
-		r.fail("[]int")
+	p, ok := r.vector(8, "[]int")
+	if !ok {
 		return nil
 	}
-	vs := make([]int, n)
+	vs := make([]int, len(p)/8)
 	for i := range vs {
-		vs[i] = r.Int()
+		vs[i] = int(int64(binary.LittleEndian.Uint64(p)))
+		p = p[8:]
+	}
+	return vs
+}
+
+// I64s reads a length-prefixed []int64.
+func (r *Reader) I64s() []int64 {
+	p, ok := r.vector(8, "[]int64")
+	if !ok {
+		return nil
+	}
+	vs := make([]int64, len(p)/8)
+	for i := range vs {
+		vs[i] = int64(binary.LittleEndian.Uint64(p))
+		p = p[8:]
 	}
 	return vs
 }
 
 // I8s reads a length-prefixed []int8.
 func (r *Reader) I8s() []int8 {
-	n := r.Int()
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail("[]int8")
+	p, ok := r.vector(1, "[]int8")
+	if !ok {
 		return nil
 	}
-	vs := make([]int8, n)
-	for i := range vs {
-		vs[i] = int8(r.buf[r.off+i])
+	vs := make([]int8, len(p))
+	for i, b := range p {
+		vs[i] = int8(b)
 	}
-	r.off += n
 	return vs
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -12,12 +13,18 @@ import (
 // with Writer, and read back with Reader. Every value must survive the round
 // trip exactly, the reader must end cleanly with no residue, and — on the
 // adversarial side — feeding the raw fuzz input straight into a Reader must
-// never panic, whatever it holds.
+// never panic, whatever it holds: a vector's length prefix too large for the
+// stream fails the read, even where its byte count overflows an int.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add([]byte("\x02\x00\x00\x00\x00\x00\x00\x00hi"))
+	// Length prefixes whose byte counts overflow the offset arithmetic: 8n
+	// wraps to zero for 1<<61, off+n wraps negative for MaxInt64-2.
+	for _, n := range []uint64{1 << 61, math.MaxInt64 - 2} {
+		f.Add(append(binary.LittleEndian.AppendUint64(nil, n), bytes.Repeat([]byte{7}, 24)...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Phase 1: interpret data as instructions, round-trip the values.
@@ -26,11 +33,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			u    uint64
 			b    []byte
 			i8s  []int8
+			i64s []int64
 		}
 		var ops []op
 		w := NewWriter()
 		for i := 0; i < len(data); {
-			kind := data[i] % 7
+			kind := data[i] % 8
 			i++
 			var u uint64
 			if i+8 <= len(data) {
@@ -74,6 +82,13 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				}
 				i += n
 				w.I8s(o.i8s)
+			case 7:
+				n := int(u % 8)
+				for ; n > 0 && i+8 <= len(data); n-- {
+					o.i64s = append(o.i64s, int64(binary.LittleEndian.Uint64(data[i:])))
+					i += 8
+				}
+				w.I64s(o.i64s)
 			}
 			ops = append(ops, o)
 		}
@@ -115,6 +130,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 						t.Fatalf("op %d: I8s[%d] = %d, want %d", k, j, got[j], o.i8s[j])
 					}
 				}
+			case 7:
+				if got := r.I64s(); !slices.Equal(got, o.i64s) {
+					t.Fatalf("op %d: I64s = %v, want %v", k, got, o.i64s)
+				}
 			}
 		}
 		if r.Err() != nil {
@@ -126,6 +145,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 		// Phase 2: the raw input as a hostile stream. Reads must never panic,
 		// and once an error occurs it must be sticky with zero-value results.
+		// Each vector decoder first reads the input's own leading length.
+		for _, decode := range []func(*Reader){
+			func(r *Reader) { r.Bytes8() }, func(r *Reader) { r.Bytes8Borrow() },
+			func(r *Reader) { r.F64s() }, func(r *Reader) { r.F64sInto(nil) },
+			func(r *Reader) { r.Ints() }, func(r *Reader) { r.I64s() },
+			func(r *Reader) { r.I8s() },
+		} {
+			decode(NewReader(data))
+		}
 		hr := NewReader(data)
 		for i := 0; i < 8; i++ {
 			hr.U64()
@@ -134,6 +162,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			hr.F64s()
 			hr.Ints()
 			hr.I8s()
+			hr.I64s()
+			hr.F64sInto(nil)
+			hr.Bytes8Borrow()
 			_ = hr.String()
 		}
 		if hr.Err() != nil {
