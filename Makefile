@@ -27,7 +27,10 @@ race:
 # (event-driven flights vs a courier process per message), the storage
 # server's files (extent lists of the gathered slices it is handed vs one flat,
 # copied slice per file) and the checkpoint writer's requests (gathered from a
-# file's slice list vs the flat loop over one buffer) — and the engine's
+# file's slice list vs the flat loop over one buffer), the pages a full-image
+# file shares with a rank's earlier ones (random snapshot sequences: parts that
+# join to the snapshot, no alias of a copied-from snapshot, no held or stored
+# byte written, the held image at most twice its size reachable) — and the engine's
 # ordering contract under generated programs (strict (at, push) order across
 # the heap's runs, the staged run and the current-instant lane), and ISING's guarded Metropolis
 # acceptance (bounds decide, math.Exp only between them) against the plain
@@ -40,6 +43,7 @@ fuzz:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzPaddedEncode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz FuzzCkptFileDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz FuzzSegmentParts -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt -run '^$$' -fuzz FuzzSharedImage -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bench -run '^$$' -fuzz FuzzVariantParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME)
@@ -84,12 +88,14 @@ identical:
 # Allocation gate: the testing.AllocsPerRun pins for the engine, fabric, codec
 # and collective hot paths; that the storage server allocates nothing of a
 # segment's size for a file appended to it, and a full-image capture (local
-# timers and coordinated) at most 0.05 bytes per byte of the file it gathers;
+# timers and coordinated) at most 0.05 bytes per byte of the file it gathers,
+# and 24 kept files of a mostly clean 1 MiB state at one image plus the changed
+# pages (TestAllocsSharedCapture);
 # an incremental capture and commit of a 1 MiB state at the record it builds
 # plus a few hundred bytes, and the per-audited-commit pin; an ISING half-sweep
-# at zero and a TSP subtree search at its path buffer plus one tour per
-# improvement; each app's Snapshot at the one buffer it returns
-# (TestAllocsSnapshot), an ISING rank built after the first at its spin rows
+# at zero, an NQUEENS task search at zero (TestAllocsNQueensKernel), and a TSP
+# subtree search at its path buffer plus one tour per improvement; each app's
+# Snapshot at the one buffer it returns (TestAllocsSnapshot), an ISING rank built after the first at its spin rows
 # and no coupling row (TestAllocsIsingRankSharesPlane), and each vector
 # decoder at its result (TestAllocsVectorDecode); plus a microbenchmark smoke of the event queue, the fabric's
 # send path, the payload codecs and those two kernels — all under the race

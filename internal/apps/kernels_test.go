@@ -100,3 +100,58 @@ func TestNBodyAccumulateMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// countFromPrefixRef is NQUEENS' kernel as it was before queensFrom: a
+// heap-allocated recursive closure that visits every leaf at row n.
+func countFromPrefixRef(n int, prefix [2]int) (count int64, explored int) {
+	all := (1 << n) - 1
+	var rec func(row, cols, diag1, diag2 int)
+	rec = func(row, cols, diag1, diag2 int) {
+		explored++
+		if row == n {
+			count++
+			return
+		}
+		free := all &^ (cols | diag1 | diag2)
+		for free != 0 {
+			bit := free & -free
+			free ^= bit
+			rec(row+1, cols|bit, (diag1|bit)<<1&all, (diag2|bit)>>1)
+		}
+	}
+	c1 := 1 << prefix[0]
+	c2 := 1 << prefix[1]
+	cols := c1 | c2
+	diag1 := (c1<<1 | c2) << 1 & all
+	diag2 := (c1>>1 | c2) >> 1
+	rec(2, cols, diag1, diag2)
+	return count, explored
+}
+
+// TestNQueensKernelMatchesReference: countFromPrefix's count and explored
+// nodes — which set the virtual compute time of every task — equal the
+// closure kernel's for every two-queen prefix of every board from 4 to 12:
+// the generator's tasks and the pairs its filters drop alike.
+func TestNQueensKernelMatchesReference(t *testing.T) {
+	for n := 4; n <= 12; n++ {
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				task := [2]int{a, b}
+				count, explored := countFromPrefix(n, task)
+				wantCount, wantExplored := countFromPrefixRef(n, task)
+				if count != wantCount || explored != wantExplored {
+					t.Fatalf("n=%d prefix %v: %d solutions over %d nodes, the reference %d over %d",
+						n, task, count, explored, wantCount, wantExplored)
+				}
+			}
+		}
+	}
+}
+
+// TestAllocsNQueensKernel: a task's search allocates nothing (the closure
+// kernel allocated its recursive func value and the two counters it captured).
+func TestAllocsNQueensKernel(t *testing.T) {
+	if allocs := testing.AllocsPerRun(20, func() { countFromPrefix(10, [2]int{0, 2}) }); allocs != 0 {
+		t.Fatalf("countFromPrefix allocates %.1f objects per task, want 0", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/codec"
 	"repro/internal/mp"
@@ -136,23 +137,10 @@ func (q *NQueens) runWorker(e *mp.Env) {
 }
 
 // countFromPrefix counts completions given queens at (0, prefix[0]) and
-// (1, prefix[1]), using the bitmask depth-first search.
+// (1, prefix[1]), using the bitmask depth-first search, and the search-tree
+// nodes it explores (the row-2 root included).
 func countFromPrefix(n int, prefix [2]int) (count int64, explored int) {
 	all := (1 << n) - 1
-	var rec func(row, cols, diag1, diag2 int)
-	rec = func(row, cols, diag1, diag2 int) {
-		explored++
-		if row == n {
-			count++
-			return
-		}
-		free := all &^ (cols | diag1 | diag2)
-		for free != 0 {
-			bit := free & -free
-			free ^= bit
-			rec(row+1, cols|bit, (diag1|bit)<<1&all, (diag2|bit)>>1)
-		}
-	}
 	c1 := 1 << prefix[0]
 	c2 := 1 << prefix[1]
 	// Validity beyond the generator's adjacency filter: same diagonal checks
@@ -160,7 +148,29 @@ func countFromPrefix(n int, prefix [2]int) (count int64, explored int) {
 	cols := c1 | c2
 	diag1 := (c1<<1 | c2) << 1 & all
 	diag2 := (c1>>1 | c2) >> 1
-	rec(2, cols, diag1, diag2)
+	return queensFrom(n, 2, all, cols, diag1, diag2)
+}
+
+// queensFrom counts the completions of a board whose rows above row are
+// placed, and the nodes of the subtree rooted there. Row n-1 is folded into a
+// popcount: each free square is one leaf at row n, a solution and a node.
+func queensFrom(n, row, all, cols, diag1, diag2 int) (count int64, explored int) {
+	if row == n {
+		return 1, 1
+	}
+	free := all &^ (cols | diag1 | diag2)
+	if row == n-1 {
+		k := bits.OnesCount(uint(free))
+		return int64(k), 1 + k
+	}
+	explored = 1
+	for free != 0 {
+		bit := free & -free
+		free ^= bit
+		c, e := queensFrom(n, row+1, all, cols|bit, (diag1|bit)<<1&all, (diag2|bit)>>1)
+		count += c
+		explored += e
+	}
 	return count, explored
 }
 

@@ -53,7 +53,7 @@ func padImage(state []byte, imageBytes int) []byte {
 // flatCkptFile is the record as one contiguous buffer, for tests that decode
 // it or compare it whole.
 func flatCkptFile(v Variant, f CkptFile, pad int) []byte {
-	return bytes.Join(encodeCkptFile(v, f, pad), nil)
+	return bytes.Join(encodeCkptFile(v, f, nil, pad), nil)
 }
 
 // sameBytes reports whether a and b are the same memory, not just equal.
@@ -76,7 +76,11 @@ func TestEncodeCkptFilePadsInPlace(t *testing.T) {
 					state = bytes.Repeat([]byte{0xA5}, stateLen)
 				}
 				f := CkptFile{Index: 9, Prev: 8, Deps: deps, State: state, Lib: []byte("lib")}
-				file := encodeCkptFile(v, f, pad)
+				var image [][]byte
+				if !v.Incremental() {
+					f.State, image = nil, [][]byte{state}
+				}
+				file := encodeCkptFile(v, f, image, pad)
 				got := bytes.Join(file, nil)
 				padded := f
 				padded.State = padImage(bytes.Clone(state), pad)
@@ -126,7 +130,7 @@ func TestEncodeRawImage(t *testing.T) {
 	for _, pad := range []int{0, 5, writeSegment, 2*writeSegment + 9} {
 		for _, stateLen := range []int{0, 300, writeSegment} {
 			state := bytes.Repeat([]byte{0x5A}, stateLen)
-			file := encodeRawImage(state, pad)
+			file := appendZeros([][]byte{state}, pad)
 			if !sameBytes(file[0], state) {
 				t.Errorf("pad %d state %d: the file does not start with the snapshot as it is", pad, stateLen)
 			}
@@ -266,11 +270,12 @@ func allocsPerFileByte(t *testing.T, v Variant, build func(k int, c *ckptCapture
 	n.Snap = &sizedSnap{lens: []int{256}}
 	const rounds = 64
 	written := 0
+	var held heldImage
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for k := 1; k <= rounds; k++ {
 		c := ckptCapture{index: k}
-		c.captureImage(n, v, nil)
+		c.captureImage(n, v, &held, nil)
 		segmentFile("f", build(k, &c), func(req storage.Request, _ bool) { written += req.Len() })
 	}
 	runtime.ReadMemStats(&after)
@@ -290,7 +295,7 @@ func allocsPerFileByte(t *testing.T, v Variant, build func(k int, c *ckptCapture
 func TestAllocsTimerCapture(t *testing.T) {
 	deps, lib := []Dep{{SrcRank: 1, SrcIndex: 2}}, make([]byte, 64)
 	perByte := allocsPerFileByte(t, Indep, func(k int, c *ckptCapture) [][]byte {
-		return encodeCkptFile(Indep, CkptFile{Index: k, Deps: deps, State: c.state, Lib: lib}, c.pad)
+		return encodeCkptFile(Indep, CkptFile{Index: k, Deps: deps, Lib: lib}, c.image, c.pad)
 	})
 	if perByte > 0.05 {
 		t.Fatalf("capturing a full-image checkpoint allocated %.3f bytes per byte of file, want <= 0.05", perByte)
@@ -301,7 +306,7 @@ func TestAllocsTimerCapture(t *testing.T) {
 // snapshot and the zero page, nothing else.
 func TestAllocsCoordCapture(t *testing.T) {
 	perByte := allocsPerFileByte(t, CoordNB, func(_ int, c *ckptCapture) [][]byte {
-		return encodeRawImage(c.state, c.pad)
+		return appendZeros(c.image, c.pad)
 	})
 	if perByte > 0.05 {
 		t.Fatalf("capturing a coordinated full-image checkpoint allocated %.3f bytes per byte of file, want <= 0.05", perByte)
@@ -358,8 +363,8 @@ func TestAllocsIncCapture(t *testing.T) {
 	record := 0 // the records' bytes as the heap hands them out: a large object takes whole 8 KiB pages
 	capture := func(k int) {
 		c := ckptCapture{index: k}
-		c.captureImage(n, IndepInc, &inc)
-		record += (fileLen(encodeCkptFile(IndepInc, CkptFile{Index: k, Prev: c.prev, State: c.state}, c.pad)) + 8191) &^ 8191
+		c.captureImage(n, IndepInc, nil, &inc)
+		record += (fileLen(encodeCkptFile(IndepInc, CkptFile{Index: k, Prev: c.prev, State: c.state}, nil, c.pad)) + 8191) &^ 8191
 		c.scratch.Free()
 		inc.Commit(k, c.snap, c.prev)
 	}
@@ -379,5 +384,75 @@ func TestAllocsIncCapture(t *testing.T) {
 	if extra > 512 {
 		t.Fatalf("an incremental capture and commit allocate %d bytes besides the record; the image (%d bytes) is being built",
 			extra, 1<<20+m.Cfg.CkptImageBytes)
+	}
+}
+
+// driftingState is a program's 1 MiB paged state of which a few pages change
+// between checkpoints; each Snapshot is a fresh copy of it, as the apps' are.
+type driftingState struct {
+	state []byte
+	next  int
+}
+
+// driftPages is how many of driftingState's 256 pages change per snapshot.
+const driftPages = 8
+
+func (s *driftingState) Snapshot() []byte {
+	const page = 4096
+	for j := range driftPages {
+		pg := (s.next*driftPages + j) * 7 % (len(s.state) / page)
+		s.state[pg*page+j]++
+	}
+	s.next++
+	return bytes.Clone(s.state)
+}
+func (s *driftingState) Restore([]byte)     {}
+func (s *driftingState) StatePageSize() int { return 4096 }
+
+// TestAllocsSharedCapture pins what stored full-image files keep alive: 24
+// captures of a freshly allocated, mostly clean 1 MiB paged snapshot, every
+// file kept as storage keeps its extents, leave the heap larger by one image,
+// the changed pages and 64 KiB — the held image's first snapshot, the copies
+// of what changed after it, and slice headers — where each file used to pin
+// its own snapshot (24 images).
+func TestAllocsSharedCapture(t *testing.T) {
+	for _, v := range []Variant{IndepM, CoordNB} {
+		t.Run(v.String(), func(t *testing.T) {
+			m := par.NewMachine(par.DefaultConfig())
+			defer m.Shutdown()
+			n := m.Nodes[0]
+			prog := &driftingState{state: make([]byte, 1<<20)}
+			for i := range prog.state {
+				prog.state[i] = byte(i*7 + i>>12 + 1)
+			}
+			n.Snap = prog
+			const captures = 24
+			extents := make([][]byte, 0, 4096) // what the server keeps: every request's slices
+			var held heldImage
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for k := 1; k <= captures; k++ {
+				c := ckptCapture{index: k}
+				c.captureImage(n, v, &held, nil)
+				file := appendZeros(c.image, c.pad)
+				if !v.RawImage() {
+					file = encodeCkptFile(v, CkptFile{Index: k}, c.image, c.pad)
+				}
+				segmentFile("f", file, func(req storage.Request, _ bool) {
+					extents = append(append(extents, req.Data), req.More...)
+				})
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(extents)
+			runtime.KeepAlive(held)
+			growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+			bound := int64(len(prog.state) + (captures-1)*driftPages*4096 + 64<<10)
+			t.Logf("%d captures of a 1 MiB state, every file kept: heap %+d bytes (bound %d)", captures, growth, bound)
+			if growth > bound {
+				t.Fatalf("%d kept files hold %d bytes of heap, want <= %d: the files pin their snapshots", captures, growth, bound)
+			}
+		})
 	}
 }

@@ -659,13 +659,13 @@ func capturedFiles(v Variant, rank, pad int, snaps [][]byte) map[string][]byte {
 		var file [][]byte
 		switch {
 		case v.RawImage():
-			file = encodeRawImage(snap, pad)
+			file = appendZeros([][]byte{snap}, pad)
 		case v.Incremental():
 			payload, prev := inc.EncodeTo(codec.NewWriter(), snap)
-			file = encodeCkptFile(v, CkptFile{Index: index, Prev: prev, State: payload}, 0)
+			file = encodeCkptFile(v, CkptFile{Index: index, Prev: prev, State: payload}, nil, 0)
 			inc.Commit(index, snap, prev)
 		default:
-			file = encodeCkptFile(v, CkptFile{Index: index, State: snap}, pad)
+			file = encodeCkptFile(v, CkptFile{Index: index}, [][]byte{snap}, pad)
 		}
 		files[v.StatePath(rank, index)] = bytes.Join(file, nil)
 	}

@@ -327,6 +327,9 @@ type coordNode struct {
 	pending     bool
 	pendingSnap []byte
 	pendingPrev int
+	// held is the last full image captured (raw-image rounds), whose
+	// unchanged pages the next slot file borrows.
+	held heldImage
 
 	syncSpan obs.Span // "ckpt.sync": round begin until the local safe point
 
@@ -566,17 +569,20 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 		blockedSpan = s.m.Obs.Start(n.ID, obs.TidApp, "ckpt.blocked").WithArg("round", int64(round))
 	}
 	c := ckptCapture{index: round}
-	c.captureImage(n, s.v, &cn.inc)
+	c.captureImage(n, s.v, &cn.held, &cn.inc)
 	stateBytes, prev := c.stateBytes(), c.prev
 	var file [][]byte
 	if s.v.Incremental() {
 		// The slot file is a record carrying the chain pointer; the round's
 		// snapshot becomes the diff baseline only at commit (pendingSnap).
 		cn.pending, cn.pendingSnap, cn.pendingPrev = true, c.snap, prev
-		file = encodeCkptFile(s.v, CkptFile{Index: round, Prev: prev, State: c.state}, 0)
+		file = encodeCkptFile(s.v, CkptFile{Index: round, Prev: prev, State: c.state}, nil, 0)
 		c.scratch.Free() // payload embedded (copied) into file above
 	} else {
-		file = encodeRawImage(c.state, c.pad)
+		// The raw padded image: the parts heldImage.share returned, borrowed
+		// as encodeCkptFile borrows them, then the process image's zeros.
+		// Decoders read length-prefixed fields, so the padding is inert.
+		file = appendZeros(c.image, c.pad)
 	}
 	if s.v.MemBuffered() && p != nil {
 		// Main-memory checkpointing: the application pays only for the copy.

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -118,22 +119,100 @@ func fileLen(file [][]byte) int {
 	return n
 }
 
+// heldImage is a node's last captured full image as page-size slices: the
+// memory its next checkpoint file borrows wherever the new snapshot did not
+// change. Each page is a page of the last snapshot lent whole or a copy of a
+// changed page in an allocation of its own, and nothing ever writes one: the
+// lent snapshot by par.Snapshotter's promise, a copy because its only writer
+// is the copy. So any number of stored files share an unchanged page, and the
+// host holds each distinct page once however many files are kept.
+type heldImage [][]byte
+
+// share returns the parts a full-image file gathers snap from, in order, and
+// makes snap the held image. Either way the parts join to snap.
+//
+// snap is lent whole — the one part is snap itself, and the held image becomes
+// pages of it — when nothing is held (a node's first capture; a restarted
+// node's held image died with it), when more than half of its bytes lie in
+// changed pages, or when it is shorter than the held image. An app that
+// rewrites most of its state every interval (ASP, GAUSS, NBODY, TSP, NQUEENS)
+// pays one compare per page that fails on the page's first bytes, until half
+// the pages have failed. ISING's snapshot carries its read-only coupling
+// rows, most of its bytes, so from its second capture on its files borrow
+// them and copy the spin pages, and SOR's files often borrow unchanged rows.
+//
+// Otherwise snap is garbage once share returns: an unchanged page is borrowed
+// from the held image, and a changed one is copied into an allocation of its
+// own, which the held image then holds. A held page thus never pins bytes no
+// file or held page needs, and with no bookkeeping the held image keeps at
+// most twice its own size reachable: pages of the last snapshot lent whole,
+// which was no longer than the image because a shrink is lent whole, and
+// copies, which are pages of the image. No part aliases snap.
+func (h *heldImage) share(snap []byte, pageSize int) [][]byte {
+	held := *h
+	shrank, budget := len(snap) < fileLen(held), len(snap)/2
+	changed, pages := 0, 0
+	for lo := 0; lo < len(snap) && changed <= budget && !shrank; lo += pageSize {
+		page := snap[lo:min(lo+pageSize, len(snap))]
+		switch {
+		case pages == len(held):
+			held = append(held, page)
+			changed += len(page)
+		case !bytes.Equal(held[pages], page):
+			held[pages] = page
+			changed += len(page)
+		}
+		pages++
+	}
+	if shrank || changed > budget {
+		old := len(held)
+		held = held[:0]
+		for lo := 0; lo < len(snap); lo += pageSize {
+			held = append(held, snap[lo:min(lo+pageSize, len(snap))])
+		}
+		clear(held[len(held):max(old, len(held))]) // a shorter image's list must not keep old pages reachable
+		*h = held
+		return [][]byte{snap}
+	}
+	held = held[:pages]
+	var parts [][]byte
+	for i, page := range held {
+		if &page[0] == &snap[i*pageSize] { // changed: still aliases snap
+			page = append(make([]byte, 0, len(page)), page...)
+			held[i] = page
+		}
+		// A page that continues the last part's memory extends it: the
+		// unchanged runs of one lent snapshot travel as single parts.
+		if n := len(parts); n > 0 {
+			if last := parts[n-1]; cap(last) > len(last) && &last[:len(last)+1][len(last)] == &page[0] {
+				parts[n-1] = last[:len(last)+len(page)]
+				continue
+			}
+		}
+		parts = append(parts, page)
+	}
+	*h = held
+	return parts
+}
+
 // encodeCkptFile packs a checkpoint file for the variant as the list of slices
-// the segmented writer gathers it from, its state section being f.State
-// followed by pad zero bytes. Under full capture nothing of the image is
-// copied: the file is [header, f.State, zeros…, trailer], f.State being the
-// snapshot as the program returned it (par.Snapshotter: freshly owned, never
-// written again) and the zeros borrows of zeroPage, so the padded image exists
-// nowhere on the host. An incremental payload lives in pooled scratch that
-// dies with the write job, before the stored file does, so it is embedded —
-// its one copy — and the record is a single buffer. Header and trailer are
-// two ends of one exactly sized, freshly owned buffer (see codec/pool.go).
-func encodeCkptFile(v Variant, f CkptFile, pad int) [][]byte {
+// the segmented writer gathers it from, its state section being f.State, then
+// image's parts, then pad zero bytes. f.State is embedded — its one copy — and
+// is the incremental payload, which lives in pooled scratch that dies with the
+// write job, before the stored file does; the record is then a single buffer.
+// A full image is passed as image and nothing of it is copied: the file is
+// [header, parts…, zeros…, trailer], the parts being what heldImage.share
+// returned — the snapshot lent as the program returned it (par.Snapshotter:
+// freshly owned, never written again), or pages of earlier snapshots and
+// copies of changed pages, all never written again — and the zeros borrows of
+// zeroPage, so the padded image exists nowhere on the host. Header and trailer
+// are two ends of one exactly sized, freshly owned buffer (see codec/pool.go).
+func encodeCkptFile(v Variant, f CkptFile, image [][]byte, pad int) [][]byte {
 	n := 8 + 8 + 16*len(f.Deps) + 8 + 8 + len(f.Lib)
 	if v.Incremental() {
-		n += 8 + len(f.State)
+		n += 8
 	}
-	w := codec.NewWriterSize(n)
+	w := codec.NewWriterSize(n + len(f.State))
 	w.Int(f.Index)
 	if v.Incremental() {
 		w.Int(f.Prev)
@@ -143,12 +222,13 @@ func encodeCkptFile(v Variant, f CkptFile, pad int) [][]byte {
 		w.Int(d.SrcRank)
 		w.U64(d.SrcIndex)
 	}
-	w.Int(len(f.State) + pad)
-	file := make([][]byte, 1, 3+(pad+len(zeroPage)-1)/len(zeroPage))
-	if v.Incremental() {
-		w.Raw(f.State)
-	} else if len(f.State) > 0 {
-		file = append(file, f.State)
+	w.Int(len(f.State) + fileLen(image) + pad)
+	w.Raw(f.State)
+	file := make([][]byte, 1, 2+len(image)+(pad+len(zeroPage)-1)/len(zeroPage))
+	for _, part := range image {
+		if len(part) > 0 {
+			file = append(file, part)
+		}
 	}
 	file = appendZeros(file, pad)
 	split := w.Len()
@@ -160,14 +240,6 @@ func encodeCkptFile(v Variant, f CkptFile, pad int) [][]byte {
 	}
 	file[0] = buf[:split]
 	return append(file, buf[split:])
-}
-
-// encodeRawImage is the slot file of a full-image coordinated round: the raw
-// padded image — the snapshot, borrowed as encodeCkptFile borrows it, and the
-// process image's zeros. Decoders read length-prefixed fields, so the trailing
-// padding is inert on recovery.
-func encodeRawImage(snapshot []byte, pad int) [][]byte {
-	return appendZeros([][]byte{snapshot}, pad)
 }
 
 // decodeCkptFile unpacks a checkpoint record written under the variant; the

@@ -213,3 +213,38 @@ func TestRecoverNodeRefusesWrongIndex(t *testing.T) {
 		t.Fatalf("recovery restored a file holding the wrong checkpoint: run error %v", err)
 	}
 }
+
+// TestRecoveredNodeHoldsNoImage: the held image a node's next full-image file
+// borrows from is volatile memory, so a node RecoverNode restarts holds none
+// and its first capture after recovery is lent whole, like any first capture.
+func TestRecoveredNodeHoldsNoImage(t *testing.T) {
+	m := par.NewMachine(par.DefaultConfig())
+	sch := New(IndepLog, Options{Interval: 2 * sim.Second})
+	sch.Attach(m)
+	w := mp.NewWorld(m)
+	n := m.NumNodes()
+	factory := func(rank int) mp.Program { return newRingProg(rank, n, 400, 80_000, 2e5) }
+	for rank := 0; rank < n; rank++ {
+		w.Launch(rank, factory(rank))
+	}
+	const victim = 3
+	tn := sch.(*localTimers).nodes[victim]
+	before, after := -1, -1
+	m.Eng.At(sim.Time(7*sim.Second), func() {
+		m.CrashNode(victim)
+		before = len(tn.held)
+		m.Eng.After(300*sim.Millisecond, func() {
+			RecoverNode(m, w, sch, victim, factory)
+			after = len(tn.held)
+		})
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if before <= 0 {
+		t.Fatalf("the victim held %d pages at the crash; want an image, or the test shows nothing", before)
+	}
+	if after != 0 {
+		t.Fatalf("the restarted node still holds %d pages of its image from before the crash", after)
+	}
+}

@@ -151,6 +151,9 @@ type timerNode struct {
 	// are strictly sequential and the retained image always matches the last
 	// durable checkpoint.
 	inc *IncCapture
+	// held is the last full image captured (full capture only), whose
+	// unchanged pages the next checkpoint file borrows.
+	held heldImage
 
 	// Sender-based message log (SenderLog): outgoing messages kept in
 	// volatile memory until the receiver's next checkpoint truncates them.
@@ -306,17 +309,19 @@ type ckptCapture struct {
 	lib   []byte
 	prev  int
 
-	// The record's state section is state followed by pad zero bytes. Under
-	// full capture state is the bare snapshot and pad the process image's
-	// size: the padded image is never built, the file is gathered from the
-	// snapshot and the shared zero page. Under incremental capture state is
-	// the base/delta payload (pad 0), aliasing scratch's pooled buffer until
-	// it is embedded in the file, and snap the bare snapshot, encoded where
-	// the program returned it. Its image becomes the diff baseline once the
-	// file is durable: the node's IncCapture then holds snap itself — a new
-	// holder of the lent bytes, until the next commit — so the padded image is
-	// never built here either.
+	// The record's state section is state, then image, then pad zero bytes.
+	// Under full capture state is empty, image the parts the node's held
+	// image gathers the snapshot from (heldImage.share) and pad the process
+	// image's size: the padded image is never built, the file is gathered from
+	// those parts and the shared zero page. Under incremental capture image is
+	// empty, state the base/delta payload (pad 0), aliasing scratch's pooled
+	// buffer until it is embedded in the file, and snap the bare snapshot,
+	// encoded where the program returned it. Its image becomes the diff
+	// baseline once the file is durable: the node's IncCapture then holds snap
+	// itself — a new holder of the lent bytes, until the next commit — so the
+	// padded image is never built here either.
 	state   []byte
+	image   [][]byte
 	pad     int
 	snap    []byte
 	scratch *codec.Writer
@@ -326,23 +331,25 @@ type ckptCapture struct {
 }
 
 // stateBytes is the size of the record's state section.
-func (c *ckptCapture) stateBytes() int { return len(c.state) + c.pad }
+func (c *ckptCapture) stateBytes() int { return len(c.state) + fileLen(c.image) + c.pad }
 
 // captureImage is the step every driver's capture shares: snapshot the
-// program at c.index and — under incremental capture — encode the base or
+// program at c.index and either gather the full image from it against the
+// node's held image, or — under incremental capture — encode the base or
 // delta payload of its process image against the last durable image into
 // pooled scratch (which the caller frees once the payload is embedded in the
 // file). Runs in the application's context, like every state capture in the
 // library.
-func (c *ckptCapture) captureImage(n *par.Node, v Variant, inc **IncCapture) {
-	c.state, c.pad = par.SnapshotAt(n.Snap, c.index), max(n.M.Cfg.CkptImageBytes, 0)
+func (c *ckptCapture) captureImage(n *par.Node, v Variant, held *heldImage, inc **IncCapture) {
+	snap, pad := par.SnapshotAt(n.Snap, c.index), max(n.M.Cfg.CkptImageBytes, 0)
 	if !v.Incremental() {
-		return // nothing to retain for diffing
+		c.image, c.pad = held.share(snap, par.StatePageSizeOf(n.Snap)), pad
+		return
 	}
 	if *inc == nil {
-		*inc = NewIncCapture(par.StatePageSizeOf(n.Snap), c.pad)
+		*inc = NewIncCapture(par.StatePageSizeOf(n.Snap), pad)
 	}
-	c.snap, c.pad = c.state, 0
+	c.snap = snap
 	c.scratch = codec.GetWriter()
 	c.state, c.prev = (*inc).EncodeTo(c.scratch, c.snap)
 }
@@ -363,7 +370,7 @@ func (tn *timerNode) capture(kind int) *ckptCapture {
 		return c.deps[i].SrcIndex < c.deps[j].SrcIndex
 	})
 	tn.deps = make(map[Dep]struct{})
-	c.captureImage(tn.n, tn.s.v, &tn.inc)
+	c.captureImage(tn.n, tn.s.v, &tn.held, &tn.inc)
 	if tn.n.Lib != nil {
 		c.lib = tn.n.Lib.Snapshot()
 		if lc, ok := tn.n.Lib.(interface{ LastConsumedSSN() []uint64 }); ok && tn.s.v.SenderLog {
@@ -412,12 +419,13 @@ func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 		// An incremental c.state aliases the pooled scratch; it is embedded
 		// (copied) into file below and only its length is read after that, so
 		// the scratch is recycled when the job ends — even by a crash
-		// unwinding it mid-write. A full-image c.state is the snapshot itself,
-		// which file lends to stable storage and nobody writes again.
+		// unwinding it mid-write. A full image's parts are the snapshot or
+		// pages of the held image, which file lends to stable storage and
+		// nobody writes again.
 		defer c.scratch.Free()
 		s := tn.s
 		k := c.index
-		file := encodeCkptFile(s.v, CkptFile{Index: k, Prev: c.prev, Deps: c.deps, State: c.state, Lib: c.lib}, c.pad)
+		file := encodeCkptFile(s.v, CkptFile{Index: k, Prev: c.prev, Deps: c.deps, State: c.state, Lib: c.lib}, c.image, c.pad)
 		wsp := s.m.Obs.Start(tn.n.ID, obs.TidDaemon, "ckpt.disk_write").WithArg("index", int64(k))
 		err := writeSegmentedChecked(p, tn.n, s.v.StatePath(tn.n.ID, k), file, false)
 		wsp.End()

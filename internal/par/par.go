@@ -125,11 +125,15 @@ type Piggyback [NumPiggyback]uint64
 // Snapshot returns freshly owned bytes the program never writes again: the
 // checkpointer may hand them to stable storage as they are, and a full-image
 // checkpoint does — the slice becomes part of the durable file, not a copy of
-// it. An incremental checkpoint is encoded from the slice where it lies, and
-// once it commits the slice itself is the diff baseline the next one is
-// encoded against, held until the commit after. A program that snapshots into
-// a buffer it reuses rewrites its own checkpoints or that baseline (the oracle
-// reports both: check.TestDroppedCopyStillBites).
+// it — on a node's first capture and whenever most of the state changed.
+// Otherwise the file borrows the unchanged pages of earlier snapshots (and
+// earlier copies of changed pages) and copies the changed ones, so one
+// snapshot's pages may be part of many later files. An incremental checkpoint
+// is encoded from the slice where it lies, and once it commits the slice itself
+// is the diff baseline the next one is encoded against, held until the commit
+// after. A program that snapshots into a buffer it reuses rewrites its own
+// checkpoints, later ones sharing their pages, or that baseline (the oracle
+// reports each: check.TestDroppedCopyStillBites).
 // Restore is lent data — it may come straight out of a stored file — and
 // copies out whatever it keeps and later changes.
 type Snapshotter interface {
