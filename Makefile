@@ -27,10 +27,11 @@ race:
 # (event-driven flights vs a courier process per message), the storage
 # server's files (extent lists of the gathered slices it is handed vs one flat,
 # copied slice per file) and the checkpoint writer's requests (gathered from a
-# file's slice list vs the flat loop over one buffer), the pages a full-image
-# file shares with a rank's earlier ones (random snapshot sequences: parts that
-# join to the snapshot, no alias of a copied-from snapshot, no held or stored
-# byte written, the held image at most twice its size reachable) — and the engine's
+# file's slice list vs the flat loop over one buffer), a rank's one image
+# holder (random snapshot sequences: full-image parts that join to the
+# snapshot, no alias of a copied-from snapshot, no held or stored byte written,
+# the held image at most twice its size reachable; incremental payloads equal to
+# the codec's encoders of the padded images under commits and aborts) — and the engine's
 # ordering contract under generated programs (strict (at, push) order across
 # the heap's runs, the staged run and the current-instant lane), and ISING's guarded Metropolis
 # acceptance (bounds decide, math.Exp only between them) against the plain

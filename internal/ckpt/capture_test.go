@@ -175,38 +175,49 @@ func (l *lendingRing) SnapshotAt(index int) []byte {
 }
 func (l *lendingRing) RestoreAt(_ int, b []byte) { l.Restore(b) }
 
-// holds reports whether inc's diff baseline is snap's backing array itself:
-// the two compare equal, and writing a byte of snap changes the baseline.
-func holds(inc *IncCapture, snap []byte) bool {
+// holds reports whether img's held image is snap's backing array itself: the
+// two are equal, and writing a byte of snap changes the held image.
+func holds(img *heldImage, snap []byte) bool {
 	orig := bytes.Clone(snap)
-	if len(inc.tracker.DirtyPages(orig)) != 0 {
+	if !bytes.Equal(bytes.Join(img.pages, nil), orig) {
 		return false
 	}
 	snap[len(snap)-1] ^= 0xFF
 	defer func() { snap[len(snap)-1] ^= 0xFF }()
-	return len(inc.tracker.DirtyPages(orig)) != 0
+	return !bytes.Equal(bytes.Join(img.pages, nil), orig)
 }
 
-// TestIncBaselineIsCommittedSnapshot: once a checkpoint commits, the diff
-// baseline is the snapshot the program lent for it — its backing array, not a
-// copy — and a checkpoint that never commits leaves the previous baseline in
-// place: the timer driver's write that fails through its retry budget is
-// skipped, the coordinated driver's attempt whose write fails is aborted and
-// retried. Every capture of rank 0 checks, before it snapshots, that the
-// baseline is the last committed checkpoint's snapshot.
+// TestIncBaselineIsCommittedSnapshot: once a checkpoint commits, the node's
+// held image — the diff baseline — is the snapshot the program lent for it,
+// its backing array, not a copy; and a capture that never commits leaves the
+// previous one held: the timer drivers' write that fails through its retry
+// budget is skipped (CIC_INC's among forced checkpoints), the coordinated
+// drivers' attempt whose write fails is aborted and retried (Coord_NB_FT_INC's
+// under the 3PC commit). Every capture of rank 0 checks, before it snapshots,
+// that the held image is the last committed checkpoint's snapshot.
 func TestIncBaselineIsCommittedSnapshot(t *testing.T) {
-	for _, v := range []Variant{IndepInc, CoordNBInc} {
+	for _, c := range []struct {
+		v                Variant
+		aborted, skipped int // RoundsAborted, SkippedCkpts: the one failed write
+		forced           bool
+	}{
+		{IndepInc, 0, 1, false},
+		{CICInc, 0, 1, true},
+		{CoordNBInc, 1, 0, false},
+		{CoordNBFTInc, 1, 0, false},
+	} {
+		v := c.v
 		t.Run(v.String(), func(t *testing.T) {
 			m := par.NewMachine(par.DefaultConfig())
 			defer m.Shutdown()
 			sch := New(v, Options{Interval: sim.Second, MaxCheckpoints: 6})
 			sch.Attach(m)
-			var inc func() *IncCapture
+			var img *heldImage
 			switch s := sch.(type) {
 			case *localTimers:
-				inc = func() *IncCapture { return s.nodes[0].inc }
+				img = &s.nodes[0].img
 			case *coordinated:
-				inc = func() *IncCapture { return s.nodes[0].inc }
+				img = &s.nodes[0].img
 			}
 			committed, captures := 0, map[int]int{}
 			sch.SetCommitHook(func(recs []Record) {
@@ -230,7 +241,7 @@ func TestIncBaselineIsCommittedSnapshot(t *testing.T) {
 			rank0 := &lendingRing{ringProg: newRingProg(0, n, 400, 10_000, 2e5), lent: map[int][]byte{}}
 			rank0.check = func(index int) {
 				captures[index]++
-				if committed > 0 && !holds(inc(), rank0.lent[committed]) {
+				if committed > 0 && !holds(img, rank0.lent[committed]) {
 					t.Errorf("capture %d (#%d): the baseline is not checkpoint %d's snapshot", index, captures[index], committed)
 				}
 			}
@@ -241,15 +252,19 @@ func TestIncBaselineIsCommittedSnapshot(t *testing.T) {
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if !holds(inc(), rank0.lent[committed]) {
+			if !holds(img, rank0.lent[committed]) {
 				t.Errorf("after the run: the baseline is not the last committed checkpoint's (%d) snapshot", committed)
 			}
 			st := sch.Stats()
-			if v.Coordinated() && (st.RoundsAborted != 1 || captures[2] != 2) {
-				t.Fatalf("%d rounds aborted, round 2 captured %d times: want the failed write to abort it once", st.RoundsAborted, captures[2])
+			if st.RoundsAborted != c.aborted || st.SkippedCkpts != c.skipped || (st.ForcedCkpts > 0) != c.forced {
+				t.Fatalf("%d rounds aborted, %d checkpoints skipped, %d forced: want %d, %d, forced %v",
+					st.RoundsAborted, st.SkippedCkpts, st.ForcedCkpts, c.aborted, c.skipped, c.forced)
 			}
-			if !v.Coordinated() && (st.SkippedCkpts != 1 || captures[3] != 1) {
-				t.Fatalf("%d checkpoints skipped, checkpoint 3 captured %d times: want the failed write skipped and the next taken", st.SkippedCkpts, captures[3])
+			if v.Coordinated() && captures[2] != 2 {
+				t.Fatalf("round 2 captured %d times: want the failed write to abort it once and the retry to capture it again", captures[2])
+			}
+			if !v.Coordinated() && (captures[2] != 1 || captures[3] != 1) {
+				t.Fatalf("checkpoints 2 and 3 captured %d and %d times: want the failed write skipped and the next taken", captures[2], captures[3])
 			}
 			if committed < 4 {
 				t.Fatalf("rank 0 committed up to checkpoint %d; the history is too short to test anything", committed)
@@ -275,7 +290,7 @@ func allocsPerFileByte(t *testing.T, v Variant, build func(k int, c *ckptCapture
 	runtime.ReadMemStats(&before)
 	for k := 1; k <= rounds; k++ {
 		c := ckptCapture{index: k}
-		c.captureImage(n, v, &held, nil)
+		held.capture(n, &c)
 		segmentFile("f", build(k, &c), func(req storage.Request, _ bool) { written += req.Len() })
 	}
 	runtime.ReadMemStats(&after)
@@ -359,14 +374,14 @@ func TestAllocsIncCapture(t *testing.T) {
 	defer m.Shutdown()
 	n := m.Nodes[0]
 	n.Snap = newPagedSnaps(2 * BaseEvery)
-	var inc *IncCapture
+	img := heldImage{incremental: true}
 	record := 0 // the records' bytes as the heap hands them out: a large object takes whole 8 KiB pages
 	capture := func(k int) {
 		c := ckptCapture{index: k}
-		c.captureImage(n, IndepInc, nil, &inc)
+		img.capture(n, &c)
 		record += (fileLen(encodeCkptFile(IndepInc, CkptFile{Index: k, Prev: c.prev, State: c.state}, nil, c.pad)) + 8191) &^ 8191
 		c.scratch.Free()
-		inc.Commit(k, c.snap, c.prev)
+		img.commit()
 	}
 	for k := 1; k <= 2*BaseEvery; k++ { // warm the pooled scratch to a base payload's size
 		capture(k)
@@ -434,7 +449,7 @@ func TestAllocsSharedCapture(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			for k := 1; k <= captures; k++ {
 				c := ckptCapture{index: k}
-				c.captureImage(n, v, &held, nil)
+				held.capture(n, &c)
 				file := appendZeros(c.image, c.pad)
 				if !v.RawImage() {
 					file = encodeCkptFile(v, CkptFile{Index: k}, c.image, c.pad)

@@ -653,7 +653,7 @@ func TestVariantStringAndPredicates(t *testing.T) {
 // record, or a base+delta chain.
 func capturedFiles(v Variant, rank, pad int, snaps [][]byte) map[string][]byte {
 	files := map[string][]byte{}
-	inc := NewIncCapture(64, pad)
+	img := heldImage{incremental: true}
 	for i, snap := range snaps {
 		index := i + 1
 		var file [][]byte
@@ -661,9 +661,9 @@ func capturedFiles(v Variant, rank, pad int, snaps [][]byte) map[string][]byte {
 		case v.RawImage():
 			file = appendZeros([][]byte{snap}, pad)
 		case v.Incremental():
-			payload, prev := inc.EncodeTo(codec.NewWriter(), snap)
+			payload, prev := img.encode(codec.NewWriter(), index, snap, pad, 64)
 			file = encodeCkptFile(v, CkptFile{Index: index, Prev: prev, State: payload}, nil, 0)
-			inc.Commit(index, snap, prev)
+			img.commit()
 		default:
 			file = encodeCkptFile(v, CkptFile{Index: index}, [][]byte{snap}, pad)
 		}

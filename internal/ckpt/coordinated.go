@@ -104,7 +104,6 @@ func newCoordinated(v Variant, opt Options) *coordinated {
 func (s *coordinated) Name() string     { return s.v.String() }
 func (s *coordinated) Variant() Variant { return s.v }
 func (s *coordinated) Stats() Stats     { return s.stats }
-func (s *coordinated) Stop()            { s.stopped = true }
 
 // SetCommitHook arms the correctness-oracle hook, fired once per committed
 // round with the round's records.
@@ -120,13 +119,13 @@ func (s *coordinated) Attach(m *par.Machine) {
 	s.acks = make(map[int]bool)
 	s.nodes = make([]*coordNode, m.NumNodes())
 	for i, n := range m.Nodes {
-		cn := &coordNode{s: s, n: n}
+		cn := &coordNode{s: s, n: n, img: heldImage{incremental: s.v.Incremental()}}
 		cn.jobs = sim.NewMailbox[func(p *sim.Proc)](m.Eng)
 		s.nodes[i] = cn
 		n.DeliverHook = cn.hook
 		m.StartDaemon(i, fmt.Sprintf("ckptd%d", i), daemonLoop(cn.jobs))
 	}
-	m.OnAllAppsDone(s.Stop)
+	m.OnAllAppsDone(func() { s.stopped = true })
 	m.OnAppExit(func(nodeID int) {
 		if s.stopped {
 			// Exit hooks outlive the scheme across a machine crash (they are
@@ -318,18 +317,7 @@ type coordNode struct {
 	appGate   *sim.Gate // blocks the application in B and NB
 	tokenGate *sim.Gate // staggering token (NBMS)
 
-	// Incremental (CoordNBInc) capture state. pendingSnap is the snapshot of
-	// the in-flight round (pending: one was taken), promoted to the diff
-	// baseline only at commit: an aborted attempt discards it, so the retry —
-	// and every later delta — diffs against the last round that actually
-	// committed.
-	inc         *IncCapture
-	pending     bool
-	pendingSnap []byte
-	pendingPrev int
-	// held is the last full image captured (raw-image rounds), whose
-	// unchanged pages the next slot file borrows.
-	held heldImage
+	img heldImage // the node's last image, and the in-flight round's capture
 
 	syncSpan obs.Span // "ckpt.sync": round begin until the local safe point
 
@@ -455,10 +443,7 @@ func (cn *coordNode) hookAppMsg(env *fabric.Envelope, msg *mp.Message) bool {
 // finishRound concludes the node's participation in the active round, on
 // the commit message or on evidence that the commit happened.
 func (cn *coordNode) finishRound() {
-	if cn.pending {
-		cn.inc.Commit(cn.round, cn.pendingSnap, cn.pendingPrev)
-		cn.pending, cn.pendingSnap = false, nil
-	}
+	cn.img.commit()
 	cn.round = 0
 	cn.precommitted = false
 	if cn.s.v.Write == WriteToCommit && cn.appGate != nil {
@@ -483,7 +468,7 @@ func (cn *coordNode) abortLocal() {
 	}
 	cn.quarantine = nil
 	cn.chanLog = nil
-	cn.pending, cn.pendingSnap = false, nil // the retry re-diffs against the last committed image
+	cn.img.abort() // the retry re-diffs against the last committed image
 	cn.round = 0
 	cn.precommitted = false
 	if cn.appGate != nil {
@@ -569,13 +554,12 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 		blockedSpan = s.m.Obs.Start(n.ID, obs.TidApp, "ckpt.blocked").WithArg("round", int64(round))
 	}
 	c := ckptCapture{index: round}
-	c.captureImage(n, s.v, &cn.held, &cn.inc)
+	cn.img.capture(n, &c)
 	stateBytes, prev := c.stateBytes(), c.prev
 	var file [][]byte
 	if s.v.Incremental() {
 		// The slot file is a record carrying the chain pointer; the round's
-		// snapshot becomes the diff baseline only at commit (pendingSnap).
-		cn.pending, cn.pendingSnap, cn.pendingPrev = true, c.snap, prev
+		// capture stays pending until the round commits (finishRound).
 		file = encodeCkptFile(s.v, CkptFile{Index: round, Prev: prev, State: c.state}, nil, 0)
 		c.scratch.Free() // payload embedded (copied) into file above
 	} else {

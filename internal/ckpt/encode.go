@@ -119,14 +119,82 @@ func fileLen(file [][]byte) int {
 	return n
 }
 
-// heldImage is a node's last captured full image as page-size slices: the
-// memory its next checkpoint file borrows wherever the new snapshot did not
-// change. Each page is a page of the last snapshot lent whole or a copy of a
-// changed page in an allocation of its own, and nothing ever writes one: the
-// lent snapshot by par.Snapshotter's promise, a copy because its only writer
-// is the copy. So any number of stored files share an unchanged page, and the
-// host holds each distinct page once however many files are kept.
-type heldImage [][]byte
+// heldImage is a node's image holder: the one place that knows what the
+// rank's last image is and when it advances. An image is a snapshot followed
+// by the process image's zero pad, which is never materialised; the holder
+// keeps the snapshot as page-size slices. Each held page is a page of a
+// snapshot lent whole or a copy of a changed page in an allocation of its own,
+// and nothing ever writes one: a snapshot by par.Snapshotter's promise, a copy
+// because its only writer is the copy. So any number of stored files share an
+// unchanged page, and the host holds each distinct page once however many
+// files are kept.
+//
+// Both capture families compare a new snapshot with the held image through
+// differs, page by page, and nowhere else. A full capture (share) gathers its
+// file from that compare and advances the held image at once, since no file
+// diffs against it. An incremental capture (encode) writes a base, or the
+// delta of the pages the compare finds dirty, and that delta is only sound
+// against the last *committed* image: Prev must name the checkpoint it was
+// encoded against. So an incremental capture stays pending until its file is
+// durable (for a round: committed), when commit makes it the held image; an
+// aborted round (RoundsAborted) or a skipped write (SkippedCkpts) calls abort,
+// which drops it, and the next capture re-diffs against the last image that
+// exists. One pending capture per node is all there is to keep: incremental
+// points block the application for every write, and a round has one attempt
+// in flight.
+type heldImage struct {
+	pages       [][]byte
+	incremental bool // the node's capture family: encode, not share
+
+	// Incremental capture only: the capture awaiting its commit, the chain
+	// the held image ends, and the compare's dirty pages, reused.
+	pending                []byte
+	pendingIndex, pageSize int // pendingIndex 0: nothing pending
+	prevIndex, chain       int // the held image's index, and its chain's files so far; 0, 0: nothing committed
+	dirty                  []int
+}
+
+// differs is the page compare of both capture families: it reports whether
+// page — the part of a new snapshot's page i that lies in the snapshot — and
+// held page i differ over the page's first n bytes, each read as zero past its
+// end (and a page past the held image as all zero).
+func (h *heldImage) differs(i int, page []byte, n int) bool {
+	var old []byte
+	if i < len(h.pages) {
+		old = h.pages[i]
+	}
+	old, page = old[:min(len(old), n)], page[:min(len(page), n)]
+	if len(old) > len(page) {
+		old, page = page, old
+	}
+	return !bytes.Equal(old, page[:len(old)]) || !allZero(page[len(old):])
+}
+
+// allZero reports whether b holds only zero bytes, compared a zeroPage at a
+// time.
+func allZero(b []byte) bool {
+	for ; len(b) > len(zeroPage); b = b[len(zeroPage):] {
+		if !bytes.Equal(b[:len(zeroPage)], zeroPage) {
+			return false
+		}
+	}
+	return bytes.Equal(b, zeroPage[:len(b)])
+}
+
+// capture snapshots the program at c.index and fills c from the held image:
+// under full capture the parts its file gathers (share), under incremental
+// capture the payload, in pooled scratch the caller frees once it is embedded
+// in the file (encode). Runs in the application's context, like every state
+// capture in the library.
+func (h *heldImage) capture(n *par.Node, c *ckptCapture) {
+	snap, pad, pageSize := par.SnapshotAt(n.Snap, c.index), max(n.M.Cfg.CkptImageBytes, 0), par.StatePageSizeOf(n.Snap)
+	if !h.incremental {
+		c.image, c.pad = h.share(snap, pageSize), pad
+		return
+	}
+	c.scratch = codec.GetWriter()
+	c.state, c.prev = h.encode(c.scratch, c.index, snap, pad, pageSize)
+}
 
 // share returns the parts a full-image file gathers snap from, in order, and
 // makes snap the held image. Either way the parts join to snap.
@@ -141,40 +209,34 @@ type heldImage [][]byte
 // rows, most of its bytes, so from its second capture on its files borrow
 // them and copy the spin pages, and SOR's files often borrow unchanged rows.
 //
-// Otherwise snap is garbage once share returns: an unchanged page is borrowed
-// from the held image, and a changed one is copied into an allocation of its
-// own, which the held image then holds. A held page thus never pins bytes no
-// file or held page needs, and with no bookkeeping the held image keeps at
-// most twice its own size reachable: pages of the last snapshot lent whole,
-// which was no longer than the image because a shrink is lent whole, and
-// copies, which are pages of the image. No part aliases snap.
+// Otherwise snap is garbage once share returns: an unchanged page — one the
+// held image has a slice of the same length for — is borrowed from the held
+// image, and a changed one is copied into an allocation of its own, which the
+// held image then holds. A held page thus never pins bytes no file or held
+// page needs, and with no bookkeeping the held image keeps at most twice its
+// own size reachable: pages of the last snapshot lent whole, which was no
+// longer than the image because a shrink is lent whole, and copies, which are
+// pages of the image. No part aliases snap.
 func (h *heldImage) share(snap []byte, pageSize int) [][]byte {
-	held := *h
-	shrank, budget := len(snap) < fileLen(held), len(snap)/2
+	shrank, budget := len(snap) < fileLen(h.pages), len(snap)/2
 	changed, pages := 0, 0
 	for lo := 0; lo < len(snap) && changed <= budget && !shrank; lo += pageSize {
 		page := snap[lo:min(lo+pageSize, len(snap))]
 		switch {
-		case pages == len(held):
-			held = append(held, page)
+		case pages == len(h.pages):
+			h.pages = append(h.pages, page)
 			changed += len(page)
-		case !bytes.Equal(held[pages], page):
-			held[pages] = page
+		case len(h.pages[pages]) != len(page) || h.differs(pages, page, len(page)):
+			h.pages[pages] = page
 			changed += len(page)
 		}
 		pages++
 	}
 	if shrank || changed > budget {
-		old := len(held)
-		held = held[:0]
-		for lo := 0; lo < len(snap); lo += pageSize {
-			held = append(held, snap[lo:min(lo+pageSize, len(snap))])
-		}
-		clear(held[len(held):max(old, len(held))]) // a shorter image's list must not keep old pages reachable
-		*h = held
+		h.lend(snap, pageSize)
 		return [][]byte{snap}
 	}
-	held = held[:pages]
+	held := h.pages[:pages]
 	var parts [][]byte
 	for i, page := range held {
 		if &page[0] == &snap[i*pageSize] { // changed: still aliases snap
@@ -191,9 +253,63 @@ func (h *heldImage) share(snap []byte, pageSize int) [][]byte {
 		}
 		parts = append(parts, page)
 	}
-	*h = held
+	h.pages = held
 	return parts
 }
+
+// lend makes snap itself, cut into pages, the held image.
+func (h *heldImage) lend(snap []byte, pageSize int) {
+	old := len(h.pages)
+	h.pages = h.pages[:0]
+	for lo := 0; lo < len(snap); lo += pageSize {
+		h.pages = append(h.pages, snap[lo:min(lo+pageSize, len(snap))])
+	}
+	clear(h.pages[len(h.pages):max(old, len(h.pages))]) // a shorter image's list must not keep old pages reachable
+}
+
+// encode writes into w the payload of an incremental checkpoint at index of
+// snap followed by pad zero bytes, and returns it with its chain pointer: a
+// zero-run-compressed base (prev 0) at the start of each chain — a node's
+// first capture of an incarnation, and every BaseEvery-th — and otherwise the
+// delta, against the held image, of the pages differs finds dirty. Neither pad
+// is read: past both snapshots every page is clean without a look, and the
+// process image is one size all run long. The capture is pending until commit
+// or abort. The returned bytes alias w's buffer.
+func (h *heldImage) encode(w *codec.Writer, index int, snap []byte, pad, pageSize int) (payload []byte, prev int) {
+	h.pending, h.pendingIndex, h.pageSize = snap, index, pageSize
+	if h.chain%BaseEvery == 0 { // nothing committed, or a full chain
+		return codec.EncodeBaseImageTo(w, snap, pad), 0
+	}
+	held, total := fileLen(h.pages), len(snap)+pad
+	h.dirty = h.dirty[:0]
+	for i, off := 0, 0; off < min(total, max(held, len(snap))); i, off = i+1, off+pageSize {
+		end := min(off+pageSize, total)
+		if h.differs(i, snap[min(off, len(snap)):min(end, len(snap))], end-off) {
+			h.dirty = append(h.dirty, i)
+		}
+	}
+	return codec.EncodeDeltaTo(w, held+pad, snap, pad, pageSize, h.dirty), h.prevIndex
+}
+
+// commit makes the pending capture, if there is one, the held image: its file
+// is durable. The snapshot itself is held, not a copy — a new holder of the
+// program's lent bytes, until the next commit.
+func (h *heldImage) commit() {
+	if h.pendingIndex == 0 {
+		return
+	}
+	h.lend(h.pending, h.pageSize)
+	h.prevIndex, h.chain = h.pendingIndex, h.chain%BaseEvery+1 // a base starts a chain of one
+	h.abort()
+}
+
+// abort drops the pending capture, if there is one: the held image stays the
+// last committed one.
+func (h *heldImage) abort() { h.pending, h.pendingIndex = nil, 0 }
+
+// reset drops everything held — a restarted node's image died with it — so
+// the next capture is lent whole, or is a base.
+func (h *heldImage) reset() { *h = heldImage{incremental: h.incremental} }
 
 // encodeCkptFile packs a checkpoint file for the variant as the list of slices
 // the segmented writer gathers it from, its state section being f.State, then

@@ -97,7 +97,7 @@ func RecoverNode(m *par.Machine, w *mp.World, sch Scheme, rank int, factory func
 	in.deps = make(map[Dep]struct{})
 	in.log = nil // the failed node's own volatile log died with it
 	in.logBytes = 0
-	in.held = nil // so did its held image: the next capture is lent whole
+	in.img.reset() // so did its held image: the next capture is lent whole
 
 	// Latest durable checkpoint of this rank, from the scheme's records.
 	latest := 0

@@ -232,10 +232,10 @@ func TestRecoveredNodeHoldsNoImage(t *testing.T) {
 	before, after := -1, -1
 	m.Eng.At(sim.Time(7*sim.Second), func() {
 		m.CrashNode(victim)
-		before = len(tn.held)
+		before = len(tn.img.pages)
 		m.Eng.After(300*sim.Millisecond, func() {
 			RecoverNode(m, w, sch, victim, factory)
-			after = len(tn.held)
+			after = len(tn.img.pages)
 		})
 	})
 	if err := m.Run(); err != nil {

@@ -326,8 +326,6 @@ type Scheme interface {
 	// Attach installs hooks, daemons and timers on the machine. It must be
 	// called before application processes start exchanging messages.
 	Attach(m *par.Machine)
-	// Stop cancels future checkpoints (in-flight rounds finish).
-	Stop()
 	// Stats returns a snapshot of the scheme's counters.
 	Stats() Stats
 	// Records lists the durably completed checkpoints, oldest first.

@@ -2,8 +2,11 @@ package ckpt
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"unsafe"
+
+	"repro/internal/codec"
 )
 
 // overlaps reports whether a and b share a byte of memory.
@@ -23,18 +26,33 @@ const (
 	opShrink           // the same prefix, up to arg+1 bytes shorter
 	opHalfDirty        // every other page rewritten, alternating which half
 	opFewDirty         // arg%4+1 bytes rewritten
+	opGrowZeros        // the same prefix, arg+1 zero bytes longer
 	numShareOps
 )
 
-// shareSequence decodes a page size and a run of snapshots from ops: ops[0]
-// picks the page size, ops[1] the first snapshot's length (9 bytes a unit), and each pair
-// after that an edit of the previous snapshot (kind, arg). Every snapshot is
-// a fresh allocation exactly as long as its length, as a program's would be.
-func shareSequence(ops []byte) (pageSize int, snaps [][]byte) {
+// Flags of shareSequence's ops.
+const (
+	opAbort = 0x80 // an edit's kind, or ops[0]: an incremental capture of the snapshot aborts
+	padded  = 0x40 // ops[0]: the image pads each snapshot with seqPad zero bytes
+	seqPad  = 37
+)
+
+// shareSequence decodes a page size, a pad and a run of snapshots from ops:
+// ops[0] picks the page size and flags the pad, ops[1] the first snapshot's
+// length (9 bytes a unit), and each pair after that an edit of the previous
+// snapshot (kind, arg). Every snapshot is a fresh allocation exactly as long as
+// its length, as a program's would be. aborted flags the snapshots whose
+// incremental capture aborts instead of committing: ops[0]'s opAbort bit for
+// the first, each kind's for the one it makes.
+func shareSequence(ops []byte) (pageSize, pad int, snaps [][]byte, aborted []bool) {
 	if len(ops) < 2 {
-		return 1, nil
+		return 1, 0, nil, nil
 	}
 	pageSize = 1 + int(ops[0])%64
+	if ops[0]&padded != 0 {
+		pad = seqPad
+	}
+	aborted = append(aborted, ops[0]&opAbort != 0)
 	rnd := uint64(0x9E3779B97F4A7C15)
 	next := func() byte {
 		rnd ^= rnd << 13
@@ -54,7 +72,7 @@ func shareSequence(ops []byte) (pageSize int, snaps [][]byte) {
 	for i := 2; i+1 < len(ops) && len(snaps) < 64; i += 2 {
 		prev, arg := snaps[len(snaps)-1], int(ops[i+1])
 		var snap []byte
-		switch int(ops[i]) % numShareOps {
+		switch int(ops[i]&^opAbort) % numShareOps {
 		case opSame:
 			snap = clone(prev)
 		case opFresh:
@@ -75,10 +93,14 @@ func shareSequence(ops []byte) (pageSize int, snaps [][]byte) {
 			for j := 0; j <= arg%4 && len(snap) > 0; j++ {
 				snap[(arg*131+j*977)%len(snap)]++
 			}
+		case opGrowZeros:
+			snap = make([]byte, min(len(prev)+arg+1, 4096))
+			copy(snap, prev)
 		}
 		snaps = append(snaps, snap)
+		aborted = append(aborted, ops[i]&opAbort != 0)
 	}
-	return pageSize, snaps
+	return pageSize, pad, snaps, aborted
 }
 
 // checkShare captures snaps in order through one held image, keeping every
@@ -111,7 +133,7 @@ func checkShare(t *testing.T, pageSize int, snaps [][]byte) (lentWhole int) {
 					t.Fatalf("capture %d (page %d): part %d aliases the copied-from snapshot #%d", k, pageSize, i, j)
 				}
 			}
-			for i, page := range held {
+			for i, page := range held.pages {
 				if overlaps(page, c) {
 					t.Fatalf("capture %d (page %d): held page %d aliases the copied-from snapshot #%d", k, pageSize, i, j)
 				}
@@ -122,10 +144,10 @@ func checkShare(t *testing.T, pageSize int, snaps [][]byte) (lentWhole int) {
 				t.Fatalf("capture %d (page %d): capture %d's file or snapshot was written", k, pageSize, i)
 			}
 		}
-		if !bytes.Equal(bytes.Join(held, nil), snap) {
+		if !bytes.Equal(bytes.Join(held.pages, nil), snap) {
 			t.Fatalf("capture %d (page %d): the held image is not the snapshot", k, pageSize)
 		}
-		if reach := heldReach(held, lent); reach > 2*len(snap) {
+		if reach := heldReach(held.pages, lent); reach > 2*len(snap) {
 			t.Fatalf("capture %d (page %d): the held image of %d bytes keeps %d reachable", k, pageSize, len(snap), reach)
 		}
 	}
@@ -136,7 +158,7 @@ func checkShare(t *testing.T, pageSize int, snaps [][]byte) (lentWhole int) {
 // whole that a page in its list lies in, once, and each other page's own
 // allocation — past the list's length too, up to its capacity, since the
 // garbage collector sees the whole backing array.
-func heldReach(held heldImage, lent [][]byte) int {
+func heldReach(held [][]byte, lent [][]byte) int {
 	seen := map[*byte]bool{}
 	reach := 0
 	for _, page := range held[:cap(held)] {
@@ -158,11 +180,80 @@ func heldReach(held heldImage, lent [][]byte) int {
 	return reach
 }
 
+// checkIncShare captures snaps in order through one incremental holder, each
+// padded with pad zero bytes, and commits each capture — storing its file as
+// the timer driver does — or aborts it as aborted says. After every capture it
+// holds the holder to its contract: a base payload (at the start of a chain:
+// nothing committed yet, or BaseEvery-1 deltas since the last base) is
+// codec.EncodeBaseImage of the padded snapshot, and a delta payload is
+// codec.EncodeDelta of the padded last committed snapshot and the padded
+// snapshot, its chain pointer that commit's index; the held image is the last
+// committed snapshot, so an aborted capture never becomes the baseline; and
+// the stored chain read back through Replayer.ReconstructCkpt is the last
+// committed snapshot followed by its pad. It returns how many captures were
+// bases.
+func checkIncShare(t *testing.T, pageSize, pad int, snaps [][]byte, aborted []bool) (bases int) {
+	t.Helper()
+	img := heldImage{incremental: true}
+	files := map[string][]byte{}
+	fetch := func(path string, _ []byte) ([]byte, error) {
+		if f, ok := files[path]; ok {
+			return f, nil
+		}
+		return nil, fmt.Errorf("no file %s", path)
+	}
+	var committed []byte
+	last, sinceBase := 0, 0 // the last committed index, and deltas since its base
+	for k, snap := range snaps {
+		index := k + 1
+		w := codec.GetWriter()
+		payload, prev := img.encode(w, index, snap, pad, pageSize)
+		want, wantPrev := codec.EncodeBaseImage(padImage(bytes.Clone(snap), pad)), 0
+		if last != 0 && sinceBase < BaseEvery-1 {
+			want = codec.EncodeDelta(padImage(bytes.Clone(committed), pad), padImage(bytes.Clone(snap), pad), pageSize)
+			wantPrev = last
+		}
+		if prev != wantPrev || !bytes.Equal(payload, want) {
+			t.Fatalf("capture %d (page %d, pad %d): prev %d and a %d-byte payload, want prev %d and the reference's %d bytes",
+				k, pageSize, pad, prev, len(payload), wantPrev, len(want))
+		}
+		if prev == 0 {
+			bases++
+		}
+		if aborted[k] {
+			img.abort()
+		} else {
+			files[IndepInc.StatePath(0, index)] = bytes.Join(encodeCkptFile(IndepInc, CkptFile{Index: index, Prev: prev, State: payload}, nil, 0), nil)
+			img.commit()
+			committed, last = snap, index
+			if sinceBase++; prev == 0 {
+				sinceBase = 0
+			}
+		}
+		w.Free()
+		if got := bytes.Join(img.pages, nil); !bytes.Equal(got, committed) {
+			t.Fatalf("capture %d (page %d, pad %d): the held image is %d bytes that are not the last committed snapshot's %d",
+				k, pageSize, pad, len(got), len(committed))
+		}
+		if last == 0 {
+			continue
+		}
+		got, _, err := new(Replayer).ReconstructCkpt(IndepInc, 0, last, fetch)
+		if err != nil || !bytes.Equal(got, padImage(bytes.Clone(committed), pad)) {
+			t.Fatalf("capture %d (page %d, pad %d): checkpoint %d reads back as %d bytes (%v), want its %d-byte padded snapshot",
+				k, pageSize, pad, last, len(got), err, len(committed)+pad)
+		}
+	}
+	return bases
+}
+
 // TestSharedImageSequences: each snapshot sequence under checkShare, with the
 // captures lent whole that the sharing rules call for — the first, one with
 // more than half its bytes in changed pages, a shorter one, and no other: a
 // rotating half-dirty pattern whose changed pages are exactly half the image
-// is gathered every time.
+// is gathered every time — and under checkIncShare, with the bases the chain
+// rules call for: the first commit's capture, every BaseEvery-th after it, and
+// every capture until something commits.
 func TestSharedImageSequences(t *testing.T) {
 	repeat := func(ops []byte, op, arg byte, n int) []byte {
 		for range n {
@@ -171,41 +262,58 @@ func TestSharedImageSequences(t *testing.T) {
 		return ops
 	}
 	for _, c := range []struct {
-		name string
-		ops  []byte
-		lent int // captures lent whole, of 1+n
+		name  string
+		ops   []byte
+		lent  int // captures lent whole, of 1+n
+		bases int // incremental captures that are bases
 	}{
-		{"identical, page multiple", repeat([]byte{15, 16}, opSame, 0, 6), 1},        // 144 bytes, 16-byte pages
-		{"identical, ragged", repeat([]byte{15, 17}, opSame, 0, 6), 1},               // 153 bytes
-		{"few dirty, ragged", repeat([]byte{7, 41}, opFewDirty, 3, 12), 1},           // 369 bytes, 8-byte pages
-		{"few dirty, one page", repeat([]byte{63, 3}, opFewDirty, 0, 5), 6},          // 27 bytes in one 64-byte page: every capture changes it
-		{"fully new", repeat([]byte{7, 40}, opFresh, 0, 5), 6},                       // every page changed
-		{"growing", repeat([]byte{9, 30}, opGrow, 2, 8), 1},                          // 270 bytes, 10-byte pages, +3 a capture: the ragged tail grows
-		{"shrinking", repeat([]byte{9, 30}, opShrink, 2, 8), 9},                      // a shorter image is lent whole
-		{"rotating half-dirty", repeat([]byte{7, 32}, opHalfDirty, 0, 8), 1},         // 288 bytes: 36 pages, 18 rewritten
-		{"rotating half-dirty, ragged", repeat([]byte{7, 33}, opHalfDirty, 0, 8), 5}, // 297 bytes, 38 pages: the 19 full ones are 152 bytes, lent
-		{"grow then shrink", append(repeat([]byte{31, 20}, opGrow, 40, 3), repeat(nil, opShrink, 60, 3)...), 4},
+		{"identical, page multiple", repeat([]byte{15, 16}, opSame, 0, 6), 1, 2},        // 144 bytes, 16-byte pages
+		{"identical, ragged", repeat([]byte{15, 17}, opSame, 0, 6), 1, 2},               // 153 bytes
+		{"few dirty, ragged", repeat([]byte{7, 41}, opFewDirty, 3, 12), 1, 4},           // 369 bytes, 8-byte pages
+		{"few dirty, one page", repeat([]byte{63, 3}, opFewDirty, 0, 5), 6, 2},          // 27 bytes in one 64-byte page: every capture changes it
+		{"fully new", repeat([]byte{7, 40}, opFresh, 0, 5), 6, 2},                       // every page changed
+		{"growing", repeat([]byte{9, 30}, opGrow, 2, 8), 1, 3},                          // 270 bytes, 10-byte pages, +3 a capture: the ragged tail grows
+		{"shrinking", repeat([]byte{9, 30}, opShrink, 2, 8), 9, 3},                      // a shorter image is lent whole
+		{"rotating half-dirty", repeat([]byte{7, 32}, opHalfDirty, 0, 8), 1, 3},         // 288 bytes: 36 pages, 18 rewritten
+		{"rotating half-dirty, ragged", repeat([]byte{7, 33}, opHalfDirty, 0, 8), 5, 3}, // 297 bytes, 38 pages: the 19 full ones are 152 bytes, lent
+		{"grow then shrink", append(repeat([]byte{31, 20}, opGrow, 40, 3), repeat(nil, opShrink, 60, 3)...), 4, 2},
+		// Padded images: a grown snapshot's new zero pages are clean, and a
+		// shrunk one's pages the pad now covers are dirty.
+		{"growing zeros, padded", repeat([]byte{9 | padded, 30}, opGrowZeros, 12, 8), 1, 3},
+		{"shrinking under the pad", repeat([]byte{9 | padded, 30}, opShrink, 15, 8), 9, 3},
+		// Aborted captures, between commits and before the first.
+		{"aborts between commits", []byte{15, 16, opFewDirty | opAbort, 3, opFewDirty, 3, opHalfDirty | opAbort, 0, opSame, 0,
+			opFresh | opAbort, 0, opFewDirty, 1, opGrow | opAbort, 7, opShrink, 2, opFewDirty, 5}, 3, 3}, // the 8th, aborted, starts a chain; the 9th, committed, another
+		{"first captures aborted", []byte{7 | opAbort | padded, 20, opFewDirty | opAbort, 1, opFewDirty, 2, opFewDirty, 3, opGrowZeros, 9}, 1, 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			pageSize, snaps := shareSequence(c.ops)
+			pageSize, pad, snaps, aborted := shareSequence(c.ops)
 			if lent := checkShare(t, pageSize, snaps); lent != c.lent {
-				t.Fatalf("%d of %d captures lent whole, want %d", lent, len(snaps), c.lent)
+				t.Errorf("%d of %d captures lent whole, want %d", lent, len(snaps), c.lent)
+			}
+			if bases := checkIncShare(t, pageSize, pad, snaps, aborted); bases != c.bases {
+				t.Errorf("%d of %d incremental captures were bases, want %d", bases, len(snaps), c.bases)
 			}
 		})
 	}
 }
 
-// FuzzSharedImage: checkShare over generated snapshot sequences — page sizes
-// from 1 to 64 bytes, lengths on and off page boundaries, identical, fully new,
-// growing, shrinking, half-dirty and nearly clean snapshots in any order.
+// FuzzSharedImage: checkShare and checkIncShare over generated snapshot
+// sequences — page sizes from 1 to 64 bytes, lengths on and off page
+// boundaries, images padded or not, identical, fully new, growing (with bytes
+// or zeros), shrinking, half-dirty and nearly clean snapshots in any order,
+// and any incremental capture aborted instead of committed.
 func FuzzSharedImage(f *testing.F) {
 	f.Add([]byte{15, 16, opSame, 0, opFewDirty, 1, opGrow, 9, opShrink, 30, opFresh, 0})
 	f.Add([]byte{7, 33, opHalfDirty, 0, opHalfDirty, 0, opHalfDirty, 0, opFewDirty, 2})
 	f.Add([]byte{0, 5, opGrow, 0, opGrow, 1, opSame, 0, opShrink, 0})
 	f.Add([]byte{63, 200, opFewDirty, 7, opGrow, 255, opFewDirty, 3, opShrink, 255, opShrink, 255})
 	f.Add([]byte{3, 0, opGrow, 4, opSame, 0, opShrink, 9, opGrow, 20})
+	f.Add([]byte{9 | padded, 30, opGrowZeros, 12, opShrink | opAbort, 15, opShrink, 15, opFewDirty, 1, opGrowZeros, 40})
+	f.Add([]byte{15 | opAbort, 16, opFewDirty | opAbort, 3, opFewDirty, 3, opHalfDirty | opAbort, 0, opSame, 0, opFresh, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		pageSize, snaps := shareSequence(ops)
+		pageSize, pad, snaps, aborted := shareSequence(ops)
 		checkShare(t, pageSize, snaps)
+		checkIncShare(t, pageSize, pad, snaps, aborted)
 	})
 }

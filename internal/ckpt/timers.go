@@ -66,7 +66,6 @@ func newLocalTimers(v Variant, opt Options) *localTimers {
 func (s *localTimers) Name() string     { return s.v.String() }
 func (s *localTimers) Variant() Variant { return s.v }
 func (s *localTimers) Stats() Stats     { return s.stats }
-func (s *localTimers) Stop()            { s.stopped = true }
 func (s *localTimers) induced() bool    { return s.v.Driver == DriverInduced }
 
 // SetCommitHook arms the correctness-oracle hook, fired once per durably
@@ -91,7 +90,7 @@ func (s *localTimers) Attach(m *par.Machine) {
 	s.m = m
 	s.nodes = make([]*timerNode, m.NumNodes())
 	for i := range m.Nodes {
-		tn := &timerNode{s: s, deps: make(map[Dep]struct{})}
+		tn := &timerNode{s: s, deps: make(map[Dep]struct{}), img: heldImage{incremental: s.v.Incremental()}}
 		if s.opt.StartIndices != nil {
 			// Recovery continuation: the durable files below the rollback line
 			// keep their indices, so the restarted node's next checkpoint must
@@ -109,7 +108,7 @@ func (s *localTimers) Attach(m *par.Machine) {
 	if s.induced() {
 		m.OnAppExit(s.onAppExit)
 	}
-	m.OnAllAppsDone(s.Stop)
+	m.OnAllAppsDone(func() { s.stopped = true })
 }
 
 // attachNode (re)binds the scheme's per-node hooks and daemon; recovery of a
@@ -144,16 +143,7 @@ type timerNode struct {
 	deps  map[Dep]struct{}
 	busy  bool // a basic checkpoint is pending or in progress (snapshot through durable write)
 
-	// inc is the base+delta encoder state (incremental capture only), created
-	// at the first capture once the app's snapshotter — and so its page size
-	// — is bound. A fresh node starts unprimed: its first checkpoint is a
-	// base. Incremental points block for every write, so captures and writes
-	// are strictly sequential and the retained image always matches the last
-	// durable checkpoint.
-	inc *IncCapture
-	// held is the last full image captured (full capture only), whose
-	// unchanged pages the next checkpoint file borrows.
-	held heldImage
+	img heldImage // the node's last image, and its pending capture
 
 	// Sender-based message log (SenderLog): outgoing messages kept in
 	// volatile memory until the receiver's next checkpoint truncates them.
@@ -314,16 +304,12 @@ type ckptCapture struct {
 	// image gathers the snapshot from (heldImage.share) and pad the process
 	// image's size: the padded image is never built, the file is gathered from
 	// those parts and the shared zero page. Under incremental capture image is
-	// empty, state the base/delta payload (pad 0), aliasing scratch's pooled
-	// buffer until it is embedded in the file, and snap the bare snapshot,
-	// encoded where the program returned it. Its image becomes the diff
-	// baseline once the file is durable: the node's IncCapture then holds snap
-	// itself — a new holder of the lent bytes, until the next commit — so the
-	// padded image is never built here either.
+	// empty and state the base/delta payload (pad 0), encoded from the bare
+	// snapshot (heldImage.encode) into scratch's pooled buffer, which it
+	// aliases until it is embedded in the file.
 	state   []byte
 	image   [][]byte
 	pad     int
-	snap    []byte
 	scratch *codec.Writer
 
 	consumed []uint64  // SenderLog: per-sender consumed SSNs at the capture
@@ -332,27 +318,6 @@ type ckptCapture struct {
 
 // stateBytes is the size of the record's state section.
 func (c *ckptCapture) stateBytes() int { return len(c.state) + fileLen(c.image) + c.pad }
-
-// captureImage is the step every driver's capture shares: snapshot the
-// program at c.index and either gather the full image from it against the
-// node's held image, or — under incremental capture — encode the base or
-// delta payload of its process image against the last durable image into
-// pooled scratch (which the caller frees once the payload is embedded in the
-// file). Runs in the application's context, like every state capture in the
-// library.
-func (c *ckptCapture) captureImage(n *par.Node, v Variant, held *heldImage, inc **IncCapture) {
-	snap, pad := par.SnapshotAt(n.Snap, c.index), max(n.M.Cfg.CkptImageBytes, 0)
-	if !v.Incremental() {
-		c.image, c.pad = held.share(snap, par.StatePageSizeOf(n.Snap)), pad
-		return
-	}
-	if *inc == nil {
-		*inc = NewIncCapture(par.StatePageSizeOf(n.Snap), pad)
-	}
-	c.snap = snap
-	c.scratch = codec.GetWriter()
-	c.state, c.prev = (*inc).EncodeTo(c.scratch, c.snap)
-}
 
 // capture closes the current checkpoint interval at tn.index: its receive
 // edges are detached (sorted for determinism) to be persisted with this
@@ -370,7 +335,7 @@ func (tn *timerNode) capture(kind int) *ckptCapture {
 		return c.deps[i].SrcIndex < c.deps[j].SrcIndex
 	})
 	tn.deps = make(map[Dep]struct{})
-	c.captureImage(tn.n, tn.s.v, &tn.held, &tn.inc)
+	tn.img.capture(tn.n, c)
 	if tn.n.Lib != nil {
 		c.lib = tn.n.Lib.Snapshot()
 		if lc, ok := tn.n.Lib.(interface{ LastConsumedSSN() []uint64 }); ok && tn.s.v.SenderLog {
@@ -432,6 +397,7 @@ func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 		if err != nil {
 			s.stats.SkippedCkpts++
 			s.m.Obs.Add(tn.n.ID, "ckpt.skipped", 1)
+			tn.img.abort() // the next capture re-diffs against the last durable image
 			for _, d := range c.deps {
 				tn.deps[d] = struct{}{}
 			}
@@ -457,12 +423,7 @@ func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 			StateBytes: c.stateBytes(), Deps: c.deps, Prev: c.prev,
 		}
 		s.records = append(s.records, rec)
-		if s.v.Incremental() {
-			// Only now — with the file durable — does the snapshot become the
-			// diff baseline; a skipped checkpoint (the return above) re-diffs
-			// against the old one.
-			tn.inc.Commit(k, c.snap, c.prev)
-		}
+		tn.img.commit()
 		if s.commitHook != nil {
 			s.commitHook([]Record{rec})
 		}

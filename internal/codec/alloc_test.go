@@ -96,18 +96,19 @@ func TestAllocsBaseImageEncodeTo(t *testing.T) {
 
 // TestAllocsDeltaEncodeToClean pins the no-dirty-pages delta encode — the
 // common steady-state when little state changed between checkpoints — at
-// zero allocations with a pooled writer.
+// zero allocations with a pooled writer: the clean scan finds no page, and
+// the encode writes the header.
 func TestAllocsDeltaEncodeToClean(t *testing.T) {
 	img := make([]byte, 8192)
 	for i := 0; i < len(img); i += 113 {
 		img[i] = byte(i >> 3)
 	}
 	w := GetWriter()
-	EncodeDeltaTo(w, img, 0, img, 0, 4096)
+	EncodeDeltaTo(w, len(img), img, 0, 4096, nil)
 	w.Free()
 	allocs := testing.AllocsPerRun(100, func() {
 		w := GetWriter()
-		if p := EncodeDeltaTo(w, img, 0, img, 0, 4096); len(p) == 0 {
+		if p := EncodeDeltaTo(w, len(img), img, 0, 4096, DirtyPages(img, img, 4096)); len(p) == 0 {
 			t.Fatal("empty delta payload")
 		}
 		w.Free()

@@ -34,7 +34,7 @@ func BenchmarkBaseImageRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w.Reset()
 		payload := EncodeBaseImageTo(w, img, 0)
-		if _, err := DecodeBaseImage(payload); err != nil {
+		if _, err := decodeBaseImage(nil, payload); err != nil {
 			b.Fatalf("decode: %v", err)
 		}
 	}
@@ -56,7 +56,7 @@ func BenchmarkDeltaRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Reset()
-		payload := EncodeDeltaTo(w, prev, 0, cur, 0, pageSize)
+		payload := EncodeDeltaTo(w, len(prev), cur, 0, pageSize, DirtyPages(prev, cur, pageSize))
 		if _, err := ApplyDelta(prev, payload); err != nil {
 			b.Fatalf("apply: %v", err)
 		}
@@ -64,7 +64,7 @@ func BenchmarkDeltaRoundTrip(b *testing.B) {
 }
 
 // BenchmarkDeltaEncodeClean is the steady-state floor: nothing changed, the
-// encoder only diffs and emits the header. This is the path the alloc tests
+// scan finds no dirty page and the encoder only emits the header. This is the path the alloc tests
 // pin at zero allocations.
 func BenchmarkDeltaEncodeClean(b *testing.B) {
 	img := benchImage(64<<10, 129)
@@ -75,7 +75,7 @@ func BenchmarkDeltaEncodeClean(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Reset()
-		EncodeDeltaTo(w, img, 0, img, 0, 4096)
+		EncodeDeltaTo(w, len(img), img, 0, 4096, DirtyPages(img, img, 4096))
 	}
 }
 

@@ -52,10 +52,8 @@ func EncodeBaseImageTo(w *Writer, cur []byte, pad int) []byte {
 	return w.Bytes()
 }
 
-// DecodeBaseImage decodes a payload produced by EncodeBaseImage.
-func DecodeBaseImage(payload []byte) ([]byte, error) { return decodeBaseImage(nil, payload) }
-
-// decodeBaseImage decodes a base payload into buf's storage (see readZeroRLE).
+// decodeBaseImage decodes a base payload produced by EncodeBaseImage into
+// buf's storage (see readZeroRLE).
 func decodeBaseImage(buf, payload []byte) ([]byte, error) {
 	r := NewReader(payload)
 	if m := r.U64(); r.err == nil && m != baseMagic {
@@ -122,38 +120,33 @@ func allZero(b []byte) bool {
 // against exactly len(prev) bytes — ApplyDelta enforces the match, which is
 // what makes a broken chain detectable.
 func EncodeDelta(prev, cur []byte, pageSize int) []byte {
-	return EncodeDeltaTo(NewWriter(), prev, 0, cur, 0, pageSize)
+	return EncodeDeltaTo(NewWriter(), len(prev), cur, 0, pageSize, DirtyPages(prev, cur, pageSize))
 }
 
-// EncodeDeltaTo is EncodeDelta of the image cur followed by pad zero bytes
-// against the image prev followed by prevPad zero bytes, writing into a
-// caller-supplied writer (typically pooled scratch; see EncodeBaseImageTo).
-// Neither padding is materialised or read: past both snapshots every page is
-// zero in both images, so only the pages that hold snapshot bytes are
-// compared. The returned bytes alias w's buffer.
-func EncodeDeltaTo(w *Writer, prev []byte, prevPad int, cur []byte, pad int, pageSize int) []byte {
+// EncodeDeltaTo encodes the pages dirty (ascending indices) of the image cur
+// followed by pad zero bytes as a delta against an image of prevLen bytes,
+// writing into a caller-supplied writer (typically pooled scratch; see
+// EncodeBaseImageTo). It compares nothing: dirty is the caller's, and must be
+// the page set DirtyPages gives for the two images. The pad is not
+// materialised: a page's bytes past cur are written as the zeros they are. The
+// returned bytes alias w's buffer.
+func EncodeDeltaTo(w *Writer, prevLen int, cur []byte, pad int, pageSize int, dirty []int) []byte {
 	if pageSize <= 0 {
 		panic("codec: page size must be positive")
 	}
 	total := len(cur) + pad
 	w.U64(deltaMagic)
 	w.Int(total)
-	w.Int(len(prev) + prevPad)
+	w.Int(prevLen)
 	w.Int(pageSize)
-	count := w.Len()
-	w.Int(0) // the dirty-page count, known once the pages are written
-	dirty := 0
-	for off, idx := 0, 0; off < min(total, max(len(prev), len(cur))); off, idx = off+pageSize, idx+1 {
+	w.Int(len(dirty))
+	for _, idx := range dirty {
+		off := idx * pageSize
 		end := min(off+pageSize, total)
-		if !pageDiffers(prev, cur, off, end) {
-			continue
-		}
 		w.Int(idx)
 		page := cur[min(off, len(cur)):min(end, len(cur))]
 		writeZeroRLE(w, page, end-off-len(page))
-		dirty++
 	}
-	binary.LittleEndian.PutUint64(w.buf[count:], uint64(dirty))
 	return w.Bytes()
 }
 

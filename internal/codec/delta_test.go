@@ -29,7 +29,7 @@ func TestBaseImageRoundTrip(t *testing.T) {
 		append(bytes.Repeat([]byte{7}, 100), make([]byte, 5000)...), // trailing pad
 	}
 	for i, img := range cases {
-		got, err := DecodeBaseImage(EncodeBaseImage(img))
+		got, err := decodeBaseImage(nil, EncodeBaseImage(img))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -125,7 +125,7 @@ func TestDeltaChainMismatchErrors(t *testing.T) {
 	if _, err := ApplyDelta(b, EncodeBaseImage(a)); err == nil {
 		t.Fatal("applying a base payload as a delta succeeded")
 	}
-	if _, err := DecodeBaseImage(d); err == nil {
+	if _, err := decodeBaseImage(nil, d); err == nil {
 		t.Fatal("decoding a delta payload as a base succeeded")
 	}
 	if _, err := ReconstructImage([][]byte{d}); err == nil {
@@ -174,7 +174,7 @@ func FuzzDeltaCodecRoundTrip(f *testing.F) {
 		}
 
 		// Genuine encodings round-trip exactly.
-		if img, err := DecodeBaseImage(EncodeBaseImage(cur)); err != nil || !bytes.Equal(img, cur) {
+		if img, err := decodeBaseImage(nil, EncodeBaseImage(cur)); err != nil || !bytes.Equal(img, cur) {
 			t.Fatalf("base round trip: %v", err)
 		}
 		d := EncodeDelta(prev, cur, pageSize)
@@ -190,7 +190,7 @@ func FuzzDeltaCodecRoundTrip(f *testing.F) {
 		// Hostile payloads error — as the reference does, to the letter —
 		// never panic: the raw inputs, truncations of a genuine delta, and
 		// single-byte corruptions of one.
-		_, _ = DecodeBaseImage(prev)
+		_, _ = decodeBaseImage(nil, prev)
 		checkApplyDelta(t, cur, prev)
 		checkReplay(t, [][]byte{prev, cur})
 		for _, cut := range []int{0, 7, 8, len(d) / 2, len(d) - 1} {

@@ -117,7 +117,10 @@ func shaped(in []byte) []byte {
 // FuzzPaddedEncode holds the encoders that read a bare snapshot and a pad
 // count to the materialising references: for any snapshot and pad, previous
 // snapshot and pad, and page size, the base payload, the delta payload and
-// the dirty-page set are byte-identical to the ones the padded images give.
+// the dirty-page set are byte-identical to the ones the padded images give
+// (the delta written from the bare snapshot and pad, of the padded images'
+// dirty pages: the compare itself is the checkpointer's, held to EncodeDelta
+// by ckpt's FuzzSharedImage).
 // The previous snapshot shares a fuzzed prefix with the current one, so deltas
 // carry clean pages as well as dirty ones.
 func FuzzPaddedEncode(f *testing.F) {
@@ -147,7 +150,7 @@ func FuzzPaddedEncode(f *testing.F) {
 		w.Free()
 
 		w = GetWriter()
-		d := EncodeDeltaTo(w, prev, int(prevPad), cur, int(pad), page)
+		d := EncodeDeltaTo(w, len(prevImg), cur, int(pad), page, DirtyPages(prevImg, curImg, page))
 		if want := refEncodeDelta(prevImg, curImg, page); !bytes.Equal(d, want) {
 			t.Fatalf("delta payload of %d+%d against %d+%d bytes, page %d: %d bytes, the padded images encode to %d",
 				len(cur), pad, len(prev), prevPad, page, len(d), len(want))

@@ -16,8 +16,9 @@ import "sync"
 // Snapshot is in this class by contract (par.Snapshotter), which is what lets
 // a full-image checkpoint file lend it to storage instead of copying it — or
 // borrow its unchanged pages from earlier snapshots and earlier copies of
-// changed pages, all never written again — and an incremental capture hold it
-// as its diff baseline until the next commit. But
+// changed pages, all never written again — and what lets a node's image holder
+// (package ckpt) keep it, under either capture family, as the image the next
+// capture is compared with. But
 // *scratch* streams — an incremental payload that is embedded (copied) into
 // an enclosing checkpoint file and then dead, a vector encoded only to be
 // compared — die at a specific statement, and those call sites bracket the

@@ -25,17 +25,14 @@ func StatePageSizeOf(s Snapshotter) int {
 	return DefaultStatePageSize
 }
 
-// DirtyTracker records which pages of a node's checkpoint image changed
-// since the last retained checkpoint, by holding the previous image and
-// diffing at page granularity. An image is a snapshot followed by zero
-// padding that is never materialised: the tracker holds the snapshot itself —
-// the slice it was handed, not a copy, which its lender must never write again
-// (par.Snapshotter's promise, for a snapshot) — and the padding's length.
+// DirtyTracker is the dirty-region scan as the benchmark's codec probe
+// measures it, and has no other caller: the checkpointers compare pages in
+// their image holder (package ckpt). It records which pages of an image
+// differ from the last retained one, holding that image itself — the slice it
+// was handed, not a copy, which its lender must never write again.
 type DirtyTracker struct {
 	pageSize int
-	prev     []byte // the baseline image's bytes, held until the next Retain
-	prevPad  int    // zero bytes that follow prev in the baseline image
-	primed   bool
+	prev     []byte
 }
 
 // NewDirtyTracker returns a tracker diffing at the given page size.
@@ -46,34 +43,12 @@ func NewDirtyTracker(pageSize int) *DirtyTracker {
 	return &DirtyTracker{pageSize: pageSize}
 }
 
-// Primed reports whether a previous image is retained — i.e. whether a delta
-// can be encoded. A fresh tracker is unprimed, which is what forces the first
-// checkpoint after a start or a recovery to be a full base.
-func (t *DirtyTracker) Primed() bool { return t.primed }
-
 // Retain makes img the new diff baseline. It holds img, it does not copy it:
-// the caller never writes img again. Schemes call it only once the checkpoint
-// holding img is durable (committed, for coordinated rounds), so the chain's
-// prev pointers always name durable checkpoints.
-func (t *DirtyTracker) Retain(img []byte) { t.RetainPadded(img, 0) }
-
-// RetainPadded is Retain of the image snap followed by pad zero bytes.
-func (t *DirtyTracker) RetainPadded(snap []byte, pad int) {
-	t.prev, t.prevPad, t.primed = snap, pad, true
-}
+// the caller never writes img again.
+func (t *DirtyTracker) Retain(img []byte) { t.prev = img }
 
 // DirtyPages returns the indices of cur's pages that differ from the
-// retained image (from zeros when unprimed).
+// retained image (from zeros before the first Retain).
 func (t *DirtyTracker) DirtyPages(cur []byte) []int {
 	return codec.DirtyPages(t.prev, cur, t.pageSize)
-}
-
-// DeltaTo encodes into w the pages of the image cur followed by pad zero bytes
-// that differ from the retained image (the returned bytes alias w's buffer).
-// The tracker must be primed.
-func (t *DirtyTracker) DeltaTo(w *codec.Writer, cur []byte, pad int) []byte {
-	if !t.primed {
-		panic("par: Delta on an unprimed DirtyTracker")
-	}
-	return codec.EncodeDeltaTo(w, t.prev, t.prevPad, cur, pad, t.pageSize)
 }

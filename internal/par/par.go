@@ -123,17 +123,18 @@ type Piggyback [NumPiggyback]uint64
 // layer can capture and restore their state.
 //
 // Snapshot returns freshly owned bytes the program never writes again: the
-// checkpointer may hand them to stable storage as they are, and a full-image
-// checkpoint does — the slice becomes part of the durable file, not a copy of
-// it — on a node's first capture and whenever most of the state changed.
-// Otherwise the file borrows the unchanged pages of earlier snapshots (and
+// checkpointer holds them as the node's last image, one holder for both
+// capture families. A full-image checkpoint hands them to stable storage as
+// they are — the slice becomes part of the durable file, not a copy of it — on
+// a node's first capture and whenever most of the state changed. Otherwise the
+// file borrows the unchanged pages of the held image (earlier snapshots, and
 // earlier copies of changed pages) and copies the changed ones, so one
 // snapshot's pages may be part of many later files. An incremental checkpoint
 // is encoded from the slice where it lies, and once it commits the slice itself
-// is the diff baseline the next one is encoded against, held until the commit
-// after. A program that snapshots into a buffer it reuses rewrites its own
-// checkpoints, later ones sharing their pages, or that baseline (the oracle
-// reports each: check.TestDroppedCopyStillBites).
+// is the held image the next one is diffed against, until the commit after. A
+// program that snapshots into a buffer it reuses rewrites its own checkpoints,
+// later ones sharing their pages, or that baseline (the oracle reports each:
+// check.TestDroppedCopyStillBites).
 // Restore is lent data — it may come straight out of a stored file — and
 // copies out whatever it keeps and later changes.
 type Snapshotter interface {
