@@ -21,8 +21,9 @@ race:
 # (hostile chain pointers and wrong indexes refused), and the scheme-name
 # resolver — plus the
 # differentials against retired reference implementations: the incremental
-# payload encoders (a bare snapshot and a pad count, zero runs found a word at
-# a time, vs the padded image materialised and scanned a byte at a time), the
+# payload encoders (gathered from a snapshot's pages and a pad count, zero runs
+# found a word at a time and across pages, literals borrowed, vs the padded
+# image materialised and scanned a byte at a time), the
 # engine's event queue (4-ary heap of same-time runs vs container/heap), the fabric's virtual schedule
 # (event-driven flights vs a courier process per message), the storage
 # server's files (extent lists of the gathered slices it is handed vs one flat,
@@ -30,8 +31,9 @@ race:
 # file's slice list vs the flat loop over one buffer), a rank's one image
 # holder (random snapshot sequences: full-image parts that join to the
 # snapshot, no alias of a copied-from snapshot, no held or stored byte written,
-# the held image at most twice its size reachable; incremental payloads equal to
-# the codec's encoders of the padded images under commits and aborts) — and the engine's
+# the held image at most twice its size reachable; incremental payloads and
+# files equal to the codec's encoders of the padded images and their records
+# under commits and aborts, every literal a borrow of the pending image) — and the engine's
 # ordering contract under generated programs (strict (at, push) order across
 # the heap's runs, the staged run and the current-instant lane), and ISING's guarded Metropolis
 # acceptance (bounds decide, math.Exp only between them) against the plain
@@ -87,13 +89,15 @@ identical:
 	$(GO) test -count=1 -timeout 60m -run '^TestIdentity$$' . -full $(UPDATE)
 
 # Allocation gate: the testing.AllocsPerRun pins for the engine, fabric, codec
-# and collective hot paths; that the storage server allocates nothing of a
+# (a gathered base or clean delta at its framing and its list of parts) and
+# collective hot paths; that the storage server allocates nothing of a
 # segment's size for a file appended to it, and a full-image capture (local
 # timers and coordinated) at most 0.05 bytes per byte of the file it gathers,
 # and 24 kept files of a mostly clean 1 MiB state at one image plus the changed
 # pages (TestAllocsSharedCapture);
-# an incremental capture and commit of a 1 MiB state at the record it builds
-# plus a few hundred bytes, and the per-audited-commit pin; an ISING half-sweep
+# an incremental capture and commit of a 1 MiB state at its record — framing,
+# lists of parts, the record's ends and copies of the changed pages; the
+# literals are borrowed — plus a few hundred bytes, and the per-audited-commit pin; an ISING half-sweep
 # at zero, an NQUEENS task search at zero (TestAllocsNQueensKernel), and a TSP
 # subtree search at its path buffer plus one tour per improvement; each app's
 # Snapshot at the one buffer it returns (TestAllocsSnapshot), an ISING rank built after the first at its spin rows

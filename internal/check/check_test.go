@@ -105,9 +105,10 @@ const (
 	// adopt takes the buffer its first Snapshot returned back as its own: from
 	// then on its tail lives there, counter and all. A later snapshot copies
 	// the tail, so its unchanged pages compare equal to the first snapshot's
-	// and every later full-image file borrows them — the live tail. Recovery
-	// restores the counter of the crash, not of the checkpoint, and the run
-	// ends with the wrong one.
+	// and every later full-image file borrows them — the live tail — as does
+	// the incremental base that lent the first snapshot whole, whose literals
+	// are its pages. Recovery restores the counter of the crash, not of the
+	// checkpoint, and the run ends with the wrong one.
 	adopt
 )
 
@@ -171,8 +172,7 @@ func (r *recycler) Snapshot() []byte {
 	w.Int(r.iter)
 	w.Int(r.phase)
 	w.I64(r.acc)
-	w.Raw(r.tail)
-	r.lent = w.Bytes()
+	r.lent = append(w.Bytes(), r.tail...) // no tail (reuse): still the one buffer
 	if r.vice == adopt && !r.adopted {
 		r.tail, r.adopted = r.lent[24:], true
 	}
@@ -191,8 +191,9 @@ func (r *recycler) Restore(data []byte) {
 // holds the last committed snapshot as its diff baseline instead of a copy, so
 // a program that snapshots into a buffer it reuses rewrites that baseline; and
 // a full-image file borrows the unchanged pages of the rank's earlier
-// snapshots, so a program that writes its first snapshot rewrites every later
-// file. Dropping the copies did not drop the defence: crashed and recovered, such a
+// snapshots, and an incremental base's literals are the pages of the snapshot
+// it lends whole, so a program that writes its first snapshot rewrites every
+// later full-image file, or the base of its incremental chain. Dropping the copies did not drop the defence: crashed and recovered, such a
 // program is reported by the oracle — its final state is not the fault-free
 // run's, or a committed chain does not replay to the snapshot it was taken
 // from — while its law-abiding twin passes the same cell.
@@ -212,6 +213,11 @@ func TestDroppedCopyStillBites(t *testing.T) {
 		// Eight pages, at most two of them changed per checkpoint: every file
 		// after the first borrows the first snapshot's others.
 		{ckpt.IndepM, adopt, 7 * 4096, []string{"equiv.final-state"}},
+		// The same program under incremental capture: the chain's base lends
+		// the first snapshot whole, and the deltas find the live tail clean,
+		// so every chain replays to the snapshot at its commit and only the
+		// recovered state is wrong.
+		{ckpt.IndepInc, adopt, 7 * 4096, []string{"equiv.final-state"}},
 	} {
 		t.Run(c.v.String(), func(t *testing.T) {
 			for _, vice := range []vice{lawful, c.vice} {

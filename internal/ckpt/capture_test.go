@@ -50,10 +50,10 @@ func padImage(state []byte, imageBytes int) []byte {
 	return append(state, make([]byte, imageBytes)...)
 }
 
-// flatCkptFile is the record as one contiguous buffer, for tests that decode
-// it or compare it whole.
+// flatCkptFile is the record of f, its State followed by pad zero bytes, as
+// one contiguous buffer, for tests that decode it or compare it whole.
 func flatCkptFile(v Variant, f CkptFile, pad int) []byte {
-	return bytes.Join(encodeCkptFile(v, f, nil, pad), nil)
+	return bytes.Join(encodeCkptFile(v, f, [][]byte{f.State}, pad), nil)
 }
 
 // sameBytes reports whether a and b are the same memory, not just equal.
@@ -63,9 +63,10 @@ func sameBytes(a, b []byte) bool {
 
 // TestEncodeCkptFilePadsInPlace: the gathered record joins to the bytes the
 // old encode gave for the materialised padded state and decodes to that state,
-// and it is gathered, not built — a full-image record lends the snapshot as it
-// is and pads with runs of the shared zero page, an incremental record embeds
-// its payload (which lives in pooled scratch) and is one exactly sized buffer.
+// and it is gathered, not built — under either capture family the record lends
+// its state's parts as they are (a full image's snapshot, an incremental
+// payload's parts) and pads with runs of the shared zero page, so its own
+// bytes are its header and trailer.
 func TestEncodeCkptFilePadsInPlace(t *testing.T) {
 	deps := []Dep{{SrcRank: 3, SrcIndex: 7}, {SrcRank: 0, SrcIndex: 1}}
 	for _, v := range []Variant{Indep, IndepInc} {
@@ -75,12 +76,8 @@ func TestEncodeCkptFilePadsInPlace(t *testing.T) {
 				if stateLen >= 0 {
 					state = bytes.Repeat([]byte{0xA5}, stateLen)
 				}
-				f := CkptFile{Index: 9, Prev: 8, Deps: deps, State: state, Lib: []byte("lib")}
-				var image [][]byte
-				if !v.Incremental() {
-					f.State, image = nil, [][]byte{state}
-				}
-				file := encodeCkptFile(v, f, image, pad)
+				f := CkptFile{Index: 9, Prev: 8, Deps: deps, Lib: []byte("lib")}
+				file := encodeCkptFile(v, f, [][]byte{state}, pad)
 				got := bytes.Join(file, nil)
 				padded := f
 				padded.State = padImage(bytes.Clone(state), pad)
@@ -99,18 +96,16 @@ func TestEncodeCkptFilePadsInPlace(t *testing.T) {
 					}
 				}
 				wantLent, ownMax := 0, 8*5+16*len(deps)+len("lib")
-				if v.Incremental() {
-					ownMax += len(state)
-				} else if len(state) > 0 {
+				if len(state) > 0 {
 					wantLent = 1
 				}
 				if lent != wantLent || zeros != pad {
-					t.Errorf("%v pad %d state %d: snapshot lent %d times (want %d), %d of %d pad bytes from the zero page",
+					t.Errorf("%v pad %d state %d: state lent %d times (want %d), %d of %d pad bytes from the zero page",
 						v, pad, stateLen, lent, wantLent, zeros, pad)
 				}
-				if v.Incremental() && pad == 0 && (len(file) != 1 || cap(file[0]) != len(file[0])) {
-					t.Errorf("%v state %d: an incremental record in %d slices, the first %d bytes in a buffer of %d",
-						v, stateLen, len(file), len(file[0]), cap(file[0]))
+				if len(state) == 0 && pad == 0 && (len(file) != 1 || cap(file[0]) != len(file[0])) {
+					t.Errorf("%v: a record with no state in %d slices, the first %d bytes in a buffer of %d",
+						v, len(file), len(file[0]), cap(file[0]))
 				}
 				if owned > ownMax {
 					t.Errorf("%v pad %d state %d: %d bytes of the record are its own, want <= %d", v, pad, stateLen, owned, ownMax)
@@ -175,26 +170,34 @@ func (l *lendingRing) SnapshotAt(index int) []byte {
 }
 func (l *lendingRing) RestoreAt(_ int, b []byte) { l.Restore(b) }
 
-// holds reports whether img's held image is snap's backing array itself: the
-// two are equal, and writing a byte of snap changes the held image.
-func holds(img *heldImage, snap []byte) bool {
+// holds reports whether img's held image is the committed snapshot snap: the
+// two are equal, and where snap was lent whole the held pages are its memory —
+// writing a byte of snap changes the held image. It reports too whether snap
+// was lent whole.
+func holds(img *heldImage, snap []byte) (ok, lentWhole bool) {
 	orig := bytes.Clone(snap)
 	if !bytes.Equal(bytes.Join(img.pages, nil), orig) {
-		return false
+		return false, false
+	}
+	if len(img.pages) == 0 || !overlaps(img.pages[0], snap) {
+		return true, false // gathered: pages of earlier images, and copies
 	}
 	snap[len(snap)-1] ^= 0xFF
 	defer func() { snap[len(snap)-1] ^= 0xFF }()
-	return !bytes.Equal(bytes.Join(img.pages, nil), orig)
+	return !bytes.Equal(bytes.Join(img.pages, nil), orig), true
 }
 
 // TestIncBaselineIsCommittedSnapshot: once a checkpoint commits, the node's
-// held image — the diff baseline — is the snapshot the program lent for it,
-// its backing array, not a copy; and a capture that never commits leaves the
-// previous one held: the timer drivers' write that fails through its retry
-// budget is skipped (CIC_INC's among forced checkpoints), the coordinated
-// drivers' attempt whose write fails is aborted and retried (Coord_NB_FT_INC's
-// under the 3PC commit). Every capture of rank 0 checks, before it snapshots,
-// that the held image is the last committed checkpoint's snapshot.
+// held image — the diff baseline — joins to the snapshot the program lent for
+// it, and is that snapshot's memory where it was lent whole; and a capture
+// that never commits leaves the previous held image as it was, page for page,
+// so none of its copies is ever held: the timer drivers' write that fails
+// through its retry budget is skipped (CIC_INC's among forced checkpoints),
+// the coordinated drivers' attempt whose write fails is aborted and retried
+// (Coord_NB_FT_INC's under the 3PC commit). Every capture of rank 0 checks,
+// before it snapshots, that the held image is the last committed checkpoint's
+// snapshot, and that it is the very pages it was at the previous capture when
+// nothing committed in between.
 func TestIncBaselineIsCommittedSnapshot(t *testing.T) {
 	for _, c := range []struct {
 		v                Variant
@@ -239,11 +242,30 @@ func TestIncBaselineIsCommittedSnapshot(t *testing.T) {
 			w := mp.NewWorld(m)
 			n := m.NumNodes()
 			rank0 := &lendingRing{ringProg: newRingProg(0, n, 400, 10_000, 2e5), lent: map[int][]byte{}}
+			var seen [][]byte // the held pages at the previous capture
+			seenAt, wholes, gathered, kept := 0, 0, 0, 0
 			rank0.check = func(index int) {
 				captures[index]++
-				if committed > 0 && !holds(img, rank0.lent[committed]) {
-					t.Errorf("capture %d (#%d): the baseline is not checkpoint %d's snapshot", index, captures[index], committed)
+				if committed > 0 {
+					ok, whole := holds(img, rank0.lent[committed])
+					if !ok {
+						t.Errorf("capture %d (#%d): the baseline is not checkpoint %d's snapshot", index, captures[index], committed)
+					}
+					if whole {
+						wholes++
+					} else {
+						gathered++
+					}
 				}
+				if committed == seenAt && seen != nil {
+					kept++
+					for i, page := range img.pages {
+						if i >= len(seen) || !sameBytes(page, seen[i]) {
+							t.Errorf("capture %d (#%d): held page %d changed with no commit since the last capture", index, captures[index], i)
+						}
+					}
+				}
+				seen, seenAt = append(seen[:0], img.pages...), committed
 			}
 			w.Launch(0, rank0)
 			for rank := 1; rank < n; rank++ {
@@ -252,8 +274,11 @@ func TestIncBaselineIsCommittedSnapshot(t *testing.T) {
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if !holds(img, rank0.lent[committed]) {
+			if ok, _ := holds(img, rank0.lent[committed]); !ok {
 				t.Errorf("after the run: the baseline is not the last committed checkpoint's (%d) snapshot", committed)
+			}
+			if wholes == 0 || gathered == 0 || kept == 0 {
+				t.Errorf("captures saw %d baselines lent whole, %d gathered and %d kept past a failed write: want each", wholes, gathered, kept)
 			}
 			st := sch.Stats()
 			if st.RoundsAborted != c.aborted || st.SkippedCkpts != c.skipped || (st.ForcedCkpts > 0) != c.forced {
@@ -364,36 +389,83 @@ func (s *pagedSnaps) Snapshot() []byte {
 func (s *pagedSnaps) Restore([]byte)     {}
 func (s *pagedSnaps) StatePageSize() int { return 4096 }
 
+// heapSink keeps heapBytes' probe on the heap.
+var heapSink []byte
+
+// heapBytes is what the heap hands out for an object of n bytes: its size
+// class, or whole pages for a large object.
+func heapBytes(n int) int {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	heapSink = make([]byte, n)
+	runtime.ReadMemStats(&after)
+	heapSink = nil
+	return int(after.TotalAlloc - before.TotalAlloc)
+}
+
+// within reports whether b lies in one of snaps.
+func within(b []byte, snaps [][]byte) bool {
+	for _, s := range snaps {
+		if overlaps(b, s) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestAllocsIncCapture pins a steady-state incremental capture and commit of a
 // 1 MiB paged state at the record it builds plus a few hundred bytes: the
-// payload is encoded from the snapshot where the program returned it into
-// pooled scratch, and the baseline is that snapshot, held — neither the padded
-// image nor a copy of it is built, before or after the encode.
+// payload's framing, the list of its parts and the file's, the record's two
+// ends, and the copies of the changed pages, which the held image keeps. The
+// payload's literals borrow the image's pages and the snapshot is never
+// copied whole: neither the padded image nor a copy of it is built, before or
+// after the encode.
 func TestAllocsIncCapture(t *testing.T) {
 	m := par.NewMachine(par.DefaultConfig())
 	defer m.Shutdown()
 	n := m.Nodes[0]
-	n.Snap = newPagedSnaps(2 * BaseEvery)
+	snaps := newPagedSnaps(2 * BaseEvery)
+	n.Snap = snaps
 	img := heldImage{incremental: true}
-	record := 0 // the records' bytes as the heap hands them out: a large object takes whole 8 KiB pages
+	sizes := make([]int, 0, 1024)  // the record's objects, in bytes
+	was := make([][]byte, 0, 1024) // the held pages before the capture
 	capture := func(k int) {
+		was = append(was[:0], img.pages...)
 		c := ckptCapture{index: k}
 		img.capture(n, &c)
-		record += (fileLen(encodeCkptFile(IndepInc, CkptFile{Index: k, Prev: c.prev, State: c.state}, nil, c.pad)) + 8191) &^ 8191
-		c.scratch.Free()
+		file := encodeCkptFile(IndepInc, CkptFile{Index: k, Prev: c.prev}, c.image, c.pad)
+		framing := 0
+		for _, part := range c.image {
+			if !within(part, img.next) {
+				framing += len(part)
+			}
+		}
+		if framing > 64*len(img.next) { // a few records a page: the literals are copied
+			t.Fatalf("capture %d: %d bytes of the payload are not borrowed from the image's %d pages", k, framing, len(img.next))
+		}
+		sizes = append(sizes, framing, 24*len(c.image), 24*cap(file), len(file[0])+len(file[len(file)-1]))
 		img.commit()
+		for i, page := range img.pages {
+			if (i >= len(was) || !sameBytes(page, was[i])) && !within(page, snaps.snaps) {
+				sizes = append(sizes, len(page)) // a changed page's copy
+			}
+		}
 	}
-	for k := 1; k <= 2*BaseEvery; k++ { // warm the pooled scratch to a base payload's size
+	for k := 1; k <= 2*BaseEvery; k++ { // warm the holder's lists and the encoder's scratch
 		capture(k)
 	}
 	const rounds = 4 * BaseEvery
-	record = 0
+	sizes = sizes[:0]
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for k := 1; k <= rounds; k++ {
 		capture(2*BaseEvery + k)
 	}
 	runtime.ReadMemStats(&after)
+	record := 0
+	for _, size := range sizes {
+		record += heapBytes(size)
+	}
 	extra := (int64(after.TotalAlloc-before.TotalAlloc) - int64(record)) / rounds
 	t.Logf("incremental capture + commit of a 1 MiB state: %d record bytes and %d more per capture", record/rounds, extra)
 	if extra > 512 {

@@ -661,8 +661,8 @@ func capturedFiles(v Variant, rank, pad int, snaps [][]byte) map[string][]byte {
 		case v.RawImage():
 			file = appendZeros([][]byte{snap}, pad)
 		case v.Incremental():
-			payload, prev := img.encode(codec.NewWriter(), index, snap, pad, 64)
-			file = encodeCkptFile(v, CkptFile{Index: index, Prev: prev, State: payload}, nil, 0)
+			payload, prev := img.encode(index, snap, pad, 64)
+			file = encodeCkptFile(v, CkptFile{Index: index, Prev: prev}, payload, 0)
 			img.commit()
 		default:
 			file = encodeCkptFile(v, CkptFile{Index: index}, [][]byte{snap}, pad)

@@ -558,10 +558,10 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 	stateBytes, prev := c.stateBytes(), c.prev
 	var file [][]byte
 	if s.v.Incremental() {
-		// The slot file is a record carrying the chain pointer; the round's
-		// capture stays pending until the round commits (finishRound).
-		file = encodeCkptFile(s.v, CkptFile{Index: round, Prev: prev, State: c.state}, nil, 0)
-		c.scratch.Free() // payload embedded (copied) into file above
+		// The slot file is a record carrying the chain pointer, gathered from
+		// the payload's parts; the round's capture stays pending until the
+		// round commits (finishRound).
+		file = encodeCkptFile(s.v, CkptFile{Index: round, Prev: prev}, c.image, 0)
 	} else {
 		// The raw padded image: the parts heldImage.share returned, borrowed
 		// as encodeCkptFile borrows them, then the process image's zeros.

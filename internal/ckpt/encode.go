@@ -129,29 +129,32 @@ func fileLen(file [][]byte) int {
 // unchanged page, and the host holds each distinct page once however many
 // files are kept.
 //
-// Both capture families compare a new snapshot with the held image through
-// differs, page by page, and nowhere else. A full capture (share) gathers its
-// file from that compare and advances the held image at once, since no file
-// diffs against it. An incremental capture (encode) writes a base, or the
-// delta of the pages the compare finds dirty, and that delta is only sound
-// against the last *committed* image: Prev must name the checkpoint it was
-// encoded against. So an incremental capture stays pending until its file is
-// durable (for a round: committed), when commit makes it the held image; an
-// aborted round (RoundsAborted) or a skipped write (SkippedCkpts) calls abort,
-// which drops it, and the next capture re-diffs against the last image that
-// exists. One pending capture per node is all there is to keep: incremental
-// points block the application for every write, and a round has one attempt
-// in flight.
+// Both capture families build the new image's page list the same way, in
+// advance, from one compare (differs) of each page with the held image, and
+// nowhere else; a file then gathers its state from that list — a full image
+// its pages (share), an incremental payload its literals (encode). A full
+// capture makes the list the held image at once, since no file diffs against
+// it. An incremental payload is a base, or the delta of the pages the compare
+// finds dirty, and that delta is only sound against the last *committed*
+// image: Prev must name the checkpoint it was encoded against. So an
+// incremental capture's list stays pending until its file is durable (for a
+// round: committed), when commit makes it the held image; an aborted round
+// (RoundsAborted) or a skipped write (SkippedCkpts) calls abort, which drops
+// it, and the next capture re-diffs against the last image that exists. One
+// pending capture per node is all there is to keep: incremental points block
+// the application for every write, and a round has one attempt in flight.
 type heldImage struct {
 	pages       [][]byte
-	incremental bool // the node's capture family: encode, not share
+	next        [][]byte // the image the last capture built: pending, or empty
+	incremental bool     // the node's capture family: encode, not share
 
-	// Incremental capture only: the capture awaiting its commit, the chain
-	// the held image ends, and the compare's dirty pages, reused.
-	pending                []byte
-	pendingIndex, pageSize int // pendingIndex 0: nothing pending
-	prevIndex, chain       int // the held image's index, and its chain's files so far; 0, 0: nothing committed
-	dirty                  []int
+	// Incremental capture only: the pending capture's index, the chain the
+	// held image ends, the compare's dirty pages, and the payload encoder's
+	// scratch.
+	pendingIndex     int // 0: nothing pending
+	prevIndex, chain int // the held image's index, and its chain's files so far; 0, 0: nothing committed
+	dirty            []int
+	enc              codec.Gatherer
 }
 
 // differs is the page compare of both capture families: it reports whether
@@ -181,154 +184,170 @@ func allZero(b []byte) bool {
 	return bytes.Equal(b, zeroPage[:len(b)])
 }
 
-// capture snapshots the program at c.index and fills c from the held image:
-// under full capture the parts its file gathers (share), under incremental
-// capture the payload, in pooled scratch the caller frees once it is embedded
-// in the file (encode). Runs in the application's context, like every state
-// capture in the library.
+// capture snapshots the program at c.index and gives c the parts its file
+// gathers the state section from: under full capture the image's pages and
+// the pad (share), under incremental capture the payload (encode). Runs in
+// the application's context, like every state capture in the library.
 func (h *heldImage) capture(n *par.Node, c *ckptCapture) {
 	snap, pad, pageSize := par.SnapshotAt(n.Snap, c.index), max(n.M.Cfg.CkptImageBytes, 0), par.StatePageSizeOf(n.Snap)
 	if !h.incremental {
 		c.image, c.pad = h.share(snap, pageSize), pad
 		return
 	}
-	c.scratch = codec.GetWriter()
-	c.state, c.prev = h.encode(c.scratch, c.index, snap, pad, pageSize)
+	c.image, c.prev = h.encode(c.index, snap, pad, pageSize)
 }
 
-// share returns the parts a full-image file gathers snap from, in order, and
-// makes snap the held image. Either way the parts join to snap.
-//
-// snap is lent whole — the one part is snap itself, and the held image becomes
-// pages of it — when nothing is held (a node's first capture; a restarted
-// node's held image died with it), when more than half of its bytes lie in
-// changed pages, or when it is shorter than the held image. An app that
-// rewrites most of its state every interval (ASP, GAUSS, NBODY, TSP, NQUEENS)
-// pays one compare per page that fails on the page's first bytes, until half
-// the pages have failed. ISING's snapshot carries its read-only coupling
-// rows, most of its bytes, so from its second capture on its files borrow
-// them and copy the spin pages, and SOR's files often borrow unchanged rows.
-//
-// Otherwise snap is garbage once share returns: an unchanged page — one the
-// held image has a slice of the same length for — is borrowed from the held
-// image, and a changed one is copied into an allocation of its own, which the
-// held image then holds. A held page thus never pins bytes no file or held
-// page needs, and with no bookkeeping the held image keeps at most twice its
-// own size reachable: pages of the last snapshot lent whole, which was no
-// longer than the image because a shrink is lent whole, and copies, which are
-// pages of the image. No part aliases snap.
+// share returns the parts a full-image file gathers snap from, in order — one
+// part, snap itself, when snap is lent whole (see advance) — and makes snap
+// the held image. Either way the parts join to snap.
 func (h *heldImage) share(snap []byte, pageSize int) [][]byte {
-	shrank, budget := len(snap) < fileLen(h.pages), len(snap)/2
-	changed, pages := 0, 0
-	for lo := 0; lo < len(snap) && changed <= budget && !shrank; lo += pageSize {
-		page := snap[lo:min(lo+pageSize, len(snap))]
-		switch {
-		case pages == len(h.pages):
-			h.pages = append(h.pages, page)
-			changed += len(page)
-		case len(h.pages[pages]) != len(page) || h.differs(pages, page, len(page)):
-			h.pages[pages] = page
-			changed += len(page)
-		}
-		pages++
-	}
-	if shrank || changed > budget {
-		h.lend(snap, pageSize)
-		return [][]byte{snap}
-	}
-	held := h.pages[:pages]
+	h.advance(snap, 0, pageSize, false)
+	h.pages, h.next = h.next, h.pages
+	h.drop()
 	var parts [][]byte
-	for i, page := range held {
-		if &page[0] == &snap[i*pageSize] { // changed: still aliases snap
-			page = append(make([]byte, 0, len(page)), page...)
-			held[i] = page
-		}
-		// A page that continues the last part's memory extends it: the
-		// unchanged runs of one lent snapshot travel as single parts.
-		if n := len(parts); n > 0 {
-			if last := parts[n-1]; cap(last) > len(last) && &last[:len(last)+1][len(last)] == &page[0] {
-				parts[n-1] = last[:len(last)+len(page)]
-				continue
-			}
-		}
-		parts = append(parts, page)
+	for _, page := range h.pages {
+		parts = codec.AppendPart(parts, page)
 	}
-	h.pages = held
 	return parts
 }
 
-// lend makes snap itself, cut into pages, the held image.
-func (h *heldImage) lend(snap []byte, pageSize int) {
-	old := len(h.pages)
-	h.pages = h.pages[:0]
-	for lo := 0; lo < len(snap); lo += pageSize {
-		h.pages = append(h.pages, snap[lo:min(lo+pageSize, len(snap))])
-	}
-	clear(h.pages[len(h.pages):max(old, len(h.pages))]) // a shorter image's list must not keep old pages reachable
-}
-
-// encode writes into w the payload of an incremental checkpoint at index of
-// snap followed by pad zero bytes, and returns it with its chain pointer: a
+// encode returns the parts of the payload of an incremental checkpoint at
+// index of snap followed by pad zero bytes, with its chain pointer: a
 // zero-run-compressed base (prev 0) at the start of each chain — a node's
 // first capture of an incarnation, and every BaseEvery-th — and otherwise the
-// delta, against the held image, of the pages differs finds dirty. Neither pad
-// is read: past both snapshots every page is clean without a look, and the
-// process image is one size all run long. The capture is pending until commit
-// or abort. The returned bytes alias w's buffer.
-func (h *heldImage) encode(w *codec.Writer, index int, snap []byte, pad, pageSize int) (payload []byte, prev int) {
-	h.pending, h.pendingIndex, h.pageSize = snap, index, pageSize
+// delta, against the held image, of the pages differs finds dirty. Its
+// literals borrow the pages of the image advance builds, which stays pending
+// until commit or abort. Neither pad is read: past both snapshots every page
+// is clean without a look, and the process image is one size all run long.
+func (h *heldImage) encode(index int, snap []byte, pad, pageSize int) (payload [][]byte, prev int) {
+	h.pendingIndex = index
 	if h.chain%BaseEvery == 0 { // nothing committed, or a full chain
-		return codec.EncodeBaseImageTo(w, snap, pad), 0
+		h.advance(snap, pad, pageSize, false)
+		return h.enc.Base(h.next, pad), 0
 	}
+	h.advance(snap, pad, pageSize, true)
+	return h.enc.Delta(fileLen(h.pages)+pad, h.next, pad, pageSize, h.dirty), h.prevIndex
+}
+
+// advance builds in next the page list of snap's image, from one compare of
+// each page with the held image, and under delta the dirty pages of the
+// padded image in dirty.
+//
+// snap is lent whole — the list is pages of snap itself — when nothing is held
+// (a node's first capture; a restarted node's held image died with it), when
+// more than half of its bytes lie in changed pages, or when it is shorter than
+// the held image. An app that rewrites most of its state every interval (ASP,
+// GAUSS, NBODY, TSP, NQUEENS) pays one compare per page that fails on the
+// page's first bytes, until half the pages have failed. ISING's snapshot
+// carries its read-only coupling rows, most of its bytes, so from its second
+// capture on its files borrow them and copy the spin pages, and SOR's files
+// often borrow unchanged rows.
+//
+// Otherwise snap is garbage once the capture's file is built: an unchanged
+// page — one the held image has a slice of the same length for — is borrowed
+// from the held image, and a changed one is copied into an allocation of its
+// own. A held page thus never pins bytes no file or held page needs, and with
+// no bookkeeping the held image keeps at most twice its own size reachable:
+// pages of the last snapshot lent whole, which was no longer than the image
+// because a shrink is lent whole, and copies, which are pages of the image.
+//
+// A delta must know every dirty page, so under delta the compare runs over
+// the whole padded image — to the end of the held one where that is longer —
+// lent or not, and a page's bytes past snap are compared as the pad's zeros.
+// A dirty page is always a changed one, so a delta's literals are copies or
+// pages of snap lent whole. Without delta the compare stops once snap is lent
+// whole, and a page past the held image or of another length is changed
+// without a look.
+func (h *heldImage) advance(snap []byte, pad, pageSize int, delta bool) {
 	held, total := fileLen(h.pages), len(snap)+pad
+	lent, budget, changed := held == 0 || len(snap) < held, len(snap)/2, 0
+	end := len(snap)
+	if delta {
+		end = max(len(snap), min(total, held))
+	}
+	h.drop()
 	h.dirty = h.dirty[:0]
-	for i, off := 0, 0; off < min(total, max(held, len(snap))); i, off = i+1, off+pageSize {
-		end := min(off+pageSize, total)
-		if h.differs(i, snap[min(off, len(snap)):min(end, len(snap))], end-off) {
-			h.dirty = append(h.dirty, i)
+	for i, off := 0, 0; off < end && (delta || !lent); i, off = i+1, off+pageSize {
+		page := snap[min(off, len(snap)):min(off+pageSize, len(snap))]
+		fresh := i >= len(h.pages) || len(h.pages[i]) != len(page)
+		dirty := false
+		if delta {
+			if dirty = h.differs(i, page, min(off+pageSize, total)-off); dirty {
+				h.dirty = append(h.dirty, i)
+			}
+		} else if !fresh {
+			dirty = h.differs(i, page, len(page))
+		}
+		switch {
+		case lent || len(page) == 0:
+		case fresh || dirty:
+			changed += len(page)
+			lent = changed > budget
+			h.next = append(h.next, page) // copied below, unless snap is lent whole
+		default:
+			h.next = append(h.next, h.pages[i])
 		}
 	}
-	return codec.EncodeDeltaTo(w, held+pad, snap, pad, pageSize, h.dirty), h.prevIndex
+	if lent {
+		h.next = h.next[:0]
+		for lo := 0; lo < len(snap); lo += pageSize {
+			h.next = append(h.next, snap[lo:min(lo+pageSize, len(snap))])
+		}
+		return
+	}
+	for i, page := range h.next {
+		if &page[0] == &snap[i*pageSize] { // changed: still aliases snap
+			h.next[i] = append(make([]byte, 0, len(page)), page...)
+		}
+	}
+}
+
+// drop empties next, keeping none of its pages reachable.
+func (h *heldImage) drop() {
+	clear(h.next[:cap(h.next)])
+	h.next = h.next[:0]
 }
 
 // commit makes the pending capture, if there is one, the held image: its file
-// is durable. The snapshot itself is held, not a copy — a new holder of the
-// program's lent bytes, until the next commit.
+// is durable. The pages its payload borrowed are the held image's now.
 func (h *heldImage) commit() {
 	if h.pendingIndex == 0 {
 		return
 	}
-	h.lend(h.pending, h.pageSize)
+	h.pages, h.next = h.next, h.pages
 	h.prevIndex, h.chain = h.pendingIndex, h.chain%BaseEvery+1 // a base starts a chain of one
 	h.abort()
 }
 
 // abort drops the pending capture, if there is one: the held image stays the
 // last committed one.
-func (h *heldImage) abort() { h.pending, h.pendingIndex = nil, 0 }
+func (h *heldImage) abort() {
+	h.drop()
+	h.pendingIndex = 0
+}
 
 // reset drops everything held — a restarted node's image died with it — so
 // the next capture is lent whole, or is a base.
 func (h *heldImage) reset() { *h = heldImage{incremental: h.incremental} }
 
 // encodeCkptFile packs a checkpoint file for the variant as the list of slices
-// the segmented writer gathers it from, its state section being f.State, then
-// image's parts, then pad zero bytes. f.State is embedded — its one copy — and
-// is the incremental payload, which lives in pooled scratch that dies with the
-// write job, before the stored file does; the record is then a single buffer.
-// A full image is passed as image and nothing of it is copied: the file is
-// [header, parts…, zeros…, trailer], the parts being what heldImage.share
-// returned — the snapshot lent as the program returned it (par.Snapshotter:
+// the segmented writer gathers it from, its state section being image's parts
+// then pad zero bytes (f.State, the decoded file's section, is not read).
+// Nothing of the state is copied: the file is [header, parts…, zeros…,
+// trailer], the parts being what heldImage.capture gathered — a full image's
+// pages or an incremental payload's framing and literals, the literals and
+// pages being the snapshot lent as the program returned it (par.Snapshotter:
 // freshly owned, never written again), or pages of earlier snapshots and
 // copies of changed pages, all never written again — and the zeros borrows of
 // zeroPage, so the padded image exists nowhere on the host. Header and trailer
-// are two ends of one exactly sized, freshly owned buffer (see codec/pool.go).
+// are two ends of one exactly sized, freshly owned buffer (see codec's Buffer
+// ownership); with no state between them the record is that one buffer.
 func encodeCkptFile(v Variant, f CkptFile, image [][]byte, pad int) [][]byte {
 	n := 8 + 8 + 16*len(f.Deps) + 8 + 8 + len(f.Lib)
 	if v.Incremental() {
 		n += 8
 	}
-	w := codec.NewWriterSize(n + len(f.State))
+	w := codec.NewWriterSize(n)
 	w.Int(f.Index)
 	if v.Incremental() {
 		w.Int(f.Prev)
@@ -338,8 +357,7 @@ func encodeCkptFile(v Variant, f CkptFile, image [][]byte, pad int) [][]byte {
 		w.Int(d.SrcRank)
 		w.U64(d.SrcIndex)
 	}
-	w.Int(len(f.State) + fileLen(image) + pad)
-	w.Raw(f.State)
+	w.Int(fileLen(image) + pad)
 	file := make([][]byte, 1, 2+len(image)+(pad+len(zeroPage)-1)/len(zeroPage))
 	for _, part := range image {
 		if len(part) > 0 {

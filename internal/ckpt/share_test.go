@@ -184,14 +184,18 @@ func heldReach(held [][]byte, lent [][]byte) int {
 // padded with pad zero bytes, and commits each capture — storing its file as
 // the timer driver does — or aborts it as aborted says. After every capture it
 // holds the holder to its contract: a base payload (at the start of a chain:
-// nothing committed yet, or BaseEvery-1 deltas since the last base) is
-// codec.EncodeBaseImage of the padded snapshot, and a delta payload is
+// nothing committed yet, or BaseEvery-1 deltas since the last base) joins to
+// codec.EncodeBaseImage of the padded snapshot, and a delta payload to
 // codec.EncodeDelta of the padded last committed snapshot and the padded
-// snapshot, its chain pointer that commit's index; the held image is the last
-// committed snapshot, so an aborted capture never becomes the baseline; and
-// the stored chain read back through Replayer.ReconstructCkpt is the last
-// committed snapshot followed by its pad. It returns how many captures were
-// bases.
+// snapshot, its chain pointer that commit's index; the gathered file joins to
+// the record of that reference payload; every part that is not framing
+// borrows a page of the pending image, and no part of any file and no held
+// page aliases a snapshot that was not lent whole; no snapshot, stored file or
+// held byte is ever written; the held image is the last committed snapshot,
+// so an aborted capture never becomes the baseline, and keeps at most twice
+// its size reachable; and the stored chain read back through
+// Replayer.ReconstructCkpt is the last committed snapshot followed by its pad.
+// It returns how many captures were bases.
 func checkIncShare(t *testing.T, pageSize, pad int, snaps [][]byte, aborted []bool) (bases int) {
 	t.Helper()
 	img := heldImage{incremental: true}
@@ -203,19 +207,37 @@ func checkIncShare(t *testing.T, pageSize, pad int, snaps [][]byte, aborted []bo
 		return nil, fmt.Errorf("no file %s", path)
 	}
 	var committed []byte
+	var lent, copied, want [][]byte // want: each snapshot's bytes when it was captured
+	var stored [][][]byte           // every stored file's parts, kept as storage keeps them
+	var storedWant [][]byte
 	last, sinceBase := 0, 0 // the last committed index, and deltas since its base
 	for k, snap := range snaps {
 		index := k + 1
-		w := codec.GetWriter()
-		payload, prev := img.encode(w, index, snap, pad, pageSize)
-		want, wantPrev := codec.EncodeBaseImage(padImage(bytes.Clone(snap), pad)), 0
+		want = append(want, bytes.Clone(snap))
+		payload, prev := img.encode(index, snap, pad, pageSize)
+		ref, wantPrev := codec.EncodeBaseImage(padImage(bytes.Clone(snap), pad)), 0
 		if last != 0 && sinceBase < BaseEvery-1 {
-			want = codec.EncodeDelta(padImage(bytes.Clone(committed), pad), padImage(bytes.Clone(snap), pad), pageSize)
+			ref = codec.EncodeDelta(padImage(bytes.Clone(committed), pad), padImage(bytes.Clone(snap), pad), pageSize)
 			wantPrev = last
 		}
-		if prev != wantPrev || !bytes.Equal(payload, want) {
+		if prev != wantPrev || !bytes.Equal(bytes.Join(payload, nil), ref) {
 			t.Fatalf("capture %d (page %d, pad %d): prev %d and a %d-byte payload, want prev %d and the reference's %d bytes",
-				k, pageSize, pad, prev, len(payload), wantPrev, len(want))
+				k, pageSize, pad, prev, fileLen(payload), wantPrev, len(ref))
+		}
+		file := encodeCkptFile(IndepInc, CkptFile{Index: index, Prev: prev}, payload, 0)
+		if got, wantFile := bytes.Join(file, nil), flatCkptFile(IndepInc, CkptFile{Index: index, Prev: prev, State: ref}, 0); !bytes.Equal(got, wantFile) {
+			t.Fatalf("capture %d (page %d, pad %d): the gathered file is %d bytes that are not the reference payload's %d-byte record",
+				k, pageSize, pad, len(got), len(wantFile))
+		}
+		if len(snap) > 0 && overlaps(img.next[0], snap) {
+			lent = append(lent, snap)
+		} else {
+			copied = append(copied, snap)
+		}
+		for i, part := range payload {
+			if (overlaps(part, snap) || heldOverlap(img.pages, part)) && !heldOverlap(img.next, part) {
+				t.Fatalf("capture %d (page %d, pad %d): payload part %d borrows bytes that are not the pending image's", k, pageSize, pad, i)
+			}
 		}
 		if prev == 0 {
 			bases++
@@ -223,17 +245,45 @@ func checkIncShare(t *testing.T, pageSize, pad int, snaps [][]byte, aborted []bo
 		if aborted[k] {
 			img.abort()
 		} else {
-			files[IndepInc.StatePath(0, index)] = bytes.Join(encodeCkptFile(IndepInc, CkptFile{Index: index, Prev: prev, State: payload}, nil, 0), nil)
+			files[IndepInc.StatePath(0, index)] = bytes.Join(file, nil)
+			stored, storedWant = append(stored, file), append(storedWant, bytes.Join(file, nil))
 			img.commit()
 			committed, last = snap, index
 			if sinceBase++; prev == 0 {
 				sinceBase = 0
 			}
 		}
-		w.Free()
+		for j, c := range copied {
+			for i, f := range stored {
+				for _, part := range f {
+					if overlaps(part, c) {
+						t.Fatalf("capture %d (page %d, pad %d): stored file %d aliases the copied-from snapshot #%d", k, pageSize, pad, i, j)
+					}
+				}
+			}
+			if heldOverlap(img.pages, c) {
+				t.Fatalf("capture %d (page %d, pad %d): the held image aliases the copied-from snapshot #%d", k, pageSize, pad, j)
+			}
+		}
+		for i, f := range stored {
+			if !bytes.Equal(bytes.Join(f, nil), storedWant[i]) {
+				t.Fatalf("capture %d (page %d, pad %d): stored file %d was written", k, pageSize, pad, i)
+			}
+		}
+		for i := range want {
+			if !bytes.Equal(snaps[i], want[i]) {
+				t.Fatalf("capture %d (page %d, pad %d): snapshot %d was written", k, pageSize, pad, i)
+			}
+		}
 		if got := bytes.Join(img.pages, nil); !bytes.Equal(got, committed) {
 			t.Fatalf("capture %d (page %d, pad %d): the held image is %d bytes that are not the last committed snapshot's %d",
 				k, pageSize, pad, len(got), len(committed))
+		}
+		if reach := heldReach(img.pages, lent); reach > 2*len(committed) {
+			t.Fatalf("capture %d (page %d, pad %d): the held image of %d bytes keeps %d reachable", k, pageSize, pad, len(committed), reach)
+		}
+		if len(img.next) != 0 {
+			t.Fatalf("capture %d (page %d, pad %d): %d pages still pending after the commit or abort", k, pageSize, pad, len(img.next))
 		}
 		if last == 0 {
 			continue
@@ -245,6 +295,16 @@ func checkIncShare(t *testing.T, pageSize, pad int, snaps [][]byte, aborted []bo
 		}
 	}
 	return bases
+}
+
+// heldOverlap reports whether b shares memory with one of pages.
+func heldOverlap(pages [][]byte, b []byte) bool {
+	for _, page := range pages {
+		if overlaps(page, b) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSharedImageSequences: each snapshot sequence under checkShare, with the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/codec"
 	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -299,25 +298,22 @@ type ckptCapture struct {
 	lib   []byte
 	prev  int
 
-	// The record's state section is state, then image, then pad zero bytes.
-	// Under full capture state is empty, image the parts the node's held
-	// image gathers the snapshot from (heldImage.share) and pad the process
-	// image's size: the padded image is never built, the file is gathered from
-	// those parts and the shared zero page. Under incremental capture image is
-	// empty and state the base/delta payload (pad 0), encoded from the bare
-	// snapshot (heldImage.encode) into scratch's pooled buffer, which it
-	// aliases until it is embedded in the file.
-	state   []byte
-	image   [][]byte
-	pad     int
-	scratch *codec.Writer
+	// The record's state section is image, then pad zero bytes: the parts the
+	// node's held image gathers it from (heldImage.capture). Under full
+	// capture image is the snapshot's pages and pad the process image's size:
+	// the padded image is never built, the file is gathered from those parts
+	// and the shared zero page. Under incremental capture image is the
+	// base/delta payload's parts, its literals borrowed from the image's
+	// pages, and pad 0.
+	image [][]byte
+	pad   int
 
 	consumed []uint64  // SenderLog: per-sender consumed SSNs at the capture
 	gate     *sim.Gate // opened on completion when the application is waiting
 }
 
 // stateBytes is the size of the record's state section.
-func (c *ckptCapture) stateBytes() int { return len(c.state) + fileLen(c.image) + c.pad }
+func (c *ckptCapture) stateBytes() int { return fileLen(c.image) + c.pad }
 
 // capture closes the current checkpoint interval at tn.index: its receive
 // edges are detached (sorted for determinism) to be persisted with this
@@ -381,16 +377,12 @@ func (tn *timerNode) save(p *sim.Proc, c *ckptCapture) {
 // failure; the skip counter surfaces how often it happened.
 func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
-		// An incremental c.state aliases the pooled scratch; it is embedded
-		// (copied) into file below and only its length is read after that, so
-		// the scratch is recycled when the job ends — even by a crash
-		// unwinding it mid-write. A full image's parts are the snapshot or
-		// pages of the held image, which file lends to stable storage and
-		// nobody writes again.
-		defer c.scratch.Free()
+		// c.image's parts are the snapshot, pages of the held image or of the
+		// pending one, and framing: file lends them to stable storage, and
+		// nobody writes them again.
 		s := tn.s
 		k := c.index
-		file := encodeCkptFile(s.v, CkptFile{Index: k, Prev: c.prev, Deps: c.deps, State: c.state, Lib: c.lib}, c.image, c.pad)
+		file := encodeCkptFile(s.v, CkptFile{Index: k, Prev: c.prev, Deps: c.deps, Lib: c.lib}, c.image, c.pad)
 		wsp := s.m.Obs.Start(tn.n.ID, obs.TidDaemon, "ckpt.disk_write").WithArg("index", int64(k))
 		err := writeSegmentedChecked(p, tn.n, s.v.StatePath(tn.n.ID, k), file, false)
 		wsp.End()

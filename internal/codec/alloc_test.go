@@ -3,26 +3,24 @@ package codec
 import "testing"
 
 // alloc_test.go — allocation-regression pins for the codec's reuse APIs. The
-// steady-state encode/decode cycle of the checkpoint hot path must not
-// allocate: a pooled writer's buffer is reused across streams, a reset reader
-// decodes in place, and the *Into/*Borrow variants avoid the copying the
-// plain accessors do. The pins are exact zeros, which is why the writer free
-// list is a mutex-guarded stack rather than a sync.Pool — GC-driven emptying
-// would make them flaky.
+// steady-state encode/decode cycle of the checkpoint hot path allocates only
+// what it hands on: a writer its owner Resets reuses its buffer, a reset
+// reader decodes in place, the *Into/*Borrow variants avoid the copying the
+// plain accessors do, and a Gatherer's scratch is reused, so a payload costs
+// its framing and its list of parts.
 
-// TestAllocsPooledWriterRoundTrip pins a full scalar round trip — GetWriter,
-// encode, read back via a stack Reader, Free — at zero allocations once the
-// pooled buffer is warm.
-func TestAllocsPooledWriterRoundTrip(t *testing.T) {
-	// Warm one pooled writer to the working-set size.
-	w := GetWriter()
+// TestAllocsWriterResetRoundTrip pins a full scalar round trip — encode into
+// a reused writer, read back via a stack Reader, Reset — at zero allocations
+// once the writer's buffer is warm.
+func TestAllocsWriterResetRoundTrip(t *testing.T) {
+	// Warm the writer to the working-set size.
+	w := NewWriter()
 	for i := 0; i < 64; i++ {
 		w.U64(uint64(i))
 	}
-	w.Free()
 	payload := []byte("payload bytes that ride along")
 	allocs := testing.AllocsPerRun(200, func() {
-		w := GetWriter()
+		w.Reset()
 		w.U64(42)
 		w.Int(-7)
 		w.F64(3.5)
@@ -39,10 +37,9 @@ func TestAllocsPooledWriterRoundTrip(t *testing.T) {
 		if r.Err() != nil {
 			t.Fatalf("round trip error: %v", r.Err())
 		}
-		w.Free()
 	})
 	if allocs != 0 {
-		t.Fatalf("pooled round trip allocates %.1f objects per cycle, want 0", allocs)
+		t.Fatalf("reused-writer round trip allocates %.1f objects per cycle, want 0", allocs)
 	}
 }
 
@@ -70,51 +67,54 @@ func TestAllocsF64sInto(t *testing.T) {
 	}
 }
 
-// TestAllocsBaseImageEncodeTo pins the incremental capture's base-image
-// encode into a pooled writer at zero allocations — the steady-state cost of
-// a checkpoint payload is the writer's (reused) buffer and nothing else.
-func TestAllocsBaseImageEncodeTo(t *testing.T) {
+// pagesOf cuts img into the page-size slices a Gatherer is handed.
+func pagesOf(img []byte, pageSize int) [][]byte {
+	var pages [][]byte
+	for lo := 0; lo < len(img); lo += pageSize {
+		pages = append(pages, img[lo:min(lo+pageSize, len(img))])
+	}
+	return pages
+}
+
+// TestAllocsGatherBase pins the incremental capture's base-image encode with
+// a warm Gatherer at the two objects it returns, the framing and the list of
+// parts — the literals are borrowed, the scratch reused.
+func TestAllocsGatherBase(t *testing.T) {
 	img := make([]byte, 8192)
 	for i := 0; i < len(img); i += 97 {
 		img[i] = byte(i)
 	}
-	// Warm a pooled buffer to the encoded size.
-	w := GetWriter()
-	EncodeBaseImageTo(w, img, 0)
-	w.Free()
+	pages := pagesOf(img, 4096)
+	var g Gatherer
+	g.Base(pages, 100)
 	allocs := testing.AllocsPerRun(100, func() {
-		w := GetWriter()
-		if p := EncodeBaseImageTo(w, img, 0); len(p) == 0 {
+		if p := g.Base(pages, 100); len(p) == 0 {
 			t.Fatal("empty base payload")
 		}
-		w.Free()
 	})
-	if allocs != 0 {
-		t.Fatalf("pooled base-image encode allocates %.1f objects per run, want 0", allocs)
+	if allocs != 2 {
+		t.Fatalf("gathered base-image encode allocates %.1f objects per run, want 2 (framing, parts)", allocs)
 	}
 }
 
-// TestAllocsDeltaEncodeToClean pins the no-dirty-pages delta encode — the
-// common steady-state when little state changed between checkpoints — at
-// zero allocations with a pooled writer: the clean scan finds no page, and
-// the encode writes the header.
-func TestAllocsDeltaEncodeToClean(t *testing.T) {
+// TestAllocsGatherDeltaClean pins the no-dirty-pages delta encode — the common
+// steady state when little changed between checkpoints — at the two objects
+// it returns: the clean scan finds no page, and the encode writes the header.
+func TestAllocsGatherDeltaClean(t *testing.T) {
 	img := make([]byte, 8192)
 	for i := 0; i < len(img); i += 113 {
 		img[i] = byte(i >> 3)
 	}
-	w := GetWriter()
-	EncodeDeltaTo(w, len(img), img, 0, 4096, nil)
-	w.Free()
+	pages := pagesOf(img, 4096)
+	var g Gatherer
+	g.Delta(len(img), pages, 0, 4096, nil)
 	allocs := testing.AllocsPerRun(100, func() {
-		w := GetWriter()
-		if p := EncodeDeltaTo(w, len(img), img, 0, 4096, DirtyPages(img, img, 4096)); len(p) == 0 {
-			t.Fatal("empty delta payload")
+		if p := g.Delta(len(img), pages, 0, 4096, DirtyPages(img, img, 4096)); len(p) != 1 {
+			t.Fatalf("a clean delta in %d parts, want its header alone", len(p))
 		}
-		w.Free()
 	})
-	if allocs != 0 {
-		t.Fatalf("pooled clean-delta encode allocates %.1f objects per run, want 0", allocs)
+	if allocs != 2 {
+		t.Fatalf("gathered clean-delta encode allocates %.1f objects per run, want 2 (framing, parts)", allocs)
 	}
 }
 

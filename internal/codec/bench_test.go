@@ -26,15 +26,18 @@ func benchImage(size, stride int) []byte {
 
 func BenchmarkBaseImageRoundTrip(b *testing.B) {
 	img := benchImage(64<<10, 129)
-	w := GetWriter()
-	defer w.Free()
+	pages := pagesOf(img, 4096)
+	var g Gatherer
+	var flat Writer
 	b.ReportAllocs()
 	b.SetBytes(int64(len(img)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Reset()
-		payload := EncodeBaseImageTo(w, img, 0)
-		if _, err := decodeBaseImage(nil, payload); err != nil {
+		flat.Reset()
+		for _, part := range g.Base(pages, 0) {
+			flat.buf = append(flat.buf, part...)
+		}
+		if _, err := decodeBaseImage(nil, flat.buf); err != nil {
 			b.Fatalf("decode: %v", err)
 		}
 	}
@@ -49,41 +52,42 @@ func BenchmarkDeltaRoundTrip(b *testing.B) {
 	for p := 0; p < len(cur)/pageSize; p += 4 {
 		cur[p*pageSize+rng.Intn(pageSize)] ^= 0x5a
 	}
-	w := GetWriter()
-	defer w.Free()
+	pages := pagesOf(cur, pageSize)
+	var g Gatherer
+	var flat Writer
 	b.ReportAllocs()
 	b.SetBytes(int64(len(cur)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Reset()
-		payload := EncodeDeltaTo(w, len(prev), cur, 0, pageSize, DirtyPages(prev, cur, pageSize))
-		if _, err := ApplyDelta(prev, payload); err != nil {
+		flat.Reset()
+		for _, part := range g.Delta(len(prev), pages, 0, pageSize, DirtyPages(prev, cur, pageSize)) {
+			flat.buf = append(flat.buf, part...)
+		}
+		if _, err := ApplyDelta(prev, flat.buf); err != nil {
 			b.Fatalf("apply: %v", err)
 		}
 	}
 }
 
 // BenchmarkDeltaEncodeClean is the steady-state floor: nothing changed, the
-// scan finds no dirty page and the encoder only emits the header. This is the path the alloc tests
-// pin at zero allocations.
+// scan finds no dirty page and the encoder only emits the header. This is the
+// path TestAllocsGatherDeltaClean pins at its two returned objects.
 func BenchmarkDeltaEncodeClean(b *testing.B) {
 	img := benchImage(64<<10, 129)
-	w := GetWriter()
-	defer w.Free()
+	pages := pagesOf(img, 4096)
+	var g Gatherer
 	b.ReportAllocs()
 	b.SetBytes(int64(len(img)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Reset()
-		EncodeDeltaTo(w, len(img), img, 0, 4096, DirtyPages(img, img, 4096))
+		g.Delta(len(img), pages, 0, 4096, DirtyPages(img, img, 4096))
 	}
 }
 
 // BenchmarkScalarStream measures the fixed-width scalar hot loop shared by
 // every protocol codec (dependency vectors, sequence counters).
 func BenchmarkScalarStream(b *testing.B) {
-	w := GetWriter()
-	defer w.Free()
+	w := NewWriter()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -111,8 +115,7 @@ func BenchmarkF64s(b *testing.B) {
 	for i := range vs {
 		vs[i] = float64(i) * 0.5
 	}
-	w := GetWriter()
-	defer w.Free()
+	w := NewWriter()
 	w.F64s(vs)
 	stream := append([]byte(nil), w.Bytes()...)
 	dst := make([]float64, len(vs))

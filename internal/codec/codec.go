@@ -13,6 +13,31 @@ import (
 	"slices"
 )
 
+// Buffer ownership.
+//
+// Encoded streams in this system fall into three ownership classes. Blobs
+// handed to the fabric or to stable storage (checkpoint files, message bodies)
+// must be freshly owned and are never written again: an envelope keeps its
+// payload alive while in flight, the storage server keeps the very slices it
+// is handed as the file's extents (and a timed-out storage call can leave an
+// abandoned request it serves later), and sender-based logging retains message
+// bodies for replay — none of these have a trackable death point, so their
+// writers are plain NewWriter allocations (NewWriterSize for the two ends of a
+// checkpoint record, whose size is known), and a Gatherer's framing is a fresh
+// buffer of its exact size. An application's Snapshot is in this class by
+// contract (par.Snapshotter), which is what lets a checkpoint file lend it to
+// storage instead of copying it — whole, as pages, or as the literals of an
+// incremental payload — or borrow its unchanged pages from earlier snapshots
+// and earlier copies of changed pages, all never written again, and what lets
+// a node's image holder (package ckpt) keep those pages as the image the next
+// capture is compared with. A buffer with one owner that outlives its uses —
+// a Replayer's image and page, a Gatherer's scratch, the scratch handed to
+// storage's Peek, a writer its owner Resets — is simply reused by its owner,
+// and what it lends out is valid until the owner's next use. The third class
+// is shared and immutable: ckpt's zero page, the padding of every process
+// image, which any number of files, requests and stored extents borrow at
+// once because nobody, ever, writes it.
+
 // Writer accumulates an encoded byte stream.
 type Writer struct {
 	buf     []byte
@@ -32,7 +57,7 @@ func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 // next stream is counted toward the perf byte counters independently of the
 // previous one. Slices previously returned by Bytes alias the retained
 // buffer and are invalidated by further writes — resetting is only correct
-// once the previous stream is dead (see GetWriter/Free).
+// once the previous stream is dead (see Buffer ownership).
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
 	w.counted = false
@@ -80,10 +105,6 @@ func (w *Writer) Bytes8(b []byte) {
 	w.Int(len(b))
 	w.buf = append(w.buf, b...)
 }
-
-// Raw appends b as it is, with no length prefix: the body of a section whose
-// prefix the caller wrote itself because more than b belongs to it.
-func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) { w.Bytes8([]byte(s)) }

@@ -36,20 +36,12 @@ const minZeroRun = 32
 // length fields fail fast instead of allocating gigabytes.
 const maxImageBytes = 1 << 28
 
-// EncodeBaseImage encodes a full image as a zero-run-compressed base payload.
+// EncodeBaseImage encodes a full image as a zero-run-compressed base payload,
+// in one buffer.
 func EncodeBaseImage(cur []byte) []byte {
-	return EncodeBaseImageTo(NewWriter(), cur, 0)
-}
-
-// EncodeBaseImageTo encodes the image cur followed by pad zero bytes — a
-// snapshot padded to the process image, the padding never materialised —
-// writing into a caller-supplied writer (typically pooled scratch: the payload
-// is embedded into an enclosing checkpoint file and the writer freed). The
-// returned bytes alias w's buffer.
-func EncodeBaseImageTo(w *Writer, cur []byte, pad int) []byte {
-	w.U64(baseMagic)
-	writeZeroRLE(w, cur, pad)
-	return w.Bytes()
+	g := Gatherer{flat: true}
+	g.base([][]byte{cur}, 0)
+	return g.w.Bytes()
 }
 
 // decodeBaseImage decodes a base payload produced by EncodeBaseImage into
@@ -114,40 +106,144 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// EncodeDelta encodes the pages of cur that differ from prev. prev is the
-// previous image in the chain (zero-extended or truncated if the state
-// changed size); pageSize is the app's StatePageSize. The payload replays
-// against exactly len(prev) bytes — ApplyDelta enforces the match, which is
-// what makes a broken chain detectable.
+// EncodeDelta encodes the pages of cur that differ from prev, in one buffer.
+// prev is the previous image in the chain (zero-extended or truncated if the
+// state changed size); pageSize is the app's StatePageSize. The payload
+// replays against exactly len(prev) bytes — ApplyDelta enforces the match,
+// which is what makes a broken chain detectable.
 func EncodeDelta(prev, cur []byte, pageSize int) []byte {
-	return EncodeDeltaTo(NewWriter(), len(prev), cur, 0, pageSize, DirtyPages(prev, cur, pageSize))
+	dirty := DirtyPages(prev, cur, pageSize)
+	var pages [][]byte
+	for lo := 0; lo < len(cur); lo += pageSize {
+		pages = append(pages, cur[lo:min(lo+pageSize, len(cur))])
+	}
+	g := Gatherer{flat: true}
+	g.delta(len(prev), pages, 0, pageSize, dirty)
+	return g.w.Bytes()
 }
 
-// EncodeDeltaTo encodes the pages dirty (ascending indices) of the image cur
-// followed by pad zero bytes as a delta against an image of prevLen bytes,
-// writing into a caller-supplied writer (typically pooled scratch; see
-// EncodeBaseImageTo). It compares nothing: dirty is the caller's, and must be
-// the page set DirtyPages gives for the two images. The pad is not
-// materialised: a page's bytes past cur are written as the zeros they are. The
-// returned bytes alias w's buffer.
-func EncodeDeltaTo(w *Writer, prevLen int, cur []byte, pad int, pageSize int, dirty []int) []byte {
+// A Gatherer encodes base and delta payloads as the parts they join from, so
+// an image's literal bytes travel as borrowed slices of its pages instead of
+// as copies. The framing — magic, lengths, page indices, zero-run record
+// headers, and the few zeros a pad ends a literal with — goes into one freshly
+// owned buffer of its exact size; every literal is a sub-slice of the pages
+// the image is handed as, which nothing may write while a part borrows them.
+// The image is its pages joined, each pageSize bytes but the last, followed
+// by pad zero bytes that are never materialised. A Gatherer keeps its scratch
+// from one payload to the next, so its owner's steady-state encodes allocate
+// only the framing and the list of parts they return. The zero value is ready
+// to use; EncodeBaseImage and EncodeDelta are the same encoders on a flat
+// Gatherer, which copies its literals into the one buffer it returns.
+type Gatherer struct {
+	w     Writer   // the framing under construction; flat: the whole payload
+	parts [][]byte // borrowed literals, and a nil for each framing part
+	cuts  []int    // where each framing part ends in w.buf, in order
+	flat  bool
+}
+
+// Base returns the parts of the base payload of the image held as pages.
+func (g *Gatherer) Base(pages [][]byte, pad int) [][]byte {
+	g.reset()
+	g.base(pages, pad)
+	return g.done()
+}
+
+// Delta returns the parts of the delta payload of the pages dirty (ascending
+// indices) of the image held as pages, against an image of prevLen bytes. It
+// compares nothing: dirty is the caller's, and must be the page set
+// DirtyPages gives for the two images. A dirty page past pages lies in the pad
+// and is all zeros.
+func (g *Gatherer) Delta(prevLen int, pages [][]byte, pad, pageSize int, dirty []int) [][]byte {
+	g.reset()
+	g.delta(prevLen, pages, pad, pageSize, dirty)
+	return g.done()
+}
+
+func (g *Gatherer) reset() {
+	g.w.buf, g.parts, g.cuts = g.w.buf[:0], g.parts[:0], g.cuts[:0]
+}
+
+func (g *Gatherer) base(pages [][]byte, pad int) {
+	g.w.U64(baseMagic)
+	g.zeroRLE(pages, pad)
+}
+
+func (g *Gatherer) delta(prevLen int, pages [][]byte, pad, pageSize int, dirty []int) {
 	if pageSize <= 0 {
 		panic("codec: page size must be positive")
 	}
-	total := len(cur) + pad
-	w.U64(deltaMagic)
-	w.Int(total)
-	w.Int(prevLen)
-	w.Int(pageSize)
-	w.Int(len(dirty))
-	for _, idx := range dirty {
-		off := idx * pageSize
-		end := min(off+pageSize, total)
-		w.Int(idx)
-		page := cur[min(off, len(cur)):min(end, len(cur))]
-		writeZeroRLE(w, page, end-off-len(page))
+	total := pad
+	for _, p := range pages {
+		total += len(p)
 	}
-	return w.Bytes()
+	g.w.U64(deltaMagic)
+	g.w.Int(total)
+	g.w.Int(prevLen)
+	g.w.Int(pageSize)
+	g.w.Int(len(dirty))
+	for _, idx := range dirty {
+		n := min(idx*pageSize+pageSize, total) - idx*pageSize
+		g.w.Int(idx)
+		if idx < len(pages) {
+			g.zeroRLE(pages[idx:idx+1], n-len(pages[idx]))
+		} else {
+			g.zeroRLE(nil, n)
+		}
+	}
+}
+
+// borrow appends b, a literal's bytes, to the payload.
+func (g *Gatherer) borrow(b []byte) {
+	if g.flat {
+		g.w.buf = append(g.w.buf, b...)
+		return
+	}
+	g.cut()
+	g.parts = AppendPart(g.parts, b)
+}
+
+// cut makes the framing written since the last part a part.
+func (g *Gatherer) cut() {
+	last := 0
+	if len(g.cuts) > 0 {
+		last = g.cuts[len(g.cuts)-1]
+	}
+	if len(g.w.buf) > last {
+		g.parts, g.cuts = append(g.parts, nil), append(g.cuts, len(g.w.buf))
+	}
+}
+
+// done returns the payload's parts: the framing moved into a buffer of its own
+// and a list of its own, the scratch keeping no page reachable.
+func (g *Gatherer) done() [][]byte {
+	g.cut()
+	frame := make([]byte, len(g.w.buf))
+	copy(frame, g.w.buf)
+	parts := make([][]byte, len(g.parts))
+	size, at, k := 0, 0, 0
+	for i, p := range g.parts {
+		if p == nil {
+			p, at, k = frame[at:g.cuts[k]:g.cuts[k]], g.cuts[k], k+1
+		}
+		parts[i] = p
+		size += len(p)
+	}
+	clear(g.parts)
+	countEncoded(size)
+	return parts
+}
+
+// AppendPart appends b, which must not be empty, to parts — the slices a
+// gathered stream joins from — extending the last part instead when b
+// continues its memory: the pages of one lent snapshot travel as one part.
+func AppendPart(parts [][]byte, b []byte) [][]byte {
+	if n := len(parts); n > 0 {
+		if last := parts[n-1]; cap(last) > len(last) && &last[:len(last)+1][len(last)] == &b[0] {
+			parts[n-1] = last[:len(last)+len(b)]
+			return parts
+		}
+	}
+	return append(parts, b)
 }
 
 // Replayer replays checkpoint chains into buffers it owns and reuses, so a
@@ -257,26 +353,99 @@ func (rp *Replayer) applyDelta(prev []byte, inPlace bool, payload []byte) ([]byt
 	return out, nil
 }
 
-// writeZeroRLE appends b followed by pad zero bytes as a zero-run-compressed
-// stream: the decoded length, then (literal length, literal bytes, zero-run
-// length) records until the length is covered. Only maximal runs of at least
-// minZeroRun zeros become holes, so the stream never grows by more than one
-// record's framing. The pad extends whatever zero run ends b; only when that
-// run stays shorter than minZeroRun are its zeros written, as the end of the
+// zeroRLE appends the image joined from segs followed by pad zero bytes as a
+// zero-run-compressed stream: the decoded length, then (literal length,
+// literal bytes, zero-run length) records until the length is covered. Only
+// maximal runs of at least minZeroRun zeros become holes, so the stream never
+// grows by more than one record's framing. A run may cross from one segment
+// into the next and on into the pad; only when the run that reaches the end
+// stays shorter than minZeroRun are the pad's zeros written, as the end of the
 // last literal.
-func writeZeroRLE(w *Writer, b []byte, pad int) {
-	total := len(b) + pad
-	w.Int(total)
-	for i := 0; i < total; {
-		runStart, runEnd := nextZeroRun(b, i, total)
-		w.Int(runStart - i)
-		w.buf = append(w.buf, b[i:min(runStart, len(b))]...)
-		if runStart > len(b) {
-			w.buf = append(w.buf, make([]byte, runStart-len(b))...) // no run: the pad ends the literal
-		}
-		w.Int(runEnd - runStart)
-		i = runEnd
+func (g *Gatherer) zeroRLE(segs [][]byte, pad int) {
+	rs := rleStream{g: g, segs: segs}
+	total := pad
+	for _, p := range segs {
+		total += len(p)
 	}
+	g.w.Int(total)
+	zeros, off := 0, 0 // a zero run [zeros, off) reaches the segment at off
+	for _, p := range segs {
+		i := leadingZeros(p)
+		if i == len(p) {
+			off += len(p)
+			continue
+		}
+		if off+i-zeros >= minZeroRun {
+			rs.record(zeros, off+i)
+		}
+		for {
+			// Past p, a run could go on: pretend minZeroRun zeros follow, and a
+			// run that reaches p's end is reported as ending past it.
+			start, end := nextZeroRun(p, i, len(p)+minZeroRun)
+			if end > len(p) {
+				zeros = off + start
+				break
+			}
+			rs.record(off+start, off+end)
+			i = end
+		}
+		off += len(p)
+	}
+	if total-zeros >= minZeroRun {
+		rs.record(zeros, total)
+	}
+	if rs.at < total {
+		rs.record(total, total)
+	}
+}
+
+// rleStream writes zeroRLE's records, reading literals from segs in order.
+type rleStream struct {
+	g        *Gatherer
+	segs     [][]byte
+	seg, off int // the next unread byte is segs[seg][off]
+	at       int // the image offset records cover up to
+}
+
+// record writes the record of the literal up to runStart and the zero run
+// [runStart, runEnd).
+func (rs *rleStream) record(runStart, runEnd int) {
+	rs.g.w.Int(runStart - rs.at)
+	rs.take(runStart-rs.at, true)
+	rs.g.w.Int(runEnd - runStart)
+	rs.take(runEnd-runStart, false)
+	rs.at = runEnd
+}
+
+// take moves n bytes on through the image, borrowing them when literal; the
+// pad's bytes of a literal are written as the zeros they are.
+func (rs *rleStream) take(n int, literal bool) {
+	for n > 0 && rs.seg < len(rs.segs) {
+		p := rs.segs[rs.seg][rs.off:]
+		k := min(n, len(p))
+		if literal && k > 0 {
+			rs.g.borrow(p[:k])
+		}
+		n, rs.off = n-k, rs.off+k
+		if rs.off == len(rs.segs[rs.seg]) {
+			rs.seg, rs.off = rs.seg+1, 0
+		}
+	}
+	if literal && n > 0 {
+		rs.g.w.buf = append(rs.g.w.buf, make([]byte, n)...)
+	}
+}
+
+// leadingZeros counts the zero bytes b starts with, a word at a time.
+func leadingZeros(b []byte) int {
+	i := 0
+	for i+8 <= len(b) && binary.LittleEndian.Uint64(b[i:]) == 0 {
+		i += 8
+	}
+	for i < len(b) && b[i] == 0 {
+		i++
+	}
+	return i
 }
 
 // nextZeroRun returns the first maximal run of at least minZeroRun zero bytes

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // The encoders as they were before they took a bare snapshot and a pad count:
@@ -93,6 +94,43 @@ func refEncodeDelta(prev, cur []byte, pageSize int) []byte {
 	return w.Bytes()
 }
 
+// within reports whether b lies in s's memory.
+func within(b, s []byte) bool {
+	if len(b) == 0 || len(s) == 0 {
+		return false
+	}
+	pb, ps := uintptr(unsafe.Pointer(unsafe.SliceData(b))), uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return ps <= pb && pb+uintptr(len(b)) <= ps+uintptr(len(s))
+}
+
+// snapLiterals counts the literal bytes of a base or delta payload that lie in
+// the snapshot, its image's first snapLen bytes; a literal's bytes past them
+// are the pad's zeros.
+func snapLiterals(payload []byte, snapLen int, delta bool) int {
+	r := NewReader(payload)
+	r.U64()
+	n, pages, pageSize := 0, 1, 0
+	if delta {
+		r.Int()
+		r.Int()
+		pageSize = r.Int()
+		pages = r.Int()
+	}
+	for range pages {
+		at := 0 // the image offset of the stream's first byte
+		if delta {
+			at = r.Int() * pageSize
+		}
+		for end := at + r.Int(); at < end; {
+			lit := r.Int()
+			n += max(0, min(at+lit, snapLen)-at)
+			r.off += lit
+			at += lit + r.Int()
+		}
+	}
+	return n
+}
+
 // padded materialises an image: b followed by pad zero bytes.
 func padded(b []byte, pad int) []byte {
 	return append(append([]byte(nil), b...), make([]byte, pad)...)
@@ -116,11 +154,14 @@ func shaped(in []byte) []byte {
 
 // FuzzPaddedEncode holds the encoders that read a bare snapshot and a pad
 // count to the materialising references: for any snapshot and pad, previous
-// snapshot and pad, and page size, the base payload, the delta payload and
-// the dirty-page set are byte-identical to the ones the padded images give
-// (the delta written from the bare snapshot and pad, of the padded images'
-// dirty pages: the compare itself is the checkpointer's, held to EncodeDelta
-// by ckpt's FuzzSharedImage).
+// snapshot and pad, and page size, the gathered base and delta payloads —
+// the snapshot handed as its pages, zero runs crossing them — join to the
+// bytes the padded images give, with every literal byte a borrow of the
+// snapshot and nothing else outside it but framing and the pad's literal
+// zeros; the delta is written of the padded images' dirty pages (the compare
+// itself is the checkpointer's, held to EncodeDelta by ckpt's
+// FuzzSharedImage). The one-buffer encoders and the dirty-page set match
+// their references too.
 // The previous snapshot shares a fuzzed prefix with the current one, so deltas
 // carry clean pages as well as dirty ones.
 func FuzzPaddedEncode(f *testing.F) {
@@ -143,22 +184,37 @@ func FuzzPaddedEncode(f *testing.F) {
 		page := max(int(pageSize)%8192, 1)
 		curImg, prevImg := padded(cur, int(pad)), padded(prev, int(prevPad))
 
-		w := GetWriter()
-		if got, want := EncodeBaseImageTo(w, cur, int(pad)), refEncodeBase(curImg); !bytes.Equal(got, want) {
-			t.Fatalf("base payload of %d+%d bytes: %d bytes, the padded image encodes to %d", len(cur), pad, len(got), len(want))
+		// The image goes to the gather encoders as the pages a holder keeps, the
+		// pad as a count; every literal byte of cur must be a borrow of it.
+		pages := pagesOf(cur, page)
+		var g Gatherer
+		check := func(what string, parts [][]byte, want []byte) []byte {
+			t.Helper()
+			got := bytes.Join(parts, nil)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s payload of %d+%d bytes (page %d, against %d+%d): %d bytes, the padded images encode to %d",
+					what, len(cur), pad, page, len(prev), prevPad, len(got), len(want))
+			}
+			outside := 0
+			for _, part := range parts {
+				if !within(part, cur) {
+					outside += len(part)
+				}
+			}
+			if lits := snapLiterals(want, len(cur), what == "delta"); outside != len(want)-lits {
+				t.Fatalf("%s payload: %d bytes outside the snapshot, want all but its %d literal bytes in the snapshot: %d",
+					what, outside, lits, len(want)-lits)
+			}
+			return got
 		}
-		w.Free()
-
-		w = GetWriter()
-		d := EncodeDeltaTo(w, len(prevImg), cur, int(pad), page, DirtyPages(prevImg, curImg, page))
-		if want := refEncodeDelta(prevImg, curImg, page); !bytes.Equal(d, want) {
-			t.Fatalf("delta payload of %d+%d against %d+%d bytes, page %d: %d bytes, the padded images encode to %d",
-				len(cur), pad, len(prev), prevPad, page, len(d), len(want))
-		}
+		check("base", g.Base(pages, int(pad)), refEncodeBase(curImg))
+		d := check("delta", g.Delta(len(prevImg), pages, int(pad), page, DirtyPages(prevImg, curImg, page)), refEncodeDelta(prevImg, curImg, page))
 		if got, err := ApplyDelta(prevImg, d); err != nil || !bytes.Equal(got, curImg) {
 			t.Fatalf("delta does not replay to the padded image: %v", err)
 		}
-		w.Free()
+		if !bytes.Equal(EncodeBaseImage(curImg), refEncodeBase(curImg)) || !bytes.Equal(EncodeDelta(prevImg, curImg, page), refEncodeDelta(prevImg, curImg, page)) {
+			t.Fatal("the one-buffer encoders differ from the references")
+		}
 
 		if got, want := DirtyPages(prevImg, curImg, page), refDirtyPages(prevImg, curImg, page); !slices.Equal(got, want) {
 			t.Fatalf("dirty pages %v, the reference finds %v", got, want)
