@@ -231,7 +231,7 @@ func schemeLine(name string, wl apps.Workload, interval sim.Duration) (string, e
 	if !ok {
 		return "", fmt.Errorf("scheme %q does not parse", name)
 	}
-	run := core.Start(wl, core.Default().WithScheme(v, interval, 3))
+	run := core.Start(wl, core.Config{Machine: par.DefaultConfig(), Scheme: v, Interval: interval, MaxCheckpoints: 3})
 	res, err := run.Finish()
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", name, err)

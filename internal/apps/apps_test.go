@@ -94,7 +94,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestSnapshotSizesReflectState(t *testing.T) {
 	// A node's ISING share of an LxL spin glass is ~17*L*L/8 bytes (1-byte
 	// spins plus two float64 coupling planes); SOR is 8*N*N/8.
-	g := NewIsing(0, 8, DefaultIsing(256, 1))
+	g := isingRank(0, 8, DefaultIsing(256, 1))
 	want := 17 * 256 * 256 / 8
 	if n := len(g.Snapshot()); n < want || n > want+8*256+1024 {
 		t.Fatalf("ising snapshot %d bytes, want ≈%d", n, want)

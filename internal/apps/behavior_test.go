@@ -11,8 +11,8 @@ func TestIsingCouplingsDeterministicAndShared(t *testing.T) {
 	cfg := DefaultIsing(64, 1)
 	// The coupling of a bond must be identical from both owners'
 	// perspectives and across reconstructions.
-	a := NewIsing(0, 8, cfg)
-	b := NewIsing(1, 8, cfg)
+	a := isingRank(0, 8, cfg)
+	b := isingRank(1, 8, cfg)
 	// a's bond below its last row == b's bond above its first row:
 	// a.JV[rows] is the bond (lo_a+rows-1 -> lo_a+rows) = (7 -> 8);
 	// b.JV[0] is the bond above b's block = (7 -> 8) as well.

@@ -116,8 +116,6 @@ func GaussWorkload(cfg GaussConfig) Workload {
 	}
 }
 
-const tagGaussRow = 31
-
 // Run executes the remaining elimination steps and the back-substitution.
 func (g *Gauss) Run(e *mp.Env) {
 	N := g.Cfg.N

@@ -79,14 +79,9 @@ func newIsingPlane(cfg IsingConfig) *isingPlane {
 	return &p
 }
 
-// NewIsing builds rank's share of the lattice, initialized by hashing so all
-// ranks agree with the sequential reference.
-func NewIsing(rank, size int, cfg IsingConfig) *Ising {
-	return newIsing(rank, size, cfg, newIsingPlane(cfg))
-}
-
-// newIsing is NewIsing with the coupling rows aliasing plane's, which
-// IsingWorkload builds once for all its ranks.
+// newIsing builds rank's share of the lattice, initialized by hashing so all
+// ranks agree with the sequential reference. Its coupling rows alias plane's,
+// which IsingWorkload builds once for all its ranks.
 func newIsing(rank, size int, cfg IsingConfig, plane *isingPlane) *Ising {
 	g := &Ising{Cfg: cfg, Rank: rank, Size: size}
 	g.lo, g.hi = blockRange(cfg.L, rank, size)

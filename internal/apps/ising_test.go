@@ -85,6 +85,12 @@ func sequentialIsingRef(cfg IsingConfig) [][]int8 {
 
 // halos returns copies of the rows above and below rank's block, as
 // exchangeHalos would receive them.
+// isingRank builds rank's share of the lattice with a coupling plane of its
+// own, as a rank outside any IsingWorkload.
+func isingRank(rank, size int, cfg IsingConfig) *Ising {
+	return newIsing(rank, size, cfg, newIsingPlane(cfg))
+}
+
 func halos(ranks []*Ising, rank int) (up, down []int8) {
 	size := len(ranks)
 	above := ranks[(rank+size-1)%size].Rows
@@ -109,7 +115,7 @@ func TestIsingKernelMatchesReference(t *testing.T) {
 					got := make([]*Ising, size)
 					want := make([]*Ising, size)
 					for r := range got {
-						got[r], want[r] = NewIsing(r, size, cfg), NewIsing(r, size, cfg)
+						got[r], want[r] = isingRank(r, size, cfg), isingRank(r, size, cfg)
 					}
 					for sweep := 0; sweep < sweeps; sweep++ {
 						for color := 0; color < 2; color++ {
@@ -182,7 +188,7 @@ func FuzzMetropolisAccept(f *testing.F) {
 
 // TestAllocsIsingUpdateColor: a half-sweep allocates nothing.
 func TestAllocsIsingUpdateColor(t *testing.T) {
-	g := NewIsing(1, 4, DefaultIsing(64, 1))
+	g := isingRank(1, 4, DefaultIsing(64, 1))
 	up, down := make([]int8, 64), make([]int8, 64)
 	for j := range up {
 		up[j], down[j] = 1, -1
@@ -199,7 +205,7 @@ func TestAllocsIsingUpdateColor(t *testing.T) {
 
 // BenchmarkIsingHalfSweep is one colour of a 256x256 lattice on one rank.
 func BenchmarkIsingHalfSweep(b *testing.B) {
-	g := NewIsing(0, 1, DefaultIsing(256, 1))
+	g := isingRank(0, 1, DefaultIsing(256, 1))
 	last := len(g.Rows) - 1
 	b.ReportAllocs()
 	b.ResetTimer()

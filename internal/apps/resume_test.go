@@ -56,8 +56,8 @@ func TestIsingResumeAtSweepBoundary(t *testing.T) {
 	cfgHalf := cfgFull
 	cfgHalf.Sweeps = 4
 	got := splitRun(t,
-		func(r, n int) mp.Program { return NewIsing(r, n, cfgHalf) },
-		func(r, n int) mp.Program { return NewIsing(r, n, cfgFull) })
+		func(r, n int) mp.Program { return isingRank(r, n, cfgHalf) },
+		func(r, n int) mp.Program { return isingRank(r, n, cfgFull) })
 	if err := IsingWorkload(cfgFull).Check(got); err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +94,9 @@ func TestIsingResumeFromZeroIsIdentity(t *testing.T) {
 		func(r, n int) mp.Program {
 			c := cfg
 			c.Sweeps = 0
-			return NewIsing(r, n, c)
+			return isingRank(r, n, c)
 		},
-		func(r, n int) mp.Program { return NewIsing(r, n, cfg) })
+		func(r, n int) mp.Program { return isingRank(r, n, cfg) })
 	if err := IsingWorkload(cfg).Check(got); err != nil {
 		t.Fatal(err)
 	}

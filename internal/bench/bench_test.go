@@ -152,9 +152,11 @@ func TestRecoveryLineOnRealRunIsConsistent(t *testing.T) {
 	}
 	g := rdg.FromRecords(n, recs)
 	line := g.RecoveryLine()
-	for _, e := range g.Edges() {
-		if line[e.Receiver] >= e.RecvCkpt && line[e.Sender] <= e.SentInterval {
-			t.Fatalf("orphan edge %v on line %v", e, line)
+	for _, r := range recs {
+		for _, d := range r.Deps {
+			if line[r.Rank] >= r.Index && line[d.SrcRank] <= int(d.SrcIndex) {
+				t.Fatalf("orphan edge %d:%d <- %d:%d on line %v", r.Rank, r.Index, d.SrcRank, d.SrcIndex, line)
+			}
 		}
 	}
 }

@@ -72,8 +72,8 @@ func TestIndependentSchemeRollsBackNonzero(t *testing.T) {
 		t.Fatalf("no virtual time lost on rollback (line %v, latest %v)", line, g.Latest())
 	}
 	dropped := 0
-	for _, d := range g.RollbackCheckpoints(line) {
-		dropped += d
+	for p, latest := range g.Latest() {
+		dropped += latest - line[p]
 	}
 	if dropped <= 0 {
 		t.Fatal("recovery line discards no checkpoint generations")

@@ -237,7 +237,9 @@ func (e *CellError) Unwrap() error { return e.Err }
 // fail-fast: the first failing cell cancels the dispatch and its error —
 // carrying the cell name and seed — is returned, the runner guaranteeing the
 // lowest-indexed failure wins so reports are deterministic under
-// parallelism.
+// parallelism. Once every cell has passed, Sweep checks the zero page that
+// padded every cell's process images (ckpt.ZeroPageIntact) and reports a
+// written one as the storage.zero-page violation, which no single cell owns.
 func Sweep(ctx context.Context, cfg SweepConfig) (SweepReport, error) {
 	o := NewOracle(cfg.Cfg)
 	cells, specs := cfg.Cells()
@@ -266,6 +268,12 @@ func Sweep(ctx context.Context, cfg SweepConfig) (SweepReport, error) {
 	rep := SweepReport{Cells: len(cells), Checks: checks.Load(), Recovered: recovered.Load()}
 	if err != nil {
 		return rep, err
+	}
+	if !ckpt.ZeroPageIntact() {
+		return rep, &Violation{
+			Invariant: "storage.zero-page",
+			Detail:    "the shared zero page that pads every checkpoint image was written: some holder of checkpoint file bytes is not read-only",
+		}
 	}
 	return rep, nil
 }

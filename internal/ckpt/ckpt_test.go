@@ -323,13 +323,12 @@ func TestRecoveryEndToEnd(t *testing.T) {
 			for rank := 0; rank < n; rank++ {
 				w.Launch(rank, factory(rank))
 			}
-			var w2 *mp.World
 			var rep *RecoveryReport
 			crashAt := sim.Time(12 * sim.Second) // after at least one committed round
 			m.Eng.At(crashAt, func() {
 				m.CrashAll()
 				m.Eng.After(500*sim.Millisecond, func() { // repair delay
-					w2, rep = Recover(m, v, Options{Interval: 2 * sim.Second}, factory)
+					_, rep = Recover(m, v, Options{Interval: 2 * sim.Second}, factory)
 				})
 			})
 			if err := m.Run(); err != nil {
@@ -342,7 +341,7 @@ func TestRecoveryEndToEnd(t *testing.T) {
 				t.Fatalf("recovered round = %d, want >= 1", rep.Round)
 			}
 			for rank := 0; rank < n; rank++ {
-				pr := w2.Envs[rank].Node().Snap.(*ringProg)
+				pr := m.Nodes[rank].Snap.(*ringProg)
 				if pr.Iter != iters {
 					t.Fatalf("rank %d stopped at iter %d", rank, pr.Iter)
 				}
@@ -365,7 +364,7 @@ func TestRecoveryEndToEnd(t *testing.T) {
 
 func TestRecoveryBeforeFirstCommitRestartsFromScratch(t *testing.T) {
 	m := par.NewMachine(par.DefaultConfig())
-	sch := New(CoordNB, Options{Interval: sim.Minute}) // never fires
+	sch := New(CoordNB, Options{Interval: 60 * sim.Second}) // never fires
 	sch.Attach(m)
 	w := mp.NewWorld(m)
 	n := m.NumNodes()
@@ -374,12 +373,11 @@ func TestRecoveryBeforeFirstCommitRestartsFromScratch(t *testing.T) {
 	for rank := 0; rank < n; rank++ {
 		w.Launch(rank, factory(rank))
 	}
-	var w2 *mp.World
 	var rep *RecoveryReport
 	m.Eng.At(sim.Time(2*sim.Second), func() {
 		m.CrashAll()
 		m.Eng.After(100*sim.Millisecond, func() {
-			w2, rep = Recover(m, CoordNB, Options{Interval: sim.Minute}, factory)
+			_, rep = Recover(m, CoordNB, Options{Interval: 60 * sim.Second}, factory)
 		})
 	})
 	if err := m.Run(); err != nil {
@@ -389,7 +387,7 @@ func TestRecoveryBeforeFirstCommitRestartsFromScratch(t *testing.T) {
 		t.Fatalf("round = %d, want 0", rep.Round)
 	}
 	for rank := 0; rank < n; rank++ {
-		pr := w2.Envs[rank].Node().Snap.(*ringProg)
+		pr := m.Nodes[rank].Snap.(*ringProg)
 		if pr.Acc != wantRingAcc(rank, n, iters) {
 			t.Fatalf("rank %d acc = %d after from-scratch restart", rank, pr.Acc)
 		}
@@ -494,7 +492,7 @@ func TestRecoveryRequeuesChannelLogAheadOfNewTraffic(t *testing.T) {
 	if firstSend == 0 || firstSend >= rep.CompletedAt {
 		t.Fatalf("rank 0 first sent at %v, rank 1 relaunched at %v: the race this test needs did not happen", firstSend, rep.CompletedAt)
 	}
-	sink := w2.Envs[1].Node().Snap.(*seqSink)
+	sink := m.Nodes[1].Snap.(*seqSink)
 	if sink.Got != n || sink.OutOfOrder != 0 {
 		t.Fatalf("rank 1 consumed %d of %d messages, %d out of send order", sink.Got, n, sink.OutOfOrder)
 	}

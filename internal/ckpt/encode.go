@@ -90,13 +90,14 @@ type CkptFile struct {
 // in flight or stored, on however many machines of the process. It is shared
 // and immutable — nothing in the tree writes it, storage never writes an
 // extent, and readers of stored files treat what they borrow as read-only —
-// and the tests hold it to that after everything has run (ZeroPageIntact).
+// and every oracle sweep and the tests hold it to that after everything has
+// run (ZeroPageIntact).
 var zeroPage = make([]byte, writeSegment)
 
 // ZeroPageIntact reports whether the shared zero page still holds only zeros.
 // A false answer means some holder of a checkpoint file's bytes — a stored
-// extent, a read borrow, a decoded State — was written; test binaries ask once
-// everything has run.
+// extent, a read borrow, a decoded State — was written; check.Sweep asks once
+// its cells have run, test binaries once everything has.
 func ZeroPageIntact() bool {
 	return !slices.ContainsFunc(zeroPage, func(b byte) bool { return b != 0 })
 }

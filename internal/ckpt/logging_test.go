@@ -38,7 +38,7 @@ func runLoggedRing(t *testing.T, victim int, crashAt sim.Duration) (*par.Machine
 		t.Fatal("recovery did not complete")
 	}
 	for rank := 0; rank < n; rank++ {
-		pr := w.Envs[rank].Node().Snap.(*ringProg)
+		pr := m.Nodes[rank].Snap.(*ringProg)
 		if pr.Iter != iters {
 			t.Fatalf("rank %d stopped at iter %d", rank, pr.Iter)
 		}

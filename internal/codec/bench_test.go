@@ -33,7 +33,7 @@ func BenchmarkBaseImageRoundTrip(b *testing.B) {
 	b.SetBytes(int64(len(img)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		flat.Reset()
+		flat.reset()
 		for _, part := range g.Base(pages, 0) {
 			flat.buf = append(flat.buf, part...)
 		}
@@ -59,7 +59,7 @@ func BenchmarkDeltaRoundTrip(b *testing.B) {
 	b.SetBytes(int64(len(cur)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		flat.Reset()
+		flat.reset()
 		for _, part := range g.Delta(len(prev), pages, 0, pageSize, DirtyPages(prev, cur, pageSize)) {
 			flat.buf = append(flat.buf, part...)
 		}
@@ -91,7 +91,7 @@ func BenchmarkScalarStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Reset()
+		w.reset()
 		for j := 0; j < 64; j++ {
 			w.U64(uint64(j))
 		}
@@ -130,7 +130,7 @@ func BenchmarkF64s(b *testing.B) {
 		b.Run("encode/"+c.name, func(b *testing.B) {
 			b.SetBytes(int64(8 * len(vs)))
 			for i := 0; i < b.N; i++ {
-				w.Reset()
+				w.reset()
 				c.encode(w)
 			}
 		})

@@ -32,8 +32,8 @@ import (
 // a node's image holder (package ckpt) keep those pages as the image the next
 // capture is compared with. A buffer with one owner that outlives its uses —
 // a Replayer's image and page, a Gatherer's scratch, the scratch handed to
-// storage's Peek, a writer its owner Resets — is simply reused by its owner,
-// and what it lends out is valid until the owner's next use. The third class
+// storage's Peek — is simply reused by its owner, and what it lends out is
+// valid until the owner's next use. The third class
 // is shared and immutable: ckpt's zero page, the padding of every process
 // image, which any number of files, requests and stored extents borrow at
 // once because nobody, ever, writes it.
@@ -52,16 +52,6 @@ func NewWriter() *Writer { return &Writer{} }
 // is cleared like any allocation, so it pays only where the stream would
 // otherwise be re-grown (see vector).
 func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
-
-// Reset empties the writer for reuse, retaining its buffer capacity. The
-// next stream is counted toward the perf byte counters independently of the
-// previous one. Slices previously returned by Bytes alias the retained
-// buffer and are invalidated by further writes — resetting is only correct
-// once the previous stream is dead (see Buffer ownership).
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.counted = false
-}
 
 // Bytes returns the encoded stream. The first call counts the stream toward
 // the armed perf byte counters; appending after reading Bytes leaves the

@@ -63,14 +63,6 @@ type Config struct {
 // checkpointing.
 func Default() Config { return Config{Machine: par.DefaultConfig()} }
 
-// WithScheme returns a copy of c running the given scheme.
-func (c Config) WithScheme(v ckpt.Variant, interval sim.Duration, maxCkpts int) Config {
-	c.Scheme = v
-	c.Interval = interval
-	c.MaxCheckpoints = maxCkpts
-	return c
-}
-
 // Result is everything measured in one run.
 type Result struct {
 	Workload string

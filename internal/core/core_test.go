@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/ckpt"
 	"repro/internal/mp"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -25,7 +26,7 @@ func TestRunBaseline(t *testing.T) {
 }
 
 func TestRunWithScheme(t *testing.T) {
-	cfg := Default().WithScheme(ckpt.CoordNBMS, 500*sim.Millisecond, 2)
+	cfg := Config{Machine: par.DefaultConfig(), Scheme: ckpt.CoordNBMS, Interval: 500 * sim.Millisecond, MaxCheckpoints: 2}
 	res, err := Run(apps.SORWorkload(apps.DefaultSOR(64, 30)), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestCheckpointingOnPredicate(t *testing.T) {
 	if Default().CheckpointingOn() {
 		t.Fatal("default config should not checkpoint")
 	}
-	if !Default().WithScheme(ckpt.Indep, sim.Second, 0).CheckpointingOn() {
-		t.Fatal("WithScheme should enable checkpointing")
+	if !(Config{Machine: par.DefaultConfig(), Scheme: ckpt.Indep, Interval: sim.Second}).CheckpointingOn() {
+		t.Fatal("a scheme with an interval should enable checkpointing")
 	}
 }

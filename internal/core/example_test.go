@@ -6,6 +6,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/par"
 )
 
 // Example measures the overhead of the paper's best scheme on a small SOR
@@ -16,7 +17,12 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	cfg := core.Default().WithScheme(ckpt.CoordNBMS, base.Exec/4, 3)
+	cfg := core.Config{
+		Machine:        par.DefaultConfig(),
+		Scheme:         ckpt.CoordNBMS,
+		Interval:       base.Exec / 4,
+		MaxCheckpoints: 3,
+	}
 	res, err := core.Run(wl, cfg)
 	if err != nil {
 		panic(err)
@@ -43,8 +49,7 @@ func Example_staggering() {
 	}
 	fmt.Printf("%s, normal execution %.3fs\n", wl.Name, base.Exec.Seconds())
 	for _, v := range []ckpt.Variant{ckpt.CoordNB, ckpt.CoordNBMS} {
-		cfg := core.Default()
-		cfg.Scheme, cfg.FirstAt, cfg.MaxCheckpoints = v, base.Exec/2, 1
+		cfg := core.Config{Machine: par.DefaultConfig(), Scheme: v, FirstAt: base.Exec / 2, MaxCheckpoints: 1}
 		res, err := core.Run(wl, cfg)
 		if err != nil {
 			panic(err)

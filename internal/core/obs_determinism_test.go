@@ -9,6 +9,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/ckpt"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -19,7 +20,7 @@ import (
 func TestObserverDoesNotPerturbRun(t *testing.T) {
 	for _, v := range []ckpt.Variant{ckpt.CoordNBMS, ckpt.Indep, ckpt.CIC, ckpt.CICM} {
 		t.Run(v.String(), func(t *testing.T) {
-			cfg := Default().WithScheme(v, 500*sim.Millisecond, 2)
+			cfg := Config{Machine: par.DefaultConfig(), Scheme: v, Interval: 500 * sim.Millisecond, MaxCheckpoints: 2}
 			wl := apps.SORWorkload(apps.DefaultSOR(64, 30))
 
 			plain, err := Run(wl, cfg)
@@ -62,7 +63,7 @@ func TestObserverDoesNotPerturbRun(t *testing.T) {
 // recorder are both deterministic).
 func TestChromeTraceFromRunIsValidAndReproducible(t *testing.T) {
 	exportTrace := func() []byte {
-		cfg := Default().WithScheme(ckpt.CoordNBMS, 500*sim.Millisecond, 2)
+		cfg := Config{Machine: par.DefaultConfig(), Scheme: ckpt.CoordNBMS, Interval: 500 * sim.Millisecond, MaxCheckpoints: 2}
 		cfg.Obs = obs.New()
 		if _, err := Run(apps.SORWorkload(apps.DefaultSOR(64, 30)), cfg); err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/ckpt"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -19,7 +20,7 @@ func TestFinishVerifiesWhatTheNodesEndWith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Default().WithScheme(ckpt.CoordNB, base.Exec/4, 0)
+	cfg := Config{Machine: par.DefaultConfig(), Scheme: ckpt.CoordNB, Interval: base.Exec / 4}
 	for _, restart := range []bool{true, false} {
 		run := Start(wl, cfg)
 		var rep *ckpt.RecoveryReport

@@ -119,8 +119,8 @@ func TestAllocsSendSteadyState(t *testing.T) {
 	if want := float64(2 * len(envs)); allocs != want {
 		t.Fatalf("steady-state Send allocates %.1f objects per %d messages, want %.0f", allocs, len(envs), want)
 	}
-	if delivered != 201*len(envs)+len(envs) || n.InFlight() != 0 {
-		t.Fatalf("delivered %d, %d in flight", delivered, n.InFlight())
+	if delivered != 201*len(envs)+len(envs) || n.inFlight() != 0 {
+		t.Fatalf("delivered %d, %d in flight", delivered, n.inFlight())
 	}
 }
 

@@ -40,6 +40,7 @@ type courierLink struct {
 	bw    float64
 	bytes int64
 	msgs  int64
+	busy  sim.Duration // total time res was held
 }
 
 func newCourierNet(eng *sim.Engine, cfg Config) *courierNet {
@@ -100,7 +101,9 @@ func (n *courierNet) Send(sender *sim.Proc, env *Envelope) {
 				t0 := p.Now()
 				l.res.Acquire(p)
 				waited += p.Now().Sub(t0)
-				p.Sleep(l.lat + sim.BytesAt(chunk, l.bw))
+				hold := l.lat + sim.BytesAt(chunk, l.bw)
+				p.Sleep(hold)
+				l.busy += hold
 				l.res.Release()
 				remaining -= chunk
 				if remaining <= 0 {
@@ -160,7 +163,7 @@ func (n *courierNet) handoff(env *Envelope) {
 func (n *courierNet) linkStats() map[[2]NodeID]LinkStats {
 	out := make(map[[2]NodeID]LinkStats, len(n.links))
 	for key, l := range n.links {
-		out[key] = LinkStats{From: key[0], To: key[1], Bytes: l.bytes, Msgs: l.msgs, Busy: l.res.BusyTime()}
+		out[key] = LinkStats{From: key[0], To: key[1], Bytes: l.bytes, Msgs: l.msgs, Busy: l.busy}
 	}
 	return out
 }

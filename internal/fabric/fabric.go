@@ -299,9 +299,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	return n
 }
 
-// Config returns the interconnect configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // isHost reports whether id is a host endpoint (as opposed to a compute node
 // or a routing-only switch).
 func (n *Network) isHost(id NodeID) bool { return int(id) >= n.nNodes+n.nRouters }
@@ -574,9 +571,3 @@ func (n *Network) HostLinkStats() LinkStats { return n.HostLinkStatsOf(0) }
 // TotalTraffic returns the total number of messages and payload bytes
 // injected since the network was created.
 func (n *Network) TotalTraffic() (msgs, bytes int64) { return n.totalMsgs, n.totalBytes }
-
-// InFlight returns the number of messages sent and not yet delivered or
-// dropped: on links, in a fault delay, or held for re-sequencing. It is zero
-// once a run has drained; a stuck message owns no process, so this count —
-// not a DeadlockError — is where one would show.
-func (n *Network) InFlight() int64 { return n.totalMsgs - n.arrived }

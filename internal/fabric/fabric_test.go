@@ -29,7 +29,7 @@ func runDrained(t testing.TB, e *sim.Engine, n *Network) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if in := n.InFlight(); in != 0 {
+	if in := n.inFlight(); in != 0 {
 		t.Fatalf("%d messages still in flight after the run drained", in)
 	}
 	if held := n.debugHeld(); len(held) != 0 {
@@ -274,7 +274,7 @@ func TestInvalidDestinationPanics(t *testing.T) {
 			}()
 		}
 	}
-	if msgs, _ := n.TotalTraffic(); msgs != 0 || n.InFlight() != 0 {
-		t.Fatalf("rejected sends were counted: %d msgs, %d in flight", msgs, n.InFlight())
+	if msgs, _ := n.TotalTraffic(); msgs != 0 || n.inFlight() != 0 {
+		t.Fatalf("rejected sends were counted: %d msgs, %d in flight", msgs, n.inFlight())
 	}
 }

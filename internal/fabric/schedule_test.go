@@ -123,6 +123,12 @@ func (n *Network) linkStats() map[[2]NodeID]LinkStats {
 	return out
 }
 
+// inFlight returns the number of messages sent and not yet delivered or
+// dropped: on links, in a fault delay, or held for re-sequencing. It is zero
+// once a run has drained; a stuck message owns no process, so this count —
+// not a DeadlockError — is where one would show.
+func (n *Network) inFlight() int64 { return n.totalMsgs - n.arrived }
+
 // debugHeld reports how many envelopes sit in reorder buffers per pair.
 func (n *Network) debugHeld() map[[2]NodeID]int {
 	out := map[[2]NodeID]int{}

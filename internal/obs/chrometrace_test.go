@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func buildFixedTrace() *Observer {
 	var now sim.Time
 	o := New()
-	o.BindClock(func() sim.Time { return now })
+	o.clock = func() sim.Time { return now }
 	o.SetScheme("Coord_NBMS")
 	o.PidName(0, "node0")
 	o.PidName(1, "node1")
@@ -43,7 +43,7 @@ func buildFixedTrace() *Observer {
 	tok := o.Start(1, TidDaemon, "ckpt.token_wait")
 	now = sim.Time(11 * sim.Millisecond)
 	tok.End()
-	o.Instant(0, TidCoord, "ckpt.commit")
+	o.InstantArg(0, TidCoord, "ckpt.commit", "", 0)
 	round.End()
 	return o
 }

@@ -149,16 +149,6 @@ func (o *Observer) Bind(eng *sim.Engine) {
 	o.clock = eng.Now
 }
 
-// BindClock sets an arbitrary virtual clock (tests).
-func (o *Observer) BindClock(fn func() sim.Time) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.clock = fn
-}
-
 // SetScheme sets the scheme label applied to all subsequently recorded
 // metrics. The default label is "none".
 func (o *Observer) SetScheme(name string) {
@@ -310,20 +300,8 @@ func (sp Span) End() {
 	})
 }
 
-// Instant records a point event on the (pid, tid) track.
-func (o *Observer) Instant(pid, tid int, name string) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.seq++
-	o.instants = append(o.instants, InstantEvent{
-		Pid: pid, Tid: tid, Name: name, At: o.now(), Seq: o.seq,
-	})
-}
-
-// InstantArg is Instant with a single integer annotation.
+// InstantArg records a point event on the (pid, tid) track with a single
+// integer annotation (none when key is empty).
 func (o *Observer) InstantArg(pid, tid int, name, key string, v int64) {
 	if o == nil {
 		return
@@ -335,16 +313,6 @@ func (o *Observer) InstantArg(pid, tid int, name, key string, v int64) {
 		Pid: pid, Tid: tid, Name: name, At: o.now(), Seq: o.seq,
 		ArgKey: key, ArgVal: v,
 	})
-}
-
-// Spans returns a copy of all completed spans in recording order.
-func (o *Observer) Spans() []SpanEvent {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]SpanEvent(nil), o.spans...)
 }
 
 // SpanTotal returns the summed virtual duration of all completed spans with

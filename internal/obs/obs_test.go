@@ -77,7 +77,7 @@ func TestNilObserverIsFree(t *testing.T) {
 		o.ObserveDur(3, "storage.hostlink_queue_wait", sim.Millisecond)
 		sp := o.Start(3, TidDaemon, "ckpt.disk_write").WithArg("round", 7)
 		sp.End()
-		o.Instant(0, TidCoord, "ckpt.commit")
+		o.InstantArg(0, TidCoord, "ckpt.commit", "", 0)
 		o.SetScheme("x")
 		_ = o.SpanTotal("ckpt.disk_write")
 		_ = o.Snapshot()
@@ -90,7 +90,7 @@ func TestNilObserverIsFree(t *testing.T) {
 func TestRegistryKeysAndSnapshotOrder(t *testing.T) {
 	var now sim.Time
 	o := New()
-	o.BindClock(func() sim.Time { return now })
+	o.clock = func() sim.Time { return now }
 	o.SetScheme("Coord_NB")
 	now = sim.Time(5 * sim.Second)
 	o.Add(1, "ckpt.marker_rounds", 1)
@@ -138,7 +138,7 @@ func TestRegistryKeysAndSnapshotOrder(t *testing.T) {
 func TestSpanTotalsAndArgs(t *testing.T) {
 	var now sim.Time
 	o := New()
-	o.BindClock(func() sim.Time { return now })
+	o.clock = func() sim.Time { return now }
 	sp := o.Start(0, TidDaemon, "ckpt.disk_write").WithArg("round", 3)
 	now = sim.Time(2 * sim.Second)
 	sp.End()
@@ -148,7 +148,7 @@ func TestSpanTotalsAndArgs(t *testing.T) {
 	if got := o.SpanTotal("ckpt.disk_write"); got != 3*sim.Second {
 		t.Fatalf("SpanTotal = %v, want 3s", got)
 	}
-	spans := o.Spans()
+	spans := o.spans
 	if len(spans) != 2 || spans[0].ArgKey != "round" || spans[0].ArgVal != 3 {
 		t.Fatalf("spans = %+v", spans)
 	}

@@ -43,15 +43,6 @@ func (p *Profile) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&p.PprofAddr, "pprof", "", "serve net/http/pprof on `addr` (e.g. localhost:6060) while the run executes")
 }
 
-// Addr returns the pprof server's bound address ("" when not serving) — the
-// resolved form of PprofAddr, useful with ":0".
-func (p *Profile) Addr() string {
-	if p.addr == nil {
-		return ""
-	}
-	return p.addr.String()
-}
-
 // Start arms whatever the flags selected. A diagnostic naming the pprof URL
 // goes to errw (stdout stays reserved for results). On error, anything
 // already armed is stopped again.

@@ -76,10 +76,10 @@ func TestProfileServerReaped(t *testing.T) {
 	if err := p.Start(&diag); err != nil {
 		t.Skipf("cannot listen in this environment: %v", err)
 	}
-	addr := p.Addr()
-	if addr == "" || !strings.Contains(diag.String(), addr) {
-		t.Fatalf("resolved address %q not announced in %q", addr, diag.String())
+	if p.addr == nil || !strings.Contains(diag.String(), p.addr.String()) {
+		t.Fatalf("resolved address %v not announced in %q", p.addr, diag.String())
 	}
+	addr := p.addr.String()
 	resp, err := http.Get(fmt.Sprintf("http://%s/debug/pprof/", addr))
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +96,8 @@ func TestProfileServerReaped(t *testing.T) {
 	if err := p.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Addr() != "" {
-		t.Fatalf("Addr() = %q after Stop, want empty", p.Addr())
+	if p.addr != nil {
+		t.Fatalf("addr = %v after Stop, want nil", p.addr)
 	}
 	if _, err := http.Get(fmt.Sprintf("http://%s/debug/pprof/", addr)); err == nil {
 		t.Fatal("server still accepting after Stop")

@@ -125,6 +125,23 @@ func rdgFromScheme(n int, sch ckpt.Scheme) *rdg.Graph {
 	return rdg.FromRecords(n, sch.Records())
 }
 
+// barrier blocks until every rank has entered it: rank 0 collects one
+// message from each other rank, then releases them.
+func barrier(e *mp.Env) {
+	const enter, release = 90, 91
+	if e.Rank == 0 {
+		for i := 1; i < e.Size(); i++ {
+			e.Recv(mp.Any, enter)
+		}
+		for i := 1; i < e.Size(); i++ {
+			e.Send(i, release, nil)
+		}
+		return
+	}
+	e.Send(0, enter, nil)
+	e.Recv(0, release)
+}
+
 // gcRing is a phase-encoded ring program for the GC integration tests.
 type gcRing struct {
 	Rank, N, Iters int
@@ -147,7 +164,7 @@ func (r *gcRing) Run(e *mp.Env) {
 	for r.Iter < r.Iters {
 		if r.Phase == 0 {
 			if r.Iter%50 == 0 {
-				e.Barrier()
+				barrier(e)
 				e.Compute(3e7) // ~3s of quiescence, longer than the interval
 			}
 			e.Compute(2e5)

@@ -79,9 +79,9 @@ func TestRecoveryLineBruteForce(t *testing.T) {
 
 		if !g.Consistent(line) {
 			t.Fatalf("trial %d: under-rollback: line %v keeps orphans %v (edges %v)",
-				trial, line, g.OrphanEdges(line), g.Edges())
+				trial, line, g.OrphanEdges(line), g.edges)
 		}
-		join := make([]int, g.Ranks())
+		join := make([]int, g.n)
 		forEachLine(g.Latest(), func(cand []int) {
 			if !g.Consistent(cand) {
 				return
@@ -89,7 +89,7 @@ func TestRecoveryLineBruteForce(t *testing.T) {
 			for p, v := range cand {
 				if v > line[p] {
 					t.Fatalf("trial %d: over-rollback: consistent line %v exceeds computed %v at rank %d (edges %v)",
-						trial, cand, line, p, g.Edges())
+						trial, cand, line, p, g.edges)
 				}
 				if v > join[p] {
 					join[p] = v
@@ -98,7 +98,7 @@ func TestRecoveryLineBruteForce(t *testing.T) {
 		})
 		if !reflect.DeepEqual(join, line) {
 			t.Fatalf("trial %d: line %v is not the join of consistent lines %v (edges %v)",
-				trial, line, join, g.Edges())
+				trial, line, join, g.edges)
 		}
 	}
 }

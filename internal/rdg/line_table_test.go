@@ -191,8 +191,8 @@ func TestRecoveryLineTable(t *testing.T) {
 			if got := g.Domino(line); got != tc.domino {
 				t.Fatalf("Domino(%v) = %v, want %v", line, got, tc.domino)
 			}
-			if got := g.RollbackCheckpoints(line); !reflect.DeepEqual(got, tc.rollback) {
-				t.Fatalf("RollbackCheckpoints = %v, want %v", got, tc.rollback)
+			if got := rollbackCheckpoints(g, line); !reflect.DeepEqual(got, tc.rollback) {
+				t.Fatalf("rollbackCheckpoints = %v, want %v", got, tc.rollback)
 			}
 		})
 	}

@@ -120,14 +120,8 @@ func (g *Graph) Add(r ckpt.Record) {
 	}
 }
 
-// Ranks returns the number of processes.
-func (g *Graph) Ranks() int { return g.n }
-
 // Latest returns the newest durable checkpoint index of each rank.
 func (g *Graph) Latest() []int { return append([]int(nil), g.latest...) }
-
-// Edges returns the persisted receive dependencies.
-func (g *Graph) Edges() []Edge { return append([]Edge(nil), g.edges...) }
 
 // CheckpointTime returns when a checkpoint became durable (zero time for the
 // initial state, checkpoint 0).
@@ -258,16 +252,6 @@ func (g *Graph) Domino(line []int) bool {
 		}
 	}
 	return false
-}
-
-// RollbackCheckpoints returns, per rank, how many checkpoint generations the
-// line discards (latest - line).
-func (g *Graph) RollbackCheckpoints(line []int) []int {
-	out := make([]int, g.n)
-	for p := range out {
-		out[p] = g.latest[p] - line[p]
-	}
-	return out
 }
 
 // RollbackTime returns, per rank, the lost virtual time if a failure occurs

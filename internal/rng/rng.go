@@ -45,9 +45,3 @@ func (r *RNG) ExpFloat64() float64 {
 	}
 	return -math.Log(u)
 }
-
-// State returns the serializable generator state.
-func (r *RNG) State() uint64 { return r.state }
-
-// SetState restores a state previously obtained from State.
-func (r *RNG) SetState(s uint64) { r.state = s }

@@ -15,25 +15,6 @@ func TestDeterministicStream(t *testing.T) {
 	}
 }
 
-func TestStateRoundTrip(t *testing.T) {
-	r := New(7)
-	for i := 0; i < 10; i++ {
-		r.Uint64()
-	}
-	s := r.State()
-	want := make([]uint64, 20)
-	for i := range want {
-		want[i] = r.Uint64()
-	}
-	r2 := New(0)
-	r2.SetState(s)
-	for i := range want {
-		if got := r2.Uint64(); got != want[i] {
-			t.Fatalf("restored stream diverges at %d", i)
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(1)
 	for i := 0; i < 10000; i++ {

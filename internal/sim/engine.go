@@ -148,10 +148,6 @@ func (e *Engine) After(d Duration, fn func()) {
 	e.At(e.now.Add(d), fn)
 }
 
-// Stop makes Run return after the currently executing event completes.
-// Remaining events are discarded.
-func (e *Engine) Stop() { e.stopReq = true }
-
 // fail records the first fatal error (e.g. a panicking process) and stops
 // the run.
 func (e *Engine) fail(err error) {
@@ -230,10 +226,6 @@ func (e *Engine) RunUntil(horizon Time) error {
 	}
 	return nil
 }
-
-// LiveProcs returns the number of processes that have been spawned and have
-// not yet finished.
-func (e *Engine) LiveProcs() int { return len(e.procs) }
 
 // Shutdown unwinds every remaining process goroutine: daemons parked forever
 // (storage servers, checkpointer loops) and processes that never got their

@@ -32,14 +32,14 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		e.Spawn("unstarted", func(p *Proc) { started++ })
 	}
 	if n := runtime.NumGoroutine(); n < daemons+unstarted {
-		t.Fatalf("%d goroutines with %d live processes", n, e.LiveProcs())
+		t.Fatalf("%d goroutines with %d live processes", n, len(e.procs))
 	}
 	e.Shutdown()
 	if n := runtime.NumGoroutine(); n > baseline {
 		t.Fatalf("%d goroutines after Shutdown, %d before the engine existed", n, baseline)
 	}
-	if unwound != daemons || started != 0 || e.LiveProcs() != 0 {
-		t.Fatalf("unwound %d daemons (want %d), ran %d unstarted bodies (want 0), %d live", unwound, daemons, started, e.LiveProcs())
+	if unwound != daemons || started != 0 || len(e.procs) != 0 {
+		t.Fatalf("unwound %d daemons (want %d), ran %d unstarted bodies (want 0), %d live", unwound, daemons, started, len(e.procs))
 	}
 	e.Shutdown() // a second call finds nothing to do
 	if n := runtime.NumGoroutine(); n > baseline {
@@ -77,8 +77,8 @@ func TestProcGoexitEndsRun(t *testing.T) {
 	if returned || outran || !deferred {
 		t.Fatalf("Run returned: %v, simulation ran on: %v, caller's defers ran: %v; want false, false, true", returned, outran, deferred)
 	}
-	if !quitter.Done() || e.LiveProcs() != 0 {
-		t.Fatalf("quitter done: %v, %d live processes after Shutdown; want true, 0", quitter.Done(), e.LiveProcs())
+	if !quitter.Done() || len(e.procs) != 0 {
+		t.Fatalf("quitter done: %v, %d live processes after Shutdown; want true, 0", quitter.Done(), len(e.procs))
 	}
 }
 
@@ -113,7 +113,7 @@ func TestSpawnAndKillFromProcess(t *testing.T) {
 			p.Kill()
 		})
 		say("parent parks")
-		p.Sleep(Minute)
+		p.Sleep(60 * Second)
 		say("parent resumed")
 	})
 	if err := e.Run(); err != nil {
@@ -127,9 +127,9 @@ func TestSpawnAndKillFromProcess(t *testing.T) {
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("log:\n %q\nwant:\n %q", log, want)
 	}
-	if !parent.Done() || e.LiveProcs() != 0 || e.Now() != Time(Minute) {
+	if !parent.Done() || len(e.procs) != 0 || e.Now() != Time(60*Second) {
 		// The parent's own timer still fires at one minute, stale.
-		t.Fatalf("parent done: %v, %d live, clock %v; want true, 0, 1m", parent.Done(), e.LiveProcs(), e.Now())
+		t.Fatalf("parent done: %v, %d live, clock %v; want true, 0, 1m", parent.Done(), len(e.procs), e.Now())
 	}
 }
 

@@ -101,7 +101,7 @@ func (r *orderRun) observe(at Time, idx uint64) {
 	if e.now != at || at < r.lastAt || at == r.lastAt && idx <= r.lastIdx {
 		r.t.Errorf("event (at=%d, push %d) executed at t=%d after (at=%d, push %d)", at, idx, e.now, r.lastAt, r.lastIdx)
 		r.stopped = true
-		e.Stop()
+		e.stopReq = true
 	}
 	r.lastAt, r.lastIdx = at, idx
 	r.seen++
@@ -154,7 +154,7 @@ func (r *orderRun) act(self *orderProc) (op, arg int) {
 		case opStop:
 			if arg == 15 {
 				r.stopped = true
-				e.Stop()
+				e.stopReq = true
 			}
 		default:
 			return op, arg

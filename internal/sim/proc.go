@@ -68,12 +68,6 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine the process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 

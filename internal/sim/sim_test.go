@@ -97,14 +97,17 @@ func TestResourceFIFOAndMutualExclusion(t *testing.T) {
 	e := New()
 	r := NewResource(e, 1)
 	var order []string
+	var busy Duration
 	use := func(name string, hold Duration) {
 		e.Spawn(name, func(p *Proc) {
 			r.Acquire(p)
 			order = append(order, name)
-			if r.InUse() != 1 {
-				t.Errorf("InUse = %d during hold", r.InUse())
+			if r.inUse != 1 {
+				t.Errorf("inUse = %d during hold", r.inUse)
 			}
+			start := p.Now()
 			p.Sleep(hold)
+			busy += p.Now().Sub(start)
 			r.Release()
 		})
 	}
@@ -120,8 +123,8 @@ func TestResourceFIFOAndMutualExclusion(t *testing.T) {
 			t.Fatalf("grant order %v, want %v", order, want)
 		}
 	}
-	if got := r.BusyTime(); got != 3*Second {
-		t.Fatalf("BusyTime = %v, want 3s", got)
+	if busy != 3*Second || e.Now() != Time(3*Second) {
+		t.Fatalf("held %v, last release at %v; want 3s, 3s", busy, e.Now())
 	}
 }
 
@@ -267,7 +270,7 @@ func TestStop(t *testing.T) {
 		e.After(Second, tick)
 	}
 	e.After(Second, tick)
-	e.At(Time(10*Second+1), func() { e.Stop() })
+	e.At(Time(10*Second+1), func() { e.stopReq = true })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +308,7 @@ func TestRunUntilHorizon(t *testing.T) {
 	if len(order) != 2 || e.Now() != Time(2*Second) {
 		t.Fatalf("%d events ran, now %v: want 2, at 2s", len(order), e.Now())
 	}
-	e.At(Time(10*Second+1), e.Stop)
+	e.At(Time(10*Second+1), func() { e.stopReq = true })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +334,7 @@ func TestDeterminism(t *testing.T) {
 					p.Sleep(Duration(1+(i+j)%3) * Millisecond)
 					r.Release()
 					m.Put(fmt.Sprintf("p%d/%d", i, j))
-					tracelog = append(tracelog, fmt.Sprintf("%v %s put %d", p.Now(), p.Name(), j))
+					tracelog = append(tracelog, fmt.Sprintf("%v %s put %d", p.Now(), p.name, j))
 				}
 			})
 		}

@@ -43,41 +43,29 @@ func (g *Gate) Open() {
 // exclusion). Processes that park inside Acquire must not be killed; see
 // Proc.Kill.
 type Resource struct {
-	eng   *Engine
 	cap   int
 	inUse int
 	queue []*Proc
-
-	// Busy accounting for utilization statistics.
-	busySince Time
-	busyTotal Duration
 }
 
-// NewResource returns a resource with the given capacity (>= 1).
+// NewResource returns a resource on engine e with the given capacity (>= 1).
 func NewResource(e *Engine, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{eng: e, cap: capacity}
+	return &Resource{cap: capacity}
 }
 
 // Acquire obtains one unit of the resource, parking p in FIFO order if none
 // is free.
 func (r *Resource) Acquire(p *Proc) {
 	if r.inUse < r.cap {
-		r.grant()
+		r.inUse++
 		return
 	}
 	r.queue = append(r.queue, p)
 	p.park()
 	// Woken by Release, which already performed the grant accounting.
-}
-
-func (r *Resource) grant() {
-	if r.inUse == 0 {
-		r.busySince = r.eng.now
-	}
-	r.inUse++
 }
 
 // Release returns one unit and hands it to the head of the queue, if any.
@@ -86,30 +74,17 @@ func (r *Resource) Release() {
 		panic("sim: Release of idle resource")
 	}
 	r.inUse--
-	if r.inUse == 0 {
-		r.busyTotal += r.eng.now.Sub(r.busySince)
-	}
 	for len(r.queue) > 0 {
 		w := r.queue[0]
 		r.queue = r.queue[1:]
 		if w.done || w.killed {
 			continue
 		}
-		r.grant()
+		r.inUse++
 		w.wake()
 		return
 	}
 }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
-// BusyTime returns the total virtual time during which at least one unit was
-// held, up to the last transition to idle.
-func (r *Resource) BusyTime() Duration { return r.busyTotal }
 
 // Mailbox is an unbounded FIFO queue of items with at most one waiting
 // consumer, supporting selective receive: the consumer scans queued items

@@ -30,7 +30,6 @@ const (
 	Microsecond          = 1000 * Nanosecond
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
-	Minute               = 60 * Second
 )
 
 // Add returns the instant d after t.

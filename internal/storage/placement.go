@@ -14,7 +14,6 @@ import (
 
 // Placement assigns each compute rank the storage server holding its files.
 type Placement interface {
-	Name() string
 	// Assign returns, for each of ranks ranks, the index (0..servers-1) of
 	// its server. dist reports the routing hop count from a rank to a
 	// server's attach point; policies that ignore locality ignore it. The
@@ -25,8 +24,6 @@ type Placement interface {
 // stripePlacement is round-robin striping: rank r on server r mod N. The
 // default — perfectly balanced and oblivious to topology.
 type stripePlacement struct{}
-
-func (stripePlacement) Name() string { return "stripe" }
 
 func (stripePlacement) Assign(ranks, servers int, _ func(int, int) int) []int {
 	out := make([]int, ranks)
@@ -41,12 +38,10 @@ func (stripePlacement) Assign(ranks, servers int, _ func(int, int) int) []int {
 // more ranks are added, unlike striping).
 type hashPlacement struct{}
 
-func (hashPlacement) Name() string { return "hash" }
-
 func (hashPlacement) Assign(ranks, servers int, _ func(int, int) int) []int {
 	out := make([]int, ranks)
 	for r := range out {
-		out[r] = int(rng.New(uint64(r)).Uint64() % uint64(servers))
+		out[r] = rng.New(uint64(r)).Intn(servers)
 	}
 	return out
 }
@@ -55,8 +50,6 @@ func (hashPlacement) Assign(ranks, servers int, _ func(int, int) int) []int {
 // hops to its attach point, breaking ties toward the lowest server index —
 // minimal checkpoint traffic on the interconnect, at the cost of balance.
 type nearestPlacement struct{}
-
-func (nearestPlacement) Name() string { return "nearest" }
 
 func (nearestPlacement) Assign(ranks, servers int, dist func(rank, server int) int) []int {
 	out := make([]int, ranks)

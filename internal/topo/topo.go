@@ -53,17 +53,6 @@ type Topology interface {
 	Next(cur, dst int) int
 }
 
-// Route returns the vertices t's routing visits after src, ending with dst;
-// nil when src == dst.
-func Route(t Topology, src, dst int) []int {
-	var path []int
-	for cur := src; cur != dst; {
-		cur = t.Next(cur, dst)
-		path = append(path, cur)
-	}
-	return path
-}
-
 // maxVertices bounds Parse against absurd allocations (a 1024-node 32x32
 // mesh is the largest shape the scaling experiment uses; this leaves two
 // orders of magnitude of headroom).

@@ -33,6 +33,17 @@ func adjacency(t Topology) map[[2]int]bool {
 	return adj
 }
 
+// route returns the vertices t's routing visits after src, ending with dst,
+// by walking Next; nil when src == dst.
+func route(t Topology, src, dst int) []int {
+	var path []int
+	for cur := src; cur != dst; {
+		cur = t.Next(cur, dst)
+		path = append(path, cur)
+	}
+	return path
+}
+
 // TestRouteDeliversAllPairs is the routing property test: on every topology,
 // every compute (src,dst) pair is routed over declared links only, ends at
 // dst, visits no vertex twice, and is deterministic.
@@ -42,31 +53,31 @@ func TestRouteDeliversAllPairs(t *testing.T) {
 		n := top.Nodes()
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				path := Route(top, src, dst)
+				path := route(top, src, dst)
 				if src == dst {
 					if len(path) != 0 {
-						t.Fatalf("%s: Route(%d,%d) = %v, want empty", top.Name(), src, dst, path)
+						t.Fatalf("%s: route(%d,%d) = %v, want empty", top.Name(), src, dst, path)
 					}
 					continue
 				}
 				if len(path) == 0 || path[len(path)-1] != dst {
-					t.Fatalf("%s: Route(%d,%d) = %v does not end at dst", top.Name(), src, dst, path)
+					t.Fatalf("%s: route(%d,%d) = %v does not end at dst", top.Name(), src, dst, path)
 				}
 				cur := src
 				seen := map[int]bool{src: true}
 				for _, v := range path {
 					if !adj[[2]int{cur, v}] {
-						t.Fatalf("%s: Route(%d,%d) = %v uses undeclared link %d-%d",
+						t.Fatalf("%s: route(%d,%d) = %v uses undeclared link %d-%d",
 							top.Name(), src, dst, path, cur, v)
 					}
 					if seen[v] {
-						t.Fatalf("%s: Route(%d,%d) = %v visits %d twice", top.Name(), src, dst, path, v)
+						t.Fatalf("%s: route(%d,%d) = %v visits %d twice", top.Name(), src, dst, path, v)
 					}
 					seen[v] = true
 					cur = v
 				}
-				if again := Route(top, src, dst); !reflect.DeepEqual(again, path) {
-					t.Fatalf("%s: Route(%d,%d) not deterministic: %v vs %v",
+				if again := route(top, src, dst); !reflect.DeepEqual(again, path) {
+					t.Fatalf("%s: route(%d,%d) not deterministic: %v vs %v",
 						top.Name(), src, dst, path, again)
 				}
 			}
@@ -175,7 +186,7 @@ func TestNextWalksReferenceRoutes(t *testing.T) {
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
 				want := referenceRoute(top, src, dst)
-				if got := Route(top, src, dst); !reflect.DeepEqual(got, want) {
+				if got := route(top, src, dst); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: walking Next from %d to %d visits %v, reference route %v", spec, src, dst, got, want)
 				}
 			}
@@ -201,8 +212,8 @@ func TestMesh2DGoldenRoutes(t *testing.T) {
 		{5, 2, []int{6, 2}},
 	}
 	for _, c := range cases {
-		if got := Route(m, c.src, c.dst); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Route(%d,%d) = %v, want %v", c.src, c.dst, got, c.want)
+		if got := route(m, c.src, c.dst); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("route(%d,%d) = %v, want %v", c.src, c.dst, got, c.want)
 		}
 	}
 }
@@ -215,11 +226,11 @@ func TestFatTreeShape(t *testing.T) {
 		t.Fatalf("nodes=%d routers=%d, want 4 and 3", ft.Nodes(), ft.Routers())
 	}
 	// Leaves 0..3; root = 4; level-1 switches = 5, 6.
-	if got := Route(ft, 0, 3); !reflect.DeepEqual(got, []int{5, 4, 6, 3}) {
-		t.Errorf("Route(0,3) = %v, want [5 4 6 3]", got)
+	if got := route(ft, 0, 3); !reflect.DeepEqual(got, []int{5, 4, 6, 3}) {
+		t.Errorf("route(0,3) = %v, want [5 4 6 3]", got)
 	}
-	if got := Route(ft, 0, 1); !reflect.DeepEqual(got, []int{5, 1}) {
-		t.Errorf("Route(0,1) = %v, want [5 1]", got)
+	if got := route(ft, 0, 1); !reflect.DeepEqual(got, []int{5, 1}) {
+		t.Errorf("route(0,1) = %v, want [5 1]", got)
 	}
 	for _, l := range ft.Links() {
 		wantCap := 1.0
