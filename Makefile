@@ -37,8 +37,10 @@ race:
 # ordering contract under generated programs (strict (at, push) order across
 # the heap's runs, the staged run and the current-instant lane), and ISING's guarded Metropolis
 # acceptance (bounds decide, math.Exp only between them) against the plain
-# comparison with math.Exp. The Go fuzzer allows one target per invocation,
-# hence one run each.
+# comparison with math.Exp — and the storage-call contract (several processes
+# per node with drawn deadlines against a server a fault hook slows: each
+# call returns once, with its own reply or ErrUnavailable at its deadline).
+# The Go fuzzer allows one target per invocation, hence one run each.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME)
@@ -53,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzFabricSchedule -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzStorageOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/apps -run '^$$' -fuzz FuzzMetropolisAccept -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/par -run '^$$' -fuzz FuzzStorageCalls -fuzztime $(FUZZTIME)
 
 vet:
 	$(GO) vet ./...

@@ -121,7 +121,6 @@ func TestMaxCheckpointsCapsBasicOnly(t *testing.T) {
 	// the ring must propagate the index by forcing alone.
 	opt := ckpt.Options{
 		Interval:       500 * sim.Millisecond,
-		FirstAt:        500 * sim.Millisecond,
 		Spread:         2 * sim.Second,
 		MaxCheckpoints: 1,
 	}

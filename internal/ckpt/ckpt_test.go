@@ -87,7 +87,7 @@ func runRing(t *testing.T, v Variant, opt Options, iters, payload int) (*par.Mac
 	t.Helper()
 	m := par.NewMachine(par.DefaultConfig())
 	var sch Scheme
-	if opt.Interval > 0 || opt.FirstAt > 0 {
+	if opt.Interval > 0 {
 		sch = New(v, opt)
 		sch.Attach(m)
 	}
@@ -201,7 +201,7 @@ func TestChannelStateCaptured(t *testing.T) {
 	// Rank 0 floods rank 1, which is stuck computing, so messages are in
 	// transit/unconsumed when the round hits: they must land in channel logs.
 	m := par.NewMachine(par.DefaultConfig())
-	sch := New(CoordNB, Options{FirstAt: sim.Second, MaxCheckpoints: 1})
+	sch := New(CoordNB, Options{Interval: sim.Second, MaxCheckpoints: 1})
 	sch.Attach(m)
 	w := mp.NewWorld(m)
 	w.Launch(0, &flooderProg{n: m.NumNodes()})
@@ -740,15 +740,6 @@ func TestCkptCodecRoundTrip(t *testing.T) {
 		if _, err := decodeCkptFile(c.v, []byte{1, 2}); err == nil {
 			t.Errorf("%v: corrupt checkpoint accepted", c.v)
 		}
-	}
-}
-
-func TestOptionsFirstAt(t *testing.T) {
-	if (Options{Interval: 5 * sim.Second}).firstAt() != 5*sim.Second {
-		t.Fatal("firstAt default")
-	}
-	if (Options{Interval: 5 * sim.Second, FirstAt: sim.Second}).firstAt() != sim.Second {
-		t.Fatal("firstAt override")
 	}
 }
 

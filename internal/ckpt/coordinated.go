@@ -101,7 +101,6 @@ func newCoordinated(v Variant, opt Options) *coordinated {
 	return &coordinated{v: v, opt: opt, round: opt.StartRound, committedRound: opt.StartRound}
 }
 
-func (s *coordinated) Name() string     { return s.v.String() }
 func (s *coordinated) Variant() Variant { return s.v }
 func (s *coordinated) Stats() Stats     { return s.stats }
 
@@ -138,7 +137,7 @@ func (s *coordinated) Attach(m *par.Machine) {
 	if s.v.ThreePhase {
 		s.armFailover()
 	}
-	m.Eng.After(s.opt.firstAt(), s.startRound)
+	m.Eng.After(s.opt.Interval, s.startRound)
 }
 
 func (s *coordinated) EnqueueJob(rank int, job func(p *sim.Proc)) {
@@ -635,7 +634,7 @@ func (cn *coordNode) writeStateJob(round, attempt int, file [][]byte, stateBytes
 			return // aborted while queued or waiting for the token
 		}
 		wsp := s.m.Obs.Start(cn.n.ID, obs.TidDaemon, "ckpt.disk_write").WithArg("round", int64(round))
-		err := writeSegmentedChecked(p, cn.n, s.v.StatePath(cn.n.ID, round), file, true)
+		err := writeSegmented(p, cn.n, s.v.StatePath(cn.n.ID, round), file, true)
 		wsp.End()
 		if err != nil {
 			if cn.round == round && cn.attempt == attempt {

@@ -115,7 +115,7 @@ func FuzzCkptFileDecode(f *testing.F) {
 	})
 }
 
-// refSegments is writeSegmentedOnce's loop as it was while a checkpoint file
+// refSegments is writeSegmented's loop as it was while a checkpoint file
 // was one contiguous buffer: the requests segmentFile must reproduce.
 func refSegments(path string, data []byte, send func(req storage.Request, last bool)) {
 	if len(data) == 0 {

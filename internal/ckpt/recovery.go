@@ -46,9 +46,8 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 
 	m.Eng.Spawn("recovery", func(p *sim.Proc) {
 		total := m.Obs.Start(0, obs.TidCoord, "recover.total")
-		// The daemons are not attached yet, so the orchestrator may use the
-		// coordinator node's storage path directly to find the last
-		// committed round.
+		// The orchestrator finds the last committed round with a storage
+		// call of its own from the coordinator's node: any process may call.
 		node0 := m.Nodes[0]
 		round := 0
 		msp := m.Obs.Start(0, obs.TidCoord, "recover.read_meta")

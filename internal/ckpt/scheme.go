@@ -219,9 +219,6 @@ type Options struct {
 	// initially synchronized independent timers drift apart).
 	Interval sim.Duration
 
-	// FirstAt is the time of the first checkpoint; zero means Interval.
-	FirstAt sim.Duration
-
 	// MaxCheckpoints caps the number of rounds (coordinated) or per-node
 	// checkpoints (independent); zero means unlimited.
 	MaxCheckpoints int
@@ -231,7 +228,7 @@ type Options struct {
 	StartRound int
 
 	// Spread staggers independent checkpointing deliberately: node k's first
-	// timer fires at FirstAt + k*Spread. Interleaved checkpoints are the
+	// timer fires at Interval + k*Spread. Interleaved checkpoints are the
 	// classic domino-effect construction; a spread can also be used as a
 	// poor man's staggering optimization. Ignored by coordinated schemes
 	// (they stagger via the NBMS token ring).
@@ -245,13 +242,6 @@ type Options struct {
 	// checkpoint would be a correctness bug even though the path is free
 	// again. Ignored by coordinated schemes (they continue via StartRound).
 	StartIndices []int
-}
-
-func (o Options) firstAt() sim.Duration {
-	if o.FirstAt > 0 {
-		return o.FirstAt
-	}
-	return o.Interval
 }
 
 // Dep records that during the checkpoint interval being closed, this node
@@ -310,7 +300,7 @@ type Stats struct {
 	// RoundsAborted counts coordinated 2PC rounds aborted after a
 	// participant's durable write failed through its retry budget; each
 	// aborted round is retried with the same round number after a backoff.
-	// SkippedCkpts counts independent/CIC checkpoints abandoned because
+	// SkippedCkpts counts independent/CIC checkpoints skipped because
 	// stable storage stayed unavailable; their dependency edges carry over
 	// to the node's next checkpoint so recovery lines remain correct.
 	RoundsAborted int
@@ -319,8 +309,6 @@ type Stats struct {
 
 // Scheme is a checkpointing protocol attached to a machine.
 type Scheme interface {
-	// Name returns the paper's scheme name.
-	Name() string
 	// Variant returns the scheme's variant.
 	Variant() Variant
 	// Attach installs hooks, daemons and timers on the machine. It must be
@@ -330,8 +318,9 @@ type Scheme interface {
 	Stats() Stats
 	// Records lists the durably completed checkpoints, oldest first.
 	Records() []Record
-	// EnqueueJob runs work on a node's checkpointer daemon, which owns the
-	// node's storage-reply mailbox (recovery reads, package rdg's deletes).
+	// EnqueueJob runs work on a node's checkpointer daemon, after the
+	// checkpoint I/O already queued there: the daemon orders a node's
+	// checkpoint writes, recovery reads and package rdg's deletes.
 	EnqueueJob(rank int, job func(p *sim.Proc))
 	// SetCommitHook arms the correctness oracle's hook; nil (the default) is
 	// the zero-cost disarmed state.
@@ -612,44 +601,34 @@ func segmentFile(path string, file [][]byte, send func(req storage.Request, last
 	}
 }
 
-// writeSegmentedOnce streams file durably to path from the node's daemon in
-// one attempt. When reset is true any previous content at path (a reused
-// slot file) is removed first. The final request is synchronous: FIFO
-// request ordering makes its reply a barrier confirming every segment is
-// durable, and it is verified error-free and of the expected durable size. A fire-and-
-// forget segment failed by an injected fault leaves the file short, which
-// the size check surfaces; a lost reply surfaces as a timeout under the
-// machine's retry policy (no timeout under the zero policy — the unarmed
-// path is byte-identical to the original pipeline).
-func writeSegmentedOnce(p *sim.Proc, n *par.Node, path string, file [][]byte, reset bool) error {
-	if reset {
-		n.StorageSend(p, storage.Request{Op: storage.OpDelete, Path: path})
-	}
-	var err error
-	segmentFile(path, file, func(req storage.Request, last bool) {
-		if !last {
-			n.StorageSend(p, req)
-			return
-		}
-		reply, _ := n.StorageCallTimeoutOn(p, n.Shard(), req, n.M.Retry.Timeout)
-		err = reply.Err
-		if size := fileLen(file); err == nil && reply.Size != size {
-			err = fmt.Errorf("%w: short write of %s: %d of %d bytes durable",
-				storage.ErrUnavailable, path, reply.Size, size)
-		}
-	})
-	return err
-}
-
-// writeSegmentedChecked is the hardened write pipeline: each verified
-// attempt that fails is retried from scratch (the slot is reset so partial
-// content cannot survive) with capped, jittered backoff under the machine's
-// retry policy. It returns the last error once attempts are exhausted; under
-// the zero policy a single attempt is made.
-func writeSegmentedChecked(p *sim.Proc, n *par.Node, path string, file [][]byte, reset bool) error {
+// writeSegmented streams file durably to path from the node's daemon. Every
+// segment but the last is fire-and-forget; the last is a storage call whose
+// reply, by FIFO request ordering, confirms every segment before it, and which
+// must be error-free and report the file's full durable size. A segment failed
+// by an injected fault leaves the file short, which the size check surfaces; a
+// lost reply surfaces as a timeout under the machine's retry policy (no
+// deadline under the zero policy). A failed attempt is retried from scratch —
+// the slot reset first, so partial content cannot survive — with capped,
+// jittered backoff; the last error is returned once the attempts are spent.
+// reset also clears the slot before the first attempt (a reused slot file).
+func writeSegmented(p *sim.Proc, n *par.Node, path string, file [][]byte, reset bool) error {
 	var err error
 	n.WithRetry(p, func(attempt int) bool {
-		err = writeSegmentedOnce(p, n, path, file, reset || attempt > 0)
+		if reset || attempt > 0 {
+			n.StorageSend(p, storage.Request{Op: storage.OpDelete, Path: path})
+		}
+		segmentFile(path, file, func(req storage.Request, last bool) {
+			if !last {
+				n.StorageSend(p, req)
+				return
+			}
+			reply := n.StorageCallTimeoutOn(p, n.Shard(), req, n.M.Retry.Timeout)
+			err = reply.Err
+			if size := fileLen(file); err == nil && reply.Size != size {
+				err = fmt.Errorf("%w: short write of %s: %d of %d bytes durable",
+					storage.ErrUnavailable, path, reply.Size, size)
+			}
+		})
 		return err == nil
 	})
 	return err

@@ -62,7 +62,6 @@ func newLocalTimers(v Variant, opt Options) *localTimers {
 	return &localTimers{v: v, opt: opt, slot: par.PBInterval, daemon: "ckptd%d"}
 }
 
-func (s *localTimers) Name() string     { return s.v.String() }
 func (s *localTimers) Variant() Variant { return s.v }
 func (s *localTimers) Stats() Stats     { return s.stats }
 func (s *localTimers) induced() bool    { return s.v.Driver == DriverInduced }
@@ -102,7 +101,7 @@ func (s *localTimers) Attach(m *par.Machine) {
 		tn.jobs = sim.NewMailbox[func(p *sim.Proc)](m.Eng)
 		s.nodes[i] = tn
 		s.attachNode(i)
-		m.Eng.After(s.opt.firstAt()+sim.Duration(i)*s.opt.Spread, tn.timerFire)
+		m.Eng.After(s.opt.Interval+sim.Duration(i)*s.opt.Spread, tn.timerFire)
 	}
 	if s.induced() {
 		m.OnAppExit(s.onAppExit)
@@ -384,7 +383,7 @@ func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 		k := c.index
 		file := encodeCkptFile(s.v, CkptFile{Index: k, Prev: c.prev, Deps: c.deps, Lib: c.lib}, c.image, c.pad)
 		wsp := s.m.Obs.Start(tn.n.ID, obs.TidDaemon, "ckpt.disk_write").WithArg("index", int64(k))
-		err := writeSegmentedChecked(p, tn.n, s.v.StatePath(tn.n.ID, k), file, false)
+		err := writeSegmented(p, tn.n, s.v.StatePath(tn.n.ID, k), file, false)
 		wsp.End()
 		if err != nil {
 			s.stats.SkippedCkpts++

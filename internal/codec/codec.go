@@ -19,8 +19,8 @@ import (
 // handed to the fabric or to stable storage (checkpoint files, message bodies)
 // must be freshly owned and are never written again: an envelope keeps its
 // payload alive while in flight, the storage server keeps the very slices it
-// is handed as the file's extents (and a timed-out storage call can leave an
-// abandoned request it serves later), and sender-based logging retains message
+// is handed as the file's extents (and a timed-out storage call can leave a
+// request behind that it serves later), and sender-based logging retains message
 // bodies for replay — none of these have a trackable death point, so their
 // writers are plain NewWriter allocations (NewWriterSize for the two ends of a
 // checkpoint record, whose size is known), and a Gatherer's framing is a fresh

@@ -29,14 +29,13 @@ type Config struct {
 	Machine par.Config
 
 	// Scheme selects the checkpointing variant; it is ignored unless
-	// Interval or FirstAt is set (no checkpointing otherwise).
+	// Interval is set (no checkpointing otherwise).
 	Scheme         ckpt.Variant
 	Interval       sim.Duration
-	FirstAt        sim.Duration
 	MaxCheckpoints int
 
 	// Spread staggers the local-timer schemes' first checkpoints: rank k's
-	// timer first fires at FirstAt + k*Spread (ckpt.Options.Spread).
+	// timer first fires at Interval + k*Spread (ckpt.Options.Spread).
 	Spread sim.Duration
 
 	// Obs, when non-nil, collects metrics, phase spans and trace events for
@@ -95,7 +94,7 @@ type Result struct {
 }
 
 // CheckpointingOn reports whether cfg runs a scheme.
-func (c Config) CheckpointingOn() bool { return c.Interval > 0 || c.FirstAt > 0 }
+func (c Config) CheckpointingOn() bool { return c.Interval > 0 }
 
 // Run executes one workload under cfg. The returned error covers simulation
 // failures (deadlock, panics) and oracle mismatches.
@@ -135,13 +134,12 @@ func Start(wl apps.Workload, cfg Config) *Launched {
 	if cfg.CheckpointingOn() {
 		s.Options = ckpt.Options{
 			Interval:       cfg.Interval,
-			FirstAt:        cfg.FirstAt,
 			MaxCheckpoints: cfg.MaxCheckpoints,
 			Spread:         cfg.Spread,
 		}
 		s.Scheme = ckpt.New(cfg.Scheme, s.Options)
-		cfg.Obs.SetScheme(s.Scheme.Name())
-		s.ps.SetScheme(s.Scheme.Name())
+		cfg.Obs.SetScheme(cfg.Scheme.String())
+		s.ps.SetScheme(cfg.Scheme.String())
 		s.Scheme.Attach(m)
 	}
 	s.World = mp.NewWorld(m)
@@ -205,7 +203,7 @@ func (s *Launched) Finish() (Result, error) {
 	}
 	res.NetMsgs, res.NetBytes = m.Net.TotalTraffic()
 	if s.Scheme != nil {
-		res.Scheme = s.Scheme.Name()
+		res.Scheme = s.Scheme.Variant().String()
 		res.Ckpt = s.Scheme.Stats()
 		res.Records = s.Scheme.Records()
 	}

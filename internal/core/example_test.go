@@ -49,7 +49,7 @@ func Example_staggering() {
 	}
 	fmt.Printf("%s, normal execution %.3fs\n", wl.Name, base.Exec.Seconds())
 	for _, v := range []ckpt.Variant{ckpt.CoordNB, ckpt.CoordNBMS} {
-		cfg := core.Config{Machine: par.DefaultConfig(), Scheme: v, FirstAt: base.Exec / 2, MaxCheckpoints: 1}
+		cfg := core.Config{Machine: par.DefaultConfig(), Scheme: v, Interval: base.Exec / 2, MaxCheckpoints: 1}
 		res, err := core.Run(wl, cfg)
 		if err != nil {
 			panic(err)

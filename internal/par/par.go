@@ -23,7 +23,7 @@ import (
 // Ports demultiplex envelopes within a node.
 const (
 	PortApp    = 0 // application messages and safe-point actions
-	PortDaemon = 1 // checkpointer protocol and storage replies
+	PortDaemon = 1 // checkpointer protocol; storage requests and their replies
 )
 
 // Config describes the whole machine.
@@ -487,8 +487,7 @@ type Node struct {
 	Alive bool
 	Inc   int // node incarnation, bumped on crash
 
-	AppBox    *sim.Mailbox[*fabric.Envelope]
-	DaemonBox *sim.Mailbox[*fabric.Envelope]
+	AppBox *sim.Mailbox[*fabric.Envelope]
 
 	AppProc    *sim.Proc
 	DaemonProc *sim.Proc
@@ -541,9 +540,7 @@ type Node struct {
 	// context, must not block, and is cleared on crash like every hook.
 	Transport func(env *fabric.Envelope) []*fabric.Envelope
 
-	reqSeq    int
-	cpuDebt   sim.Duration
-	abandoned map[int]bool // ids of timed-out storage calls whose replies are still due
+	cpuDebt sim.Duration
 }
 
 // ResetCPUDebt discards routing-CPU debt accrued while the application was
@@ -561,7 +558,6 @@ func (n *Node) TakeCPUDebt() sim.Duration {
 
 func (n *Node) reset() {
 	n.AppBox = sim.NewMailbox[*fabric.Envelope](n.M.Eng)
-	n.DaemonBox = sim.NewMailbox[*fabric.Envelope](n.M.Eng)
 	n.DeliverHook = nil
 	n.OutMeta = nil
 	n.PreConsume = nil
@@ -570,7 +566,6 @@ func (n *Node) reset() {
 	n.Snap = nil
 	n.Lib = nil
 	n.Transport = nil
-	n.abandoned = nil
 }
 
 func (n *Node) crash() {
@@ -608,7 +603,8 @@ func (n *Node) deliver(env *fabric.Envelope) {
 	n.dispatch(env)
 }
 
-// dispatch runs the protocol hook and enqueues the envelope on its port. The
+// dispatch runs the protocol hook, then enqueues an application-port
+// envelope or completes the storage call a daemon-port reply answers. The
 // reliable transport re-enters here with envelopes released from its reorder
 // buffer.
 func (n *Node) dispatch(env *fabric.Envelope) {
@@ -619,7 +615,9 @@ func (n *Node) dispatch(env *fabric.Envelope) {
 	case PortApp:
 		n.AppBox.Put(env)
 	case PortDaemon:
-		n.DaemonBox.Put(env)
+		if r, ok := env.Payload.(storageReply); ok {
+			r.call.complete(r.reply)
+		}
 	}
 }
 
@@ -671,16 +669,25 @@ func (m *Machine) StartDaemon(nodeID int, name string, body func(p *sim.Proc)) *
 	return node.DaemonProc
 }
 
-// storageReply pairs a request id with the server's reply.
-type storageReply struct {
-	id    int
+// storageCall is one outstanding storage call. Its reply and its deadline
+// both complete it; the first wins and the other is dropped.
+type storageCall struct {
+	done  *sim.Gate
 	reply storage.Reply
 }
 
-// storageTimeout marks a storage call whose deadline expired before the
-// reply arrived; it is posted directly to the waiting daemon's mailbox.
-type storageTimeout struct {
-	id int
+func (c *storageCall) complete(r storage.Reply) {
+	if c.done.Opened() {
+		return
+	}
+	c.reply = r
+	c.done.Open()
+}
+
+// storageReply carries the server's reply back to the call that issued it.
+type storageReply struct {
+	call  *storageCall
+	reply storage.Reply
 }
 
 // Shard returns the index of the storage server holding this rank's files —
@@ -688,82 +695,42 @@ type storageTimeout struct {
 func (n *Node) Shard() int { return n.M.shard[n.ID] }
 
 // StorageCall performs a stable-storage operation over the fabric: the
-// request (with its data) travels to the rank's shard's host, queues at the
-// server, and the reply returns to this node's daemon port. The calling
-// process parks until the reply arrives. It must only be called from a
-// process that owns the daemon mailbox (the checkpointer daemon), and may
-// consume unrelated envelopes' queue positions only logically: selective
-// receive leaves other envelopes queued.
+// request (with its data) travels to the rank's shard's host and queues at
+// the server, and the reply travels back to this node's daemon port, where it
+// completes the call. The calling process parks until then. Any process on
+// the node may call, and several may have calls outstanding at once.
 func (n *Node) StorageCall(p *sim.Proc, req storage.Request) storage.Reply {
-	reply, _ := n.StorageCallTimeoutOn(p, n.Shard(), req, 0)
-	return reply
+	return n.StorageCallTimeoutOn(p, n.Shard(), req, 0)
 }
 
 // StorageCallTimeoutOn is StorageCall addressed at an explicit shard, with a
 // per-attempt deadline: if the reply does not arrive within timeout (0 = wait
-// forever) the call returns ok=false and an ErrUnavailable reply; the late
-// reply, when it eventually arrives, is discarded by a later storage call on
-// this node.
-func (n *Node) StorageCallTimeoutOn(p *sim.Proc, shard int, req storage.Request, timeout sim.Duration) (storage.Reply, bool) {
-	n.drainAbandoned()
-	n.reqSeq++
-	id := n.reqSeq
+// forever) the call returns an ErrUnavailable reply, and the late reply is
+// dropped when it arrives.
+func (n *Node) StorageCallTimeoutOn(p *sim.Proc, shard int, req storage.Request, timeout sim.Duration) storage.Reply {
+	call := &storageCall{done: sim.NewGate(n.M.Eng)}
 	me := fabric.NodeID(n.ID)
 	host := n.M.Cfg.Fabric.HostID(shard)
 	epoch := n.M.Epoch
 	req.Done = func(r storage.Reply) {
 		// Runs in storage-server context on the host: send the reply back
 		// over the fabric.
-		replySize := len(r.Data)
 		n.M.Net.Send(nil, &fabric.Envelope{
 			Src: host, Dst: me, Port: PortDaemon, Inc: epoch,
-			Size:    replySize + n.M.Cfg.MsgHeader,
-			Payload: storageReply{id: id, reply: r},
+			Size:    len(r.Data) + n.M.Cfg.MsgHeader,
+			Payload: storageReply{call: call, reply: r},
 		})
 	}
 	n.Send(p, host, PortDaemon, req, req.Len())
-	settled := new(bool)
 	if timeout > 0 {
 		n.M.Eng.After(timeout, func() {
-			if !*settled {
-				n.DaemonBox.Put(&fabric.Envelope{
-					Src: me, Dst: me, Port: PortDaemon, Inc: epoch,
-					Payload: storageTimeout{id: id},
-				})
+			if !call.done.Opened() {
+				call.complete(storage.Reply{Err: fmt.Errorf("%w: no reply within %v", storage.ErrUnavailable, timeout)})
 			}
 		})
 	}
-	env := n.DaemonBox.Get(p, func(e *fabric.Envelope) bool {
-		if st, ok := e.Payload.(storageTimeout); ok {
-			return st.id == id
-		}
-		sr, ok := e.Payload.(storageReply)
-		return ok && sr.id == id
-	})
-	*settled = true
-	if _, ok := env.Payload.(storageTimeout); ok {
-		if n.abandoned == nil {
-			n.abandoned = make(map[int]bool)
-		}
-		n.abandoned[id] = true
-		return storage.Reply{Err: fmt.Errorf("%w: no reply within %v", storage.ErrUnavailable, timeout)}, false
-	}
-	return env.Payload.(storageReply).reply, true
-}
-
-// drainAbandoned discards replies of timed-out calls that arrived since the
-// last storage operation, so they cannot satisfy a future call's matcher.
-func (n *Node) drainAbandoned() {
-	for len(n.abandoned) > 0 {
-		env, ok := n.DaemonBox.TakeMatch(func(e *fabric.Envelope) bool {
-			sr, ok := e.Payload.(storageReply)
-			return ok && n.abandoned[sr.id]
-		})
-		if !ok {
-			return
-		}
-		delete(n.abandoned, env.Payload.(storageReply).id)
-	}
+	call.done.Wait(p)
+	return call.reply
 }
 
 // StorageCallRetry is StorageCall hardened by the machine's retry policy:
@@ -779,9 +746,8 @@ func (n *Node) StorageCallRetry(p *sim.Proc, req storage.Request) storage.Reply 
 func (n *Node) StorageCallRetryOn(p *sim.Proc, shard int, req storage.Request) storage.Reply {
 	var reply storage.Reply
 	n.WithRetry(p, func(int) bool {
-		var ok bool
-		reply, ok = n.StorageCallTimeoutOn(p, shard, req, n.M.Retry.Timeout)
-		return ok && !errors.Is(reply.Err, storage.ErrUnavailable)
+		reply = n.StorageCallTimeoutOn(p, shard, req, n.M.Retry.Timeout)
+		return !errors.Is(reply.Err, storage.ErrUnavailable)
 	})
 	return reply
 }

@@ -1,6 +1,9 @@
 package par
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/fabric"
@@ -67,6 +70,58 @@ func TestStorageCallChargesNetworkAndDiskTime(t *testing.T) {
 	// (~0.83s @ 1.2MB/s) + request overhead.
 	if took < 1800*sim.Millisecond || took > 2200*sim.Millisecond {
 		t.Fatalf("storage call took %v, want ≈1.85s", took)
+	}
+}
+
+func TestConcurrentStorageCallsOnOneNode(t *testing.T) {
+	m := NewMachine(DefaultConfig())
+	n := m.Nodes[3]
+	sizes := []int{300_000, 1000}
+	got := make([]storage.Reply, len(sizes))
+	for i, size := range sizes {
+		m.Eng.Spawn(fmt.Sprintf("writer%d", i), func(p *sim.Proc) {
+			got[i] = n.StorageCall(p, storage.Request{Op: storage.OpWrite, Path: fmt.Sprintf("f%d", i), Data: make([]byte, size), Durable: true})
+		})
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got {
+		if r.Err != nil || r.Size != sizes[i] {
+			t.Errorf("writer%d: reply %+v, want size %d", i, r, sizes[i])
+		}
+	}
+}
+
+func TestLateReplyAfterDeadlineIsDropped(t *testing.T) {
+	m := NewMachine(DefaultConfig())
+	n := m.Nodes[3]
+	small := []byte("sixteen bytes!!!")
+	var late, read storage.Reply
+	var waited sim.Duration
+	m.Eng.Spawn("client", func(p *sim.Proc) {
+		n.StorageCall(p, storage.Request{Op: storage.OpWrite, Path: "small", Data: small, Durable: true})
+		start := p.Now()
+		late = n.StorageCallTimeoutOn(p, n.Shard(), storage.Request{Op: storage.OpWrite, Path: "big", Data: make([]byte, 1_000_000), Durable: true}, 100*sim.Millisecond)
+		waited = p.Now().Sub(start)
+		// The read queues behind the big write, so the write's late reply
+		// arrives while the read is outstanding.
+		read = n.StorageCall(p, storage.Request{Op: storage.OpRead, Path: "small"})
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(late.Err, storage.ErrUnavailable) {
+		t.Fatalf("timed-out write: %+v, want ErrUnavailable", late)
+	}
+	if want := m.Cfg.Fabric.SendOverhead + 100*sim.Millisecond; waited != want {
+		t.Errorf("timed-out write returned after %v, want %v", waited, want)
+	}
+	if read.Err != nil || !bytes.Equal(read.Data, small) {
+		t.Fatalf("read after the deadline got %+v, want %q", read, small)
+	}
+	if size, _ := m.Store.Size("big"); size != 1_000_000 {
+		t.Errorf("late write stored %d bytes, want 1000000", size)
 	}
 }
 

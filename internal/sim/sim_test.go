@@ -154,10 +154,16 @@ func TestMailboxSelectiveReceive(t *testing.T) {
 	e := New()
 	m := NewMailbox[int](e)
 	var got []int
+	even := func(v int) bool { return v%2 == 0 }
 	e.Spawn("consumer", func(p *Proc) {
-		// Receive even values first, then odd.
-		for i := 0; i < 2; i++ {
-			got = append(got, m.Get(p, func(v int) bool { return v%2 == 0 }))
+		// Receive even values first, then odd: the selective-receive loop
+		// of mp.Recv, which re-scans the queue after every arrival.
+		for len(got) < 2 {
+			if v, ok := m.TakeMatch(even); ok {
+				got = append(got, v)
+				continue
+			}
+			m.AwaitPut(p)
 		}
 		for i := 0; i < 2; i++ {
 			got = append(got, m.GetAny(p))

@@ -151,20 +151,14 @@ func (m *Mailbox[T]) AwaitPut(p *Proc) {
 	p.park()
 }
 
-// Get removes and returns the first item satisfying match, parking p until
-// one arrives.
-func (m *Mailbox[T]) Get(p *Proc, match func(T) bool) T {
-	for {
-		if v, ok := m.TakeMatch(match); ok {
-			return v
-		}
-		m.AwaitPut(p)
-	}
-}
-
 // GetAny removes and returns the oldest item, parking p until one arrives.
 func (m *Mailbox[T]) GetAny(p *Proc) T {
-	return m.Get(p, func(T) bool { return true })
+	for len(m.items) == 0 {
+		m.AwaitPut(p)
+	}
+	v := m.items[0]
+	m.items = append(m.items[:0], m.items[1:]...)
+	return v
 }
 
 // ForEach visits the queued items in FIFO order without copying the queue
