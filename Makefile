@@ -9,8 +9,8 @@ test:
 	$(GO) test ./...
 
 # Full suite under the race detector: the engine's one-runner-at-a-time
-# handoff, the parallel benchmark runner's worker pool, and the shared
-# observer registry are all exercised concurrently by the bench tests.
+# handoff and the parallel benchmark runner's worker pool, with simulations
+# running side by side, are exercised concurrently by the bench tests.
 race:
 	$(GO) test -race ./...
 
@@ -57,8 +57,10 @@ fuzz:
 	$(GO) test ./internal/apps -run '^$$' -fuzz FuzzMetropolisAccept -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/par -run '^$$' -fuzz FuzzStorageCalls -fuzztime $(FUZZTIME)
 
+# ./... does not reach the nested benchmark module, hence its own vet.
 vet:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 
 # Crash-recovery correctness oracle (cmd/chkcheck): every explorer cell is
 # crashed mid-run, recovered through its scheme's own protocol, audited
@@ -133,6 +135,7 @@ loc:
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 	$(GO) test -race ./...
 	$(GO) -C benchmark test ./...
 	$(MAKE) fuzz

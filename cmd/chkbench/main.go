@@ -62,7 +62,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/ckpt"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/perf"
 )
@@ -163,9 +162,6 @@ func run(args []string, out, errw io.Writer) (err error) {
 		prog = bench.NewLineProgress(errw)
 	}
 	r := bench.NewRunner(*parallel, prog)
-	if *celltime {
-		r.Obs = obs.New() // aggregate per-cell metrics (bench.cell_wall_seconds etc.)
-	}
 	// Ctrl-C stops dispatching new cells; in-flight simulations finish first.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

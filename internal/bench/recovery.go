@@ -73,7 +73,7 @@ func RecoveryDemo(w io.Writer, cfg par.Config, v ckpt.Variant, interval, crashAt
 	fmt.Fprintf(w, "  crash injected at           %10.2fs\n", crashAt.Seconds())
 	fmt.Fprintf(w, "  recovered round             %10d\n", rep.Round)
 	fmt.Fprintf(w, "  state+logs read back        %10.2f MB, %d in-transit messages restored\n",
-		float64(rep.StateBytes)/1e6, rep.ChanMsgs)
+		float64(rep.BytesRead)/1e6, rep.ChanMsgs)
 	fmt.Fprintf(w, "  restart completed in        %10.3fs after repair\n",
 		rep.CompletedAt.Sub(rep.StartedAt).Seconds())
 	fmt.Fprintf(w, "  execution with crash        %10.2fs (vs %0.2fs crash-free)\n", total.Seconds(), normal.Exec.Seconds())

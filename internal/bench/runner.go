@@ -84,11 +84,6 @@ type Runner struct {
 	// testing.T.Logf). nil is silent.
 	Prog Progress
 
-	// Obs, when non-nil, receives the runner's aggregate metrics: the
-	// "bench.cell_wall_seconds" histogram and the "bench.cells_run" counter,
-	// recorded as each cell completes. The observer synchronizes internally.
-	Obs *obs.Observer
-
 	mu      sync.Mutex
 	timings []CellTime
 }
@@ -142,8 +137,6 @@ func (r *Runner) recordCell(c Cell, wall time.Duration) {
 	r.mu.Lock()
 	r.timings = append(r.timings, CellTime{Cell: c, Wall: wall})
 	r.mu.Unlock()
-	r.Obs.Observe(0, "bench.cell_wall_seconds", wall.Seconds())
-	r.Obs.Add(0, "bench.cells_run", 1)
 }
 
 // ForEach runs fn once per cell on the worker pool and blocks until every

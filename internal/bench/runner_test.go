@@ -17,7 +17,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/perf"
 	"repro/internal/sim"
@@ -212,11 +211,10 @@ func TestForEachLowestIndexErrorWins(t *testing.T) {
 }
 
 // TestForEachStreamsMetricsAndTimings checks the runner's aggregate
-// instrumentation: one wall-clock observation and one counter increment per
-// completed cell, and a stable sorted Timings listing.
+// instrumentation: one wall-clock timing per completed cell, each cell once,
+// in a stable sorted Timings listing whose walls TotalWall sums.
 func TestForEachStreamsMetricsAndTimings(t *testing.T) {
 	r := NewRunner(4, nil)
-	r.Obs = obs.New()
 	cells := make([]Cell, 12)
 	for i := range cells {
 		cells[i] = Cell{App: "M", Scheme: "x", Rep: i}
@@ -226,17 +224,24 @@ func TestForEachStreamsMetricsAndTimings(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Obs.CounterTotal("bench.cells_run"); got != int64(len(cells)) {
-		t.Fatalf("bench.cells_run = %d, want %d", got, len(cells))
-	}
 	ts := r.Timings()
 	if len(ts) != len(cells) {
 		t.Fatalf("timings = %d, want %d", len(ts), len(cells))
 	}
-	for i := 1; i < len(ts); i++ {
-		if ts[i-1].Cell.Name() > ts[i].Cell.Name() {
-			t.Fatalf("timings not sorted: %q after %q", ts[i].Cell.Name(), ts[i-1].Cell.Name())
+	seen := map[Cell]bool{}
+	var total time.Duration
+	for i, tm := range ts {
+		if i > 0 && ts[i-1].Cell.Name() > tm.Cell.Name() {
+			t.Fatalf("timings not sorted: %q after %q", tm.Cell.Name(), ts[i-1].Cell.Name())
 		}
+		if seen[tm.Cell] || tm.Wall < 0 {
+			t.Fatalf("timing %+v repeated or negative", tm)
+		}
+		seen[tm.Cell] = true
+		total += tm.Wall
+	}
+	if total != r.TotalWall() {
+		t.Fatalf("TotalWall = %v, want the timings' sum %v", r.TotalWall(), total)
 	}
 	var sb strings.Builder
 	WriteCellTimes(&sb, ts)
@@ -330,7 +335,7 @@ func TestRunPerfQuickMatrix(t *testing.T) {
 }
 
 // TestMeasureRowsHighParallelismStress drives the whole measurement stack —
-// engine handoff, scheme state, observer registry, line-atomic progress —
+// engine handoff, scheme state, line-atomic progress —
 // from many more workers than cells and from nested ForEach calls. Its value
 // is under -race: any unsynchronized sharing between concurrently running
 // simulations surfaces here.
@@ -340,7 +345,6 @@ func TestMeasureRowsHighParallelismStress(t *testing.T) {
 	var mu sync.Mutex
 	prog := NewLineProgress(syncWriter{&mu, &buf})
 	r := NewRunner(32, prog)
-	r.Obs = obs.New()
 	wls := goldenWorkloads(t)
 
 	// Two concurrent MeasureRows on one runner: nested/overlapping ForEach

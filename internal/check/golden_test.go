@@ -34,9 +34,8 @@ func instrumentedTableRun(t *testing.T, cfg par.Config, wl apps.Workload, v ckpt
 	n := m.NumNodes()
 	h := newHarness(n)
 	a := newAudit(m, h, v)
-	sch := ckpt.New(v, ckpt.Options{Interval: interval, MaxCheckpoints: ckpts})
+	sch := ckpt.New(v, ckpt.Options{Interval: interval, MaxCheckpoints: ckpts, CommitHook: a.onCommit})
 	sch.Attach(m)
-	sch.SetCommitHook(a.onCommit)
 	w := mp.NewWorld(m)
 	h.Attach(w)
 	for rank := 0; rank < n; rank++ {

@@ -42,9 +42,8 @@ func TestIncrementalReconstructionProperty(t *testing.T) {
 			n := m.NumNodes()
 			h := newHarness(n)
 			a := newAudit(m, h, v)
-			sch := ckpt.New(v, ckpt.Options{Interval: interval})
+			sch := ckpt.New(v, ckpt.Options{Interval: interval, CommitHook: a.onCommit})
 			sch.Attach(m)
-			sch.SetCommitHook(a.onCommit)
 			w := mp.NewWorld(m)
 			h.Attach(w)
 			for rank := 0; rank < n; rank++ {
@@ -127,9 +126,9 @@ func auditedRing(t *testing.T, v ckpt.Variant, opt ckpt.Options) (*par.Machine, 
 	n := m.NumNodes()
 	h := newHarness(n)
 	a := newAudit(m, h, v)
+	opt.CommitHook = a.onCommit
 	sch := ckpt.New(v, opt)
 	sch.Attach(m)
-	sch.SetCommitHook(a.onCommit)
 	w := mp.NewWorld(m)
 	h.Attach(w)
 	for rank := 0; rank < n; rank++ {

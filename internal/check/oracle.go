@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mp"
 	"repro/internal/obs"
@@ -112,29 +113,16 @@ func (o *Oracle) baselineFor(wl apps.Workload) (*baseline, error) {
 }
 
 func (o *Oracle) runBaseline(wl apps.Workload) (*baseline, error) {
-	m := par.NewMachine(o.Cfg)
-	defer m.Shutdown()
-	n := m.NumNodes()
-	h := newHarness(n)
-	w := mp.NewWorld(m)
-	h.Attach(w)
-	progs := make([]mp.Program, n)
-	for rank := 0; rank < n; rank++ {
-		progs[rank] = wl.Make(rank, n)
-		w.Launch(rank, progs[rank])
-	}
-	if err := m.Run(); err != nil {
+	run := core.Start(wl, core.Config{Machine: o.Cfg})
+	h := newHarness(run.M.NumNodes())
+	h.Attach(run.World)
+	res, err := run.Finish()
+	if err != nil {
 		return nil, err
 	}
-	if wl.Check != nil {
-		if err := wl.Check(progs); err != nil {
-			return nil, err
-		}
-	}
-	b := &baseline{exec: sim.Duration(m.AppsFinished), delivered: h.delivered,
-		finals: make([][]byte, n)}
-	for rank, p := range progs {
-		b.finals[rank] = p.Snapshot()
+	b := &baseline{exec: res.Exec, delivered: h.delivered, finals: make([][]byte, len(run.M.Nodes))}
+	for rank, n := range run.M.Nodes {
+		b.finals[rank] = n.Snap.Snapshot()
 	}
 	return b, nil
 }
@@ -223,6 +211,7 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 	}
 	h := newHarness(n)
 	a := newAudit(m, h, spec.Scheme)
+	opt.CommitHook = a.onCommit // armed on this scheme and every recovered one
 	cur := make([]*wrapped, n)
 	factory := func(rank int) mp.Program {
 		wp := &wrapped{inner: spec.Workload.Make(rank, n), h: h, rank: rank}
@@ -230,9 +219,7 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 		return wp
 	}
 
-	sch := ckpt.New(spec.Scheme, opt)
-	sch.Attach(m)
-	sch.SetCommitHook(a.onCommit)
+	ckpt.New(spec.Scheme, opt).Attach(m)
 	w := mp.NewWorld(m)
 	h.Attach(w)
 	for rank := 0; rank < n; rank++ {

@@ -1,8 +1,6 @@
 package check
 
 import (
-	"fmt"
-
 	"repro/internal/ckpt"
 	"repro/internal/mp"
 	"repro/internal/par"
@@ -11,8 +9,8 @@ import (
 )
 
 // recoverCoordinated restarts a crashed machine through the coordinated
-// protocol's own recovery manager (ckpt.Recover) and re-arms the oracle on
-// the new incarnation. Returns the recovered round.
+// protocol's own recovery manager (ckpt.Recover), whose new incarnation the
+// audit's hook in opt arms as it attaches. Returns the recovered round.
 func (o *Oracle) recoverCoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.Options, h *Harness, a *audit, factory func(int) mp.Program) int {
 	round := 0
 	if meta, ok := m.StoreFor(0).Peek(ckpt.CoordMetaPath, nil); ok {
@@ -26,17 +24,8 @@ func (o *Oracle) recoverCoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.Opt
 		h.reset()
 	}
 	a.onCoordRecovery()
-	w, rep := ckpt.Recover(m, v, opt, factory)
+	w, _ := ckpt.Recover(m, v, opt, factory)
 	h.Attach(w)
-	// The new incarnation's scheme is created inside the recovery
-	// orchestrator's process, so it does not exist yet; re-arm the oracle
-	// when recovery completes. No round can commit earlier: a commit needs
-	// every rank's ack, and the daemons work off their restore jobs — whose
-	// last one opens the gate — before any checkpoint request.
-	m.Eng.Spawn("check-arm", func(p *sim.Proc) {
-		rep.Done.Wait(p)
-		rep.Scheme.SetCommitHook(a.onCommit)
-	})
 	return round
 }
 
@@ -73,9 +62,7 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 	a.onRecovery(line)
 
 	opt.StartIndices = line
-	sch := ckpt.New(v, opt)
-	sch.Attach(m)
-	sch.SetCommitHook(a.onCommit)
+	ckpt.New(v, opt).Attach(m)
 
 	m.Eng.Spawn("check-recover", func(p *sim.Proc) {
 		node0 := m.Nodes[0]
@@ -105,13 +92,7 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 			if line[rank] == 0 {
 				continue
 			}
-			img, head, err := new(ckpt.Replayer).ReconstructCkpt(v, rank, line[rank], func(path string, _ []byte) ([]byte, error) {
-				reply := m.Nodes[rank].StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
-				return reply.Data, reply.Err
-			})
-			if err != nil {
-				panic(fmt.Sprintf("check: recovery: %v", err))
-			}
+			img, head, _ := ckpt.ReadCheckpoint(p, m.Nodes[rank], v, line[rank])
 			states[rank], libs[rank] = img, head.Lib
 		}
 		// 3. Rebuild every rank; the indexed restore rewinds both the

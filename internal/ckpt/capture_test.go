@@ -213,7 +213,14 @@ func TestIncBaselineIsCommittedSnapshot(t *testing.T) {
 		t.Run(v.String(), func(t *testing.T) {
 			m := par.NewMachine(par.DefaultConfig())
 			defer m.Shutdown()
-			sch := New(v, Options{Interval: sim.Second, MaxCheckpoints: 6})
+			committed, captures := 0, map[int]int{}
+			sch := New(v, Options{Interval: sim.Second, MaxCheckpoints: 6, CommitHook: func(recs []Record) {
+				for _, r := range recs {
+					if r.Rank == 0 {
+						committed = r.Index
+					}
+				}
+			}})
 			sch.Attach(m)
 			var img *heldImage
 			switch s := sch.(type) {
@@ -222,14 +229,6 @@ func TestIncBaselineIsCommittedSnapshot(t *testing.T) {
 			case *coordinated:
 				img = &s.nodes[0].img
 			}
-			committed, captures := 0, map[int]int{}
-			sch.SetCommitHook(func(recs []Record) {
-				for _, r := range recs {
-					if r.Rank == 0 {
-						committed = r.Index
-					}
-				}
-			})
 			failed := v.StatePath(0, 2) // the first write of rank 0's second checkpoint fails
 			for _, st := range m.Stores {
 				st.FaultHook = func(op storage.Op, path string) error {

@@ -324,11 +324,14 @@ func TestRecoveryEndToEnd(t *testing.T) {
 				w.Launch(rank, factory(rank))
 			}
 			var rep *RecoveryReport
+			var after []int                      // rounds the new incarnation commits
 			crashAt := sim.Time(12 * sim.Second) // after at least one committed round
 			m.Eng.At(crashAt, func() {
 				m.CrashAll()
 				m.Eng.After(500*sim.Millisecond, func() { // repair delay
-					_, rep = Recover(m, v, Options{Interval: 2 * sim.Second}, factory)
+					_, rep = Recover(m, v, Options{Interval: 2 * sim.Second, CommitHook: func(recs []Record) {
+						after = append(after, recs[0].Index)
+					}}, factory)
 				})
 			})
 			if err := m.Run(); err != nil {
@@ -352,10 +355,12 @@ func TestRecoveryEndToEnd(t *testing.T) {
 			}
 			// The new incarnation's scheme keeps checkpointing with continued
 			// round numbers.
-			if rep.Scheme.Stats().Rounds > 0 {
-				recs := rep.Scheme.Records()
-				if recs[0].Index <= rep.Round {
-					t.Fatalf("post-recovery round %d does not continue after %d", recs[0].Index, rep.Round)
+			if len(after) == 0 {
+				t.Fatal("the new incarnation committed no round")
+			}
+			for i, round := range after {
+				if round != rep.Round+1+i {
+					t.Fatalf("post-recovery rounds %v do not continue after %d", after, rep.Round)
 				}
 			}
 		})
@@ -450,10 +455,6 @@ func TestRecoveryRequeuesChannelLogAheadOfNewTraffic(t *testing.T) {
 	const n = 60
 	m := par.NewMachine(par.DefaultConfig())
 	defer m.Shutdown()
-	opt := Options{Interval: 2 * sim.Second}
-	sch := New(CoordNB, opt)
-	sch.Attach(m)
-	w := mp.NewWorld(m)
 	factory := func(rank int) mp.Program {
 		switch rank {
 		case 0:
@@ -463,17 +464,20 @@ func TestRecoveryRequeuesChannelLogAheadOfNewTraffic(t *testing.T) {
 		}
 		return idleProg{}
 	}
-	for rank := range m.Nodes {
-		w.Launch(rank, factory(rank))
-	}
-	var w2 *mp.World
+	opt := Options{Interval: 2 * sim.Second}
 	var rep *RecoveryReport
 	var firstSend sim.Time // the relaunched rank 0's first message to rank 1
-	sch.SetCommitHook(func([]Record) {
-		sch.SetCommitHook(nil)
+	var restored []Record  // the first round's records: the crash leaves it committed
+	armed := opt
+	armed.CommitHook = func(recs []Record) {
+		if restored != nil {
+			return
+		}
+		restored = recs
 		m.Eng.After(sim.Second, func() { // the crash: round 1 is the one restored
 			m.CrashAll()
 			m.Eng.After(100*sim.Millisecond, func() {
+				var w2 *mp.World
 				w2, rep = Recover(m, CoordNB, opt, factory)
 				w2.OnSend = func(src, dst int, _ *mp.Message) {
 					if src == 0 && dst == 1 && firstSend == 0 {
@@ -482,12 +486,28 @@ func TestRecoveryRequeuesChannelLogAheadOfNewTraffic(t *testing.T) {
 				}
 			})
 		})
-	})
+	}
+	New(CoordNB, armed).Attach(m)
+	w := mp.NewWorld(m)
+	for rank := range m.Nodes {
+		w.Launch(rank, factory(rank))
+	}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if rep == nil || !rep.Done.Opened() || rep.Round < 1 || rep.ChanMsgs == 0 {
 		t.Fatalf("want a recovery from a committed round with a logged 0->1 channel, got %+v", rep)
+	}
+	// Every rank read back its checkpoint file and, rank 1 at least, its
+	// channel log: the report counts both.
+	var want, logs int64
+	for _, r := range restored {
+		want += int64(r.StateBytes + r.ChanBytes)
+		logs += int64(r.ChanBytes)
+	}
+	if restored[0].Index != rep.Round || logs == 0 || rep.BytesRead != want {
+		t.Fatalf("round %d read back %d bytes, want %d: its files plus %d bytes of channel logs (restored round %d)",
+			rep.Round, rep.BytesRead, want, logs, restored[0].Index)
 	}
 	if firstSend == 0 || firstSend >= rep.CompletedAt {
 		t.Fatalf("rank 0 first sent at %v, rank 1 relaunched at %v: the race this test needs did not happen", firstSend, rep.CompletedAt)

@@ -92,8 +92,6 @@ type coordinated struct {
 	records []Record
 	pending []Record // records of the in-flight round, promoted at commit
 
-	commitHook CommitHook // correctness-oracle hook, nil when disarmed
-
 	roundSpan obs.Span // open "ckpt.round" span of the in-flight round
 }
 
@@ -103,10 +101,6 @@ func newCoordinated(v Variant, opt Options) *coordinated {
 
 func (s *coordinated) Variant() Variant { return s.v }
 func (s *coordinated) Stats() Stats     { return s.stats }
-
-// SetCommitHook arms the correctness-oracle hook, fired once per committed
-// round with the round's records.
-func (s *coordinated) SetCommitHook(h CommitHook) { s.commitHook = h }
 
 func (s *coordinated) Records() []Record {
 	return append([]Record(nil), s.records...)
@@ -119,10 +113,9 @@ func (s *coordinated) Attach(m *par.Machine) {
 	s.nodes = make([]*coordNode, m.NumNodes())
 	for i, n := range m.Nodes {
 		cn := &coordNode{s: s, n: n, img: heldImage{incremental: s.v.Incremental()}}
-		cn.jobs = sim.NewMailbox[func(p *sim.Proc)](m.Eng)
 		s.nodes[i] = cn
 		n.DeliverHook = cn.hook
-		m.StartDaemon(i, fmt.Sprintf("ckptd%d", i), daemonLoop(cn.jobs))
+		m.StartDaemon(i, fmt.Sprintf("ckptd%d", i), n.ServeJobs)
 	}
 	m.OnAllAppsDone(func() { s.stopped = true })
 	m.OnAppExit(func(nodeID int) {
@@ -138,10 +131,6 @@ func (s *coordinated) Attach(m *par.Machine) {
 		s.armFailover()
 	}
 	m.Eng.After(s.opt.Interval, s.startRound)
-}
-
-func (s *coordinated) EnqueueJob(rank int, job func(p *sim.Proc)) {
-	s.nodes[rank].jobs.Put(job)
 }
 
 // startRound initiates a round at the cadence of Options.Interval: the next
@@ -276,8 +265,8 @@ func (s *coordinated) commitRound(round, attempt int) {
 	s.stats.RoundLatency = append(s.stats.RoundLatency, s.m.Eng.Now().Sub(s.roundStart))
 	s.roundSpan.End()
 	s.m.Obs.InstantArg(0, obs.TidCoord, "ckpt.commit", "round", int64(round))
-	if s.commitHook != nil {
-		s.commitHook(committed)
+	if s.opt.CommitHook != nil {
+		s.opt.CommitHook(committed)
 	}
 	s.broadcast(s.coordID, msgCommit{Round: round, Attempt: attempt})
 	s.m.NotePhase(PhaseCommit, round)
@@ -319,8 +308,6 @@ type coordNode struct {
 	img heldImage // the node's last image, and the in-flight round's capture
 
 	syncSpan obs.Span // "ckpt.sync": round begin until the local safe point
-
-	jobs *sim.Mailbox[func(p *sim.Proc)]
 }
 
 // hook intercepts every envelope delivered to the node; it runs in engine
@@ -604,7 +591,7 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 		n.Send(p, fabric.NodeID(dst), par.PortDaemon, msgMarker{Round: round, Attempt: attempt, From: n.ID}, sizeCtl)
 	}
 	cn.maybeFinishLogging()
-	cn.jobs.Put(cn.writeStateJob(round, attempt, file, stateBytes, prev, cn.tokenGate, cn.appGate))
+	cn.n.Do(cn.writeStateJob(round, attempt, file, stateBytes, prev, cn.tokenGate, cn.appGate))
 	if p == nil {
 		return
 	}
@@ -682,7 +669,7 @@ func (cn *coordNode) maybeFinishLogging() {
 		// round-2 (recovery treats a missing log file as empty). The delete
 		// must succeed — a stale log in the slot would replay round-2's
 		// channel messages on recovery — so a persistent failure nacks too.
-		cn.jobs.Put(func(p *sim.Proc) {
+		cn.n.Do(func(p *sim.Proc) {
 			if cn.round != round || cn.attempt != attempt {
 				return
 			}
@@ -702,7 +689,7 @@ func (cn *coordNode) maybeFinishLogging() {
 		})
 		return
 	}
-	cn.jobs.Put(func(p *sim.Proc) {
+	cn.n.Do(func(p *sim.Proc) {
 		if cn.round != round || cn.attempt != attempt {
 			return
 		}

@@ -237,7 +237,7 @@ func (s *coordinated) resolveTakeover(rank int) {
 // round), whose failure path must not schedule a retry initiation.
 func (s *coordinated) writeMetaJob(coordID, round, attempt int, adopted bool) {
 	cn := s.nodes[coordID]
-	cn.jobs.Put(func(p *sim.Proc) {
+	cn.n.Do(func(p *sim.Proc) {
 		w := newMetaRecord(round)
 		reply := cn.n.StorageCallRetryOn(p, s.m.ShardOf(0), storage.Request{
 			Op: storage.OpWrite, Path: CoordMetaPath, Data: w, Durable: true,

@@ -1,13 +1,10 @@
 package ckpt
 
 import (
-	"fmt"
-
 	"repro/internal/fabric"
 	"repro/internal/mp"
 	"repro/internal/par"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // logEntry is one logged outgoing message in a sender's volatile log.
@@ -109,18 +106,12 @@ func RecoverNode(m *par.Machine, w *mp.World, sch Scheme, rank int, factory func
 	rep.Index = latest
 	in.index = latest
 
-	in.jobs.Put(func(p *sim.Proc) {
+	node.Do(func(p *sim.Proc) {
 		prog := factory(rank)
 		consumed := make([]uint64, m.NumNodes()) // no checkpoint yet: restart from scratch
 		var lib []byte
 		if latest > 0 {
-			state, f, err := new(Replayer).ReconstructCkpt(s.v, rank, latest, func(path string, _ []byte) ([]byte, error) {
-				reply := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
-				return reply.Data, reply.Err
-			})
-			if err != nil {
-				panic(fmt.Sprintf("ckpt: single-node recovery: %v", err))
-			}
+			state, f, _ := ReadCheckpoint(p, node, s.v, latest)
 			rep.StateBytes = len(state)
 			par.RestoreAt(prog, latest, state)
 			consumed, lib = mp.ConsumedFromLibState(f.Lib), f.Lib
@@ -140,7 +131,7 @@ func RecoverNode(m *par.Machine, w *mp.World, sch Scheme, rank int, factory func
 			remaining++
 			peer := peer
 			after := consumed[peer]
-			s.nodes[peer].jobs.Put(func(p *sim.Proc) {
+			m.Nodes[peer].Do(func(p *sim.Proc) {
 				rep.Resent += s.nodes[peer].resend(p, rank, after)
 				remaining--
 				if remaining == 0 {

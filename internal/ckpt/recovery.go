@@ -17,17 +17,17 @@ type RecoveryReport struct {
 	StartedAt   sim.Time
 	CompletedAt sim.Time // when the last application process was relaunched
 	Round       int      // recovered round; 0 means restart from the beginning
-	StateBytes  int64    // checkpoint state read back
+	BytesRead   int64    // checkpoint files and channel logs read back
 	ChanMsgs    int      // in-transit messages restored from channel logs
-	Scheme      Scheme   // the freshly attached scheme of the new incarnation
 	Done        *sim.Gate
 }
 
 // Recover restarts a machine after CrashAll from the last committed
 // coordinated global checkpoint. It must be called in engine context (e.g.
 // from an event scheduled at the repair time). All nodes are restarted, a
-// fresh scheme of the given variant is attached (its round numbering
-// continuing after the recovered round), each rank's program is rebuilt via
+// fresh scheme of the given variant is built from opt and attached (its round
+// numbering continuing after the recovered round, opt.CommitHook armed from
+// the start), each rank's program is rebuilt via
 // factory, restored from stable storage, given back the logged in-transit
 // messages of its channels, and relaunched. The coordinated protocol's
 // recovery is exactly the paper's "simple and quite predictable" rollback:
@@ -68,30 +68,22 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 		}
 		rep.Round = round
 		opt.StartRound = round
-		sch := New(v, opt)
-		sch.Attach(m)
-		rep.Scheme = sch
+		New(v, opt).Attach(m)
 
 		remaining := m.NumNodes()
-		for rank := range m.Nodes {
-			rank := rank
-			sch.EnqueueJob(rank, func(p *sim.Proc) {
+		for rank, node := range m.Nodes {
+			node.Do(func(p *sim.Proc) {
 				rsp := m.Obs.Start(rank, obs.TidDaemon, "recover.restore").WithArg("round", int64(round))
 				prog := factory(rank)
-				node := m.Nodes[rank]
 				if round > 0 {
-					state, _, err := new(Replayer).ReconstructCkpt(v, rank, round, func(path string, _ []byte) ([]byte, error) {
-						st := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
-						rep.StateBytes += int64(len(st.Data))
-						return st.Data, st.Err
-					})
-					if err != nil {
-						panic(fmt.Sprintf("ckpt: recovery: %v", err))
-					}
+					state, _, read := ReadCheckpoint(p, node, v, round)
+					rep.BytesRead += int64(read)
 					par.RestoreAt(prog, round, state)
 					var msgs []*mp.Message
 					cl := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: v.ChanPath(rank, round)})
 					if cl.Err == nil {
+						rep.BytesRead += int64(len(cl.Data))
+						var err error
 						if msgs, err = DecodeChanLog(cl.Data); err != nil {
 							panic(err)
 						}
@@ -112,6 +104,26 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 		}
 	})
 	return w, rep
+}
+
+// ReadCheckpoint reads node's checkpoint index back from stable storage, as
+// the variant laid it out, through the node's retrying storage client on
+// behalf of p: every recovery driver reads a checkpoint here. It returns the
+// image a restore hands the program, the head file (whose Lib a restore also
+// needs) and the bytes of every file fetched. The checkpoint must be
+// committed, so one that cannot be read back is a broken protocol, and
+// ReadCheckpoint panics.
+func ReadCheckpoint(p *sim.Proc, node *par.Node, v Variant, index int) ([]byte, CkptFile, int) {
+	read := 0
+	img, head, err := new(Replayer).ReconstructCkpt(v, node.ID, index, func(path string, _ []byte) ([]byte, error) {
+		reply := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
+		read += len(reply.Data)
+		return reply.Data, reply.Err
+	})
+	if err != nil {
+		panic(fmt.Sprintf("ckpt: recovery: %v", err))
+	}
+	return img, head, read
 }
 
 // RestoreInTransit hands rank's logged in-transit messages back to its

@@ -242,6 +242,12 @@ type Options struct {
 	// checkpoint would be a correctness bug even though the path is free
 	// again. Ignored by coordinated schemes (they continue via StartRound).
 	StartIndices []int
+
+	// CommitHook, when set, observes every commit of the scheme built from
+	// these options; nil (the default) is the zero-cost disarmed state. A
+	// recovery that rebuilds the scheme from the same options arms the new
+	// incarnation when it attaches.
+	CommitHook CommitHook
 }
 
 // Dep records that during the checkpoint interval being closed, this node
@@ -307,7 +313,10 @@ type Stats struct {
 	SkippedCkpts  int
 }
 
-// Scheme is a checkpointing protocol attached to a machine.
+// Scheme is a checkpointing protocol attached to a machine. Its checkpoint
+// I/O runs on each node's checkpointer daemon (par.Node.Do), so anything
+// else queued there — a recovery read, package rdg's deletes — is ordered
+// with it.
 type Scheme interface {
 	// Variant returns the scheme's variant.
 	Variant() Variant
@@ -318,13 +327,6 @@ type Scheme interface {
 	Stats() Stats
 	// Records lists the durably completed checkpoints, oldest first.
 	Records() []Record
-	// EnqueueJob runs work on a node's checkpointer daemon, after the
-	// checkpoint I/O already queued there: the daemon orders a node's
-	// checkpoint writes, recovery reads and package rdg's deletes.
-	EnqueueJob(rank int, job func(p *sim.Proc))
-	// SetCommitHook arms the correctness oracle's hook; nil (the default) is
-	// the zero-cost disarmed state.
-	SetCommitHook(CommitHook)
 }
 
 // CommitHook observes checkpoints at the instant they become durably
@@ -333,8 +335,9 @@ type Scheme interface {
 // record per call for independent and CIC schemes (fired when the
 // checkpoint file's final segment is durable). The hook runs synchronously
 // in the committing daemon's context and must not block or consume
-// simulated time; the correctness oracle (package check) uses it to audit
-// stable storage against the protocol's claims at every commit point.
+// simulated time; the correctness oracle (package check) arms it through
+// Options to audit stable storage against the protocol's claims at every
+// commit point.
 type CommitHook func(committed []Record)
 
 // New constructs a scheme for the variant, which must be one of the opened

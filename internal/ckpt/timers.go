@@ -42,33 +42,25 @@ type localTimers struct {
 	m     *par.Machine
 	nodes []*timerNode
 
-	// The family's trace constants, fixed at construction: the piggyback slot
-	// carrying the sender's index and the checkpointer daemon's name format.
-	// (Its storage root is Variant.StorageRoot.)
-	slot   par.PiggybackKey
-	daemon string
+	// The family's piggyback slot, carrying the sender's index, fixed at
+	// construction. (Its storage root is Variant.StorageRoot.)
+	slot par.PiggybackKey
 
 	stopped bool
 	stats   Stats
 	records []Record
-
-	commitHook CommitHook // correctness-oracle hook, nil when disarmed
 }
 
 func newLocalTimers(v Variant, opt Options) *localTimers {
 	if v.Driver == DriverInduced {
-		return &localTimers{v: v, opt: opt, slot: par.PBCIC, daemon: "cicd%d"}
+		return &localTimers{v: v, opt: opt, slot: par.PBCIC}
 	}
-	return &localTimers{v: v, opt: opt, slot: par.PBInterval, daemon: "ckptd%d"}
+	return &localTimers{v: v, opt: opt, slot: par.PBInterval}
 }
 
 func (s *localTimers) Variant() Variant { return s.v }
 func (s *localTimers) Stats() Stats     { return s.stats }
 func (s *localTimers) induced() bool    { return s.v.Driver == DriverInduced }
-
-// SetCommitHook arms the correctness-oracle hook, fired once per durably
-// completed checkpoint with its single record.
-func (s *localTimers) SetCommitHook(h CommitHook) { s.commitHook = h }
 
 // Records returns committed checkpoints ordered by completion time (ties by
 // rank) — the order they became durable.
@@ -98,7 +90,6 @@ func (s *localTimers) Attach(m *par.Machine) {
 			// to keep forcing correct.
 			tn.index = s.opt.StartIndices[i]
 		}
-		tn.jobs = sim.NewMailbox[func(p *sim.Proc)](m.Eng)
 		s.nodes[i] = tn
 		s.attachNode(i)
 		m.Eng.After(s.opt.Interval+sim.Duration(i)*s.opt.Spread, tn.timerFire)
@@ -124,11 +115,7 @@ func (s *localTimers) attachNode(i int) {
 		n.LogSend = tn.logSend
 		n.DeliverHook = tn.hook
 	}
-	s.m.StartDaemon(i, fmt.Sprintf(s.daemon, i), daemonLoop(tn.jobs))
-}
-
-func (s *localTimers) EnqueueJob(rank int, job func(p *sim.Proc)) {
-	s.nodes[rank].jobs.Put(job)
+	s.m.StartDaemon(i, fmt.Sprintf("ckptd%d", i), n.ServeJobs)
 }
 
 // timerNode is one node's autonomous checkpointer.
@@ -147,18 +134,6 @@ type timerNode struct {
 	// volatile memory until the receiver's next checkpoint truncates them.
 	log      []logEntry
 	logBytes int64
-
-	jobs *sim.Mailbox[func(p *sim.Proc)]
-}
-
-// daemonLoop is every checkpointer daemon's body, under either driver: run
-// the jobs queued for the node, in order, forever.
-func daemonLoop(jobs *sim.Mailbox[func(p *sim.Proc)]) func(p *sim.Proc) {
-	return func(p *sim.Proc) {
-		for {
-			jobs.GetAny(p)(p)
-		}
-	}
 }
 
 func (tn *timerNode) outMeta() par.Piggyback {
@@ -277,7 +252,7 @@ func (s *localTimers) onAppExit(nodeID int) {
 	tn.index++
 	s.stats.FinalCkpts++
 	s.m.Obs.Add(nodeID, "cic.final_ckpts", 1)
-	tn.jobs.Put(tn.writeJob(tn.capture(kindFinal)))
+	tn.n.Do(tn.writeJob(tn.capture(kindFinal)))
 }
 
 // Checkpoint kinds, for accounting in writeJob: only basic checkpoints own
@@ -352,11 +327,11 @@ func (tn *timerNode) save(p *sim.Proc, c *ckptCapture) {
 		p.Sleep(d)
 		msp.End()
 		s.stats.MemCopyTime += d
-		tn.jobs.Put(tn.writeJob(c))
+		tn.n.Do(tn.writeJob(c))
 		return
 	}
 	c.gate = sim.NewGate(tn.n.M.Eng)
-	tn.jobs.Put(tn.writeJob(c))
+	tn.n.Do(tn.writeJob(c))
 	c.gate.Wait(p)
 }
 
@@ -415,8 +390,8 @@ func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 		}
 		s.records = append(s.records, rec)
 		tn.img.commit()
-		if s.commitHook != nil {
-			s.commitHook([]Record{rec})
+		if s.opt.CommitHook != nil {
+			s.opt.CommitHook([]Record{rec})
 		}
 		if c.gate != nil {
 			c.gate.Open()

@@ -105,11 +105,9 @@ type InstantEvent struct {
 // create observers with New. A nil *Observer is the disabled sink: all
 // methods are safe and free on it.
 //
-// An Observer is safe for concurrent use: a single simulation records from
-// one goroutine at a time (the engine's handoff discipline), but the bench
-// matrix runner shares one observer across worker goroutines for its
-// aggregate per-cell metrics, so all recording and reading methods
-// synchronize internally.
+// A single simulation records from one goroutine at a time (the engine's
+// handoff discipline); all recording and reading methods still synchronize
+// internally, so an Observer is safe for concurrent use.
 type Observer struct {
 	mu       sync.Mutex
 	clock    func() sim.Time

@@ -481,6 +481,12 @@ func (m *Machine) CrashNode(id int) {
 
 // Node is one compute node: mailboxes, the processes that live on it, and
 // the hook points used by checkpointing protocols.
+//
+// The node also owns its checkpointer daemon's job queue (Do, ServeJobs),
+// which orders a rank's checkpoint writes, recovery reads and package rdg's
+// deletes at the server. Like the mailboxes and hooks it belongs to the
+// incarnation: a crash or a restart drops every job the daemon has not
+// started.
 type Node struct {
 	M     *Machine
 	ID    int
@@ -488,6 +494,7 @@ type Node struct {
 	Inc   int // node incarnation, bumped on crash
 
 	AppBox *sim.Mailbox[*fabric.Envelope]
+	jobs   *sim.Mailbox[func(p *sim.Proc)]
 
 	AppProc    *sim.Proc
 	DaemonProc *sim.Proc
@@ -558,6 +565,7 @@ func (n *Node) TakeCPUDebt() sim.Duration {
 
 func (n *Node) reset() {
 	n.AppBox = sim.NewMailbox[*fabric.Envelope](n.M.Eng)
+	n.jobs = sim.NewMailbox[func(p *sim.Proc)](n.M.Eng)
 	n.DeliverHook = nil
 	n.OutMeta = nil
 	n.PreConsume = nil
@@ -582,8 +590,8 @@ func (n *Node) crash() {
 	n.reset()
 }
 
-// Restart marks the node alive again with fresh mailboxes; the caller then
-// starts new application and daemon processes on it.
+// Restart marks the node alive again with fresh mailboxes and an empty job
+// queue; the caller then starts new application and daemon processes on it.
 func (n *Node) Restart() {
 	n.Alive = true
 	n.acceptAfter = n.M.Eng.Now()
@@ -661,12 +669,27 @@ func (m *Machine) StartApp(nodeID int, name string, body func(p *sim.Proc)) *sim
 	return node.AppProc
 }
 
-// StartDaemon spawns a checkpointer daemon process on the node.
+// StartDaemon spawns a checkpointer daemon process on the node; the
+// checkpointing schemes pass Node.ServeJobs as its body.
 func (m *Machine) StartDaemon(nodeID int, name string, body func(p *sim.Proc)) *sim.Proc {
 	node := m.Nodes[nodeID]
 	node.DaemonProc = m.Eng.Spawn(name, body)
 	node.DaemonProc.SetDaemon(true)
 	return node.DaemonProc
+}
+
+// Do queues job on the node's checkpointer daemon, after every job already
+// queued there.
+func (n *Node) Do(job func(p *sim.Proc)) { n.jobs.Put(job) }
+
+// ServeJobs is the checkpointer daemon's body: it runs the jobs queued by Do,
+// in order, forever. It serves the queue of the incarnation it started in, so
+// a daemon never runs a job queued after its node crashed.
+func (n *Node) ServeJobs(p *sim.Proc) {
+	jobs := n.jobs
+	for {
+		jobs.GetAny(p)(p)
+	}
 }
 
 // storageCall is one outstanding storage call. Its reply and its deadline

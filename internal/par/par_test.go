@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -239,6 +240,38 @@ func TestSingleNodeCrashLosesOnlyItsTraffic(t *testing.T) {
 	}
 	if m.Nodes[5].Alive {
 		t.Fatal("crashed node still alive")
+	}
+}
+
+// TestCrashDropsQueuedJobs: the daemon's job queue belongs to the node's
+// incarnation. A crash while the first of two queued jobs runs kills that job
+// and drops the second; the restarted node's fresh daemon runs only what is
+// queued after the restart.
+func TestCrashDropsQueuedJobs(t *testing.T) {
+	m := NewMachine(DefaultConfig())
+	n := m.Nodes[2]
+	var ran []string
+	job := func(name string, d sim.Duration) func(p *sim.Proc) {
+		return func(p *sim.Proc) {
+			ran = append(ran, name+" started")
+			p.Sleep(d)
+			ran = append(ran, name+" done")
+		}
+	}
+	m.StartDaemon(n.ID, "ckptd2", n.ServeJobs)
+	n.Do(job("first", sim.Second))
+	n.Do(job("second", sim.Millisecond))
+	m.Eng.At(sim.Time(500*sim.Millisecond), func() { m.CrashNode(n.ID) })
+	m.Eng.At(sim.Time(2*sim.Second), func() {
+		n.Restart()
+		m.StartDaemon(n.ID, "ckptd2", n.ServeJobs)
+		n.Do(job("third", sim.Millisecond))
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"first started", "third started", "third done"}; !slices.Equal(ran, want) {
+		t.Fatalf("jobs ran %q, want %q", ran, want)
 	}
 }
 

@@ -67,7 +67,7 @@ func (gc *GarbageCollector) scan() {
 		gc.deleted[id] = true
 		id := id
 		size := recordSize(recs, id)
-		gc.sch.EnqueueJob(id.Rank, func(p *sim.Proc) {
+		gc.m.Nodes[id.Rank].Do(func(p *sim.Proc) {
 			sp := gc.m.Obs.Start(id.Rank, obs.TidDaemon, "rdg.gc_delete").WithArg("index", int64(id.Index))
 			gc.m.Nodes[id.Rank].StorageCall(p, storage.Request{
 				Op: storage.OpDelete, Path: gc.sch.Variant().StatePath(id.Rank, id.Index),
