@@ -130,7 +130,7 @@ loc:
 
 # What the GitHub workflow runs (.github/workflows/ci.yml): the full suite
 # under the race detector, plus build, vet, the nested benchmark module's own
-# tests (./... does not reach it, and it compiles against fabric, topo and sim
+# tests (./... does not reach it, and it compiles against fabric, par and sim
 # through their public API), the fuzz smoke, and the allocation gate.
 ci:
 	$(GO) build ./...

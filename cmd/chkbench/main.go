@@ -25,9 +25,9 @@
 //
 // Machine shape (defaults reproduce the paper's testbed exactly):
 //
-//	chkbench -topo torus:8x8           # interconnect topology (see -list)
-//	chkbench -servers 4                # shard stable storage over 4 servers
-//	chkbench -placement nearest        # rank→server policy: stripe, hash, nearest
+//	chkbench -topo 8x8                 # a W×H mesh instead of the paper's 4x2
+//	chkbench -servers 4                # stripe stable storage over 4 servers
+//	                                   # (E10 and E14 set their own shapes)
 //	chkbench -celltime       # per-cell wall-clock table on stderr, and a
 //	                         # timing section in the -json report
 //
@@ -102,10 +102,9 @@ func run(args []string, out, errw io.Writer) (err error) {
 	app := fs.String("app", "SOR-256", "workload for -trace/-metrics, e.g. SOR-256, ISING-512, GAUSS-384")
 	scheme := fs.String("scheme", "", "scheme for -trace/-metrics, see -list (default NBMS for -trace, all Table 2 schemes for -metrics)")
 	ckpts := fs.Int("ckpts", 3, "checkpoints per run for -trace/-metrics")
-	list := fs.Bool("list", false, "list the known applications, schemes, topologies and placement policies, then exit")
-	topoSpec := fs.String("topo", "", "interconnect topology spec, e.g. mesh:4x2, mesh3d:4x4x4, torus:8x8, fattree:4x3 (default: the paper's 4x2 mesh)")
-	servers := fs.Int("servers", 1, "stable-storage servers, each at a distinct host-attach node")
-	placement := fs.String("placement", "", "rank→server placement policy: stripe (default), hash or nearest")
+	list := fs.Bool("list", false, "list the known applications and schemes, then exit")
+	mesh := fs.String("topo", "", "interconnect mesh WxH, e.g. 8x8 (default: the paper's 4x2)")
+	servers := fs.Int("servers", 1, "stable-storage servers, each at a distinct host-attach node; rank r's files on server r mod N")
 	var prof perf.Profile
 	prof.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -132,14 +131,6 @@ func run(args []string, out, errw io.Writer) (err error) {
 				line += "  (failover: survives a coordinator crash via pre-commit + election)"
 			}
 			fmt.Fprintln(out, line)
-		}
-		fmt.Fprintln(out, "Topologies (-topo SPEC):")
-		for _, name := range bench.TopologyNames() {
-			fmt.Fprintln(out, "  "+name)
-		}
-		fmt.Fprintln(out, "Placement policies (-placement; rank→storage-server assignment with -servers N):")
-		for _, name := range bench.PlacementNames() {
-			fmt.Fprintln(out, "  "+name)
 		}
 		return nil
 	}
@@ -168,8 +159,8 @@ func run(args []string, out, errw io.Writer) (err error) {
 	start := time.Now()
 
 	cfg := par.DefaultConfig()
-	if err := bench.ConfigureFabric(&cfg, *topoSpec, *servers, *placement); err != nil {
-		return fmt.Errorf("%w: %v (see -list for the known topologies and placement policies)", errUsage, err)
+	if err := bench.ConfigureFabric(&cfg, *mesh, *servers); err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	var jsonRows []bench.JSONRow
 	if *table == "1" || *table == "all" {

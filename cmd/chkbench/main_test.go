@@ -150,10 +150,11 @@ func TestRunList(t *testing.T) {
 	}
 }
 
-// TestRunBadFabricFlagsFail audits the topology/sharding flag error paths:
-// every malformed -topo, out-of-range -servers or unknown -placement is
-// misuse (errUsage, exit 2) and must fail before any cell runs, naming the
-// bad value and pointing at -list.
+// TestRunBadFabricFlagsFail audits the machine-shape flag error paths:
+// every -topo other than a WxH mesh of at most 1<<20 nodes, and every
+// out-of-range -servers, is misuse (errUsage, exit 2) and must fail before
+// any cell runs, naming the bad value. The interconnect families and
+// placement policies that are gone are refused the same way.
 func TestRunBadFabricFlagsFail(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -161,13 +162,17 @@ func TestRunBadFabricFlagsFail(t *testing.T) {
 	}{
 		{[]string{"-topo", "ring:8"}, "ring:8"},
 		{[]string{"-topo", "torus:2x"}, "torus:2x"},
-		{[]string{"-topo", "mesh:0x2"}, "mesh:0x2"},
-		{[]string{"-topo", "mesh:4"}, "mesh:4"},
-		{[]string{"-topo", "fattree:1x3"}, "fattree:1x3"},
+		{[]string{"-topo", "torus:8x8"}, "torus:8x8"},
+		{[]string{"-topo", "fattree:4x3"}, "fattree:4x3"},
+		{[]string{"-topo", "mesh3d:4x4x4"}, "mesh3d:4x4x4"},
+		{[]string{"-topo", "mesh:4x2"}, "mesh:4x2"},
+		{[]string{"-topo", "4x4x4"}, "4x4x4"},
+		{[]string{"-topo", "0x2"}, "0x2"},
+		{[]string{"-topo", "4"}, `"4"`},
+		{[]string{"-topo", "2048x1024"}, "2048x1024"},
 		{[]string{"-servers", "0"}, "-servers 0"},
 		{[]string{"-servers", "9"}, "-servers 9"},
-		{[]string{"-topo", "mesh:4x4", "-servers", "17"}, "-servers 17"},
-		{[]string{"-placement", "closest"}, "closest"},
+		{[]string{"-topo", "4x4", "-servers", "17"}, "-servers 17"},
 	}
 	for _, tc := range cases {
 		var out, errw strings.Builder
@@ -179,23 +184,24 @@ func TestRunBadFabricFlagsFail(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v) error %q does not name %q", tc.args, err, tc.want)
 		}
-		if !strings.Contains(err.Error(), "-list") {
-			t.Errorf("run(%v) error %q does not point at -list", tc.args, err)
-		}
 		if out.Len() != 0 {
 			t.Errorf("run(%v) wrote to stdout on a usage error:\n%s", tc.args, out.String())
 		}
 	}
+	var out, errw strings.Builder
+	if err := run([]string{"-placement", "closest"}, &out, &errw); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("run(-placement closest) = %v, want an undefined-flag error", err)
+	}
 }
 
 // TestRunBadFabricFlagsAreUsage: the machine shape is checked before any
-// experiment is dispatched, so a bad -topo, -servers or -placement given with
-// an -exp is misuse (errUsage, exit 2) and the experiment never runs.
+// experiment is dispatched, so a bad -topo or -servers given with an -exp is
+// misuse (errUsage, exit 2) and the experiment never runs.
 func TestRunBadFabricFlagsAreUsage(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "coord", "-topo", "torus:2x"},
 		{"-exp", "logging", "-servers", "0"},
-		{"-exp", "failover", "-placement", "closest"},
+		{"-exp", "failover", "-topo", "0x2"},
 	} {
 		var out, errw strings.Builder
 		if err := run(args, &out, &errw); !errors.Is(err, errUsage) {
@@ -207,16 +213,25 @@ func TestRunBadFabricFlagsAreUsage(t *testing.T) {
 	}
 }
 
-// TestRunListNamesTopologiesAndPlacements pins the -list sections the
-// topology subsystem added.
-func TestRunListNamesTopologiesAndPlacements(t *testing.T) {
-	var out, errw strings.Builder
-	if err := run([]string{"-list"}, &out, &errw); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"mesh:WxH", "mesh3d:XxYxZ", "torus:WxH", "fattree:AxL", "stripe", "hash", "nearest"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("-list output missing %q:\n%s", want, out.String())
+// TestRunScalingIgnoresServers: E10 sets its own machine, down to a 2-node
+// mesh that cannot attach 4 hosts, so a -servers the default 8-node machine
+// accepts must not reach its cells: the report is the one-server report.
+func TestRunScalingIgnoresServers(t *testing.T) {
+	var outs [2]string
+	for i, args := range [][]string{
+		{"-exp", "scaling", "-quick", "-servers", "4"},
+		{"-exp", "scaling", "-quick"},
+	} {
+		var out, errw strings.Builder
+		if err := run(args, &out, &errw); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
 		}
+		outs[i] = out.String()
+	}
+	if !strings.Contains(outs[0], "E10: overhead per checkpoint vs machine size") {
+		t.Fatalf("no E10 table:\n%s", outs[0])
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("-servers 4 moved E10:\n%s\nwant:\n%s", outs[0], outs[1])
 	}
 }

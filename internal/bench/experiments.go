@@ -256,11 +256,10 @@ func scalingExperiment(ctx context.Context, w io.Writer, cfg par.Config, _ bool,
 	}
 	meshRows, err := Cells(ctx, r, cells, func(ctx context.Context, i int, _ Cell) (Row, error) {
 		cc := cfg
-		// E10 is defined over meshes: a parsed -topo override must not
-		// survive into the grid cells, or the dimensions set here would be
-		// silently ignored.
-		cc.Fabric.Topo = nil
+		// E10 sets its own machine: the mesh and one storage server replace
+		// any -topo/-servers (a 2-node cell cannot attach more than two).
 		cc.Fabric.MeshW, cc.Fabric.MeshH = dims[i][0], dims[i][1]
+		cc.StorageServers = 1
 		wl := syntheticWorkload(128_000)
 		rows, err := r.MeasureRows(ctx, cc, []apps.Workload{wl},
 			[]ckpt.Variant{ckpt.CoordNB, ckpt.Indep, ckpt.CoordNBMS}, 2)

@@ -89,12 +89,10 @@ func scaleWorkload(nodes int) apps.Workload {
 // families run, and the report says so.
 const scaleCoordMaxNodes = 256
 
-// scaleConfig specializes cfg for one grid cell. The explicit nil Topo makes
-// the mesh dimensions authoritative even when the caller's cfg carries a
-// parsed -topo override: the grid is defined over meshes.
+// scaleConfig specializes cfg for one grid cell: the cell's mesh and server
+// count replace any -topo/-servers the caller's cfg carries.
 func scaleConfig(cfg par.Config, c ScaleCell) par.Config {
 	cc := cfg
-	cc.Fabric.Topo = nil
 	cc.Fabric.MeshW, cc.Fabric.MeshH = c.MeshW, c.MeshH
 	cc.StorageServers = c.Servers
 	cc.CkptImageBytes = scaleImageBytes

@@ -1,15 +1,12 @@
 package bench
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/perf"
-	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
 // TestShardedStorageReducesContention is the experiment's headline claim as
@@ -96,43 +93,5 @@ func TestScaleCoordProcsIndependentOfTraffic(t *testing.T) {
 	}
 	if p2 != p1 {
 		t.Errorf("second round's %d messages added %d processes, want none", m2-m1, p2-p1)
-	}
-}
-
-// TestExplicitTopologyByteIdentical pins the backward-compatibility contract
-// of the topology subsystem: spelling the default machine out explicitly — a
-// 4x2 mesh topology, one storage server, the stripe placement — must produce
-// a measurement bit-identical to the legacy implicit configuration, under no
-// checkpointing and under a representative scheme of each family.
-func TestExplicitTopologyByteIdentical(t *testing.T) {
-	legacy := par.DefaultConfig()
-	explicit := par.DefaultConfig()
-	explicit.Fabric.Topo = topo.Mesh2D{W: 4, H: 2}
-	explicit.StorageServers = 1
-	explicit.Placement = "stripe"
-	wl := RingWorkload(2048, 40, 2e5)
-	cases := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"none", core.Config{}},
-		{"Coord_NB", core.Config{Scheme: ckpt.CoordNB, Interval: 300 * sim.Millisecond, MaxCheckpoints: 3}},
-		{"Indep", core.Config{Scheme: ckpt.Indep, Interval: 300 * sim.Millisecond, MaxCheckpoints: 3}},
-		{"CIC", core.Config{Scheme: ckpt.CIC, Interval: 300 * sim.Millisecond, MaxCheckpoints: 3}},
-	}
-	for _, tc := range cases {
-		lc, ec := tc.cfg, tc.cfg
-		lc.Machine, ec.Machine = legacy, explicit
-		lr, err := core.Run(wl, lc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		er, err := core.Run(wl, ec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(lr, er) {
-			t.Errorf("%s: explicit topology result differs from legacy mesh config:\nlegacy:   %+v\nexplicit: %+v", tc.name, lr, er)
-		}
 	}
 }

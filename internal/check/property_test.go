@@ -28,10 +28,10 @@ func TestIndepRecoveryLineProperty(t *testing.T) {
 		if trial%2 == 1 {
 			scheme = ckpt.IndepM
 		}
-		points := 3 + r.Intn(4)
+		points := 3 + intn(r, 4)
 		spec := CellSpec{
 			Workload: wl, Scheme: scheme,
-			Point: r.Intn(points), Points: points, Seed: r.Uint64(),
+			Point: intn(r, points), Points: points, Seed: r.Uint64(),
 		}
 		res, err := o.RunCell(spec)
 		if err != nil {
@@ -62,7 +62,7 @@ func TestIndepRecoveryLineProperty(t *testing.T) {
 		cand := make([]int, len(latest))
 		for probe := 0; probe < 512; probe++ {
 			for p := range cand {
-				cand[p] = r.Intn(latest[p] + 1)
+				cand[p] = intn(r, latest[p]+1)
 			}
 			if !g.Consistent(cand) {
 				continue
@@ -91,3 +91,6 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
+
+// intn draws a uniform int in [0,n), n > 0.
+func intn(r *rng.RNG, n int) int { return int(r.Uint64() % uint64(n)) }

@@ -1,9 +1,8 @@
 // Package fabric simulates the interconnect of a transputer-style
-// multicomputer: compute nodes joined by a routed topology (the default is
-// the Parsytec's 2-D mesh with XY dimension-ordered store-and-forward
-// routing; package topo supplies 3-D meshes, tori and fat trees), plus one or
-// more host links attaching mesh nodes to host endpoints (the stable-storage
-// servers' machines).
+// multicomputer: compute nodes joined by a W×H 2-D mesh with XY
+// dimension-ordered store-and-forward routing (the Parsytec's is 4×2), plus
+// one or more host links attaching mesh nodes to host endpoints (the
+// stable-storage servers' machines).
 //
 // Every directed link is a FIFO server with a latency and a bandwidth, so
 // concurrent traffic queues hop by hop; this is what produces the network
@@ -18,11 +17,11 @@
 // simulated process. Delivery handlers therefore run in engine context.
 //
 // Routing is by stepping, not by table: a flight holds the one link it is
-// crossing and, when the hop completes, asks the topology for the next vertex
-// and picks that link out of the few leaving where it stands. The network's
-// state is therefore O(vertices), plus a pointer-free row of sequence
-// counters per source that has sent; an all-pairs flood leaves nothing per
-// pair for the garbage collector to trace.
+// crossing and, when the hop completes, computes the next vertex of its XY
+// route and picks that link out of the few leaving where it stands. The
+// network's state is therefore O(vertices), plus a pointer-free row of
+// sequence counters per source that has sent; an all-pairs flood leaves
+// nothing per pair for the garbage collector to trace.
 package fabric
 
 import (
@@ -31,24 +30,18 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
-// NodeID identifies an endpoint or routing vertex: 0..Nodes()-1 are compute
-// nodes, Nodes()..Nodes()+Routers()-1 are routing-only switches (indirect
-// topologies), and HostID(i) are the host machines behind the host links.
+// NodeID identifies an endpoint: 0..Nodes()-1 are the compute nodes, numbered
+// row-major (id = y*MeshW + x), and HostID(i) are the host machines behind
+// the host links.
 type NodeID int
 
 // Config describes the machine's interconnect.
 type Config struct {
-	MeshW, MeshH int // legacy 2-D mesh dimensions, used when Topo is nil
+	MeshW, MeshH int // 2-D mesh dimensions
 
-	// Topo, when non-nil, replaces the MeshW×MeshH mesh with an arbitrary
-	// routed topology (package topo). The default machine is byte-identical
-	// whether expressed as a nil Topo or an explicit topo.Mesh2D{W: 4, H: 2}.
-	Topo topo.Topology
-
-	LinkBandwidth float64      // bytes/s per topology link (scaled by the link's Cap)
+	LinkBandwidth float64      // bytes/s per mesh link
 	LinkLatency   sim.Duration // per-hop wire latency
 
 	HostBandwidth float64      // bytes/s of each host link
@@ -77,29 +70,8 @@ type Config struct {
 	TransitCPUPerMB sim.Duration
 }
 
-// topology resolves the effective topology: explicit, or the legacy mesh.
-func (c Config) topology() topo.Topology {
-	if c.Topo != nil {
-		return c.Topo
-	}
-	return topo.Mesh2D{W: c.MeshW, H: c.MeshH}
-}
-
 // Nodes returns the number of compute nodes.
-func (c Config) Nodes() int {
-	if c.Topo != nil {
-		return c.Topo.Nodes()
-	}
-	return c.MeshW * c.MeshH
-}
-
-// Routers returns the number of routing-only vertices of the topology.
-func (c Config) Routers() int {
-	if c.Topo != nil {
-		return c.Topo.Routers()
-	}
-	return 0
-}
+func (c Config) Nodes() int { return c.MeshW * c.MeshH }
 
 // NumHosts returns the number of host endpoints (at least 1).
 func (c Config) NumHosts() int {
@@ -110,10 +82,9 @@ func (c Config) NumHosts() int {
 }
 
 // HostID returns the NodeID of host endpoint i.
-func (c Config) HostID(i int) NodeID { return NodeID(c.Nodes() + c.Routers() + i) }
+func (c Config) HostID(i int) NodeID { return NodeID(c.Nodes() + i) }
 
-// Host returns the NodeID of the first host endpoint. On the legacy
-// single-host machine this is NodeID(Nodes()), as before.
+// Host returns the NodeID of the first host endpoint, NodeID(Nodes()).
 func (c Config) Host() NodeID { return c.HostID(0) }
 
 // AttachOf returns the compute node host i's link attaches to.
@@ -128,11 +99,11 @@ func (c Config) AttachOf(i int) NodeID {
 // New panics on exactly the conditions Validate rejects, so CLIs can check
 // user-supplied shapes up front and fail with a usage error instead.
 func (c Config) Validate() error {
-	if c.Topo == nil && (c.MeshW < 1 || c.MeshH < 1) {
+	if c.MeshW < 1 || c.MeshH < 1 {
 		return errors.New("mesh dimensions must be >= 1")
 	}
 	if c.Hosts > c.Nodes() {
-		return fmt.Errorf("%d hosts exceed the topology's %d compute nodes", c.Hosts, c.Nodes())
+		return fmt.Errorf("%d hosts exceed the mesh's %d compute nodes", c.Hosts, c.Nodes())
 	}
 	for i := 0; i < c.NumHosts(); i++ {
 		if a := int(c.AttachOf(i)); a < 0 || a >= c.Nodes() {
@@ -220,14 +191,12 @@ type pairSeq struct {
 
 // Network is the simulated interconnect.
 type Network struct {
-	eng      *sim.Engine
-	cfg      Config
-	top      topo.Topology
-	nNodes   int
-	nRouters int
-	out      [][]link // out[v]: the directed links leaving vertex v, host links included
-	deliver  []Handler
-	seq      uint64
+	eng     *sim.Engine
+	cfg     Config
+	nNodes  int
+	out     [][]link // out[v]: the directed links leaving vertex v, host links included
+	deliver []Handler
+	seq     uint64
 
 	// pairs[src][dst] sequences the pair's messages; a source's row is
 	// allocated on its first remote send.
@@ -247,8 +216,7 @@ type Network struct {
 	FaultHook func(env *Envelope) (delay sim.Duration, drop bool)
 
 	// TransitHook, when set, is told about every message forwarded through
-	// an intermediate vertex (software routing CPU accounting; the node
-	// layer ignores routing-only switch vertices).
+	// an intermediate compute node (software routing CPU accounting).
 	TransitHook func(node NodeID, bytes int)
 
 	// Obs receives per-sender traffic counters and the queue-wait histogram
@@ -261,24 +229,21 @@ type Network struct {
 	arrived    int64 // messages delivered or dropped
 }
 
-// New builds the topology plus host links described by cfg.
+// New builds the mesh plus host links described by cfg.
 func New(eng *sim.Engine, cfg Config) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic("fabric: " + err.Error())
 	}
-	top := cfg.topology()
 	nh := cfg.NumHosts()
-	vertices := top.Nodes() + top.Routers() + nh
+	vertices := cfg.Nodes() + nh
 	n := &Network{
-		eng:      eng,
-		cfg:      cfg,
-		top:      top,
-		nNodes:   top.Nodes(),
-		nRouters: top.Routers(),
-		out:      make([][]link, vertices),
-		deliver:  make([]Handler, vertices),
-		pairs:    make([][]pairSeq, vertices),
-		held:     make(map[heldKey]arrival),
+		eng:     eng,
+		cfg:     cfg,
+		nNodes:  cfg.Nodes(),
+		out:     make([][]link, vertices),
+		deliver: make([]Handler, vertices),
+		pairs:   make([][]pairSeq, vertices),
+		held:    make(map[heldKey]arrival),
 	}
 	// Flights point into out's rows, which is safe because no link is added
 	// once New returns.
@@ -286,12 +251,14 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		n.out[a] = append(n.out[a], link{to: b, toHost: n.isHost(b), lat: lat, bw: bw})
 		n.out[b] = append(n.out[b], link{to: a, toHost: n.isHost(a), lat: lat, bw: bw})
 	}
-	for _, lk := range top.Links() {
-		mult := lk.Cap
-		if mult <= 0 {
-			mult = 1
+	w := NodeID(cfg.MeshW)
+	for id := NodeID(0); id < NodeID(n.nNodes); id++ {
+		if id%w+1 < w {
+			addLink(id, id+1, cfg.LinkLatency, cfg.LinkBandwidth)
 		}
-		addLink(NodeID(lk.A), NodeID(lk.B), cfg.LinkLatency, cfg.LinkBandwidth*mult)
+		if id+w < NodeID(n.nNodes) {
+			addLink(id, id+w, cfg.LinkLatency, cfg.LinkBandwidth)
+		}
 	}
 	for i := 0; i < nh; i++ {
 		addLink(cfg.AttachOf(i), cfg.HostID(i), cfg.HostLatency, cfg.HostBandwidth)
@@ -299,22 +266,19 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	return n
 }
 
-// isHost reports whether id is a host endpoint (as opposed to a compute node
-// or a routing-only switch).
-func (n *Network) isHost(id NodeID) bool { return int(id) >= n.nNodes+n.nRouters }
+// isHost reports whether id is a host endpoint (as opposed to a compute node).
+func (n *Network) isHost(id NodeID) bool { return int(id) >= n.nNodes }
 
-func (n *Network) hostIndex(id NodeID) int { return int(id) - n.nNodes - n.nRouters }
+func (n *Network) hostIndex(id NodeID) int { return int(id) - n.nNodes }
 
 // isEndpoint reports whether id can send and receive: a compute node or a
-// host, not a routing-only switch.
-func (n *Network) isEndpoint(id NodeID) bool {
-	return id >= 0 && int(id) < len(n.deliver) && (int(id) < n.nNodes || n.isHost(id))
-}
+// host.
+func (n *Network) isEndpoint(id NodeID) bool { return id >= 0 && int(id) < len(n.deliver) }
 
 // Path returns the sequence of directed hops a message from src to dst
-// crosses: the topology's deterministic route, with a host link first/last as
-// needed. It walks the route on every call and the result is the caller's.
-// Like Send, it panics unless both ends are endpoints.
+// crosses: the mesh's XY route, with a host link first/last as needed. It
+// walks the route on every call and the result is the caller's. Like Send,
+// it panics unless both ends are endpoints.
 func (n *Network) Path(src, dst NodeID) [][2]NodeID {
 	if !n.isEndpoint(dst) {
 		panic(fmt.Sprintf("fabric: path to invalid node %d", dst))
@@ -334,16 +298,28 @@ func (n *Network) Path(src, dst NodeID) [][2]NodeID {
 // nextLink resolves one routing step: the link a message bound for endpoint
 // dst leaves vertex cur on, cur != dst. A host is reached only through its
 // attach point, so the step is the host link when cur is a host or is the
-// attach point of host dst, and the topology's own next hop otherwise.
+// attach point of host dst. Otherwise it is the XY step: toward last's column
+// first, then along the column toward its row. The step is a pure function of
+// (cur, dst), so every message of a pair crosses the same links.
 func (n *Network) nextLink(cur, dst NodeID) *link {
-	to, last := dst, dst // last: where the route leaves the topology proper
+	to, last := dst, dst // last: where the route leaves the mesh
 	if n.isHost(dst) {
 		last = n.cfg.AttachOf(n.hostIndex(dst))
 	}
 	if n.isHost(cur) {
 		to = n.cfg.AttachOf(n.hostIndex(cur))
 	} else if cur != last {
-		to = NodeID(n.top.Next(int(cur), int(last)))
+		w := NodeID(n.cfg.MeshW)
+		switch cx, lx := cur%w, last%w; {
+		case cx < lx:
+			to = cur + 1
+		case cx > lx:
+			to = cur - 1
+		case cur < last: // same column: ids order by row
+			to = cur + w
+		default:
+			to = cur - w
+		}
 	}
 	out := n.out[cur]
 	for i := range out {
@@ -351,7 +327,7 @@ func (n *Network) nextLink(cur, dst NodeID) *link {
 			return &out[i]
 		}
 	}
-	panic(fmt.Sprintf("fabric: %s routes %d→%d over the undeclared link %d→%d", n.top.Name(), cur, dst, cur, to))
+	panic(fmt.Sprintf("fabric: %d→%d routes over the undeclared link %d→%d", cur, dst, cur, to))
 }
 
 // SetDeliver installs the delivery handler for endpoint id.
@@ -361,7 +337,7 @@ func (n *Network) SetDeliver(id NodeID, h Handler) { n.deliver[id] = h }
 // software send overhead is charged to it (the sender blocks for that time);
 // transport then proceeds asynchronously as engine events, so Send models a
 // non-blocking (buffered) send. Send panics on an invalid source or
-// destination (routing-only switches are not endpoints).
+// destination.
 func (n *Network) Send(sender *sim.Proc, env *Envelope) {
 	if !n.isEndpoint(env.Dst) {
 		panic(fmt.Sprintf("fabric: send to invalid node %d", env.Dst))

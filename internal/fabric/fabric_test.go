@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
 func testConfig() Config {
@@ -241,22 +240,21 @@ func TestTrafficAccounting(t *testing.T) {
 }
 
 // TestInvalidDestinationPanics: Send and Path reject destinations — and
-// sources — that are not endpoints (out of range, or a routing-only switch)
-// with the fabric's own message, before anything is counted or routed.
+// sources — that are not endpoints (negative, one past the last host, or far
+// out of range) with the fabric's own message, before anything is counted or
+// routed.
 func TestInvalidDestinationPanics(t *testing.T) {
-	cfg := testConfig()
-	cfg.Topo = topo.FatTree{Arity: 2, Levels: 2} // nodes 0..3, switches 4..6, host 7
-	n := New(sim.New(), cfg)
+	n := New(sim.New(), testConfig()) // nodes 0..7, host 8
 	for _, tc := range []struct {
 		src, dst NodeID
 		want     string
 	}{
 		{0, 99, "fabric: send to invalid node 99"},
 		{0, -1, "fabric: send to invalid node -1"},
-		{0, 5, "fabric: send to invalid node 5"},
+		{0, 9, "fabric: send to invalid node 9"},
 		{99, 0, "fabric: send from invalid node 99"},
 		{-1, 0, "fabric: send from invalid node -1"},
-		{4, 0, "fabric: send from invalid node 4"},
+		{9, 0, "fabric: send from invalid node 9"},
 	} {
 		for _, op := range []string{"send", "path"} {
 			want := strings.Replace(tc.want, "send", op, 1)

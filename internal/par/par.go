@@ -53,14 +53,9 @@ type Config struct {
 	// behind its own host link (host 0 at Fabric.HostAttach, the others
 	// spread evenly over the nodes). 0 or 1 reproduces the paper's single
 	// SunSparc file server. Every rank's files live on exactly one server,
-	// chosen by the Placement policy; the storage client addresses that
-	// shard for the rank's saves and recovery reads alike.
+	// rank r's on server r mod StorageServers (striping); the storage client
+	// addresses that shard for the rank's saves and recovery reads alike.
 	StorageServers int
-
-	// Placement names the rank→server placement policy
-	// (storage.ParsePlacement): "stripe" (round-robin, the default),
-	// "hash", or "nearest".
-	Placement string
 }
 
 // DefaultConfig returns parameters calibrated to the paper's testbed: a
@@ -220,10 +215,6 @@ type Machine struct {
 
 	Nodes []*Node
 
-	// shard maps each rank to the index in Stores holding its files,
-	// resolved once from Config.Placement at build time.
-	shard []int
-
 	// Retry governs StorageCallRetry and the checkpoint daemons' durable
 	// writes. The zero value (single attempt) is the unarmed default; the
 	// fault-injection layer installs a real policy when it arms the machine.
@@ -269,10 +260,6 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.StorageServers > 1 && cfg.Fabric.Hosts < cfg.StorageServers {
 		cfg.Fabric.Hosts = cfg.StorageServers // one host endpoint per server
 	}
-	pl, err := storage.ParsePlacement(cfg.Placement)
-	if err != nil {
-		panic("par: " + err.Error())
-	}
 	eng := sim.New()
 	m := &Machine{
 		Eng: eng,
@@ -285,9 +272,6 @@ func NewMachine(cfg Config) *Machine {
 	}
 	m.Store = m.Stores[0]
 	n := cfg.Fabric.Nodes()
-	m.shard = pl.Assign(n, len(m.Stores), func(rank, server int) int {
-		return len(m.Net.Path(fabric.NodeID(rank), cfg.Fabric.HostID(server)))
-	})
 	m.Nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
 		node := &Node{M: m, ID: i, Alive: true}
@@ -301,10 +285,7 @@ func NewMachine(cfg Config) *Machine {
 	}
 	if cfg.Fabric.TransitCPUPerMB > 0 {
 		m.Net.TransitHook = func(id fabric.NodeID, bytes int) {
-			if int(id) < n {
-				debt := sim.Duration(float64(cfg.Fabric.TransitCPUPerMB) * float64(bytes) / 1e6)
-				m.Nodes[id].cpuDebt += debt
-			}
+			m.Nodes[id].cpuDebt += sim.Duration(float64(cfg.Fabric.TransitCPUPerMB) * float64(bytes) / 1e6)
 		}
 	}
 	return m
@@ -357,10 +338,10 @@ func (m *Machine) hostDeliver(i int, env *fabric.Envelope) {
 func (m *Machine) NumStores() int { return len(m.Stores) }
 
 // ShardOf returns the index of the storage server holding rank's files.
-func (m *Machine) ShardOf(rank int) int { return m.shard[rank] }
+func (m *Machine) ShardOf(rank int) int { return rank % len(m.Stores) }
 
 // StoreFor returns the storage server holding rank's files.
-func (m *Machine) StoreFor(rank int) *storage.Server { return m.Stores[m.shard[rank]] }
+func (m *Machine) StoreFor(rank int) *storage.Server { return m.Stores[m.ShardOf(rank)] }
 
 // StorageQueueLen sums the request backlog across every storage server
 // (mailbox plus the request in service).
@@ -715,7 +696,7 @@ type storageReply struct {
 
 // Shard returns the index of the storage server holding this rank's files —
 // the default target of every storage operation issued from the node.
-func (n *Node) Shard() int { return n.M.shard[n.ID] }
+func (n *Node) Shard() int { return n.M.ShardOf(n.ID) }
 
 // StorageCall performs a stable-storage operation over the fabric: the
 // request (with its data) travels to the rank's shard's host and queues at

@@ -68,17 +68,17 @@ func randomHistory(r *rng.RNG, n, events int) []ckpt.Record {
 	next := make([]int, n)
 	var recs []ckpt.Record
 	for ev := 0; ev < events; ev++ {
-		p := r.Intn(n)
-		idx := next[p] + 1 + r.Intn(2)
-		if r.Intn(8) == 0 && next[p] > 2 {
-			idx = 1 + r.Intn(next[p]) // late commit of an older index
+		p := intn(r, n)
+		idx := next[p] + 1 + intn(r, 2)
+		if intn(r, 8) == 0 && next[p] > 2 {
+			idx = 1 + intn(r, next[p]) // late commit of an older index
 		} else {
 			next[p] = idx
 		}
 		var deps []ckpt.Dep
-		for d := r.Intn(3); d > 0; d-- {
-			if q := r.Intn(n); q != p {
-				deps = append(deps, dep(q, max(next[q]-r.Intn(3), 0)))
+		for d := intn(r, 3); d > 0; d-- {
+			if q := intn(r, n); q != p {
+				deps = append(deps, dep(q, max(next[q]-intn(r, 3), 0)))
 			}
 		}
 		recs = append(recs, rec(p, idx, sim.Duration(ev+1), deps...))
@@ -95,12 +95,12 @@ func randomHistory(r *rng.RNG, n, events int) []ckpt.Record {
 func TestGrowingGraphMatchesRebuild(t *testing.T) {
 	r := rng.New(0x6e0_11e5)
 	for trial := 0; trial < 200; trial++ {
-		n := 2 + r.Intn(4)
-		recs := randomHistory(r, n, 5+r.Intn(60))
+		n := 2 + intn(r, 4)
+		recs := randomHistory(r, n, 5+intn(r, 60))
 		g := New(n)
 		for i, rc := range recs {
 			g.Add(rc)
-			if r.Intn(3) == 0 {
+			if intn(r, 3) == 0 {
 				continue // several commits between questions
 			}
 			ref := newRefGraph(n, recs[:i+1])
@@ -109,7 +109,7 @@ func TestGrowingGraphMatchesRebuild(t *testing.T) {
 				t.Fatalf("trial %d commit %d: line %v, rebuilt graph says %v", trial, i, line, want)
 			}
 			below := append([]int(nil), line...)
-			below[r.Intn(n)] = 0
+			below[intn(r, n)] = 0
 			for _, l := range [][]int{line, g.Latest(), below} {
 				if got, want := g.OrphanEdges(l), ref.orphans(l); !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d commit %d: orphans of %v are %v, rebuilt graph says %v", trial, i, l, got, want)

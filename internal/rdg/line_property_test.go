@@ -9,25 +9,28 @@ import (
 	"repro/internal/sim"
 )
 
+// intn draws a uniform int in [0,n), n > 0.
+func intn(r *rng.RNG, n int) int { return int(r.Uint64() % uint64(n)) }
+
 // randomGraph draws a random committed-checkpoint history: ranks checkpoint
 // in a random interleaving, each checkpoint closing an interval in which the
 // rank may have consumed messages from any other rank's intervals — including
 // still-open ones, which is exactly what creates orphans.
 func randomGraph(r *rng.RNG) *Graph {
-	n := 2 + r.Intn(3)      // 2..4 ranks
-	maxIdx := 1 + r.Intn(3) // 1..3 checkpoints per rank
+	n := 2 + intn(r, 3)      // 2..4 ranks
+	maxIdx := 1 + intn(r, 3) // 1..3 checkpoints per rank
 	next := make([]int, n)
 	var recs []ckpt.Record
-	for ev, events := 0, 3+r.Intn(12); ev < events; ev++ {
-		p := r.Intn(n)
+	for ev, events := 0, 3+intn(r, 12); ev < events; ev++ {
+		p := intn(r, n)
 		if next[p] >= maxIdx {
 			continue
 		}
 		next[p]++
 		var deps []ckpt.Dep
-		for d := r.Intn(3); d > 0; d-- {
-			if q := r.Intn(n); q != p {
-				deps = append(deps, dep(q, r.Intn(maxIdx+1)))
+		for d := intn(r, 3); d > 0; d-- {
+			if q := intn(r, n); q != p {
+				deps = append(deps, dep(q, intn(r, maxIdx+1)))
 			}
 		}
 		recs = append(recs, rec(p, next[p], sim.Duration(ev+1), deps...))

@@ -29,14 +29,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Intn returns a uniform int in [0,n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with n <= 0")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // ExpFloat64 returns an exponentially distributed float64 with rate 1.
 func (r *RNG) ExpFloat64() float64 {
 	u := r.Float64()

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterministicStream(t *testing.T) {
@@ -25,38 +24,12 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestIntnRangeProperty(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		nn := int(n%100) + 1
-		r := New(seed)
-		for i := 0; i < 100; i++ {
-			v := r.Intn(nn)
-			if v < 0 || v >= nn {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIntnPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	New(1).Intn(0)
-}
-
 func TestUniformity(t *testing.T) {
 	r := New(12345)
 	const buckets, samples = 16, 160000
 	var count [buckets]int
 	for i := 0; i < samples; i++ {
-		count[r.Intn(buckets)]++
+		count[r.Uint64()%buckets]++
 	}
 	exp := float64(samples) / buckets
 	for i, c := range count {
