@@ -36,7 +36,8 @@
 //	chkbench -table all -json out.json       # tables as machine-readable JSON
 //	chkbench -trace out.json                 # Chrome trace of one run (-app/-scheme/-ckpts)
 //	chkbench -metrics                        # overhead breakdown per scheme for -app
-//	chkbench -metrics -scheme NBMS           # breakdown + full metric summary of one scheme
+//	chkbench -metrics -scheme NBMS -ckpts 3  # one run: its report against the normal
+//	                                         # run, breakdown and full metric summary
 //
 // Host profiling (the flags shared by every command, see internal/perf):
 //
@@ -44,10 +45,10 @@
 //	chkbench -memprofile mem.out             # heap profile at exit
 //	chkbench -pprof localhost:6060           # live net/http/pprof while running
 //
-// Command-line misuse (an unknown -table or -exp, a bad machine shape) exits
-// with status 2. Any failing cell aborts the run with status 1 and a
-// message naming the cell and its replay seed; partial tables are never
-// printed as if they were complete.
+// Command-line misuse (an unknown -table or -exp, a bad machine shape, or
+// -app/-scheme/-ckpts without -metrics or -trace) exits with status 2. Any
+// failing cell aborts the run with status 1 and a message naming the cell and
+// its replay seed; partial tables are never printed as if they were complete.
 package main
 
 import (
@@ -98,7 +99,7 @@ func run(args []string, out, errw io.Writer) (err error) {
 	celltime := fs.Bool("celltime", false, "report per-cell wall-clock timings (stderr table + JSON timing section)")
 	jsonOut := fs.String("json", "", "write the measured table rows as machine-readable JSON to this file")
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON of one checkpointed run (-app/-scheme/-ckpts) to this file")
-	metrics := fs.Bool("metrics", false, "print the overhead breakdown (and, for a single -scheme, the metric summary) of -app")
+	metrics := fs.Bool("metrics", false, "print the overhead breakdown (and, for a single -scheme, the run's report and metric summary) of -app")
 	app := fs.String("app", "SOR-256", "workload for -trace/-metrics, e.g. SOR-256, ISING-512, GAUSS-384")
 	scheme := fs.String("scheme", "", "scheme for -trace/-metrics, see -list (default NBMS for -trace, all Table 2 schemes for -metrics)")
 	ckpts := fs.Int("ckpts", 3, "checkpoints per run for -trace/-metrics")
@@ -133,6 +134,15 @@ func run(args []string, out, errw io.Writer) (err error) {
 			fmt.Fprintln(out, line)
 		}
 		return nil
+	}
+	var stray string // -app, -scheme and -ckpts pick the run -metrics and -trace inspect
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "app" || f.Name == "scheme" || f.Name == "ckpts" {
+			stray = f.Name
+		}
+	})
+	if stray != "" && *traceOut == "" && !*metrics {
+		return fmt.Errorf("%w: -%s picks the run of -metrics or -trace; set one of them", errUsage, stray)
 	}
 	if *jsonOut != "" && *table == "" {
 		*table = "all" // -json reports table rows, so it implies the table runs
@@ -222,12 +232,16 @@ func run(args []string, out, errw io.Writer) (err error) {
 		default:
 			schemes = bench.Table2Schemes
 		}
-		normal, bds, err := r.MeasureBreakdown(ctx, cfg, wl, schemes, *ckpts)
+		base, bds, err := r.MeasureBreakdown(ctx, cfg, wl, schemes, *ckpts)
 		if err != nil {
 			return err
 		}
 		if *metrics {
-			bench.WriteBreakdown(out, wl.Name, normal, bds)
+			if len(bds) == 1 {
+				bench.WriteRunReport(out, base, bds[0])
+				fmt.Fprintln(out)
+			}
+			bench.WriteBreakdown(out, wl.Name, base.Exec, bds)
 			fmt.Fprintln(out)
 			if len(bds) == 1 {
 				bench.WriteMetricsSummary(out, bds[0].Obs)

@@ -105,10 +105,89 @@ func TestRunUnknownNamesFail(t *testing.T) {
 }
 
 // TestRunBadFlagFails proves flag misuse surfaces as an error (main exits 2).
+// -app, -scheme and -ckpts pick the run -metrics and -trace inspect; set
+// without either, they were once ignored and the tables ran instead, so they
+// are misuse now (errUsage) and the error names the flag.
 func TestRunBadFlagFails(t *testing.T) {
 	var out, errw strings.Builder
 	if err := run([]string{"-no-such-flag"}, &out, &errw); err == nil {
 		t.Fatal("run with an unknown flag returned nil")
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-quick", "-scheme", "NBMS"}, "-scheme"},
+		{[]string{"-quick", "-app", "SOR-128"}, "-app"},
+		{[]string{"-quick", "-ckpts", "7"}, "-ckpts"},
+		{[]string{"-quick", "-table", "1", "-scheme", "NBMS", "-ckpts", "7"}, "-scheme"},
+		{[]string{"-exp", "coord", "-app", "SOR-128"}, "-app"},
+	} {
+		wantUsage(t, tc.args, tc.want)
+	}
+}
+
+// wantUsage runs args and requires a usage error (errUsage, exit 2) that
+// names want, with nothing written to stdout.
+func wantUsage(t *testing.T, args []string, want string) {
+	t.Helper()
+	var out, errw strings.Builder
+	err := run(args, &out, &errw)
+	if !errors.Is(err, errUsage) {
+		t.Errorf("run(%v) = %v, want errUsage", args, err)
+		return
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("run(%v) error %q does not name %q", args, err, want)
+	}
+	if out.Len() != 0 {
+		t.Errorf("run(%v) wrote to stdout on a usage error:\n%s", args, out.String())
+	}
+}
+
+// TestRunMetricsReportsOneRun: -metrics of a single scheme opens with the
+// report of that run against its normal run, then the breakdown and the
+// metric summary; a CIC scheme adds its forced/basic/final split, and one
+// round latency line follows per global round.
+func TestRunMetricsReportsOneRun(t *testing.T) {
+	report := []string{
+		"SOR-128      normal execution:", " msgs, ", " MB on the wire)",
+		"SOR-128      under Coord_NBMS", "% overhead)",
+		"  interval            ",
+		"  checkpoints         ", " global rounds)",
+		"  state written       ",
+		"  channel state       ",
+		"  protocol messages   ",
+		"  app blocked         ", "s memory copies)",
+		"  stable-storage peak ", " checkpoint files",
+		"  round 1 latency     ", "  round 2 latency     ",
+		"Overhead breakdown: SOR-128", "Counters and gauges (scheme Coord_NBMS",
+	}
+	cic := []string{"SOR-128      under CIC", "  forced/basic/final  ", "Counters and gauges (scheme CIC"}
+	for _, tc := range []struct {
+		scheme       string
+		want, absent []string
+	}{
+		{"NBMS", report, []string{"forced/basic/final", "round 3 latency"}},
+		{"CIC", cic, []string{"round 1 latency"}},
+	} {
+		var out, errw strings.Builder
+		if err := run([]string{"-metrics", "-app", "SOR-128", "-scheme", tc.scheme, "-ckpts", "2"}, &out, &errw); err != nil {
+			t.Fatalf("-metrics -scheme %s: %v", tc.scheme, err)
+		}
+		rest := out.String()
+		for _, want := range tc.want {
+			i := strings.Index(rest, want)
+			if i < 0 {
+				t.Fatalf("-scheme %s: %q missing or out of order in:\n%s", tc.scheme, want, out.String())
+			}
+			rest = rest[i+len(want):]
+		}
+		for _, absent := range tc.absent {
+			if strings.Contains(out.String(), absent) {
+				t.Errorf("-scheme %s printed %q:\n%s", tc.scheme, absent, out.String())
+			}
+		}
 	}
 }
 
@@ -175,18 +254,7 @@ func TestRunBadFabricFlagsFail(t *testing.T) {
 		{[]string{"-topo", "4x4", "-servers", "17"}, "-servers 17"},
 	}
 	for _, tc := range cases {
-		var out, errw strings.Builder
-		err := run(tc.args, &out, &errw)
-		if !errors.Is(err, errUsage) {
-			t.Errorf("run(%v) = %v, want errUsage", tc.args, err)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("run(%v) error %q does not name %q", tc.args, err, tc.want)
-		}
-		if out.Len() != 0 {
-			t.Errorf("run(%v) wrote to stdout on a usage error:\n%s", tc.args, out.String())
-		}
+		wantUsage(t, tc.args, tc.want)
 	}
 	var out, errw strings.Builder
 	if err := run([]string{"-placement", "closest"}, &out, &errw); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

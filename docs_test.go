@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -168,10 +169,93 @@ var (
 	docPath    = regexp.MustCompile(`(?:^|[^\w/.-])((?:internal|cmd|examples|benchmark)/[\w./-]*)`)
 	docGoRun   = regexp.MustCompile(`go run (?:-\S+ )*\./([\w./-]+)`)
 	docTestFns = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z_]\w*`)
+
+	// docCmdRun is a documented command line up to where its words end: a
+	// closing backtick, a comment or a shell operator.
+	docCmdRun = regexp.MustCompile("go run (?:-\\S+ )*\\./cmd/(\\w+)([^`#|;&]*)")
+	docFlag   = regexp.MustCompile(`(?:^|[\s\[])(-[\w-]+)`)
+	// flagDef is a flag registration: fs.<Kind>("name" or fs.<Kind>Var(&x, "name".
+	flagDef = regexp.MustCompile(`\bfs\.\w+\((?:&[^,]+,\s*)?"([^"]+)"`)
 )
 
+// cmdFlags returns the flags cmd/name registers, -h and, when the command
+// calls perf.Profile's RegisterFlags, the profiling flags; nil when there is
+// no such command (TestDocReferences reports the missing target).
+func cmdFlags(t *testing.T, name string) map[string]bool {
+	src, err := os.ReadFile(filepath.Join("cmd", name, "main.go"))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(src), ".RegisterFlags(") {
+		prof, err := os.ReadFile(filepath.Join("internal", "perf", "profile.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src = append(src, prof...)
+	}
+	flags := map[string]bool{"-h": true}
+	for _, m := range flagDef.FindAllSubmatch(src, -1) {
+		flags["-"+string(m[1])] = true
+	}
+	return flags
+}
+
+// unknownFlags returns every flag a documented `go run ./cmd/NAME …` on line
+// passes that the command does not register, as "NAME -flag".
+func unknownFlags(line string, flagsOf func(cmd string) map[string]bool) []string {
+	var bad []string
+	for _, m := range docCmdRun.FindAllStringSubmatch(line, -1) {
+		flags := flagsOf(m[1])
+		if flags == nil {
+			continue
+		}
+		for _, f := range docFlag.FindAllStringSubmatch(m[2], -1) {
+			if !flags[f[1]] {
+				bad = append(bad, m[1]+" "+f[1])
+			}
+		}
+	}
+	return bad
+}
+
+// TestDocFlagVerdicts pins unknownFlags on planted lines.
+func TestDocFlagVerdicts(t *testing.T) {
+	flagsOf := func(cmd string) map[string]bool {
+		if cmd == "gone" {
+			return nil
+		}
+		return map[string]bool{"-h": true, "-quick": true, "-table": true, "-trace": true}
+	}
+	for _, tc := range []struct {
+		line string
+		want string // the flags reported, space-joined
+	}{
+		{"go run ./cmd/chkbench -quick -table 1   # -interval in a comment", ""},
+		{"`go run ./cmd/chkbench -table all` and -interval in prose", ""},
+		{"go run -race ./cmd/chkbench -quick -interval 1s", "chkbench -interval"},
+		{"go run ./cmd/chkbench -table 1 [-trace t.json] [-ckpts 3]", "chkbench -ckpts"},
+		{"go run ./cmd/chkbench -h && go run ./cmd/chkcheck -full", "chkcheck -full"},
+		{"go run ./cmd/chkbench -table SOR-128 -quick-ish", "chkbench -quick-ish"},
+		{"go run ./cmd/gone -anything", ""},
+	} {
+		if got := strings.Join(unknownFlags(tc.line, flagsOf), " "); got != tc.want {
+			t.Errorf("%q: reported %q, want %q", tc.line, got, tc.want)
+		}
+	}
+	flags := cmdFlags(t, "chkbench")
+	for _, f := range []string{"-h", "-metrics", "-topo", "-quick", "-cpuprofile", "-pprof"} {
+		if !flags[f] {
+			t.Errorf("cmdFlags(chkbench) lacks %s", f)
+		}
+	}
+}
+
 // TestDocReferences keeps the documents on the tree: every repository path
-// and `go run` target they name exists, and every test, benchmark, fuzz
+// and `go run` target they name exists, every flag a `go run ./cmd/NAME`
+// line passes is one the command registers, and every test, benchmark, fuzz
 // target or example they name is a prefix of a function in a _test.go file,
 // as `go test -run` would match it.
 func TestDocReferences(t *testing.T) {
@@ -219,6 +303,9 @@ func TestDocReferences(t *testing.T) {
 				if !exists(m[1]) {
 					t.Errorf("%s:%d runs ./%s, which does not exist", doc, n, m[1])
 				}
+			}
+			for _, f := range unknownFlags(line, func(cmd string) map[string]bool { return cmdFlags(t, cmd) }) {
+				t.Errorf("%s:%d passes %s, which the command does not register", doc, n, f)
 			}
 			for _, name := range docTestFns.FindAllString(line, -1) {
 				found := false

@@ -48,7 +48,7 @@ func availabilityExperiment(ctx context.Context, w io.Writer, cfg par.Config, qu
 
 	// The failure-free baseline fixes the checkpoint intervals, as in every
 	// other experiment.
-	baseExec, err := r.normal(ctx, cfg, wl)
+	base, err := r.normal(ctx, cfg, wl)
 	if err != nil {
 		return err
 	}
@@ -63,7 +63,7 @@ func availabilityExperiment(ctx context.Context, w io.Writer, cfg par.Config, qu
 	for _, v := range schemes {
 		for _, div := range divs {
 			for mi, mttf := range mttfs {
-				rows = append(rows, availRow{scheme: v, interval: baseExec / sim.Duration(div+1), mttf: mttf})
+				rows = append(rows, availRow{scheme: v, interval: base.Exec / sim.Duration(div+1), mttf: mttf})
 				cells = append(cells, Cell{App: fmt.Sprintf("%s-i%d", wl.Name, div), Scheme: v.String(), Rep: mi})
 			}
 		}

@@ -20,8 +20,9 @@ import (
 // nodes, so on an N-node machine they can exceed the wall-clock overhead (the
 // phases run concurrently across nodes).
 type Breakdown struct {
-	Scheme      string
-	Exec        sim.Duration
+	Scheme      ckpt.Variant
+	Interval    sim.Duration // checkpoint interval of the run
+	Result      core.Result  // the checkpointed run
 	OverheadPct float64
 
 	Blocked   sim.Duration // application time lost to checkpointing (ckpt.blocked_time)
@@ -40,14 +41,14 @@ type Breakdown struct {
 // checkpoints at interval normal/(ckpts+1), collecting the phase breakdown of
 // every checkpointed run through a fresh Observer of its own — so the scheme
 // cells fan out over the pool and assemble in scheme order. It returns the
-// normal execution time and one Breakdown per scheme.
-func (r *Runner) MeasureBreakdown(ctx context.Context, cfg par.Config, wl apps.Workload, schemes []ckpt.Variant, ckpts int) (sim.Duration, []Breakdown, error) {
+// normal run and one Breakdown per scheme.
+func (r *Runner) MeasureBreakdown(ctx context.Context, cfg par.Config, wl apps.Workload, schemes []ckpt.Variant, ckpts int) (core.Result, []Breakdown, error) {
 	base, err := r.normal(ctx, cfg, wl)
 	if err != nil {
-		return 0, nil, err
+		return core.Result{}, nil, err
 	}
-	interval := base / sim.Duration(ckpts+1)
-	r.Prog.logf("%-12s normal %8.2fs  (interval %.0fs)", wl.Name, base.Seconds(), interval.Seconds())
+	interval := base.Exec / sim.Duration(ckpts+1)
+	r.Prog.logf("%-12s normal %8.2fs  (interval %.0fs)", wl.Name, base.Exec.Seconds(), interval.Seconds())
 	cells := make([]Cell, len(schemes))
 	for i, v := range schemes {
 		cells[i] = Cell{App: wl.Name, Scheme: v.String()}
@@ -67,9 +68,10 @@ func (r *Runner) MeasureBreakdown(ctx context.Context, cfg par.Config, wl apps.W
 		}
 		r.Prog.logf("%-24s %8.2fs", c.Name(), res.Exec.Seconds())
 		return Breakdown{
-			Scheme:      v.String(),
-			Exec:        res.Exec,
-			OverheadPct: 100 * float64(res.Exec-base) / float64(base),
+			Scheme:      v,
+			Interval:    interval,
+			Result:      res,
+			OverheadPct: 100 * float64(res.Exec-base.Exec) / float64(base.Exec),
 			Blocked:     res.Ckpt.AppBlocked,
 			Forced:      o.SpanTotal("cic.forced"),
 			Sync:        o.SpanTotal("ckpt.sync"),
@@ -82,9 +84,37 @@ func (r *Runner) MeasureBreakdown(ctx context.Context, cfg par.Config, wl apps.W
 		}, nil
 	})
 	if err != nil {
-		return 0, nil, err
+		return core.Result{}, nil, err
 	}
 	return base, out, nil
+}
+
+// WriteRunReport renders one checkpointed run against its normal run: the
+// baseline's traffic, the overhead, what the scheme wrote and sent, how long
+// the application was blocked, the storage it occupied and each round's
+// latency. Where that time went is the breakdown row.
+func WriteRunReport(w io.Writer, base core.Result, b Breakdown) {
+	res, st := b.Result, b.Result.Ckpt
+	fmt.Fprintf(w, "%-12s normal execution: %10.2fs  (%d msgs, %.1f MB on the wire)\n",
+		base.Workload, base.Exec.Seconds(), base.NetMsgs, float64(base.NetBytes)/1e6)
+	fmt.Fprintf(w, "%-12s under %-10s %10.2fs  (+%.2fs, %.2f%% overhead)\n",
+		res.Workload, res.Scheme, res.Exec.Seconds(), (res.Exec - base.Exec).Seconds(), b.OverheadPct)
+	fmt.Fprintf(w, "  interval            %10.2fs\n", b.Interval.Seconds())
+	fmt.Fprintf(w, "  checkpoints         %10d  (%d global rounds)\n", st.Checkpoints, st.Rounds)
+	if b.Scheme.CommunicationInduced() {
+		fmt.Fprintf(w, "  forced/basic/final  %10d / %d / %d\n",
+			st.ForcedCkpts, st.Checkpoints-st.ForcedCkpts, st.FinalCkpts)
+	}
+	fmt.Fprintf(w, "  state written       %10.2f MB\n", float64(st.StateBytes)/1e6)
+	fmt.Fprintf(w, "  channel state       %10.2f KB\n", float64(st.ChanBytes)/1e3)
+	fmt.Fprintf(w, "  protocol messages   %10d  (%.1f KB)\n", st.ProtoMsgs, float64(st.ProtoBytes)/1e3)
+	fmt.Fprintf(w, "  app blocked         %10.3fs  (of which %.3fs memory copies)\n",
+		st.AppBlocked.Seconds(), st.MemCopyTime.Seconds())
+	fmt.Fprintf(w, "  stable-storage peak %10.2f MB in %d checkpoint files\n",
+		float64(res.StoragePeak)/1e6, len(res.Records))
+	for i, lat := range st.RoundLatency {
+		fmt.Fprintf(w, "  round %d latency     %10.3fs\n", i+1, lat.Seconds())
+	}
 }
 
 // WriteBreakdown renders the per-scheme overhead breakdown table.
@@ -95,8 +125,8 @@ func WriteBreakdown(w io.Writer, workload string, normal sim.Duration, bds []Bre
 		"Scheme", "Exec(s)", "Ovh %", "Blocked", "Forced", "Sync", "MemCopy", "DiskWrite", "ChanWrite", "TokenWait", "HostWait").
 		Align(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 	for _, b := range bds {
-		t.Rowf(b.Scheme,
-			b.Exec.Seconds(), b.OverheadPct,
+		t.Rowf(b.Scheme.String(),
+			b.Result.Exec.Seconds(), b.OverheadPct,
 			b.Blocked.Seconds(), b.Forced.Seconds(), b.Sync.Seconds(), b.MemCopy.Seconds(),
 			b.DiskWrite.Seconds(), b.ChanWrite.Seconds(), b.TokenWait.Seconds(),
 			b.HostWait.Seconds())

@@ -134,7 +134,7 @@ func dominoExperiment(ctx context.Context, w io.Writer, cfg par.Config, quick bo
 	}
 	outs, err := Cells(ctx, r, cells, func(_ context.Context, i int, c Cell) (dominoRow, error) {
 		div, v := divs[i/len(schemes)], schemes[i%len(schemes)]
-		interval := base / sim.Duration(div+1)
+		interval := base.Exec / sim.Duration(div+1)
 		res, err := core.Run(wl, core.Config{Machine: cfg, Scheme: v, Interval: interval})
 		if err != nil {
 			return dominoRow{}, err

@@ -222,7 +222,7 @@ func intervalSweep(ctx context.Context, w io.Writer, cfg par.Config, quick bool,
 		cells[i] = Cell{App: wl.Name, Scheme: "Coord_NBMS", Rep: div}
 	}
 	results, err := Cells(ctx, r, cells, func(_ context.Context, i int, _ Cell) (core.Result, error) {
-		return core.Run(wl, core.Config{Machine: cfg, Scheme: ckpt.CoordNBMS, Interval: base / sim.Duration(divs[i]+1)})
+		return core.Run(wl, core.Config{Machine: cfg, Scheme: ckpt.CoordNBMS, Interval: base.Exec / sim.Duration(divs[i]+1)})
 	})
 	if err != nil {
 		return err
@@ -231,11 +231,11 @@ func intervalSweep(ctx context.Context, w io.Writer, cfg par.Config, quick bool,
 		"Interval", "Ckpts", "Overhead %", "Young C/I %").Align(1, 2, 3)
 	var costPerCkpt float64 // estimated from the densest run
 	for i, div := range divs {
-		interval := base / sim.Duration(div+1)
+		interval := base.Exec / sim.Duration(div+1)
 		res := results[i]
-		over := float64(res.Exec-base) / float64(base) * 100
+		over := float64(res.Exec-base.Exec) / float64(base.Exec) * 100
 		if i == 0 && res.Ckpt.Rounds > 0 {
-			costPerCkpt = float64(res.Exec-base) / float64(res.Ckpt.Rounds)
+			costPerCkpt = float64(res.Exec-base.Exec) / float64(res.Ckpt.Rounds)
 		}
 		model := costPerCkpt / float64(interval) * 100
 		t.Rowf(fmt.Sprintf("%.0fs", interval.Seconds()), res.Ckpt.Rounds, over, model)

@@ -35,11 +35,11 @@ func failoverExperiment(ctx context.Context, w io.Writer, cfg par.Config, quick 
 	schemes := []ckpt.Variant{ckpt.CoordNB, ckpt.CoordNBFT, ckpt.CoordNBFTInc}
 
 	// The no-checkpointing baseline fixes the interval, as everywhere else.
-	baseExec, err := r.normal(ctx, cfg, wl)
+	base, err := r.normal(ctx, cfg, wl)
 	if err != nil {
 		return err
 	}
-	interval := baseExec / 5
+	interval := base.Exec / 5
 
 	// Fault-free runs of each scheme anchor the per-crash cost: the kill
 	// cells are compared against the same scheme running undisturbed, so the

@@ -226,17 +226,17 @@ func Cells[T any](ctx context.Context, r *Runner, cells []Cell, fn func(ctx cont
 	return out, nil
 }
 
-// normal measures wl's failure-free execution time as one cell: the baseline
-// every experiment derives its checkpoint interval from.
-func (r *Runner) normal(ctx context.Context, cfg par.Config, wl apps.Workload) (sim.Duration, error) {
+// normal runs wl failure-free as one cell: the baseline every experiment
+// derives its checkpoint interval from.
+func (r *Runner) normal(ctx context.Context, cfg par.Config, wl apps.Workload) (core.Result, error) {
 	base, err := Cells(ctx, r, []Cell{{App: wl.Name, Scheme: "normal"}},
 		func(context.Context, int, Cell) (core.Result, error) {
 			return core.Run(wl, core.Config{Machine: cfg})
 		})
 	if err != nil {
-		return 0, err
+		return core.Result{}, err
 	}
-	return base[0].Exec, nil
+	return base[0], nil
 }
 
 // MeasureRows runs every workload normally and under each scheme with `ckpts`

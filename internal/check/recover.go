@@ -76,7 +76,7 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 			for _, path := range st.DurablePaths() {
 				rank, idx, ok := v.ParsePath(path)
 				if ok && idx > line[rank] {
-					if reply := node0.StorageCallRetryOn(p, si, storage.Request{Op: storage.OpDelete, Path: path}); reply.Err != nil {
+					if reply := node0.StorageCallOn(p, si, storage.Request{Op: storage.OpDelete, Path: path}); reply.Err != nil {
 						a.violatef("recover.reclaim", "deleting stale %s: %v", path, reply.Err)
 					}
 				}

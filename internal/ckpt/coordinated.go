@@ -541,19 +541,9 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 	}
 	c := ckptCapture{index: round}
 	cn.img.capture(n, &c)
-	stateBytes, prev := c.stateBytes(), c.prev
-	var file [][]byte
-	if s.v.Incremental() {
-		// The slot file is a record carrying the chain pointer, gathered from
-		// the payload's parts; the round's capture stays pending until the
-		// round commits (finishRound).
-		file = encodeCkptFile(s.v, CkptFile{Index: round, Prev: prev}, c.image, 0)
-	} else {
-		// The raw padded image: the parts heldImage.share returned, borrowed
-		// as encodeCkptFile borrows them, then the process image's zeros.
-		// Decoders read length-prefixed fields, so the padding is inert.
-		file = appendZeros(c.image, c.pad)
-	}
+	// An incremental round's capture stays pending until the round commits
+	// (finishRound).
+	stateBytes, prev, file := c.stateBytes(), c.prev, c.file(s.v)
 	if s.v.MemBuffered() && p != nil {
 		// Main-memory checkpointing: the application pays only for the copy.
 		d := n.M.MemCopyTime(fileLen(file))
@@ -673,7 +663,7 @@ func (cn *coordNode) maybeFinishLogging() {
 			if cn.round != round || cn.attempt != attempt {
 				return
 			}
-			reply := cn.n.StorageCallRetry(p, storage.Request{Op: storage.OpDelete, Path: cn.s.v.ChanPath(cn.n.ID, round)})
+			reply := cn.n.StorageCall(p, storage.Request{Op: storage.OpDelete, Path: cn.s.v.ChanPath(cn.n.ID, round)})
 			if cn.round != round || cn.attempt != attempt {
 				return
 			}
@@ -695,7 +685,7 @@ func (cn *coordNode) maybeFinishLogging() {
 		}
 		data := encodeChanLog(logCopy)
 		wsp := cn.s.m.Obs.Start(cn.n.ID, obs.TidDaemon, "ckpt.chan_write").WithArg("round", int64(round))
-		reply := cn.n.StorageCallRetry(p, storage.Request{
+		reply := cn.n.StorageCall(p, storage.Request{
 			Op: storage.OpWrite, Path: cn.s.v.ChanPath(cn.n.ID, round),
 			Data: data, Durable: true,
 		})
@@ -726,7 +716,7 @@ func (cn *coordNode) maybeFinishLogging() {
 func (cn *coordNode) nack(p *sim.Proc, round, attempt int) {
 	cn.s.m.Obs.Add(cn.n.ID, "faults.ckpt_write_failed", 1)
 	cn.s.proto(1)
-	cn.n.Send(p, fabric.NodeID(cn.coordRank), par.PortDaemon, msgNack{Round: round, Attempt: attempt, From: cn.n.ID}, sizeCtl)
+	cn.n.Send(p, fabric.NodeID(cn.coordRank), par.PortDaemon, msgNack{Round: round, Attempt: attempt}, sizeCtl)
 }
 
 func (cn *coordNode) maybeAck(p *sim.Proc, round int) {

@@ -331,6 +331,20 @@ func (h *heldImage) abort() {
 // the next capture is lent whole, or is a base.
 func (h *heldImage) reset() { *h = heldImage{incremental: h.incremental} }
 
+// file builds the capture's checkpoint file as the variant lays it out on
+// stable storage. A full-image coordinated round's slot file is the raw
+// padded image: the parts heldImage.share returned, borrowed as
+// encodeCkptFile borrows them, then the process image's zeros (decoders read
+// length-prefixed fields, so the padding is inert). Every other file is the
+// record encodeCkptFile packs; a coordinated incremental capture carries no
+// dependencies, library state or padding.
+func (c *ckptCapture) file(v Variant) [][]byte {
+	if v.RawImage() {
+		return appendZeros(c.image, c.pad)
+	}
+	return encodeCkptFile(v, CkptFile{Index: c.index, Prev: c.prev, Deps: c.deps, Lib: c.lib}, c.image, c.pad)
+}
+
 // encodeCkptFile packs a checkpoint file for the variant as the list of slices
 // the segmented writer gathers it from, its state section being image's parts
 // then pad zero bytes (f.State, the decoded file's section, is not read).

@@ -156,8 +156,7 @@ func (cn *coordNode) startElection(recheck func()) {
 	// The elector votes for itself directly; everyone else answers the
 	// announcement with their round state.
 	s.electAcks = map[int]msgElectAck{cn.n.ID: {
-		From: cn.n.ID, Round: cn.round, Attempt: cn.attempt,
-		Acked: cn.acked, Precommitted: cn.precommitted,
+		From: cn.n.ID, Round: cn.round, Attempt: cn.attempt, Precommitted: cn.precommitted,
 	}}
 	for i := range s.nodes {
 		if i == cn.n.ID {
@@ -181,8 +180,7 @@ func (cn *coordNode) onElect(from int) {
 	cn.lastBeat = cn.s.m.Eng.Now()
 	cn.s.proto(1)
 	cn.n.Send(nil, fabric.NodeID(from), par.PortDaemon, msgElectAck{
-		From: cn.n.ID, Round: cn.round, Attempt: cn.attempt,
-		Acked: cn.acked, Precommitted: cn.precommitted,
+		From: cn.n.ID, Round: cn.round, Attempt: cn.attempt, Precommitted: cn.precommitted,
 	}, sizeCtl)
 }
 
@@ -239,7 +237,7 @@ func (s *coordinated) writeMetaJob(coordID, round, attempt int, adopted bool) {
 	cn := s.nodes[coordID]
 	cn.n.Do(func(p *sim.Proc) {
 		w := newMetaRecord(round)
-		reply := cn.n.StorageCallRetryOn(p, s.m.ShardOf(0), storage.Request{
+		reply := cn.n.StorageCallOn(p, s.m.ShardOf(0), storage.Request{
 			Op: storage.OpWrite, Path: CoordMetaPath, Data: w, Durable: true,
 		})
 		if attempt != s.attempt || s.round == s.committedRound {

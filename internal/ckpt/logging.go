@@ -56,13 +56,10 @@ func (tn *timerNode) resend(p *sim.Proc, to int, afterSSN uint64) int {
 
 // NodeRecoveryReport describes one single-node recovery under Indep_Log.
 type NodeRecoveryReport struct {
-	Rank        int
-	Index       int // checkpoint the node restored (0 = initial state)
-	StateBytes  int
-	Resent      int // messages retransmitted from survivors' logs
-	StartedAt   sim.Time
-	CompletedAt sim.Time
-	Done        *sim.Gate
+	Index      int // checkpoint the node restored (0 = initial state)
+	StateBytes int
+	Resent     int // messages retransmitted from survivors' logs
+	Done       *sim.Gate
 }
 
 // RecoverNode restarts a single failed node under independent checkpointing
@@ -83,7 +80,7 @@ func RecoverNode(m *par.Machine, w *mp.World, sch Scheme, rank int, factory func
 	if !ok || !s.v.SenderLog {
 		panic("ckpt: RecoverNode requires an Indep_Log scheme")
 	}
-	rep := &NodeRecoveryReport{Rank: rank, StartedAt: m.Eng.Now(), Done: sim.NewGate(m.Eng)}
+	rep := &NodeRecoveryReport{Done: sim.NewGate(m.Eng)}
 	node := m.Nodes[rank]
 	node.Restart()
 	s.attachNode(rank)
@@ -135,7 +132,6 @@ func RecoverNode(m *par.Machine, w *mp.World, sch Scheme, rank int, factory func
 				rep.Resent += s.nodes[peer].resend(p, rank, after)
 				remaining--
 				if remaining == 0 {
-					rep.CompletedAt = p.Now()
 					rep.Done.Open()
 				}
 			})

@@ -51,7 +51,7 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 		node0 := m.Nodes[0]
 		round := 0
 		msp := m.Obs.Start(0, obs.TidCoord, "recover.read_meta")
-		reply := node0.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: CoordMetaPath})
+		reply := node0.StorageCall(p, storage.Request{Op: storage.OpRead, Path: CoordMetaPath})
 		msp.End()
 		if reply.Err == nil {
 			r, err := ParseMetaRecord(reply.Data)
@@ -80,7 +80,7 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 					rep.BytesRead += int64(read)
 					par.RestoreAt(prog, round, state)
 					var msgs []*mp.Message
-					cl := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: v.ChanPath(rank, round)})
+					cl := node.StorageCall(p, storage.Request{Op: storage.OpRead, Path: v.ChanPath(rank, round)})
 					if cl.Err == nil {
 						rep.BytesRead += int64(len(cl.Data))
 						var err error
@@ -116,7 +116,7 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 func ReadCheckpoint(p *sim.Proc, node *par.Node, v Variant, index int) ([]byte, CkptFile, int) {
 	read := 0
 	img, head, err := new(Replayer).ReconstructCkpt(v, node.ID, index, func(path string, _ []byte) ([]byte, error) {
-		reply := node.StorageCallRetry(p, storage.Request{Op: storage.OpRead, Path: path})
+		reply := node.StorageCall(p, storage.Request{Op: storage.OpRead, Path: path})
 		read += len(reply.Data)
 		return reply.Data, reply.Err
 	})

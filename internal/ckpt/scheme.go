@@ -393,7 +393,6 @@ type (
 	msgNack struct {
 		Round   int
 		Attempt int
-		From    int
 	}
 	// msgAbort cancels an in-flight round attempt on a participant: round
 	// state is discarded, quarantined messages are released, and blocked
@@ -439,14 +438,13 @@ type (
 		From int
 	}
 	// msgElectAck is a survivor's answer to msgElect: its view of the
-	// in-flight round, whether it acked (own files durable) and whether it
-	// saw pre-commit (everyone's files durable). The successor resolves the
-	// round from these votes after electWait.
+	// in-flight round and whether it saw pre-commit (everyone's files
+	// durable). The successor resolves the round from these votes after
+	// electWait.
 	msgElectAck struct {
 		From         int
 		Round        int
 		Attempt      int
-		Acked        bool
 		Precommitted bool
 	}
 )

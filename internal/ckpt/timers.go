@@ -356,7 +356,7 @@ func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 		// nobody writes them again.
 		s := tn.s
 		k := c.index
-		file := encodeCkptFile(s.v, CkptFile{Index: k, Prev: c.prev, Deps: c.deps, Lib: c.lib}, c.image, c.pad)
+		file := c.file(s.v)
 		wsp := s.m.Obs.Start(tn.n.ID, obs.TidDaemon, "ckpt.disk_write").WithArg("index", int64(k))
 		err := writeSegmented(p, tn.n, s.v.StatePath(tn.n.ID, k), file, false)
 		wsp.End()

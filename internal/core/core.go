@@ -66,7 +66,6 @@ func Default() Config { return Config{Machine: par.DefaultConfig()} }
 type Result struct {
 	Workload string
 	Scheme   string // "none" when checkpointing was off
-	Interval sim.Duration
 
 	Exec sim.Duration // execution time (launch to last application finish)
 
@@ -113,7 +112,6 @@ type Launched struct {
 	Program func(rank int) mp.Program // a fresh program for rank, as launched
 
 	wl    apps.Workload
-	cfg   Config
 	ps    *perf.RunSampler
 	armed *faults.Armed
 }
@@ -124,7 +122,7 @@ func Start(wl apps.Workload, cfg Config) *Launched {
 	// The perf sampler opens before the machine exists and Finish closes it
 	// after Shutdown, so the Setup and Shutdown phases cover machine assembly
 	// and goroutine reaping respectively.
-	s := &Launched{wl: wl, cfg: cfg, ps: cfg.Perf.Begin(wl.Name, "none")}
+	s := &Launched{wl: wl, ps: cfg.Perf.Begin(wl.Name, "none")}
 	m := par.NewMachine(cfg.Machine)
 	s.M = m
 	m.SetObserver(cfg.Obs)
@@ -159,7 +157,7 @@ func Start(wl apps.Workload, cfg Config) *Launched {
 // recovered incarnations, not the ones Start launched — and collects the
 // measurements.
 func (s *Launched) Finish() (Result, error) {
-	m, wl, cfg, ps := s.M, s.wl, s.cfg, s.ps
+	m, wl, ps := s.M, s.wl, s.ps
 	defer ps.Finish()
 	defer m.Shutdown()
 	if err := m.Run(); err != nil {
@@ -184,7 +182,6 @@ func (s *Launched) Finish() (Result, error) {
 	res := Result{
 		Workload:       wl.Name,
 		Scheme:         "none",
-		Interval:       cfg.Interval,
 		Exec:           sim.Duration(m.AppsFinished),
 		StorageServers: m.NumStores(),
 	}

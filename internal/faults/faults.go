@@ -16,7 +16,7 @@
 // an unarmed machine takes the exact same code paths and produces the exact
 // same virtual schedule as before this package existed. Arming also installs
 // the machine's default retry policy and deterministic backoff jitter, which
-// the hardened storage client (par.StorageCallRetry) and the checkpoint
+// the storage client (par.StorageCall) and the checkpoint
 // writers consume.
 //
 // Only application data messages are ever dropped (mp.Droppable): checkpoint
@@ -135,11 +135,10 @@ type Armed struct {
 	stopped bool
 
 	// Injection counters.
-	StorageErrors int64 // injected per-request errors
-	OutageHits    int64 // requests failed inside an outage window
-	Drops         int64 // application messages dropped
-	Delays        int64 // application messages delayed
-	CrashCount    int64 // targeted crashes fired
+	OutageHits int64 // requests failed inside an outage window
+	Drops      int64 // application messages dropped
+	Delays     int64 // application messages delayed
+	CrashCount int64 // targeted crashes fired
 }
 
 // Arm attaches the plan to m: it derives the per-subsystem random streams,
@@ -234,7 +233,6 @@ func (a *Armed) armStorage() {
 				}
 			}
 			if sf.ErrProb > 0 && dataOp(op) && a.storageRand.Float64() < sf.ErrProb {
-				a.StorageErrors++
 				a.m.Obs.Add(host, "faults.storage_errors", 1)
 				return fmt.Errorf("%w: injected fault on %s", storage.ErrUnavailable, path)
 			}
@@ -357,7 +355,6 @@ func (pl Plan) CrashTimes(n int) []sim.Time {
 // Report is the injection summary of one armed run, merged with the
 // machine-level retry counter by package core.
 type Report struct {
-	StorageErrors  int64 // injected per-request storage errors
 	OutageHits     int64 // requests failed inside outage windows
 	Drops          int64 // application messages dropped
 	Delays         int64 // application messages delayed
@@ -370,7 +367,6 @@ type Report struct {
 // machine, retransmits from the message layer).
 func (a *Armed) Report() Report {
 	return Report{
-		StorageErrors:  a.StorageErrors,
 		OutageHits:     a.OutageHits,
 		Drops:          a.Drops,
 		Delays:         a.Delays,

@@ -157,7 +157,7 @@ func (w *World) Size() int { return len(w.Envs) }
 func (w *World) Launch(rank int, prog Program) *Env {
 	node := w.M.Nodes[rank]
 	n := w.Size()
-	e := &Env{W: w, Rank: rank, node: node, prog: prog,
+	e := &Env{W: w, Rank: rank, node: node,
 		ssnOut: make([]uint64, n), ssnIn: make([]uint64, n)}
 	w.Envs[rank] = e
 	node.Snap = prog
@@ -215,10 +215,8 @@ type Env struct {
 	Rank int
 	P    *sim.Proc
 	node *par.Node
-	prog Program
 
-	// MsgsSent / BytesSent count application-level traffic for statistics.
-	MsgsSent  int64
+	// BytesSent counts application-level payload bytes for statistics.
 	BytesSent int64
 
 	// Sequence tracking for sender-based message logging: ssnOut[d] is the
@@ -305,7 +303,6 @@ func (e *Env) send(dst, tag int, data []byte) {
 	if e.W.rel != nil && dst != e.Rank {
 		e.W.rel.onSend(e.Rank, dst, msg)
 	}
-	e.MsgsSent++
 	e.BytesSent += int64(len(data))
 	e.node.M.Obs.Add(e.Rank, "mp.msgs_sent", 1)
 	e.node.M.Obs.Add(e.Rank, "mp.bytes_sent", int64(len(data)))

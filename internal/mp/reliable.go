@@ -57,7 +57,6 @@ type reliable struct {
 	armed   [][]bool                        // [src][dst]: retransmit timer scheduled
 
 	retransmits int64
-	acksSent    int64
 }
 
 // EnableRetransmit arms the ack/retransmit transport with the given initial
@@ -201,7 +200,6 @@ func (r *reliable) onArrive(rank int, env *fabric.Envelope) []*fabric.Envelope {
 }
 
 func (r *reliable) sendAck(rank, to int) {
-	r.acksSent++
 	r.w.M.Nodes[rank].Send(nil, fabric.NodeID(to), par.PortApp,
 		wireAck{From: rank, UpTo: r.in[rank][to]}, sizeWireAck)
 }

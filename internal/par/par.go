@@ -179,8 +179,7 @@ type Action interface {
 // failed or timed-out stable-storage request is re-issued, the per-attempt
 // reply deadline, and how the capped exponential backoff between attempts
 // grows. The zero value disables retries (a single attempt, no deadline) —
-// the unarmed default, under which StorageCallRetry behaves exactly like
-// StorageCall.
+// the unarmed default.
 type RetryPolicy struct {
 	Attempts int          // total attempts per operation (<= 1 means no retry)
 	Timeout  sim.Duration // per-attempt reply deadline (0 = wait forever)
@@ -215,7 +214,7 @@ type Machine struct {
 
 	Nodes []*Node
 
-	// Retry governs StorageCallRetry and the checkpoint daemons' durable
+	// Retry governs StorageCall and the checkpoint daemons' durable
 	// writes. The zero value (single attempt) is the unarmed default; the
 	// fault-injection layer installs a real policy when it arms the machine.
 	Retry RetryPolicy
@@ -455,8 +454,9 @@ func (m *Machine) CrashAll() {
 // CrashNode models a single-node failure.
 func (m *Machine) CrashNode(id int) {
 	// The epoch is global; a single-node crash must not invalidate traffic
-	// between surviving nodes, so instead the node records its own
-	// incarnation and filters on it.
+	// between surviving nodes, so instead the node filters its own: nothing
+	// is delivered while it is down (Alive), and after Restart nothing sent
+	// before it (acceptAfter).
 	m.Nodes[id].crash()
 }
 
@@ -472,7 +472,6 @@ type Node struct {
 	M     *Machine
 	ID    int
 	Alive bool
-	Inc   int // node incarnation, bumped on crash
 
 	AppBox *sim.Mailbox[*fabric.Envelope]
 	jobs   *sim.Mailbox[func(p *sim.Proc)]
@@ -559,7 +558,6 @@ func (n *Node) reset() {
 
 func (n *Node) crash() {
 	n.Alive = false
-	n.Inc++
 	if n.AppProc != nil && !n.AppProc.Done() {
 		n.AppProc.Kill()
 		n.M.appDone()
@@ -698,19 +696,34 @@ type storageReply struct {
 // the default target of every storage operation issued from the node.
 func (n *Node) Shard() int { return n.M.ShardOf(n.ID) }
 
-// StorageCall performs a stable-storage operation over the fabric: the
-// request (with its data) travels to the rank's shard's host and queues at
-// the server, and the reply travels back to this node's daemon port, where it
-// completes the call. The calling process parks until then. Any process on
-// the node may call, and several may have calls outstanding at once.
+// StorageCall performs a stable-storage operation over the fabric under the
+// machine's retry policy: the request (with its data) travels to the rank's
+// shard's host and queues at the server, and the reply travels back to this
+// node's daemon port, where it completes the call. The calling process parks
+// until then. Any process on the node may call, and several may have calls
+// outstanding at once.
 func (n *Node) StorageCall(p *sim.Proc, req storage.Request) storage.Reply {
-	return n.StorageCallTimeoutOn(p, n.Shard(), req, 0)
+	return n.StorageCallOn(p, n.Shard(), req)
 }
 
-// StorageCallTimeoutOn is StorageCall addressed at an explicit shard, with a
-// per-attempt deadline: if the reply does not arrive within timeout (0 = wait
-// forever) the call returns an ErrUnavailable reply, and the late reply is
-// dropped when it arrives.
+// StorageCallOn is StorageCall addressed at an explicit shard. Transient
+// failures (injected faults, timeouts) are re-issued with capped, jittered
+// exponential backoff; definitive errors such as ErrNotFound are returned
+// immediately, and under the zero policy the call is a single attempt with
+// no deadline.
+func (n *Node) StorageCallOn(p *sim.Proc, shard int, req storage.Request) storage.Reply {
+	var reply storage.Reply
+	n.WithRetry(p, func(int) bool {
+		reply = n.StorageCallTimeoutOn(p, shard, req, n.M.Retry.Timeout)
+		return !errors.Is(reply.Err, storage.ErrUnavailable)
+	})
+	return reply
+}
+
+// StorageCallTimeoutOn is one attempt of StorageCallOn, with a per-attempt
+// deadline: if the reply does not arrive within timeout (0 = wait forever)
+// the call returns an ErrUnavailable reply, and the late reply is dropped
+// when it arrives.
 func (n *Node) StorageCallTimeoutOn(p *sim.Proc, shard int, req storage.Request, timeout sim.Duration) storage.Reply {
 	call := &storageCall{done: sim.NewGate(n.M.Eng)}
 	me := fabric.NodeID(n.ID)
@@ -735,25 +748,6 @@ func (n *Node) StorageCallTimeoutOn(p *sim.Proc, shard int, req storage.Request,
 	}
 	call.done.Wait(p)
 	return call.reply
-}
-
-// StorageCallRetry is StorageCall hardened by the machine's retry policy:
-// transient failures (injected faults, timeouts) are re-issued with capped,
-// jittered exponential backoff. Definitive errors such as ErrNotFound are
-// returned immediately, and under the zero policy the behavior is exactly
-// StorageCall's.
-func (n *Node) StorageCallRetry(p *sim.Proc, req storage.Request) storage.Reply {
-	return n.StorageCallRetryOn(p, n.Shard(), req)
-}
-
-// StorageCallRetryOn is StorageCallRetry addressed at an explicit shard.
-func (n *Node) StorageCallRetryOn(p *sim.Proc, shard int, req storage.Request) storage.Reply {
-	var reply storage.Reply
-	n.WithRetry(p, func(int) bool {
-		reply = n.StorageCallTimeoutOn(p, shard, req, n.M.Retry.Timeout)
-		return !errors.Is(reply.Err, storage.ErrUnavailable)
-	})
-	return reply
 }
 
 // WithRetry is the machine's retry policy around one operation: try makes

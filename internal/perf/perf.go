@@ -1,7 +1,7 @@
 // Package perf is the host-side performance telemetry layer: where package
 // obs measures the *virtual* time of the simulated machine, perf measures
 // what the simulation costs the *host* — wall-clock per engine phase,
-// event-loop counters, allocations, GC pauses, and codec bytes — so the
+// event-loop counters, allocations, and codec bytes encoded — so the
 // engine's own hot paths can be profiled and attributed per layer (the
 // benchmark/ harness reads its samples).
 //
@@ -56,14 +56,11 @@ type RunSample struct {
 	MaxQueueDepth int
 	Procs         int
 
-	// runtime.MemStats deltas across the run.
-	Allocs     uint64 // heap objects allocated
-	AllocBytes uint64
-	GCPause    time.Duration
-	NumGC      uint32
+	// Heap objects allocated across the run (a runtime.MemStats delta).
+	Allocs uint64
 
-	// Codec stream bytes encoded/decoded (checkpoint images, messages).
-	EncBytes, DecBytes int64
+	// Codec stream bytes encoded (checkpoint images, messages).
+	EncBytes int64
 }
 
 // Collector aggregates RunSamples across a benchmark matrix. It is shared by
@@ -111,7 +108,7 @@ func (c *Collector) Begin(workload, scheme string) *RunSampler {
 	s := &RunSampler{c: c}
 	s.sample.Workload = workload
 	s.sample.Scheme = scheme
-	s.enc0, s.dec0 = codec.PerfCounters()
+	s.enc0, _ = codec.PerfCounters()
 	runtime.ReadMemStats(&s.ms0)
 	s.start = time.Now()
 	s.mark = s.start
@@ -121,13 +118,13 @@ func (c *Collector) Begin(workload, scheme string) *RunSampler {
 // RunSampler measures one run between a collector's Begin and Finish. It is
 // used from a single goroutine (the one executing the run).
 type RunSampler struct {
-	c          *Collector
-	sample     RunSample
-	ms0        runtime.MemStats
-	enc0, dec0 int64
-	start      time.Time
-	mark       time.Time
-	done       bool
+	c      *Collector
+	sample RunSample
+	ms0    runtime.MemStats
+	enc0   int64
+	start  time.Time
+	mark   time.Time
+	done   bool
 }
 
 func (s *RunSampler) phase(d *time.Duration) {
@@ -177,7 +174,7 @@ func (s *RunSampler) EngineStats(st sim.EngineStats) {
 }
 
 // Finish attributes the time since the last phase mark to Shutdown, computes
-// the MemStats and codec deltas, and records the sample. It is idempotent so
+// the allocation and codec deltas, and records the sample. It is idempotent so
 // it can sit in a defer on every exit path.
 func (s *RunSampler) Finish() {
 	if s == nil || s.done {
@@ -189,11 +186,7 @@ func (s *RunSampler) Finish() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	s.sample.Allocs = ms.Mallocs - s.ms0.Mallocs
-	s.sample.AllocBytes = ms.TotalAlloc - s.ms0.TotalAlloc
-	s.sample.GCPause = time.Duration(ms.PauseTotalNs - s.ms0.PauseTotalNs)
-	s.sample.NumGC = ms.NumGC - s.ms0.NumGC
-	enc, dec := codec.PerfCounters()
+	enc, _ := codec.PerfCounters()
 	s.sample.EncBytes = enc - s.enc0
-	s.sample.DecBytes = dec - s.dec0
 	s.c.record(s.sample)
 }

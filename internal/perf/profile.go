@@ -13,9 +13,9 @@ import (
 )
 
 // Profile bundles the host-profiling flags shared by every command
-// (chkbench, chkcheck, chksim), so any run — the
-// 1008-cell `chkcheck -full`, an E12 sweep, a single chksim cell — can be
-// profiled without code changes:
+// (chkbench, chkcheck), so any run — the 1,804-cell `chkcheck -full`, an
+// E12 sweep, a single `chkbench -metrics` run — can be profiled without
+// code changes:
 //
 //	-cpuprofile FILE   pprof CPU profile of the whole invocation
 //	-memprofile FILE   pprof heap profile written at exit (after a final GC)
