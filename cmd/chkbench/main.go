@@ -109,7 +109,10 @@ func run(args []string, out, errw io.Writer) (err error) {
 	var prof perf.Profile
 	prof.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	if err := prof.Start(errw); err != nil {
 		return err

@@ -46,10 +46,17 @@ import (
 	"repro/internal/perf"
 )
 
+// errUsage marks command-line misuse (as opposed to a failing cell); main
+// reports it with exit status 2, the flag package's convention.
+var errUsage = errors.New("usage")
+
 func main() {
 	err := run(os.Args[1:], os.Stdout, os.Stderr)
 	switch {
 	case errors.Is(err, flag.ErrHelp):
+		os.Exit(2)
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, "chkcheck:", err)
 		os.Exit(2)
 	case err != nil:
 		fmt.Fprintln(os.Stderr, "chkcheck:", err)
@@ -70,7 +77,10 @@ func run(args []string, out, errw io.Writer) (err error) {
 	var prof perf.Profile
 	prof.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	if err := prof.Start(errw); err != nil {
 		return err
@@ -81,7 +91,7 @@ func run(args []string, out, errw io.Writer) (err error) {
 		}
 	}()
 	if *quick && *full {
-		return errors.New("-quick and -full are mutually exclusive")
+		return fmt.Errorf("%w: -quick and -full are mutually exclusive", errUsage)
 	}
 	// -cell resolves against the lattice it was reported from, so -full
 	// changes both what a sweep runs and what a cell name means. The sharded
@@ -106,7 +116,7 @@ func run(args []string, out, errw io.Writer) (err error) {
 		return runCell([]check.SweepConfig{cfg, shard, failover}, *cell, *traceOut, out)
 	}
 	if *traceOut != "" {
-		return errors.New("-trace instruments a single run: combine it with -cell")
+		return fmt.Errorf("%w: -trace instruments a single run: combine it with -cell", errUsage)
 	}
 
 	// Ctrl-C stops dispatching new cells; in-flight simulations finish first.
@@ -168,7 +178,7 @@ func runCell(cfgs []check.SweepConfig, name, traceOut string, out io.Writer) err
 		}
 	}
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 	if traceOut != "" {
 		spec.Obs = obs.New()

@@ -48,17 +48,18 @@ func TestRunSingleCell(t *testing.T) {
 	}
 }
 
-// TestRunUnknownCellFails: a cell name outside the lattice is an error, not a
-// silent no-op exit.
+// TestRunUnknownCellFails: a cell name outside the lattice is misuse
+// (errUsage, exit 2), not a silent no-op exit and not a failing cell.
 func TestRunUnknownCellFails(t *testing.T) {
 	var out, errw strings.Builder
 	err := run([]string{"-cell", "NOPE/Coord_NB#1"}, &out, &errw)
-	if err == nil || !strings.Contains(err.Error(), "no cell named") {
-		t.Fatalf("err = %v, want unknown-cell failure", err)
+	if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "no cell named") {
+		t.Fatalf("err = %v, want unknown-cell usage error", err)
 	}
 }
 
-// TestRunFlagValidation covers the mutually-exclusive and dependent flags.
+// TestRunFlagValidation covers the mutually-exclusive and dependent flags:
+// each is misuse (errUsage, exit 2), as a bad flag is.
 func TestRunFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-quick", "-full"},
@@ -66,8 +67,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-no-such-flag"},
 	} {
 		var out, errw strings.Builder
-		if err := run(args, &out, &errw); err == nil {
-			t.Errorf("run(%v) = nil, want error", args)
+		if err := run(args, &out, &errw); !errors.Is(err, errUsage) {
+			t.Errorf("run(%v) = %v, want errUsage", args, err)
 		}
 	}
 }

@@ -218,7 +218,46 @@ func quickIdentity(outputs map[string][]byte) ([]string, error) {
 		}
 		lines = append(lines, l)
 	}
+	for _, name := range []string{
+		"RING-256B-i40/Coord_NBM#5",
+		"RING-256B-i40/Indep_M#5",
+		"RING-256B-i40/CIC#5",
+		"RING-256B-i40/Coord_NB_INC#13", // a base+delta chain read back
+		"RING-512B-i40/Indep_INC#3",
+		"RING-384B-i40/Coord_NB_FT#4", // a kill at pre-commit
+		"RING-384B-i40/Coord_NB_FT",   // rep 0: a kill at round
+	} {
+		l, err := oracleLine(cfg, name)
+		if err != nil {
+			return nil, err
+		}
+		lines = append(lines, l)
+	}
 	return lines, nil
+}
+
+// oracleLine runs one oracle cell of the quick, sharded-storage or
+// coordinator-kill lattice, resolved by name as `chkcheck -cell` does, and
+// pins its trajectory: the crash instant, what recovery restored, the
+// execution time and the number of invariant checks.
+func oracleLine(cfg par.Config, name string) (string, error) {
+	for _, sc := range []check.SweepConfig{check.QuickSweep(cfg), check.ShardSweep(cfg), check.FailoverSweep(cfg)} {
+		_, spec, err := sc.Spec(name)
+		if err != nil {
+			continue
+		}
+		res, err := check.NewOracle(sc.Cfg).RunCell(spec)
+		if err != nil {
+			return "", fmt.Errorf("%s: %w", name, err)
+		}
+		line := make([]string, len(res.Line))
+		for i, idx := range res.Line {
+			line[i] = fmt.Sprint(idx)
+		}
+		return fmt.Sprintf("oracle cell %s\tcrash_ns=%d round=%d line=%s exec_ns=%d checks=%d",
+			name, int64(res.CrashAt), res.Round, strings.Join(line, ","), int64(res.Exec), res.Checks), nil
+	}
+	return "", fmt.Errorf("no oracle cell named %q", name)
 }
 
 // schemeLine runs the oracle's small ring under one scheme for three

@@ -8,7 +8,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -159,38 +158,30 @@ func runFailover(wl apps.Workload, cfg par.Config, v ckpt.Variant, interval sim.
 	const repair = 500 * sim.Millisecond
 	var out failoverReport
 	var rep *ckpt.RecoveryReport
-	plan := faults.Plan{
-		Seed:    seed,
-		Targets: []faults.TargetedCrash{{Rank: 0, Phase: phase}},
-		OnCrash: func(node int) {
-			out.CrashAt = m.Eng.Now()
-			out.RoundsAtCrash = sch.Stats().Rounds
-			m.CrashNode(node)
-			// The settle window gives the failure detector time to suspect,
-			// elect and resolve before the survivors are crashed for the full
-			// recovery; plain Coord_NB just stalls through it, which is the
-			// point of the comparison.
-			m.Eng.After(ckpt.FailoverSettle, func() {
-				st := sch.Stats()
-				out.Elections = st.Elections
-				switch {
-				case st.RoundsAdopted > 0:
-					out.Resolution = "adopted"
-				case st.RoundsAborted > 0:
-					out.Resolution = "aborted"
-				case v.ThreePhase:
-					out.Resolution = "none in flight"
-				default:
-					out.Resolution = "stalled"
-				}
-				m.CrashAll()
-				m.Eng.After(repair, func() {
-					_, rep = ckpt.Recover(m, v, run.Options, run.Program)
-				})
-			})
-		},
-	}
-	plan.Arm(m)
+	// The settle window gives the failure detector time to suspect, elect
+	// and resolve before the survivors are crashed for the full recovery;
+	// plain Coord_NB just stalls through it, which is the point of the
+	// comparison.
+	run.KillCoordinator(phase, 0, seed, func() {
+		out.CrashAt = m.Eng.Now()
+		out.RoundsAtCrash = sch.Stats().Rounds
+	}, func() {
+		st := sch.Stats()
+		out.Elections = st.Elections
+		switch {
+		case st.RoundsAdopted > 0:
+			out.Resolution = "adopted"
+		case st.RoundsAborted > 0:
+			out.Resolution = "aborted"
+		case v.ThreePhase:
+			out.Resolution = "none in flight"
+		default:
+			out.Resolution = "stalled"
+		}
+		m.Eng.After(repair, func() {
+			_, rep = ckpt.Recover(m, v, run.Options, run.Program)
+		})
+	})
 	res, err := run.Finish()
 	if err != nil {
 		return out, err

@@ -7,14 +7,19 @@
 // rollback-dependency graph and the stable-storage contents after every
 // committed checkpoint and after every recovery.
 //
-// The oracle observes the run through disarmed-by-default hook points
-// (mp.World.OnSend/OnDeliver, ckpt.CommitHook, and the par.IndexedSnapshotter
-// probe), so production runs pay a nil check or a type assertion and nothing
-// else. Even an armed oracle is invisible in virtual time: the ledger lives
-// in a host-side sidecar keyed by (rank, checkpoint index), never inside the
-// checkpoint image, so instrumented runs write the same bytes at the same
-// instants as plain ones — the golden tests assert the published tables stay
-// byte-identical with the full instrumentation riding along.
+// A cell is launched by core.Start and collected by Finish like any other
+// run: the oracle hands Start a copy of the workload whose factory wraps each
+// rank in the ledger harness, its auditor rides core.Config.CommitHook, and a
+// coordinator-kill cell arms core.Launched.KillCoordinator, the kill
+// experiment E15 uses. The oracle observes the run through
+// disarmed-by-default hook points (mp.World.OnSend/OnDeliver,
+// ckpt.CommitHook, and the par.IndexedSnapshotter probe), so production runs
+// pay a nil check or a type assertion and nothing else. Even an armed oracle
+// is invisible in virtual time: the ledger lives in a host-side sidecar
+// keyed by (rank, checkpoint index), never inside the checkpoint image, so
+// instrumented runs write the same bytes at the same instants as plain ones —
+// the golden tests assert the published tables stay byte-identical with the
+// full instrumentation riding along.
 package check
 
 import (

@@ -47,7 +47,8 @@ type CellSpec struct {
 	FaultPlan func(seed uint64, horizon sim.Duration) *faults.Plan
 
 	// KillPhase, when set, replaces the stratified total crash with a
-	// targeted coordinator kill: rank 0 is crashed inside the named protocol
+	// targeted coordinator kill (core.Launched.KillCoordinator, the one E15
+	// arms too): rank 0 is crashed inside the named protocol
 	// window (the first announcement of this phase, pushed a seed-drawn
 	// jitter into the window), the failover schemes' election then resolves
 	// the interrupted round, and only after a settle window covering
@@ -140,7 +141,7 @@ func crashPoint(spec CellSpec, exec sim.Duration) sim.Time {
 	if width < 1 {
 		width = 1
 	}
-	draw := faults.Plan{Seed: spec.Seed, Horizon: exec}.CrashTimes(1)[0]
+	draw := faults.Plan{Seed: spec.Seed, Horizon: exec}.CrashTime()
 	at := sim.Time(sim.Duration(spec.Point)*width + sim.Duration(draw)%width)
 	if at < 1 {
 		at = 1
@@ -168,9 +169,11 @@ func (spec CellSpec) name() string {
 // RunCell executes one oracle cell: run the workload under the scheme, crash
 // every node at the stratified point, recover from stable storage, run to
 // completion, and hold the outcome against the fault-free baseline while the
-// invariant auditor rides along on every commit. The returned error carries
-// every violated invariant; a run still going horizonExecs fault-free
-// execution times in is stopped and reported as recover.terminates.
+// invariant auditor rides along on every commit. The run is launched by
+// core.Start, each rank wrapped in the ledger harness, and collected by
+// Finish; the oracle drives the engine in between, so that a run still going
+// horizonExecs fault-free execution times in is stopped and reported as
+// recover.terminates. The returned error carries every violated invariant.
 func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 	var res CellResult
 	b, err := o.baselineFor(spec.Workload)
@@ -182,50 +185,35 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 	if interval < 1 {
 		interval = 1
 	}
-	opt := ckpt.Options{Interval: interval}
+	cfg := core.Config{Machine: o.Cfg, Scheme: spec.Scheme, Interval: interval, Obs: spec.Obs, Perf: spec.Perf}
 	if !spec.Scheme.Coordinated() {
 		// Stagger the autonomous timers so checkpoints interleave with
 		// communication from the start — the interesting regime for the
 		// dependency-graph invariants.
-		opt.Spread = interval / sim.Duration(2*n)
+		cfg.Spread = interval / sim.Duration(2*n)
+	}
+	if spec.FaultPlan != nil {
+		cfg.Faults = spec.FaultPlan(spec.Seed, b.exec)
 	}
 	if spec.KillPhase == "" {
 		res.CrashAt = crashPoint(spec, b.exec)
 	}
 
-	// The sampler covers the cell machine only (the cached baseline is shared
-	// across cells); registered before the Shutdown defer so its Finish —
-	// defers run LIFO — attributes the goroutine reaping to the Shutdown
-	// phase.
-	ps := spec.Perf.Begin(spec.Workload.Name, spec.Scheme.String())
-	defer ps.Finish()
-	m := par.NewMachine(o.Cfg)
-	defer m.Shutdown()
-	if spec.Obs != nil {
-		m.SetObserver(spec.Obs)
-	}
-	if spec.FaultPlan != nil {
-		if plan := spec.FaultPlan(spec.Seed, b.exec); plan != nil {
-			plan.Arm(m)
-		}
-	}
+	// The audit needs the machine, the scheme needs its hook before Start
+	// builds it: armed on this scheme and every recovered one.
+	var a *audit
+	cfg.CommitHook = func(committed []ckpt.Record) { a.onCommit(committed) }
 	h := newHarness(n)
-	a := newAudit(m, h, spec.Scheme)
-	opt.CommitHook = a.onCommit // armed on this scheme and every recovered one
 	cur := make([]*wrapped, n)
-	factory := func(rank int) mp.Program {
-		wp := &wrapped{inner: spec.Workload.Make(rank, n), h: h, rank: rank}
+	wl := apps.Workload{Name: spec.Workload.Name, Make: func(rank, size int) mp.Program {
+		wp := &wrapped{inner: spec.Workload.Make(rank, size), h: h, rank: rank}
 		cur[rank] = wp
 		return wp
-	}
-
-	ckpt.New(spec.Scheme, opt).Attach(m)
-	w := mp.NewWorld(m)
-	h.Attach(w)
-	for rank := 0; rank < n; rank++ {
-		w.Launch(rank, factory(rank))
-	}
-	ps.EndSetup()
+	}}
+	run := core.Start(wl, cfg)
+	m := run.M
+	a = newAudit(m, h, spec.Scheme)
+	h.Attach(run.World)
 
 	repair := interval / 4
 	if repair < 1 {
@@ -243,16 +231,35 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 				o.settleStorage(p, m)
 				sp := m.Obs.Start(0, obs.TidCoord, "check.recover")
 				if spec.Scheme.Coordinated() {
-					res.Round = o.recoverCoordinated(m, spec.Scheme, opt, h, a, factory)
+					res.Round = o.recoverCoordinated(m, spec.Scheme, run.Options, h, a, run.Program)
 				} else {
-					res.Line, res.CrashRecords = o.recoverUncoordinated(m, spec.Scheme, opt, h, a, factory)
+					res.Line, res.CrashRecords = o.recoverUncoordinated(m, spec.Scheme, run.Options, h, a, run.Program)
 				}
 				sp.End()
 			})
 		})
 	}
 	if spec.KillPhase != "" {
-		o.armCoordKill(m, spec, &res, interval, recoverAll)
+		// The wide windows — "round" (the checkpoint writes) and "commit"
+		// (ordinary execution until the next round) — are pushed up to a
+		// quarter checkpoint interval deep, so different seeds crash at
+		// different depths; the mid-protocol windows ("acks", "precommit",
+		// "meta") are only message-latencies wide, so those kills fire at
+		// the announcement itself — jitter would throw them past the window
+		// and blur which resolution the cell pins. The equivalence check then
+		// holds whatever the successor decided, completed or aborted round; a
+		// run that finishes before the phase fires degrades to a fault-free
+		// equivalence check.
+		var jitter sim.Duration
+		if spec.KillPhase == ckpt.PhaseRound || spec.KillPhase == ckpt.PhaseCommit {
+			jitter = interval / 4
+		}
+		run.KillCoordinator(spec.KillPhase, jitter, spec.Seed, func() {
+			res.CrashAt = m.Eng.Now()
+			m.Obs.InstantArg(0, obs.TidCoord, "check.kill", "at_us", int64(res.CrashAt))
+			m.Obs.Add(0, "check.crashes", 1)
+			res.Recovered = true
+		}, recoverAll)
 	} else {
 		m.Eng.At(res.CrashAt, func() {
 			if m.AppsLive() == 0 {
@@ -272,18 +279,23 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 	// Counted from at least a second, which outlasts the coordinator-kill
 	// cells' fixed settle window whatever the workload.
 	horizon := sim.Time(horizonExecs * max(b.exec, sim.Second))
-	if err := m.Eng.RunUntil(horizon); err == sim.ErrHorizon {
-		// The schemes' timers would keep the engine busy for ever: a recovered
-		// program that never finishes is a violation, not a hang.
-		a.violatef("recover.terminates", "%s: still running at %v, %d fault-free executions in, with %d application(s) live",
-			spec.name(), horizon, horizonExecs, m.AppsLive())
-		return res, fmt.Errorf("crash at %v: %w", res.CrashAt, a.err())
-	} else if err != nil {
+	if err := m.Eng.RunUntil(horizon); err != nil {
+		m.Shutdown()
+		if err == sim.ErrHorizon {
+			// The schemes' timers would keep the engine busy for ever: a
+			// recovered program that never finishes is a violation, not a
+			// hang.
+			a.violatef("recover.terminates", "%s: still running at %v, %d fault-free executions in, with %d application(s) live",
+				spec.name(), horizon, horizonExecs, m.AppsLive())
+			err = a.err()
+		}
 		return res, fmt.Errorf("crash at %v: %w", res.CrashAt, err)
 	}
-	m.CollectPerf(ps)
-	ps.EndSim()
-	res.Exec = sim.Duration(m.AppsFinished)
+	out, err := run.Finish()
+	if err != nil {
+		return res, fmt.Errorf("crash at %v: %w", res.CrashAt, err)
+	}
+	res.Exec = out.Exec
 
 	a.finish()
 	if spec.Workload.Check != nil {
@@ -296,56 +308,12 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 		}
 	}
 	equivalence(a, b, h, cur)
-	ps.EndCheck()
 	m.Obs.Add(0, "check.invariant_checks", a.checks)
 	res.Checks = a.checks
 	if err := a.err(); err != nil {
 		return res, fmt.Errorf("crash at %v: %w", res.CrashAt, err)
 	}
 	return res, nil
-}
-
-// armCoordKill arms a KillPhase cell's targeted coordinator crash: rank 0
-// dies at the first announcement of the named protocol phase. The wide
-// windows — "round" (the checkpoint writes) and "commit" (ordinary
-// execution until the next round) — are additionally pushed up to a quarter
-// checkpoint interval deep by the cell seed's dedicated target stream, so
-// different seeds crash at different depths while each cell stays
-// reproducible; the mid-protocol windows ("acks", "precommit", "meta") are
-// only message-latencies wide, so those kills fire at the announcement
-// itself — jitter would throw them past the window and blur which
-// resolution the cell pins. The workload cannot finish
-// without rank 0; after a settle window sized to the failure detector's
-// worst case (rank 1's suspicion deadline plus the election vote wait, with
-// slack for the successor's round-record write) the survivors are crashed
-// and the standard recovery driver takes over, so the equivalence check
-// holds whatever the successor decided — completed or aborted round —
-// against the fault-free baseline. If the run finishes before the phase ever
-// fires, the cell degrades to a fault-free equivalence check.
-func (o *Oracle) armCoordKill(m *par.Machine, spec CellSpec, res *CellResult,
-	interval sim.Duration, recoverAll func()) {
-	var jitter sim.Duration
-	if spec.KillPhase == ckpt.PhaseRound || spec.KillPhase == ckpt.PhaseCommit {
-		jitter = interval / 4
-	}
-	plan := faults.Plan{
-		Seed: spec.Seed,
-		Targets: []faults.TargetedCrash{
-			{Rank: 0, Phase: spec.KillPhase, JitterMax: jitter},
-		},
-		OnCrash: func(node int) {
-			res.CrashAt = m.Eng.Now()
-			m.Obs.InstantArg(node, obs.TidCoord, "check.kill", "at_us", int64(res.CrashAt))
-			m.Obs.Add(node, "check.crashes", 1)
-			m.CrashNode(node)
-			res.Recovered = true
-			m.Eng.After(ckpt.FailoverSettle, func() {
-				m.CrashAll()
-				recoverAll()
-			})
-		},
-	}
-	plan.Arm(m)
 }
 
 // settleStorage returns once every stable-storage server has drained every

@@ -6,7 +6,11 @@
 //
 // Everything the paper's experiments need is reachable from Run; Start and
 // Finish are its two halves, for callers that schedule a crash or attach a
-// collector in between. The lower-level packages (sim, fabric, storage, par,
+// collector in between. Start is the one launch body: the tables, every
+// experiment and the correctness oracle's cells (package check) all assemble
+// their machines through it, and KillCoordinator is the one coordinator kill
+// that experiment E15 and the oracle's coordinator-kill cells schedule
+// between the halves. The lower-level packages (sim, fabric, storage, par,
 // mp, ckpt, apps) remain usable directly for custom setups such as
 // fault-injection studies.
 package core
@@ -37,6 +41,11 @@ type Config struct {
 	// Spread staggers the local-timer schemes' first checkpoints: rank k's
 	// timer first fires at Interval + k*Spread (ckpt.Options.Spread).
 	Spread sim.Duration
+
+	// CommitHook, when set, observes every commit of the scheme and of every
+	// scheme recovered from Launched.Options (ckpt.Options.CommitHook): the
+	// correctness oracle's auditor rides here.
+	CommitHook ckpt.CommitHook
 
 	// Obs, when non-nil, collects metrics, phase spans and trace events for
 	// the run. The default (nil) disables all instrumentation at zero cost
@@ -102,8 +111,10 @@ func Run(wl apps.Workload, cfg Config) (Result, error) { return Start(wl, cfg).F
 // Launched is a machine assembled, its scheme attached and every rank
 // launched, but not yet run: the seam where a caller schedules a crash and
 // its recovery, attaches a garbage collector or arms a targeted fault before
-// Finish runs the simulation. Every Launched must be finished; Finish is what
-// reaps the machine's processes.
+// Finish runs the simulation. Every Launched must be finished, or its machine
+// shut down; Finish is what reaps the machine's processes. A caller that
+// bounds the run in virtual time drives M.Eng.RunUntil itself first, as the
+// oracle does, and Finish then only collects.
 type Launched struct {
 	M       *par.Machine
 	Scheme  ckpt.Scheme  // nil when checkpointing is off
@@ -134,6 +145,7 @@ func Start(wl apps.Workload, cfg Config) *Launched {
 			Interval:       cfg.Interval,
 			MaxCheckpoints: cfg.MaxCheckpoints,
 			Spread:         cfg.Spread,
+			CommitHook:     cfg.CommitHook,
 		}
 		s.Scheme = ckpt.New(cfg.Scheme, s.Options)
 		cfg.Obs.SetScheme(cfg.Scheme.String())
@@ -150,6 +162,30 @@ func Start(wl apps.Workload, cfg Config) *Launched {
 	}
 	s.ps.EndSetup()
 	return s
+}
+
+// KillCoordinator arms the coordinator kill: rank 0 dies at the first
+// announcement of phase (a ckpt.CoordPhases name), pushed a uniform draw of
+// up to jitter from seed's target stream into the window the phase opens.
+// onKill runs just before the crash. After ckpt.FailoverSettle — the failure
+// detector's worst case plus the election vote wait, with slack for the
+// successor's round record — settle runs and the survivors are crashed,
+// leaving the machine to the caller's recovery, which settle schedules. A
+// run that finishes before the phase fires is never killed.
+func (s *Launched) KillCoordinator(phase string, jitter sim.Duration, seed uint64, onKill, settle func()) {
+	m := s.M
+	faults.Plan{
+		Seed:    seed,
+		Targets: []faults.TargetedCrash{{Rank: 0, Phase: phase, JitterMax: jitter}},
+		OnCrash: func(node int) {
+			onKill()
+			m.CrashNode(node)
+			m.Eng.After(ckpt.FailoverSettle, func() {
+				settle()
+				m.CrashAll()
+			})
+		},
+	}.Arm(m)
 }
 
 // Finish runs the simulation to completion, verifies the programs the nodes

@@ -103,7 +103,7 @@ type Plan struct {
 	Seed uint64
 
 	// Horizon bounds the generated outage schedule and is the mean of
-	// CrashTimes' draws. Zero defaults to a minute of virtual time.
+	// CrashTime's draw. Zero defaults to a minute of virtual time.
 	Horizon sim.Duration
 
 	Storage StorageFaults
@@ -157,7 +157,7 @@ func (pl Plan) Arm(m *par.Machine) *Armed {
 		storageRand: rng.New(root.Uint64()),
 		linkRand:    rng.New(root.Uint64()),
 	}
-	// The third seed is CrashTimes' stream. Arm draws it and throws it away,
+	// The third seed is CrashTime's stream. Arm draws it and throws it away,
 	// so the retry-jitter and target streams keep their seeds — every armed
 	// schedule a plan produced stays byte-identical.
 	root.Uint64()
@@ -328,28 +328,23 @@ func (a *Armed) fireTarget(t TargetedCrash) {
 	a.m.CrashNode(t.Rank)
 }
 
-// CrashTimes draws n exponentially distributed crash instants, one per node,
-// with the plan's horizon as their mean, from the plan's crash stream — the
-// third seed drawn from the plan's root, the one Arm throws away. The
-// correctness oracle uses it to pick crash points "drawn from the seeded
-// faults plan" for machines it crashes itself (it needs the instant before
-// the run starts, to bracket it against the baseline's execution time).
-// Times beyond the horizon are returned unclamped so the caller decides how
-// to fold them into its experiment.
-func (pl Plan) CrashTimes(n int) []sim.Time {
+// CrashTime draws one exponentially distributed crash instant, with the
+// plan's horizon as its mean, from the plan's crash stream — the third seed
+// drawn from the plan's root, the one Arm throws away. The correctness oracle
+// uses it to pick crash points "drawn from the seeded faults plan" for
+// machines it crashes itself (it needs the instant before the run starts, to
+// bracket it against the baseline's execution time). A time beyond the
+// horizon is returned unclamped so the caller decides how to fold it into its
+// experiment.
+func (pl Plan) CrashTime() sim.Time {
 	root := rng.New(pl.Seed)
 	root.Uint64() // the storage stream's seed, discarded
 	root.Uint64() // the link stream's seed, discarded
-	crashRand := rng.New(root.Uint64())
 	mttf := pl.Horizon
 	if mttf <= 0 {
 		mttf = DefaultHorizon
 	}
-	out := make([]sim.Time, n)
-	for i := range out {
-		out[i] = sim.Time(0).Add(sim.Duration(crashRand.ExpFloat64() * float64(mttf)))
-	}
-	return out
+	return sim.Time(0).Add(sim.Duration(rng.New(root.Uint64()).ExpFloat64() * float64(mttf)))
 }
 
 // Report is the injection summary of one armed run, merged with the
