@@ -65,13 +65,13 @@ vet:
 # Crash-recovery correctness oracle (cmd/chkcheck): every explorer cell is
 # crashed mid-run, recovered through its scheme's own protocol, audited
 # against the consistency invariants, and compared byte-for-byte with a
-# fault-free baseline. The quick sweep is the CI check-matrix job's matrix:
-# 460 cells — the 12 explorer schemes in every quarter of their runs (384),
-# plus the sharded-storage (48) and coordinator-kill (28) lattices. Any
-# failure prints the cell name and seed; CHECKFLAGS="-cell 'NAME'" replays
-# it, CHECKFLAGS=-full swaps the 384 for the full lattice (check.FullSweep:
-# 3 workloads x 12 schemes x 6 strata x 8 seeds), whose totals `make
-# identical` pins.
+# fault-free baseline. A mode's lattice is check.Lattice, run on one worker
+# pool. The quick one is the CI check-matrix job's matrix: 460 cells — the
+# 12 explorer schemes in every quarter of their runs (384), plus the
+# sharded-storage (48) and coordinator-kill (28) sub-lattices. Any failure
+# prints the cell name and seed; CHECKFLAGS="-cell 'NAME'" replays it,
+# CHECKFLAGS=-full swaps the 384 for the full explorer lattice (3 workloads
+# x 12 schemes x 6 strata x 8 seeds), whose totals `make identical` pins.
 CHECKFLAGS ?= -quick
 check:
 	$(GO) run ./cmd/chkcheck $(CHECKFLAGS)

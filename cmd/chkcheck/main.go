@@ -7,13 +7,19 @@
 // recovery (no orphan messages across the line, no in-transit loss, durable
 // storage holds exactly the committed rounds, CIC never rolls back).
 //
+// A mode's lattice is check.Lattice: the quick or full explorer lattice,
+// then the sharded-storage and coordinator-kill lattices both modes run, all
+// on one worker pool.
+//
 // Usage:
 //
 //	chkcheck -quick                   # CI sweep: all 12 schemes, plus the
 //	                                  # sharded-storage and coordinator-kill
 //	                                  # lattices
 //	chkcheck -full                    # full sweep: more apps/strata/seeds
-//	chkcheck -cell 'APP/SCHEME#REP'   # reproduce one cell by its printed name
+//	chkcheck -cell 'APP/SCHEME#REP'   # reproduce one cell of the mode's
+//	                                  # lattice by its printed name (rep 0
+//	                                  # prints without #0; both resolve)
 //	chkcheck -parallel 8              # worker goroutines (default GOMAXPROCS)
 //	chkcheck -v                       # log every recovered cell
 //	chkcheck -seedlist FILE           # on failure, record the failing cell and
@@ -94,49 +100,31 @@ func run(args []string, out, errw io.Writer) (err error) {
 		return fmt.Errorf("%w: -quick and -full are mutually exclusive", errUsage)
 	}
 	// -cell resolves against the lattice it was reported from, so -full
-	// changes both what a sweep runs and what a cell name means. The sharded
-	// and coordinator-kill sweeps run in both modes and their cell names are
-	// disjoint from both lattices (and from each other), so -cell falls
-	// through to them unambiguously.
-	cfg := check.QuickSweep(par.DefaultConfig())
-	if *full {
-		cfg = check.FullSweep(par.DefaultConfig())
-	}
-	shard := check.ShardSweep(par.DefaultConfig())
-	failover := check.FailoverSweep(par.DefaultConfig())
-	cfg.Parallel = *parallel
-	shard.Parallel = *parallel
-	failover.Parallel = *parallel
-	if *verbose {
-		cfg.Prog = bench.NewLineProgress(errw)
-		shard.Prog = cfg.Prog
-		failover.Prog = cfg.Prog
-	}
+	// changes both what a sweep runs and what a cell name means.
+	lattice := check.Lattice(par.DefaultConfig(), *full)
 	if *cell != "" {
-		return runCell([]check.SweepConfig{cfg, shard, failover}, *cell, *traceOut, out)
+		return runCell(lattice, *cell, *traceOut, out)
 	}
 	if *traceOut != "" {
 		return fmt.Errorf("%w: -trace instruments a single run: combine it with -cell", errUsage)
+	}
+	var prog bench.Progress
+	if *verbose {
+		prog = bench.NewLineProgress(errw)
 	}
 
 	// Ctrl-C stops dispatching new cells; in-flight simulations finish first.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	start := time.Now()
-	var rep check.SweepReport
-	for _, sc := range []check.SweepConfig{cfg, shard, failover} {
-		r, err := check.Sweep(ctx, sc)
-		rep.Cells += r.Cells
-		rep.Checks += r.Checks
-		rep.Recovered += r.Recovered
-		if err != nil {
-			if *seedlist != "" {
-				if werr := writeSeedlist(*seedlist, *full, err); werr != nil {
-					fmt.Fprintln(errw, "chkcheck: seedlist:", werr)
-				}
+	rep, err := check.Sweep(ctx, lattice, *parallel, prog)
+	if err != nil {
+		if *seedlist != "" {
+			if werr := writeSeedlist(*seedlist, *full, err); werr != nil {
+				fmt.Fprintln(errw, "chkcheck: seedlist:", werr)
 			}
-			return err
 		}
+		return err
 	}
 	fmt.Fprintf(out, "chkcheck: %d cells ok (%d crashed and recovered, %d invariant checks) in %.1fs\n",
 		rep.Cells, rep.Recovered, rep.Checks, time.Since(start).Seconds())
@@ -160,30 +148,18 @@ func writeSeedlist(path string, full bool, err error) error {
 	return os.WriteFile(path, []byte(body), 0o644)
 }
 
-// runCell reproduces one cell by name, resolving against the sweep lattices
-// in order (the mode's main lattice, then the sharded-storage one — their
-// cell names are disjoint). Deterministic seeding makes the reproduction
-// bit-identical to the sweep's execution of the same cell.
-func runCell(cfgs []check.SweepConfig, name, traceOut string, out io.Writer) error {
-	var (
-		cfg  check.SweepConfig
-		c    bench.Cell
-		spec check.CellSpec
-		err  error
-	)
-	for _, sc := range cfgs {
-		if c, spec, err = sc.Spec(name); err == nil {
-			cfg = sc
-			break
-		}
-	}
+// runCell reproduces one cell of the mode's lattice by name (check.Resolve).
+// Deterministic seeding makes the reproduction bit-identical to the sweep's
+// execution of the same cell.
+func runCell(lattice []check.SweepConfig, name, traceOut string, out io.Writer) error {
+	cfg, c, spec, err := check.Resolve(lattice, name)
 	if err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 	if traceOut != "" {
 		spec.Obs = obs.New()
 	}
-	res, err := check.NewOracle(cfg.Cfg).RunCell(spec)
+	res, err := check.NewOracle(cfg).RunCell(spec)
 	if err != nil {
 		return fmt.Errorf("%s (seed %#x): %w", c.Name(), c.Seed(), err)
 	}

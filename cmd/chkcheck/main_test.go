@@ -48,13 +48,31 @@ func TestRunSingleCell(t *testing.T) {
 	}
 }
 
+// TestRunCellRepZeroSpelling: rep 0 prints without "#0", but numbering a
+// cell's reps from the failure reports' "#1", "#2", … a user writes "#0";
+// both spellings replay the same cell, seed and trajectory.
+func TestRunCellRepZeroSpelling(t *testing.T) {
+	var outs [2]strings.Builder
+	for i, name := range []string{"RING-384B-i40/Coord_NB_FT", "RING-384B-i40/Coord_NB_FT#0"} {
+		var errw strings.Builder
+		if err := run([]string{"-cell", name}, &outs[i], &errw); err != nil {
+			t.Fatalf("run(-cell %s): %v", name, err)
+		}
+	}
+	if outs[0].String() != outs[1].String() {
+		t.Fatalf("the two spellings of rep 0 ran apart:\n%s%s", outs[0].String(), outs[1].String())
+	}
+}
+
 // TestRunUnknownCellFails: a cell name outside the lattice is misuse
-// (errUsage, exit 2), not a silent no-op exit and not a failing cell.
+// (errUsage, exit 2), not a silent no-op exit and not a failing cell; the
+// error names the workloads of the mode's whole lattice, not of one part.
 func TestRunUnknownCellFails(t *testing.T) {
 	var out, errw strings.Builder
 	err := run([]string{"-cell", "NOPE/Coord_NB#1"}, &out, &errw)
-	if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "no cell named") {
-		t.Fatalf("err = %v, want unknown-cell usage error", err)
+	if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "no cell named") ||
+		!strings.Contains(err.Error(), "RING-256B-i40, ASYNC-256, RING-512B-i40, RING-384B-i40") {
+		t.Fatalf("err = %v, want unknown-cell usage error naming the -quick lattice", err)
 	}
 }
 

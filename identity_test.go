@@ -158,22 +158,25 @@ func outputLine(outputs map[string][]byte, name string, render func(io.Writer) e
 	return fmt.Sprintf("%s\tsha256=%x bytes=%d", name, sha256.Sum256(b.Bytes()), b.Len()), nil
 }
 
-// tableLines renders Tables 1-3 the way `chkbench -table` does (Tables 2 and
-// 3 share one matrix of runs), one manifest line per table.
+// tableLines renders Tables 1-3 the way `chkbench -table all` does (Tables
+// 2 and 3 share one matrix of runs, which on the quick grid is Table 1's),
+// one manifest line per table.
 func tableLines(outputs map[string][]byte, r *bench.Runner, quick bool, prefix string) ([]string, error) {
 	ctx := context.Background()
 	cfg := par.DefaultConfig()
-	wl1, wl2 := bench.Table1Workloads(), bench.Table2Workloads()
+	wl1 := bench.Table1Workloads()
 	if quick {
-		wl1, wl2 = bench.QuickWorkloads(), bench.QuickWorkloads()
+		wl1 = bench.QuickWorkloads()
 	}
 	rows1, err := r.MeasureRows(ctx, cfg, wl1, bench.Table1Schemes, 3)
 	if err != nil {
 		return nil, err
 	}
-	rows2, err := r.MeasureRows(ctx, cfg, wl2, bench.Table2Schemes, 3)
-	if err != nil {
-		return nil, err
+	rows2 := rows1
+	if !quick {
+		if rows2, err = r.MeasureRows(ctx, cfg, bench.Table2Workloads(), bench.Table2Schemes, 3); err != nil {
+			return nil, err
+		}
 	}
 	var lines []string
 	for _, tb := range []struct {
@@ -236,28 +239,25 @@ func quickIdentity(outputs map[string][]byte) ([]string, error) {
 	return lines, nil
 }
 
-// oracleLine runs one oracle cell of the quick, sharded-storage or
-// coordinator-kill lattice, resolved by name as `chkcheck -cell` does, and
-// pins its trajectory: the crash instant, what recovery restored, the
-// execution time and the number of invariant checks.
+// oracleLine runs one oracle cell of `chkcheck -quick`'s lattice, resolved
+// by name as `chkcheck -cell` does, and pins its trajectory: the crash
+// instant, what recovery restored, the execution time and the number of
+// invariant checks.
 func oracleLine(cfg par.Config, name string) (string, error) {
-	for _, sc := range []check.SweepConfig{check.QuickSweep(cfg), check.ShardSweep(cfg), check.FailoverSweep(cfg)} {
-		_, spec, err := sc.Spec(name)
-		if err != nil {
-			continue
-		}
-		res, err := check.NewOracle(sc.Cfg).RunCell(spec)
-		if err != nil {
-			return "", fmt.Errorf("%s: %w", name, err)
-		}
-		line := make([]string, len(res.Line))
-		for i, idx := range res.Line {
-			line[i] = fmt.Sprint(idx)
-		}
-		return fmt.Sprintf("oracle cell %s\tcrash_ns=%d round=%d line=%s exec_ns=%d checks=%d",
-			name, int64(res.CrashAt), res.Round, strings.Join(line, ","), int64(res.Exec), res.Checks), nil
+	mcfg, _, spec, err := check.Resolve(check.Lattice(cfg, false), name)
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("no oracle cell named %q", name)
+	res, err := check.NewOracle(mcfg).RunCell(spec)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", name, err)
+	}
+	line := make([]string, len(res.Line))
+	for i, idx := range res.Line {
+		line[i] = fmt.Sprint(idx)
+	}
+	return fmt.Sprintf("oracle cell %s\tcrash_ns=%d round=%d line=%s exec_ns=%d checks=%d",
+		name, int64(res.CrashAt), res.Round, strings.Join(line, ","), int64(res.Exec), res.Checks), nil
 }
 
 // schemeLine runs the oracle's small ring under one scheme for three
@@ -318,23 +318,13 @@ func fullSectionIdentity(outputs map[string][]byte) ([]string, error) {
 		}
 		lines = append(lines, l)
 	}
-	// chkcheck's two modes: their own lattice, then the sharded-storage and
-	// coordinator-kill ones both modes run.
-	for _, mode := range []struct {
-		flag    string
-		lattice check.SweepConfig
-	}{{"-quick", check.QuickSweep(cfg)}, {"-full", check.FullSweep(cfg)}} {
-		var rep check.SweepReport
-		for _, sc := range []check.SweepConfig{mode.lattice, check.ShardSweep(cfg), check.FailoverSweep(cfg)} {
-			sr, err := check.Sweep(context.Background(), sc)
-			if err != nil {
-				return nil, err
-			}
-			rep.Cells += sr.Cells
-			rep.Checks += sr.Checks
-			rep.Recovered += sr.Recovered
+	// chkcheck's two modes, each one lattice.
+	for _, mode := range []string{"-quick", "-full"} {
+		rep, err := check.Sweep(context.Background(), check.Lattice(cfg, mode == "-full"), 0, nil)
+		if err != nil {
+			return nil, err
 		}
-		lines = append(lines, fmt.Sprintf("chkcheck %s\tcells=%d recovered=%d checks=%d", mode.flag, rep.Cells, rep.Recovered, rep.Checks))
+		lines = append(lines, fmt.Sprintf("chkcheck %s\tcells=%d recovered=%d checks=%d", mode, rep.Cells, rep.Recovered, rep.Checks))
 	}
 	for _, wl := range []string{"paper-tables", "scale-256", "ckpt-bulk", "ckpt-inc", "oracle-recover"} {
 		out, err := exec.Command("bash", "benchmark/run.sh", "--workload", wl, "--seed", "7", "--seconds", "10", "--trace", "0").Output()

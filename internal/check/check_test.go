@@ -3,6 +3,7 @@ package check
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/mp"
 	"repro/internal/par"
+	"repro/internal/perf"
 )
 
 // TestCellEveryScheme crashes one cell of every explorer scheme in a middle
@@ -73,7 +75,7 @@ func TestSweepSubset(t *testing.T) {
 	cfg := QuickSweep(par.DefaultConfig())
 	cfg.Apps = cfg.Apps[:1]
 	cfg.Points, cfg.Seeds = 2, 1
-	rep, err := Sweep(context.Background(), cfg)
+	rep, err := Sweep(context.Background(), []SweepConfig{cfg}, 0, nil)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -268,7 +270,8 @@ func (s *stuck) Run(e *mp.Env) {
 // TestRunCellHorizon: a recovered program that never finishes fails its cell
 // with a named violation that carries the cell and its seed, where the
 // schemes' timers used to keep the cell simulating until the test binary
-// timed out.
+// timed out. The run stopped at the horizon is still torn down through core,
+// so an armed collector records its one sample.
 func TestRunCellHorizon(t *testing.T) {
 	wl := apps.Workload{Name: "STUCK", Make: func(rank, size int) mp.Program {
 		return &stuck{recycler: recycler{rank: rank, size: size, iters: 40}}
@@ -276,7 +279,8 @@ func TestRunCellHorizon(t *testing.T) {
 	for _, v := range []ckpt.Variant{ckpt.CoordNB, ckpt.CIC} {
 		t.Run(v.String(), func(t *testing.T) {
 			c := bench.Cell{App: wl.Name, Scheme: v.String(), Rep: 3}
-			res, err := NewOracle(par.DefaultConfig()).RunCell(CellSpec{Workload: wl, Scheme: v, Point: 2, Points: 4, Seed: c.Seed()})
+			collector := perf.NewCollector()
+			res, err := NewOracle(par.DefaultConfig()).RunCell(CellSpec{Workload: wl, Scheme: v, Point: 2, Points: 4, Seed: c.Seed(), Perf: collector})
 			if !res.Recovered {
 				t.Fatalf("the cell never crashed: %+v", res)
 			}
@@ -284,6 +288,12 @@ func TestRunCellHorizon(t *testing.T) {
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Fatalf("the cell's error does not name %q: %v", want, err)
 				}
+			}
+			if viol := (*Violation)(nil); !errors.As(err, &viol) || viol.Invariant != "recover.terminates" {
+				t.Fatalf("the error does not wrap the recover.terminates violation: %v", err)
+			}
+			if samples := collector.Samples(); len(samples) != 1 || samples[0].Wall <= 0 {
+				t.Fatalf("the cell stopped at the horizon recorded %d samples, want 1: %+v", len(samples), samples)
 			}
 		})
 	}

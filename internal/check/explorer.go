@@ -3,6 +3,7 @@ package check
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/apps"
@@ -28,16 +29,14 @@ var ExplorerSchemes = []ckpt.Variant{
 	ckpt.CIC, ckpt.CICM, ckpt.CICInc,
 }
 
-// SweepConfig parameterizes one explorer sweep over the cell lattice
-// apps x schemes x crash strata x seeds.
+// SweepConfig parameterizes one sub-lattice of an explorer sweep: the cells
+// apps x schemes x crash strata x seeds on one machine shape.
 type SweepConfig struct {
-	Cfg      par.Config
-	Apps     []apps.Workload
-	Schemes  []ckpt.Variant
-	Points   int // crash strata per (app, scheme)
-	Seeds    int // seeds per stratum
-	Parallel int // worker pool size; 0 means GOMAXPROCS
-	Prog     bench.Progress
+	Cfg     par.Config
+	Apps    []apps.Workload
+	Schemes []ckpt.Variant
+	Points  int // crash strata per (app, scheme)
+	Seeds   int // seeds per stratum
 
 	// FaultPlan, when set, is copied onto every cell spec: each cell arms
 	// the plan it returns for (cell seed, baseline exec) on its machine, on
@@ -89,7 +88,19 @@ func FullSweep(cfg par.Config) SweepConfig {
 	}
 }
 
-// ShardSweep is the sharded-storage matrix: the ring workload on the default
+// Lattice is the lattice one chkcheck mode sweeps: QuickSweep, or FullSweep
+// when full, then the sharded-storage and coordinator-kill lattices both
+// modes run (shardSweep, failoverSweep). Their cell names are disjoint, so a
+// name resolves to at most one cell of it (Resolve).
+func Lattice(cfg par.Config, full bool) []SweepConfig {
+	explorer := QuickSweep(cfg)
+	if full {
+		explorer = FullSweep(cfg)
+	}
+	return []SweepConfig{explorer, shardSweep(cfg), failoverSweep(cfg)}
+}
+
+// shardSweep is the sharded-storage matrix: the ring workload on the default
 // mesh with stable storage striped over 4 servers, one scheme per protocol
 // family, and a fault plan that takes each storage server down for a window
 // staggered across the run — so every family is exercised saving to and
@@ -100,7 +111,7 @@ func FullSweep(cfg par.Config) SweepConfig {
 // across the combined lattices. Each family runs its plain and its
 // incremental variant, so delta chains are also reassembled across a shard
 // outage. 1 app x 6 schemes x 4 strata x 2 seeds = 48 cells.
-func ShardSweep(cfg par.Config) SweepConfig {
+func shardSweep(cfg par.Config) SweepConfig {
 	cfg.StorageServers = 4
 	return SweepConfig{
 		Cfg: cfg,
@@ -137,7 +148,7 @@ func ShardSweep(cfg par.Config) SweepConfig {
 	}
 }
 
-// FailoverSweep is the coordinator-crash matrix: the ring workload under the
+// failoverSweep is the coordinator-crash matrix: the ring workload under the
 // fault-tolerant coordinated pair plus plain Coord_NB as the
 // recovery-through-full-restart baseline, rank 0 killed inside every
 // protocol window, two seeds jittering the kill to different depths of each
@@ -148,7 +159,7 @@ func ShardSweep(cfg par.Config) SweepConfig {
 // from the other sweeps' rings so cell names stay unique across the
 // combined lattices. 1 app x (5 + 5 + 4) scheme-phase rows x 2 seeds = 28
 // cells.
-func FailoverSweep(cfg par.Config) SweepConfig {
+func failoverSweep(cfg par.Config) SweepConfig {
 	return SweepConfig{
 		Cfg: cfg,
 		Apps: []apps.Workload{
@@ -169,11 +180,11 @@ type SweepReport struct {
 	Recovered int64 // cells that actually crashed and recovered
 }
 
-// Cells materializes the sweep's cell lattice. The bench.Cell identity
-// (app, scheme, rep) is the unit of reproducibility: Rep encodes (stratum,
-// seed ordinal) and bench.Cell.Seed derives the cell's RNG seed from the
-// identity alone, so any failing cell reruns bit-identically from its
-// printed name.
+// Cells materializes the sweep's cell lattice, each cell with its seeded
+// spec. The bench.Cell identity (app, scheme, rep) is the unit of
+// reproducibility: Rep encodes (stratum, seed ordinal) and bench.Cell.Seed
+// derives the cell's RNG seed from the identity alone, so any failing cell
+// reruns bit-identically from its printed name.
 func (cfg SweepConfig) Cells() ([]bench.Cell, []CellSpec) {
 	var cells []bench.Cell
 	var specs []CellSpec
@@ -201,21 +212,30 @@ func (cfg SweepConfig) Cells() ([]bench.Cell, []CellSpec) {
 			}
 		}
 	}
+	for i, c := range cells {
+		specs[i].Seed = c.Seed()
+	}
 	return cells, specs
 }
 
-// Spec resolves a cell name of the form "APP/SCHEME#REP" (as printed in
-// failure reports) back into its CellSpec for single-cell reproduction.
-func (cfg SweepConfig) Spec(name string) (bench.Cell, CellSpec, error) {
-	cells, specs := cfg.Cells()
-	for i, c := range cells {
-		if c.Name() == name {
-			spec := specs[i]
-			spec.Seed = c.Seed()
-			return c, spec, nil
+// Resolve finds a cell of lattice by the name of the form "APP/SCHEME#REP"
+// that failure reports print, for single-cell reproduction, and returns it
+// with its seeded spec and the machine its sub-lattice runs. Rep 0 prints
+// without its "#0"; both spellings resolve.
+func Resolve(lattice []SweepConfig, name string) (par.Config, bench.Cell, CellSpec, error) {
+	var names []string
+	for _, sc := range lattice {
+		cells, specs := sc.Cells()
+		for i, c := range cells {
+			if c.Name() == name || c.Rep == 0 && c.Name()+"#0" == name {
+				return sc.Cfg, c, specs[i], nil
+			}
+		}
+		for _, wl := range sc.Apps {
+			names = append(names, wl.Name)
 		}
 	}
-	return bench.Cell{}, CellSpec{}, fmt.Errorf("check: no cell named %q in this sweep", name)
+	return par.Config{}, bench.Cell{}, CellSpec{}, fmt.Errorf("check: no cell named %q in the lattice of %s", name, strings.Join(names, ", "))
 }
 
 // CellError is the typed failure Sweep returns: the failing cell's identity
@@ -233,34 +253,47 @@ type CellError struct {
 func (e *CellError) Error() string { return e.Err.Error() }
 func (e *CellError) Unwrap() error { return e.Err }
 
-// Sweep fans the cell lattice over the bench runner's worker pool,
-// fail-fast: the first failing cell cancels the dispatch and its error —
-// carrying the cell name and seed — is returned, the runner guaranteeing the
+// Sweep fans every cell of lattice, its sub-lattices concatenated in order,
+// over one bench runner of parallel workers (0 means GOMAXPROCS), fail-fast:
+// the first failing cell cancels the dispatch and its error — carrying the
+// cell name and seed — is returned, the runner guaranteeing the
 // lowest-indexed failure wins so reports are deterministic under
-// parallelism. Once every cell has passed, Sweep checks the zero page that
-// padded every cell's process images (ckpt.ZeroPageIntact) and reports a
-// written one as the storage.zero-page violation, which no single cell owns.
-func Sweep(ctx context.Context, cfg SweepConfig) (SweepReport, error) {
-	o := NewOracle(cfg.Cfg)
-	cells, specs := cfg.Cells()
+// parallelism. Each sub-lattice's cells share one Oracle on its machine.
+// prog, when set, logs every recovered cell. Once every cell has passed,
+// Sweep checks the zero page that padded every cell's process images
+// (ckpt.ZeroPageIntact) and reports a written one as the storage.zero-page
+// violation, which no single cell owns.
+func Sweep(ctx context.Context, lattice []SweepConfig, parallel int, prog bench.Progress) (SweepReport, error) {
+	var (
+		cells   []bench.Cell
+		specs   []CellSpec
+		oracles []*Oracle // cell i runs on oracles[i], its sub-lattice's
+	)
+	for _, sc := range lattice {
+		o := NewOracle(sc.Cfg)
+		c, s := sc.Cells()
+		cells, specs = append(cells, c...), append(specs, s...)
+		for range c {
+			oracles = append(oracles, o)
+		}
+	}
 	var checks, recovered atomic.Int64
-	r := bench.NewRunner(cfg.Parallel, cfg.Prog)
+	r := bench.NewRunner(parallel, prog)
 	err := r.ForEach(ctx, cells, func(ctx context.Context, i int, c bench.Cell) error {
 		spec := specs[i]
-		spec.Seed = c.Seed()
-		res, err := o.RunCell(spec)
+		res, err := oracles[i].RunCell(spec)
 		if err != nil {
 			return &CellError{Cell: c, Seed: spec.Seed, Err: err}
 		}
 		checks.Add(res.Checks)
 		if res.Recovered {
 			recovered.Add(1)
-			if cfg.Prog != nil {
+			if prog != nil {
 				where := fmt.Sprintf("round %d", res.Round)
 				if !spec.Scheme.Coordinated() {
 					where = fmt.Sprintf("line %v", res.Line)
 				}
-				cfg.Prog("%-24s crash %8.2fs -> %s, %3d checks ok", c.Name(), res.CrashAt.Seconds(), where, res.Checks)
+				prog("%-24s crash %8.2fs -> %s, %3d checks ok", c.Name(), res.CrashAt.Seconds(), where, res.Checks)
 			}
 		}
 		return nil

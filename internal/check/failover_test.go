@@ -14,8 +14,7 @@ import (
 // resolving each interrupted round, and every recovered run held against the
 // fault-free baseline. This is the sweep CI runs under -race.
 func TestFailoverSweepAllCells(t *testing.T) {
-	cfg := FailoverSweep(par.DefaultConfig())
-	rep, err := Sweep(context.Background(), cfg)
+	rep, err := Sweep(context.Background(), []SweepConfig{failoverSweep(par.DefaultConfig())}, 0, nil)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}

@@ -9,9 +9,12 @@
 //
 // A cell is launched by core.Start and collected by Finish like any other
 // run: the oracle hands Start a copy of the workload whose factory wraps each
-// rank in the ledger harness, its auditor rides core.Config.CommitHook, and a
+// rank in the ledger harness and whose Check is the cell's final audit and
+// equivalence pass, its auditor rides core.Config.CommitHook, and a
 // coordinator-kill cell arms core.Launched.KillCoordinator, the kill
-// experiment E15 uses. The oracle observes the run through
+// experiment E15 uses. What a chkcheck mode sweeps is one function,
+// Lattice; Sweep runs a lattice's cells on one worker pool, and Resolve
+// finds one of them by its printed name. The oracle observes the run through
 // disarmed-by-default hook points (mp.World.OnSend/OnDeliver,
 // ckpt.CommitHook, and the par.IndexedSnapshotter probe), so production runs
 // pay a nil check or a type assertion and nothing else. Even an armed oracle

@@ -78,21 +78,20 @@ func (a *audit) assert(ok bool, inv, format string, args ...any) bool {
 }
 
 // err folds the collected violations into a single error, nil when the cell
-// is clean.
+// is clean; each violation stays reachable through errors.As.
 func (a *audit) err() error {
 	if len(a.out) == 0 {
 		return nil
-	}
-	parts := make([]string, len(a.out))
-	for i, v := range a.out {
-		parts[i] = v.Error()
 	}
 	more := ""
 	if a.dropped > 0 {
 		more = fmt.Sprintf(" (+%d more)", a.dropped)
 	}
-	return fmt.Errorf("%d invariant violation(s)%s: %s", len(a.out)+a.dropped, more,
-		strings.Join(parts, "; "))
+	args := []any{len(a.out) + a.dropped, more}
+	for _, v := range a.out {
+		args = append(args, v)
+	}
+	return fmt.Errorf("%d invariant violation(s)%s: "+strings.Repeat("; %w", len(a.out))[2:], args...)
 }
 
 // peekRank inspects rank's storage shard for path — every rank's files live

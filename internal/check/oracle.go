@@ -171,9 +171,11 @@ func (spec CellSpec) name() string {
 // completion, and hold the outcome against the fault-free baseline while the
 // invariant auditor rides along on every commit. The run is launched by
 // core.Start, each rank wrapped in the ledger harness, and collected by
-// Finish; the oracle drives the engine in between, so that a run still going
-// horizonExecs fault-free execution times in is stopped and reported as
-// recover.terminates. The returned error carries every violated invariant.
+// Finish, whose Check phase is the final audit and the equivalence pass; the
+// oracle drives the engine in between, so that a run still going
+// horizonExecs fault-free execution times in is stopped, torn down by
+// core.Launched.Shutdown and reported as recover.terminates. The returned
+// error carries every violated invariant, each reachable as a *Violation.
 func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 	var res CellResult
 	b, err := o.baselineFor(spec.Workload)
@@ -205,11 +207,33 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 	cfg.CommitHook = func(committed []ckpt.Record) { a.onCommit(committed) }
 	h := newHarness(n)
 	cur := make([]*wrapped, n)
-	wl := apps.Workload{Name: spec.Workload.Name, Make: func(rank, size int) mp.Program {
-		wp := &wrapped{inner: spec.Workload.Make(rank, size), h: h, rank: rank}
-		cur[rank] = wp
-		return wp
-	}}
+	wl := apps.Workload{
+		Name: spec.Workload.Name,
+		Make: func(rank, size int) mp.Program {
+			wp := &wrapped{inner: spec.Workload.Make(rank, size), h: h, rank: rank}
+			cur[rank] = wp
+			return wp
+		},
+		// The cell's verdict, in Finish's Check phase: the final audit, the
+		// workload's own check of the recovered programs, and the
+		// equivalence with the fault-free baseline.
+		Check: func([]mp.Program) error {
+			a.finish()
+			if spec.Workload.Check != nil {
+				progs := make([]mp.Program, n)
+				for rank, wp := range cur {
+					progs[rank] = wp.inner
+				}
+				if err := spec.Workload.Check(progs); err != nil {
+					a.violatef("equiv.app-check", "%v", err)
+				}
+			}
+			equivalence(a, b, h, cur)
+			a.m.Obs.Add(0, "check.invariant_checks", a.checks)
+			res.Checks = a.checks
+			return a.err()
+		},
+	}
 	run := core.Start(wl, cfg)
 	m := run.M
 	a = newAudit(m, h, spec.Scheme)
@@ -280,7 +304,7 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 	// cells' fixed settle window whatever the workload.
 	horizon := sim.Time(horizonExecs * max(b.exec, sim.Second))
 	if err := m.Eng.RunUntil(horizon); err != nil {
-		m.Shutdown()
+		run.Shutdown()
 		if err == sim.ErrHorizon {
 			// The schemes' timers would keep the engine busy for ever: a
 			// recovered program that never finishes is a violation, not a
@@ -296,23 +320,6 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 		return res, fmt.Errorf("crash at %v: %w", res.CrashAt, err)
 	}
 	res.Exec = out.Exec
-
-	a.finish()
-	if spec.Workload.Check != nil {
-		progs := make([]mp.Program, n)
-		for rank, wp := range cur {
-			progs[rank] = wp.inner
-		}
-		if err := spec.Workload.Check(progs); err != nil {
-			a.violatef("equiv.app-check", "%v", err)
-		}
-	}
-	equivalence(a, b, h, cur)
-	m.Obs.Add(0, "check.invariant_checks", a.checks)
-	res.Checks = a.checks
-	if err := a.err(); err != nil {
-		return res, fmt.Errorf("crash at %v: %w", res.CrashAt, err)
-	}
 	return res, nil
 }
 

@@ -94,14 +94,14 @@ func TestArmedPerfTelemetryGoldenTables(t *testing.T) {
 // collector yields a CellResult deeply equal to the plain run — same crash
 // point, same recovery line, same execution time, same check count.
 func TestArmedPerfTelemetryGoldenCells(t *testing.T) {
-	scfg := QuickSweep(par.DefaultConfig())
-	o := NewOracle(scfg.Cfg)
+	lattice := []SweepConfig{QuickSweep(par.DefaultConfig())}
+	o := NewOracle(lattice[0].Cfg)
 	for _, name := range []string{
 		"RING-256B-i40/Coord_NBM#5",
 		"RING-256B-i40/Indep_M#5",
 		"RING-256B-i40/CIC#5",
 	} {
-		c, spec, err := scfg.Spec(name)
+		_, c, spec, err := Resolve(lattice, name)
 		if err != nil {
 			t.Fatal(err)
 		}

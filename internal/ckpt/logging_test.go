@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mp"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -120,21 +121,19 @@ func TestLogTruncationBoundsMemory(t *testing.T) {
 	// must stay bounded well below the total traffic.
 	const iters = 600
 	m := par.NewMachine(par.DefaultConfig())
+	o := obs.New()
+	m.SetObserver(o)
 	sch := New(IndepLog, Options{Interval: sim.Second})
 	sch.Attach(m)
 	w := mp.NewWorld(m)
 	n := m.NumNodes()
-	var totalBytes int64
-	envs := make([]*mp.Env, n)
 	for rank := 0; rank < n; rank++ {
-		envs[rank] = w.Launch(rank, newRingProg(rank, n, iters, 1000, 2e5))
+		w.Launch(rank, newRingProg(rank, n, iters, 1000, 2e5))
 	}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range envs {
-		totalBytes += e.BytesSent
-	}
+	totalBytes := o.CounterTotal("mp.bytes_sent")
 	peak := sch.Stats().LogBytesPeak
 	if peak == 0 {
 		t.Fatal("nothing logged")

@@ -36,7 +36,7 @@ type RecoveryReport struct {
 // If no round ever committed, programs restart from their initial state.
 func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.Program) (*mp.World, *RecoveryReport) {
 	if !v.Coordinated() {
-		panic("ckpt: Recover applies to coordinated schemes; independent recovery goes through package rdg")
+		panic("ckpt: Recover applies to coordinated schemes; independent recovery restores the recovery line rdg computes (check.recoverUncoordinated)")
 	}
 	for _, n := range m.Nodes {
 		n.Restart()

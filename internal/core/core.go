@@ -80,18 +80,16 @@ type Result struct {
 
 	Ckpt ckpt.Stats // zero value when checkpointing was off
 
-	HostLinkBusy sim.Duration // mesh→host busy time of the first host link
-	DiskBusy     sim.Duration // total stable-storage service busy time, all servers
-	StoragePeak  int64        // peak bytes durably occupied, summed over servers
-	FilesAtEnd   int          // durable files when the run completed, all servers
-	NetMsgs      int64        // total messages injected into the fabric
-	NetBytes     int64
+	StoragePeak int64 // peak bytes durably occupied, summed over servers
+	FilesAtEnd  int   // durable files when the run completed, all servers
+	NetMsgs     int64 // total messages injected into the fabric
+	NetBytes    int64
 
 	// Per-server aggregates of the sharded-storage machine; on the default
-	// single-server machine MaxDiskBusy == DiskBusy and MaxHostLinkBusy ==
-	// HostLinkBusy. The busiest single server (and its host link) is where
-	// the checkpoint traffic bottleneck sits — the quantity the scaling
-	// experiment tracks as storage is sharded.
+	// single-server machine they are that server's and its host link's. The
+	// busiest single server (and its host link) is where the checkpoint
+	// traffic bottleneck sits — the quantity the scaling experiment tracks as
+	// storage is sharded.
 	StorageServers  int          // number of stable-storage servers
 	MaxDiskBusy     sim.Duration // busiest single server's service time
 	MaxHostLinkBusy sim.Duration // busiest host link's mesh→host busy time
@@ -114,7 +112,8 @@ func Run(wl apps.Workload, cfg Config) (Result, error) { return Start(wl, cfg).F
 // Finish runs the simulation. Every Launched must be finished, or its machine
 // shut down; Finish is what reaps the machine's processes. A caller that
 // bounds the run in virtual time drives M.Eng.RunUntil itself first, as the
-// oracle does, and Finish then only collects.
+// oracle does, and Finish then only collects; one that stops the run short
+// of its end calls Shutdown instead.
 type Launched struct {
 	M       *par.Machine
 	Scheme  ckpt.Scheme  // nil when checkpointing is off
@@ -194,8 +193,7 @@ func (s *Launched) KillCoordinator(phase string, jitter sim.Duration, seed uint6
 // measurements.
 func (s *Launched) Finish() (Result, error) {
 	m, wl, ps := s.M, s.wl, s.ps
-	defer ps.Finish()
-	defer m.Shutdown()
+	defer s.Shutdown()
 	if err := m.Run(); err != nil {
 		return Result{}, fmt.Errorf("core: %s: %w", wl.Name, err)
 	}
@@ -221,12 +219,10 @@ func (s *Launched) Finish() (Result, error) {
 		Exec:           sim.Duration(m.AppsFinished),
 		StorageServers: m.NumStores(),
 	}
-	res.HostLinkBusy = m.Net.HostLinkStats().Busy
 	for i, st := range m.Stores {
 		res.StoragePeak += st.PeakOccupied()
 		res.FilesAtEnd += st.NumFiles()
 		_, _, _, busy := st.Stats()
-		res.DiskBusy += busy
 		if busy > res.MaxDiskBusy {
 			res.MaxDiskBusy = busy
 		}
@@ -245,4 +241,13 @@ func (s *Launched) Finish() (Result, error) {
 		res.Faults.Retransmits = s.World.Retransmits()
 	}
 	return res, nil
+}
+
+// Shutdown tears the run down: it reaps the machine's processes and closes
+// the run's perf sample. Finish calls it on every exit; a caller that stops
+// the run short of its end — the oracle at its virtual-time horizon — calls
+// it in Finish's place, so the run is still sampled.
+func (s *Launched) Shutdown() {
+	s.M.Shutdown()
+	s.ps.Finish()
 }

@@ -37,7 +37,7 @@ func TestRunWithScheme(t *testing.T) {
 	if res.Ckpt.Rounds == 0 || len(res.Records) == 0 {
 		t.Fatalf("no checkpoints: %+v", res.Ckpt)
 	}
-	if res.StoragePeak == 0 || res.DiskBusy == 0 {
+	if res.StoragePeak == 0 || res.MaxDiskBusy == 0 {
 		t.Fatal("storage metrics missing")
 	}
 }

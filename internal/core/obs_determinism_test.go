@@ -42,9 +42,9 @@ func TestObserverDoesNotPerturbRun(t *testing.T) {
 			if !reflect.DeepEqual(plain.Records, instr.Records) {
 				t.Errorf("checkpoint records changed")
 			}
-			if plain.HostLinkBusy != instr.HostLinkBusy || plain.DiskBusy != instr.DiskBusy {
+			if plain.MaxHostLinkBusy != instr.MaxHostLinkBusy || plain.MaxDiskBusy != instr.MaxDiskBusy {
 				t.Errorf("resource busy times changed: host %v/%v disk %v/%v",
-					plain.HostLinkBusy, instr.HostLinkBusy, plain.DiskBusy, instr.DiskBusy)
+					plain.MaxHostLinkBusy, instr.MaxHostLinkBusy, plain.MaxDiskBusy, instr.MaxDiskBusy)
 			}
 			if plain.NetMsgs != instr.NetMsgs || plain.NetBytes != instr.NetBytes {
 				t.Errorf("traffic changed: %d/%d msgs, %d/%d bytes",

@@ -540,10 +540,6 @@ func (l *link) stats(from NodeID) LinkStats {
 	return LinkStats{From: from, To: l.to, Bytes: l.bytes, Msgs: l.msgs, Busy: l.busyTotal}
 }
 
-// HostLinkStats returns traffic stats of the mesh→host direction of the
-// first host link (the only one on the legacy single-server machine).
-func (n *Network) HostLinkStats() LinkStats { return n.HostLinkStatsOf(0) }
-
 // TotalTraffic returns the total number of messages and payload bytes
 // injected since the network was created.
 func (n *Network) TotalTraffic() (msgs, bytes int64) { return n.totalMsgs, n.totalBytes }

@@ -215,7 +215,7 @@ func TestHostLinkIsBottleneck(t *testing.T) {
 	if lastSec < 8.0 || lastSec > 8.7 {
 		t.Fatalf("last arrival %.2fs, want ≈8s (host-link serialization)", lastSec)
 	}
-	hs := n.HostLinkStats()
+	hs := n.HostLinkStatsOf(0)
 	if hs.Bytes != 8_000_000 {
 		t.Fatalf("host link bytes = %d", hs.Bytes)
 	}

@@ -216,9 +216,6 @@ type Env struct {
 	P    *sim.Proc
 	node *par.Node
 
-	// BytesSent counts application-level payload bytes for statistics.
-	BytesSent int64
-
 	// Sequence tracking for sender-based message logging: ssnOut[d] is the
 	// last sequence number sent to rank d, ssnIn[s] the last consumed from
 	// rank s. Only maintained while the node's LogSend hook is installed.
@@ -303,7 +300,6 @@ func (e *Env) send(dst, tag int, data []byte) {
 	if e.W.rel != nil && dst != e.Rank {
 		e.W.rel.onSend(e.Rank, dst, msg)
 	}
-	e.BytesSent += int64(len(data))
 	e.node.M.Obs.Add(e.Rank, "mp.msgs_sent", 1)
 	e.node.M.Obs.Add(e.Rank, "mp.bytes_sent", int64(len(data)))
 	if e.W.OnSend != nil {
