@@ -106,8 +106,9 @@ identical:
 # at zero, an NQUEENS task search at zero (TestAllocsNQueensKernel), and a TSP
 # subtree search at its path buffer plus one tour per improvement; each app's
 # Snapshot at the one buffer it returns (TestAllocsSnapshot), an ISING rank built after the first at its spin rows
-# and no coupling row (TestAllocsIsingRankSharesPlane), and each vector
-# decoder at its result (TestAllocsVectorDecode); plus a microbenchmark smoke of the event queue, the fabric's
+# and no coupling row (TestAllocsIsingRankSharesPlane), each vector
+# decoder at its result (TestAllocsVectorDecode), and a checkpoint's library
+# section at zero, one buffer per world (TestAllocsLibSection); plus a microbenchmark smoke of the event queue, the fabric's
 # send path, the payload codecs and those two kernels — all under the race
 # detector. A failure here means a change re-introduced steady-state
 # allocation (or broke the queue/codec): deterministic, where the benchmark/

@@ -10,10 +10,8 @@
 //	chkbench -quick          # reduced workload sizes (fast smoke run)
 //	chkbench -list           # enumerate known applications and schemes
 //	chkbench -exp NAME       # an extension experiment; -h lists the catalogue
-//	                         # (bench.Experiments: sync, storage, ..., logging)
+//	                         # (bench.Experiments: sync, storage, ..., coord)
 //	chkbench -exp coord      # E7: total failure + coordinated rollback-recovery
-//	chkbench -exp logging    # E11: single-node failure + sender-based
-//	                         #      message-logging recovery
 //
 // Concurrency: the (workload, scheme) matrix fans out over a worker pool.
 // Results are byte-identical at every parallelism level — each cell's
@@ -45,8 +43,9 @@
 //	chkbench -memprofile mem.out             # heap profile at exit
 //	chkbench -pprof localhost:6060           # live net/http/pprof while running
 //
-// Command-line misuse (an unknown -table or -exp, a bad machine shape, or
-// -app/-scheme/-ckpts without -metrics or -trace) exits with status 2. Any
+// Command-line misuse (an unknown -table, -exp, -app or -scheme, a bad machine
+// shape, or -app/-scheme/-ckpts without -metrics or -trace) exits with
+// status 2. Any
 // failing cell aborts the run with status 1 and a message naming the cell and
 // its replay seed; partial tables are never printed as if they were complete.
 package main
@@ -221,14 +220,14 @@ func run(args []string, out, errw io.Writer) (err error) {
 	if *traceOut != "" || *metrics {
 		wl, err := bench.WorkloadByName(*app)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %w", errUsage, err)
 		}
 		var schemes []ckpt.Variant
 		switch {
 		case *scheme != "":
 			v, err := bench.SchemeByName(*scheme)
 			if err != nil {
-				return err
+				return fmt.Errorf("%w: %w", errUsage, err)
 			}
 			schemes = []ckpt.Variant{v}
 		case *traceOut != "":

@@ -26,22 +26,20 @@ func TestHelpListsProfilingFlags(t *testing.T) {
 	}
 }
 
-// TestHelpListsRecoveryDemos: the E7 and E11 recovery demos are catalogue
-// entries, so -h lists them under -exp, and they sit at the end of the
-// catalogue, which keeps every earlier experiment at its IDENTITY.txt line.
+// TestHelpListsRecoveryDemos: the E7 recovery demo is a catalogue entry, so
+// -h lists it under -exp, and it sits at the end of the catalogue, which
+// keeps every earlier experiment at its IDENTITY.txt line.
 func TestHelpListsRecoveryDemos(t *testing.T) {
 	var out, errw strings.Builder
 	if err := run([]string{"-h"}, &out, &errw); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("err = %v, want flag.ErrHelp", err)
 	}
-	for _, want := range []string{"coord     E7", "logging   E11"} {
-		if !strings.Contains(errw.String(), want) {
-			t.Fatalf("-h output missing %q:\n%s", want, errw.String())
-		}
+	if want := "coord     E7"; !strings.Contains(errw.String(), want) {
+		t.Fatalf("-h output missing %q:\n%s", want, errw.String())
 	}
 	names := bench.ExperimentNames()
-	if tail := names[len(names)-2:]; tail[0] != "coord" || tail[1] != "logging" {
-		t.Fatalf("catalogue ends with %v, want [coord logging]", tail)
+	if tail := names[len(names)-1]; tail != "coord" {
+		t.Fatalf("catalogue ends with %q, want coord", tail)
 	}
 }
 
@@ -58,20 +56,23 @@ func TestRunUnknownExperimentIsUsage(t *testing.T) {
 
 // TestRunUnknownExperimentListsCatalogue: an unknown -exp is misuse
 // (errUsage, exit 2), and the error names the bad value and every experiment
-// the catalogue holds, so the message is its own usage line.
+// the catalogue holds, so the message is its own usage line. "logging" named
+// the single-node recovery demo, which is gone.
 func TestRunUnknownExperimentListsCatalogue(t *testing.T) {
-	var out, errw strings.Builder
-	err := run([]string{"-exp", "bogus"}, &out, &errw)
-	if !errors.Is(err, errUsage) {
-		t.Fatalf("run(-exp bogus) = %v, want errUsage", err)
-	}
-	for _, want := range append([]string{`"bogus"`}, bench.ExperimentNames()...) {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not list %s", err, want)
+	for _, name := range []string{"bogus", "logging"} {
+		var out, errw strings.Builder
+		err := run([]string{"-exp", name}, &out, &errw)
+		if !errors.Is(err, errUsage) {
+			t.Fatalf("run(-exp %s) = %v, want errUsage", name, err)
 		}
-	}
-	if out.Len() != 0 {
-		t.Fatalf("stdout not empty on a usage error:\n%s", out.String())
+		for _, want := range append([]string{`"` + name + `"`}, bench.ExperimentNames()...) {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not list %s", err, want)
+			}
+		}
+		if out.Len() != 0 {
+			t.Fatalf("stdout not empty on a usage error:\n%s", out.String())
+		}
 	}
 }
 
@@ -90,7 +91,7 @@ func TestRunUnknownTableFails(t *testing.T) {
 }
 
 // TestRunUnknownNamesFail covers the lookup error paths main must surface as
-// a non-zero exit: workload, scheme, and experiment resolution.
+// misuse (errUsage, exit 2): workload, scheme, and experiment resolution.
 func TestRunUnknownNamesFail(t *testing.T) {
 	for _, args := range [][]string{
 		{"-metrics", "-app", "NOPE-1"},
@@ -98,8 +99,8 @@ func TestRunUnknownNamesFail(t *testing.T) {
 		{"-exp", "bogus"},
 	} {
 		var out, errw strings.Builder
-		if err := run(args, &out, &errw); err == nil {
-			t.Errorf("run(%v) = nil, want error", args)
+		if err := run(args, &out, &errw); !errors.Is(err, errUsage) {
+			t.Errorf("run(%v) = %v, want errUsage", args, err)
 		}
 	}
 }
@@ -119,6 +120,9 @@ func TestRunBadFlagFails(t *testing.T) {
 		{[]string{"-quick", "-ckpts", "7"}, "-ckpts"},
 		{[]string{"-quick", "-table", "1", "-scheme", "NBMS", "-ckpts", "7"}, "-scheme"},
 		{[]string{"-exp", "coord", "-app", "SOR-128"}, "-app"},
+		// Indep_Log (single-node recovery) is gone: its name is refused with
+		// the list of schemes.
+		{[]string{"-metrics", "-app", "SOR-128", "-scheme", "Indep_Log", "-ckpts", "1"}, "Coord_NB_FT_INC"},
 	} {
 		wantUsage(t, tc.args, tc.want)
 	}
@@ -188,14 +192,14 @@ func TestRunMetricsReportsOneRun(t *testing.T) {
 	}
 }
 
-// TestRunRecoveryDemoFlagsFail: -exp coord and -exp logging run at fixed
+// TestRunRecoveryDemoFlagsFail: the recovery and failover demos run at fixed
 // parameters, so the knobs a demo once took (-interval, -crash, -seed,
 // -killphase) are not flags and must be rejected before anything runs.
 func TestRunRecoveryDemoFlagsFail(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "coord", "-interval", "1s"},
 		{"-exp", "coord", "-crash", "5s"},
-		{"-exp", "logging", "-seed", "7"},
+		{"-exp", "coord", "-seed", "7"},
 		{"-exp", "failover", "-killphase", "precommit"},
 	} {
 		var out, errw strings.Builder
@@ -265,7 +269,7 @@ func TestRunBadFabricFlagsFail(t *testing.T) {
 func TestRunBadFabricFlagsAreUsage(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "coord", "-topo", "torus:2x"},
-		{"-exp", "logging", "-servers", "0"},
+		{"-exp", "coord", "-servers", "0"},
 		{"-exp", "failover", "-topo", "0x2"},
 	} {
 		var out, errw strings.Builder

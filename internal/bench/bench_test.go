@@ -44,7 +44,6 @@ func TestSchemeByName(t *testing.T) {
 		"NB": ckpt.CoordNB, "nbms": ckpt.CoordNBMS, "Coord_NBM": ckpt.CoordNBM,
 		"indep": ckpt.Indep, "Indep_M": ckpt.IndepM, "b": ckpt.CoordB,
 		"cic": ckpt.CIC, "CIC_M": ckpt.CICM, "cicm": ckpt.CICM,
-		"indep_log": ckpt.IndepLog,
 	}
 	for name, want := range cases {
 		got, err := SchemeByName(name)
@@ -52,8 +51,10 @@ func TestSchemeByName(t *testing.T) {
 			t.Errorf("%s -> %v, %v (want %v)", name, got, err, want)
 		}
 	}
-	if _, err := SchemeByName("bogus"); err == nil {
-		t.Error("bogus scheme accepted")
+	for _, bad := range []string{"bogus", "indep_log"} {
+		if _, err := SchemeByName(bad); err == nil {
+			t.Errorf("%s scheme accepted", bad)
+		}
 	}
 }
 

@@ -42,14 +42,7 @@ var Experiments = []Experiment{
 		func(ctx context.Context, w io.Writer, cfg par.Config, quick bool, r *Runner) error {
 			return ScaleExperimentGrid(ctx, w, cfg, ScaleGrid(quick), ScaleSchemes, r)
 		}},
-	{"coord", "E7", "total failure + coordinated rollback-recovery",
-		demoEntry(ckpt.CoordNBMS, func(w io.Writer, cfg par.Config) error {
-			return RecoveryDemo(w, cfg, ckpt.CoordNBMS, 3*sim.Second, 15*sim.Second, 500*sim.Millisecond)
-		})},
-	{"logging", "E11", "single-node failure + sender-based message-logging recovery",
-		demoEntry(ckpt.IndepLog, func(w io.Writer, cfg par.Config) error {
-			return LoggingRecoveryDemo(w, cfg, 3, 15*sim.Second, 300*sim.Millisecond)
-		})},
+	{"coord", "E7", "total failure + coordinated rollback-recovery", coordRecoveryDemo},
 }
 
 // ExperimentNames lists the catalogue's -exp names, in catalogue order.

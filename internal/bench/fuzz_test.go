@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzVariantParse throws arbitrary strings at the scheme-name resolver. It
-// must never panic; any name it does accept must be one of the 14 opened
+// must never panic; any name it does accept must be one of the 13 opened
 // schemes — a scheme is a point on axes, but names do not compose: an
 // axis-shaped string nobody opened is rejected — and must round-trip,
 // resolving the variant's canonical String() form, and every case/underscore
@@ -30,8 +30,8 @@ func FuzzVariantParse(f *testing.F) {
 	f.Add("Coord_NBMS_INC")
 	f.Add("Indep_M_INC")
 	f.Add("CIC_FT")
-	if len(opened) != 14 {
-		f.Fatalf("%d opened schemes, want 14: %v", len(opened), ckpt.VariantNames())
+	if len(opened) != 13 {
+		f.Fatalf("%d opened schemes, want 13: %v", len(opened), ckpt.VariantNames())
 	}
 
 	f.Fuzz(func(t *testing.T, name string) {
@@ -41,7 +41,7 @@ func FuzzVariantParse(f *testing.F) {
 		}
 		canon := v.String()
 		if !opened[canon] {
-			t.Fatalf("%q resolved to %v, not one of the 14 opened schemes %v", name, v, ckpt.VariantNames())
+			t.Fatalf("%q resolved to %v, not one of the 13 opened schemes %v", name, v, ckpt.VariantNames())
 		}
 		// The canonical name must parse exactly in ckpt and leniently here.
 		if got, ok := ckpt.ParseVariant(canon); !ok || got != v {

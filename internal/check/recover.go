@@ -87,13 +87,11 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 		// strictly smaller index, so the whole chain sits at or below the line
 		// and step 1's reclamation can never have deleted a link of it.
 		states := make([][]byte, n)
-		libs := make([][]byte, n)
 		for rank := 0; rank < n; rank++ {
 			if line[rank] == 0 {
 				continue
 			}
-			img, head, _ := ckpt.ReadCheckpoint(p, m.Nodes[rank], v, line[rank])
-			states[rank], libs[rank] = img, head.Lib
+			states[rank], _ = ckpt.ReadCheckpoint(p, m.Nodes[rank], v, line[rank])
 		}
 		// 3. Rebuild every rank; the indexed restore rewinds both the
 		// application state and the rank's ledger rows to the line
@@ -135,10 +133,7 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 		m.Obs.Add(0, "check.replayed_msgs", int64(injected))
 		// 5. Relaunch.
 		for rank := 0; rank < n; rank++ {
-			env := w.Launch(rank, progs[rank])
-			if line[rank] > 0 && len(libs[rank]) > 0 {
-				env.Restore(libs[rank])
-			}
+			w.Launch(rank, progs[rank])
 		}
 	})
 	return line, crashRecords

@@ -541,7 +541,6 @@ const (
 	refCoordNBMS
 	refIndep
 	refIndepM
-	refIndepLog
 	refCIC
 	refCICM
 	refCoordNBInc
@@ -566,7 +565,7 @@ func (v refVariant) Incremental() bool {
 }
 
 func TestVariantStringAndPredicates(t *testing.T) {
-	// The 14 opened points in the order VariantNames has always listed them
+	// The 13 opened points in the order VariantNames has always listed them
 	// (the refVariant enum order).
 	cases := []struct {
 		v    Variant
@@ -578,7 +577,6 @@ func TestVariantStringAndPredicates(t *testing.T) {
 		{CoordNBMS, "Coord_NBMS"},
 		{Indep, "Indep"},
 		{IndepM, "Indep_M"},
-		{IndepLog, "Indep_Log"},
 		{CIC, "CIC"},
 		{CICM, "CIC_M"},
 		{CoordNBInc, "Coord_NB_INC"},
@@ -650,8 +648,10 @@ func TestVariantStringAndPredicates(t *testing.T) {
 	if (Variant{}) != CoordB {
 		t.Error("the zero Variant is no longer Coord_B")
 	}
-	if _, ok := ParseVariant("NoSuchScheme"); ok {
-		t.Error("ParseVariant accepted an unknown name")
+	for _, name := range []string{"NoSuchScheme", "Indep_Log"} {
+		if _, ok := ParseVariant(name); ok {
+			t.Errorf("ParseVariant accepted %q", name)
+		}
 	}
 	// A legal point nobody has opened has no name, and New refuses it.
 	unopened := Variant{Driver: DriverRounds, Capture: CaptureIncremental, Write: WriteMemStagger}

@@ -82,7 +82,7 @@ type CkptFile struct {
 	Prev  int
 	Deps  []Dep  // receive edges of the interval the checkpoint closed
 	State []byte // padded program image, or the base/delta payload
-	Lib   []byte // message-layer state (sequence counters, for log-based recovery)
+	Lib   []byte // the library section (par.Node.Lib)
 }
 
 // zeroPage is the padding of every process image: one page of writeSegment
@@ -326,10 +326,6 @@ func (h *heldImage) abort() {
 	h.drop()
 	h.pendingIndex = 0
 }
-
-// reset drops everything held — a restarted node's image died with it — so
-// the next capture is lent whole, or is a base.
-func (h *heldImage) reset() { *h = heldImage{incremental: h.incremental} }
 
 // file builds the capture's checkpoint file as the variant lays it out on
 // stable storage. A full-image coordinated round's slot file is the raw

@@ -55,7 +55,7 @@ func (rp *Replayer) readLink(v Variant, rank, idx, i int, fetch func(path string
 
 // ReconstructCkpt reads rank's checkpoint index as the variant laid it out on
 // stable storage and returns the image a restore hands the program, and the
-// head file, whose Lib a restore also needs. The three layouts:
+// head file. The three layouts:
 //
 //   - a full-image coordinated round's slot file is the raw padded image,
 //     returned as it is (the commit record, not the file, says which round

@@ -76,7 +76,7 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 				rsp := m.Obs.Start(rank, obs.TidDaemon, "recover.restore").WithArg("round", int64(round))
 				prog := factory(rank)
 				if round > 0 {
-					state, _, read := ReadCheckpoint(p, node, v, round)
+					state, read := ReadCheckpoint(p, node, v, round)
 					rep.BytesRead += int64(read)
 					par.RestoreAt(prog, round, state)
 					var msgs []*mp.Message
@@ -109,13 +109,12 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 // ReadCheckpoint reads node's checkpoint index back from stable storage, as
 // the variant laid it out, through the node's retrying storage client on
 // behalf of p: every recovery driver reads a checkpoint here. It returns the
-// image a restore hands the program, the head file (whose Lib a restore also
-// needs) and the bytes of every file fetched. The checkpoint must be
+// image a restore hands the program and the bytes of every file fetched. The checkpoint must be
 // committed, so one that cannot be read back is a broken protocol, and
 // ReadCheckpoint panics.
-func ReadCheckpoint(p *sim.Proc, node *par.Node, v Variant, index int) ([]byte, CkptFile, int) {
+func ReadCheckpoint(p *sim.Proc, node *par.Node, v Variant, index int) ([]byte, int) {
 	read := 0
-	img, head, err := new(Replayer).ReconstructCkpt(v, node.ID, index, func(path string, _ []byte) ([]byte, error) {
+	img, _, err := new(Replayer).ReconstructCkpt(v, node.ID, index, func(path string, _ []byte) ([]byte, error) {
 		reply := node.StorageCall(p, storage.Request{Op: storage.OpRead, Path: path})
 		read += len(reply.Data)
 		return reply.Data, reply.Err
@@ -123,7 +122,7 @@ func ReadCheckpoint(p *sim.Proc, node *par.Node, v Variant, index int) ([]byte, 
 	if err != nil {
 		panic(fmt.Sprintf("ckpt: recovery: %v", err))
 	}
-	return img, head, read
+	return img, read
 }
 
 // RestoreInTransit hands rank's logged in-transit messages back to its

@@ -1,5 +1,5 @@
 // Package ckpt implements the checkpointing schemes the paper compares, and
-// the families added since, as points on five axes (the fields of Variant):
+// the families added since, as points on four axes (the fields of Variant):
 //
 //	Driver      what decides when a node checkpoints: coordinated two-phase
 //	            rounds | local timers | local timers + the communication-
@@ -9,24 +9,22 @@
 //	            own durable write | a memory copy | a memory copy, with the
 //	            background writes staggered by a token
 //	ThreePhase  pre-commit phase and coordinator election (rounds only)
-//	SenderLog   sender-based message logging (timers only)
 //
-// The 14 opened points, by driver × capture (rows) and write policy (columns):
+// The 13 opened points, by driver × capture (rows) and write policy (columns):
 //
 //	              to commit  to durable                 mem copy    mem copy + stagger
 //	rounds  full  Coord_B    Coord_NB, Coord_NB_FT      Coord_NBM   Coord_NBMS
 //	rounds  inc   ·          Coord_NB_INC, .._FT_INC    ·           ·
-//	timers  full  -          Indep, Indep_Log           Indep_M     -
+//	timers  full  -          Indep                      Indep_M     -
 //	timers  inc   -          Indep_INC                  ·           -
 //	induced full  -          CIC                        CIC_M       -
 //	induced inc   -          CIC_INC                    ·           -
 //
 // "-" is not a point (commit and the token ring belong to rounds); "·" is
 // legal but not opened: New refuses it, because overlapping captures under a
-// memory-buffered incremental writer (and 3PC or a sender log off the NB
-// column) need their own soundness argument under the oracle (package check)
-// before a name and a table column. Behaviour everywhere reads the axes,
-// never a scheme's name.
+// memory-buffered incremental writer (and 3PC off the NB column) need their
+// own soundness argument under the oracle (package check) before a name and a
+// table column. Behaviour everywhere reads the axes, never a scheme's name.
 //
 // Protocol control messages travel on the same simulated network as
 // application messages, and all checkpoint data flows through the host link
@@ -106,11 +104,6 @@ type Variant struct {
 	// the heartbeat/timeout election it always arms (rank-order succession,
 	// no wall-clock randomness) it survives the coordinator dying mid-round.
 	ThreePhase bool
-	// SenderLog adds sender-based message logging (the paper's §1 fix for
-	// the domino effect): senders keep volatile logs of outgoing messages,
-	// receivers suppress duplicates by sequence number, and a single failed
-	// node recovers from its own last checkpoint alone (RecoverNode).
-	SenderLog bool
 }
 
 // The opened schemes. CoordB is the fully blocking baseline the paper's
@@ -125,7 +118,6 @@ var (
 	CoordNBMS    = Variant{Driver: DriverRounds, Write: WriteMemStagger}
 	Indep        = Variant{Driver: DriverTimers, Write: WriteToDurable}
 	IndepM       = Variant{Driver: DriverTimers, Write: WriteMemCopy}
-	IndepLog     = Variant{Driver: DriverTimers, Write: WriteToDurable, SenderLog: true}
 	CIC          = Variant{Driver: DriverInduced, Write: WriteToDurable}
 	CICM         = Variant{Driver: DriverInduced, Write: WriteMemCopy}
 	CoordNBInc   = Variant{Driver: DriverRounds, Capture: CaptureIncremental, Write: WriteToDurable}
@@ -148,7 +140,6 @@ var variants = []struct {
 	{CoordNBMS, "Coord_NBMS"},
 	{Indep, "Indep"},
 	{IndepM, "Indep_M"},
-	{IndepLog, "Indep_Log"},
 	{CIC, "CIC"},
 	{CICM, "CIC_M"},
 	{CoordNBInc, "Coord_NB_INC"},
@@ -284,7 +275,6 @@ type Stats struct {
 	AppBlocked   sim.Duration   // total application block time due to checkpointing
 	MemCopyTime  sim.Duration   // portion of AppBlocked spent in memory copies
 	RoundLatency []sim.Duration // coordinated: initiation -> commit per round
-	LogBytesPeak int64          // IndepLog: peak volatile sender-log occupancy
 
 	// CIC family only. ForcedCkpts counts checkpoints induced by message
 	// delivery (a subset of Checkpoints; the rest are basic timer
@@ -400,13 +390,6 @@ type (
 	msgAbort struct {
 		Round   int
 		Attempt int
-	}
-	// msgLogTrunc lets a checkpointed receiver truncate its senders' message
-	// logs: everything it consumed before the checkpoint can never be
-	// re-requested.
-	msgLogTrunc struct {
-		From int
-		UpTo uint64
 	}
 	// msgPreCommit is the fault-tolerant variants' third phase: broadcast by
 	// the coordinator only after EVERY ack, so a participant that receives

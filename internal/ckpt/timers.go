@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sim"
@@ -79,8 +78,8 @@ func (s *localTimers) Records() []Record {
 func (s *localTimers) Attach(m *par.Machine) {
 	s.m = m
 	s.nodes = make([]*timerNode, m.NumNodes())
-	for i := range m.Nodes {
-		tn := &timerNode{s: s, deps: make(map[Dep]struct{}), img: heldImage{incremental: s.v.Incremental()}}
+	for i, n := range m.Nodes {
+		tn := &timerNode{s: s, n: n, deps: make(map[Dep]struct{}), img: heldImage{incremental: s.v.Incremental()}}
 		if s.opt.StartIndices != nil {
 			// Recovery continuation: the durable files below the rollback line
 			// keep their indices, so the restarted node's next checkpoint must
@@ -91,31 +90,18 @@ func (s *localTimers) Attach(m *par.Machine) {
 			tn.index = s.opt.StartIndices[i]
 		}
 		s.nodes[i] = tn
-		s.attachNode(i)
+		n.OutMeta = tn.outMeta
+		n.OnConsume = tn.onConsume
+		if s.induced() {
+			n.PreConsume = tn.preConsume
+		}
+		m.StartDaemon(i, fmt.Sprintf("ckptd%d", i), n.ServeJobs)
 		m.Eng.After(s.opt.Interval+sim.Duration(i)*s.opt.Spread, tn.timerFire)
 	}
 	if s.induced() {
 		m.OnAppExit(s.onAppExit)
 	}
 	m.OnAllAppsDone(func() { s.stopped = true })
-}
-
-// attachNode (re)binds the scheme's per-node hooks and daemon; recovery of a
-// restarted node calls it again after Node.Restart cleared them.
-func (s *localTimers) attachNode(i int) {
-	tn := s.nodes[i]
-	n := s.m.Nodes[i]
-	tn.n = n
-	n.OutMeta = tn.outMeta
-	n.OnConsume = tn.onConsume
-	if s.induced() {
-		n.PreConsume = tn.preConsume
-	}
-	if s.v.SenderLog {
-		n.LogSend = tn.logSend
-		n.DeliverHook = tn.hook
-	}
-	s.m.StartDaemon(i, fmt.Sprintf("ckptd%d", i), n.ServeJobs)
 }
 
 // timerNode is one node's autonomous checkpointer.
@@ -129,11 +115,6 @@ type timerNode struct {
 	busy  bool // a basic checkpoint is pending or in progress (snapshot through durable write)
 
 	img heldImage // the node's last image, and its pending capture
-
-	// Sender-based message log (SenderLog): outgoing messages kept in
-	// volatile memory until the receiver's next checkpoint truncates them.
-	log      []logEntry
-	logBytes int64
 }
 
 func (tn *timerNode) outMeta() par.Piggyback {
@@ -145,7 +126,7 @@ func (tn *timerNode) outMeta() par.Piggyback {
 // onConsume records the receive edge for recovery-line analysis; it runs
 // after preConsume, so the edge lands in the interval the message is
 // actually delivered in.
-func (tn *timerNode) onConsume(src int, meta par.Piggyback, ssn uint64) {
+func (tn *timerNode) onConsume(src int, meta par.Piggyback) {
 	if src == tn.n.ID {
 		return
 	}
@@ -268,8 +249,8 @@ const (
 type ckptCapture struct {
 	index int
 	kind  int
-	deps  []Dep // receive edges of the interval this checkpoint closes
-	lib   []byte
+	deps  []Dep  // receive edges of the interval this checkpoint closes
+	lib   []byte // the node's library section (par.Node.Lib), shared and never written
 	prev  int
 
 	// The record's state section is image, then pad zero bytes: the parts the
@@ -282,8 +263,7 @@ type ckptCapture struct {
 	image [][]byte
 	pad   int
 
-	consumed []uint64  // SenderLog: per-sender consumed SSNs at the capture
-	gate     *sim.Gate // opened on completion when the application is waiting
+	gate *sim.Gate // opened on completion when the application is waiting
 }
 
 // stateBytes is the size of the record's state section.
@@ -292,9 +272,9 @@ func (c *ckptCapture) stateBytes() int { return fileLen(c.image) + c.pad }
 // capture closes the current checkpoint interval at tn.index: its receive
 // edges are detached (sorted for determinism) to be persisted with this
 // checkpoint — messages consumed from now on belong to the next interval —
-// and the application and library states are serialized.
+// and the application state is captured beside the library section.
 func (tn *timerNode) capture(kind int) *ckptCapture {
-	c := &ckptCapture{index: tn.index, kind: kind, deps: make([]Dep, 0, len(tn.deps))}
+	c := &ckptCapture{index: tn.index, kind: kind, deps: make([]Dep, 0, len(tn.deps)), lib: tn.n.Lib}
 	for d := range tn.deps {
 		c.deps = append(c.deps, d)
 	}
@@ -306,12 +286,6 @@ func (tn *timerNode) capture(kind int) *ckptCapture {
 	})
 	tn.deps = make(map[Dep]struct{})
 	tn.img.capture(tn.n, c)
-	if tn.n.Lib != nil {
-		c.lib = tn.n.Lib.Snapshot()
-		if lc, ok := tn.n.Lib.(interface{ LastConsumedSSN() []uint64 }); ok && tn.s.v.SenderLog {
-			c.consumed = lc.LastConsumedSSN()
-		}
-	}
 	return c
 }
 
@@ -395,17 +369,6 @@ func (tn *timerNode) writeJob(c *ckptCapture) func(p *sim.Proc) {
 		}
 		if c.gate != nil {
 			c.gate.Open()
-		}
-		// With the checkpoint durable, senders may discard everything this
-		// node consumed before it: their logged copies can never be needed.
-		for src, upTo := range c.consumed {
-			if src == tn.n.ID || upTo == 0 {
-				continue
-			}
-			s.stats.ProtoMsgs++
-			s.stats.ProtoBytes += sizeCtl
-			tn.n.Send(p, fabric.NodeID(src), par.PortDaemon,
-				msgLogTrunc{From: tn.n.ID, UpTo: upTo}, sizeCtl)
 		}
 		if c.kind == kindBasic {
 			tn.rearm()

@@ -20,8 +20,8 @@ import (
 // must be freshly owned and are never written again: an envelope keeps its
 // payload alive while in flight, the storage server keeps the very slices it
 // is handed as the file's extents (and a timed-out storage call can leave a
-// request behind that it serves later), and sender-based logging retains message
-// bodies for replay — none of these have a trackable death point, so their
+// request behind that it serves later), and the correctness oracle retains
+// message bodies for replay — none of these have a trackable death point, so their
 // writers are plain NewWriter allocations (NewWriterSize for the two ends of a
 // checkpoint record, whose size is known), and a Gatherer's framing is a fresh
 // buffer of its exact size. An application's Snapshot is in this class by

@@ -32,15 +32,3 @@ func DecodeF64sInto(dst []float64, b []byte) []float64 {
 	}
 	return vs
 }
-
-func getU64s(r *codec.Reader) []uint64 {
-	n := r.Int()
-	if n < 0 || r.Err() != nil {
-		panic("mp: corrupt u64 vector")
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = r.U64()
-	}
-	return vs
-}

@@ -3,7 +3,6 @@ package mp
 import (
 	"testing"
 
-	"repro/internal/fabric"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -102,47 +101,4 @@ func TestBlockedSendIsSafePoint(t *testing.T) {
 	if rec.ranAt < sim.Time(2*sim.Second) || rec.ranAt > sim.Time(2*sim.Second+10*sim.Millisecond) {
 		t.Fatalf("action ran at %v, want ≈2s (during blocked send)", rec.ranAt)
 	}
-}
-
-// TestSSNAssignmentAndDedup: with a LogSend hook installed, messages carry
-// sequence numbers and re-injected duplicates are suppressed.
-func TestSSNAssignmentAndDedup(t *testing.T) {
-	m := par.NewMachine(par.DefaultConfig())
-	w := NewWorld(m)
-	var logged []*Message
-	m.Nodes[0].LogSend = func(dst int, payload any) {
-		logged = append(logged, payload.(*Message))
-	}
-	var got []uint64
-	w.Launch(0, &testProg{run: func(e *Env) {
-		for i := 0; i < 3; i++ {
-			e.Send(1, 1, nil)
-		}
-	}})
-	w.Launch(1, &testProg{run: func(e *Env) {
-		for i := 0; i < 3; i++ {
-			got = append(got, e.Recv(0, 1).SSN)
-		}
-		// Re-inject a duplicate of ssn 2 and then receive a fresh message:
-		// the duplicate must be dropped, not delivered.
-		e.node.AppBox.Put(dupEnvelope(logged[1]))
-		fresh := &Message{Src: 0, Tag: 1, SSN: 4}
-		e.node.AppBox.Put(dupEnvelope(fresh))
-		if m := e.Recv(0, 1); m.SSN != 4 {
-			t.Errorf("consumed ssn %d, want 4 (duplicate not suppressed)", m.SSN)
-		}
-	}})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("ssns = %v", got)
-	}
-	if len(logged) != 3 {
-		t.Fatalf("logged %d messages", len(logged))
-	}
-}
-
-func dupEnvelope(m *Message) *fabric.Envelope {
-	return &fabric.Envelope{Src: 0, Dst: 1, Port: par.PortApp, Payload: m}
 }

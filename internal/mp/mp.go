@@ -41,10 +41,6 @@ type Message struct {
 	// index of independent checkpointing and the checkpoint index of
 	// communication-induced checkpointing, each in its own slot.
 	Meta par.Piggyback
-	// SSN is the per-(sender,receiver) send sequence number, assigned when
-	// sender-based message logging is active (zero otherwise). Receivers use
-	// it to suppress the duplicates a recovering sender re-transmits.
-	SSN uint64
 	// Wire is the reliable-transport sequence number per (sender,receiver)
 	// pair, assigned only when the world's retransmit layer is armed for runs
 	// over lossy links (zero otherwise — the unarmed wire format is
@@ -74,6 +70,10 @@ type World struct {
 	// returns the credit.
 	outstanding [][]int
 
+	// lib is the library section every rank's checkpoint files carry
+	// (libSection), built once for the world and shared by its ranks.
+	lib []byte
+
 	// rel is the ack/retransmit layer, armed by EnableRetransmit for runs
 	// over lossy links; nil (the default) adds no messages and no cost.
 	rel *reliable
@@ -82,12 +82,12 @@ type World struct {
 	// (package check): OnSend sees every application-layer message right
 	// before it enters the fabric (collective-internal traffic included —
 	// filter on Tag >= 0 for application payloads); OnDeliver sees every
-	// message the moment Recv hands it to the caller, after duplicate
-	// suppression and the protocol consume hooks. Both run in the sending or
-	// receiving process's context, must not block, and consume no virtual
-	// time. nil — the default — is the zero-cost disarmed state: an
-	// uninstrumented run takes the exact same code paths and produces the
-	// exact same virtual schedule as before these hooks existed.
+	// message the moment Recv hands it to the caller, after the protocol
+	// consume hooks. Both run in the sending or receiving process's context,
+	// must not block, and consume no virtual time. nil — the default — is the
+	// zero-cost disarmed state: an uninstrumented run takes the exact same
+	// code paths and produces the exact same virtual schedule as before these
+	// hooks existed.
 	OnSend    func(src, dst int, m *Message)
 	OnDeliver func(rank int, m *Message)
 }
@@ -99,7 +99,7 @@ type creditToken struct{}
 // NewWorld creates a world spanning all nodes of m.
 func NewWorld(m *par.Machine) *World {
 	n := m.NumNodes()
-	w := &World{M: m, Envs: make([]*Env, n)}
+	w := &World{M: m, Envs: make([]*Env, n), lib: libSection(n)}
 	w.outstanding = make([][]int, n)
 	for i := range w.outstanding {
 		w.outstanding[i] = make([]int, n)
@@ -151,17 +151,13 @@ func (w *World) returnCredit(s, d int) {
 func (w *World) Size() int { return len(w.Envs) }
 
 // Launch starts prog as the given rank. The returned Env is also stored in
-// w.Envs. Restored state, if any, must be applied to prog before Launch;
-// restored library state (sequence counters) via Env.Restore before
-// the simulation resumes.
+// w.Envs. Restored state, if any, must be applied to prog before Launch.
 func (w *World) Launch(rank int, prog Program) *Env {
 	node := w.M.Nodes[rank]
-	n := w.Size()
-	e := &Env{W: w, Rank: rank, node: node,
-		ssnOut: make([]uint64, n), ssnIn: make([]uint64, n)}
+	e := &Env{W: w, Rank: rank, node: node}
 	w.Envs[rank] = e
 	node.Snap = prog
-	node.Lib = e
+	node.Lib = w.lib
 	w.M.StartApp(rank, fmt.Sprintf("app%d", rank), func(p *sim.Proc) {
 		e.P = p
 		prog.Run(e)
@@ -169,43 +165,19 @@ func (w *World) Launch(rank int, prog Program) *Env {
 	return e
 }
 
-// Snapshot captures the message layer's per-rank state (sequence counters),
-// stored alongside application state in checkpoints; Env implements
-// par.Snapshotter for the node's Lib slot.
-func (e *Env) Snapshot() []byte {
-	w := codec.NewWriter()
-	w.U64s(e.ssnOut)
-	w.U64s(e.ssnIn)
+// libSection is the library section of an n-rank world's checkpoint files:
+// the per-peer counters a message library checkpoints beside the application
+// state, here two length-n u64 vectors (sends to and receives from each
+// peer). Nothing in this library advances them, so they are zero, and the
+// section is the same bytes for every rank and every capture. It stays in
+// the file format because shrinking it is a change of the file model (a
+// sparse vector), which would move every stored byte.
+func libSection(n int) []byte {
+	zeros := make([]uint64, n)
+	w := codec.NewWriterSize(16 + 16*n)
+	w.U64s(zeros)
+	w.U64s(zeros)
 	return w.Bytes()
-}
-
-// Restore resets the message-layer state from a Snapshot.
-func (e *Env) Restore(data []byte) {
-	r := codec.NewReader(data)
-	e.ssnOut = getU64s(r)
-	e.ssnIn = getU64s(r)
-}
-
-// LastConsumedSSN returns the last sequence number consumed from each rank
-// (used by the recovery manager to ask survivors for retransmissions).
-func (e *Env) LastConsumedSSN() []uint64 { return append([]uint64(nil), e.ssnIn...) }
-
-// ConsumedFromLibState extracts the per-sender consumed sequence numbers
-// from a library-state blob stored in a checkpoint.
-func ConsumedFromLibState(lib []byte) []uint64 {
-	r := codec.NewReader(lib)
-	getU64s(r) // ssnOut
-	return getU64s(r)
-}
-
-// ResetCreditsFor clears the flow-control windows touching a restarted rank:
-// everything previously outstanding to it was lost with its mailbox, and its
-// own retransmissions travel outside the window.
-func (w *World) ResetCreditsFor(rank int) {
-	for i := range w.outstanding {
-		w.outstanding[i][rank] = 0
-		w.outstanding[rank][i] = 0
-	}
 }
 
 // Env is one rank's handle on the library; all methods must be called from
@@ -215,11 +187,6 @@ type Env struct {
 	Rank int
 	P    *sim.Proc
 	node *par.Node
-
-	// Sequence tracking for sender-based message logging: ssnOut[d] is the
-	// last sequence number sent to rank d, ssnIn[s] the last consumed from
-	// rank s. Only maintained while the node's LogSend hook is installed.
-	ssnOut, ssnIn []uint64
 
 	// f64Scratch is the rank's reusable decode target for reduction fan-ins:
 	// each contribution is decoded into it, folded into the accumulator, and
@@ -293,10 +260,6 @@ func (e *Env) send(dst, tag int, data []byte) {
 		meta = e.node.OutMeta()
 	}
 	msg := &Message{Src: e.Rank, Tag: tag, Data: data, Meta: meta}
-	if e.node.LogSend != nil && dst != e.Rank {
-		e.ssnOut[dst]++
-		msg.SSN = e.ssnOut[dst]
-	}
 	if e.W.rel != nil && dst != e.Rank {
 		e.W.rel.onSend(e.Rank, dst, msg)
 	}
@@ -306,9 +269,6 @@ func (e *Env) send(dst, tag int, data []byte) {
 		e.W.OnSend(e.Rank, dst, msg)
 	}
 	e.node.Send(e.P, fabric.NodeID(dst), par.PortApp, msg, len(data))
-	if e.node.LogSend != nil && dst != e.Rank {
-		e.node.LogSend(dst, msg)
-	}
 }
 
 // Recv blocks until a message matching src and tag (each possibly Any) is
@@ -318,12 +278,6 @@ func (e *Env) Recv(src, tag int) *Message {
 	match := func(v *fabric.Envelope) bool {
 		m, ok := v.Payload.(*Message)
 		if !ok {
-			return false
-		}
-		// Under message logging, consumption is per-sender sequential: a
-		// recovering node must replay retransmissions in their original
-		// order even if newer messages arrived first.
-		if m.SSN != 0 && m.SSN != e.ssnIn[m.Src]+1 {
 			return false
 		}
 		if src != Any && m.Src != src {
@@ -338,25 +292,9 @@ func (e *Env) Recv(src, tag int) *Message {
 	}
 	for {
 		e.SafePoint()
-		// Suppress duplicates re-transmitted by a recovering sender: their
-		// SSN is not beyond what we already consumed. The drop counts as a
-		// consume for flow control.
-		for {
-			env, ok := e.node.AppBox.TakeMatch(func(v *fabric.Envelope) bool {
-				m, isMsg := v.Payload.(*Message)
-				return isMsg && m.SSN != 0 && m.SSN <= e.ssnIn[m.Src]
-			})
-			if !ok {
-				break
-			}
-			e.W.returnCredit(env.Payload.(*Message).Src, e.Rank)
-		}
 		env, ok := e.node.AppBox.TakeMatch(match)
 		if ok {
 			m := env.Payload.(*Message)
-			if m.SSN != 0 {
-				e.ssnIn[m.Src] = m.SSN
-			}
 			e.W.returnCredit(m.Src, e.Rank)
 			e.node.M.Obs.Add(e.Rank, "mp.msgs_delivered", 1)
 			if e.node.PreConsume != nil {
@@ -366,7 +304,7 @@ func (e *Env) Recv(src, tag int) *Message {
 				e.node.PreConsume(e.P, m.Src, m.Meta)
 			}
 			if e.node.OnConsume != nil {
-				e.node.OnConsume(m.Src, m.Meta, m.SSN)
+				e.node.OnConsume(m.Src, m.Meta)
 			}
 			if e.W.OnDeliver != nil {
 				e.W.OnDeliver(e.Rank, m)

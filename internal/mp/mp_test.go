@@ -246,7 +246,7 @@ func TestPiggybackMetaAndConsumeHook(t *testing.T) {
 			preConsumed = append(preConsumed, meta[par.PBCIC])
 		}
 	}
-	m.Nodes[1].OnConsume = func(src int, meta par.Piggyback, ssn uint64) {
+	m.Nodes[1].OnConsume = func(src int, meta par.Piggyback) {
 		if src == 0 {
 			consumed = append(consumed, meta[par.PBInterval])
 		}

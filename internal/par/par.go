@@ -488,13 +488,10 @@ type Node struct {
 	// when the program starts.
 	Snap Snapshotter
 
-	// Lib is the message layer's state capture interface (sequence
-	// counters), checkpointed alongside the application state.
-	Lib Snapshotter
-
-	// LogSend, when set, receives a copy of every outgoing application
-	// message after it is sent (sender-based message logging).
-	LogSend func(dst int, msg any)
+	// Lib is the library section of the node's checkpoint files, written
+	// beside the application state; the message layer registers it with the
+	// program. It is shared by every rank of a world and never written.
+	Lib []byte
 
 	// DeliverHook observes every envelope arriving at this node before it is
 	// enqueued; returning true consumes the envelope (used for markers and
@@ -515,9 +512,8 @@ type Node struct {
 	PreConsume func(p *sim.Proc, srcNode int, meta Piggyback)
 
 	// OnConsume, when set, is called when the application consumes a
-	// message (dependency tracking for independent checkpointing; the ssn is
-	// zero unless message logging is active).
-	OnConsume func(srcNode int, meta Piggyback, ssn uint64)
+	// message (dependency tracking for independent checkpointing).
+	OnConsume func(srcNode int, meta Piggyback)
 
 	// Transport, when set, intercepts application-port envelopes after the
 	// liveness checks and before any protocol hook: the message layer's
@@ -550,7 +546,6 @@ func (n *Node) reset() {
 	n.OutMeta = nil
 	n.PreConsume = nil
 	n.OnConsume = nil
-	n.LogSend = nil
 	n.Snap = nil
 	n.Lib = nil
 	n.Transport = nil
