@@ -17,8 +17,9 @@ race:
 # Short fuzz smoke of the parsers that consume untrusted bytes — the
 # checkpoint codec round-trip (the delta half also holds replay into reused
 # scratch to the allocating reference), the decoders of durable checkpoint
-# files and channel logs, the one checkpoint reader under every variant
-# (hostile chain pointers and wrong indexes refused), and the scheme-name
+# records (every state file, coordinated slot files included) and channel
+# logs, the one checkpoint reader under every variant (hostile chain pointers
+# and wrong indexes refused), and the scheme-name
 # resolver — plus the
 # differentials against retired reference implementations: the incremental
 # payload encoders (gathered from a snapshot's pages and a pad count, zero runs
@@ -96,8 +97,8 @@ identical:
 # Allocation gate: the testing.AllocsPerRun pins for the engine, fabric, codec
 # (a gathered base or clean delta at its framing and its list of parts) and
 # collective hot paths; that the storage server allocates nothing of a
-# segment's size for a file appended to it, and a full-image capture (local
-# timers and coordinated) at most 0.05 bytes per byte of the file it gathers,
+# segment's size for a file appended to it, and a full-image capture's record
+# (local timers and coordinated) at most 0.05 bytes per byte of the file it gathers,
 # and 24 kept files of a mostly clean 1 MiB state at one image plus the changed
 # pages (TestAllocsSharedCapture);
 # an incremental capture and commit of a 1 MiB state at its record — framing,

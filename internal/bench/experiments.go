@@ -87,7 +87,8 @@ func RunExperiment(ctx context.Context, w io.Writer, name string, cfg par.Config
 // state-writing cost.
 func syncCostExperiment(ctx context.Context, w io.Writer, cfg par.Config, _ bool, r *Runner) error {
 	// Zero the process-image constant so the first row isolates the pure
-	// protocol cost (request, markers, acks, commit, one empty write).
+	// protocol cost (request, markers, acks, commit, one small write: the
+	// ring's snapshot in its record framing).
 	cfg.CkptImageBytes = 0
 	sizes := []int{0, 10_000, 100_000, 500_000, 1_000_000}
 	wls := make([]apps.Workload, len(sizes))

@@ -82,7 +82,7 @@ func TestIncrementalReconstructionProperty(t *testing.T) {
 // a chain pointer mid-walk.
 func TestBrokenChainNamesDeltaRound(t *testing.T) {
 	// Pure chain walk: index 9 points at 7, which fails to resolve.
-	_, _, err := new(ckpt.Replayer).ReconstructCkpt(ckpt.IndepInc, 0, 9, func(path string, _ []byte) ([]byte, error) {
+	_, err := new(ckpt.Replayer).ReconstructCkpt(ckpt.IndepInc, 0, 9, func(path string, _ []byte) ([]byte, error) {
 		if path == ckpt.IndepInc.StatePath(0, 9) {
 			return encodeIncFile(ckpt.CkptFile{Index: 9, Prev: 7, State: []byte{1}}), nil
 		}
@@ -113,6 +113,34 @@ func TestBrokenChainNamesDeltaRound(t *testing.T) {
 	if !strings.Contains(verr.Error(), "indep.durable") ||
 		!strings.Contains(verr.Error(), fmt.Sprintf("ckpt %d", missing)) {
 		t.Fatalf("violation does not name checkpoint %d: %v", missing, verr)
+	}
+}
+
+// TestAuditCatchesSlotOfAnotherRound: a coordinated slot file names its round,
+// so a slot that still holds the round two rounds back — the same slot, a file
+// of the same size — fails the audit of the newer round.
+func TestAuditCatchesSlotOfAnotherRound(t *testing.T) {
+	_, a, _ := auditedRing(t, ckpt.CoordNB, ckpt.Options{Interval: 300_000})
+	var last ckpt.Record
+	for _, r := range a.committed {
+		if r.Rank == 0 && r.Index > last.Index {
+			last = r
+		}
+	}
+	if last.Index < 3 {
+		t.Fatalf("the run committed %d rounds, want at least 3", last.Index)
+	}
+	r := last.Index
+	ahead := last
+	ahead.Index = r + 2 // its slot holds round r
+	a.checkFile("coord.state-durable", ahead, true)
+	verr := a.err()
+	if verr == nil {
+		t.Fatalf("round %d's file audited as round %d with no violation", r, r+2)
+	}
+	if want := fmt.Sprintf("holds index %d, record says %d", r, r+2); !strings.Contains(verr.Error(), "coord.state-durable") ||
+		!strings.Contains(verr.Error(), want) {
+		t.Fatalf("violation does not name the index the slot holds (%q): %v", want, verr)
 	}
 }
 
@@ -202,11 +230,20 @@ func TestCheaperAuditStillBites(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			img, file, err := new(ckpt.Replayer).ReconstructCkpt(v, rank, head, fetch)
+			// read returns checkpoint index's image and its head file.
+			read := func(index int) ([]byte, ckpt.CkptFile, error) {
+				img, err := new(ckpt.Replayer).ReconstructCkpt(v, rank, index, fetch)
+				if err != nil {
+					return nil, ckpt.CkptFile{}, err
+				}
+				f, err := new(ckpt.Replayer).ReadHead(v, rank, index, fetch)
+				return img, f, err
+			}
+			img, file, err := read(head)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prevImg, prevFile, err := new(ckpt.Replayer).ReconstructCkpt(v, rank, file.Prev, fetch)
+			prevImg, prevFile, err := read(file.Prev)
 			if err != nil || prevFile.Prev == 0 {
 				t.Fatalf("checkpoint %d does not end a chain with a middle link (prev %d, its prev %d): %v", head, file.Prev, prevFile.Prev, err)
 			}

@@ -257,31 +257,23 @@ func (a *audit) indepCommit(rec ckpt.Record) {
 
 // checkFile reads rec's checkpoint back through the one reader
 // (ckpt.Replayer, from Peek: no virtual time) and holds it to the record
-// under invariant inv. Reading is the reader's; what the audit still knows of
-// the layout is which fields a file stores, since each stored field is one
-// assertion: a raw image (ckpt.Variant.RawImage) stores none but its size, so
-// it is held to the recorded size without being read; a record must be
-// durable and decode, and its head carry the record's index, chain pointer
-// (incremental capture only), payload size and dependency edges (local-timer
-// families only). At a commit each field is its own assertion, and an
-// incremental checkpoint's chain must also resolve back to a committed base
-// and replay to exactly the image captured at that index — a violation names
-// the chain link that broke, the delta round a failure report points at. The
-// end-of-run audit (atCommit false) only confirms that a slot still holds its
-// committed file: it reads the head alone, and the fields are one assertion.
-// checkFile reports whether the file is durable (a raw image: of the recorded
-// size) and whether its head decoded.
+// under invariant inv: the file must be durable and decode, and its head carry
+// the record's index — so a slot that holds another round fails — chain
+// pointer (incremental capture only), payload size and dependency edges
+// (local-timer families only). At a commit each field is its own assertion,
+// and an incremental checkpoint's chain must also resolve back to a committed
+// base and replay to exactly the image captured at that index — a violation
+// names the chain link that broke, the delta round a failure report points at.
+// The end-of-run audit (atCommit false) only confirms that a slot still holds
+// its committed file: it reads the head alone, and the fields are one
+// assertion. checkFile reports whether the file is durable and whether its
+// head decoded.
 func (a *audit) checkFile(inv string, rec ckpt.Record, atCommit bool) (durable, decoded bool) {
 	store := a.m.StoreFor(rec.Rank)
 	path := a.v.StatePath(rec.Rank, rec.Index)
-	size, ok := store.Size(path)
+	_, ok := store.Size(path)
 	if !a.assert(ok, inv, "rank %d ckpt %d committed but %s not durable", rec.Rank, rec.Index, path) {
 		return false, false
-	}
-	if a.v.RawImage() {
-		ok = a.assert(size == rec.StateBytes, inv,
-			"rank %d ckpt %d: %s is %d bytes, record says %d", rec.Rank, rec.Index, path, size, rec.StateBytes)
-		return ok, ok
 	}
 	fetch := func(path string, buf []byte) ([]byte, error) {
 		data, ok := store.Peek(path, buf)
@@ -316,7 +308,7 @@ func (a *audit) checkFile(inv string, rec ckpt.Record, atCommit bool) (durable, 
 	if !a.v.Incremental() {
 		return true, true
 	}
-	img, _, err := a.replay.ReconstructCkpt(a.v, rec.Rank, rec.Index, fetch)
+	img, err := a.replay.ReconstructCkpt(a.v, rec.Rank, rec.Index, fetch)
 	if !a.assert(err == nil, "inc.chain-resolves", "rank %d: %v", rec.Rank, err) {
 		return true, true
 	}
@@ -434,16 +426,11 @@ func (a *audit) finishCoordinated() {
 			if r.Index != round {
 				continue
 			}
+			// A file's size is not the recorded payload size, so audit
+			// the file by reading it instead.
 			sp := a.v.StatePath(r.Rank, round)
-			if a.v.RawImage() {
-				want[sp] = r.StateBytes
-			} else {
-				// A record's raw size is not the recorded payload size, so
-				// audit it by reading it instead.
-				want[sp] = -1
-				a.checkFile("coord.exact", r, false)
-			}
-			wantShard[sp] = a.m.ShardOf(r.Rank)
+			want[sp], wantShard[sp] = -1, a.m.ShardOf(r.Rank)
+			a.checkFile("coord.exact", r, false)
 			if r.ChanBytes > 0 {
 				want[a.v.ChanPath(r.Rank, round)] = r.ChanBytes
 				wantShard[a.v.ChanPath(r.Rank, round)] = a.m.ShardOf(r.Rank)

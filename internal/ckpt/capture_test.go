@@ -119,28 +119,6 @@ func TestEncodeCkptFilePadsInPlace(t *testing.T) {
 	}
 }
 
-// TestEncodeRawImage: the coordinated full-image slot file is the snapshot,
-// lent, and the pad, from the zero page — joined, the padded image.
-func TestEncodeRawImage(t *testing.T) {
-	for _, pad := range []int{0, 5, writeSegment, 2*writeSegment + 9} {
-		for _, stateLen := range []int{0, 300, writeSegment} {
-			state := bytes.Repeat([]byte{0x5A}, stateLen)
-			file := appendZeros([][]byte{state}, pad)
-			if !sameBytes(file[0], state) {
-				t.Errorf("pad %d state %d: the file does not start with the snapshot as it is", pad, stateLen)
-			}
-			for _, part := range file[1:] {
-				if !sameBytes(part, zeroPage[:len(part)]) {
-					t.Errorf("pad %d state %d: a pad slice of %d bytes is not the zero page's", pad, stateLen, len(part))
-				}
-			}
-			if want := padImage(bytes.Clone(state), pad); !bytes.Equal(bytes.Join(file, nil), want) || fileLen(file) != len(want) {
-				t.Errorf("pad %d state %d: %d bytes, the padded image has %d", pad, stateLen, fileLen(file), len(want))
-			}
-		}
-	}
-}
-
 // sizedSnap is a snapshotter whose successive snapshots have the given
 // lengths and no zero byte.
 type sizedSnap struct {
@@ -341,11 +319,11 @@ func TestAllocsTimerCapture(t *testing.T) {
 	}
 }
 
-// TestAllocsCoordCapture is the coordinated twin: the raw slot file is the
-// snapshot and the zero page, nothing else.
+// TestAllocsCoordCapture is the coordinated twin: the slot file is the
+// snapshot, the zero page and the record's framing, nothing else.
 func TestAllocsCoordCapture(t *testing.T) {
 	perByte := allocsPerFileByte(t, CoordNB, func(_ int, c *ckptCapture) [][]byte {
-		return appendZeros(c.image, c.pad)
+		return c.file(CoordNB)
 	})
 	if perByte > 0.05 {
 		t.Fatalf("capturing a coordinated full-image checkpoint allocated %.3f bytes per byte of file, want <= 0.05", perByte)
@@ -521,11 +499,7 @@ func TestAllocsSharedCapture(t *testing.T) {
 			for k := 1; k <= captures; k++ {
 				c := ckptCapture{index: k}
 				held.capture(n, &c)
-				file := appendZeros(c.image, c.pad)
-				if !v.RawImage() {
-					file = encodeCkptFile(v, CkptFile{Index: k}, c.image, c.pad)
-				}
-				segmentFile("f", file, func(req storage.Request, _ bool) {
+				segmentFile("f", c.file(v), func(req storage.Request, _ bool) {
 					extents = append(append(extents, req.Data), req.More...)
 				})
 			}

@@ -498,11 +498,12 @@ func TestRecoveryRequeuesChannelLogAheadOfNewTraffic(t *testing.T) {
 	if rep == nil || !rep.Done.Opened() || rep.Round < 1 || rep.ChanMsgs == 0 {
 		t.Fatalf("want a recovery from a committed round with a logged 0->1 channel, got %+v", rep)
 	}
-	// Every rank read back its checkpoint file and, rank 1 at least, its
-	// channel log: the report counts both.
+	// Every rank read back its durable checkpoint file and, rank 1 at least,
+	// its channel log: the report counts both.
 	var want, logs int64
 	for _, r := range restored {
-		want += int64(r.StateBytes + r.ChanBytes)
+		size, _ := m.StoreFor(r.Rank).Size(CoordNB.StatePath(r.Rank, r.Index))
+		want += int64(size + r.ChanBytes)
 		logs += int64(r.ChanBytes)
 	}
 	if restored[0].Index != rep.Round || logs == 0 || rep.BytesRead != want {
@@ -622,7 +623,7 @@ func TestVariantStringAndPredicates(t *testing.T) {
 		snaps := [][]byte{bytes.Repeat([]byte{1}, 300), append(bytes.Repeat([]byte{1}, 200), bytes.Repeat([]byte{2}, 100)...)}
 		files := capturedFiles(c.v, rank, pad, snaps)
 		for index := 1; index <= len(snaps); index++ {
-			img, _, err := new(Replayer).ReconstructCkpt(c.v, rank, index, func(path string, _ []byte) ([]byte, error) {
+			img, err := new(Replayer).ReconstructCkpt(c.v, rank, index, func(path string, _ []byte) ([]byte, error) {
 				return files[path], nil
 			})
 			if want := append(bytes.Clone(snaps[index-1]), make([]byte, pad)...); err != nil || !bytes.Equal(img, want) {
@@ -667,8 +668,8 @@ func TestVariantStringAndPredicates(t *testing.T) {
 }
 
 // capturedFiles is what the drivers leave on stable storage for rank's
-// checkpoints 1, 2, ... of snaps under v, by path: a raw image, a full
-// record, or a base+delta chain.
+// checkpoints 1, 2, ... of snaps under v, by path: a full record, or a
+// base+delta chain.
 func capturedFiles(v Variant, rank, pad int, snaps [][]byte) map[string][]byte {
 	files := map[string][]byte{}
 	img := heldImage{incremental: true}
@@ -676,8 +677,6 @@ func capturedFiles(v Variant, rank, pad int, snaps [][]byte) map[string][]byte {
 		index := i + 1
 		var file [][]byte
 		switch {
-		case v.RawImage():
-			file = appendZeros([][]byte{snap}, pad)
 		case v.Incremental():
 			payload, prev := img.encode(index, snap, pad, 64)
 			file = encodeCkptFile(v, CkptFile{Index: index, Prev: prev}, payload, 0)

@@ -541,8 +541,11 @@ func (cn *coordNode) takeTentative(p *sim.Proc, round int) {
 	}
 	c := ckptCapture{index: round}
 	cn.img.capture(n, &c)
-	// An incremental round's capture stays pending until the round commits
-	// (finishRound).
+	// The record's framing comes out of the process image's pad, so a
+	// full-image slot file keeps the image's size wherever the pad holds it
+	// (an incremental payload has no pad). An incremental round's capture
+	// stays pending until the round commits (finishRound).
+	c.pad = max(c.pad-framing(s.v, CkptFile{}), 0)
 	stateBytes, prev, file := c.stateBytes(), c.prev, c.file(s.v)
 	if s.v.MemBuffered() && p != nil {
 		// Main-memory checkpointing: the application pays only for the copy.

@@ -70,10 +70,9 @@ func ParseMetaRecord(b []byte) (int, error) {
 	return round, nil
 }
 
-// CkptFile is the content of one durable checkpoint file in the record
-// format: every file of the local-timer families, and the slot files of
-// incremental coordinated rounds (which leave Deps and Lib empty; full-image
-// coordinated rounds write the raw padded image instead).
+// CkptFile is the content of one durable checkpoint file, in the one record
+// format of every state file: every file of the local-timer families and every
+// slot file of the coordinated rounds, which leave Deps and Lib empty.
 type CkptFile struct {
 	Index int // per-node checkpoint index, or the round number
 	// Prev is the chain pointer, on disk exactly when capture is incremental:
@@ -100,14 +99,6 @@ var zeroPage = make([]byte, writeSegment)
 // its cells have run, test binaries once everything has.
 func ZeroPageIntact() bool {
 	return !slices.ContainsFunc(zeroPage, func(b byte) bool { return b != 0 })
-}
-
-// appendZeros appends n zero bytes to file as borrows of zeroPage.
-func appendZeros(file [][]byte, n int) [][]byte {
-	for ; n > 0; n -= min(n, len(zeroPage)) {
-		file = append(file, zeroPage[:min(n, len(zeroPage))])
-	}
-	return file
 }
 
 // fileLen is the size of a checkpoint file held as the slices it is the
@@ -327,18 +318,21 @@ func (h *heldImage) abort() {
 	h.pendingIndex = 0
 }
 
-// file builds the capture's checkpoint file as the variant lays it out on
-// stable storage. A full-image coordinated round's slot file is the raw
-// padded image: the parts heldImage.share returned, borrowed as
-// encodeCkptFile borrows them, then the process image's zeros (decoders read
-// length-prefixed fields, so the padding is inert). Every other file is the
-// record encodeCkptFile packs; a coordinated incremental capture carries no
-// dependencies, library state or padding.
+// file builds the capture's checkpoint file: the record encodeCkptFile packs.
+// A coordinated capture carries no dependencies or library state.
 func (c *ckptCapture) file(v Variant) [][]byte {
-	if v.RawImage() {
-		return appendZeros(c.image, c.pad)
-	}
 	return encodeCkptFile(v, CkptFile{Index: c.index, Prev: c.prev, Deps: c.deps, Lib: c.lib}, c.image, c.pad)
+}
+
+// framing is the size of f's record under v besides its state section: index,
+// chain pointer (incremental capture only), dependency count and edges, state
+// length, and the length-prefixed library section.
+func framing(v Variant, f CkptFile) int {
+	n := 8 + 8 + 16*len(f.Deps) + 8 + 8 + len(f.Lib)
+	if v.Incremental() {
+		n += 8
+	}
+	return n
 }
 
 // encodeCkptFile packs a checkpoint file for the variant as the list of slices
@@ -354,11 +348,7 @@ func (c *ckptCapture) file(v Variant) [][]byte {
 // are two ends of one exactly sized, freshly owned buffer (see codec's Buffer
 // ownership); with no state between them the record is that one buffer.
 func encodeCkptFile(v Variant, f CkptFile, image [][]byte, pad int) [][]byte {
-	n := 8 + 8 + 16*len(f.Deps) + 8 + 8 + len(f.Lib)
-	if v.Incremental() {
-		n += 8
-	}
-	w := codec.NewWriterSize(n)
+	w := codec.NewWriterSize(framing(v, f))
 	w.Int(f.Index)
 	if v.Incremental() {
 		w.Int(f.Prev)
@@ -375,7 +365,9 @@ func encodeCkptFile(v Variant, f CkptFile, image [][]byte, pad int) [][]byte {
 			file = append(file, part)
 		}
 	}
-	file = appendZeros(file, pad)
+	for n := pad; n > 0; n -= min(n, len(zeroPage)) {
+		file = append(file, zeroPage[:min(n, len(zeroPage))])
+	}
 	split := w.Len()
 	w.Bytes8(f.Lib)
 	buf := w.Bytes()

@@ -49,15 +49,16 @@ func TestDecodersRejectHostileCounts(t *testing.T) {
 // channel logs — which must fail cleanly or decode to something that encodes
 // back to the very bytes read: never panic, never size an allocation from the
 // input. It then drives the one reader under every variant with the bytes as
-// every file on storage: a head read fails exactly when the decoder does; a
-// raw image reads back as it is; a record reads only as the index it names,
-// and, since every link would name that index too, only as a lone base — a
-// hostile Prev or a wrong index is an error, never a panic or a loop.
+// every file on storage: a head read fails exactly when the decoder does and
+// names the index the decoder finds; a record reads only as the index it
+// names, and, since every link would name that index too, only as a lone base
+// — a hostile Prev or a wrong index is an error, never a panic or a loop.
 func FuzzCkptFileDecode(f *testing.F) {
 	deps := []Dep{{SrcRank: 3, SrcIndex: 7}, {SrcRank: 0, SrcIndex: 1}}
 	real := [][]byte{
 		flatCkptFile(Indep, CkptFile{Index: 4, Deps: deps, State: []byte("state"), Lib: []byte("lib")}, 70),
 		flatCkptFile(CIC, CkptFile{Index: 9, State: []byte{1}}, 0),
+		flatCkptFile(CoordNB, CkptFile{Index: 1, State: []byte("image")}, 40),
 		flatCkptFile(IndepInc, CkptFile{Index: 5, Prev: 4, Deps: deps, State: codec.EncodeDelta(nil, []byte("img"), 2), Lib: []byte("lib")}, 0),
 		flatCkptFile(CoordNBInc, CkptFile{Index: 2, State: codec.EncodeBaseImage(make([]byte, 300))}, 0),
 		encodeChanLog([]*mp.Message{{Src: 1, Tag: 5, Meta: par.Piggyback{9, 2}, Data: []byte("abc")}, {Src: 2}}),
@@ -91,24 +92,21 @@ func FuzzCkptFileDecode(f *testing.F) {
 		for _, e := range variants {
 			v := e.v
 			named, err := decodeCkptFile(v, data)
-			if _, herr := rp.ReadHead(v, 0, 1, fetch); (herr == nil) != (v.RawImage() || err == nil) {
-				t.Fatalf("%v: the head read (%v) and the decoder (%v) disagree", v, herr, err)
+			head, herr := rp.ReadHead(v, 0, 1, fetch)
+			if (herr == nil) != (err == nil) || head.Index != named.Index || head.Prev != named.Prev {
+				t.Fatalf("%v: the head read (%+v, %v) and the decoder (%+v, %v) disagree", v, head, herr, named, err)
 			}
 			index := max(named.Index, 1)
-			if err != nil || v.RawImage() {
-				index = 1
-			}
-			img, head, err := rp.ReconstructCkpt(v, 0, index, fetch)
+			img, rerr := rp.ReconstructCkpt(v, 0, index, fetch)
 			switch {
-			case v.RawImage():
-				if err != nil || !bytes.Equal(img, data) {
-					t.Fatalf("%v: raw image read back as %d bytes of %d: %v", v, len(img), len(data), err)
-				}
-				continue
-			case err == nil && (head.Index != index || v.Incremental() && head.Prev != 0):
-				t.Fatalf("%v: read checkpoint %d from a file naming %d, prev %d", v, index, head.Index, head.Prev)
+			case rerr == nil && err != nil:
+				t.Fatalf("%v: read checkpoint %d from a file the decoder refuses (%v)", v, index, err)
+			case rerr == nil && (named.Index != index || v.Incremental() && named.Prev != 0):
+				t.Fatalf("%v: read checkpoint %d from a file naming %d, prev %d", v, index, named.Index, named.Prev)
+			case rerr == nil && !v.Incremental() && !bytes.Equal(img, named.State):
+				t.Fatalf("%v: checkpoint %d read back as %d bytes, its record holds %d", v, index, len(img), len(named.State))
 			}
-			if _, _, err := rp.ReconstructCkpt(v, 0, index+1, fetch); err == nil {
+			if _, err := rp.ReconstructCkpt(v, 0, index+1, fetch); err == nil {
 				t.Fatalf("%v: read checkpoint %d from a file naming %d", v, index+1, index)
 			}
 		}

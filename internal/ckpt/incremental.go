@@ -26,9 +26,8 @@ type Replayer struct {
 
 // ReadHead reads only the head file of rank's checkpoint index — the file its
 // commit wrote — without following a chain or holding the file to index, so
-// that an audit can compare each field with its record. A raw image (a
-// full-image coordinated round's slot file) is its own head: Index is index,
-// State the image. An error means the file could not be fetched or decoded.
+// that an audit can compare each field, the index the file names included,
+// with its record. An error means the file could not be fetched or decoded.
 // fetch is as for ReconstructCkpt.
 func (rp *Replayer) ReadHead(v Variant, rank, index int, fetch func(path string, buf []byte) ([]byte, error)) (CkptFile, error) {
 	return rp.readLink(v, rank, index, 0, fetch)
@@ -43,9 +42,6 @@ func (rp *Replayer) readLink(v Variant, rank, idx, i int, fetch func(path string
 		return CkptFile{}, err
 	}
 	rp.links[i] = data
-	if v.RawImage() {
-		return CkptFile{Index: idx, State: data}, nil
-	}
 	f, err := decodeCkptFile(v, data)
 	if err != nil {
 		return CkptFile{}, fmt.Errorf("%s: %w", path, err)
@@ -54,23 +50,21 @@ func (rp *Replayer) readLink(v Variant, rank, idx, i int, fetch func(path string
 }
 
 // ReconstructCkpt reads rank's checkpoint index as the variant laid it out on
-// stable storage and returns the image a restore hands the program, and the
-// head file. The three layouts:
+// stable storage and returns the image a restore hands the program. Every
+// file is a record whose Index must be the one asked for, in one of two
+// layouts:
 //
-//   - a full-image coordinated round's slot file is the raw padded image,
-//     returned as it is (the commit record, not the file, says which round
-//     the slot holds);
-//   - a full-image local-timer file is one record, whose Index must be index;
-//   - an incremental file heads a base+delta chain, replayed by following each
-//     file's Prev pointer — never assuming the cadence — with every link's
-//     Index verified.
+//   - under full capture the checkpoint is one record, whose state section is
+//     the image;
+//   - under incremental capture it heads a base+delta chain, replayed by
+//     following each file's Prev pointer — never assuming the cadence — with
+//     every link's Index verified.
 //
 // fetch returns one durable file's bytes by path: a storage read's borrow, or
 // a copy appended to buf[:0], which is then that link's buffer again at the
 // next read. Errors name the link that failed to resolve — the delta round a
 // broken chain points at.
-func (rp *Replayer) ReconstructCkpt(v Variant, rank, index int, fetch func(path string, buf []byte) ([]byte, error)) ([]byte, CkptFile, error) {
-	var head CkptFile
+func (rp *Replayer) ReconstructCkpt(v Variant, rank, index int, fetch func(path string, buf []byte) ([]byte, error)) ([]byte, error) {
 	chain := make([][]byte, 0, BaseEvery)
 	for idx := index; ; {
 		f, err := rp.readLink(v, rank, idx, len(chain), fetch)
@@ -78,20 +72,17 @@ func (rp *Replayer) ReconstructCkpt(v Variant, rank, index int, fetch func(path 
 			err = fmt.Errorf("%s holds index %d, want %d", v.StatePath(rank, idx), f.Index, idx)
 		}
 		if err != nil {
-			return nil, CkptFile{}, fmt.Errorf("ckpt: rank %d checkpoint %d broken at link %d: %w", rank, index, idx, err)
+			return nil, fmt.Errorf("ckpt: rank %d checkpoint %d broken at link %d: %w", rank, index, idx, err)
 		}
 		if !v.Incremental() {
-			return f.State, f, nil
-		}
-		if idx == index {
-			head = f
+			return f.State, nil
 		}
 		chain = append(chain, f.State)
 		if f.Prev == 0 {
 			break
 		}
 		if f.Prev >= idx || len(chain) >= BaseEvery {
-			return nil, CkptFile{}, fmt.Errorf("ckpt: rank %d checkpoint %d: delta chain malformed at link %d (prev %d, length %d)",
+			return nil, fmt.Errorf("ckpt: rank %d checkpoint %d: delta chain malformed at link %d (prev %d, length %d)",
 				rank, index, idx, f.Prev, len(chain))
 		}
 		idx = f.Prev
@@ -99,7 +90,7 @@ func (rp *Replayer) ReconstructCkpt(v Variant, rank, index int, fetch func(path 
 	slices.Reverse(chain)
 	img, err := rp.codec.Replay(chain)
 	if err != nil {
-		return nil, CkptFile{}, fmt.Errorf("ckpt: rank %d checkpoint %d: replaying delta chain: %w", rank, index, err)
+		return nil, fmt.Errorf("ckpt: rank %d checkpoint %d: replaying delta chain: %w", rank, index, err)
 	}
-	return img, head, nil
+	return img, nil
 }

@@ -114,7 +114,7 @@ func Recover(m *par.Machine, v Variant, opt Options, factory func(rank int) mp.P
 // ReadCheckpoint panics.
 func ReadCheckpoint(p *sim.Proc, node *par.Node, v Variant, index int) ([]byte, int) {
 	read := 0
-	img, _, err := new(Replayer).ReconstructCkpt(v, node.ID, index, func(path string, _ []byte) ([]byte, error) {
+	img, err := new(Replayer).ReconstructCkpt(v, node.ID, index, func(path string, _ []byte) ([]byte, error) {
 		reply := node.StorageCall(p, storage.Request{Op: storage.OpRead, Path: path})
 		read += len(reply.Data)
 		return reply.Data, reply.Err

@@ -195,12 +195,6 @@ func (v Variant) CommunicationInduced() bool { return v.Driver == DriverInduced 
 // chains instead of full images.
 func (v Variant) Incremental() bool { return v.Capture == CaptureIncremental }
 
-// RawImage reports whether the variant's checkpoint file is the bare padded
-// image rather than a record: a full-image coordinated round's slot file,
-// whose size is the payload's and which names no index (the commit record
-// says which round a slot holds).
-func (v Variant) RawImage() bool { return v.Coordinated() && !v.Incremental() }
-
 // Options configure a scheme instance.
 type Options struct {
 	// Interval between checkpoints. For coordinated schemes the coordinator

@@ -288,7 +288,7 @@ func checkIncShare(t *testing.T, pageSize, pad int, snaps [][]byte, aborted []bo
 		if last == 0 {
 			continue
 		}
-		got, _, err := new(Replayer).ReconstructCkpt(IndepInc, 0, last, fetch)
+		got, err := new(Replayer).ReconstructCkpt(IndepInc, 0, last, fetch)
 		if err != nil || !bytes.Equal(got, padImage(bytes.Clone(committed), pad)) {
 			t.Fatalf("capture %d (page %d, pad %d): checkpoint %d reads back as %d bytes (%v), want its %d-byte padded snapshot",
 				k, pageSize, pad, last, len(got), err, len(committed)+pad)

@@ -255,11 +255,11 @@ type ckptCapture struct {
 
 	// The record's state section is image, then pad zero bytes: the parts the
 	// node's held image gathers it from (heldImage.capture). Under full
-	// capture image is the snapshot's pages and pad the process image's size:
-	// the padded image is never built, the file is gathered from those parts
-	// and the shared zero page. Under incremental capture image is the
-	// base/delta payload's parts, its literals borrowed from the image's
-	// pages, and pad 0.
+	// capture image is the snapshot's pages and pad the process image's size,
+	// less the record's framing in a coordinated slot file: the padded image
+	// is never built, the file is gathered from those parts and the shared
+	// zero page. Under incremental capture image is the base/delta payload's
+	// parts, its literals borrowed from the image's pages, and pad 0.
 	image [][]byte
 	pad   int
 
