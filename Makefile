@@ -105,7 +105,9 @@ identical:
 # lists of parts, the record's ends and copies of the changed pages; the
 # literals are borrowed — plus a few hundred bytes, and the per-audited-commit pin; an ISING half-sweep
 # at zero, an NQUEENS task search at zero (TestAllocsNQueensKernel), and a TSP
-# subtree search at its path buffer plus one tour per improvement; each app's
+# subtree search at its path buffer plus one tour per improvement; a TSP or
+# NQUEENS job served from its workload's memo at zero (TestAllocsTSPMemoHit,
+# TestAllocsNQueensMemoHit); each app's
 # Snapshot at the one buffer it returns (TestAllocsSnapshot), an ISING rank built after the first at its spin rows
 # and no coupling row (TestAllocsIsingRankSharesPlane), each vector
 # decoder at its result (TestAllocsVectorDecode), and a checkpoint's library

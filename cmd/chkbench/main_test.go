@@ -123,6 +123,10 @@ func TestRunBadFlagFails(t *testing.T) {
 		// Indep_Log (single-node recovery) is gone: its name is refused with
 		// the list of schemes.
 		{[]string{"-metrics", "-app", "SOR-128", "-scheme", "Indep_Log", "-ckpts", "1"}, "Coord_NB_FT_INC"},
+		// Sizes the apps cannot run are refused by name with their range,
+		// before any rank is built.
+		{[]string{"-metrics", "-app", "TSP-65", "-scheme", "NB"}, "2 to 64 cities"},
+		{[]string{"-metrics", "-app", "NQUEENS-1", "-scheme", "NB"}, "at least 2 rows"},
 	} {
 		wantUsage(t, tc.args, tc.want)
 	}

@@ -17,6 +17,7 @@ package apps
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/mp"
 )
@@ -34,6 +35,43 @@ type Workload struct {
 	Name  string
 	Make  Factory
 	Check func(progs []mp.Program) error
+}
+
+// jobMemo maps a master/worker job to its result for every rank one workload
+// value makes. A job's result depends on its inputs alone, never on when the
+// master hands it out, so the runs of a table row — failure-free and under
+// each scheme — search each job once; a hit still charges the stored node
+// count in virtual time, so no simulated result moves. The memo lives as long
+// as its Workload value. Entries are never written after insertion: two
+// workers that miss one key both search it, and the first store stands. A nil
+// memo (a program built outside a workload) stores nothing.
+type jobMemo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V
+}
+
+// get returns k's result, running search and storing what it returns on a
+// miss.
+func (m *jobMemo[K, V]) get(k K, search func() V) V {
+	if m == nil {
+		return search()
+	}
+	m.mu.Lock()
+	v, ok := m.m[k]
+	m.mu.Unlock()
+	if ok {
+		return v
+	}
+	v = search()
+	m.mu.Lock()
+	if m.m == nil {
+		m.m = make(map[K]V)
+	}
+	if _, ok := m.m[k]; !ok {
+		m.m[k] = v
+	}
+	m.mu.Unlock()
+	return v
 }
 
 // blockRange splits n items into size contiguous blocks and returns rank's

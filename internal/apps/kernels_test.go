@@ -155,3 +155,13 @@ func TestAllocsNQueensKernel(t *testing.T) {
 		t.Fatalf("countFromPrefix allocates %.1f objects per task, want 0", allocs)
 	}
 }
+
+// TestAllocsNQueensMemoHit: a task its workload already counted is served
+// from the memo without allocating.
+func TestAllocsNQueensMemoHit(t *testing.T) {
+	q := NQueensWorkload(DefaultNQueens(10)).Make(1, 2).(*NQueens)
+	q.job(0)
+	if allocs := testing.AllocsPerRun(20, func() { q.job(0) }); allocs != 0 {
+		t.Fatalf("a memo hit allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/mp"
@@ -43,6 +44,13 @@ type NQueens struct {
 	Explored int64
 
 	tasks [][2]int
+	memo  *jobMemo[int, queensResult] // task index -> result; shared by the workload's ranks, nil outside one
+}
+
+// queensResult is what countFromPrefix returns for a task.
+type queensResult struct {
+	count    int64
+	explored int
 }
 
 // NewNQueens builds rank's role.
@@ -58,16 +66,30 @@ func NewNQueens(rank, size int, cfg NQueensConfig) *NQueens {
 	return q
 }
 
-// NQueensWorkload adapts the benchmark to the harness registry.
+// NQueensWorkload adapts the benchmark to the harness registry. A board
+// without a published count is counted sequentially once, under a sync.Once
+// because the table's runs may Check concurrently. Every rank it makes
+// shares one job memo (jobMemo).
 func NQueensWorkload(cfg NQueensConfig) Workload {
+	var (
+		once sync.Once
+		want int64
+		memo = new(jobMemo[int, queensResult])
+	)
 	return Workload{
 		Name: fmt.Sprintf("NQUEENS-%d", cfg.N),
-		Make: func(rank, size int) mp.Program { return NewNQueens(rank, size, cfg) },
+		Make: func(rank, size int) mp.Program {
+			q := NewNQueens(rank, size, cfg)
+			q.memo = memo
+			return q
+		},
 		Check: func(progs []mp.Program) error {
-			want, ok := knownQueensCounts[cfg.N]
-			if !ok {
-				want = SequentialNQueens(cfg.N)
-			}
+			once.Do(func() {
+				var ok bool
+				if want, ok = knownQueensCounts[cfg.N]; !ok {
+					want = SequentialNQueens(cfg.N)
+				}
+			})
 			master := progs[0].(*NQueens)
 			if master.Count != want {
 				return fmt.Errorf("nqueens: count %d, want %d", master.Count, want)
@@ -123,17 +145,25 @@ func (q *NQueens) runWorker(e *mp.Env) {
 		if task < 0 {
 			return
 		}
-		prefix := q.tasks[task]
-		count, explored := countFromPrefix(q.Cfg.N, prefix)
+		res := q.job(task)
 		w := codec.NewWriter()
 		w.Bool(true)
-		w.I64(count)
-		w.I64(int64(explored))
+		w.I64(res.count)
+		w.I64(int64(res.explored))
 		q.Pending = w.Bytes()
-		q.Explored += int64(explored)
+		q.Explored += int64(res.explored)
 		q.Phase = 0
-		e.Compute(float64(explored) * q.Cfg.OpsPerNode)
+		e.Compute(float64(res.explored) * q.Cfg.OpsPerNode)
 	}
+}
+
+// job returns countFromPrefix's result for task's prefix, from the
+// workload's memo when a run of it already counted that task.
+func (q *NQueens) job(task int) queensResult {
+	return q.memo.get(task, func() (r queensResult) {
+		r.count, r.explored = countFromPrefix(q.Cfg.N, q.tasks[task])
+		return r
+	})
 }
 
 // countFromPrefix counts completions given queens at (0, prefix[0]) and

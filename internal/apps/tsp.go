@@ -68,16 +68,31 @@ type TSP struct {
 	dist   [][]int64
 	minOut []int64
 	tasks  [][2]int
+	memo   *jobMemo[tspJob, tspResult] // shared by the workload's ranks; nil outside one
 }
 
-// tspMaxCities is the largest map the search handles: its set of unvisited
+// tspJob is a worker's job: a task's subtree searched against a bound.
+type tspJob struct {
+	task  int
+	bound int64
+}
+
+// tspResult is what searchSubtree returns for a job. The tour is only read
+// once stored: the worker encodes it into its reply.
+type tspResult struct {
+	length   int64
+	tour     []int
+	explored int
+}
+
+// TSPMaxCities is the largest map the search handles: its set of unvisited
 // cities is one uint64 bitmask.
-const tspMaxCities = 64
+const TSPMaxCities = 64
 
 // NewTSP builds rank's role (rank 0 = master, others workers).
 func NewTSP(rank, size int, cfg TSPConfig) *TSP {
-	if cfg.Cities > tspMaxCities {
-		panic(fmt.Sprintf("apps: TSP with %d cities exceeds the limit of %d", cfg.Cities, tspMaxCities))
+	if cfg.Cities > TSPMaxCities {
+		panic(fmt.Sprintf("apps: TSP with %d cities exceeds the limit of %d", cfg.Cities, TSPMaxCities))
 	}
 	t := &TSP{Cfg: cfg, Rank: rank, Size: size, Best: math.MaxInt64}
 	t.dist = tspDist(cfg)
@@ -108,15 +123,20 @@ func NewTSP(rank, size int, cfg TSPConfig) *TSP {
 // TSPWorkload adapts the benchmark to the harness registry. The exact
 // optimum is computed once and cached across the table's scheme runs; the
 // cache is filled under a sync.Once because those runs' Checks may execute
-// concurrently.
+// concurrently. Every rank it makes shares one job memo (jobMemo).
 func TSPWorkload(cfg TSPConfig) Workload {
 	var (
 		once sync.Once
 		want int64
+		memo = new(jobMemo[tspJob, tspResult])
 	)
 	return Workload{
 		Name: fmt.Sprintf("TSP-%d", cfg.Cities),
-		Make: func(rank, size int) mp.Program { return NewTSP(rank, size, cfg) },
+		Make: func(rank, size int) mp.Program {
+			t := NewTSP(rank, size, cfg)
+			t.memo = memo
+			return t
+		},
 		Check: func(progs []mp.Program) error {
 			once.Do(func() { want = HeldKarp(cfg) })
 			master := progs[0].(*TSP)
@@ -238,18 +258,26 @@ func (t *TSP) runWorker(e *mp.Env) {
 			t.Best = bound
 			return
 		}
-		prefix := t.tasks[task]
-		length, tour, explored := t.searchSubtree(prefix, bound)
+		res := t.job(task, bound)
 		w := codec.NewWriter()
 		w.Bool(true)
-		w.I64(length)
-		w.Ints(tour)
-		w.I64(int64(explored))
+		w.I64(res.length)
+		w.Ints(res.tour)
+		w.I64(int64(res.explored))
 		t.Pending = w.Bytes()
-		t.Explored += int64(explored)
+		t.Explored += int64(res.explored)
 		t.Phase = 0
-		e.Compute(float64(explored) * t.Cfg.OpsPerNode)
+		e.Compute(float64(res.explored) * t.Cfg.OpsPerNode)
 	}
+}
+
+// job returns searchSubtree's result for task's prefix against bound, from
+// the workload's memo when a run of it already searched that job.
+func (t *TSP) job(task int, bound int64) tspResult {
+	return t.memo.get(tspJob{task, bound}, func() (r tspResult) {
+		r.length, r.tour, r.explored = t.searchSubtree(t.tasks[task], bound)
+		return r
+	})
 }
 
 // searchSubtree explores all tours starting 0 -> prefix[0] -> prefix[1] with

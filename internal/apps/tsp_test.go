@@ -120,6 +120,20 @@ func TestAllocsTSPSearch(t *testing.T) {
 	}
 }
 
+// TestAllocsTSPMemoHit: a job its workload already searched is served from
+// the memo without allocating, the improving jobs' tours included.
+func TestAllocsTSPMemoHit(t *testing.T) {
+	cfg := TSPConfig{Cities: 11, Seed: 3}
+	tt := TSPWorkload(cfg).Make(1, 2).(*TSP)
+	opt := HeldKarp(cfg)
+	for task := range tt.tasks {
+		tt.job(task, opt+1)
+		if allocs := testing.AllocsPerRun(5, func() { tt.job(task, opt+1) }); allocs != 0 {
+			t.Fatalf("task %d: %.1f allocations per memo hit, want 0", task, allocs)
+		}
+	}
+}
+
 // TestNewTSPCityLimit: the search's unvisited set is one uint64, so a map
 // larger than 64 cities is refused by name.
 func TestNewTSPCityLimit(t *testing.T) {

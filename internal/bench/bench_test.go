@@ -27,12 +27,12 @@ func TestWorkloadSetsShape(t *testing.T) {
 }
 
 func TestWorkloadByName(t *testing.T) {
-	for _, name := range []string{"ISING-64", "SOR-128", "GAUSS-64", "ASP-64", "NBODY-64", "TSP-10", "NQUEENS-8", "RING-1000"} {
+	for _, name := range []string{"ISING-64", "SOR-128", "GAUSS-64", "ASP-64", "NBODY-64", "TSP-10", "TSP-2", "TSP-64", "NQUEENS-2", "NQUEENS-8", "RING-1000"} {
 		if _, err := WorkloadByName(name); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	for _, bad := range []string{"SOR", "FOO-12", "SOR-x", "SOR--3"} {
+	for _, bad := range []string{"SOR", "FOO-12", "SOR-x", "SOR--3", "TSP-65", "TSP-1", "NQUEENS-1"} {
 		if _, err := WorkloadByName(bad); err == nil {
 			t.Errorf("%s accepted", bad)
 		}

@@ -34,8 +34,16 @@ func WorkloadByName(name string) (apps.Workload, error) {
 	case "NBODY":
 		return apps.NBodyWorkload(apps.DefaultNBody(n, 10)), nil
 	case "TSP":
+		// One city has no tour to search; the unvisited set is one uint64.
+		if n < 2 || n > apps.TSPMaxCities {
+			return apps.Workload{}, fmt.Errorf("bench: %s: TSP takes 2 to %d cities", name, apps.TSPMaxCities)
+		}
 		return apps.TSPWorkload(apps.TSPConfig{Cities: n, Seed: 0x75b, OpsPerNode: 400}), nil
 	case "NQUEENS":
+		// The tasks are placements on the first two rows: a 1x1 board has none.
+		if n < 2 {
+			return apps.Workload{}, fmt.Errorf("bench: %s: NQUEENS takes a board of at least 2 rows", name)
+		}
 		return apps.NQueensWorkload(apps.DefaultNQueens(n)), nil
 	case "RING":
 		return syntheticWorkload(n), nil
